@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -168,9 +169,6 @@ BindingCache::SnapshotEntries() const {
 
 namespace {
 
-// Node/edge merges below this many bindings run the plain serial loop.
-constexpr size_t kMinBindingsParallelMerge = 4096;
-
 // Distinguished variables of a rule: all variables appearing in the head
 // and body attribute references, in first-occurrence order.
 std::vector<std::string> DistinguishedVars(
@@ -257,7 +255,6 @@ Result<BindingTable> EnumerateBindings(
     const std::vector<std::string>& vars, ExecContext& ctx) {
   CARL_TRACE_SCOPE("grounding.rule.enumerate");
   CARL_ASSIGN_OR_RETURN(PreparedQuery prepared, evaluator.Prepare(where));
-  if (ctx.serial()) return evaluator.Evaluate(prepared, vars);
   CARL_ASSIGN_OR_RETURN(size_t candidates,
                         evaluator.CountRootCandidates(prepared));
   size_t shards = PlanBindingShards(candidates, ctx.threads());
@@ -402,16 +399,40 @@ Result<std::shared_ptr<const BindingTable>> EnumerateBindingsCached(
   return shared;
 }
 
-// One rule ready to merge: its enumerated bindings plus compiled head and
-// body references. Causal rules first, aggregate rules after — the vector
-// order is the model's rule order, and the merge order.
+// One rule of the model as the pipeline sees it: a head, its body refs,
+// and its condition. An aggregate rule is one body ref (its source) plus
+// require_all. RulesInMergeOrder lists causal rules first, then aggregate
+// rules — the model's rule order, and the merge order.
+struct RuleView {
+  const AttributeRef* head = nullptr;
+  std::vector<const AttributeRef*> body;
+  const ConjunctiveQuery* where = nullptr;
+  // Causal rules skip only the failing body edge (the head grounding
+  // still counts); aggregate rules skip the whole binding unless head
+  // and source both resolve.
+  bool require_all = false;
+};
+
+std::vector<RuleView> RulesInMergeOrder(const RelationalCausalModel& model) {
+  std::vector<RuleView> rules;
+  rules.reserve(model.rules().size() + model.aggregate_rules().size());
+  for (const CausalRule& rule : model.rules()) {
+    RuleView view{&rule.head, {}, &rule.where, false};
+    view.body.reserve(rule.body.size());
+    for (const AttributeRef& b : rule.body) view.body.push_back(&b);
+    rules.push_back(std::move(view));
+  }
+  for (const AggregateRule& rule : model.aggregate_rules()) {
+    rules.push_back(RuleView{&rule.head, {&rule.source}, &rule.where, true});
+  }
+  return rules;
+}
+
+// One rule ready to merge: its bindings plus compiled head and body refs.
 struct CompiledRule {
   std::shared_ptr<const BindingTable> bindings;
   CompiledRef head;
   std::vector<CompiledRef> body;
-  // Causal rules skip only the failing body edge (the head grounding
-  // still counts); aggregate rules skip the whole binding unless head
-  // and source both resolve.
   bool require_all = false;
 
   size_t max_arity() const {
@@ -421,7 +442,44 @@ struct CompiledRule {
   }
 };
 
-// Per-binding probe slots of one rule (phase A output).
+// Where a rule's bindings come from: GroundModel enumerates the full
+// condition (through the binding cache), ExtendGroundedModel its
+// semi-naive delta. Called with the condition and the projection.
+using BindingSource =
+    std::function<Result<std::shared_ptr<const BindingTable>>(
+        const ConjunctiveQuery&, const std::vector<std::string>&)>;
+
+// Enumerates and compiles every rule, in merge order.
+Result<std::vector<CompiledRule>> CompileRules(
+    const Instance& instance, const RelationalCausalModel& model,
+    const BindingSource& binding_source) {
+  const Schema& schema = model.extended_schema();
+  std::vector<RuleView> views = RulesInMergeOrder(model);
+  std::vector<CompiledRule> compiled;
+  compiled.reserve(views.size());
+  for (const RuleView& view : views) {
+    std::vector<std::string> vars = DistinguishedVars(*view.head, view.body);
+    std::unordered_map<std::string, size_t> var_slots;
+    for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
+
+    CompiledRule job;
+    job.require_all = view.require_all;
+    CARL_ASSIGN_OR_RETURN(job.bindings, binding_source(*view.where, vars));
+    CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
+                          schema.FindAttribute(view.head->attribute));
+    job.head = CompileRef(instance, head_attr, *view.head, var_slots);
+    job.body.reserve(view.body.size());
+    for (const AttributeRef* b : view.body) {
+      CARL_ASSIGN_OR_RETURN(AttributeId aid,
+                            schema.FindAttribute(b->attribute));
+      job.body.push_back(CompileRef(instance, aid, *b, var_slots));
+    }
+    compiled.push_back(std::move(job));
+  }
+  return compiled;
+}
+
+// Per-binding probe slots of one rule.
 enum : uint8_t { kSkip = 0, kFound = 1, kMiss = 2 };
 struct RuleProbe {
   std::vector<NodeId> head_node;
@@ -430,99 +488,37 @@ struct RuleProbe {
   std::vector<uint8_t> body_state;
 };
 
-// The historical per-binding merge loop of one rule: resolve, intern in
-// binding order, buffer edges, one AddEdges batch. This is the reference
-// semantics every parallel path below reproduces bit-for-bit.
-void MergeRuleSerial(const CompiledRule& rule, CausalGraph* graph,
-                     size_t* num_groundings) {
-  CARL_TRACE_SCOPE("grounding.rule.merge_serial");
-  const BindingTable& bindings = *rule.bindings;
-  std::vector<SymbolId> scratch(rule.max_arity());
-  std::vector<SymbolId> body_scratch(rule.max_arity());
-  std::vector<CausalGraph::Edge> edges;
-  edges.reserve(bindings.size() * rule.body.size());
-  graph->ReserveEdges(bindings.size() * rule.body.size());
-  for (size_t i = 0; i < bindings.size(); ++i) {
-    TupleView binding = bindings.row(i);
-    // Identity refs ARE the binding row: intern with the memoized row
-    // hash instead of re-hashing (identity implies resolvable).
-    if (!rule.head.identity && !rule.head.Resolve(binding, scratch.data())) {
-      continue;
-    }
-    if (rule.require_all) {
-      bool all = true;
-      for (const CompiledRef& b : rule.body) {
-        if (b.unresolvable) {
-          all = false;
-          break;
-        }
-      }
-      if (!all) continue;
-    }
-    NodeId head_node =
-        rule.head.identity
-            ? graph->AddNode(rule.head.attribute, binding,
-                             bindings.row_hash(i))
-            : graph->AddNode(rule.head.attribute,
-                             TupleView(scratch.data(), rule.head.arity()));
-    for (const CompiledRef& b : rule.body) {
-      NodeId body_node;
-      if (b.identity) {
-        body_node = graph->AddNode(b.attribute, binding,
-                                   bindings.row_hash(i));
-      } else {
-        if (!b.Resolve(binding, body_scratch.data())) continue;
-        body_node = graph->AddNode(
-            b.attribute, TupleView(body_scratch.data(), b.arity()));
-      }
-      edges.push_back(CausalGraph::Edge{body_node, head_node});
-    }
-    ++*num_groundings;
+// Probes the grounding of `ref` at binding `i` read-only: kSkip when the
+// ref does not resolve, else kFound/kMiss with the node id (if any) in
+// *node. Identity refs probe with the binding's memoized row hash — the
+// probe never re-hashes a grounding key it already owns.
+uint8_t ProbeRef(const CompiledRef& ref, const BindingTable& bindings,
+                 size_t i, const CausalGraph& graph, SymbolId* scratch,
+                 NodeId* node) {
+  TupleView binding = bindings.row(i);
+  if (ref.identity) {
+    *node = graph.FindNode(ref.attribute, binding, bindings.row_hash(i));
+  } else if (ref.Resolve(binding, scratch)) {
+    *node = graph.FindNode(ref.attribute, TupleView(scratch, ref.arity()));
+  } else {
+    return kSkip;
   }
-  graph->AddEdges(edges);
+  return *node == kInvalidNode ? kMiss : kFound;
 }
 
-// Phase A body: resolve bindings [begin, end) of one rule and probe the
-// graph's node interner read-only, results into per-binding slots.
-void ProbeRuleRange(const CompiledRule& rule, const CausalGraph& graph,
-                    size_t begin, size_t end, RuleProbe* probe) {
-  CARL_TRACE_SCOPE("grounding.rule.probe");
-  const BindingTable& bindings = *rule.bindings;
-  const size_t nbody = rule.body.size();
-  std::vector<SymbolId> buf(rule.max_arity());
-  for (size_t i = begin; i < end; ++i) {
-    TupleView binding = bindings.row(i);
-    // Identity refs probe with the binding's memoized row hash — the
-    // probe never re-hashes a grounding key it already owns.
-    if (rule.head.identity) {
-      NodeId n = graph.FindNode(rule.head.attribute, binding,
-                                bindings.row_hash(i));
-      probe->head_state[i] = n == kInvalidNode ? kMiss : kFound;
-      probe->head_node[i] = n;
-    } else if (rule.head.Resolve(binding, buf.data())) {
-      NodeId n = graph.FindNode(rule.head.attribute,
-                                TupleView(buf.data(), rule.head.arity()));
-      probe->head_state[i] = n == kInvalidNode ? kMiss : kFound;
-      probe->head_node[i] = n;
-    }
-    for (size_t b = 0; b < nbody; ++b) {
-      NodeId n;
-      if (rule.body[b].identity) {
-        n = graph.FindNode(rule.body[b].attribute, binding,
-                           bindings.row_hash(i));
-      } else {
-        if (!rule.body[b].Resolve(binding, buf.data())) continue;
-        n = graph.FindNode(rule.body[b].attribute,
-                           TupleView(buf.data(), rule.body[b].arity()));
-      }
-      probe->body_state[i * nbody + b] = n == kInvalidNode ? kMiss : kFound;
-      probe->body_node[i * nbody + b] = n;
-    }
+// Interns the grounding of `ref` at binding `i`, which must resolve.
+NodeId InternRef(const CompiledRef& ref, const BindingTable& bindings,
+                 size_t i, SymbolId* scratch, CausalGraph* graph) {
+  TupleView binding = bindings.row(i);
+  if (ref.identity) {
+    return graph->AddNode(ref.attribute, binding, bindings.row_hash(i));
   }
+  ref.Resolve(binding, scratch);
+  return graph->AddNode(ref.attribute, TupleView(scratch, ref.arity()));
 }
 
-// Whether binding `i` of one rule survives the skip checks — the exact
-// accept condition of the historical per-binding splice loop.
+// Whether binding `i` of one rule survives the skip checks: the head
+// resolves, and under require_all every body ref does too.
 inline bool AcceptedBinding(const CompiledRule& rule, const RuleProbe& probe,
                             size_t i, size_t nbody) {
   if (probe.head_state[i] == kSkip) return false;
@@ -534,202 +530,146 @@ inline bool AcceptedBinding(const CompiledRule& rule, const RuleProbe& probe,
   return true;
 }
 
-// Merges every rule's groundings into the graph, cross-rule parallel.
-//
-// Serial contexts (or small total inputs) run the plain per-rule loop in
-// rule order. Parallel contexts split the work in two phases: phase A
-// resolves every rule's references and probes the graph's node interner
-// read-only across ALL rules at once (the hash-heavy part — after step
-// 1's bulk build nearly every grounding already has a node, and the rules
-// only conflict on node interning, which the probe never mutates); phase
-// B is the parallel splice: per-chunk prefix sums over the accepted
-// probes compute every edge's destination up front, a serial pass interns
-// the rare misses in exact rule/binding order, the chunks then fill their
-// pre-sized per-rule edge arrays concurrently at disjoint offsets, and
-// one batched sorted-run build commits all rules' edges in rule order.
-// Node ids, edge order, and num_groundings are bit-identical for every
-// thread count. `splice_s` (optional) receives phase B's wall time — in
-// the serial fallback the whole fused probe+splice loop counts.
-void MergeAllRuleGroundings(const std::vector<CompiledRule>& rules,
-                            ExecContext& ctx, CausalGraph* graph,
-                            size_t* num_groundings, double* splice_s) {
-  size_t total_bindings = 0;
-  for (const CompiledRule& rule : rules) {
-    total_bindings += rule.bindings->size();
-  }
-  if (ctx.serial() || total_bindings < kMinBindingsParallelMerge) {
-    obs::MonotonicTimer timer;
-    for (const CompiledRule& rule : rules) {
-      MergeRuleSerial(rule, graph, num_groundings);
-    }
-    if (splice_s != nullptr) *splice_s += timer.Seconds();
-    return;
-  }
-
-  // Phase A (parallel): one flat job list over every rule's deterministic
-  // chunk plan, so small rules ride along with large ones and the pool
-  // stays balanced across rules.
-  struct ProbeChunk {
-    size_t rule;
-    size_t begin;
-    size_t end;
-  };
-  std::vector<ProbeChunk> chunks;
-  std::vector<RuleProbe> probes(rules.size());
-  for (size_t r = 0; r < rules.size(); ++r) {
-    const size_t nb = rules[r].bindings->size();
-    const size_t nbody = rules[r].body.size();
-    probes[r].head_node.assign(nb, kInvalidNode);
-    probes[r].head_state.assign(nb, kSkip);
-    probes[r].body_node.assign(nb * nbody, kInvalidNode);
-    probes[r].body_state.assign(nb * nbody, kSkip);
-    for (const auto& [begin, end] : ctx.Chunks(nb)) {
-      chunks.push_back(ProbeChunk{r, begin, end});
-    }
-  }
-  ParallelFor(ctx, chunks.size(), [&](size_t begin, size_t end, size_t) {
-    for (size_t c = begin; c < end; ++c) {
-      const ProbeChunk& chunk = chunks[c];
-      ProbeRuleRange(rules[chunk.rule], *graph, chunk.begin, chunk.end,
-                     &probes[chunk.rule]);
+// Phase 1 of one rule's merge: resolves every binding's refs over the
+// rule's chunk plan and probes the graph's node interner read-only (the
+// hash-heavy part; after step 1's bulk build nearly every grounding
+// already has a node).
+RuleProbe ProbeRule(const CompiledRule& rule, const CausalGraph& graph,
+                    ExecContext& ctx) {
+  const BindingTable& bindings = *rule.bindings;
+  const size_t nb = bindings.size();
+  const size_t nbody = rule.body.size();
+  RuleProbe probe;
+  probe.head_node.assign(nb, kInvalidNode);
+  probe.head_state.assign(nb, kSkip);
+  probe.body_node.assign(nb * nbody, kInvalidNode);
+  probe.body_state.assign(nb * nbody, kSkip);
+  ParallelFor(ctx, nb, [&](size_t begin, size_t end, size_t) {
+    CARL_TRACE_SCOPE("grounding.rule.probe");
+    std::vector<SymbolId> buf(rule.max_arity());
+    for (size_t i = begin; i < end; ++i) {
+      probe.head_state[i] = ProbeRef(rule.head, bindings, i, graph,
+                                     buf.data(), &probe.head_node[i]);
+      for (size_t b = 0; b < nbody; ++b) {
+        probe.body_state[i * nbody + b] =
+            ProbeRef(rule.body[b], bindings, i, graph, buf.data(),
+                     &probe.body_node[i * nbody + b]);
+      }
     }
   });
-  // A stopped token leaves probe chunks unwritten (all-kSkip); committing
-  // a splice over them would record a wrong-but-plausible merge.
-  if (guard::StopRequested()) return;
+  return probe;
+}
 
-  obs::MonotonicTimer splice_timer;
-
-  // B1 (parallel): count each chunk's accepted groundings and live edges,
-  // and flag chunks that intern at least one miss.
+// Phase 2 of one rule's merge, the splice: per-chunk counts of accepted
+// groundings and live edges, an exclusive scan giving every chunk its
+// offset in the rule's edge array, serial interning of the probe misses
+// in binding order (head before bodies — the ids a per-binding AddNode
+// loop assigns), then every chunk fills its edges at its offset. Returns
+// the rule's edges in binding order; the probe is released on return.
+std::vector<CausalGraph::Edge> SpliceRule(const CompiledRule& rule,
+                                          RuleProbe probe, ExecContext& ctx,
+                                          CausalGraph* graph,
+                                          size_t* num_groundings) {
+  const BindingTable& bindings = *rule.bindings;
+  const size_t nb = bindings.size();
+  const size_t nbody = rule.body.size();
+  const std::vector<std::pair<size_t, size_t>> chunks = ctx.Chunks(nb);
   std::vector<size_t> chunk_edges(chunks.size(), 0);
   std::vector<size_t> chunk_groundings(chunks.size(), 0);
   std::vector<uint8_t> chunk_has_miss(chunks.size(), 0);
   {
     CARL_TRACE_SCOPE("splice.prefix_sum");
-    ParallelFor(ctx, chunks.size(), [&](size_t begin, size_t end, size_t) {
-      for (size_t c = begin; c < end; ++c) {
-        const ProbeChunk& chunk = chunks[c];
-        const CompiledRule& rule = rules[chunk.rule];
-        const RuleProbe& probe = probes[chunk.rule];
-        const size_t nbody = rule.body.size();
-        size_t edges = 0, groundings = 0;
-        uint8_t has_miss = 0;
-        for (size_t i = chunk.begin; i < chunk.end; ++i) {
-          if (!AcceptedBinding(rule, probe, i, nbody)) continue;
-          ++groundings;
-          has_miss |= probe.head_state[i] == kMiss;
-          for (size_t b = 0; b < nbody; ++b) {
-            uint8_t state = probe.body_state[i * nbody + b];
-            if (state == kSkip) continue;
-            ++edges;
-            has_miss |= state == kMiss;
-          }
+    ParallelFor(ctx, nb, [&](size_t begin, size_t end, size_t c) {
+      size_t edges = 0, groundings = 0;
+      uint8_t has_miss = 0;
+      for (size_t i = begin; i < end; ++i) {
+        if (!AcceptedBinding(rule, probe, i, nbody)) continue;
+        ++groundings;
+        has_miss |= probe.head_state[i] == kMiss;
+        for (size_t b = 0; b < nbody; ++b) {
+          uint8_t state = probe.body_state[i * nbody + b];
+          if (state == kSkip) continue;
+          ++edges;
+          has_miss |= state == kMiss;
         }
-        chunk_edges[c] = edges;
-        chunk_groundings[c] = groundings;
-        chunk_has_miss[c] = has_miss;
       }
+      chunk_edges[c] = edges;
+      chunk_groundings[c] = groundings;
+      chunk_has_miss[c] = has_miss;
     });
   }
-  if (guard::StopRequested()) return;
+  if (guard::StopRequested()) return {};
 
-  // Serial exclusive scan: each chunk's base offset within ITS RULE's
-  // edge array (chunks of one rule are contiguous in `chunks`), plus the
-  // per-rule edge totals and the grand grounding count.
   std::vector<size_t> chunk_edge_base(chunks.size(), 0);
-  std::vector<size_t> rule_edge_total(rules.size(), 0);
+  size_t total_edges = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
-    chunk_edge_base[c] = rule_edge_total[chunks[c].rule];
-    rule_edge_total[chunks[c].rule] += chunk_edges[c];
+    chunk_edge_base[c] = total_edges;
+    total_edges += chunk_edges[c];
     *num_groundings += chunk_groundings[c];
   }
 
-  // B2 (serial): intern the probe misses in the exact order the serial
-  // merge would — rule order, binding order, head before bodies — writing
-  // the fresh node ids back into the probe slots. Only miss-flagged
-  // chunks are walked; after step 1's bulk build they are rare.
-  {
-    std::vector<SymbolId> scratch;
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      if (!chunk_has_miss[c]) continue;
-      const ProbeChunk& chunk = chunks[c];
-      const CompiledRule& rule = rules[chunk.rule];
-      RuleProbe& probe = probes[chunk.rule];
-      const BindingTable& bindings = *rule.bindings;
-      const size_t nbody = rule.body.size();
-      scratch.resize(rule.max_arity());
-      for (size_t i = chunk.begin; i < chunk.end; ++i) {
-        if (!AcceptedBinding(rule, probe, i, nbody)) continue;
-        if (probe.head_state[i] == kMiss) {
-          TupleView binding = bindings.row(i);
-          probe.head_node[i] =
-              rule.head.identity
-                  ? graph->AddNode(rule.head.attribute, binding,
-                                   bindings.row_hash(i))
-                  : (rule.head.Resolve(binding, scratch.data()),
-                     graph->AddNode(
-                         rule.head.attribute,
-                         TupleView(scratch.data(), rule.head.arity())));
-          probe.head_state[i] = kFound;
-        }
-        for (size_t b = 0; b < nbody; ++b) {
-          if (probe.body_state[i * nbody + b] != kMiss) continue;
-          TupleView binding = bindings.row(i);
-          const CompiledRef& ref = rule.body[b];
-          probe.body_node[i * nbody + b] =
-              ref.identity
-                  ? graph->AddNode(ref.attribute, binding,
-                                   bindings.row_hash(i))
-                  : (ref.Resolve(binding, scratch.data()),
-                     graph->AddNode(ref.attribute,
-                                    TupleView(scratch.data(), ref.arity())));
-          probe.body_state[i * nbody + b] = kFound;
-        }
+  // Only miss-flagged chunks are walked; after step 1's bulk build they
+  // are rare.
+  std::vector<SymbolId> scratch(rule.max_arity());
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    if (!chunk_has_miss[c]) continue;
+    for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
+      if (!AcceptedBinding(rule, probe, i, nbody)) continue;
+      if (probe.head_state[i] == kMiss) {
+        probe.head_node[i] =
+            InternRef(rule.head, bindings, i, scratch.data(), graph);
+      }
+      for (size_t b = 0; b < nbody; ++b) {
+        if (probe.body_state[i * nbody + b] != kMiss) continue;
+        probe.body_node[i * nbody + b] =
+            InternRef(rule.body[b], bindings, i, scratch.data(), graph);
       }
     }
   }
 
-  // B3 (parallel): every node id is now known, so the chunks fill their
-  // rule's pre-sized edge array concurrently at the disjoint offsets the
-  // prefix sums assigned.
-  std::vector<std::vector<CausalGraph::Edge>> rule_edges(rules.size());
-  size_t total_edges = 0;
-  for (size_t r = 0; r < rules.size(); ++r) {
-    rule_edges[r].resize(rule_edge_total[r]);
-    total_edges += rule_edge_total[r];
-  }
+  std::vector<CausalGraph::Edge> edges(total_edges);
   {
     CARL_TRACE_SCOPE("splice.parallel");
-    ParallelFor(ctx, chunks.size(), [&](size_t begin, size_t end, size_t) {
-      for (size_t c = begin; c < end; ++c) {
-        const ProbeChunk& chunk = chunks[c];
-        const CompiledRule& rule = rules[chunk.rule];
-        const RuleProbe& probe = probes[chunk.rule];
-        const size_t nbody = rule.body.size();
-        CausalGraph::Edge* out = rule_edges[chunk.rule].data();
-        size_t at = chunk_edge_base[c];
-        for (size_t i = chunk.begin; i < chunk.end; ++i) {
-          if (!AcceptedBinding(rule, probe, i, nbody)) continue;
-          NodeId h = probe.head_node[i];
-          for (size_t b = 0; b < nbody; ++b) {
-            if (probe.body_state[i * nbody + b] == kSkip) continue;
-            CARL_DCHECK(at < rule_edges[chunk.rule].size());
-            out[at++] = CausalGraph::Edge{probe.body_node[i * nbody + b], h};
-          }
+    ParallelFor(ctx, nb, [&](size_t begin, size_t end, size_t c) {
+      size_t at = chunk_edge_base[c];
+      for (size_t i = begin; i < end; ++i) {
+        if (!AcceptedBinding(rule, probe, i, nbody)) continue;
+        for (size_t b = 0; b < nbody; ++b) {
+          if (probe.body_state[i * nbody + b] == kSkip) continue;
+          CARL_DCHECK(at < edges.size());
+          edges[at++] = CausalGraph::Edge{probe.body_node[i * nbody + b],
+                                          probe.head_node[i]};
         }
-        CARL_DCHECK(at == chunk_edge_base[c] + chunk_edges[c]);
       }
+      CARL_DCHECK(at == chunk_edge_base[c] + chunk_edges[c]);
     });
   }
-  // A stop mid-fill leaves zero-initialized Edge slots; committing them
-  // would splice garbage self-loops on node 0.
-  if (guard::StopRequested()) return;
+  return edges;
+}
 
-  // B4: one batched commit, rule order == batch order.
-  graph->ReserveEdges(total_edges);
-  graph->AddEdgeBatches(rule_edges, ctx);
-  if (splice_s != nullptr) *splice_s += splice_timer.Seconds();
+// Merges every rule's groundings into the graph, rule by rule in merge
+// order: probe, splice, then one AddEdges commit per rule. The same code
+// runs at every thread count (one thread runs each phase inline), and
+// node ids, edge order, and num_groundings are identical for all of
+// them. Committing per rule keeps the transient probe and edge arrays
+// sized to one rule, not the whole model. A guard stop abandons the pass
+// before the next commit (a stopped ParallelFor leaves slots unwritten).
+// `splice_s` receives the splice and commit time; the rest of the merge
+// is the probe.
+void MergeRuleGroundings(const std::vector<CompiledRule>& rules,
+                         ExecContext& ctx, CausalGraph* graph,
+                         size_t* num_groundings, double* splice_s) {
+  for (const CompiledRule& rule : rules) {
+    RuleProbe probe = ProbeRule(rule, *graph, ctx);
+    if (guard::StopRequested()) return;
+    obs::MonotonicTimer splice_timer;
+    std::vector<CausalGraph::Edge> edges =
+        SpliceRule(rule, std::move(probe), ctx, graph, num_groundings);
+    if (guard::StopRequested()) return;
+    graph->ReserveEdges(edges.size());
+    graph->AddEdges(edges);
+    *splice_s += splice_timer.Seconds();
+  }
 }
 
 }  // namespace
@@ -746,6 +686,60 @@ std::optional<double> GroundedModel::NodeValue(NodeId id) const {
   return value_cache_[id];
 }
 
+void GroundedModel::TagAggregateNodes(size_t first_node) {
+  const size_t n = graph_.num_nodes();
+  node_has_aggregate_.resize(n, 0);
+  node_aggregate_.resize(n, AggregateKind::kAvg);
+  for (const AggregateRule& rule : model_->aggregate_rules()) {
+    Result<AttributeId> aid = schema().FindAttribute(rule.head.attribute);
+    if (!aid.ok()) continue;
+    for (NodeId node : graph_.NodesOfAttribute(*aid)) {
+      if (static_cast<size_t>(node) < first_node) continue;
+      node_has_aggregate_[node] = 1;
+      node_aggregate_[node] = rule.aggregate;
+    }
+  }
+}
+
+void GroundedModel::ReadInstanceValue(NodeId id) {
+  const GroundedAttribute g = graph_.node(id);
+  const Value* v = instance_->FindAttributeValue(g.attribute, g.args.data(),
+                                                 g.args.size());
+  if (v != nullptr && v->is_numeric()) {
+    value_cache_[id] = v->AsDouble();
+    value_state_[id] = 2;
+  } else {
+    value_state_[id] = 1;
+  }
+}
+
+void GroundedModel::AggregateValues(const std::vector<NodeId>& topo_order,
+                                    const std::vector<char>* dirty) {
+  // Parents precede children in topological order, so parent values
+  // (including aggregate-of-aggregate chains) are already final. Parent
+  // values are sorted before aggregation — parent list order is an
+  // edge-commit-order artifact that differs between a from-scratch ground
+  // and an incremental extend, and floating-point accumulation is not
+  // commutative; the sorted form makes aggregate values a function of the
+  // parent value SET, bit-identical across both paths.
+  std::vector<double> parent_values;
+  for (NodeId id : topo_order) {
+    if (!node_has_aggregate_[id]) continue;
+    if (dirty != nullptr && !(*dirty)[id]) continue;
+    parent_values.clear();
+    for (NodeId p : graph_.Parents(id)) {
+      if (value_state_[p] == 2) parent_values.push_back(value_cache_[p]);
+    }
+    if (parent_values.empty()) {
+      value_state_[id] = 1;
+      continue;
+    }
+    std::sort(parent_values.begin(), parent_values.end());
+    value_cache_[id] = ApplyAggregate(node_aggregate_[id], parent_values);
+    value_state_[id] = 2;
+  }
+}
+
 void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
   size_t n = graph_.num_nodes();
   value_state_.assign(n, 1);
@@ -755,7 +749,7 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
   // bulk-builds nodes in (attribute, row) order, so an attribute's first
   // NumRows(predicate) nodes are row-aligned with the instance's numeric
   // column — the hot path is a present-masked copy, no per-node hash
-  // probe. Slow fallbacks remain only for values living in the overflow
+  // probe. Instance reads remain only for values living in the overflow
   // map (set before their fact existed, or attached to rule-added
   // non-fact groundings past the bulk prefix).
   const Schema& s = schema();
@@ -763,23 +757,13 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
   attrs.reserve(s.attributes().size());
   for (const AttributeDef& attr : s.attributes()) attrs.push_back(attr.id);
 
-  auto slow_path = [this](NodeId id) {
-    const GroundedAttribute g = graph_.node(id);
-    const Value* v = instance_->FindAttributeValue(
-        g.attribute, g.args.data(), g.args.size());
-    if (v != nullptr && v->is_numeric()) {
-      value_cache_[id] = v->AsDouble();
-      value_state_[id] = 2;
-    }
-  };
-
   ParallelFor(ExecContext::Global(), attrs.size(),
               [&](size_t begin, size_t end, size_t) {
     for (size_t a = begin; a < end; ++a) {
       AttributeId aid = attrs[a];
       // Extended-schema attributes (derived aggregates) are unknown to
       // the instance: every one of their nodes is aggregate-tagged and
-      // valued by the topological pass below, never by a column read.
+      // valued by AggregateValues below, never by a column read.
       if (static_cast<size_t>(aid) >=
           instance_->schema().num_attributes()) {
         continue;
@@ -797,7 +781,7 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
           value_cache_[id] = col.values[r];
           value_state_[id] = 2;
         } else if (col.may_overflow) {
-          slow_path(id);
+          ReadInstanceValue(id);
         }
       }
       // Rows past the column's written extent, then rule-added non-fact
@@ -805,32 +789,12 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
       if (col.may_overflow || bulk < nodes.size()) {
         for (size_t r = covered; r < nodes.size(); ++r) {
           NodeId id = nodes[r];
-          if (!node_has_aggregate_[id]) slow_path(id);
+          if (!node_has_aggregate_[id]) ReadInstanceValue(id);
         }
       }
     }
   });
-
-  // Aggregates: parents precede children in topological order, so parent
-  // values (including aggregate-of-aggregate chains) are already final.
-  // Parent values are sorted before aggregation — parent list order is an
-  // edge-commit-order artifact that differs between a from-scratch ground
-  // and an incremental extend, and floating-point accumulation is not
-  // commutative; the sorted form makes aggregate values a function of the
-  // parent value SET, bit-identical across both paths.
-  std::vector<double> parent_values;
-  for (NodeId id : topo_order) {
-    if (!node_has_aggregate_[id]) continue;
-    parent_values.clear();
-    for (NodeId p : graph_.Parents(id)) {
-      if (value_state_[p] == 2) parent_values.push_back(value_cache_[p]);
-    }
-    if (!parent_values.empty()) {
-      std::sort(parent_values.begin(), parent_values.end());
-      value_cache_[id] = ApplyAggregate(node_aggregate_[id], parent_values);
-      value_state_[id] = 2;
-    }
-  }
+  AggregateValues(topo_order, nullptr);
 }
 
 std::string GroundedModel::NodeName(NodeId id) const {
@@ -878,90 +842,40 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   }
   grounded.phase_stats_.node_build_s = phase_timer.Seconds();
 
-  // 2. Compile and enumerate every rule's condition: bindings come in
+  // 2. Compile every rule and enumerate its condition: bindings come in
   // parallel shards of one shared compiled plan as a columnar table
   // (reused from the binding cache when the same condition was enumerated
-  // before). Causal rules first, then aggregate rules (all-or-nothing per
-  // binding: head and source must both resolve) — the vector order is the
-  // merge order.
+  // before).
   phase_timer.Reset();
   std::vector<CompiledRule> compiled;
   {
     CARL_TRACE_SCOPE("grounding.enumerate");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    compiled.reserve(model.rules().size() + model.aggregate_rules().size());
-    for (const CausalRule& rule : model.rules()) {
-      std::vector<const AttributeRef*> body;
-      body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) body.push_back(&b);
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
-      CARL_ASSIGN_OR_RETURN(
-          job.bindings, EnumerateBindingsCached(evaluator, schema, rule.where,
-                                                vars, ctx, binding_cache));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) {
-        CARL_ASSIGN_OR_RETURN(AttributeId aid,
-                              schema.FindAttribute(b.attribute));
-        job.body.push_back(CompileRef(instance, aid, b, var_slots));
-      }
-      compiled.push_back(std::move(job));
-    }
-    for (const AggregateRule& rule : model.aggregate_rules()) {
-      std::vector<const AttributeRef*> body{&rule.source};
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
-      job.require_all = true;
-      CARL_ASSIGN_OR_RETURN(
-          job.bindings, EnumerateBindingsCached(evaluator, schema, rule.where,
-                                                vars, ctx, binding_cache));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      CARL_ASSIGN_OR_RETURN(AttributeId source_attr,
-                            schema.FindAttribute(rule.source.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.push_back(
-          CompileRef(instance, source_attr, rule.source, var_slots));
-      compiled.push_back(std::move(job));
-    }
+    auto full_bindings = [&](const ConjunctiveQuery& where,
+                             const std::vector<std::string>& vars) {
+      return EnumerateBindingsCached(evaluator, schema, where, vars, ctx,
+                                     binding_cache);
+    };
+    CARL_ASSIGN_OR_RETURN(compiled,
+                          CompileRules(instance, model, full_bindings));
   }
   grounded.phase_stats_.enumerate_s = phase_timer.Seconds();
 
-  // 3. Merge every rule's nodes and edges: cross-rule parallel read-only
-  // probe, prefix-summed parallel splice with serial miss interning, one
-  // batched sorted-run edge commit in rule order.
+  // 3. Merge every rule's nodes and edges, rule by rule: read-only probe,
+  // prefix-summed splice with serial miss interning, one edge commit.
   phase_timer.Reset();
   {
     CARL_TRACE_SCOPE("grounding.merge");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
-    MergeAllRuleGroundings(compiled, ctx, &grounded.graph_,
-                           &grounded.num_groundings_,
-                           &grounded.phase_stats_.splice_s);
+    MergeRuleGroundings(compiled, ctx, &grounded.graph_,
+                        &grounded.num_groundings_,
+                        &grounded.phase_stats_.splice_s);
     CARL_RETURN_IF_ERROR(guard::CheckPoint());
   }
   grounded.phase_stats_.merge_s = phase_timer.Seconds();
 
   // 4. Tag aggregate nodes with their kind.
-  grounded.node_has_aggregate_.assign(grounded.graph_.num_nodes(), 0);
-  grounded.node_aggregate_.assign(grounded.graph_.num_nodes(),
-                                  AggregateKind::kAvg);
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    Result<AttributeId> aid = schema.FindAttribute(rule.head.attribute);
-    if (!aid.ok()) continue;
-    for (NodeId n : grounded.graph_.NodesOfAttribute(*aid)) {
-      grounded.node_has_aggregate_[n] = 1;
-      grounded.node_aggregate_[n] = rule.aggregate;
-    }
-  }
+  grounded.TagAggregateNodes(0);
 
   // 5. The paper requires non-recursive models; reject cyclic groundings.
   // The topological order then drives the eager value pass.
@@ -1044,29 +958,15 @@ bool DeltaSupportsIncrementalExtend(const Instance& instance,
     }
     return false;
   };
-  for (const CausalRule& rule : model.rules()) {
-    if (constraint_written(rule.where)) return false;
-    if (WhereHasWindowConstant(instance, rule.where,
-                               delta.prev_num_constants) ||
-        AnyConstantInWindow(instance, rule.head.args,
-                            delta.prev_num_constants)) {
+  const size_t window = delta.prev_num_constants;
+  for (const RuleView& rule : RulesInMergeOrder(model)) {
+    if (constraint_written(*rule.where) ||
+        WhereHasWindowConstant(instance, *rule.where, window) ||
+        AnyConstantInWindow(instance, rule.head->args, window)) {
       return false;
     }
-    for (const AttributeRef& b : rule.body) {
-      if (AnyConstantInWindow(instance, b.args, delta.prev_num_constants)) {
-        return false;
-      }
-    }
-  }
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    if (constraint_written(rule.where)) return false;
-    if (WhereHasWindowConstant(instance, rule.where,
-                               delta.prev_num_constants) ||
-        AnyConstantInWindow(instance, rule.head.args,
-                            delta.prev_num_constants) ||
-        AnyConstantInWindow(instance, rule.source.args,
-                            delta.prev_num_constants)) {
-      return false;
+    for (const AttributeRef* b : rule.body) {
+      if (AnyConstantInWindow(instance, b->args, window)) return false;
     }
   }
   return true;
@@ -1152,91 +1052,39 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   {
     CARL_TRACE_SCOPE("grounding.extend.delta_plan");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    compiled.reserve(model.rules().size() + model.aggregate_rules().size());
-    for (const CausalRule& rule : model.rules()) {
-      std::vector<const AttributeRef*> body;
-      body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) body.push_back(&b);
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
+    auto delta_bindings = [&](const ConjunctiveQuery& where,
+                              const std::vector<std::string>& vars)
+        -> Result<std::shared_ptr<const BindingTable>> {
       CARL_ASSIGN_OR_RETURN(PreparedDeltaQuery prepared,
-                            evaluator.PrepareDelta(rule.where));
+                            evaluator.PrepareDelta(where));
       CARL_ASSIGN_OR_RETURN(
           BindingTable table,
           evaluator.EvaluateDelta(prepared, vars, watermarks));
-      job.bindings = std::make_shared<const BindingTable>(std::move(table));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.reserve(rule.body.size());
-      for (const AttributeRef& b : rule.body) {
-        CARL_ASSIGN_OR_RETURN(AttributeId aid,
-                              schema.FindAttribute(b.attribute));
-        job.body.push_back(CompileRef(instance, aid, b, var_slots));
-      }
-      compiled.push_back(std::move(job));
-    }
-    for (const AggregateRule& rule : model.aggregate_rules()) {
-      std::vector<const AttributeRef*> body{&rule.source};
-      std::vector<std::string> vars = DistinguishedVars(rule.head, body);
-      std::unordered_map<std::string, size_t> var_slots;
-      for (size_t i = 0; i < vars.size(); ++i) var_slots.emplace(vars[i], i);
-
-      CompiledRule job;
-      job.require_all = true;
-      CARL_ASSIGN_OR_RETURN(PreparedDeltaQuery prepared,
-                            evaluator.PrepareDelta(rule.where));
-      CARL_ASSIGN_OR_RETURN(
-          BindingTable table,
-          evaluator.EvaluateDelta(prepared, vars, watermarks));
-      job.bindings = std::make_shared<const BindingTable>(std::move(table));
-      CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
-                            schema.FindAttribute(rule.head.attribute));
-      CARL_ASSIGN_OR_RETURN(AttributeId source_attr,
-                            schema.FindAttribute(rule.source.attribute));
-      job.head = CompileRef(instance, head_attr, rule.head, var_slots);
-      job.body.push_back(
-          CompileRef(instance, source_attr, rule.source, var_slots));
-      compiled.push_back(std::move(job));
-    }
+      return std::make_shared<const BindingTable>(std::move(table));
+    };
+    CARL_ASSIGN_OR_RETURN(compiled,
+                          CompileRules(instance, model, delta_bindings));
   }
   out.phase_stats_.enumerate_s = phase_timer.Seconds();
 
   // 3. Merge the delta groundings in rule order through the graph's
-  // post-build edge overlay — the same probe-then-splice pipeline as a
-  // full ground (small deltas take its fused serial fallback). AddNode
-  // and the edge merge dedupe, so a binding the base already committed
-  // (its projection also has an all-old witness) changes nothing in the
-  // graph — only num_groundings_ counts it again, which is why the
-  // extend contract excludes that counter.
+  // post-build edge overlay — the same per-rule pipeline as a full
+  // ground. AddNode and the edge merge dedupe, so a binding the base
+  // already committed (its projection also has an all-old witness)
+  // changes nothing in the graph — only num_groundings_ counts it again,
+  // which is why the extend contract excludes that counter.
   phase_timer.Reset();
   {
     CARL_TRACE_SCOPE("grounding.extend.splice");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
-    MergeAllRuleGroundings(compiled, ExecContext::Global(), &graph,
-                           &out.num_groundings_,
-                           &out.phase_stats_.splice_s);
+    MergeRuleGroundings(compiled, ExecContext::Global(), &graph,
+                        &out.num_groundings_, &out.phase_stats_.splice_s);
     CARL_RETURN_IF_ERROR(guard::CheckPoint());
   }
   out.phase_stats_.merge_s = phase_timer.Seconds();
 
   // 4. Tag the new nodes of aggregate-defined attributes.
-  const size_t n = graph.num_nodes();
-  out.node_has_aggregate_.resize(n, 0);
-  out.node_aggregate_.resize(n, AggregateKind::kAvg);
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    Result<AttributeId> aid = schema.FindAttribute(rule.head.attribute);
-    if (!aid.ok()) continue;
-    for (NodeId node : graph.NodesOfAttribute(*aid)) {
-      if (static_cast<size_t>(node) >= nodes_before) {
-        out.node_has_aggregate_[node] = 1;
-        out.node_aggregate_[node] = rule.aggregate;
-      }
-    }
-  }
+  out.TagAggregateNodes(nodes_before);
 
   // 5. Cycle check (the extension could close a cycle) — the order also
   // drives the affected-aggregate recompute below.
@@ -1250,21 +1098,13 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   // refresh in place; aggregates recompute only when reachable from the
   // change (new node, written row, or new-edge target) through aggregate
   // children.
+  const size_t n = graph.num_nodes();
   out.value_state_.resize(n, 1);
   out.value_cache_.resize(n, 0.0);
-  auto slow_path = [&](NodeId id) {
-    const GroundedAttribute g = graph.node(id);
-    const Value* v = instance.FindAttributeValue(g.attribute, g.args.data(),
-                                                 g.args.size());
-    if (v != nullptr && v->is_numeric()) {
-      out.value_cache_[id] = v->AsDouble();
-      out.value_state_[id] = 2;
-    } else {
-      out.value_state_[id] = 1;
-    }
-  };
   for (size_t id = nodes_before; id < n; ++id) {
-    if (!out.node_has_aggregate_[id]) slow_path(static_cast<NodeId>(id));
+    if (!out.node_has_aggregate_[id]) {
+      out.ReadInstanceValue(static_cast<NodeId>(id));
+    }
   }
   for (const InstanceDelta::AttributeDelta& ad : delta.attributes) {
     const std::vector<NodeId>& nodes = graph.NodesOfAttribute(ad.attribute);
@@ -1277,7 +1117,7 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
         out.value_cache_[id] = col.values[row];
         out.value_state_[id] = 2;
       } else {
-        slow_path(id);
+        out.ReadInstanceValue(id);
       }
     }
   }
@@ -1312,25 +1152,7 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
     queue.pop_front();
     for (NodeId c : graph.Children(id)) touch(c);
   }
-
-  std::vector<double> parent_values;
-  for (NodeId id : topo_order) {
-    if (!dirty[id]) continue;
-    parent_values.clear();
-    for (NodeId p : graph.Parents(id)) {
-      if (out.value_state_[p] == 2) {
-        parent_values.push_back(out.value_cache_[p]);
-      }
-    }
-    if (!parent_values.empty()) {
-      std::sort(parent_values.begin(), parent_values.end());
-      out.value_cache_[id] = ApplyAggregate(out.node_aggregate_[id],
-                                            parent_values);
-      out.value_state_[id] = 2;
-    } else {
-      out.value_state_[id] = 1;
-    }
-  }
+  out.AggregateValues(topo_order, &dirty);
   out.phase_stats_.finalize_s = phase_timer.Seconds();
   pass_hist.Record(pass_timer.Seconds());
   return out;

@@ -7,20 +7,23 @@
 // Aggregate rules add edges source-grounding -> aggregate-grounding and tag
 // the head nodes with their AggregateKind.
 //
-// Execution: GroundModel runs on ExecContext::Global(). Node creation is
-// bulk-built per attribute, rule bindings are enumerated in parallel
-// shards of the root atom's candidate rows as columnar BindingTables
-// (streamed straight into the node/edge merge — no per-binding Tuple is
-// ever built), and the rule merges run cross-rule parallel: one flat
-// probe pass resolves every rule's groundings against the bulk-built node
-// set concurrently (read-only FindNode, the hash-heavy part), then a
-// serial splice walks the rules in model order interning the rare misses
-// and committing each rule's edges through the graph's sorted-run batch
-// build. Node values are finalized by copying the instance's typed
+// Execution: GroundModel and ExtendGroundedModel run one pipeline on
+// ExecContext::Global(). Node creation is bulk-built per attribute. One
+// rule compiler turns the model into rules in merge order (causal rules,
+// then aggregate rules); only the binding source differs — full
+// enumeration in parallel shards of the root atom's candidate rows, or
+// the semi-naive delta — and bindings arrive as columnar BindingTables
+// (no per-binding Tuple is ever built). Rules then merge one at a time:
+// a read-only probe resolves the rule's groundings against the node set
+// (FindNode, the hash-heavy part), per-chunk counts and an exclusive scan
+// place every edge, the rare misses are interned serially in binding
+// order, the chunks fill the rule's edge array, and one AddEdges commits
+// it. There is no serial fallback: at one thread the same phases run
+// inline. Node values are finalized by copying the instance's typed
 // per-attribute columns onto the row-aligned node-id columns. Shard
-// outputs merge in shard order and splices run in rule order, so the
+// outputs merge in shard order and rules commit in rule order, so the
 // grounded graph — node ids, edge insertion order, values — is identical
-// for every thread count, bit-for-bit with the serial implementation.
+// for every thread count.
 //
 // Repeated groundings over one unchanged instance can share rule-condition
 // binding tables through a BindingCache (QuerySession owns one): a derived
@@ -151,11 +154,10 @@ class BindingCache {
 struct GroundingPhaseStats {
   double node_build_s = 0.0;  ///< step 1: bulk node build
   double enumerate_s = 0.0;   ///< rule compile + binding enumeration
-  double merge_s = 0.0;       ///< node/edge merge (probe + splice + batches)
-  /// Splice share of merge_s: prefix sums, miss interning, parallel edge
-  /// fills, and the batched edge commit. merge_s - splice_s is the
-  /// read-only probe. (In the serial fallback the whole per-rule loop is
-  /// one fused probe+splice and counts here.)
+  double merge_s = 0.0;       ///< node/edge merge (probe + splice)
+  /// Splice share of merge_s, summed over the rules: prefix sums, miss
+  /// interning, edge fills, and each rule's edge commit. merge_s -
+  /// splice_s is the read-only probe, at every thread count.
   double splice_s = 0.0;
   double finalize_s = 0.0;    ///< topo order + value pass
   /// The graph-build share of a pass (everything that touches the graph
@@ -201,11 +203,21 @@ class GroundedModel {
 
   // Eagerly computes every node value: base attributes by copying the
   // instance's typed per-attribute columns (the bulk-built node prefix of
-  // an attribute is row-aligned with its predicate's fact rows), with a
-  // FindAttributeValue fallback only for overflow-stored values and
-  // rule-added non-fact groundings; aggregates in topological order
-  // (parents first).
+  // an attribute is row-aligned with its predicate's fact rows), with an
+  // instance read only for overflow-stored values and rule-added non-fact
+  // groundings; then AggregateValues over every aggregate node.
   void FinalizeValues(const std::vector<NodeId>& topo_order);
+  // Sizes the aggregate tags to the graph and tags every aggregate-defined
+  // node with id >= first_node with its kind.
+  void TagAggregateNodes(size_t first_node);
+  // Reads one node's value from the instance: numeric -> present, else
+  // missing.
+  void ReadInstanceValue(NodeId id);
+  // Aggregates each aggregate node's sorted parent values in topological
+  // order (parents first) — every aggregate node, or only those flagged
+  // in `dirty` when it is non-null.
+  void AggregateValues(const std::vector<NodeId>& topo_order,
+                       const std::vector<char>* dirty);
 
   const Instance* instance_ = nullptr;
   const RelationalCausalModel* model_ = nullptr;

@@ -9,9 +9,8 @@
 // count — it never depends on the thread count — and every parallel
 // primitive merges chunk results in chunk-index order. Code built on these
 // primitives therefore produces identical results for any thread count,
-// including 1. Call sites that additionally guarantee bit-for-bit
-// equivalence with the historical serial implementation (grounding, unit
-// tables) dispatch to the legacy loop when `serial()` is true.
+// including 1. No call site keeps a separate serial loop: at one thread
+// the same chunk plan runs inline (see ParallelFor).
 
 #ifndef CARL_EXEC_EXEC_CONTEXT_H_
 #define CARL_EXEC_EXEC_CONTEXT_H_

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -20,17 +19,6 @@ obs::Counter& StealCounter() {
   static obs::Counter& steals =
       obs::Registry::Global().GetCounter("exec.morsel_steals");
   return steals;
-}
-
-std::atomic<bool>& StealFlag() {
-  static std::atomic<bool>* flag = [] {
-    bool enabled = true;
-    if (const char* env = std::getenv("CARL_STEAL")) {
-      enabled = std::atoi(env) != 0;
-    }
-    return new std::atomic<bool>(enabled);
-  }();
-  return *flag;
 }
 
 // One participant's morsel-index range, packed begin << 32 | end so both
@@ -57,7 +45,6 @@ struct MorselRun {
   guard::ExecToken* token = nullptr;
   std::unique_ptr<std::atomic<uint64_t>[]> ranges;
   size_t participants = 0;
-  bool stealing = true;
   std::mutex mu;
   std::condition_variable done_cv;
   size_t remaining = 0;
@@ -127,7 +114,6 @@ struct MorselRun {
     CARL_TRACE_SCOPE("morsel.run");
     uint32_t m = 0;
     while (PopFront(p, &m)) RunMorsel(m);
-    if (!stealing) return;
     while (StealBack(p, &m)) RunMorsel(m);
   }
 };
@@ -147,7 +133,6 @@ void RunMorsels(ExecContext& ctx,
   run->body = &body;
   run->token = guard::CurrentToken();
   run->remaining = run->morsels.size();
-  run->stealing = MorselStealingEnabled();
 
   size_t helpers = std::min(static_cast<size_t>(ctx.threads()) - 1,
                             run->morsels.size() - 1);
@@ -158,8 +143,8 @@ void RunMorsels(ExecContext& ctx,
   run->participants = helpers + 1;
 
   // Static partition of morsel indices into one contiguous range per
-  // participant (caller is participant 0). With stealing off this IS the
-  // schedule; with stealing on it is only the starting ownership.
+  // participant (caller is participant 0): the starting ownership, which
+  // drained participants then steal from.
   size_t count = run->morsels.size();
   size_t base = count / run->participants;
   size_t extra = count % run->participants;
@@ -186,14 +171,6 @@ void RunMorsels(ExecContext& ctx,
 
   std::unique_lock<std::mutex> lock(run->mu);
   run->done_cv.wait(lock, [&] { return run->remaining == 0; });
-}
-
-bool MorselStealingEnabled() {
-  return StealFlag().load(std::memory_order_relaxed);
-}
-
-void SetMorselStealing(bool enabled) {
-  StealFlag().store(enabled, std::memory_order_relaxed);
 }
 
 uint64_t MorselStealCount() { return StealCounter().value(); }

@@ -46,13 +46,6 @@ void RunMorsels(ExecContext& ctx,
                 std::vector<std::pair<size_t, size_t>> morsels,
                 const std::function<void(size_t, size_t, size_t)>& body);
 
-/// Steal-policy switch, default on. Initialized once from CARL_STEAL
-/// (0 disables); tests toggle it directly to compare the work-stealing
-/// schedule against the static per-thread partition. Never affects
-/// results — only which thread executes which morsel.
-bool MorselStealingEnabled();
-void SetMorselStealing(bool enabled);
-
 /// Total morsels stolen since process start (mirrors the
 /// `exec.morsel_steals` counter; test/bench hook).
 uint64_t MorselStealCount();

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/str_util.h"
 #include "exec/parallel.h"
-#include "guard/guard.h"
 #include "relational/storage_stats.h"
 
 namespace carl {
@@ -285,51 +284,6 @@ void CausalGraph::AddEdges(const std::vector<Edge>& batch) {
         PendingEdge{EdgeKey{batch[i].from, batch[i].to},
                     static_cast<uint32_t>(i)});
   }
-  std::vector<PendingEdge> survivors =
-      MergeEdgeRun(std::move(pending), &edge_run_);
-  if (survivors.empty()) return;
-  edge_order_.reserve(edge_order_.size() + survivors.size());
-  for (const PendingEdge& e : survivors) {
-    edge_order_.push_back(Edge{static_cast<NodeId>(e.key.from),
-                               static_cast<NodeId>(e.key.to)});
-  }
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
-}
-
-void CausalGraph::AddEdgeBatches(const std::vector<std::vector<Edge>>& batches,
-                                 ExecContext& ctx) {
-  // Global sequence layout: batch b's edge i gets seq offsets[b] + i, so
-  // ONE merged run reproduces sequential per-batch AddEdges exactly —
-  // lowest global seq wins every duplicate (an earlier batch's occurrence
-  // beats a later one, as it would have committed first), and survivors
-  // replay in batch-then-index order.
-  std::vector<size_t> offsets(batches.size() + 1, 0);
-  for (size_t b = 0; b < batches.size(); ++b) {
-    offsets[b + 1] = offsets[b] + batches[b].size();
-  }
-  const size_t total = offsets.back();
-  if (total == 0) return;
-  CARL_CHECK(total <= 0xFFFFFFFFull)
-      << "AddEdgeBatches: pending sequence exceeds 32-bit seq";
-  std::vector<PendingEdge> pending(total);
-  ParallelFor(ctx, batches.size(), [&](size_t begin, size_t end, size_t) {
-    for (size_t b = begin; b < end; ++b) {
-      const std::vector<Edge>& batch = batches[b];
-      PendingEdge* out = pending.data() + offsets[b];
-      for (size_t i = 0; i < batch.size(); ++i) {
-        CARL_DCHECK(batch[i].from >= 0 &&
-                    static_cast<size_t>(batch[i].from) < num_nodes());
-        CARL_DCHECK(batch[i].to >= 0 &&
-                    static_cast<size_t>(batch[i].to) < num_nodes());
-        out[i] = PendingEdge{EdgeKey{batch[i].from, batch[i].to},
-                             static_cast<uint32_t>(offsets[b] + i)};
-      }
-    }
-  });
-  // A guard stop skips ParallelFor bodies, leaving default-initialized
-  // pending slots; the pass is abandoned (the caller drops its
-  // partially-built graph), so leave the committed run untouched.
-  if (guard::StopRequested()) return;
   std::vector<PendingEdge> survivors =
       MergeEdgeRun(std::move(pending), &edge_run_);
   if (survivors.empty()) return;

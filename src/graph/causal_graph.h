@@ -210,15 +210,6 @@ class CausalGraph {
   /// width).
   void AddEdges(const std::vector<Edge>& batch);
 
-  /// Commits several batches at once, bit-identical to calling AddEdges
-  /// on each batch in order: pending edges carry a global
-  /// (batch-then-index) sequence, so first-occurrence survival and append
-  /// order match the sequential loop exactly. One sorted-run merge over
-  /// the concatenation replaces per-batch merges — the parallel splice
-  /// commits every rule's edges through this in a single pass.
-  void AddEdgeBatches(const std::vector<std::vector<Edge>>& batches,
-                      ExecContext& ctx);
-
   /// Pre-sizes edge storage for an expected number of additional edges.
   void ReserveEdges(size_t expected);
 

@@ -20,50 +20,30 @@ Result<BootstrapResult> Bootstrap(
     return Status::InvalidArgument("need at least one bootstrap replicate");
   }
   CARL_TRACE_SCOPE("bootstrap.run");
-  ExecContext& ctx = ExecContext::Global();
-  BootstrapResult result;
-  if (ctx.serial()) {
-    // Historical serial path: one generator drives every replicate.
-    CARL_TRACE_SCOPE("bootstrap.replicates");
-    Rng rng(seed);
-    std::vector<size_t> indices(n);
-    for (int b = 0; b < replicates; ++b) {
-      for (size_t i = 0; i < n; ++i) {
-        indices[i] = static_cast<size_t>(
-            rng.UniformInt(0, static_cast<int64_t>(n) - 1));
-      }
-      Result<double> value = statistic(indices);
-      if (value.ok() && std::isfinite(*value)) {
-        result.samples.push_back(*value);
-      } else {
-        ++result.failures;
-      }
-    }
-  } else {
-    // Parallel path: replicate b draws from its own derived RNG stream,
-    // lands in slot b, and slots collect in order — identical results for
-    // every parallel thread count.
-    std::vector<std::optional<double>> slots(replicates);
-    ParallelFor(ctx, static_cast<size_t>(replicates),
-                [&](size_t begin, size_t end, size_t) {
-                  CARL_TRACE_SCOPE("bootstrap.replicates");
-                  std::vector<size_t> indices(n);
-                  for (size_t b = begin; b < end; ++b) {
-                    Rng rng(ExecContext::StreamSeed(seed, b));
-                    for (size_t i = 0; i < n; ++i) {
-                      indices[i] = static_cast<size_t>(
-                          rng.UniformInt(0, static_cast<int64_t>(n) - 1));
-                    }
-                    Result<double> value = statistic(indices);
-                    if (value.ok() && std::isfinite(*value)) slots[b] = *value;
+  // Replicate b draws from its own derived RNG stream, lands in slot b,
+  // and slots collect in order — identical results for every thread
+  // count, including 1.
+  std::vector<std::optional<double>> slots(replicates);
+  ParallelFor(ExecContext::Global(), static_cast<size_t>(replicates),
+              [&](size_t begin, size_t end, size_t) {
+                CARL_TRACE_SCOPE("bootstrap.replicates");
+                std::vector<size_t> indices(n);
+                for (size_t b = begin; b < end; ++b) {
+                  Rng rng(ExecContext::StreamSeed(seed, b));
+                  for (size_t i = 0; i < n; ++i) {
+                    indices[i] = static_cast<size_t>(
+                        rng.UniformInt(0, static_cast<int64_t>(n) - 1));
                   }
-                });
-    for (const std::optional<double>& s : slots) {
-      if (s.has_value()) {
-        result.samples.push_back(*s);
-      } else {
-        ++result.failures;
-      }
+                  Result<double> value = statistic(indices);
+                  if (value.ok() && std::isfinite(*value)) slots[b] = *value;
+                }
+              });
+  BootstrapResult result;
+  for (const std::optional<double>& s : slots) {
+    if (s.has_value()) {
+      result.samples.push_back(*s);
+    } else {
+      ++result.failures;
     }
   }
   if (result.samples.empty()) {

@@ -27,13 +27,10 @@ struct BootstrapResult {
 /// evaluates `statistic` on each. Requires at least one successful
 /// replicate.
 ///
-/// Runs on ExecContext::Global(). With threads == 1 the replicates share
-/// one sequential generator, reproducing the historical serial draws
-/// bit-for-bit. With threads > 1 each replicate draws from its own RNG
+/// Runs on ExecContext::Global(). Each replicate draws from its own RNG
 /// stream (ExecContext::StreamSeed(seed, replicate)), so results are
-/// deterministic and identical for every parallel thread count — but the
-/// draws differ from the serial sequence. `statistic` must be safe to
-/// call concurrently in the parallel case.
+/// deterministic and identical for every thread count, including 1.
+/// `statistic` must be safe to call concurrently when threads > 1.
 Result<BootstrapResult> Bootstrap(
     size_t n, int replicates, uint64_t seed,
     const std::function<Result<double>(const std::vector<size_t>&)>&

@@ -193,8 +193,6 @@ TEST(CancelFuzzTest, CancelMidStealSeedMatrix) {
   const std::string entity = EntityWithAttribute(db.schema());
 
   ScopedThreads scoped_threads(4);
-  const bool prev_stealing = exec::MorselStealingEnabled();
-  exec::SetMorselStealing(true);
   const uint64_t steals_before = exec::MorselStealCount();
   int mutation = 0;
   int cancelled_rounds = 0;
@@ -237,7 +235,6 @@ TEST(CancelFuzzTest, CancelMidStealSeedMatrix) {
       }
     }
   }
-  exec::SetMorselStealing(prev_stealing);
   EXPECT_GT(exec::MorselStealCount(), steals_before)
       << "the skewed cancel-fuzz workload never exercised a steal";
   CARL_LOG(INFO) << "cancel-mid-steal fuzz: " << cancelled_rounds

@@ -18,11 +18,12 @@ datagen::Dataset ReviewToyDataset() {
   return std::move(*review);
 }
 
-datagen::Dataset MiniMimicDataset(size_t num_patients,
-                                  size_t num_caregivers) {
+datagen::Dataset MiniMimicDataset(size_t num_patients, size_t num_caregivers,
+                                  size_t prescription_skew) {
   datagen::MimicConfig config;
   config.num_patients = num_patients;
   config.num_caregivers = num_caregivers;
+  config.prescription_skew = prescription_skew;
   Result<datagen::Dataset> mimic = datagen::GenerateMimic(config);
   CARL_CHECK_OK(mimic.status());
   return std::move(*mimic);
@@ -76,6 +77,103 @@ Schema MakePersonItemSchema() {
   CARL_CHECK_OK(
       schema.AddAttribute("Price", "Item", true, ValueType::kDouble).status());
   return schema;
+}
+
+namespace {
+
+// Resolves `ref` at one binding row into *args: variables read their
+// slot in `vars`, constants the instance's symbol table. False when a
+// constant was never interned (the ref has no grounding).
+bool ResolveRef(const Instance& instance, const AttributeRef& ref,
+                const std::vector<std::string>& vars, TupleView binding,
+                std::vector<SymbolId>* args) {
+  args->clear();
+  for (const Term& t : ref.args) {
+    if (t.is_variable()) {
+      size_t slot = static_cast<size_t>(
+          std::find(vars.begin(), vars.end(), t.text) - vars.begin());
+      CARL_CHECK(slot < vars.size()) << "unbound variable " << t.text;
+      args->push_back(binding[slot]);
+    } else {
+      SymbolId id = instance.LookupConstant(t.text);
+      if (id == kInvalidSymbol) return false;
+      args->push_back(id);
+    }
+  }
+  return true;
+}
+
+void GroundRuleByBinding(const Instance& instance, const Schema& schema,
+                         const AttributeRef& head,
+                         const std::vector<const AttributeRef*>& body,
+                         const ConjunctiveQuery& where, bool require_all,
+                         ReferenceGrounding* out) {
+  std::vector<std::string> vars;
+  auto add_vars = [&vars](const AttributeRef& ref) {
+    for (const Term& t : ref.args) {
+      if (t.is_variable() &&
+          std::find(vars.begin(), vars.end(), t.text) == vars.end()) {
+        vars.push_back(t.text);
+      }
+    }
+  };
+  add_vars(head);
+  for (const AttributeRef* b : body) add_vars(*b);
+  Result<BindingTable> bindings =
+      QueryEvaluator(&instance).Evaluate(where, vars);
+  CARL_CHECK_OK(bindings.status());
+  Result<AttributeId> head_attr = schema.FindAttribute(head.attribute);
+  CARL_CHECK_OK(head_attr.status());
+
+  std::vector<CausalGraph::Edge> edges;
+  std::vector<SymbolId> head_args, body_args;
+  for (size_t i = 0; i < bindings->size(); ++i) {
+    TupleView row = bindings->row(i);
+    if (!ResolveRef(instance, head, vars, row, &head_args)) continue;
+    bool all_resolve = true;
+    for (const AttributeRef* b : body) {
+      all_resolve = ResolveRef(instance, *b, vars, row, &body_args) &&
+                    all_resolve;
+    }
+    if (require_all && !all_resolve) continue;
+    NodeId head_node = out->graph.AddNode(
+        *head_attr, TupleView(head_args.data(), head_args.size()));
+    for (const AttributeRef* b : body) {
+      if (!ResolveRef(instance, *b, vars, row, &body_args)) continue;
+      Result<AttributeId> attr = schema.FindAttribute(b->attribute);
+      CARL_CHECK_OK(attr.status());
+      NodeId body_node = out->graph.AddNode(
+          *attr, TupleView(body_args.data(), body_args.size()));
+      edges.push_back(CausalGraph::Edge{body_node, head_node});
+    }
+    ++out->num_groundings;
+  }
+  out->graph.AddEdges(edges);
+}
+
+}  // namespace
+
+ReferenceGrounding GroundByBinding(const Instance& instance,
+                                   const RelationalCausalModel& model) {
+  const Schema& schema = model.extended_schema();
+  ReferenceGrounding out;
+  for (const AttributeDef& attr : schema.attributes()) {
+    RelationView rows = instance.Rows(attr.predicate);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      out.graph.AddNode(attr.id, rows[r]);
+    }
+  }
+  for (const CausalRule& rule : model.rules()) {
+    std::vector<const AttributeRef*> body;
+    for (const AttributeRef& b : rule.body) body.push_back(&b);
+    GroundRuleByBinding(instance, schema, rule.head, body, rule.where,
+                        /*require_all=*/false, &out);
+  }
+  for (const AggregateRule& rule : model.aggregate_rules()) {
+    GroundRuleByBinding(instance, schema, rule.head, {&rule.source},
+                        rule.where, /*require_all=*/true, &out);
+  }
+  return out;
 }
 
 uint64_t GraphFingerprint(const GroundedModel& grounded) {

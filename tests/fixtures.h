@@ -51,9 +51,12 @@ struct NamedDataset {
 datagen::Dataset ReviewToyDataset();
 
 /// MIMIC-III(sim) mini instance. The 3000/120 default is large enough to
-/// engage binding shards and the cross-rule parallel merge.
+/// engage binding shards and many-chunk rule merges. A prescription_skew
+/// above 1 piles the prescriptions onto the head-of-index patients (see
+/// datagen::MimicConfig).
 datagen::Dataset MiniMimicDataset(size_t num_patients = 3000,
-                                  size_t num_caregivers = 120);
+                                  size_t num_caregivers = 120,
+                                  size_t prescription_skew = 1);
 
 /// NIS(sim) mini instance.
 datagen::Dataset MiniNisDataset(size_t num_admissions = 6000,
@@ -68,9 +71,8 @@ datagen::Dataset SynthReviewDataset(size_t num_authors = 800,
 /// REVIEW toy + MIMIC + NIS: the binding-stream equivalence workloads.
 std::vector<NamedDataset> StreamWorkloads();
 
-/// MIMIC + SYNTH-REVIEW, sized so the total binding count crosses the
-/// cross-rule parallel-merge threshold (the serial fallback would make
-/// threads=N test legs vacuous).
+/// MIMIC + SYNTH-REVIEW, sized so the large rules' merges span many
+/// chunks (threads=N test legs really run in parallel).
 std::vector<NamedDataset> GraphWorkloads();
 
 /// Two entities (Person, Item), one relationship (Owns), two numeric
@@ -79,6 +81,23 @@ std::vector<NamedDataset> GraphWorkloads();
 /// makes it the canonical "irrelevant relation" for cache-invalidation
 /// scoping tests.
 Schema MakePersonItemSchema();
+
+/// A grounded graph built by the plain per-binding loop over public APIs
+/// only — the reference GroundModel must reproduce exactly (raw node ids
+/// and args, edge log order, parent/child order, num_groundings) at every
+/// thread count. Nodes: AddNode per fact row, attribute by attribute in
+/// schema order. Then every rule in model order (causal rules, then
+/// aggregate rules): QueryEvaluator::Evaluate over the rule's variables
+/// in first-occurrence order (head, then body), AddNode for the head and
+/// each resolvable body ref per binding, and one AddEdges per rule. An
+/// unresolvable body ref drops its edge; in an aggregate rule it drops
+/// the binding. No values, no aggregate tags.
+struct ReferenceGrounding {
+  CausalGraph graph;
+  size_t num_groundings = 0;
+};
+ReferenceGrounding GroundByBinding(const Instance& instance,
+                                   const RelationalCausalModel& model);
 
 /// One stable id-order fingerprint of a grounded graph: names, parent and
 /// child lists, value bit patterns, and num_groundings folded in node-id

@@ -1,19 +1,18 @@
 // Graph-store suite: the arena-backed CausalGraph node store and the
-// cross-rule parallel grounding must be invisible to consumers — node-id
-// columns stay row-aligned with the instance's fact rows, node args read
-// back exactly, and the grounded graph (ids, adjacency, values) is
-// bit-identical across thread counts on MIMIC and SYNTH-REVIEW, where the
-// cross-rule merge threshold is actually crossed.
+// phased per-rule grounding pipeline must be invisible to consumers —
+// node-id columns stay row-aligned with the instance's fact rows, node
+// args read back exactly, and at every thread count the grounded graph
+// equals an independent per-binding reference grounding (raw ids, edge
+// log, adjacency order, num_groundings) on MIMIC, SYNTH-REVIEW and a
+// skew-stressed MIMIC, with values identical across thread counts.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "carl/carl.h"
-#include "datagen/mimic.h"
 #include "exec/morsel.h"
 #include "fixtures.h"
 #include "relational/storage_stats.h"
@@ -23,7 +22,9 @@ namespace {
 
 using test_fixtures::GraphFingerprint;
 using test_fixtures::GraphWorkloads;
+using test_fixtures::GroundByBinding;
 using test_fixtures::NamedDataset;
+using test_fixtures::ReferenceGrounding;
 using test_fixtures::ScopedThreads;
 
 // The invariant the node-id columns rely on: for every schema attribute,
@@ -53,48 +54,56 @@ TEST(GraphStoreTest, NodeIdColumnsAreRowAligned) {
   }
 }
 
-// Full structural equality of serial vs cross-rule-parallel grounding:
-// node count, per-node attribute/args, adjacency spans, values, and the
-// folded fingerprint, at threads 1 vs {2, 4}.
-TEST(GraphStoreTest, CrossRuleGroundingIdenticalAcrossThreadCounts) {
-  for (NamedDataset& wl : GraphWorkloads()) {
+// Raw equality with the per-binding reference: node ids and args, the
+// edge log in commit order, every node's parent and child lists, and
+// num_groundings.
+void ExpectMatchesReference(const ReferenceGrounding& reference,
+                            const GroundedModel& grounded,
+                            const std::string& label) {
+  const CausalGraph& want = reference.graph;
+  const CausalGraph& got = grounded.graph();
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << label;
+  ASSERT_EQ(got.num_edges(), want.num_edges()) << label;
+  EXPECT_EQ(grounded.num_groundings(), reference.num_groundings) << label;
+  for (NodeId id = 0; id < static_cast<NodeId>(want.num_nodes()); ++id) {
+    ASSERT_TRUE(got.node(id) == want.node(id)) << label << " node " << id;
+    ASSERT_EQ(got.Parents(id), want.Parents(id)) << label << " node " << id;
+    ASSERT_EQ(got.Children(id), want.Children(id))
+        << label << " node " << id;
+  }
+  for (size_t e = 0; e < want.num_edges(); ++e) {
+    ASSERT_EQ(got.edge_log()[e].from, want.edge_log()[e].from)
+        << label << " edge " << e;
+    ASSERT_EQ(got.edge_log()[e].to, want.edge_log()[e].to)
+        << label << " edge " << e;
+  }
+}
+
+// The phased pipeline against the plain per-binding loop, at threads
+// {1, 2, 4}; the fingerprint (which also folds values) must not move
+// with the thread count either.
+TEST(GraphStoreTest, GroundingMatchesPerBindingReference) {
+  std::vector<NamedDataset> workloads = GraphWorkloads();
+  workloads.push_back(NamedDataset{
+      "MIMIC-skew", test_fixtures::MiniMimicDataset(3000, 120, 100)});
+  for (NamedDataset& wl : workloads) {
     Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
         *wl.dataset.schema, wl.dataset.model_text);
     ASSERT_TRUE(model.ok()) << wl.name;
-
-    std::optional<GroundedModel> serial;
-    uint64_t serial_fp = 0;
-    {
-      ScopedThreads scoped(1);
+    ReferenceGrounding reference =
+        GroundByBinding(*wl.dataset.instance, *model);
+    uint64_t one_thread_fp = 0;
+    for (int threads : {1, 2, 4}) {
+      ScopedThreads scoped(threads);
       Result<GroundedModel> grounded =
           GroundModel(*wl.dataset.instance, *model);
       ASSERT_TRUE(grounded.ok()) << wl.name << ": " << grounded.status();
-      serial_fp = GraphFingerprint(*grounded);
-      serial.emplace(std::move(*grounded));
-    }
-    for (int threads : {2, 4}) {
-      ScopedThreads scoped(threads);
-      Result<GroundedModel> parallel =
-          GroundModel(*wl.dataset.instance, *model);
-      ASSERT_TRUE(parallel.ok()) << wl.name;
-      ASSERT_EQ(parallel->graph().num_nodes(), serial->graph().num_nodes())
-          << wl.name << " threads=" << threads;
-      ASSERT_EQ(parallel->graph().num_edges(), serial->graph().num_edges())
-          << wl.name << " threads=" << threads;
-      EXPECT_EQ(parallel->num_groundings(), serial->num_groundings())
-          << wl.name << " threads=" << threads;
-      for (NodeId id = 0;
-           id < static_cast<NodeId>(serial->graph().num_nodes()); ++id) {
-        ASSERT_TRUE(serial->graph().node(id) == parallel->graph().node(id))
-            << wl.name << " node " << id << " threads=" << threads;
-        ASSERT_EQ(serial->graph().Parents(id), parallel->graph().Parents(id))
-            << wl.name << " node " << id << " threads=" << threads;
-        ASSERT_EQ(serial->graph().Children(id),
-                  parallel->graph().Children(id))
-            << wl.name << " node " << id << " threads=" << threads;
-      }
-      EXPECT_EQ(GraphFingerprint(*parallel), serial_fp)
-          << wl.name << " differs at threads=" << threads;
+      std::string label =
+          std::string(wl.name) + " threads=" + std::to_string(threads);
+      ExpectMatchesReference(reference, *grounded, label);
+      uint64_t fp = GraphFingerprint(*grounded);
+      if (threads == 1) one_thread_fp = fp;
+      EXPECT_EQ(fp, one_thread_fp) << label;
     }
   }
 }
@@ -104,41 +113,31 @@ TEST(GraphStoreTest, CrossRuleGroundingIdenticalAcrossThreadCounts) {
 // head-of-index patients) makes the steal schedule genuinely random —
 // the hot slice pins one worker while the others drain and start
 // stealing at uncontrolled points. The grounded graph must fingerprint
-// identically to the serial build at threads {1, 2, 4}, with the steal
-// switch both on and off (static partition), across repeated runs.
-TEST(GraphStoreTest, SkewedGroundingIdenticalUnderStealSchedules) {
-  datagen::MimicConfig config;
-  config.num_patients = 3000;
-  config.num_caregivers = 120;
-  config.prescription_skew = 100;
-  Result<datagen::Dataset> data = datagen::GenerateMimic(config);
-  ASSERT_TRUE(data.ok()) << data.status();
+// identically to the one-thread build at threads {2, 4}, across repeated
+// runs, and the runs must actually steal.
+TEST(GraphStoreTest, SkewedGroundingIdenticalUnderStealing) {
+  datagen::Dataset data = test_fixtures::MiniMimicDataset(3000, 120, 100);
   Result<RelationalCausalModel> model =
-      RelationalCausalModel::Parse(*data->schema, data->model_text);
+      RelationalCausalModel::Parse(*data.schema, data.model_text);
   ASSERT_TRUE(model.ok());
 
-  uint64_t serial_fp = 0;
+  uint64_t one_thread_fp = 0;
   {
     ScopedThreads scoped(1);
-    Result<GroundedModel> serial = GroundModel(*data->instance, *model);
-    ASSERT_TRUE(serial.ok()) << serial.status();
-    serial_fp = GraphFingerprint(*serial);
+    Result<GroundedModel> grounded = GroundModel(*data.instance, *model);
+    ASSERT_TRUE(grounded.ok()) << grounded.status();
+    one_thread_fp = GraphFingerprint(*grounded);
   }
   const uint64_t steals_before = exec::MorselStealCount();
   for (int round = 0; round < 2; ++round) {
-    for (bool stealing : {true, false}) {
-      exec::SetMorselStealing(stealing);
-      for (int threads : {2, 4}) {
-        ScopedThreads scoped(threads);
-        Result<GroundedModel> parallel = GroundModel(*data->instance, *model);
-        ASSERT_TRUE(parallel.ok());
-        ASSERT_EQ(GraphFingerprint(*parallel), serial_fp)
-            << "threads=" << threads << " stealing=" << stealing
-            << " round=" << round;
-      }
+    for (int threads : {2, 4}) {
+      ScopedThreads scoped(threads);
+      Result<GroundedModel> parallel = GroundModel(*data.instance, *model);
+      ASSERT_TRUE(parallel.ok());
+      ASSERT_EQ(GraphFingerprint(*parallel), one_thread_fp)
+          << "threads=" << threads << " round=" << round;
     }
   }
-  exec::SetMorselStealing(true);
   EXPECT_GT(exec::MorselStealCount(), steals_before)
       << "skew-stressed grounding at 4 threads never exercised a steal";
 }
