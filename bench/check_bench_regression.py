@@ -43,7 +43,10 @@ REQUIRED_GATED = {
     # grounding_graph_build_s + its enumerate/splice split and the morsel
     # steal counter come from the PR 9 morsel/splice refactor: presence
     # proves the phase breakdown and the steal accounting stayed wired.
-    "BENCH_table2.json": {"grounding_s", "unit_table_s",
+    # unit_table_allocs counts operator new calls in one warm unit-table
+    # build; bench_table2 aborts when it reaches 2 x rows + 4096, so its
+    # presence proves the allocation-free Algorithm 1 still holds.
+    "BENCH_table2.json": {"grounding_s", "unit_table_s", "unit_table_allocs",
                           "grounding_incremental_extend_s",
                           "grounding_graph_build_s",
                           "grounding_enumerate_s", "grounding_splice_s",

@@ -27,7 +27,13 @@ Result<EmbeddingKind> ParseEmbeddingKind(const std::string& name) {
   return Status::InvalidArgument("unknown embedding: " + name);
 }
 
-void Embedding::Fit(const std::vector<std::vector<double>>&) {}
+void Embedding::Fit(size_t) {}
+
+std::vector<double> Embedding::Apply(const std::vector<double>& values) const {
+  std::vector<double> out(dims());
+  Apply(values.data(), values.size(), out.data());
+  return out;
+}
 
 namespace {
 
@@ -42,8 +48,9 @@ class AggregatePlusCountEmbedding : public Embedding {
   std::vector<std::string> DimNames() const override {
     return {dim_name_, "count"};
   }
-  std::vector<double> Apply(const std::vector<double>& values) const override {
-    return {ApplyAggregate(agg_, values), static_cast<double>(values.size())};
+  void Apply(const double* values, size_t n, double* out) const override {
+    out[0] = ApplyAggregate(agg_, values, n);
+    out[1] = static_cast<double>(n);
   }
 
  private:
@@ -64,12 +71,9 @@ class MomentsEmbedding : public Embedding {
     names.push_back("count");
     return names;
   }
-  std::vector<double> Apply(const std::vector<double>& values) const override {
-    std::vector<double> out;
-    out.reserve(dims());
-    for (int i = 1; i <= k_; ++i) out.push_back(Moment(values, i));
-    out.push_back(static_cast<double>(values.size()));
-    return out;
+  void Apply(const double* values, size_t n, double* out) const override {
+    for (int i = 1; i <= k_; ++i) out[i - 1] = Moment(values, n, i);
+    out[k_] = static_cast<double>(n);
   }
 
  private:
@@ -83,12 +87,8 @@ class PaddingEmbedding : public Embedding {
 
   EmbeddingKind kind() const override { return EmbeddingKind::kPadding; }
 
-  void Fit(const std::vector<std::vector<double>>& groups) override {
-    size_t widest = 1;
-    for (const std::vector<double>& g : groups) {
-      widest = std::max(widest, g.size());
-    }
-    width_ = std::min(widest, max_width_);
+  void Fit(size_t widest_group) override {
+    width_ = std::min(std::max<size_t>(1, widest_group), max_width_);
   }
 
   size_t dims() const override { return width_; }
@@ -97,13 +97,14 @@ class PaddingEmbedding : public Embedding {
     for (size_t i = 0; i < width_; ++i) names.push_back(StrFormat("p%zu", i));
     return names;
   }
-  std::vector<double> Apply(const std::vector<double>& values) const override {
+  void Apply(const double* values, size_t n, double* out) const override {
     // Sort descending for a canonical order (sets, not sequences), then pad
     // with the out-of-band marker or truncate to the fitted width.
-    std::vector<double> sorted = values;
+    std::vector<double> sorted(values, values + n);
     std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-    sorted.resize(width_, pad_value_);
-    return sorted;
+    size_t kept = std::min(n, width_);
+    std::copy(sorted.begin(), sorted.begin() + kept, out);
+    std::fill(out + kept, out + width_, pad_value_);
   }
 
  private:

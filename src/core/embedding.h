@@ -9,6 +9,14 @@
 //   * median + cardinality,
 //   * moment summary (mean, variance, skewness, ... + cardinality),
 //   * padding with an out-of-band marker to a fixed width.
+//
+// The unit table (Algorithm 1) keeps every group of a column in one flat
+// value array and projects group after group into pre-sized columns, so
+// the strategies' one virtual entry point is a span form that reads n
+// values and writes exactly dims() outputs. The mean and moments
+// strategies project without allocating; median and padding sort a copy
+// of the group. The vector Apply is a convenience forwarder for cold
+// callers and tests.
 
 #ifndef CARL_CORE_EMBEDDING_H_
 #define CARL_CORE_EMBEDDING_H_
@@ -37,21 +45,24 @@ struct EmbeddingOptions {
 };
 
 /// Strategy interface mapping a variable-size value vector to a fixed
-/// number of dimensions. Fit() sees all groups before any Apply() so
-/// data-dependent strategies (padding width) can size themselves.
+/// number of dimensions. Fit() runs before any Apply() so data-dependent
+/// strategies (padding width) can size themselves.
 class Embedding {
  public:
   virtual ~Embedding() = default;
   virtual EmbeddingKind kind() const = 0;
-  /// Observes the population of groups (default: no-op).
-  virtual void Fit(const std::vector<std::vector<double>>& groups);
+  /// Sizes the strategy from the widest group it will project — the only
+  /// population statistic any strategy reads (default: no-op).
+  virtual void Fit(size_t widest_group);
   virtual size_t dims() const = 0;
   /// Short per-dimension suffixes, e.g. {"mean", "count"}.
   virtual std::vector<std::string> DimNames() const = 0;
-  /// Projects one group; returns exactly dims() values. Groups larger than
-  /// a fitted padding width are truncated (values sorted descending first).
-  virtual std::vector<double> Apply(
-      const std::vector<double>& values) const = 0;
+  /// Projects the `n` values at `values` into out[0, dims()). Groups
+  /// larger than a fitted padding width are truncated (values sorted
+  /// descending first).
+  virtual void Apply(const double* values, size_t n, double* out) const = 0;
+  /// Vector form of Apply: returns exactly dims() values.
+  std::vector<double> Apply(const std::vector<double>& values) const;
 };
 
 std::unique_ptr<Embedding> MakeEmbedding(EmbeddingKind kind,

@@ -1,6 +1,8 @@
 #include "core/estimation.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/str_util.h"
 #include "stats/descriptive.h"
@@ -85,25 +87,39 @@ Result<double> EstimateAte(const UnitTable& meta, const FlatTable& view,
 
   // Convert the do(all)-vs-do(none) contrast: per-unit ψ difference between
   // an all-ones and an all-zeros peer assignment of that unit's peer count.
+  // A unit's effect depends only on its peer count, so each distinct count
+  // is projected once; the effects are still summed in unit order.
   const std::vector<double>& peer_count = view.Column(meta.peer_count_col);
   const Embedding& psi = *meta.peer_t_embedding;
   std::vector<double> betas;
   for (const std::string& col : meta.peer_t_cols) {
     betas.push_back(fit.CoefficientOr(col, 0.0));
   }
+  size_t max_count = 0;
+  for (double pc : peer_count) {
+    max_count = std::max(max_count, static_cast<size_t>(pc));
+  }
+  const std::vector<double> ones(max_count, 1.0);
+  const std::vector<double> zeros(max_count, 0.0);
+  std::vector<double> psi_one(psi.dims());
+  std::vector<double> psi_zero(psi.dims());
+  std::vector<std::optional<double>> effect_of_count(max_count + 1);
   double total = 0.0;
   for (double pc : peer_count) {
     size_t n_i = static_cast<size_t>(pc);
-    double unit_effect = beta_t;
-    if (n_i > 0) {
-      std::vector<double> ones(n_i, 1.0), zeros(n_i, 0.0);
-      std::vector<double> psi_one = psi.Apply(ones);
-      std::vector<double> psi_zero = psi.Apply(zeros);
-      for (size_t d = 0; d < betas.size(); ++d) {
-        unit_effect += betas[d] * (psi_one[d] - psi_zero[d]);
+    std::optional<double>& effect = effect_of_count[n_i];
+    if (!effect.has_value()) {
+      double unit_effect = beta_t;
+      if (n_i > 0) {
+        psi.Apply(ones.data(), n_i, psi_one.data());
+        psi.Apply(zeros.data(), n_i, psi_zero.data());
+        for (size_t d = 0; d < betas.size(); ++d) {
+          unit_effect += betas[d] * (psi_one[d] - psi_zero[d]);
+        }
       }
+      effect = unit_effect;
     }
-    total += unit_effect;
+    total += *effect;
   }
   return total / static_cast<double>(peer_count.size());
 }

@@ -1,10 +1,7 @@
 #include "core/unit_table.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
-#include <map>
-#include <unordered_set>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/str_util.h"
@@ -23,20 +20,6 @@ std::vector<std::string> UnitTable::AllCovariateCols() const {
 }
 
 namespace {
-
-// Everything Algorithm 1 needs about one unit, resolved against the graph.
-struct UnitContext {
-  NodeId t_node = kInvalidNode;
-  double t_value = 0.0;
-  double y_value = 0.0;
-  // Response grounding(s): the node itself for base responses, or the
-  // (filtered) source parents for aggregate responses.
-  NodeId y_node = kInvalidNode;
-  std::vector<NodeId> y_sources;          // empty for base responses
-  std::vector<NodeId> peer_t_nodes;       // sorted, deduplicated
-  std::vector<NodeId> own_cov_nodes;      // observed parents of T[x]
-  std::vector<NodeId> peer_cov_nodes;     // observed parents of peer T's
-};
 
 struct RequestPlan {
   AttributeId treatment;
@@ -82,105 +65,257 @@ bool SourceAllowed(const RequestPlan& plan, const GroundedAttribute& g) {
   return plan.allowed_sources->Contains(g.args);
 }
 
-// Collects the treatment-attribute ancestors of `starts` (excluding
-// `self`), i.e. the relational peers' treatment nodes (Def 4.3: p is a
-// peer of x iff a directed path T[p] -> Y[x] exists).
-std::vector<NodeId> PeerTreatmentNodes(const CausalGraph& graph,
-                                       AttributeId treatment,
-                                       const std::vector<NodeId>& starts,
-                                       NodeId self) {
-  std::vector<NodeId> peers;
-  std::unordered_set<NodeId> visited;
-  std::deque<NodeId> frontier;
-  for (NodeId s : starts) {
-    if (visited.insert(s).second) frontier.push_back(s);
-  }
-  while (!frontier.empty()) {
-    NodeId n = frontier.front();
-    frontier.pop_front();
-    if (n != self && graph.node(n).attribute == treatment) {
-      peers.push_back(n);
+// Resolved units, flattened: each unit appends its entries, so a unit's
+// run in each list begins where the previous unit's ends.
+struct NodeLists {
+  std::vector<NodeId> peers;      // sorted T[p] of the relational peers
+  std::vector<NodeId> own_covs;   // observed parents of T[x]
+  std::vector<NodeId> peer_covs;  // observed parents of the peers' T[p]
+};
+
+// One unit's resolved values and the ends of its runs in its chunk's
+// NodeLists. Units dropped for missing values append nothing.
+struct UnitSlot {
+  double y = 0.0;
+  double t = 0.0;
+  size_t peers_end = 0;
+  size_t own_covs_end = 0;
+  size_t peer_covs_end = 0;
+  bool resolved = false;
+};
+
+// Algorithm 1's per-unit step, for one thread at a time. Traversals mark
+// nodes in a stamp array over node ids: a node is marked in the current
+// pass iff its stamp equals the pass's epoch, so a new pass bumps the
+// epoch instead of clearing the array.
+class UnitResolver {
+ public:
+  UnitResolver(const GroundedModel& grounded, const RequestPlan& plan)
+      : grounded_(grounded),
+        graph_(grounded.graph()),
+        plan_(plan),
+        stamp_(graph_.num_nodes(), 0) {}
+
+  // Resolves the unit with treatment node `t_node` and response node
+  // `y_node` into `slot` and appends its peers and covariates to `out`.
+  // Returns false, appending nothing, when the unit lacks a treatment or
+  // response value.
+  Result<bool> Resolve(NodeId t_node, NodeId y_node, UnitSlot* slot,
+                       NodeLists* out) {
+    if (t_node == kInvalidNode) return false;
+    std::optional<double> t = grounded_.NodeValue(t_node);
+    if (!t.has_value()) return false;
+    if (*t != 0.0 && *t != 1.0) {
+      return Status::InvalidArgument(StrFormat(
+          "treatment must be binary 0/1; unit %s has value %g",
+          grounded_.NodeName(t_node).c_str(), *t));
     }
-    for (NodeId p : graph.Parents(n)) {
-      if (visited.insert(p).second) frontier.push_back(p);
+    if (y_node == kInvalidNode) return false;
+    std::optional<double> y = ResolveResponse(y_node);
+    if (!y.has_value()) return false;
+    slot->t = *t;
+    slot->y = *y;
+
+    // Peers (Def 4.3: p is a peer of x iff a directed path T[p] -> Y[x]
+    // exists): the treatment nodes other than T[x] among the ancestors of
+    // the response groundings. The visit order is free; the set is not.
+    const size_t peers_begin = out->peers.size();
+    uint32_t epoch = NextEpoch();
+    frontier_.clear();
+    for (NodeId s : starts_) {
+      if (Mark(s, epoch)) frontier_.push_back(s);
     }
+    while (!frontier_.empty()) {
+      NodeId n = frontier_.back();
+      frontier_.pop_back();
+      if (n != t_node && graph_.node(n).attribute == plan_.treatment) {
+        out->peers.push_back(n);
+      }
+      for (NodeId p : graph_.Parents(n)) {
+        if (Mark(p, epoch)) frontier_.push_back(p);
+      }
+    }
+    std::sort(out->peers.begin() + static_cast<std::ptrdiff_t>(peers_begin),
+              out->peers.end());
+
+    // Covariates (Theorem 5.2): the observed, valued parents of T[x], then
+    // of each peer's T[p] in peer order, excluding treatment nodes (the t
+    // / peer_t columns carry those). One pass: a node lands once, in the
+    // first list that reaches it.
+    epoch = NextEpoch();
+    auto collect = [&](NodeId treated, std::vector<NodeId>* dst) {
+      for (NodeId p : graph_.Parents(treated)) {
+        if (graph_.node(p).attribute == plan_.treatment) continue;
+        if (!grounded_.NodeValue(p).has_value()) continue;
+        if (Mark(p, epoch)) dst->push_back(p);
+      }
+    };
+    collect(t_node, &out->own_covs);
+    const size_t peers_end = out->peers.size();
+    for (size_t i = peers_begin; i < peers_end; ++i) {
+      collect(out->peers[i], &out->peer_covs);
+    }
+    return true;
   }
-  std::sort(peers.begin(), peers.end());
-  return peers;
-}
 
-// Observed, valued parents of `t_node`, excluding treatment-attribute
-// nodes (those are carried by the t / peer_t columns).
-void CollectCovariateParents(const GroundedModel& grounded, NodeId t_node,
-                             AttributeId treatment,
-                             std::unordered_set<NodeId>* seen,
-                             std::vector<NodeId>* out) {
-  for (NodeId p : grounded.graph().Parents(t_node)) {
-    if (grounded.graph().node(p).attribute == treatment) continue;
-    if (!grounded.NodeValue(p).has_value()) continue;
-    if (seen->insert(p).second) out->push_back(p);
+  // The last resolved unit's response grounding(s): the response node for
+  // base responses, the filtered valued source parents for aggregates.
+  const std::vector<NodeId>& starts() const { return starts_; }
+
+  // Starts a marking pass.
+  uint32_t NextEpoch() {
+    if (++epoch_ == 0) {  // wrapped: stale stamps would alias new passes
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    return epoch_;
   }
-}
-
-// Resolves one unit's context from its pre-resolved treatment/response
-// node ids (the row-aligned node-id columns in BuildUnitTable, a FindNode
-// probe in CheckAdjustmentCriterion).
-Result<std::optional<UnitContext>> ComputeUnitContext(
-    const GroundedModel& grounded, const RequestPlan& plan, NodeId t_node,
-    NodeId y_node) {
-  const CausalGraph& graph = grounded.graph();
-  UnitContext ctx;
-
-  ctx.t_node = t_node;
-  if (ctx.t_node == kInvalidNode) return std::optional<UnitContext>();
-  std::optional<double> t = grounded.NodeValue(ctx.t_node);
-  if (!t.has_value()) return std::optional<UnitContext>();
-  if (*t != 0.0 && *t != 1.0) {
-    return Status::InvalidArgument(StrFormat(
-        "treatment must be binary 0/1; unit %s has value %g",
-        grounded.NodeName(ctx.t_node).c_str(), *t));
+  // Marks `node` in pass `epoch`; false if it already was.
+  bool Mark(NodeId node, uint32_t epoch) {
+    if (stamp_[node] == epoch) return false;
+    stamp_[node] = epoch;
+    return true;
   }
-  ctx.t_value = *t;
 
-  ctx.y_node = y_node;
-  if (ctx.y_node == kInvalidNode) return std::optional<UnitContext>();
-
-  std::vector<NodeId> response_starts;
-  if (plan.response_aggregate.has_value()) {
-    std::vector<double> source_values;
-    for (NodeId p : graph.Parents(ctx.y_node)) {
-      const GroundedAttribute& g = graph.node(p);
-      if (g.attribute != plan.response_source) continue;
-      if (!SourceAllowed(plan, g)) continue;
-      std::optional<double> v = grounded.NodeValue(p);
+ private:
+  // The unit's response value, with its grounding(s) in starts_; nullopt
+  // when the response is filtered out or has no value.
+  std::optional<double> ResolveResponse(NodeId y_node) {
+    starts_.clear();
+    if (!plan_.response_aggregate.has_value()) {
+      if (!SourceAllowed(plan_, graph_.node(y_node))) return std::nullopt;
+      std::optional<double> y = grounded_.NodeValue(y_node);
+      if (y.has_value()) starts_.push_back(y_node);
+      return y;
+    }
+    source_values_.clear();
+    for (NodeId p : graph_.Parents(y_node)) {
+      const GroundedAttribute g = graph_.node(p);
+      if (g.attribute != plan_.response_source) continue;
+      if (!SourceAllowed(plan_, g)) continue;
+      std::optional<double> v = grounded_.NodeValue(p);
       if (!v.has_value()) continue;
-      ctx.y_sources.push_back(p);
-      source_values.push_back(*v);
+      starts_.push_back(p);
+      source_values_.push_back(*v);
     }
-    if (source_values.empty()) return std::optional<UnitContext>();
-    ctx.y_value = ApplyAggregate(*plan.response_aggregate, source_values);
-    response_starts = ctx.y_sources;
-  } else {
-    if (!SourceAllowed(plan, graph.node(ctx.y_node))) {
-      return std::optional<UnitContext>();
-    }
-    std::optional<double> y = grounded.NodeValue(ctx.y_node);
-    if (!y.has_value()) return std::optional<UnitContext>();
-    ctx.y_value = *y;
-    response_starts = {ctx.y_node};
+    if (starts_.empty()) return std::nullopt;
+    return ApplyAggregate(*plan_.response_aggregate, source_values_.data(),
+                          source_values_.size());
   }
 
-  ctx.peer_t_nodes =
-      PeerTreatmentNodes(graph, plan.treatment, response_starts, ctx.t_node);
+  const GroundedModel& grounded_;
+  const CausalGraph& graph_;
+  const RequestPlan& plan_;
+  std::vector<uint32_t> stamp_;
+  uint32_t epoch_ = 0;
+  std::vector<NodeId> starts_;
+  std::vector<NodeId> frontier_;
+  std::vector<double> source_values_;
+};
 
-  std::unordered_set<NodeId> seen;
-  CollectCovariateParents(grounded, ctx.t_node, plan.treatment, &seen,
-                          &ctx.own_cov_nodes);
-  for (NodeId p : ctx.peer_t_nodes) {
-    CollectCovariateParents(grounded, p, plan.treatment, &seen,
-                            &ctx.peer_cov_nodes);
+// Hands each thread that runs a chunk its own resolver: taken at chunk
+// start and returned at chunk end, so the pool holds at most one per
+// participating thread, and all are freed when the call ends.
+class ResolverPool {
+ public:
+  ResolverPool(const GroundedModel& grounded, const RequestPlan& plan)
+      : grounded_(grounded), plan_(plan) {}
+
+  std::unique_ptr<UnitResolver> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return std::make_unique<UnitResolver>(grounded_, plan_);
+    std::unique_ptr<UnitResolver> resolver = std::move(free_.back());
+    free_.pop_back();
+    return resolver;
   }
-  return std::optional<UnitContext>(std::move(ctx));
+  void Return(std::unique_ptr<UnitResolver> resolver) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(resolver));
+  }
+
+ private:
+  const GroundedModel& grounded_;
+  const RequestPlan& plan_;
+  std::mutex mu_;
+  std::vector<std::unique_ptr<UnitResolver>> free_;
+};
+
+// A kept unit: its instance row and its runs in its chunk's NodeLists.
+struct KeptUnit {
+  size_t row;
+  NodeIdSpan peers;
+  NodeIdSpan own_covs;
+  NodeIdSpan peer_covs;
+};
+
+// One column group's values, flattened: row r's group is
+// values[ends[r - 1], ends[r]) (from 0 for r = 0).
+struct Group {
+  std::vector<double> values;
+  std::vector<size_t> ends;
+};
+
+size_t WidestRow(const Group& group) {
+  size_t widest = 0;
+  size_t begin = 0;
+  for (size_t end : group.ends) {
+    widest = std::max(widest, end - begin);
+    begin = end;
+  }
+  return widest;
+}
+
+// Groups the valued nodes of every kept unit's `list` by attribute into
+// `groups` (indexed by AttributeId) and returns the attributes present,
+// ascending. Within a row, values keep the list's order.
+std::vector<AttributeId> GroupByAttribute(const GroundedModel& grounded,
+                                          const std::vector<KeptUnit>& kept,
+                                          NodeIdSpan KeptUnit::*list,
+                                          std::vector<Group>* groups) {
+  std::vector<AttributeId> present;
+  for (size_t r = 0; r < kept.size(); ++r) {
+    for (NodeId node : kept[r].*list) {
+      AttributeId attr = grounded.graph().node(node).attribute;
+      Group& group = (*groups)[attr];
+      // First sight: the rows before this one hold no value of attr.
+      if (group.ends.empty()) {
+        group.ends.resize(kept.size(), 0);
+        present.push_back(attr);
+      }
+      std::optional<double> v = grounded.NodeValue(node);
+      CARL_DCHECK(v.has_value());
+      group.values.push_back(*v);
+    }
+    for (AttributeId attr : present) {
+      (*groups)[attr].ends[r] = (*groups)[attr].values.size();
+    }
+  }
+  std::sort(present.begin(), present.end());
+  return present;
+}
+
+// Projects every row's group through `embedding` into dims() new columns
+// named `prefix` + dim, appended to `data` and listed in `col_list`.
+void EmitEmbedded(const Group& group, const Embedding& embedding,
+                  const std::string& prefix, FlatTable* data,
+                  std::vector<std::string>* col_list) {
+  const size_t rows = group.ends.size();
+  const size_t dims = embedding.dims();
+  std::vector<std::vector<double>> cols(dims, std::vector<double>(rows));
+  std::vector<double> out(dims);
+  size_t begin = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    embedding.Apply(group.values.data() + begin, group.ends[r] - begin,
+                    out.data());
+    for (size_t d = 0; d < dims; ++d) cols[d][r] = out[d];
+    begin = group.ends[r];
+  }
+  std::vector<std::string> dim_names = embedding.DimNames();
+  for (size_t d = 0; d < dims; ++d) {
+    std::string name = prefix + dim_names[d];
+    col_list->push_back(name);
+    data->AddColumn(name, std::move(cols[d]));
+  }
 }
 
 }  // namespace
@@ -195,6 +330,7 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
   CARL_ASSIGN_OR_RETURN(RequestPlan plan, PlanRequest(grounded, request));
   const Schema& schema = grounded.schema();
+  const CausalGraph& graph = grounded.graph();
   const RelationView units =
       grounded.instance().Rows(schema.attribute(plan.treatment).predicate);
 
@@ -202,57 +338,81 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   // node per (attribute, fact row) in row order, so an attribute's first
   // NumRows(predicate) ids in NodesOfAttribute ARE the per-row node ids.
   // Pass 1 reads them by index — no per-unit FindNode hash probes.
-  const std::vector<NodeId>& t_col =
-      grounded.graph().NodesOfAttribute(plan.treatment);
-  const std::vector<NodeId>& y_col =
-      grounded.graph().NodesOfAttribute(plan.response);
+  const std::vector<NodeId>& t_col = graph.NodesOfAttribute(plan.treatment);
+  const std::vector<NodeId>& y_col = graph.NodesOfAttribute(plan.response);
   CARL_CHECK(t_col.size() >= units.size() && y_col.size() >= units.size())
       << "grounded graph lacks bulk-built nodes for the unit predicate";
 
-  // Pass 1: resolve every unit in parallel — contexts land in per-unit
-  // slots, so the kept order (and with it every downstream column) is
+  // Pass 1: resolve every unit in parallel. Each chunk appends to its own
+  // NodeLists and each unit writes only its own slot, so the result is
   // identical for any thread count. NodeValue reads are precomputed at
   // grounding time, making this loop side-effect free.
   ExecContext& exec = ExecContext::Global();
-  std::vector<std::optional<UnitContext>> raw(units.size());
-  std::vector<Status> chunk_status(exec.NumChunks(units.size()));
+  const std::vector<std::pair<size_t, size_t>> chunks =
+      exec.Chunks(units.size());
+  std::vector<UnitSlot> slots(units.size());
+  std::vector<NodeLists> lists(chunks.size());
+  std::vector<Status> chunk_status(chunks.size());
+  ResolverPool resolvers(grounded, plan);
   ParallelFor(exec, units.size(), [&](size_t begin, size_t end,
                                       size_t chunk) {
     CARL_TRACE_SCOPE("unit_table.resolve_units");
+    std::unique_ptr<UnitResolver> resolver = resolvers.Take();
+    NodeLists& out = lists[chunk];
     for (size_t i = begin; i < end; ++i) {
-      CARL_DCHECK(grounded.graph().node(t_col[i]).args == units[i])
+      CARL_DCHECK(graph.node(t_col[i]).args == units[i])
           << "node-id column misaligned with unit rows";
-      Result<std::optional<UnitContext>> ctx =
-          ComputeUnitContext(grounded, plan, t_col[i], y_col[i]);
-      if (!ctx.ok()) {
-        chunk_status[chunk] = ctx.status();
-        return;
+      UnitSlot& slot = slots[i];
+      Result<bool> resolved = resolver->Resolve(t_col[i], y_col[i], &slot,
+                                                &out);
+      if (!resolved.ok()) {
+        chunk_status[chunk] = resolved.status();
+        break;
       }
-      raw[i] = std::move(*ctx);
+      slot.resolved = *resolved;
+      slot.peers_end = out.peers.size();
+      slot.own_covs_end = out.own_covs.size();
+      slot.peer_covs_end = out.peer_covs.size();
     }
+    resolvers.Return(std::move(resolver));
   });
   for (const Status& s : chunk_status) CARL_RETURN_IF_ERROR(s);
   // A stopped token makes ParallelFor skip chunks; surface it before the
   // half-resolved unit slots are read as if complete.
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
 
-  std::vector<size_t> kept_rows;
-  std::vector<UnitContext> contexts;
+  std::vector<KeptUnit> kept;
+  kept.reserve(units.size());
   size_t dropped = 0;
-  for (size_t i = 0; i < units.size(); ++i) {
-    std::optional<UnitContext>& ctx = raw[i];
-    if (!ctx.has_value()) {
-      ++dropped;
-      continue;
+  bool relational = false;
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    const NodeLists& l = lists[c];
+    size_t peers_begin = 0;
+    size_t own_covs_begin = 0;
+    size_t peer_covs_begin = 0;
+    for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
+      const UnitSlot& slot = slots[i];
+      KeptUnit unit{
+          i,
+          NodeIdSpan(l.peers.data() + peers_begin,
+                     slot.peers_end - peers_begin),
+          NodeIdSpan(l.own_covs.data() + own_covs_begin,
+                     slot.own_covs_end - own_covs_begin),
+          NodeIdSpan(l.peer_covs.data() + peer_covs_begin,
+                     slot.peer_covs_end - peer_covs_begin)};
+      peers_begin = slot.peers_end;
+      own_covs_begin = slot.own_covs_end;
+      peer_covs_begin = slot.peer_covs_end;
+      if (!slot.resolved ||
+          (!options.include_isolated_units && unit.peers.empty())) {
+        ++dropped;
+        continue;
+      }
+      if (!unit.peers.empty()) relational = true;
+      kept.push_back(unit);
     }
-    if (!options.include_isolated_units && ctx->peer_t_nodes.empty()) {
-      ++dropped;
-      continue;
-    }
-    kept_rows.push_back(i);
-    contexts.push_back(std::move(*ctx));
   }
-  if (contexts.empty()) {
+  if (kept.empty()) {
     return Status::FailedPrecondition(
         "no unit has both treatment and response values");
   }
@@ -260,136 +420,87 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   UnitTable table;
   table.embedding_kind = options.embedding;
   table.dropped_units = dropped;
+  table.relational = relational;
+  const size_t n = kept.size();
 
-  // Group raw vectors: peers' treatments, own covariates per attribute,
-  // peers' covariates per attribute. std::map keeps column order stable.
-  size_t n = contexts.size();
-  std::vector<std::vector<double>> peer_t_groups(n);
-  std::map<AttributeId, std::vector<std::vector<double>>> own_groups;
-  std::map<AttributeId, std::vector<std::vector<double>>> peer_groups;
-
-  auto group_values = [&](const std::vector<NodeId>& nodes,
-                          std::map<AttributeId,
-                                   std::vector<std::vector<double>>>* groups,
-                          size_t row) {
-    for (NodeId node : nodes) {
-      AttributeId attr = grounded.graph().node(node).attribute;
-      auto [it, inserted] = groups->try_emplace(attr);
-      if (inserted) it->second.resize(n);
-      std::optional<double> v = grounded.NodeValue(node);
-      CARL_DCHECK(v.has_value());
-      it->second[row].push_back(*v);
+  // Pass 2: group values per row — the peers' treatments, then own and
+  // peer covariates per attribute — in flat arrays.
+  Group peer_t_group;
+  if (relational) {
+    peer_t_group.ends.resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      for (NodeId p : kept[r].peers) {
+        std::optional<double> v = grounded.NodeValue(p);
+        if (v.has_value()) peer_t_group.values.push_back(*v);
+      }
+      peer_t_group.ends[r] = peer_t_group.values.size();
     }
-  };
-
-  for (size_t r = 0; r < n; ++r) {
-    const UnitContext& ctx = contexts[r];
-    for (NodeId p : ctx.peer_t_nodes) {
-      std::optional<double> v = grounded.NodeValue(p);
-      if (v.has_value()) peer_t_groups[r].push_back(*v);
-    }
-    group_values(ctx.own_cov_nodes, &own_groups, r);
-    group_values(ctx.peer_cov_nodes, &peer_groups, r);
-    if (!ctx.peer_t_nodes.empty()) table.relational = true;
   }
-  // Late-joining attribute groups need resizing to n (try_emplace above
-  // resizes at first sight, which may be after row 0).
-  for (auto& [attr, groups] : own_groups) groups.resize(n);
-  for (auto& [attr, groups] : peer_groups) groups.resize(n);
-
-  // Pass 2: fit embeddings (one independent fit per attribute group, run
-  // in parallel — fits only read their own group and write their own
-  // embedding, and column naming below consumes them in the same stable
-  // std::map order for every thread count), then emit columns.
-  std::vector<std::string> col_names{"y", "t"};
-  std::shared_ptr<Embedding> peer_t_embedding;
-  std::map<AttributeId, std::unique_ptr<Embedding>> own_embeddings;
-  std::map<AttributeId, std::unique_ptr<Embedding>> peer_embeddings;
-
-  struct FitJob {
-    Embedding* embedding;
-    const std::vector<std::vector<double>>* groups;
-  };
-  std::vector<FitJob> fits;
-  if (table.relational) {
-    peer_t_embedding =
-        MakeEmbedding(options.embedding, options.embedding_options);
-    fits.push_back(FitJob{peer_t_embedding.get(), &peer_t_groups});
-  }
-  for (const auto& [attr, group] : own_groups) {
-    auto e = MakeEmbedding(options.embedding, options.embedding_options);
-    fits.push_back(FitJob{e.get(), &group});
-    own_embeddings[attr] = std::move(e);
-  }
-  for (const auto& [attr, group] : peer_groups) {
-    auto e = MakeEmbedding(options.embedding, options.embedding_options);
-    fits.push_back(FitJob{e.get(), &group});
-    peer_embeddings[attr] = std::move(e);
-  }
-  ParallelFor(exec, fits.size(), [&](size_t begin, size_t end, size_t) {
-    CARL_TRACE_SCOPE("unit_table.fit_embeddings");
-    for (size_t f = begin; f < end; ++f) {
-      fits[f].embedding->Fit(*fits[f].groups);
-    }
-  });
+  std::vector<Group> own_groups(schema.num_attributes());
+  std::vector<Group> peer_groups(schema.num_attributes());
+  const std::vector<AttributeId> own_attrs = GroupByAttribute(
+      grounded, kept, &KeptUnit::own_covs, &own_groups);
+  const std::vector<AttributeId> peer_attrs = GroupByAttribute(
+      grounded, kept, &KeptUnit::peer_covs, &peer_groups);
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
 
-  if (table.relational) {
+  // Pass 3: fit one embedding per group and emit pre-sized columns in the
+  // order y, t, [peer_count, peer_treated_count, peer_t_*], own_<Attr>_*,
+  // peer_<Attr>_* (attributes ascending).
+  std::vector<double> y(n);
+  std::vector<double> t(n);
+  for (size_t r = 0; r < n; ++r) {
+    y[r] = slots[kept[r].row].y;
+    t[r] = slots[kept[r].row].t;
+  }
+  table.data.AddColumn(table.y_col, std::move(y));
+  table.data.AddColumn(table.t_col, std::move(t));
+
+  if (relational) {
+    std::vector<double> peer_count(n);
+    std::vector<double> peer_treated(n);
+    size_t begin = 0;
+    for (size_t r = 0; r < n; ++r) {
+      double treated = 0.0;
+      for (size_t k = begin; k < peer_t_group.ends[r]; ++k) {
+        treated += (peer_t_group.values[k] != 0.0) ? 1.0 : 0.0;
+      }
+      peer_count[r] = static_cast<double>(peer_t_group.ends[r] - begin);
+      peer_treated[r] = treated;
+      begin = peer_t_group.ends[r];
+    }
     table.peer_count_col = "peer_count";
     table.peer_treated_count_col = "peer_treated_count";
-    col_names.push_back(table.peer_count_col);
-    col_names.push_back(table.peer_treated_count_col);
-    for (const std::string& dim : peer_t_embedding->DimNames()) {
-      std::string name = "peer_t_" + dim;
-      table.peer_t_cols.push_back(name);
-      col_names.push_back(name);
-    }
-    table.peer_t_embedding = peer_t_embedding;
+    table.data.AddColumn(table.peer_count_col, std::move(peer_count));
+    table.data.AddColumn(table.peer_treated_count_col,
+                         std::move(peer_treated));
+    std::shared_ptr<Embedding> psi =
+        MakeEmbedding(options.embedding, options.embedding_options);
+    psi->Fit(WidestRow(peer_t_group));
+    EmitEmbedded(peer_t_group, *psi, "peer_t_", &table.data,
+                 &table.peer_t_cols);
+    table.peer_t_embedding = std::move(psi);
   }
+  auto emit_covariates = [&](const std::vector<AttributeId>& attrs,
+                             const std::vector<Group>& groups,
+                             const std::string& prefix,
+                             std::vector<std::string>* col_list) {
+    for (AttributeId attr : attrs) {
+      std::unique_ptr<Embedding> e =
+          MakeEmbedding(options.embedding, options.embedding_options);
+      e->Fit(WidestRow(groups[attr]));
+      EmitEmbedded(groups[attr], *e,
+                   prefix + schema.attribute(attr).name + "_", &table.data,
+                   col_list);
+    }
+  };
+  emit_covariates(own_attrs, own_groups, "own_", &table.own_covariate_cols);
+  emit_covariates(peer_attrs, peer_groups, "peer_",
+                  &table.peer_covariate_cols);
 
-  auto name_cov_columns =
-      [&](const std::map<AttributeId, std::unique_ptr<Embedding>>& embeddings,
-          const std::string& prefix, std::vector<std::string>* col_list) {
-        for (const auto& [attr, e] : embeddings) {
-          const std::string& attr_name = schema.attribute(attr).name;
-          for (const std::string& dim : e->DimNames()) {
-            std::string name = prefix + attr_name + "_" + dim;
-            col_list->push_back(name);
-            col_names.push_back(name);
-          }
-        }
-      };
-  name_cov_columns(own_embeddings, "own_", &table.own_covariate_cols);
-  name_cov_columns(peer_embeddings, "peer_", &table.peer_covariate_cols);
-
-  table.data = FlatTable(col_names);
-  std::vector<double> row;
-  for (size_t r = 0; r < n; ++r) {
-    const UnitContext& ctx = contexts[r];
-    row.clear();
-    row.push_back(ctx.y_value);
-    row.push_back(ctx.t_value);
-    if (table.relational) {
-      double treated = 0.0;
-      for (double v : peer_t_groups[r]) treated += (v != 0.0) ? 1.0 : 0.0;
-      row.push_back(static_cast<double>(peer_t_groups[r].size()));
-      row.push_back(treated);
-      for (double v : peer_t_embedding->Apply(peer_t_groups[r])) {
-        row.push_back(v);
-      }
-    }
-    for (const auto& [attr, embedding] : own_embeddings) {
-      for (double v : embedding->Apply(own_groups.at(attr)[r])) {
-        row.push_back(v);
-      }
-    }
-    for (const auto& [attr, embedding] : peer_embeddings) {
-      for (double v : embedding->Apply(peer_groups.at(attr)[r])) {
-        row.push_back(v);
-      }
-    }
-    table.data.AddRow(row);
-    table.units.push_back(units[kept_rows[r]].ToTuple());
+  table.units.reserve(n);
+  for (const KeptUnit& unit : kept) {
+    table.units.push_back(units[unit.row].ToTuple());
   }
   return table;
 }
@@ -398,43 +509,43 @@ Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
                                       const UnitTableRequest& request,
                                       const Tuple& unit) {
   CARL_ASSIGN_OR_RETURN(RequestPlan plan, PlanRequest(grounded, request));
+  const CausalGraph& graph = grounded.graph();
   // Cold path (a handful of sampled units per query): resolve the unit's
   // nodes with allocation-free span probes.
-  NodeId t_node = grounded.graph().FindNode(plan.treatment, TupleView(unit));
-  NodeId y_node = grounded.graph().FindNode(plan.response, TupleView(unit));
-  CARL_ASSIGN_OR_RETURN(std::optional<UnitContext> ctx,
-                        ComputeUnitContext(grounded, plan, t_node, y_node));
-  if (!ctx.has_value()) {
+  NodeId t_node = graph.FindNode(plan.treatment, TupleView(unit));
+  NodeId y_node = graph.FindNode(plan.response, TupleView(unit));
+  UnitResolver resolver(grounded, plan);
+  UnitSlot slot;
+  NodeLists lists;
+  CARL_ASSIGN_OR_RETURN(bool resolved,
+                        resolver.Resolve(t_node, y_node, &slot, &lists));
+  if (!resolved) {
     return Status::NotFound("unit has no treatment/response values");
   }
 
-  const CausalGraph& graph = grounded.graph();
   // S' = the unit and its peers; condition on their treatment nodes plus
   // the observed-parent covariate set Z.
-  std::vector<NodeId> conditioning{ctx->t_node};
-  conditioning.insert(conditioning.end(), ctx->peer_t_nodes.begin(),
-                      ctx->peer_t_nodes.end());
-  conditioning.insert(conditioning.end(), ctx->own_cov_nodes.begin(),
-                      ctx->own_cov_nodes.end());
-  conditioning.insert(conditioning.end(), ctx->peer_cov_nodes.begin(),
-                      ctx->peer_cov_nodes.end());
+  std::vector<NodeId> conditioning{t_node};
+  conditioning.insert(conditioning.end(), lists.peers.begin(),
+                      lists.peers.end());
+  conditioning.insert(conditioning.end(), lists.own_covs.begin(),
+                      lists.own_covs.end());
+  conditioning.insert(conditioning.end(), lists.peer_covs.begin(),
+                      lists.peer_covs.end());
 
   // X = all parents (observed or latent) of the treatment nodes.
   std::vector<NodeId> all_parents;
-  std::unordered_set<NodeId> seen;
-  auto add_parents = [&](NodeId t_node) {
-    for (NodeId p : graph.Parents(t_node)) {
-      if (seen.insert(p).second) all_parents.push_back(p);
+  const uint32_t epoch = resolver.NextEpoch();
+  auto add_parents = [&](NodeId treated) {
+    for (NodeId p : graph.Parents(treated)) {
+      if (resolver.Mark(p, epoch)) all_parents.push_back(p);
     }
   };
-  add_parents(ctx->t_node);
-  for (NodeId p : ctx->peer_t_nodes) add_parents(p);
+  add_parents(t_node);
+  for (NodeId p : lists.peers) add_parents(p);
   if (all_parents.empty()) return true;  // exogenous treatment
 
-  std::vector<NodeId> response_side =
-      ctx->y_sources.empty() ? std::vector<NodeId>{ctx->y_node}
-                             : ctx->y_sources;
-  return DSeparated(graph, response_side, all_parents, conditioning);
+  return DSeparated(graph, resolver.starts(), all_parents, conditioning);
 }
 
 }  // namespace carl

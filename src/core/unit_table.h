@@ -15,6 +15,20 @@
 //
 // The covariate columns realize the sufficient adjustment set of Theorem
 // 5.2 (parents of the treated units' treatment nodes), embedded per §5.2.2.
+//
+// How a table is built. A parallel pass resolves every unit: a traversal
+// over Parents from the response grounding(s) collects the peers, marking
+// visited nodes in a per-thread array of epoch stamps over node ids that
+// is bumped per unit instead of cleared. Each unit appends its peers
+// (sorted), own covariates and peer covariates (first-occurrence order,
+// each node once across both lists) to its chunk's flat node lists. A
+// serial pass then groups the values per (role, attribute) into one flat
+// value array with per-row ends, fits one embedding per group from its
+// widest row, and writes pre-sized columns through the span
+// Embedding::Apply. Columns are bit-identical at every thread count.
+// With the mean or moments embedding a warm build allocates one `units`
+// tuple per row plus per-call bookkeeping; median and padding also sort
+// a copy of each group they project.
 
 #ifndef CARL_CORE_UNIT_TABLE_H_
 #define CARL_CORE_UNIT_TABLE_H_

@@ -38,76 +38,76 @@ Result<AggregateKind> ParseAggregateKind(const std::string& name) {
 
 namespace {
 
-double Mean(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
+double Mean(const double* v, size_t n) {
+  if (n == 0) return 0.0;
   double s = 0.0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
+  for (size_t i = 0; i < n; ++i) s += v[i];
+  return s / static_cast<double>(n);
 }
 
-double PopulationVariance(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  double m = Mean(v);
+double PopulationVariance(const double* v, size_t n) {
+  if (n < 2) return 0.0;
+  double m = Mean(v, n);
   double s = 0.0;
-  for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size());
+  for (size_t i = 0; i < n; ++i) s += (v[i] - m) * (v[i] - m);
+  return s / static_cast<double>(n);
+}
+
+double Median(const double* values, size_t n) {
+  if (n == 0) return 0.0;
+  std::vector<double> sorted(values, values + n);
+  std::sort(sorted.begin(), sorted.end());
+  if (n % 2 == 1) return sorted[n / 2];
+  return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
 }
 
 }  // namespace
 
-double ApplyAggregate(AggregateKind kind, const std::vector<double>& values) {
+double ApplyAggregate(AggregateKind kind, const double* values, size_t n) {
   switch (kind) {
     case AggregateKind::kCount:
-      return static_cast<double>(values.size());
+      return static_cast<double>(n);
     case AggregateKind::kSum: {
       double s = 0.0;
-      for (double x : values) s += x;
+      for (size_t i = 0; i < n; ++i) s += values[i];
       return s;
     }
     case AggregateKind::kAvg:
-      return Mean(values);
+      return Mean(values, n);
     case AggregateKind::kMin:
-      return values.empty() ? 0.0
-                            : *std::min_element(values.begin(), values.end());
+      return n == 0 ? 0.0 : *std::min_element(values, values + n);
     case AggregateKind::kMax:
-      return values.empty() ? 0.0
-                            : *std::max_element(values.begin(), values.end());
-    case AggregateKind::kMedian: {
-      if (values.empty()) return 0.0;
-      std::vector<double> sorted = values;
-      std::sort(sorted.begin(), sorted.end());
-      size_t n = sorted.size();
-      if (n % 2 == 1) return sorted[n / 2];
-      return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-    }
+      return n == 0 ? 0.0 : *std::max_element(values, values + n);
+    case AggregateKind::kMedian:
+      return Median(values, n);
     case AggregateKind::kVariance:
-      return PopulationVariance(values);
+      return PopulationVariance(values, n);
     case AggregateKind::kStd:
-      return std::sqrt(PopulationVariance(values));
+      return std::sqrt(PopulationVariance(values, n));
     case AggregateKind::kSkewness: {
-      if (values.size() < 2) return 0.0;
-      double m = Mean(values);
-      double var = PopulationVariance(values);
+      if (n < 2) return 0.0;
+      double m = Mean(values, n);
+      double var = PopulationVariance(values, n);
       if (var <= 0.0) return 0.0;
       double s3 = 0.0;
-      for (double x : values) s3 += std::pow(x - m, 3.0);
-      s3 /= static_cast<double>(values.size());
+      for (size_t i = 0; i < n; ++i) s3 += std::pow(values[i] - m, 3.0);
+      s3 /= static_cast<double>(n);
       return s3 / std::pow(var, 1.5);
     }
   }
   return 0.0;
 }
 
-double Moment(const std::vector<double>& values, int k) {
-  if (k <= 1) return Mean(values);
-  if (k == 2) return PopulationVariance(values);
-  if (values.size() < 2) return 0.0;
-  double m = Mean(values);
-  double var = PopulationVariance(values);
+double Moment(const double* values, size_t n, int k) {
+  if (k <= 1) return Mean(values, n);
+  if (k == 2) return PopulationVariance(values, n);
+  if (n < 2) return 0.0;
+  double m = Mean(values, n);
+  double var = PopulationVariance(values, n);
   if (var <= 0.0) return 0.0;
   double acc = 0.0;
-  for (double x : values) acc += std::pow(x - m, k);
-  acc /= static_cast<double>(values.size());
+  for (size_t i = 0; i < n; ++i) acc += std::pow(values[i] - m, k);
+  acc /= static_cast<double>(n);
   return acc / std::pow(std::sqrt(var), k);
 }
 

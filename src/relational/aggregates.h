@@ -5,6 +5,7 @@
 #ifndef CARL_RELATIONAL_AGGREGATES_H_
 #define CARL_RELATIONAL_AGGREGATES_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -34,10 +35,17 @@ Result<AggregateKind> ParseAggregateKind(const std::string& name);
 /// others return 0.0 — callers that need to distinguish "no parents" carry
 /// the cardinality separately (the paper's mean embedding does exactly
 /// this: aggregate plus cardinality).
-double ApplyAggregate(AggregateKind kind, const std::vector<double>& values);
+double ApplyAggregate(AggregateKind kind, const double* values, size_t n);
+inline double ApplyAggregate(AggregateKind kind,
+                             const std::vector<double>& values) {
+  return ApplyAggregate(kind, values.data(), values.size());
+}
 
 /// k-th central moment standardized for k >= 3; k=1 mean, k=2 variance.
-double Moment(const std::vector<double>& values, int k);
+double Moment(const double* values, size_t n, int k);
+inline double Moment(const std::vector<double>& values, int k) {
+  return Moment(values.data(), values.size(), k);
+}
 
 }  // namespace carl
 

@@ -54,7 +54,7 @@ TEST(EmbeddingTest, PaddingFitsWidthAndPads) {
   options.padding_value = -1.0;
   std::unique_ptr<Embedding> e =
       MakeEmbedding(EmbeddingKind::kPadding, options);
-  e->Fit({{1, 0}, {1, 1, 0}, {0}});
+  e->Fit(3);  // widest group: {1, 1, 0}
   EXPECT_EQ(e->dims(), 3u);
   // Values sorted descending, padded with the out-of-band marker.
   EXPECT_EQ(e->Apply({0, 1}), (std::vector<double>{1, 0, -1}));
@@ -68,7 +68,7 @@ TEST(EmbeddingTest, PaddingRespectsMaxWidth) {
   options.padding_max_width = 2;
   std::unique_ptr<Embedding> e =
       MakeEmbedding(EmbeddingKind::kPadding, options);
-  e->Fit({{1, 2, 3, 4, 5}});
+  e->Fit(5);
   EXPECT_EQ(e->dims(), 2u);
 }
 
@@ -95,7 +95,7 @@ class EmbeddingPropertyTest
 
 TEST_P(EmbeddingPropertyTest, DimsStableAcrossGroupSizes) {
   std::unique_ptr<Embedding> e = MakeEmbedding(GetParam());
-  e->Fit({{1, 2, 3, 4}, {5}, {}});
+  e->Fit(4);
   for (size_t n : {0u, 1u, 2u, 4u}) {
     std::vector<double> group(n, 1.0);
     EXPECT_EQ(e->Apply(group).size(), e->dims()) << "n=" << n;
@@ -105,10 +105,29 @@ TEST_P(EmbeddingPropertyTest, DimsStableAcrossGroupSizes) {
 
 TEST_P(EmbeddingPropertyTest, PermutationInvariant) {
   std::unique_ptr<Embedding> e = MakeEmbedding(GetParam());
-  e->Fit({{3, 1, 2}});
+  e->Fit(3);
   std::vector<double> a = e->Apply({3, 1, 2});
   std::vector<double> b = e->Apply({2, 3, 1});
   EXPECT_EQ(a, b);
+}
+
+// The span form is the one virtual entry point: it writes every one of
+// the dims() outputs and nothing past them, including for groups that a
+// fitted padding width truncates.
+TEST_P(EmbeddingPropertyTest, SpanApplyWritesExactlyDims) {
+  std::unique_ptr<Embedding> e = MakeEmbedding(GetParam());
+  e->Fit(3);
+  const double sentinel = 12345.0;
+  for (const std::vector<double>& group :
+       {std::vector<double>{}, std::vector<double>{2.5},
+        std::vector<double>{3, 1, 2}, std::vector<double>{4, 9, 1, 7, 7}}) {
+    std::vector<double> out(e->dims() + 1, sentinel);
+    e->Apply(group.data(), group.size(), out.data());
+    for (size_t d = 0; d < e->dims(); ++d) {
+      EXPECT_NE(out[d], sentinel) << "n=" << group.size() << " dim " << d;
+    }
+    EXPECT_EQ(out.back(), sentinel) << "n=" << group.size();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEmbeddings, EmbeddingPropertyTest,

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <map>
+#include <memory>
 #include <optional>
+#include <unordered_set>
 
 #include "datagen/mimic.h"
 #include "datagen/nis.h"
@@ -174,6 +178,219 @@ ReferenceGrounding GroundByBinding(const Instance& instance,
                         rule.where, /*require_all=*/true, &out);
   }
   return out;
+}
+
+namespace {
+
+// Everything the reference needs about one kept unit.
+struct ReferenceUnit {
+  double y = 0.0;
+  double t = 0.0;
+  std::vector<NodeId> peers;      // sorted
+  std::vector<NodeId> own_covs;   // first-occurrence order
+  std::vector<NodeId> peer_covs;  // first-occurrence order
+};
+
+size_t Widest(const std::vector<std::vector<double>>& rows) {
+  size_t widest = 0;
+  for (const std::vector<double>& g : rows) widest = std::max(widest, g.size());
+  return widest;
+}
+
+// One fitted embedding per attribute group, in map order, and its named
+// columns.
+void FitGroupEmbeddings(
+    const Schema& schema, const UnitTableOptions& options,
+    const std::string& prefix,
+    const std::map<AttributeId, std::vector<std::vector<double>>>& groups,
+    std::vector<std::unique_ptr<Embedding>>* embeddings,
+    std::vector<std::string>* col_list, std::vector<std::string>* col_names) {
+  for (const auto& [attr, rows] : groups) {
+    std::unique_ptr<Embedding> e =
+        MakeEmbedding(options.embedding, options.embedding_options);
+    e->Fit(Widest(rows));
+    for (const std::string& dim : e->DimNames()) {
+      std::string name = prefix + schema.attribute(attr).name + "_" + dim;
+      col_list->push_back(name);
+      col_names->push_back(name);
+    }
+    embeddings->push_back(std::move(e));
+  }
+}
+
+}  // namespace
+
+Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
+                                  const UnitTableRequest& request,
+                                  const UnitTableOptions& options) {
+  const Schema& schema = grounded.schema();
+  const CausalGraph& graph = grounded.graph();
+  const AttributeDef& t_def = schema.attribute(request.treatment);
+  const AttributeDef& y_def = schema.attribute(request.response);
+  if (t_def.predicate != y_def.predicate) {
+    return Status::FailedPrecondition("response not on the unit predicate");
+  }
+  std::optional<AggregateKind> aggregate;
+  AttributeId source = kInvalidAttribute;
+  Result<const AggregateRule*> rule =
+      grounded.model().FindAggregateRule(y_def.name);
+  if (rule.ok()) {
+    aggregate = (*rule)->aggregate;
+    CARL_ASSIGN_OR_RETURN(source,
+                          schema.FindAttribute((*rule)->source.attribute));
+  }
+  auto allowed = [&](NodeId node) {
+    return !request.allowed_sources.has_value() ||
+           request.allowed_sources->Contains(graph.node(node).args);
+  };
+  auto is_treatment = [&](NodeId node) {
+    return graph.node(node).attribute == request.treatment;
+  };
+
+  const RelationView units = grounded.instance().Rows(t_def.predicate);
+  const std::vector<NodeId>& t_nodes =
+      graph.NodesOfAttribute(request.treatment);
+  const std::vector<NodeId>& y_nodes = graph.NodesOfAttribute(request.response);
+  std::vector<ReferenceUnit> kept;
+  std::vector<Tuple> kept_units;
+  size_t dropped = 0;
+  for (size_t i = 0; i < units.size(); ++i) {
+    ReferenceUnit unit;
+    const NodeId t_node = t_nodes[i];
+    const NodeId y_node = y_nodes[i];
+    std::optional<double> t = grounded.NodeValue(t_node);
+    if (!t.has_value()) {
+      ++dropped;
+      continue;
+    }
+    if (*t != 0.0 && *t != 1.0) {
+      return Status::InvalidArgument("treatment must be binary 0/1");
+    }
+    unit.t = *t;
+    std::vector<NodeId> starts;
+    if (aggregate.has_value()) {
+      std::vector<double> values;
+      for (NodeId p : graph.Parents(y_node)) {
+        if (graph.node(p).attribute != source || !allowed(p)) continue;
+        std::optional<double> v = grounded.NodeValue(p);
+        if (!v.has_value()) continue;
+        starts.push_back(p);
+        values.push_back(*v);
+      }
+      if (values.empty()) {
+        ++dropped;
+        continue;
+      }
+      unit.y = ApplyAggregate(*aggregate, values);
+    } else {
+      std::optional<double> y = grounded.NodeValue(y_node);
+      if (!allowed(y_node) || !y.has_value()) {
+        ++dropped;
+        continue;
+      }
+      unit.y = *y;
+      starts.push_back(y_node);
+    }
+
+    std::unordered_set<NodeId> visited(starts.begin(), starts.end());
+    std::deque<NodeId> frontier(visited.begin(), visited.end());
+    while (!frontier.empty()) {
+      NodeId n = frontier.front();
+      frontier.pop_front();
+      if (n != t_node && is_treatment(n)) unit.peers.push_back(n);
+      for (NodeId p : graph.Parents(n)) {
+        if (visited.insert(p).second) frontier.push_back(p);
+      }
+    }
+    std::sort(unit.peers.begin(), unit.peers.end());
+    if (!options.include_isolated_units && unit.peers.empty()) {
+      ++dropped;
+      continue;
+    }
+
+    std::unordered_set<NodeId> seen;
+    auto collect = [&](NodeId treated, std::vector<NodeId>* out) {
+      for (NodeId p : graph.Parents(treated)) {
+        if (is_treatment(p) || !grounded.NodeValue(p).has_value()) continue;
+        if (seen.insert(p).second) out->push_back(p);
+      }
+    };
+    collect(t_node, &unit.own_covs);
+    for (NodeId p : unit.peers) collect(p, &unit.peer_covs);
+    kept.push_back(std::move(unit));
+    kept_units.push_back(units[i].ToTuple());
+  }
+  if (kept.empty()) {
+    return Status::FailedPrecondition("no unit kept");
+  }
+
+  const size_t n = kept.size();
+  UnitTable table;
+  table.embedding_kind = options.embedding;
+  table.dropped_units = dropped;
+  table.units = std::move(kept_units);
+  std::vector<std::vector<double>> peer_t(n);
+  std::map<AttributeId, std::vector<std::vector<double>>> own, peer;
+  for (size_t r = 0; r < n; ++r) {
+    for (NodeId p : kept[r].peers) {
+      std::optional<double> v = grounded.NodeValue(p);
+      if (v.has_value()) peer_t[r].push_back(*v);
+      table.relational = true;
+    }
+    for (NodeId c : kept[r].own_covs) {
+      std::vector<std::vector<double>>& rows = own[graph.node(c).attribute];
+      rows.resize(n);
+      rows[r].push_back(*grounded.NodeValue(c));
+    }
+    for (NodeId c : kept[r].peer_covs) {
+      std::vector<std::vector<double>>& rows = peer[graph.node(c).attribute];
+      rows.resize(n);
+      rows[r].push_back(*grounded.NodeValue(c));
+    }
+  }
+
+  std::vector<std::string> col_names{"y", "t"};
+  std::shared_ptr<Embedding> psi;
+  if (table.relational) {
+    table.peer_count_col = "peer_count";
+    table.peer_treated_count_col = "peer_treated_count";
+    col_names.push_back(table.peer_count_col);
+    col_names.push_back(table.peer_treated_count_col);
+    psi = MakeEmbedding(options.embedding, options.embedding_options);
+    psi->Fit(Widest(peer_t));
+    for (const std::string& dim : psi->DimNames()) {
+      table.peer_t_cols.push_back("peer_t_" + dim);
+      col_names.push_back("peer_t_" + dim);
+    }
+    table.peer_t_embedding = psi;
+  }
+  std::vector<std::unique_ptr<Embedding>> own_embeddings, peer_embeddings;
+  FitGroupEmbeddings(schema, options, "own_", own, &own_embeddings,
+                     &table.own_covariate_cols, &col_names);
+  FitGroupEmbeddings(schema, options, "peer_", peer, &peer_embeddings,
+                     &table.peer_covariate_cols, &col_names);
+
+  table.data = FlatTable(col_names);
+  for (size_t r = 0; r < n; ++r) {
+    std::vector<double> row{kept[r].y, kept[r].t};
+    if (table.relational) {
+      double treated = 0.0;
+      for (double v : peer_t[r]) treated += (v != 0.0) ? 1.0 : 0.0;
+      row.push_back(static_cast<double>(peer_t[r].size()));
+      row.push_back(treated);
+      for (double v : psi->Apply(peer_t[r])) row.push_back(v);
+    }
+    size_t e = 0;
+    for (const auto& [attr, rows] : own) {
+      for (double v : own_embeddings[e++]->Apply(rows[r])) row.push_back(v);
+    }
+    e = 0;
+    for (const auto& [attr, rows] : peer) {
+      for (double v : peer_embeddings[e++]->Apply(rows[r])) row.push_back(v);
+    }
+    table.data.AddRow(row);
+  }
+  return table;
 }
 
 uint64_t GraphFingerprint(const GroundedModel& grounded) {

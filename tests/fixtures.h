@@ -99,6 +99,21 @@ struct ReferenceGrounding {
 ReferenceGrounding GroundByBinding(const Instance& instance,
                                    const RelationalCausalModel& model);
 
+/// Algorithm 1 by the plain per-unit loop over public APIs only
+/// (NodesOfAttribute, Parents, NodeValue, MakeEmbedding, the vector
+/// Apply) — the reference BuildUnitTable must reproduce bit for bit
+/// (column names and bits, units, dropped_units, relational, the three
+/// column lists) at every thread count. Per unit, in row order: the
+/// response grounding(s), a BFS over Parents with its own visited set
+/// for the peers (sorted), then the valued non-treatment parents of T[x]
+/// and of each peer's T[p] under one seen set. Then per-attribute groups
+/// in std::maps, one embedding per group fitted on its widest group, and
+/// one AddRow per unit. The first unit with a non-binary treatment
+/// fails the build.
+Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
+                                  const UnitTableRequest& request,
+                                  const UnitTableOptions& options = {});
+
 /// One stable id-order fingerprint of a grounded graph: names, parent and
 /// child lists, value bit patterns, and num_groundings folded in node-id
 /// order. See the file comment for when to use this vs Canonicalize.

@@ -1,0 +1,244 @@
+// Differential tests of Algorithm 1 and the relational ATE contrast.
+//
+// BuildUnitTable must match the plain per-unit reference
+// (test_fixtures::UnitTableByUnit) bit for bit — column names and bits,
+// units, dropped_units, relational, and the three column lists — at
+// threads {1, 2, 4}, for every embedding with include_isolated_units on
+// and off. The requests cover base responses (MIMIC, NIS), an aggregate
+// response (REVIEW), a WHERE-filtered aggregate response, and the review
+// toy. EstimateAte's ψ contrast must equal the per-unit loop it replaces.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "fixtures.h"
+
+namespace carl {
+namespace {
+
+using test_fixtures::ScopedThreads;
+
+struct Workload {
+  const char* name;
+  const datagen::Dataset* data;
+  const char* query;
+  // Appended to the dataset's model text.
+  const char* extra_rules = "";
+};
+
+const EmbeddingKind kEmbeddings[] = {EmbeddingKind::kMean,
+                                     EmbeddingKind::kMedian,
+                                     EmbeddingKind::kMoments,
+                                     EmbeddingKind::kPadding};
+
+// The request `query` resolves to when its response is already on the
+// treatment's predicate. A WHERE filter becomes the allowed response
+// sources: the filter joined with the source predicate's unit atom on the
+// one filter variable of that entity type, `link_var`.
+UnitTableRequest RequestFor(const GroundedModel& grounded,
+                            const CausalQuery& query,
+                            const std::string& link_var) {
+  const Schema& schema = grounded.schema();
+  UnitTableRequest request;
+  request.treatment = *schema.FindAttribute(query.treatment.attribute);
+  request.response = *schema.FindAttribute(query.response.attribute);
+  if (query.where.empty()) return request;
+  AttributeId source = request.response;
+  Result<const AggregateRule*> rule =
+      grounded.model().FindAggregateRule(query.response.attribute);
+  if (rule.ok()) source = *schema.FindAttribute((*rule)->source.attribute);
+  ConjunctiveQuery filter = query.where;
+  Atom unit_atom;
+  unit_atom.predicate =
+      schema.predicate(schema.attribute(source).predicate).name;
+  unit_atom.args = {Term::Var(link_var)};
+  filter.atoms.push_back(unit_atom);
+  Result<BindingTable> allowed =
+      QueryEvaluator(&grounded.instance()).Evaluate(filter, {link_var});
+  CARL_CHECK_OK(allowed.status());
+  request.allowed_sources = std::move(*allowed);
+  return request;
+}
+
+void ExpectBitIdentical(const UnitTable& want, const UnitTable& got) {
+  ASSERT_EQ(got.data.column_names(), want.data.column_names());
+  for (size_t c = 0; c < want.data.num_cols(); ++c) {
+    const std::vector<double>& a = want.data.Column(c);
+    const std::vector<double>& b = got.data.Column(c);
+    ASSERT_EQ(b.size(), a.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+        << "column " << want.data.column_names()[c];
+  }
+  EXPECT_TRUE(got.units == want.units);
+  EXPECT_EQ(got.dropped_units, want.dropped_units);
+  EXPECT_EQ(got.relational, want.relational);
+  EXPECT_EQ(got.peer_count_col, want.peer_count_col);
+  EXPECT_EQ(got.peer_treated_count_col, want.peer_treated_count_col);
+  EXPECT_EQ(got.peer_t_cols, want.peer_t_cols);
+  EXPECT_EQ(got.own_covariate_cols, want.own_covariate_cols);
+  EXPECT_EQ(got.peer_covariate_cols, want.peer_covariate_cols);
+}
+
+class UnitTableReferenceTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    mimic_ = new datagen::Dataset(test_fixtures::MiniMimicDataset(1500, 60));
+    nis_ = new datagen::Dataset(test_fixtures::MiniNisDataset(3000, 40));
+    review_ = new datagen::Dataset(
+        test_fixtures::SynthReviewDataset(400, 20, 3000, 12));
+    toy_ = new datagen::Dataset(test_fixtures::ReviewToyDataset());
+  }
+  static void TearDownTestSuite() {
+    for (datagen::Dataset* d : {mimic_, nis_, review_, toy_}) delete d;
+  }
+
+  static std::vector<Workload> Workloads() {
+    return {
+        {"MIMIC", mimic_, "Len[P] <= SelfPay[P]?"},
+        {"NIS", nis_, "HighBill[P] <= AdmittedToLarge[P]?"},
+        {"REVIEW", review_, "AVG_Score[A] <= Prestige[A]?"},
+        {"REVIEW-WHERE", review_,
+         "AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), "
+         "Blind[C] = TRUE"},
+        {"TOY", toy_, "AVG_Score[A] <= Prestige[A]?"},
+        // A parent shared by a unit's treatment and its coauthors': the
+        // venue's Blind node must land once, as an own covariate.
+        {"REVIEW-SHARED", review_, "AVG_Score[A] <= Prestige[A]?",
+         "Prestige[A] <= Blind[C] WHERE Author(A, S), Submitted(S, C)"},
+    };
+  }
+
+  // Grounds the dataset's model plus `extra_rules`; the grounding refers
+  // to model_.
+  GroundedModel Ground(const datagen::Dataset& data,
+                       const std::string& extra_rules = "") {
+    Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
+        *data.schema, data.model_text + "\n" + extra_rules);
+    CARL_CHECK_OK(model.status());
+    model_.emplace(std::move(*model));
+    Result<GroundedModel> grounded = GroundModel(*data.instance, *model_);
+    CARL_CHECK_OK(grounded.status());
+    return std::move(*grounded);
+  }
+
+  std::optional<RelationalCausalModel> model_;
+
+  static datagen::Dataset* mimic_;
+  static datagen::Dataset* nis_;
+  static datagen::Dataset* review_;
+  static datagen::Dataset* toy_;
+};
+
+datagen::Dataset* UnitTableReferenceTest::mimic_ = nullptr;
+datagen::Dataset* UnitTableReferenceTest::nis_ = nullptr;
+datagen::Dataset* UnitTableReferenceTest::review_ = nullptr;
+datagen::Dataset* UnitTableReferenceTest::toy_ = nullptr;
+
+TEST_F(UnitTableReferenceTest, MatchesPerUnitReference) {
+  for (const Workload& wl : Workloads()) {
+    GroundedModel grounded = Ground(*wl.data, wl.extra_rules);
+    Result<CausalQuery> query = ParseQuery(wl.query);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    const UnitTableRequest request = RequestFor(grounded, *query, "S");
+    size_t compared = 0;
+    for (EmbeddingKind kind : kEmbeddings) {
+      for (bool isolated : {true, false}) {
+        SCOPED_TRACE(std::string(wl.name) + " " +
+                     EmbeddingKindToString(kind) +
+                     (isolated ? " with" : " without") + " isolated units");
+        UnitTableOptions options;
+        options.embedding = kind;
+        options.include_isolated_units = isolated;
+        Result<UnitTable> want =
+            test_fixtures::UnitTableByUnit(grounded, request, options);
+        for (int threads : {1, 2, 4}) {
+          SCOPED_TRACE("threads " + std::to_string(threads));
+          ScopedThreads scoped(threads);
+          Result<UnitTable> got = BuildUnitTable(grounded, request, options);
+          ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+          if (!want.ok()) {
+            EXPECT_EQ(got.status().code(), want.status().code());
+            continue;
+          }
+          ExpectBitIdentical(*want, *got);
+          ++compared;
+        }
+      }
+    }
+    // Every workload compares real tables; only the peerless base
+    // responses fail without isolated units.
+    EXPECT_GE(compared, 12u) << wl.name;
+  }
+}
+
+// EstimateAte projects ψ once per distinct peer count; the total must
+// equal the per-unit loop's bit for bit, on the full table and on a
+// bootstrap-style row subset.
+double PerUnitAte(const UnitTable& table, const FlatTable& view) {
+  std::vector<std::string> x_cols{table.t_col};
+  for (const std::vector<std::string>* cols :
+       {&table.peer_t_cols, &table.own_covariate_cols,
+        &table.peer_covariate_cols}) {
+    x_cols.insert(x_cols.end(), cols->begin(), cols->end());
+  }
+  Result<OlsFit> fit = FitOls(view, table.y_col, x_cols);
+  CARL_CHECK_OK(fit.status());
+  const double beta_t = fit->CoefficientOr(table.t_col, 0.0);
+  double total = 0.0;
+  for (double pc : view.Column(table.peer_count_col)) {
+    size_t n = static_cast<size_t>(pc);
+    double effect = beta_t;
+    if (n > 0) {
+      std::vector<double> one = table.peer_t_embedding->Apply(
+          std::vector<double>(n, 1.0));
+      std::vector<double> zero = table.peer_t_embedding->Apply(
+          std::vector<double>(n, 0.0));
+      for (size_t d = 0; d < table.peer_t_cols.size(); ++d) {
+        effect += fit->CoefficientOr(table.peer_t_cols[d], 0.0) *
+                  (one[d] - zero[d]);
+      }
+    }
+    total += effect;
+  }
+  return total / static_cast<double>(view.num_rows());
+}
+
+TEST_F(UnitTableReferenceTest, AteContrastMatchesPerUnitLoop) {
+  GroundedModel grounded = Ground(*review_);
+  Result<CausalQuery> query = ParseQuery("AVG_Score[A] <= Prestige[A]?");
+  ASSERT_TRUE(query.ok());
+  const UnitTableRequest request = RequestFor(grounded, *query, "S");
+  for (EmbeddingKind kind : kEmbeddings) {
+    SCOPED_TRACE(EmbeddingKindToString(kind));
+    UnitTableOptions options;
+    options.embedding = kind;
+    Result<UnitTable> table = BuildUnitTable(grounded, request, options);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE(table->relational);
+    const std::vector<double>& counts =
+        table->data.Column(table->peer_count_col);
+    std::vector<double> distinct = counts;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    ASSERT_LT(distinct.size() * 4, counts.size()) << "peer counts repeat";
+
+    std::vector<size_t> rows;
+    for (size_t r = 0; r < counts.size(); r += 3) rows.push_back(r);
+    for (const FlatTable& view :
+         {table->data, table->data.SelectRows(rows)}) {
+      Result<double> ate =
+          EstimateAte(*table, view, EstimatorKind::kRegression);
+      ASSERT_TRUE(ate.ok()) << ate.status().ToString();
+      EXPECT_EQ(*ate, PerUnitAte(*table, view));
+    }
+  }
+}
+
+}  // namespace
+}  // namespace carl
