@@ -42,9 +42,9 @@ int Run(const bench::BenchFlags& flags) {
 
   // Naive (no adjustment): the difference of group means.
   {
-    Result<QueryAnswer> answer = engine->Answer(query);
-    CARL_CHECK_OK(answer.status());
-    double naive = answer->effects->naive.difference;
+    QueryResponse response = engine->Answer(QueryRequest(query));
+    CARL_CHECK_OK(response.status);
+    double naive = response.answer.effects->naive.difference;
     bench::PrintRow({"naive (none)", StrFormat("%+.3f", naive), "-",
                      StrFormat("%+.3f", naive - 1.0)});
   }
@@ -52,16 +52,16 @@ int Run(const bench::BenchFlags& flags) {
   for (EstimatorKind kind :
        {EstimatorKind::kRegression, EstimatorKind::kMatching,
         EstimatorKind::kIpw, EstimatorKind::kStratification}) {
-    EngineOptions options;
-    options.estimator = kind;
-    options.bootstrap_replicates = flags.quick ? 20 : 60;
-    Result<QueryAnswer> answer = engine->Answer(query, options);
-    if (!answer.ok()) {
+    QueryRequest request(query);
+    request.options.estimator = kind;
+    request.options.bootstrap_replicates = flags.quick ? 20 : 60;
+    QueryResponse response = engine->Answer(request);
+    if (!response.status.ok()) {
       bench::PrintRow({EstimatorKindToString(kind), "failed",
-                       answer.status().ToString(), ""});
+                       response.status.ToString(), ""});
       continue;
     }
-    const EffectEstimate& est = answer->effects->aie_psi;
+    const EffectEstimate& est = response.answer.effects->aie_psi;
     bench::PrintRow({EstimatorKindToString(kind),
                      StrFormat("%+.3f", est.value),
                      StrFormat("%.3f", est.std_error),

@@ -42,18 +42,22 @@ int Run(const bench::BenchFlags& flags) {
     std::string ate_query = StrFormat(
         "AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = %s",
         literal);
-    Result<QueryAnswer> answer = engine->Answer(ate_query, options);
-    CARL_CHECK_OK(answer.status());
-    const AteAnswer& ate = *answer->ate;
+    QueryRequest ate_request(ate_query);
+    ate_request.options = options;
+    QueryResponse ate_response = engine->Answer(ate_request);
+    CARL_CHECK_OK(ate_response.status);
+    const AteAnswer& ate = *ate_response.answer.ate;
     // Isolated effect of the author's own prestige (the quantity whose
     // significance flips between review modes in the paper's Fig 7a).
     std::string iso_query = StrFormat(
         "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED "
         "WHERE Submitted(S, C), Blind[C] = %s",
         literal);
-    Result<QueryAnswer> iso = engine->Answer(iso_query, options);
-    CARL_CHECK_OK(iso.status());
-    const EffectEstimate& aie = iso->effects->aie;
+    QueryRequest iso_request(iso_query);
+    iso_request.options = options;
+    QueryResponse iso = engine->Answer(iso_request);
+    CARL_CHECK_OK(iso.status);
+    const EffectEstimate& aie = iso.answer.effects->aie;
     bench::PrintRow({mode, StrFormat("%.3f", ate.naive.correlation),
                      StrFormat("%+.3f", ate.ate.value),
                      StrFormat("%+.3f", aie.value),
@@ -71,12 +75,13 @@ int Run(const bench::BenchFlags& flags) {
   std::printf("\n(b) isolated / relational / overall effects, single-blind\n");
   bench::PrintRow({"Quantity", "Estimate", "+/- se", "95% CI"});
   bench::PrintRule();
-  Result<QueryAnswer> peers = engine->Answer(
+  QueryRequest peers_request(
       "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED "
-      "WHERE Submitted(S, C), Blind[C] = TRUE",
-      options);
-  CARL_CHECK_OK(peers.status());
-  const RelationalEffectsAnswer& effects = *peers->effects;
+      "WHERE Submitted(S, C), Blind[C] = TRUE");
+  peers_request.options = options;
+  QueryResponse peers = engine->Answer(peers_request);
+  CARL_CHECK_OK(peers.status);
+  const RelationalEffectsAnswer& effects = *peers.answer.effects;
   auto print_effect = [](const char* name, const EffectEstimate& e) {
     bench::PrintRow({name, StrFormat("%+.3f", e.value),
                      StrFormat("%.3f", e.std_error),

@@ -41,15 +41,14 @@ void RunMode(const char* label, const char* blind_literal,
   CARL_CHECK_OK(data.status());
   std::unique_ptr<CarlEngine> engine = bench::MakeEngine(data->dataset);
 
-  EngineOptions options;
-  options.bootstrap_replicates = flags.quick ? 40 : 300;
-  std::string query = StrFormat(
+  QueryRequest request(StrFormat(
       "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED "
       "WHERE Submitted(S, C), Blind[C] = %s",
-      blind_literal);
-  Result<QueryAnswer> answer = engine->Answer(query, options);
-  CARL_CHECK_OK(answer.status());
-  const RelationalEffectsAnswer& effects = *answer->effects;
+      blind_literal));
+  request.options.bootstrap_replicates = flags.quick ? 40 : 300;
+  QueryResponse response = engine->Answer(request);
+  CARL_CHECK_OK(response.status);
+  const RelationalEffectsAnswer& effects = *response.answer.effects;
   PrintDistribution("AIE (isolated)", effects.aie);
   PrintDistribution("ARE (relational)", effects.are);
   PrintDistribution("AOE (overall)", effects.aoe);

@@ -313,8 +313,7 @@ int Run(const bench::BenchFlags& flags) {
         << " rows";
 
     double answer_s = bench::TimeBest(iters, [&] {
-      Result<QueryAnswer> answer = wl.engine->Answer(wl.query);
-      CARL_CHECK_OK(answer.status());
+      CARL_CHECK_OK(wl.engine->Answer(QueryRequest(wl.query)).status);
     });
 
     // Incremental grounding on a single-admission delta (MIMIC only; the

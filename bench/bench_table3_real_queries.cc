@@ -48,24 +48,26 @@ AteAnswer RunQuery(const std::shared_ptr<QuerySession>& session,
   Result<std::unique_ptr<CarlEngine>> engine =
       CarlEngine::Create(session, std::move(*model));
   CARL_CHECK_OK(engine.status());
-  Result<QueryAnswer> answer = (*engine)->Answer(query);
-  CARL_CHECK_OK(answer.status());
-  return *answer->ate;
+  QueryResponse response = (*engine)->Answer(QueryRequest(query));
+  CARL_CHECK_OK(response.status);
+  return *response.answer.ate;
 }
 
 void ReportSession(const char* dataset, const QuerySession& session,
                    double ground_s, double query_s) {
-  const QuerySession::CacheStats& stats = session.stats();
+  QuerySession::SessionStats stats = session.SnapshotStats();
+  const size_t hits = stats.cache_hits;
+  const size_t groundings = stats.ground_full + stats.ground_extends;
   std::printf(
       "%s: first query (incl. grounding) %.2fs, cached follow-ups %.2fs; "
       "session cache: %zu hits, %zu distinct groundings\n",
-      dataset, ground_s, query_s, stats.ground_hits, stats.ground_misses);
+      dataset, ground_s, query_s, hits, groundings);
   bench::EmitJson(kBenchName, dataset, "first_ground_s", ground_s);
   bench::EmitJson(kBenchName, dataset, "cached_queries_s", query_s);
   bench::EmitJson(kBenchName, dataset, "ground_cache_hits",
-                  static_cast<double>(stats.ground_hits));
+                  static_cast<double>(hits));
   bench::EmitJson(kBenchName, dataset, "distinct_groundings",
-                  static_cast<double>(stats.ground_misses));
+                  static_cast<double>(groundings));
 }
 
 int Run(const bench::BenchFlags& flags) {

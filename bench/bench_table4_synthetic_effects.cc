@@ -34,10 +34,10 @@ void RunRegime(const char* label, double single_blind_fraction,
   CARL_CHECK_OK(data.status());
   std::unique_ptr<CarlEngine> engine = bench::MakeEngine(data->dataset);
 
-  Result<QueryAnswer> answer = engine->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED");
-  CARL_CHECK_OK(answer.status());
-  const RelationalEffectsAnswer& effects = *answer->effects;
+  QueryResponse response = engine->Answer(QueryRequest(
+      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED"));
+  CARL_CHECK_OK(response.status);
+  const RelationalEffectsAnswer& effects = *response.answer.effects;
 
   AttributeId prestige =
       *engine->model().extended_schema().FindAttribute("Prestige");

@@ -90,13 +90,13 @@ void RunRegime(const char* label, double single_blind_fraction, double truth,
     std::unique_ptr<CarlEngine> engine = bench::MakeEngine(data->dataset);
 
     for (int k = 0; k < 4; ++k) {
-      EngineOptions options;
-      options.embedding = kinds[k];
-      Result<QueryAnswer> answer = engine->Answer(
-          "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED",
-          options);
-      CARL_CHECK_OK(answer.status());
-      per_embedding[k].values.push_back(answer->effects->aie_psi.value);
+      QueryRequest request(
+          "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED");
+      request.options.embedding = kinds[k];
+      QueryResponse response = engine->Answer(request);
+      CARL_CHECK_OK(response.status);
+      per_embedding[k].values.push_back(
+          response.answer.effects->aie_psi.value);
     }
     Result<double> baseline = UniversalBaseline(*data);
     CARL_CHECK_OK(baseline.status());

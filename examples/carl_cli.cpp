@@ -52,11 +52,12 @@ int RunDemo() {
       ExplainQuery(engine->get(), "AVG_Score[A] <= Prestige[A]?");
   CARL_CHECK_OK(explanation.status());
   std::printf("%s\n", explanation->ToString().c_str());
-  Result<QueryAnswer> answer =
-      (*engine)->Answer("AVG_Score[A] <= Prestige[A]?");
-  CARL_CHECK_OK(answer.status());
+  QueryResponse response =
+      (*engine)->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+  CARL_CHECK_OK(response.status);
+  const AteAnswer& ate = *response.answer.ate;
   std::printf("naive difference: %+.3f\nATE:              %+.3f\n",
-              answer->ate->naive.difference, answer->ate->ate.value);
+              ate.naive.difference, ate.ate.value);
   return 0;
 }
 
@@ -134,10 +135,12 @@ int main(int argc, char** argv) {
     std::printf("%s\n", explanation->ToString().c_str());
   }
 
-  Result<QueryAnswer> answer = (*engine)->Answer(query, options);
-  if (!answer.ok()) return Fail(answer.status());
-  if (answer->ate.has_value()) {
-    const AteAnswer& ate = *answer->ate;
+  QueryRequest request(query);
+  request.options = options;
+  QueryResponse response = (*engine)->Answer(request);
+  if (!response.status.ok()) return Fail(response.status);
+  if (response.answer.ate.has_value()) {
+    const AteAnswer& ate = *response.answer.ate;
     std::printf("units: %zu (dropped %zu)\n", ate.num_units,
                 ate.dropped_units);
     std::printf("naive difference: %+.4f   (treated %.4f, control %.4f)\n",
@@ -150,7 +153,7 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   } else {
-    const RelationalEffectsAnswer& effects = *answer->effects;
+    const RelationalEffectsAnswer& effects = *response.answer.effects;
     std::printf("units: %zu\n", effects.num_units);
     std::printf("AIE: %+.4f   ARE: %+.4f   AOE: %+.4f\n",
                 effects.aie.value, effects.are.value, effects.aoe.value);

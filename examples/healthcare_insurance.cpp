@@ -34,33 +34,32 @@ int main() {
       CarlEngine::Create(data->instance.get(), std::move(*model));
   CARL_CHECK_OK(engine.status());
 
-  EngineOptions options;
-  options.check_criterion = true;  // verify Theorem 5.2's condition
-
   // Query (34-a): mortality.
-  Result<QueryAnswer> death =
-      (*engine)->Answer("Death[P] <= SelfPay[P]?", options);
-  CARL_CHECK_OK(death.status());
+  QueryRequest death_request("Death[P] <= SelfPay[P]?");
+  death_request.options.check_criterion = true;  // verify Theorem 5.2
+  QueryResponse death_response = (*engine)->Answer(death_request);
+  CARL_CHECK_OK(death_response.status);
+  const AteAnswer& death = *death_response.answer.ate;
   std::printf("Death[P] <= SelfPay[P]?\n");
   std::printf("  mortality, self-pay:    %5.1f%%\n",
-              death->ate->naive.treated_mean * 100);
+              death.naive.treated_mean * 100);
   std::printf("  mortality, insured:     %5.1f%%\n",
-              death->ate->naive.control_mean * 100);
+              death.naive.control_mean * 100);
   std::printf("  naive difference:       %+5.1f pp\n",
-              death->ate->naive.difference * 100);
-  std::printf("  ATE:                    %+5.1f pp\n",
-              death->ate->ate.value * 100);
+              death.naive.difference * 100);
+  std::printf("  ATE:                    %+5.1f pp\n", death.ate.value * 100);
   std::printf("  adjustment criterion:   %s\n",
-              *death->ate->criterion_ok ? "holds" : "VIOLATED");
+              *death.criterion_ok ? "holds" : "VIOLATED");
 
   // Query (34-b): length of stay.
-  Result<QueryAnswer> len = (*engine)->Answer("Len[P] <= SelfPay[P]?");
-  CARL_CHECK_OK(len.status());
+  QueryResponse len_response =
+      (*engine)->Answer(QueryRequest("Len[P] <= SelfPay[P]?"));
+  CARL_CHECK_OK(len_response.status);
+  const AteAnswer& len = *len_response.answer.ate;
   std::printf("\nLen[P] <= SelfPay[P]?\n");
   std::printf("  naive difference:       %+7.1f hours\n",
-              len->ate->naive.difference);
-  std::printf("  ATE:                    %+7.1f hours\n",
-              len->ate->ate.value);
+              len.naive.difference);
+  std::printf("  ATE:                    %+7.1f hours\n", len.ate.value);
 
   std::printf(
       "\nInterpretation (paper §6.2): the raw mortality gap is driven by\n"

@@ -30,10 +30,10 @@ int main() {
       CarlEngine::Create(data->instance.get(), std::move(*model));
   CARL_CHECK_OK(engine.status());
 
-  Result<QueryAnswer> naive_run =
-      (*engine)->Answer("HighBill[P] <= AdmittedToLarge[P]?");
-  CARL_CHECK_OK(naive_run.status());
-  const AteAnswer& first = *naive_run->ate;
+  QueryRequest request("HighBill[P] <= AdmittedToLarge[P]?");
+  QueryResponse naive_run = (*engine)->Answer(request);
+  CARL_CHECK_OK(naive_run.status);
+  const AteAnswer& first = *naive_run.answer.ate;
   std::printf("\nHighBill[P] <= AdmittedToLarge[P]?\n");
   std::printf("  P(high bill | large):  %5.1f%%\n",
               first.naive.treated_mean * 100);
@@ -46,16 +46,14 @@ int main() {
   for (EstimatorKind kind :
        {EstimatorKind::kRegression, EstimatorKind::kMatching,
         EstimatorKind::kIpw, EstimatorKind::kStratification}) {
-    EngineOptions options;
-    options.estimator = kind;
-    Result<QueryAnswer> answer =
-        (*engine)->Answer("HighBill[P] <= AdmittedToLarge[P]?", options);
-    if (answer.ok()) {
+    request.options.estimator = kind;
+    QueryResponse response = (*engine)->Answer(request);
+    if (response.status.ok()) {
       std::printf("  %-16s %+6.1f pp\n", EstimatorKindToString(kind),
-                  answer->ate->ate.value * 100);
+                  response.answer.ate->ate.value * 100);
     } else {
       std::printf("  %-16s failed: %s\n", EstimatorKindToString(kind),
-                  answer.status().ToString().c_str());
+                  response.status.ToString().c_str());
     }
   }
 

@@ -42,12 +42,13 @@ int main() {
               "ATE", "95% CI");
   for (auto [mode, literal] : {std::pair{"single-blind", "TRUE"},
                                std::pair{"double-blind", "FALSE"}}) {
-    std::string query = StrFormat(
+    QueryRequest request(StrFormat(
         "AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = %s",
-        literal);
-    Result<QueryAnswer> answer = (*engine)->Answer(query, options);
-    CARL_CHECK_OK(answer.status());
-    const AteAnswer& ate = *answer->ate;
+        literal));
+    request.options = options;
+    QueryResponse response = (*engine)->Answer(request);
+    CARL_CHECK_OK(response.status);
+    const AteAnswer& ate = *response.answer.ate;
     bool significant = ate.ate.ci_low > 0.0 || ate.ate.ci_high < 0.0;
     std::printf("%-14s %-12.3f %-+12.3f [%+.3f, %+.3f]%s\n", mode,
                 ate.naive.correlation, ate.ate.value, ate.ate.ci_low,
@@ -60,12 +61,13 @@ int main() {
       "survives only under single-blind review.\n");
 
   // Peer effects at single-blind venues.
-  Result<QueryAnswer> peers = (*engine)->Answer(
+  QueryRequest peers_request(
       "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED "
-      "WHERE Submitted(S, C), Blind[C] = TRUE",
-      options);
-  CARL_CHECK_OK(peers.status());
-  const RelationalEffectsAnswer& effects = *peers->effects;
+      "WHERE Submitted(S, C), Blind[C] = TRUE");
+  peers_request.options = options;
+  QueryResponse peers = (*engine)->Answer(peers_request);
+  CARL_CHECK_OK(peers.status);
+  const RelationalEffectsAnswer& effects = *peers.answer.effects;
   std::printf("\nPeer effects (single-blind):\n");
   std::printf("  own prestige (AIE):          %+.3f +/- %.3f\n",
               effects.aie.value, effects.aie.std_error);

@@ -86,34 +86,38 @@ int main() {
 
   // --- 4. Ask causal queries (paper §3.3) ---------------------------------
   // ATE of prestige on an author's average review score (query 36).
-  Result<QueryAnswer> ate = (*engine)->Answer("AVG_Score[A] <= Prestige[A]?");
-  CARL_CHECK_OK(ate.status());
+  // Every query goes through Answer(QueryRequest); errors come back in
+  // response.status.
+  QueryResponse response =
+      (*engine)->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+  CARL_CHECK_OK(response.status);
+  const AteAnswer& ate = *response.answer.ate;
   std::printf("\nQuery: AVG_Score[A] <= Prestige[A]?\n");
-  std::printf("  units (authors):        %zu\n", ate->ate->num_units);
-  std::printf("  naive diff of averages: %+.3f\n",
-              ate->ate->naive.difference);
-  std::printf("  ATE (adjusted):         %+.3f\n", ate->ate->ate.value);
+  std::printf("  units (authors):        %zu\n", ate.num_units);
+  std::printf("  naive diff of averages: %+.3f\n", ate.naive.difference);
+  std::printf("  ATE (adjusted):         %+.3f\n", ate.ate.value);
 
   // Isolated vs relational effects (query 37).
-  Result<QueryAnswer> peers = (*engine)->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED");
-  CARL_CHECK_OK(peers.status());
+  QueryResponse peers = (*engine)->Answer(
+      QueryRequest("AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"));
+  CARL_CHECK_OK(peers.status);
+  const RelationalEffectsAnswer& effects = *peers.answer.effects;
   std::printf("\nQuery: ... WHEN ALL PEERS TREATED\n");
-  std::printf("  AIE (own prestige):     %+.3f\n",
-              peers->effects->aie.value);
-  std::printf("  ARE (peers' prestige):  %+.3f\n",
-              peers->effects->are.value);
-  std::printf("  AOE (= AIE + ARE):      %+.3f\n",
-              peers->effects->aoe.value);
+  std::printf("  AIE (own prestige):     %+.3f\n", effects.aie.value);
+  std::printf("  ARE (peers' prestige):  %+.3f\n", effects.are.value);
+  std::printf("  AOE (= AIE + ARE):      %+.3f\n", effects.aoe.value);
 
   // Auto-unification: ask about Score (a submission attribute) directly;
-  // the engine derives the aggregation along the relational path (§4.3).
-  Result<QueryAnswer> unified = (*engine)->Answer("Score[S] <= Prestige[A]?");
-  CARL_CHECK_OK(unified.status());
+  // the engine derives the aggregation along the relational path (§4.3)
+  // for this query only — the engine's own model stays as created.
+  QueryResponse unified =
+      (*engine)->Answer(QueryRequest("Score[S] <= Prestige[A]?"));
+  CARL_CHECK_OK(unified.status);
   std::printf("\nQuery: Score[S] <= Prestige[A]?  (auto-unified)\n");
   std::printf("  derived response:       %s\n",
-              unified->ate->response_attribute.c_str());
-  std::printf("  ATE:                    %+.3f\n", unified->ate->ate.value);
+              unified.answer.ate->response_attribute.c_str());
+  std::printf("  ATE:                    %+.3f\n",
+              unified.answer.ate->ate.value);
 
   std::printf("\nNote: with 3 authors these numbers are illustrative; see\n"
               "examples/peer_review_bias.cpp for a full-scale analysis.\n");

@@ -11,7 +11,9 @@
 //       Score[S]    <= Prestige[A]     WHERE Author(A, S)
 //   )");
 //   auto engine = carl::CarlEngine::Create(&db, std::move(*model));
-//   auto answer = (*engine)->Answer("AVG_Score[A] <= Prestige[A]?");
+//   carl::QueryResponse response = (*engine)->Answer(
+//       carl::QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+//   if (response.status.ok()) use(response.answer.ate->ate.value);
 
 #ifndef CARL_CARL_H_
 #define CARL_CARL_H_

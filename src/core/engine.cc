@@ -1,10 +1,8 @@
 #include "core/engine.h"
 
-#include <algorithm>
 #include <optional>
 #include <unordered_map>
 
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "core/relational_path.h"
 #include "guard/guard.h"
@@ -117,26 +115,70 @@ Result<std::optional<BindingTable>> EvaluateFilter(
   return std::optional<BindingTable>(std::move(bindings));
 }
 
-UnitTableOptions MakeUnitTableOptions(const EngineOptions& options,
-                                      bool include_isolated) {
-  UnitTableOptions out;
-  out.embedding = options.embedding;
-  out.embedding_options = options.embedding_options;
-  out.include_isolated_units = include_isolated;
-  return out;
-}
-
-EffectEstimate PointEstimate(double value) {
-  EffectEstimate e;
-  e.value = value;
-  return e;
-}
-
 void AttachBootstrap(EffectEstimate* estimate, const BootstrapResult& b) {
   estimate->std_error = b.sd;
   estimate->ci_low = b.ci_low;
   estimate->ci_high = b.ci_high;
   estimate->samples = b.samples;
+}
+
+// The ATE (eq. 23) and its optional bootstrap.
+Result<AteAnswer> EstimateAteAnswer(const UnitTable& table,
+                                    const EngineOptions& options) {
+  AteAnswer answer;
+  answer.relational = table.relational;
+  CARL_ASSIGN_OR_RETURN(answer.ate.value,
+                        EstimateAte(table, table.data, options.estimator));
+  if (options.bootstrap_replicates > 0) {
+    CARL_ASSIGN_OR_RETURN(
+        BootstrapResult b,
+        Bootstrap(table.data.num_rows(), options.bootstrap_replicates,
+                  options.seed, [&](const std::vector<size_t>& rows) {
+                    return EstimateAte(table, table.data.SelectRows(rows),
+                                       options.estimator);
+                  }));
+    AttachBootstrap(&answer.ate, b);
+  }
+  return answer;
+}
+
+// AIE/ARE/AOE (eq. 24–26) and their optional bootstraps.
+Result<RelationalEffectsAnswer> EstimateEffectsAnswer(
+    const UnitTable& table, const PeerCondition& condition,
+    const EngineOptions& options) {
+  RelationalEffectsAnswer answer;
+  answer.condition = condition;
+  CARL_ASSIGN_OR_RETURN(RelationalEffects point,
+                        EstimateRelationalEffects(table, table.data, condition,
+                                                  options.estimator));
+  answer.aie.value = point.aie;
+  answer.are.value = point.are;
+  answer.aoe.value = point.aoe;
+  answer.aie_psi.value = point.aie_psi;
+  if (options.bootstrap_replicates > 0) {
+    auto attach = [&](EffectEstimate* estimate,
+                      double RelationalEffects::*member) -> Status {
+      CARL_ASSIGN_OR_RETURN(
+          BootstrapResult b,
+          Bootstrap(table.data.num_rows(), options.bootstrap_replicates,
+                    options.seed,
+                    [&](const std::vector<size_t>& rows) -> Result<double> {
+                      CARL_ASSIGN_OR_RETURN(
+                          RelationalEffects e,
+                          EstimateRelationalEffects(
+                              table, table.data.SelectRows(rows), condition,
+                              options.estimator));
+                      return e.*member;
+                    }));
+      AttachBootstrap(estimate, b);
+      return Status::OK();
+    };
+    CARL_RETURN_IF_ERROR(attach(&answer.aie, &RelationalEffects::aie));
+    CARL_RETURN_IF_ERROR(attach(&answer.are, &RelationalEffects::are));
+    CARL_RETURN_IF_ERROR(attach(&answer.aoe, &RelationalEffects::aoe));
+    CARL_RETURN_IF_ERROR(attach(&answer.aie_psi, &RelationalEffects::aie_psi));
+  }
+  return answer;
 }
 
 }  // namespace
@@ -154,40 +196,33 @@ Result<std::unique_ptr<CarlEngine>> CarlEngine::Create(
   if (session == nullptr) {
     return Status::InvalidArgument("engine needs a query session");
   }
-  std::unique_ptr<CarlEngine> engine(
-      new CarlEngine(std::move(session), std::move(model)));
-  CARL_ASSIGN_OR_RETURN(engine->grounded_,
-                        engine->session_->Ground(engine->model_));
-  return engine;
+  CARL_ASSIGN_OR_RETURN(std::shared_ptr<const GroundedModel> grounded,
+                        session->Ground(model));
+  return std::unique_ptr<CarlEngine>(
+      new CarlEngine(std::move(session), std::move(grounded)));
 }
 
-Result<CarlEngine::ResolvedQuery> CarlEngine::ResolveQuery(
-    const CausalQuery& query, const EngineOptions& options) {
-  const Schema& schema = model_.extended_schema();
+Result<CarlEngine::ResolvedQuery> CarlEngine::Resolve(
+    const CausalQuery& query, const EngineOptions& options) const {
+  const RelationalCausalModel& base = model();
+  const Schema& schema = base.extended_schema();
   CARL_ASSIGN_OR_RETURN(AttributeId t_attr,
                         schema.FindAttribute(query.treatment.attribute));
   PredicateId t_pred = schema.attribute(t_attr).predicate;
 
-  std::string response_name = query.response.attribute;
-  Result<AttributeId> y_attr = schema.FindAttribute(response_name);
-  bool reground = false;
-
-  if (y_attr.ok() &&
-      schema.attribute(*y_attr).predicate != t_pred) {
+  std::optional<AggregateRule> derived;
+  Result<AttributeId> y_attr = schema.FindAttribute(query.response.attribute);
+  if (y_attr.ok() && schema.attribute(*y_attr).predicate != t_pred) {
     // Existing response on a different predicate: unify along a relational
-    // path (§4.3). Reuse a previously derived rule when present.
+    // path (§4.3).
     CARL_ASSIGN_OR_RETURN(
-        AggregateRule rule,
+        derived,
         DeriveUnifyingAggregateRule(schema, query.treatment, query.response,
                                     options.unification_aggregate));
-    response_name = rule.head.attribute;
-    if (!model_.FindAggregateRule(response_name).ok()) {
-      CARL_RETURN_IF_ERROR(model_.AddAggregateRule(std::move(rule)));
-      reground = true;
-    }
   } else if (!y_attr.ok()) {
     // Unknown response: allow AGG_<base> shorthand, deriving the
     // aggregation over the relational path (the paper's query (36)).
+    const std::string& response_name = query.response.attribute;
     AggregateKind agg;
     if (!SplitAggregateName(response_name, &agg)) {
       return y_attr.status();
@@ -209,26 +244,29 @@ Result<CarlEngine::ResolvedQuery> CarlEngine::ResolveQuery(
       source_ref.args.push_back(Term::Var(StrFormat("USRC%d", i)));
     }
     CARL_ASSIGN_OR_RETURN(
-        AggregateRule rule,
+        derived,
         DeriveUnifyingAggregateRule(schema, query.treatment, source_ref, agg));
-    rule.head.attribute = response_name;
-    if (!model_.FindAggregateRule(response_name).ok()) {
-      CARL_RETURN_IF_ERROR(model_.AddAggregateRule(std::move(rule)));
-      reground = true;
-    }
+    derived->head.attribute = response_name;
   }
 
-  if (reground) {
-    // The derived rule changed the model; fetch (or build) the grounding
-    // of the new variant from the session cache.
-    CARL_ASSIGN_OR_RETURN(grounded_, session_->Ground(model_));
-  }
-
-  const Schema& xschema = model_.extended_schema();
   ResolvedQuery resolved;
-  resolved.response_attribute = response_name;
+  resolved.grounded = grounded_;
+  resolved.response_attribute =
+      derived.has_value() ? derived->head.attribute : query.response.attribute;
+  if (derived.has_value() &&
+      !base.FindAggregateRule(resolved.response_attribute).ok()) {
+    // The query's own variant: a copy of the base model plus the derived
+    // rule, grounded (or fetched) through the session cache. The engine
+    // keeps its base model, so no later query sees this rule.
+    RelationalCausalModel variant = base;
+    CARL_RETURN_IF_ERROR(variant.AddAggregateRule(std::move(*derived)));
+    CARL_ASSIGN_OR_RETURN(resolved.grounded, session_->Ground(variant));
+  }
+
+  const RelationalCausalModel& xmodel = resolved.grounded->model();
+  const Schema& xschema = xmodel.extended_schema();
   CARL_ASSIGN_OR_RETURN(resolved.request.response,
-                        xschema.FindAttribute(response_name));
+                        xschema.FindAttribute(resolved.response_attribute));
   CARL_ASSIGN_OR_RETURN(resolved.request.treatment,
                         xschema.FindAttribute(query.treatment.attribute));
 
@@ -236,152 +274,80 @@ Result<CarlEngine::ResolvedQuery> CarlEngine::ResolveQuery(
   // filter the aggregated groundings).
   AttributeId source_attr = resolved.request.response;
   Result<const AggregateRule*> agg_rule =
-      model_.FindAggregateRule(response_name);
+      xmodel.FindAggregateRule(resolved.response_attribute);
   if (agg_rule.ok()) {
     CARL_ASSIGN_OR_RETURN(source_attr,
                           xschema.FindAttribute((*agg_rule)->source.attribute));
   }
   CARL_ASSIGN_OR_RETURN(
       resolved.request.allowed_sources,
-      EvaluateFilter(*instance_, xschema, query.where,
+      EvaluateFilter(session_->instance(), xschema, query.where,
                      xschema.attribute(source_attr).predicate));
+
+  resolved.unit_options.embedding = options.embedding;
+  resolved.unit_options.embedding_options = options.embedding_options;
+  // Plain ATE queries keep every unit; peer-effect queries drop the units
+  // without peers unless asked not to.
+  resolved.unit_options.include_isolated_units =
+      !query.peer_condition.has_value() || options.include_isolated_units;
   return resolved;
 }
 
-Result<std::optional<bool>> CarlEngine::MaybeCheckCriterion(
-    const UnitTableRequest& request, const UnitTable& table,
-    const EngineOptions& options) {
-  if (!options.check_criterion) return std::optional<bool>();
-  Rng rng(options.seed);
-  size_t sample = std::min<size_t>(
-      static_cast<size_t>(std::max(1, options.criterion_sample)),
-      table.units.size());
-  std::vector<size_t> picks =
-      rng.SampleWithoutReplacement(table.units.size(), sample);
-  for (size_t idx : picks) {
-    CARL_ASSIGN_OR_RETURN(
-        bool ok, CheckAdjustmentCriterion(*grounded_, request,
-                                          table.units[idx]));
-    if (!ok) return std::optional<bool>(false);
-  }
-  return std::optional<bool>(true);
-}
-
 Result<UnitTable> CarlEngine::BuildUnitTableForQuery(
-    const CausalQuery& query, const EngineOptions& options) {
-  CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(query, options));
-  bool include_isolated =
-      query.peer_condition.has_value() ? options.include_isolated_units : true;
-  return BuildUnitTable(*grounded_, resolved.request,
-                        MakeUnitTableOptions(options, include_isolated));
+    const CausalQuery& query, const EngineOptions& options) const {
+  CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(query, options));
+  return BuildUnitTable(*resolved.grounded, resolved.request,
+                        resolved.unit_options);
 }
 
-Result<AteAnswer> CarlEngine::AnswerAteImpl(const CausalQuery& query,
+Result<QueryAnswer> CarlEngine::AnswerQuery(const CausalQuery& query,
                                             const EngineOptions& options,
-                                            QueryTiming* timing) {
+                                            QueryTiming* timing) const {
   obs::MonotonicTimer phase;
-  CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(query, options));
+  CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(query, options));
   timing->resolve_s = phase.Seconds();
   phase.Reset();
-  CARL_ASSIGN_OR_RETURN(
-      UnitTable table,
-      BuildUnitTable(*grounded_, resolved.request,
-                     MakeUnitTableOptions(options, /*include_isolated=*/true)));
+  CARL_ASSIGN_OR_RETURN(UnitTable table,
+                        BuildUnitTable(*resolved.grounded, resolved.request,
+                                       resolved.unit_options));
   timing->unit_table_s = phase.Seconds();
   phase.Reset();
 
-  AteAnswer answer;
-  answer.response_attribute = resolved.response_attribute;
-  answer.num_units = table.data.num_rows();
-  answer.dropped_units = table.dropped_units;
-  answer.relational = table.relational;
-  CARL_ASSIGN_OR_RETURN(answer.naive,
+  CARL_ASSIGN_OR_RETURN(NaiveContrast naive,
                         ComputeNaiveContrast(table, table.data));
-  CARL_ASSIGN_OR_RETURN(double point,
-                        EstimateAte(table, table.data, options.estimator));
-  answer.ate = PointEstimate(point);
-
-  if (options.bootstrap_replicates > 0) {
+  QueryAnswer answer;
+  if (query.peer_condition.has_value()) {
     CARL_ASSIGN_OR_RETURN(
-        BootstrapResult b,
-        Bootstrap(table.data.num_rows(), options.bootstrap_replicates,
-                  options.seed, [&](const std::vector<size_t>& rows) {
-                    return EstimateAte(table, table.data.SelectRows(rows),
-                                       options.estimator);
-                  }));
-    AttachBootstrap(&answer.ate, b);
+        answer.effects,
+        EstimateEffectsAnswer(table, *query.peer_condition, options));
+  } else {
+    CARL_ASSIGN_OR_RETURN(answer.ate, EstimateAteAnswer(table, options));
   }
-  CARL_ASSIGN_OR_RETURN(answer.criterion_ok,
-                        MaybeCheckCriterion(resolved.request, table, options));
+  std::optional<bool> criterion_ok;
+  if (options.check_criterion) {
+    CARL_ASSIGN_OR_RETURN(
+        criterion_ok,
+        CheckAdjustmentCriterionSample(*resolved.grounded, resolved.request,
+                                       table, options.criterion_sample,
+                                       options.seed));
+  }
+  auto fill = [&](auto& out) {
+    out.naive = naive;
+    out.num_units = table.data.num_rows();
+    out.dropped_units = table.dropped_units;
+    out.response_attribute = std::move(resolved.response_attribute);
+    out.criterion_ok = criterion_ok;
+  };
+  if (answer.ate.has_value()) {
+    fill(*answer.ate);
+  } else {
+    fill(*answer.effects);
+  }
   timing->estimate_s = phase.Seconds();
   return answer;
 }
 
-Result<RelationalEffectsAnswer> CarlEngine::AnswerRelationalEffectsImpl(
-    const CausalQuery& query, const EngineOptions& options,
-    QueryTiming* timing) {
-  obs::MonotonicTimer phase;
-  CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(query, options));
-  timing->resolve_s = phase.Seconds();
-  phase.Reset();
-  CARL_ASSIGN_OR_RETURN(
-      UnitTable table,
-      BuildUnitTable(
-          *grounded_, resolved.request,
-          MakeUnitTableOptions(options, options.include_isolated_units)));
-  timing->unit_table_s = phase.Seconds();
-  phase.Reset();
-
-  RelationalEffectsAnswer answer;
-  answer.condition = *query.peer_condition;
-  answer.response_attribute = resolved.response_attribute;
-  answer.num_units = table.data.num_rows();
-  answer.dropped_units = table.dropped_units;
-  CARL_ASSIGN_OR_RETURN(answer.naive,
-                        ComputeNaiveContrast(table, table.data));
-  CARL_ASSIGN_OR_RETURN(
-      RelationalEffects point,
-      EstimateRelationalEffects(table, table.data, *query.peer_condition,
-                                options.estimator));
-  answer.aie = PointEstimate(point.aie);
-  answer.are = PointEstimate(point.are);
-  answer.aoe = PointEstimate(point.aoe);
-  answer.aie_psi = PointEstimate(point.aie_psi);
-
-  if (options.bootstrap_replicates > 0) {
-    auto component =
-        [&](double RelationalEffects::*member) -> Result<BootstrapResult> {
-      return Bootstrap(
-          table.data.num_rows(), options.bootstrap_replicates, options.seed,
-          [&](const std::vector<size_t>& rows) -> Result<double> {
-            CARL_ASSIGN_OR_RETURN(
-                RelationalEffects e,
-                EstimateRelationalEffects(table, table.data.SelectRows(rows),
-                                          *query.peer_condition,
-                                          options.estimator));
-            return e.*member;
-          });
-    };
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_aie,
-                          component(&RelationalEffects::aie));
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_are,
-                          component(&RelationalEffects::are));
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_aoe,
-                          component(&RelationalEffects::aoe));
-    CARL_ASSIGN_OR_RETURN(BootstrapResult b_psi,
-                          component(&RelationalEffects::aie_psi));
-    AttachBootstrap(&answer.aie, b_aie);
-    AttachBootstrap(&answer.are, b_are);
-    AttachBootstrap(&answer.aoe, b_aoe);
-    AttachBootstrap(&answer.aie_psi, b_psi);
-  }
-  CARL_ASSIGN_OR_RETURN(answer.criterion_ok,
-                        MaybeCheckCriterion(resolved.request, table, options));
-  timing->estimate_s = phase.Seconds();
-  return answer;
-}
-
-QueryResponse CarlEngine::Answer(const QueryRequest& request) {
+QueryResponse CarlEngine::Answer(const QueryRequest& request) const {
   QueryResponse response;
   obs::MonotonicTimer total;
 
@@ -409,73 +375,18 @@ QueryResponse CarlEngine::Answer(const QueryRequest& request) {
     query = &parsed;
   }
 
-  // Guard admission: the request budget (env-defaulted) holds for the
-  // whole dispatch below, grounding included.
+  // Guard admission: the request budget (env-defaulted) holds for
+  // everything below, grounding a derived variant included.
   RequestBudgetToken admission(request.budget);
-  if (query->peer_condition.has_value()) {
-    Result<RelationalEffectsAnswer> effects =
-        AnswerRelationalEffectsImpl(*query, request.options,
-                                    &response.timing);
-    if (effects.ok()) {
-      response.answer.effects = std::move(*effects);
-    } else {
-      response.status = effects.status();
-    }
+  Result<QueryAnswer> answer =
+      AnswerQuery(*query, request.options, &response.timing);
+  if (answer.ok()) {
+    response.answer = std::move(*answer);
   } else {
-    Result<AteAnswer> ate =
-        AnswerAteImpl(*query, request.options, &response.timing);
-    if (ate.ok()) {
-      response.answer.ate = std::move(*ate);
-    } else {
-      response.status = ate.status();
-    }
+    response.status = answer.status();
   }
   response.timing.total_s = total.Seconds();
   return response;
-}
-
-Result<AteAnswer> CarlEngine::AnswerAte(const CausalQuery& query,
-                                        const EngineOptions& options) {
-  if (query.peer_condition.has_value()) {
-    return Status::InvalidArgument(
-        "query has a WHEN clause; use AnswerRelationalEffects");
-  }
-  QueryRequest request(query);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(*response.answer.ate);
-}
-
-Result<RelationalEffectsAnswer> CarlEngine::AnswerRelationalEffects(
-    const CausalQuery& query, const EngineOptions& options) {
-  if (!query.peer_condition.has_value()) {
-    return Status::InvalidArgument(
-        "query has no WHEN clause; use AnswerAte");
-  }
-  QueryRequest request(query);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(*response.answer.effects);
-}
-
-Result<QueryAnswer> CarlEngine::Answer(const CausalQuery& query,
-                                       const EngineOptions& options) {
-  QueryRequest request(query);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(response.answer);
-}
-
-Result<QueryAnswer> CarlEngine::Answer(const std::string& query_text,
-                                       const EngineOptions& options) {
-  QueryRequest request(query_text);
-  request.options = options;
-  QueryResponse response = Answer(request);
-  CARL_RETURN_IF_ERROR(response.status);
-  return std::move(response.answer);
 }
 
 }  // namespace carl

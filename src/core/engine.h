@@ -3,13 +3,22 @@
 // Pipeline per query:
 //   1. resolve treatment/response attributes; if the response lives on a
 //      different predicate than the treatment, derive the unifying
-//      aggregation along a relational path (§4.3) and re-ground;
+//      aggregation along a relational path (§4.3). The query then runs on
+//      its own model variant — the base model plus that one rule, grounded
+//      through the session cache;
 //   2. evaluate the query's WHERE filter into an allowed-source set;
 //   3. build the unit table (Algorithm 1) with the configured embedding;
 //   4. estimate: ATE (eq. 23) for plain queries, AIE/ARE/AOE (eq. 24–26)
 //      for WHEN ... PEERS TREATED queries;
 //   5. optional bootstrap standard errors and an optional d-separation
 //      spot check of the adjustment criterion (Theorem 5.2).
+//
+// The engine is immutable after Create: it holds its session and its base
+// grounding, and a derived aggregate belongs to the one query that needs
+// it. An answer therefore never depends on which queries ran earlier.
+// Const does not mean thread-safe: a derived query grounds through the
+// session, which is single-threaded (query_session.h), so concurrent
+// callers of one engine or session still need a lock.
 
 #ifndef CARL_CORE_ENGINE_H_
 #define CARL_CORE_ENGINE_H_
@@ -99,11 +108,9 @@ struct QueryTiming {
   double total_s = 0.0;      ///< end-to-end, >= the sum of the above
 };
 
-/// The canonical request of the query surface: one struct carries the
+/// The request of the one query entry point, CarlEngine::Answer: the
 /// query (text or pre-parsed), the engine options, and an explicit
-/// per-request guard budget. carl_serve speaks only this surface; the
-/// older Answer*/AnswerAte/AnswerRelationalEffects signatures are thin
-/// shims over it.
+/// per-request guard budget.
 struct QueryRequest {
   /// Pre-parsed query; when set, `query_text` must be empty.
   std::optional<CausalQuery> query;
@@ -136,88 +143,66 @@ struct QueryResponse {
 class CarlEngine {
  public:
   /// Grounds the model against the instance through a private
-  /// QuerySession. Instance and model must outlive the engine.
+  /// QuerySession. The instance must outlive the engine.
   static Result<std::unique_ptr<CarlEngine>> Create(
       const Instance* instance, RelationalCausalModel model);
 
   /// Grounds through a shared session: engines over the same instance
-  /// reuse each other's cached groundings (including the re-groundings
-  /// triggered by §4.3 derived aggregations), so a multi-query pipeline
-  /// grounds each distinct model variant once.
+  /// reuse each other's cached groundings (including the variants that
+  /// §4.3 derived aggregations run on), so a multi-query pipeline grounds
+  /// each distinct model variant once.
   static Result<std::unique_ptr<CarlEngine>> Create(
       std::shared_ptr<QuerySession> session, RelationalCausalModel model);
 
   CarlEngine(const CarlEngine&) = delete;
   CarlEngine& operator=(const CarlEngine&) = delete;
 
+  /// The base grounding: the model as created, never a query's variant.
   const GroundedModel& grounded() const { return *grounded_; }
-  const RelationalCausalModel& model() const { return model_; }
+  const RelationalCausalModel& model() const { return grounded_->model(); }
   const QuerySession& session() const { return *session_; }
+
+  /// One query resolved against the engine (§4.3 and the WHERE filter).
+  struct ResolvedQuery {
+    /// The grounding the query runs on: the base grounding when nothing
+    /// is derived, else the session's grounding of the base model plus
+    /// the one derived aggregate rule. Shared, so a variant the session
+    /// evicts stays alive for the request.
+    std::shared_ptr<const GroundedModel> grounded;
+    UnitTableRequest request;
+    UnitTableOptions unit_options;
+    /// The query's response, or the derived aggregate's name: the
+    /// `<AGG>_<response>_unified` unification or the AGG_<base>
+    /// shorthand as written.
+    std::string response_attribute;
+  };
+  Result<ResolvedQuery> Resolve(const CausalQuery& query,
+                                const EngineOptions& options) const;
 
   /// THE query entry point: parses (when needed), admits the request
   /// budget through carl_guard (request fields override the environment
-  /// defaults; an ambient ScopedToken overrides both), dispatches on the
-  /// query form, and reports the outcome — answer, Status, and per-phase
-  /// timing — in one QueryResponse. Never returns an error by value:
-  /// failures travel in response.status.
-  QueryResponse Answer(const QueryRequest& request);
-
-  /// DEPRECATED shim: answers an ATE or aggregated-response query (no
-  /// WHEN clause). Equivalent to Answer(QueryRequest{query}) with
-  /// `options`; prefer the QueryRequest surface.
-  Result<AteAnswer> AnswerAte(const CausalQuery& query,
-                              const EngineOptions& options = {});
-
-  /// DEPRECATED shim: answers a WHEN <cnd> PEERS TREATED query. Prefer
-  /// the QueryRequest surface.
-  Result<RelationalEffectsAnswer> AnswerRelationalEffects(
-      const CausalQuery& query, const EngineOptions& options = {});
-
-  /// DEPRECATED shim: dispatches on the query form. Prefer the
-  /// QueryRequest surface.
-  Result<QueryAnswer> Answer(const CausalQuery& query,
-                             const EngineOptions& options = {});
-  /// DEPRECATED shim: parses and answers a single query string. Prefer
-  /// the QueryRequest surface.
-  Result<QueryAnswer> Answer(const std::string& query_text,
-                             const EngineOptions& options = {});
+  /// defaults; an ambient ScopedToken overrides both), answers the query
+  /// in the form it asks for, and reports the outcome — answer, Status,
+  /// and per-phase timing — in one QueryResponse. Never returns an error
+  /// by value: failures travel in response.status.
+  QueryResponse Answer(const QueryRequest& request) const;
 
   /// Exposes the unit table a query would use (Table 1; also used by the
   /// CATE benches to stratify rows).
-  Result<UnitTable> BuildUnitTableForQuery(const CausalQuery& query,
-                                           const EngineOptions& options = {});
+  Result<UnitTable> BuildUnitTableForQuery(
+      const CausalQuery& query, const EngineOptions& options = {}) const;
 
  private:
   CarlEngine(std::shared_ptr<QuerySession> session,
-             RelationalCausalModel model)
-      : session_(std::move(session)),
-        instance_(&session_->instance()),
-        model_(std::move(model)) {}
+             std::shared_ptr<const GroundedModel> grounded)
+      : session_(std::move(session)), grounded_(std::move(grounded)) {}
 
-  struct ResolvedQuery {
-    UnitTableRequest request;
-    std::string response_attribute;
-  };
-  Result<ResolvedQuery> ResolveQuery(const CausalQuery& query,
-                                     const EngineOptions& options);
-
-  // The real implementations behind every public Answer signature. They
-  // assume guard admission already happened (Answer(QueryRequest) owns
-  // the token) and fill `timing` phase by phase.
-  Result<AteAnswer> AnswerAteImpl(const CausalQuery& query,
+  // Everything after parse and guard admission, timed phase by phase.
+  Result<QueryAnswer> AnswerQuery(const CausalQuery& query,
                                   const EngineOptions& options,
-                                  QueryTiming* timing);
-  Result<RelationalEffectsAnswer> AnswerRelationalEffectsImpl(
-      const CausalQuery& query, const EngineOptions& options,
-      QueryTiming* timing);
-
-  Result<std::optional<bool>> MaybeCheckCriterion(
-      const UnitTableRequest& request, const UnitTable& table,
-      const EngineOptions& options);
+                                  QueryTiming* timing) const;
 
   std::shared_ptr<QuerySession> session_;
-  const Instance* instance_;
-  RelationalCausalModel model_;
   std::shared_ptr<const GroundedModel> grounded_;
 };
 

@@ -41,47 +41,37 @@ std::string QueryExplanation::ToString() const {
   return os.str();
 }
 
-Result<QueryExplanation> ExplainQuery(CarlEngine* engine,
+Result<QueryExplanation> ExplainQuery(const CarlEngine* engine,
                                       const std::string& query_text,
                                       const EngineOptions& options) {
   if (engine == nullptr) {
     return Status::InvalidArgument("ExplainQuery needs an engine");
   }
   CARL_ASSIGN_OR_RETURN(CausalQuery query, ParseQuery(query_text));
-  CARL_ASSIGN_OR_RETURN(UnitTable table,
-                        engine->BuildUnitTableForQuery(query, options));
+  CARL_ASSIGN_OR_RETURN(CarlEngine::ResolvedQuery resolved,
+                        engine->Resolve(query, options));
+  const GroundedModel& grounded = *resolved.grounded;
+  CARL_ASSIGN_OR_RETURN(
+      UnitTable table,
+      BuildUnitTable(grounded, resolved.request, resolved.unit_options));
 
   QueryExplanation out;
   out.query = query.ToString();
   out.treatment_attribute = query.treatment.attribute;
+  const Schema& schema = grounded.schema();
+  out.unit_predicate =
+      schema.predicate(schema.attribute(resolved.request.treatment).predicate)
+          .name;
 
-  const Schema& schema = engine->model().extended_schema();
-  CARL_ASSIGN_OR_RETURN(AttributeId t_attr,
-                        schema.FindAttribute(query.treatment.attribute));
-  out.unit_predicate = schema.predicate(
-      schema.attribute(t_attr).predicate).name;
-
-  // The response attribute actually used: the query's, unless a derived
-  // unification rule exists for it.
-  out.response_attribute = query.response.attribute;
-  Result<const AggregateRule*> direct =
-      engine->model().FindAggregateRule(query.response.attribute);
-  if (!schema.FindAttribute(query.response.attribute).ok() || !direct.ok()) {
-    // Engine may have derived "<AGG>_<name>_unified" or the AGG_ shorthand.
-    for (const AggregateRule& rule : engine->model().aggregate_rules()) {
-      if (rule.head.attribute == query.response.attribute ||
-          rule.head.attribute ==
-              std::string(AggregateKindToString(rule.aggregate)) + "_" +
-                  query.response.attribute + "_unified") {
-        out.response_attribute = rule.head.attribute;
-      }
-    }
-  }
-  Result<const AggregateRule*> used =
-      engine->model().FindAggregateRule(out.response_attribute);
-  if (used.ok() && out.response_attribute != query.response.attribute) {
+  // Unified iff the query runs on a variant whose response rule the base
+  // model lacks.
+  out.response_attribute = resolved.response_attribute;
+  Result<const AggregateRule*> rule =
+      grounded.model().FindAggregateRule(out.response_attribute);
+  if (rule.ok() &&
+      !engine->model().FindAggregateRule(out.response_attribute).ok()) {
     out.unified = true;
-    out.unification_rule = (*used)->ToString();
+    out.unification_rule = (*rule)->ToString();
   }
 
   out.num_units = table.data.num_rows();
@@ -128,26 +118,11 @@ Result<QueryExplanation> ExplainQuery(CarlEngine* engine,
 
   if (options.check_criterion) {
     out.criterion_checked = true;
-    out.criterion_ok = true;
-    // Reuse the engine's sampled check through a throwaway answer-less
-    // path: check a few units directly.
-    // (BuildUnitTableForQuery already resolved/grounded everything.)
-    UnitTableRequest request;
-    CARL_ASSIGN_OR_RETURN(request.treatment,
-                          schema.FindAttribute(out.treatment_attribute));
-    CARL_ASSIGN_OR_RETURN(request.response,
-                          schema.FindAttribute(out.response_attribute));
-    size_t sample = std::min<size_t>(
-        static_cast<size_t>(std::max(1, options.criterion_sample)),
-        table.units.size());
-    for (size_t i = 0; i < sample; ++i) {
-      Result<bool> ok = CheckAdjustmentCriterion(engine->grounded(), request,
-                                                 table.units[i]);
-      if (!ok.ok() || !*ok) {
-        out.criterion_ok = false;
-        break;
-      }
-    }
+    CARL_ASSIGN_OR_RETURN(
+        out.criterion_ok,
+        CheckAdjustmentCriterionSample(grounded, resolved.request, table,
+                                       options.criterion_sample,
+                                       options.seed));
   }
   return out;
 }

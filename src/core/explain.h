@@ -7,7 +7,9 @@
 // ExplainQuery reports the full resolved plan without estimating anything:
 // the unit predicate, the unification rule (if derived), the adjustment
 // set grouped by attribute, peer statistics, and the d-separation check —
-// what an analyst reviews before trusting an estimate.
+// what an analyst reviews before trusting an estimate. It reads the same
+// CarlEngine::Resolve and the same sampled criterion check that Answer
+// runs, so the two report the same response attribute and criterion_ok.
 
 #ifndef CARL_CORE_EXPLAIN_H_
 #define CARL_CORE_EXPLAIN_H_
@@ -46,7 +48,8 @@ struct QueryExplanation {
   size_t isolated_units = 0;  ///< units with no peers
 
   std::vector<CovariateSummary> covariates;
-  /// d-separation spot check of Theorem 5.2's criterion (sampled units).
+  /// d-separation spot check of Theorem 5.2's criterion on the units
+  /// Answer samples (options.criterion_sample, options.seed).
   bool criterion_checked = false;
   bool criterion_ok = false;
 
@@ -55,9 +58,8 @@ struct QueryExplanation {
 };
 
 /// Resolves and analyzes `query_text` against the engine without running
-/// an estimator. The engine may register a derived unification rule as a
-/// side effect (exactly as Answer would).
-Result<QueryExplanation> ExplainQuery(CarlEngine* engine,
+/// an estimator.
+Result<QueryExplanation> ExplainQuery(const CarlEngine* engine,
                                       const std::string& query_text,
                                       const EngineOptions& options = {});
 

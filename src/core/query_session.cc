@@ -34,9 +34,9 @@ class StagedBindingCache {
   BindingCache* cache_;
 };
 
-// Registry mirrors of the per-session CacheStats: the struct stays the
-// session-scoped API, the counters aggregate across every session in the
-// process (what a snapshot or trace consumer wants).
+// Process-wide registry counters: SessionStats is the per-session view,
+// these aggregate across every session in the process (what a snapshot or
+// trace consumer wants).
 struct SessionCounters {
   obs::Counter& ground_hits =
       obs::Registry::Global().GetCounter("query_session.ground_hits");
@@ -180,7 +180,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   for (Entry& entry : bucket) {
     if (entry.model_text != model_text) continue;
     if (entry.grounded_generation == generation) {
-      ++stats_.ground_hits;
       live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       counters.ground_hits.Increment();
       return entry.grounded;
@@ -197,13 +196,11 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
       // grounding (and its value columns) is exactly what a re-ground
       // would rebuild.
       entry.grounded_generation = generation;
-      ++stats_.ground_hits;
       live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       counters.ground_hits.Increment();
       return entry.grounded;
     }
 
-    ++stats_.ground_misses;
     counters.ground_misses.Increment();
     if (extensible) {
       // Extend the cached graph in delta-sized time. If no consumer
@@ -220,7 +217,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
       Result<GroundedModel> extended =
           ExtendGroundedModel(std::move(base), delta);
       if (extended.ok()) {
-        ++stats_.ground_extends;
         live_stats_.ground_extends.fetch_add(1, std::memory_order_relaxed);
         counters.ground_extends.Increment();
         auto holder = std::make_shared<GroundingHolder>();
@@ -274,7 +270,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     return entry.grounded;
   }
 
-  ++stats_.ground_misses;
   counters.ground_misses.Increment();
   // The grounding references the model copy by pointer, so both live in
   // one holder and the handed-out shared_ptr aliases into it: however
@@ -353,7 +348,6 @@ void QuerySession::EvictOldestEntry() {
   for (auto it = bucket.begin(); it != bucket.end(); ++it) {
     if (it->model_text == text) {
       bucket.erase(it);
-      ++stats_.ground_evictions;
       live_stats_.ground_evictions.fetch_add(1, std::memory_order_relaxed);
       SessionCounters::Get().ground_evictions.Increment();
       break;
@@ -378,12 +372,10 @@ Result<std::shared_ptr<const AttributeValueColumn>> QuerySession::ValueColumn(
       if (entry.grounded != grounded) continue;
       auto it = entry.columns.find(attribute);
       if (it != entry.columns.end()) {
-        ++stats_.column_hits;
         live_stats_.column_hits.fetch_add(1, std::memory_order_relaxed);
         SessionCounters::Get().column_hits.Increment();
         return it->second;
       }
-      ++stats_.column_misses;
       live_stats_.column_misses.fetch_add(1, std::memory_order_relaxed);
       SessionCounters::Get().column_misses.Increment();
       auto column = std::make_shared<AttributeValueColumn>();

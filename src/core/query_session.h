@@ -1,12 +1,14 @@
 // QuerySession: cached grounded state shared by every query (and every
 // engine) over one relational instance.
 //
-// Grounding dominates end-to-end query cost (docs/benchmarks.md), and the
-// engine's §4.3 unification re-grounds whenever a query derives a new
-// aggregate attribute. A session interns each distinct grounding once,
-// keyed by the model's full serialized rule set (fingerprints only route
-// to a bucket; entries compare the exact text) — so a pipeline of queries
-// grounds each *variant* once instead of once per query.
+// Grounding dominates end-to-end query cost (docs/benchmarks.md). A query
+// that derives a §4.3 aggregate runs on its own model variant (the base
+// model plus that one rule), and the engine asks the session for that
+// variant's grounding on every such query. A session interns each
+// distinct grounding once, keyed by the model's full serialized rule set
+// (fingerprints only route to a bucket; entries compare the exact text) —
+// so a pipeline of queries grounds each *variant* once instead of once per
+// query.
 //
 // Instance mutations do not blow the cache away. Each entry remembers the
 // instance generation it was grounded at; on the next Ground() the
@@ -18,7 +20,7 @@
 //   2. the delta is inside the incremental-extend contract
 //      (DeltaSupportsIncrementalExtend) — the cached graph is extended in
 //      delta-sized time (ExtendGroundedModel) instead of re-grounded;
-//      counted as a miss plus a ground_extends tick;
+//      counted as a ground_extends;
 //   3. otherwise (trimmed log, overflow write, constraint-attribute
 //      write, new rule constant) — full re-ground.
 //
@@ -86,29 +88,15 @@ class QuerySession {
       const std::shared_ptr<const GroundedModel>& grounded,
       AttributeId attribute);
 
-  struct CacheStats {
-    size_t ground_hits = 0;
-    size_t ground_misses = 0;
-    size_t column_hits = 0;
-    size_t column_misses = 0;
-    size_t ground_evictions = 0;
-    /// Misses served by incrementally extending a cached grounding
-    /// (ExtendGroundedModel) instead of re-grounding from scratch.
-    /// Always <= ground_misses.
-    size_t ground_extends = 0;
-  };
-  const CacheStats& stats() const { return stats_; }
-
-  /// Plain-data cache-efficacy snapshot, safe to take from ANY thread —
-  /// including while another thread (holding whatever external lock
-  /// serializes Ground/ValueColumn calls) is mutating the session. The
-  /// fields are relaxed-atomic mirrors maintained at the same sites as
-  /// CacheStats, so a server can report per-session cache efficacy
-  /// without friend access and without stopping the serving path.
-  /// ground_full + ground_extends == CacheStats::ground_misses (counted
-  /// on *successful* grounds only, so an aborted guarded pass leaves
-  /// them untouched). The same counters also aggregate process-wide in
-  /// the obs registry under "query_session.*".
+  /// The session's counters: a plain-data snapshot, safe to take from
+  /// ANY thread — including while another thread (holding whatever
+  /// external lock serializes Ground/ValueColumn calls) is mutating the
+  /// session — so a server can report per-session cache efficacy without
+  /// stopping the serving path. ground_full and ground_extends count
+  /// *successful* grounds only: a ground that fails (a guard abort, a
+  /// domain error) ticks the registry's query_session.ground_misses but
+  /// neither field. The same events also aggregate process-wide in the
+  /// obs registry under "query_session.*".
   struct SessionStats {
     uint64_t cache_hits = 0;      ///< groundings served from cache
     uint64_t ground_full = 0;     ///< successful from-scratch grounds
@@ -184,8 +172,7 @@ class QuerySession {
   // FIFO eviction queue.
   std::vector<std::pair<uint64_t, std::string>> insertion_order_;
   size_t max_cached_groundings_ = 16;
-  CacheStats stats_;
-  // Relaxed-atomic mirrors behind SnapshotStats(); see its comment.
+  // Relaxed atomics behind SnapshotStats(); see its comment.
   struct LiveStats {
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> ground_full{0};

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/str_util.h"
 #include "exec/parallel.h"
 #include "guard/guard.h"
@@ -546,6 +547,21 @@ Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
   if (all_parents.empty()) return true;  // exogenous treatment
 
   return DSeparated(graph, resolver.starts(), all_parents, conditioning);
+}
+
+Result<bool> CheckAdjustmentCriterionSample(const GroundedModel& grounded,
+                                            const UnitTableRequest& request,
+                                            const UnitTable& table,
+                                            int sample_size, uint64_t seed) {
+  Rng rng(seed);
+  size_t sample = std::min<size_t>(
+      static_cast<size_t>(std::max(1, sample_size)), table.units.size());
+  for (size_t idx : rng.SampleWithoutReplacement(table.units.size(), sample)) {
+    CARL_ASSIGN_OR_RETURN(
+        bool ok, CheckAdjustmentCriterion(grounded, request, table.units[idx]));
+    if (!ok) return false;
+  }
+  return true;
 }
 
 }  // namespace carl

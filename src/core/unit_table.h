@@ -110,6 +110,15 @@ Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
                                       const UnitTableRequest& request,
                                       const Tuple& unit);
 
+/// CheckAdjustmentCriterion on a seeded random sample of `sample_size`
+/// units of `table` (at least one, at most all of them). True iff every
+/// sampled unit passes. The one spot check behind both
+/// EngineOptions::check_criterion and ExplainQuery.
+Result<bool> CheckAdjustmentCriterionSample(const GroundedModel& grounded,
+                                            const UnitTableRequest& request,
+                                            const UnitTable& table,
+                                            int sample_size, uint64_t seed);
+
 }  // namespace carl
 
 #endif  // CARL_CORE_UNIT_TABLE_H_

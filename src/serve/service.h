@@ -173,7 +173,7 @@ class ServeService {
     bool active = false;
     bool queued = false;  // key is in ready_ (avoid duplicate entries)
     std::shared_ptr<QuerySession> session;
-    std::unique_ptr<CarlEngine> engine;
+    std::unique_ptr<const CarlEngine> engine;
     Status engine_status;  // OK until a creation attempt fails
   };
 

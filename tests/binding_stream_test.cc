@@ -238,8 +238,9 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
     CARL_ASSIGN_OR_RETURN(
         std::unique_ptr<CarlEngine> engine,
         CarlEngine::Create(session, std::move(*model)));
-    CARL_ASSIGN_OR_RETURN(QueryAnswer qa, engine->Answer(query));
-    return qa.ate->ate.value;
+    QueryResponse response = engine->Answer(QueryRequest(query));
+    CARL_RETURN_IF_ERROR(response.status);
+    return response.answer.ate->ate.value;
   };
 
   // The first grounding fills the binding cache; the derived MAX_Score
@@ -247,7 +248,7 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
   // enumeration comes from the cache.
   Result<double> derived = answer("MAX_Score[A] <= Prestige[A]?");
   ASSERT_TRUE(derived.ok()) << derived.status();
-  EXPECT_EQ(session->stats().ground_misses, 2u);  // base + variant grounded
+  EXPECT_EQ(session->SnapshotStats().ground_full, 2u);  // base + variant
   EXPECT_GT(session->binding_cache().size(), 0u);
   EXPECT_GT(session->binding_cache().hits(), 0u)
       << "variant re-grounding re-enumerated shared rule conditions";
@@ -259,10 +260,10 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
   Result<std::unique_ptr<CarlEngine>> isolated =
       CarlEngine::Create(data->instance.get(), std::move(*fresh_model));
   ASSERT_TRUE(isolated.ok());
-  Result<QueryAnswer> isolated_answer =
-      (*isolated)->Answer("MAX_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(isolated_answer.ok());
-  EXPECT_DOUBLE_EQ(*derived, isolated_answer->ate->ate.value);
+  QueryResponse isolated_answer =
+      (*isolated)->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"));
+  ASSERT_TRUE(isolated_answer.status.ok());
+  EXPECT_DOUBLE_EQ(*derived, isolated_answer.answer.ate->ate.value);
 
   // Instance mutation drops the binding cache with the groundings.
   const auto entries = data->instance->AttributeEntries(
@@ -274,7 +275,9 @@ TEST(BindingStreamTest, SessionReusesBindingTablesAcrossModelVariants) {
                   .ok());
   Result<double> after = answer("MAX_Score[A] <= Prestige[A]?");
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(session->stats().ground_misses, 4u);  // re-grounded both variants
+  // Both variants were rebuilt (re-grounded or extended).
+  QuerySession::SessionStats stats = session->SnapshotStats();
+  EXPECT_EQ(stats.ground_full + stats.ground_extends, 4u);
 }
 
 }  // namespace

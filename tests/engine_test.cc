@@ -33,193 +33,159 @@ class EngineToyTest : public ::testing::Test {
   std::unique_ptr<CarlEngine> engine_;
 };
 
+QueryResponse AnswerText(const CarlEngine& engine, const std::string& text,
+                         const EngineOptions& options = {}) {
+  QueryRequest request(text);
+  request.options = options;
+  return engine.Answer(request);
+}
+
 TEST_F(EngineToyTest, AnswersAggregatedResponseQuery) {
-  Result<QueryAnswer> answer = engine_->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(answer.ok());
-  ASSERT_TRUE(answer->ate.has_value());
-  EXPECT_EQ(answer->ate->num_units, 3u);
-  EXPECT_TRUE(answer->ate->relational);
-  EXPECT_EQ(answer->ate->response_attribute, "AVG_Score");
+  QueryResponse response =
+      engine_->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_TRUE(response.answer.ate.has_value());
+  const AteAnswer& ate = *response.answer.ate;
+  EXPECT_EQ(ate.num_units, 3u);
+  EXPECT_TRUE(ate.relational);
+  EXPECT_EQ(ate.response_attribute, "AVG_Score");
   // Naive difference: treated (Bob .75, Eva .4166) vs control (Carlos .1).
-  EXPECT_NEAR(answer->ate->naive.difference,
+  EXPECT_NEAR(ate.naive.difference,
               (0.75 + (0.75 + 0.4 + 0.1) / 3.0) / 2.0 - 0.1, 1e-9);
 }
 
 TEST_F(EngineToyTest, UnifiesResponseAutomatically) {
   // Score lives on Submission; the engine must derive the relational-path
   // aggregation (§4.3) and answer on author units.
-  Result<QueryAnswer> answer = engine_->Answer("Score[S] <= Prestige[A]?");
-  ASSERT_TRUE(answer.ok());
-  ASSERT_TRUE(answer->ate.has_value());
-  EXPECT_EQ(answer->ate->response_attribute, "AVG_Score_unified");
-  EXPECT_EQ(answer->ate->num_units, 3u);
+  QueryResponse unified =
+      engine_->Answer(QueryRequest("Score[S] <= Prestige[A]?"));
+  ASSERT_TRUE(unified.status.ok());
+  ASSERT_TRUE(unified.answer.ate.has_value());
+  EXPECT_EQ(unified.answer.ate->response_attribute, "AVG_Score_unified");
+  EXPECT_EQ(unified.answer.ate->num_units, 3u);
   // The derived aggregation equals the model's own AVG_Score rule, so both
   // queries agree on the naive contrast.
-  Result<QueryAnswer> direct = engine_->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(direct.ok());
-  EXPECT_NEAR(answer->ate->naive.difference, direct->ate->naive.difference,
-              1e-12);
-  // Asking again reuses the derived rule (no duplicate registration).
-  EXPECT_TRUE(engine_->Answer("Score[S] <= Prestige[A]?").ok());
+  QueryResponse direct =
+      engine_->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+  ASSERT_TRUE(direct.status.ok());
+  EXPECT_NEAR(unified.answer.ate->naive.difference,
+              direct.answer.ate->naive.difference, 1e-12);
+  // The derived rule belongs to the query: the engine's model is
+  // unchanged, and asking again answers the same.
+  EXPECT_FALSE(engine_->model().FindAggregateRule("AVG_Score_unified").ok());
+  QueryResponse again =
+      engine_->Answer(QueryRequest("Score[S] <= Prestige[A]?"));
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_EQ(again.answer.ate->ate.value, unified.answer.ate->ate.value);
 }
 
 TEST_F(EngineToyTest, WhereFilterRestrictsToVenue) {
   // Double-blind venue only (s2, s3): Bob drops out, Eva (treated) and
   // Carlos (control) remain.
-  Result<QueryAnswer> answer = engine_->Answer(
-      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = FALSE)");
-  ASSERT_TRUE(answer.ok());
-  ASSERT_TRUE(answer->ate.has_value());
-  EXPECT_EQ(answer->ate->num_units, 2u);
-  EXPECT_EQ(answer->ate->dropped_units, 1u);
+  QueryResponse response = engine_->Answer(QueryRequest(
+      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = FALSE)"));
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_TRUE(response.answer.ate.has_value());
+  EXPECT_EQ(response.answer.ate->num_units, 2u);
+  EXPECT_EQ(response.answer.ate->dropped_units, 1u);
 
   // The single-blind filter leaves only treated authors (Bob, Eva): the
   // contrast is undefined and the engine reports it instead of crashing.
-  Result<QueryAnswer> degenerate = engine_->Answer(
-      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = TRUE)");
-  EXPECT_FALSE(degenerate.ok());
-  EXPECT_EQ(degenerate.status().code(), StatusCode::kFailedPrecondition);
+  QueryResponse degenerate = engine_->Answer(QueryRequest(
+      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = TRUE)"));
+  EXPECT_EQ(degenerate.status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(EngineToyTest, FilterWithoutLinkVariableFails) {
   // The filter references no Submission-typed variable.
-  Result<QueryAnswer> answer = engine_->Answer(
-      R"(AVG_Score[A] <= Prestige[A]? WHERE Blind[C] = TRUE)");
-  EXPECT_FALSE(answer.ok());
+  QueryResponse response = engine_->Answer(
+      QueryRequest(R"(AVG_Score[A] <= Prestige[A]? WHERE Blind[C] = TRUE)"));
+  EXPECT_FALSE(response.status.ok());
 }
 
 TEST_F(EngineToyTest, RelationalEffectsQuery) {
-  Result<QueryAnswer> answer = engine_->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED");
-  ASSERT_TRUE(answer.ok());
-  ASSERT_TRUE(answer->effects.has_value());
-  EXPECT_EQ(answer->effects->num_units, 3u);
+  QueryResponse response = engine_->Answer(
+      QueryRequest("AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"));
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_TRUE(response.answer.effects.has_value());
+  const RelationalEffectsAnswer& effects = *response.answer.effects;
+  EXPECT_EQ(effects.num_units, 3u);
   // Proposition 4.1 holds exactly in the decomposition regression.
-  EXPECT_NEAR(answer->effects->aoe.value,
-              answer->effects->aie.value + answer->effects->are.value, 1e-9);
-  EXPECT_EQ(answer->effects->condition.kind, PeerCondition::Kind::kAll);
+  EXPECT_NEAR(effects.aoe.value, effects.aie.value + effects.are.value, 1e-9);
+  EXPECT_EQ(effects.condition.kind, PeerCondition::Kind::kAll);
 }
 
-TEST_F(EngineToyTest, DispatchMatchesQueryForm) {
+// The QueryRequest surface itself: exactly one of `query` / `query_text`,
+// parse errors in the status, and the answer form follows the query form
+// whether the query arrives parsed or as text.
+TEST_F(EngineToyTest, QueryRequestSurface) {
+  QueryResponse bad_text = engine_->Answer(QueryRequest("nope"));
+  EXPECT_EQ(bad_text.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(bad_text.answer.ate.has_value());
+  EXPECT_FALSE(bad_text.answer.effects.has_value());
+
   Result<CausalQuery> ate_query = ParseQuery("AVG_Score[A] <= Prestige[A]?");
   ASSERT_TRUE(ate_query.ok());
-  EXPECT_FALSE(engine_->AnswerRelationalEffects(*ate_query).ok());
-  Result<CausalQuery> peer_query = ParseQuery(
-      "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED");
-  ASSERT_TRUE(peer_query.ok());
-  EXPECT_FALSE(engine_->AnswerAte(*peer_query).ok());
-}
+  QueryRequest both(*ate_query);
+  both.query_text = "AVG_Score[A] <= Prestige[A]?";
+  EXPECT_EQ(engine_->Answer(both).status.code(),
+            StatusCode::kInvalidArgument);
 
-// The deprecated shims (AnswerAte / AnswerRelationalEffects / the two
-// Answer overloads) must stay bit-identical to the canonical
-// Answer(QueryRequest) surface: carl_serve speaks only QueryRequest, so
-// any drift between the paths would make served answers diverge from
-// direct embedding calls.
-TEST_F(EngineToyTest, DeprecatedShimsMatchQueryRequestSurface) {
-  const std::string ate_text = "AVG_Score[A] <= Prestige[A]?";
-  EngineOptions options;
-  options.check_criterion = true;
+  QueryResponse ate = engine_->Answer(QueryRequest(*ate_query));
+  ASSERT_TRUE(ate.status.ok());
+  EXPECT_TRUE(ate.answer.ate.has_value());
+  EXPECT_FALSE(ate.answer.effects.has_value());
 
-  QueryRequest request(ate_text);
-  request.options = options;
-  QueryResponse canonical = engine_->Answer(request);
-  ASSERT_TRUE(canonical.status.ok());
-  ASSERT_TRUE(canonical.answer.ate.has_value());
-  const AteAnswer& want = *canonical.answer.ate;
-
-  auto expect_same_ate = [&](const AteAnswer& got) {
-    EXPECT_EQ(0, std::memcmp(&got.ate.value, &want.ate.value,
-                             sizeof(want.ate.value)));
-    EXPECT_EQ(0, std::memcmp(&got.naive.difference, &want.naive.difference,
-                             sizeof(want.naive.difference)));
-    EXPECT_EQ(got.num_units, want.num_units);
-    EXPECT_EQ(got.dropped_units, want.dropped_units);
-    EXPECT_EQ(got.relational, want.relational);
-    EXPECT_EQ(got.response_attribute, want.response_attribute);
-    EXPECT_EQ(got.criterion_ok, want.criterion_ok);
-  };
-
-  // Answer(string) shim.
-  Result<QueryAnswer> via_text = engine_->Answer(ate_text, options);
-  ASSERT_TRUE(via_text.ok());
-  ASSERT_TRUE(via_text->ate.has_value());
-  expect_same_ate(*via_text->ate);
-
-  // Answer(CausalQuery) and AnswerAte(CausalQuery) shims.
-  Result<CausalQuery> parsed = ParseQuery(ate_text);
-  ASSERT_TRUE(parsed.ok());
-  Result<QueryAnswer> via_query = engine_->Answer(*parsed, options);
-  ASSERT_TRUE(via_query.ok());
-  ASSERT_TRUE(via_query->ate.has_value());
-  expect_same_ate(*via_query->ate);
-  Result<AteAnswer> via_ate = engine_->AnswerAte(*parsed, options);
-  ASSERT_TRUE(via_ate.ok());
-  expect_same_ate(*via_ate);
-
-  // Relational-effects form through both surfaces.
   const std::string peer_text =
       "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED";
-  QueryResponse canonical_fx = engine_->Answer(QueryRequest(peer_text));
-  ASSERT_TRUE(canonical_fx.status.ok());
-  ASSERT_TRUE(canonical_fx.answer.effects.has_value());
-  const RelationalEffectsAnswer& want_fx = *canonical_fx.answer.effects;
   Result<CausalQuery> peer_query = ParseQuery(peer_text);
   ASSERT_TRUE(peer_query.ok());
-  Result<RelationalEffectsAnswer> via_fx =
-      engine_->AnswerRelationalEffects(*peer_query);
-  ASSERT_TRUE(via_fx.ok());
-  EXPECT_EQ(0, std::memcmp(&via_fx->aoe.value, &want_fx.aoe.value,
-                           sizeof(want_fx.aoe.value)));
-  EXPECT_EQ(0, std::memcmp(&via_fx->aie.value, &want_fx.aie.value,
-                           sizeof(want_fx.aie.value)));
-  EXPECT_EQ(0, std::memcmp(&via_fx->are.value, &want_fx.are.value,
-                           sizeof(want_fx.are.value)));
-  EXPECT_EQ(via_fx->num_units, want_fx.num_units);
-
-  // Error surfacing stays aligned: the canonical path reports the same
-  // wrong-form rejection the shims do, inside response.status.
-  QueryResponse wrong_form = engine_->Answer(QueryRequest(*peer_query));
-  ASSERT_TRUE(wrong_form.status.ok());
-  EXPECT_TRUE(wrong_form.answer.effects.has_value());
-  QueryResponse bad_text = engine_->Answer(QueryRequest(std::string("nope")));
-  EXPECT_FALSE(bad_text.status.ok());
-  EXPECT_EQ(bad_text.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(engine_->Answer("nope").ok());
+  QueryResponse parsed = engine_->Answer(QueryRequest(*peer_query));
+  QueryResponse text = engine_->Answer(QueryRequest(peer_text));
+  ASSERT_TRUE(parsed.status.ok());
+  ASSERT_TRUE(text.status.ok());
+  ASSERT_TRUE(parsed.answer.effects.has_value());
+  ASSERT_TRUE(text.answer.effects.has_value());
+  EXPECT_FALSE(parsed.answer.ate.has_value());
+  EXPECT_EQ(0, std::memcmp(&parsed.answer.effects->aoe.value,
+                           &text.answer.effects->aoe.value, sizeof(double)));
 }
 
 TEST_F(EngineToyTest, BootstrapAttachesErrors) {
   EngineOptions options;
   options.bootstrap_replicates = 50;
-  Result<QueryAnswer> answer =
-      engine_->Answer("AVG_Score[A] <= Prestige[A]?", options);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_TRUE(std::isfinite(answer->ate->ate.std_error));
-  EXPECT_EQ(answer->ate->ate.samples.size() +
-                /*failed replicates are allowed*/ 0u,
-            answer->ate->ate.samples.size());
-  EXPECT_LE(answer->ate->ate.ci_low, answer->ate->ate.ci_high);
+  QueryResponse response =
+      AnswerText(*engine_, "AVG_Score[A] <= Prestige[A]?", options);
+  ASSERT_TRUE(response.status.ok());
+  const EffectEstimate& ate = response.answer.ate->ate;
+  EXPECT_TRUE(std::isfinite(ate.std_error));
+  EXPECT_LE(ate.ci_low, ate.ci_high);
 }
 
 TEST_F(EngineToyTest, CriterionCheckRuns) {
   EngineOptions options;
   options.check_criterion = true;
-  Result<QueryAnswer> answer =
-      engine_->Answer("AVG_Score[A] <= Prestige[A]?", options);
-  ASSERT_TRUE(answer.ok());
-  ASSERT_TRUE(answer->ate->criterion_ok.has_value());
-  EXPECT_TRUE(*answer->ate->criterion_ok);
+  QueryResponse response =
+      AnswerText(*engine_, "AVG_Score[A] <= Prestige[A]?", options);
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_TRUE(response.answer.ate->criterion_ok.has_value());
+  EXPECT_TRUE(*response.answer.ate->criterion_ok);
 }
 
 TEST_F(EngineToyTest, UnknownAttributesRejected) {
-  EXPECT_FALSE(engine_->Answer("Ghost[A] <= Prestige[A]?").ok());
-  EXPECT_FALSE(engine_->Answer("AVG_Score[A] <= Ghost[A]?").ok());
-  EXPECT_FALSE(engine_->Answer("AVG_Ghost[A] <= Prestige[A]?").ok());
+  for (const char* text :
+       {"Ghost[A] <= Prestige[A]?", "AVG_Score[A] <= Ghost[A]?",
+        "AVG_Ghost[A] <= Prestige[A]?"}) {
+    EXPECT_FALSE(engine_->Answer(QueryRequest(text)).status.ok()) << text;
+  }
 }
 
 TEST_F(EngineToyTest, AggregateShorthandOverOwnPredicateRejected) {
   // AVG_Qualification over Person while treatment is also on Person:
   // ill-defined self-aggregation.
-  EXPECT_FALSE(engine_->Answer("AVG_Qualification[A] <= Prestige[A]?").ok());
+  EXPECT_FALSE(
+      engine_->Answer(QueryRequest("AVG_Qualification[A] <= Prestige[A]?"))
+          .status.ok());
 }
 
 TEST_F(EngineToyTest, UnitTableExposedForQueries) {
@@ -239,10 +205,10 @@ TEST_F(EngineToyTest, EstimatorVariantsRun) {
         EstimatorKind::kIpw, EstimatorKind::kStratification}) {
     EngineOptions options;
     options.estimator = kind;
-    Result<QueryAnswer> answer =
-        engine_->Answer("AVG_Score[A] <= Prestige[A]?", options);
-    if (answer.ok()) {
-      EXPECT_TRUE(std::isfinite(answer->ate->ate.value));
+    QueryResponse response =
+        AnswerText(*engine_, "AVG_Score[A] <= Prestige[A]?", options);
+    if (response.status.ok()) {
+      EXPECT_TRUE(std::isfinite(response.answer.ate->ate.value));
     }
   }
 }
@@ -250,10 +216,10 @@ TEST_F(EngineToyTest, EstimatorVariantsRun) {
 TEST_F(EngineToyTest, MedianUnificationAggregate) {
   EngineOptions options;
   options.unification_aggregate = AggregateKind::kMedian;
-  Result<QueryAnswer> answer =
-      engine_->Answer("Score[S] <= Prestige[A]?", options);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->ate->response_attribute, "MEDIAN_Score_unified");
+  QueryResponse response =
+      AnswerText(*engine_, "Score[S] <= Prestige[A]?", options);
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_EQ(response.answer.ate->response_attribute, "MEDIAN_Score_unified");
 }
 
 }  // namespace

@@ -419,8 +419,8 @@ TEST(QuerySessionTest, RepeatedGroundingHitsTheCache) {
       session.Ground(*model);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->get(), second->get());  // same cached object
-  EXPECT_EQ(session.stats().ground_misses, 1u);
-  EXPECT_EQ(session.stats().ground_hits, 1u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 1u);
+  EXPECT_EQ(session.SnapshotStats().cache_hits, 1u);
   EXPECT_EQ(session.num_cached_groundings(), 1u);
 }
 
@@ -437,19 +437,20 @@ TEST(QuerySessionTest, DerivedAggregationRegroundSharedAcrossEngines) {
         std::unique_ptr<CarlEngine> engine,
         CarlEngine::Create(session, std::move(*model)));
     // MAX_Score is not in the model: the engine derives the unifying
-    // aggregate (§4.3) and re-grounds the extended variant.
-    return engine->Answer("MAX_Score[A] <= Prestige[A]?").status();
+    // aggregate (§4.3) and grounds the extended variant.
+    return engine->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"))
+        .status;
   };
 
   ASSERT_TRUE(answer_with_fresh_engine().ok());
-  EXPECT_EQ(session->stats().ground_misses, 2u);  // base + MAX_Score variant
-  size_t misses_after_first = session->stats().ground_misses;
+  // Base + MAX_Score variant.
+  EXPECT_EQ(session->SnapshotStats().ground_full, 2u);
 
   // A second engine repeats the pipeline: base grounding and the derived
   // variant both come from the cache — zero new groundings.
   ASSERT_TRUE(answer_with_fresh_engine().ok());
-  EXPECT_EQ(session->stats().ground_misses, misses_after_first);
-  EXPECT_GE(session->stats().ground_hits, 2u);
+  EXPECT_EQ(session->SnapshotStats().ground_full, 2u);
+  EXPECT_GE(session->SnapshotStats().cache_hits, 2u);
 }
 
 TEST(QuerySessionTest, ValueColumnsMemoizeAndMatchNodeValues) {
@@ -480,8 +481,8 @@ TEST(QuerySessionTest, ValueColumnsMemoizeAndMatchNodeValues) {
       session.ValueColumn(*grounded, *score);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(col->get(), again->get());  // memoized
-  EXPECT_EQ(session.stats().column_misses, 1u);
-  EXPECT_EQ(session.stats().column_hits, 1u);
+  EXPECT_EQ(session.SnapshotStats().column_misses, 1u);
+  EXPECT_EQ(session.SnapshotStats().column_hits, 1u);
 
   // Unknown groundings and attributes are rejected, not miscached.
   EXPECT_FALSE(session.ValueColumn(nullptr, *score).ok());
@@ -502,9 +503,11 @@ TEST(QuerySessionTest, EvictionBoundsTheCache) {
   ASSERT_TRUE(engine.ok());
   // The derived MAX_Score variant is a second grounding: with capacity 1
   // the base grounding is evicted, the engine keeps its shared_ptr alive.
-  ASSERT_TRUE((*engine)->Answer("MAX_Score[A] <= Prestige[A]?").ok());
+  ASSERT_TRUE((*engine)
+                  ->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"))
+                  .status.ok());
   EXPECT_EQ(session->num_cached_groundings(), 1u);
-  EXPECT_GE(session->stats().ground_evictions, 1u);
+  EXPECT_GE(session->SnapshotStats().ground_evictions, 1u);
 }
 
 TEST(QuerySessionTest, EngineSurvivesEvictionOfItsGrounding) {
@@ -524,22 +527,22 @@ TEST(QuerySessionTest, EngineSurvivesEvictionOfItsGrounding) {
   };
 
   std::unique_ptr<CarlEngine> holder_engine = make_engine();
-  Result<QueryAnswer> before =
-      holder_engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(before.ok());
+  const QueryRequest request("AVG_Score[A] <= Prestige[A]?");
+  QueryResponse before = holder_engine->Answer(request);
+  ASSERT_TRUE(before.status.ok());
 
   // A second engine grounds a derived variant, evicting the first
   // engine's grounding from the cache. The first engine's aliased
   // shared_ptr must keep grounding AND model copy alive (the grounding
   // references the model by pointer), so it keeps answering correctly.
   std::unique_ptr<CarlEngine> evictor = make_engine();
-  ASSERT_TRUE(evictor->Answer("MAX_Score[A] <= Prestige[A]?").ok());
-  EXPECT_GE(session->stats().ground_evictions, 1u);
+  ASSERT_TRUE(evictor->Answer(QueryRequest("MAX_Score[A] <= Prestige[A]?"))
+                  .status.ok());
+  EXPECT_GE(session->SnapshotStats().ground_evictions, 1u);
 
-  Result<QueryAnswer> after =
-      holder_engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(after.ok());
-  EXPECT_DOUBLE_EQ(after->ate->ate.value, before->ate->ate.value);
+  QueryResponse after = holder_engine->Answer(request);
+  ASSERT_TRUE(after.status.ok());
+  EXPECT_DOUBLE_EQ(after.answer.ate->ate.value, before.answer.ate->ate.value);
 }
 
 TEST(QuerySessionTest, ValueMutationInvalidatesCachedGroundings) {
@@ -568,7 +571,8 @@ TEST(QuerySessionTest, ValueMutationInvalidatesCachedGroundings) {
   Result<std::shared_ptr<const GroundedModel>> after = session.Ground(*model);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(before->get(), after->get());  // re-grounded, not served stale
-  EXPECT_EQ(session.stats().ground_misses, 2u);
+  QuerySession::SessionStats stats = session.SnapshotStats();
+  EXPECT_EQ(stats.ground_full + stats.ground_extends, 2u);
   NodeId changed = after->get()->graph().FindNode(*score, target);
   ASSERT_NE(changed, kInvalidNode);
   EXPECT_EQ(after->get()->NodeValue(changed), std::optional<double>(123.5));
@@ -587,9 +591,10 @@ TEST(QuerySessionTest, EngineAnswersIdenticalThroughSharedSession) {
         shared ? CarlEngine::Create(session, std::move(*model))
                : CarlEngine::Create(data->instance.get(), std::move(*model));
     CARL_RETURN_IF_ERROR(engine.status());
-    CARL_ASSIGN_OR_RETURN(QueryAnswer qa,
-                          (*engine)->Answer("AVG_Score[A] <= Prestige[A]?"));
-    return qa.ate->ate.value;
+    QueryResponse response =
+        (*engine)->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+    CARL_RETURN_IF_ERROR(response.status);
+    return response.answer.ate->ate.value;
   };
 
   Result<double> isolated = answer(false);

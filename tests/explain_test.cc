@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "core/explain.h"
 #include "datagen/review_toy.h"
 #include "graph/dot_export.h"
@@ -53,24 +56,57 @@ TEST_F(ExplainTest, ReportsPlanForAggregateQuery) {
 }
 
 TEST_F(ExplainTest, ReportsUnificationRule) {
-  Result<QueryExplanation> explanation =
-      ExplainQuery(engine_.get(), "Score[S] <= Prestige[A]?");
-  ASSERT_TRUE(explanation.ok());
-  EXPECT_TRUE(explanation->unified);
-  EXPECT_EQ(explanation->response_attribute, "AVG_Score_unified");
-  EXPECT_NE(explanation->unification_rule.find("Author"),
-            std::string::npos);
+  // An existing response off the treatment's predicate, and the AGG_<base>
+  // shorthand: both derive a rule along Author(A, S).
+  struct Case {
+    const char* query;
+    const char* response;
+  };
+  for (const Case& c : {Case{"Score[S] <= Prestige[A]?", "AVG_Score_unified"},
+                        Case{"MAX_Score[A] <= Prestige[A]?", "MAX_Score"}}) {
+    Result<QueryExplanation> explanation =
+        ExplainQuery(engine_.get(), c.query);
+    ASSERT_TRUE(explanation.ok()) << c.query;
+    EXPECT_TRUE(explanation->unified) << c.query;
+    EXPECT_EQ(explanation->response_attribute, c.response);
+    EXPECT_EQ(explanation->unification_rule.rfind(c.response, 0), 0u)
+        << explanation->unification_rule;
+    EXPECT_NE(explanation->unification_rule.find("Author"),
+              std::string::npos)
+        << c.query;
+  }
+  // Explaining derives nothing into the engine.
+  EXPECT_FALSE(engine_->model().FindAggregateRule("MAX_Score").ok());
 }
 
+// Explain runs the criterion spot check Answer runs: the same sampled
+// units for the same options, so the same criterion_ok.
 TEST_F(ExplainTest, CriterionCheckIntegrated) {
-  EngineOptions options;
-  options.check_criterion = true;
-  Result<QueryExplanation> explanation =
-      ExplainQuery(engine_.get(), "AVG_Score[A] <= Prestige[A]?", options);
-  ASSERT_TRUE(explanation.ok());
-  EXPECT_TRUE(explanation->criterion_checked);
-  EXPECT_TRUE(explanation->criterion_ok);
-  EXPECT_NE(explanation->ToString().find("holds"), std::string::npos);
+  for (const char* query :
+       {"AVG_Score[A] <= Prestige[A]?", "Score[S] <= Prestige[A]?",
+        "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"}) {
+    for (int sample : {1, 2, 8}) {
+      QueryRequest request{std::string(query)};
+      request.options.check_criterion = true;
+      request.options.criterion_sample = sample;
+      request.options.seed = 7 + sample;
+      Result<QueryExplanation> explanation =
+          ExplainQuery(engine_.get(), query, request.options);
+      ASSERT_TRUE(explanation.ok()) << query;
+      EXPECT_TRUE(explanation->criterion_checked);
+      EXPECT_TRUE(explanation->criterion_ok) << query;
+      EXPECT_NE(explanation->ToString().find("holds"), std::string::npos);
+
+      QueryResponse response = engine_->Answer(request);
+      ASSERT_TRUE(response.status.ok()) << query;
+      std::optional<bool> answered =
+          response.answer.ate.has_value()
+              ? response.answer.ate->criterion_ok
+              : response.answer.effects->criterion_ok;
+      EXPECT_EQ(answered, std::optional<bool>(explanation->criterion_ok))
+          << query << " sample " << sample;
+    }
+  }
 }
 
 TEST_F(ExplainTest, NonRelationalQueryReportsSutva) {

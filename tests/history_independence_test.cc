@@ -1,0 +1,234 @@
+// History independence: an answer depends only on the instance, program,
+// query and options — never on which queries the same engine answered
+// before. Queries that derive a §4.3 aggregate are the risk: the derived
+// rule belongs to its query, so two queries that unify the same response
+// along different relational paths (Score over Author vs over Submitted)
+// must not see each other's rule.
+//
+// The differential: one engine answers every ordered pair of the query
+// pool and seeded random sequences of it; a fresh engine over a private
+// session answers each query alone. The two must agree bit for bit —
+// estimates, bootstrap samples, naive contrast, unit counts, response
+// attribute, criterion_ok — or fail with the same status code and
+// message. Runs at one and four threads.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/str_util.h"
+#include "core/engine.h"
+#include "datagen/review.h"
+#include "fixtures.h"
+
+namespace carl {
+namespace {
+
+using test_fixtures::ScopedThreads;
+
+const std::vector<std::string>& QueryPool() {
+  static const std::vector<std::string> pool = {
+      "AVG_Score[A] <= Prestige[A]?",
+      // The same response unified along two relational paths.
+      "Score[S] <= Prestige[A]?",
+      "Score[S] <= Blind[C]?",
+      // The same AGG_<base> shorthand name along two paths.
+      "MAX_Score[A] <= Prestige[A]?",
+      "MAX_Score[C] <= Blind[C]?",
+      "Score[S] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED",
+      "Quality[S] <= Blind[C]?",
+      "Score[S] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = FALSE",
+      "Ghost[A] <= Prestige[A]?",
+      "Score[S] <= Prestige[A",
+  };
+  return pool;
+}
+
+EngineOptions PoolOptions() {
+  EngineOptions options;
+  options.bootstrap_replicates = 4;
+  options.check_criterion = true;
+  options.criterion_sample = 4;
+  return options;
+}
+
+std::string Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return StrFormat("%016" PRIx64, bits);
+}
+
+std::string Describe(const EffectEstimate& e) {
+  std::string out = Bits(e.value) + " se=" + Bits(e.std_error) +
+                    " ci=" + Bits(e.ci_low) + "," + Bits(e.ci_high) +
+                    " samples=";
+  for (double s : e.samples) out += Bits(s) + ",";
+  return out;
+}
+
+std::string Describe(const NaiveContrast& n) {
+  return StrFormat("naive=%s/%s/%s/%s n=%zu/%zu",
+                   Bits(n.treated_mean).c_str(), Bits(n.control_mean).c_str(),
+                   Bits(n.difference).c_str(), Bits(n.correlation).c_str(),
+                   n.n_treated, n.n_control);
+}
+
+std::string Describe(const std::optional<bool>& criterion_ok) {
+  if (!criterion_ok.has_value()) return "criterion=unset";
+  return *criterion_ok ? "criterion=ok" : "criterion=violated";
+}
+
+// Everything an answer reports except timing, with doubles as bit
+// patterns: equal strings mean bit-identical answers (NaNs included).
+std::string Describe(const QueryResponse& response) {
+  if (!response.status.ok()) {
+    return "error " + response.status.ToString();
+  }
+  const QueryAnswer& answer = response.answer;
+  if (answer.ate.has_value()) {
+    const AteAnswer& a = *answer.ate;
+    return StrFormat("ate %s units=%zu dropped=%zu relational=%d ",
+                     a.response_attribute.c_str(), a.num_units,
+                     a.dropped_units, a.relational ? 1 : 0) +
+           Describe(a.naive) + " " + Describe(a.criterion_ok) + "\n  ate " +
+           Describe(a.ate);
+  }
+  if (!answer.effects.has_value()) return "ok without an answer";
+  const RelationalEffectsAnswer& e = *answer.effects;
+  return StrFormat("effects %s units=%zu dropped=%zu %s ",
+                   e.response_attribute.c_str(), e.num_units,
+                   e.dropped_units, e.condition.ToString().c_str()) +
+         Describe(e.naive) + " " + Describe(e.criterion_ok) + "\n  aie " +
+         Describe(e.aie) + "\n  are " + Describe(e.are) + "\n  aoe " +
+         Describe(e.aoe) + "\n  aie_psi " + Describe(e.aie_psi);
+}
+
+struct Pool {
+  const char* name;
+  datagen::Dataset dataset;
+};
+
+datagen::Dataset ReviewDataset() {
+  datagen::ReviewConfig config = datagen::RealisticReviewConfig();
+  config.num_authors = 600;
+  config.num_papers = 300;
+  config.num_institutions = 30;
+  Result<datagen::ReviewData> data = datagen::GenerateReviewData(config);
+  CARL_CHECK_OK(data.status());
+  return std::move(data->dataset);
+}
+
+class HistoryIndependenceTest : public ::testing::TestWithParam<int> {
+ protected:
+  static void SetUpTestSuite() {
+    pools_ = new std::vector<Pool>();
+    pools_->push_back({"toy", test_fixtures::ReviewToyDataset()});
+    pools_->push_back({"review", ReviewDataset()});
+  }
+  static void TearDownTestSuite() {
+    delete pools_;
+    pools_ = nullptr;
+  }
+
+  static std::unique_ptr<CarlEngine> MakeEngine(
+      const datagen::Dataset& data, std::shared_ptr<QuerySession> session) {
+    Result<RelationalCausalModel> model =
+        RelationalCausalModel::Parse(*data.schema, data.model_text);
+    CARL_CHECK_OK(model.status());
+    Result<std::unique_ptr<CarlEngine>> engine =
+        session == nullptr
+            ? CarlEngine::Create(data.instance.get(), std::move(*model))
+            : CarlEngine::Create(std::move(session), std::move(*model));
+    CARL_CHECK_OK(engine.status());
+    return std::move(*engine);
+  }
+
+  static QueryResponse Ask(const CarlEngine& engine, const std::string& text) {
+    QueryRequest request(text);
+    request.options = PoolOptions();
+    return engine.Answer(request);
+  }
+
+  // Each pool query answered alone by a fresh engine over a private
+  // session. The differential is only as strong as these answers: on
+  // REVIEW every path-sharing query (the first six) must answer.
+  static std::vector<std::string> FreshAnswers(const Pool& pool) {
+    std::vector<std::string> fresh;
+    for (const std::string& query : QueryPool()) {
+      std::unique_ptr<CarlEngine> engine = MakeEngine(pool.dataset, nullptr);
+      fresh.push_back(Describe(Ask(*engine, query)));
+      if (std::string(pool.name) == "review" && fresh.size() <= 6) {
+        EXPECT_NE(fresh.back().rfind("error", 0), 0u)
+            << query << ": " << fresh.back();
+      }
+    }
+    return fresh;
+  }
+
+  static std::vector<Pool>* pools_;
+};
+
+std::vector<Pool>* HistoryIndependenceTest::pools_ = nullptr;
+
+TEST_P(HistoryIndependenceTest, EveryOrderedPairMatchesFreshEngines) {
+  ScopedThreads threads(GetParam());
+  const std::vector<std::string>& queries = QueryPool();
+  for (const Pool& pool : *pools_) {
+    std::vector<std::string> fresh = FreshAnswers(pool);
+    // One session for every pair engine: the engines share groundings,
+    // never derived rules.
+    auto session =
+        std::make_shared<QuerySession>(pool.dataset.instance.get());
+    for (size_t first = 0; first < queries.size(); ++first) {
+      for (size_t second = 0; second < queries.size(); ++second) {
+        if (first == second) continue;
+        std::unique_ptr<CarlEngine> engine =
+            MakeEngine(pool.dataset, session);
+        EXPECT_EQ(Describe(Ask(*engine, queries[first])), fresh[first])
+            << pool.name << ": " << queries[first] << " (first)";
+        EXPECT_EQ(Describe(Ask(*engine, queries[second])), fresh[second])
+            << pool.name << ": " << queries[second] << " after "
+            << queries[first];
+      }
+    }
+  }
+}
+
+TEST_P(HistoryIndependenceTest, RandomSequencesMatchFreshEngines) {
+  ScopedThreads threads(GetParam());
+  constexpr int kSequences = 6;
+  constexpr int kLength = 16;
+  const std::vector<std::string>& queries = QueryPool();
+  for (const Pool& pool : *pools_) {
+    std::vector<std::string> fresh = FreshAnswers(pool);
+    for (int seq = 0; seq < kSequences; ++seq) {
+      Rng rng(0x415e0000u + static_cast<uint64_t>(seq));
+      std::unique_ptr<CarlEngine> engine = MakeEngine(pool.dataset, nullptr);
+      std::string history;
+      for (int step = 0; step < kLength; ++step) {
+        size_t q = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(queries.size()) - 1));
+        EXPECT_EQ(Describe(Ask(*engine, queries[q])), fresh[q])
+            << pool.name << " sequence " << seq << ": " << queries[q]
+            << " after [" << history << "]";
+        history += queries[q] + "; ";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, HistoryIndependenceTest,
+                         ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+}  // namespace
+}  // namespace carl

@@ -231,7 +231,7 @@ void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
   // the fallback.
   EXPECT_GT(extends, static_cast<size_t>(steps) / 2)
       << "mutation mix mostly fell outside the extend contract";
-  EXPECT_GT(session.stats().ground_extends, 0u);
+  EXPECT_GT(session.SnapshotStats().ground_extends, 0u);
 }
 
 TEST(IncrementalGroundingFuzz, ReviewToyMatchesFromScratch) {
@@ -260,14 +260,14 @@ TEST(IncrementalSessionTest, RelevantMutationExtendsCachedGrounding) {
 
   Result<std::shared_ptr<const GroundedModel>> g1 = session.Ground(*model);
   ASSERT_TRUE(g1.ok()) << g1.status();
-  EXPECT_EQ(session.stats().ground_misses, 1u);
-  EXPECT_EQ(session.stats().ground_extends, 0u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 1u);
+  EXPECT_EQ(session.SnapshotStats().ground_extends, 0u);
 
   // Unchanged instance: cache hit, same object.
   Result<std::shared_ptr<const GroundedModel>> g2 = session.Ground(*model);
   ASSERT_TRUE(g2.ok());
   EXPECT_EQ(g1->get(), g2->get());
-  EXPECT_EQ(session.stats().ground_hits, 1u);
+  EXPECT_EQ(session.SnapshotStats().cache_hits, 1u);
 
   // A new author with a qualification: inside the extend contract, so
   // the miss is served by extending the cached graph, and the returned
@@ -278,22 +278,22 @@ TEST(IncrementalSessionTest, RelevantMutationExtendsCachedGrounding) {
   Result<std::shared_ptr<const GroundedModel>> g3 = session.Ground(*model);
   ASSERT_TRUE(g3.ok()) << g3.status();
   EXPECT_NE(g3->get(), g2->get());
-  EXPECT_EQ(session.stats().ground_misses, 2u);
-  EXPECT_EQ(session.stats().ground_extends, 1u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 1u);
+  EXPECT_EQ(session.SnapshotStats().ground_extends, 1u);
 
   // In-place overwrite of a non-constraint attribute also extends.
   CARL_CHECK_OK(db.SetAttribute("Score", {"s1"}, Value(0.9)));
   Result<std::shared_ptr<const GroundedModel>> g4 = session.Ground(*model);
   ASSERT_TRUE(g4.ok());
-  EXPECT_EQ(session.stats().ground_extends, 2u);
+  EXPECT_EQ(session.SnapshotStats().ground_extends, 2u);
 
   // An overflow write (no matching fact) is outside the contract: the
   // session falls back to a full re-ground, extends stays put.
   CARL_CHECK_OK(db.SetAttribute("Qualification", {"ghost"}, Value(1.0)));
   Result<std::shared_ptr<const GroundedModel>> g5 = session.Ground(*model);
   ASSERT_TRUE(g5.ok());
-  EXPECT_EQ(session.stats().ground_misses, 4u);
-  EXPECT_EQ(session.stats().ground_extends, 2u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 2u);
+  EXPECT_EQ(session.SnapshotStats().ground_extends, 2u);
 
   // Whatever the path, the served grounding matches a from-scratch one.
   Result<GroundedModel> fresh = GroundModel(db, *model);
@@ -346,8 +346,8 @@ TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
   ASSERT_TRUE(g2.ok());
   EXPECT_EQ(g1->get(), g2->get())
       << "irrelevant mutation invalidated the cached grounding";
-  EXPECT_EQ(session.stats().ground_hits, 1u);
-  EXPECT_EQ(session.stats().ground_misses, 1u);
+  EXPECT_EQ(session.SnapshotStats().cache_hits, 1u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 1u);
   EXPECT_EQ(session.binding_cache().size(), cached_tables)
       << "scoped invalidation dropped a binding table with disjoint deps";
   Result<std::shared_ptr<const AttributeValueColumn>> col2 =
@@ -355,14 +355,14 @@ TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
   ASSERT_TRUE(col2.ok());
   EXPECT_EQ(col1->get(), col2->get())
       << "memoized value column dropped on an irrelevant mutation";
-  EXPECT_GT(session.stats().column_hits, 0u);
+  EXPECT_GT(session.SnapshotStats().column_hits, 0u);
 
   // A write to Age IS relevant: the extend serves the miss, and the Age
   // column must be rebuilt (stale values would be silently wrong).
   CARL_CHECK_OK(db.SetAttribute("Age", {"bo"}, Value(55.0)));
   Result<std::shared_ptr<const GroundedModel>> g3 = session.Ground(*model);
   ASSERT_TRUE(g3.ok());
-  EXPECT_EQ(session.stats().ground_extends, 1u);
+  EXPECT_EQ(session.SnapshotStats().ground_extends, 1u);
   Result<std::shared_ptr<const AttributeValueColumn>> col3 =
       session.ValueColumn(*g3, *age);
   ASSERT_TRUE(col3.ok());
@@ -506,8 +506,8 @@ TEST(IncrementalGroundingTest, TrimmedDeltaLogFallsBack) {
   // answer.
   Result<std::shared_ptr<const GroundedModel>> g2 = session.Ground(*model);
   ASSERT_TRUE(g2.ok());
-  EXPECT_EQ(session.stats().ground_extends, 0u);
-  EXPECT_EQ(session.stats().ground_misses, 2u);
+  EXPECT_EQ(session.SnapshotStats().ground_extends, 0u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 2u);
   Result<GroundedModel> fresh = GroundModel(db, *model);
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(Canonicalize(**g2) == Canonicalize(*fresh));

@@ -64,12 +64,10 @@ TEST_F(SyntheticReviewTest, GeneratorShapes) {
 }
 
 TEST_F(SyntheticReviewTest, RecoversIsolatedAndRelationalEffects) {
-  EngineOptions options;
-  Result<QueryAnswer> answer = engine_->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED",
-      options);
-  ASSERT_TRUE(answer.ok());
-  const RelationalEffectsAnswer& effects = *answer->effects;
+  QueryResponse response = engine_->Answer(QueryRequest(
+      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED"));
+  ASSERT_TRUE(response.status.ok());
+  const RelationalEffectsAnswer& effects = *response.answer.effects;
 
   // Interventional ground truth from the generating SCM.
   AttributeId prestige =
@@ -96,10 +94,10 @@ TEST_F(SyntheticReviewTest, RecoversIsolatedAndRelationalEffects) {
 }
 
 TEST_F(SyntheticReviewTest, NaiveContrastIsConfounded) {
-  Result<QueryAnswer> answer =
-      engine_->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(answer.ok());
-  const AteAnswer& ate = *answer->ate;
+  QueryResponse response =
+      engine_->Answer(QueryRequest("AVG_Score[A] <= Prestige[A]?"));
+  ASSERT_TRUE(response.status.ok());
+  const AteAnswer& ate = *response.answer.ate;
   // Qualification confounds prestige and score: the naive contrast
   // overshoots the adjusted isolated effect.
   EXPECT_GT(ate.naive.difference, 1.1);
@@ -112,14 +110,13 @@ TEST_F(SyntheticReviewTest, NaiveContrastIsConfounded) {
 }
 
 TEST_F(SyntheticReviewTest, CriterionHoldsOnReviewModel) {
-  EngineOptions options;
-  options.check_criterion = true;
-  options.criterion_sample = 5;
-  Result<QueryAnswer> answer =
-      engine_->Answer("AVG_Score[A] <= Prestige[A]?", options);
-  ASSERT_TRUE(answer.ok());
-  ASSERT_TRUE(answer->ate->criterion_ok.has_value());
-  EXPECT_TRUE(*answer->ate->criterion_ok);
+  QueryRequest request("AVG_Score[A] <= Prestige[A]?");
+  request.options.check_criterion = true;
+  request.options.criterion_sample = 5;
+  QueryResponse response = engine_->Answer(request);
+  ASSERT_TRUE(response.status.ok());
+  ASSERT_TRUE(response.answer.ate->criterion_ok.has_value());
+  EXPECT_TRUE(*response.answer.ate->criterion_ok);
 }
 
 TEST_F(SyntheticReviewTest, DoubleBlindHasNoIsolatedEffect) {
@@ -135,14 +132,15 @@ TEST_F(SyntheticReviewTest, DoubleBlindHasNoIsolatedEffect) {
       CarlEngine::Create(data->dataset.instance.get(), std::move(*model));
   CARL_CHECK_OK(engine.status());
 
-  Result<QueryAnswer> answer = (*engine)->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED");
-  ASSERT_TRUE(answer.ok());
+  QueryResponse response = (*engine)->Answer(QueryRequest(
+      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED"));
+  ASSERT_TRUE(response.status.ok());
+  const RelationalEffectsAnswer& effects = *response.answer.effects;
   // Isolated effect ~ 0 under double-blind; relational effect persists.
-  EXPECT_NEAR(answer->effects->aie.value, 0.0, 0.2);
-  EXPECT_NEAR(answer->effects->are.value, 0.5, 0.3);
+  EXPECT_NEAR(effects.aie.value, 0.0, 0.2);
+  EXPECT_NEAR(effects.are.value, 0.5, 0.3);
   // The naive contrast still shows a (spurious) positive association.
-  EXPECT_GT(answer->effects->naive.difference, 0.15);
+  EXPECT_GT(effects.naive.difference, 0.15);
 }
 
 TEST(MimicIntegrationTest, NaiveMortalityGapVanishesUnderAdjustment) {
@@ -160,19 +158,20 @@ TEST(MimicIntegrationTest, NaiveMortalityGapVanishesUnderAdjustment) {
   CARL_CHECK_OK(engine.status());
 
   // Query (34-a): mortality.
-  Result<QueryAnswer> death = (*engine)->Answer("Death[P] <= SelfPay[P]?");
-  ASSERT_TRUE(death.ok());
-  const AteAnswer& ate = *death->ate;
+  QueryResponse death =
+      (*engine)->Answer(QueryRequest("Death[P] <= SelfPay[P]?"));
+  ASSERT_TRUE(death.status.ok());
+  const AteAnswer& ate = *death.answer.ate;
   EXPECT_FALSE(ate.relational);  // no interference between patients
   EXPECT_GT(ate.naive.difference, 0.03);  // self-payers die visibly more...
   EXPECT_LT(ate.ate.value, ate.naive.difference * 0.55);  // ...mostly bias
   EXPECT_GT(ate.ate.value, -0.025);  // "almost no effect" (paper: +0.5pp)
 
   // Query (34-b): length of stay. Both negative, naive more extreme.
-  Result<QueryAnswer> len = (*engine)->Answer("Len[P] <= SelfPay[P]?");
-  ASSERT_TRUE(len.ok());
-  EXPECT_LT(len->ate->naive.difference, len->ate->ate.value);
-  EXPECT_LT(len->ate->ate.value, 0.0);
+  QueryResponse len = (*engine)->Answer(QueryRequest("Len[P] <= SelfPay[P]?"));
+  ASSERT_TRUE(len.status.ok());
+  EXPECT_LT(len.answer.ate->naive.difference, len.answer.ate->ate.value);
+  EXPECT_LT(len.answer.ate->ate.value, 0.0);
 }
 
 TEST(NisIntegrationTest, SignReversalOnHighBill) {
@@ -189,10 +188,10 @@ TEST(NisIntegrationTest, SignReversalOnHighBill) {
       CarlEngine::Create(data->instance.get(), std::move(*model));
   CARL_CHECK_OK(engine.status());
 
-  Result<QueryAnswer> answer =
-      (*engine)->Answer("HighBill[P] <= AdmittedToLarge[P]?");
-  ASSERT_TRUE(answer.ok());
-  const AteAnswer& ate = *answer->ate;
+  QueryResponse response =
+      (*engine)->Answer(QueryRequest("HighBill[P] <= AdmittedToLarge[P]?"));
+  ASSERT_TRUE(response.status.ok());
+  const AteAnswer& ate = *response.answer.ate;
   // Paper's Simpson-style reversal: naive strongly positive, ATE negative.
   EXPECT_GT(ate.naive.difference, 0.2);
   EXPECT_LT(ate.ate.value, 0.0);
@@ -212,18 +211,20 @@ TEST(ReviewRealisticTest, MixedVenueFiltersWork) {
       CarlEngine::Create(data->dataset.instance.get(), std::move(*model));
   CARL_CHECK_OK(engine.status());
 
-  Result<QueryAnswer> single = (*engine)->Answer(
-      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = TRUE)");
-  Result<QueryAnswer> dbl = (*engine)->Answer(
-      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = FALSE)");
-  ASSERT_TRUE(single.ok());
-  ASSERT_TRUE(dbl.ok());
+  QueryResponse single = (*engine)->Answer(QueryRequest(
+      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = TRUE)"));
+  QueryResponse dbl = (*engine)->Answer(QueryRequest(
+      R"(AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = FALSE)"));
+  ASSERT_TRUE(single.status.ok());
+  ASSERT_TRUE(dbl.status.ok());
+  const AteAnswer& single_ate = *single.answer.ate;
+  const AteAnswer& dbl_ate = *dbl.answer.ate;
   // Single-blind shows the prestige effect; double-blind is ~0 (the paper's
   // Fig 7a contrast); both correlations remain positive.
-  EXPECT_GT(single->ate->ate.value, dbl->ate->ate.value);
-  EXPECT_NEAR(dbl->ate->ate.value, 0.0, 0.25);
-  EXPECT_GT(single->ate->naive.correlation, 0.0);
-  EXPECT_GT(dbl->ate->naive.correlation, 0.0);
+  EXPECT_GT(single_ate.ate.value, dbl_ate.ate.value);
+  EXPECT_NEAR(dbl_ate.ate.value, 0.0, 0.25);
+  EXPECT_GT(single_ate.naive.correlation, 0.0);
+  EXPECT_GT(dbl_ate.naive.correlation, 0.0);
 }
 
 }  // namespace

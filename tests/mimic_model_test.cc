@@ -59,35 +59,37 @@ TEST_F(MimicModelTest, DoseQueryUnifiesPrescriptionsOntoPatients) {
   // Len requires unification through Given. (The inverse direction —
   // patient treatment, prescription response — is the common one; both
   // exercise the relational-path machinery.)
-  Result<QueryAnswer> answer = engine_->Answer("Dose[D] <= SelfPay[P]?");
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->ate->response_attribute, "AVG_Dose_unified");
-  EXPECT_GT(answer->ate->num_units, 1000u);
+  QueryResponse response =
+      engine_->Answer(QueryRequest("Dose[D] <= SelfPay[P]?"));
+  ASSERT_TRUE(response.status.ok());
+  const AteAnswer& ate = *response.answer.ate;
+  EXPECT_EQ(ate.response_attribute, "AVG_Dose_unified");
+  EXPECT_GT(ate.num_units, 1000u);
   // Self-payers are sicker and receive higher doses (naively); adjusting
   // for diagnosis removes most of it. Both estimates stay finite.
-  EXPECT_GT(answer->ate->naive.difference, 0.0);
+  EXPECT_GT(ate.naive.difference, 0.0);
 }
 
 TEST_F(MimicModelTest, LengthOfStayEffectIsNegative) {
-  Result<QueryAnswer> answer = engine_->Answer("Len[P] <= SelfPay[P]?");
-  ASSERT_TRUE(answer.ok());
-  EXPECT_LT(answer->ate->ate.value, 0.0);       // the causal -26h
-  EXPECT_LT(answer->ate->naive.difference,
-            answer->ate->ate.value);            // naive exaggerates
+  QueryResponse response =
+      engine_->Answer(QueryRequest("Len[P] <= SelfPay[P]?"));
+  ASSERT_TRUE(response.status.ok());
+  const AteAnswer& ate = *response.answer.ate;
+  EXPECT_LT(ate.ate.value, 0.0);                   // the causal -26h
+  EXPECT_LT(ate.naive.difference, ate.ate.value);  // naive exaggerates
 }
 
 TEST_F(MimicModelTest, EstimatorsAgreeOnDirection) {
   for (EstimatorKind kind :
        {EstimatorKind::kRegression, EstimatorKind::kIpw,
         EstimatorKind::kStratification}) {
-    EngineOptions options;
-    options.estimator = kind;
-    Result<QueryAnswer> answer =
-        engine_->Answer("Death[P] <= SelfPay[P]?", options);
-    ASSERT_TRUE(answer.ok()) << EstimatorKindToString(kind);
+    QueryRequest request("Death[P] <= SelfPay[P]?");
+    request.options.estimator = kind;
+    QueryResponse response = engine_->Answer(request);
+    ASSERT_TRUE(response.status.ok()) << EstimatorKindToString(kind);
+    const AteAnswer& ate = *response.answer.ate;
     // Adjusted effect is far below the (confounded) naive difference.
-    EXPECT_LT(answer->ate->ate.value,
-              answer->ate->naive.difference * 0.75)
+    EXPECT_LT(ate.ate.value, ate.naive.difference * 0.75)
         << EstimatorKindToString(kind);
   }
 }

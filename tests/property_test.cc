@@ -213,15 +213,14 @@ TEST_P(RecoverySweepTest, IsolatedEffectWithinTolerance) {
       CarlEngine::Create(data->dataset.instance.get(), std::move(*model));
   CARL_CHECK_OK(engine.status());
 
-  EngineOptions options;
-  options.embedding = GetParam().embedding;
-  Result<QueryAnswer> answer = (*engine)->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED",
-      options);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_NEAR(answer->effects->aie.value, 1.0, 0.25)
+  QueryRequest request(
+      "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED");
+  request.options.embedding = GetParam().embedding;
+  QueryResponse response = (*engine)->Answer(request);
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_NEAR(response.answer.effects->aie.value, 1.0, 0.25)
       << EmbeddingKindToString(GetParam().embedding);
-  EXPECT_NEAR(answer->effects->are.value, 0.5, 0.3);
+  EXPECT_NEAR(response.answer.effects->are.value, 0.5, 0.3);
 }
 
 INSTANTIATE_TEST_SUITE_P(

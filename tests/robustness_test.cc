@@ -14,6 +14,8 @@
 namespace carl {
 namespace {
 
+constexpr char kAteQuery[] = "AVG_Score[A] <= Prestige[A]?";
+
 datagen::ReviewConfig SmallConfig(uint64_t seed) {
   datagen::ReviewConfig config;
   config.num_authors = 300;
@@ -66,24 +68,22 @@ class RobustnessTest : public ::testing::Test {
 TEST_F(RobustnessTest, MissingResponsesAreDroppedNotFatal) {
   DeleteAttributeFraction("Score", 0.30, 5);
   std::unique_ptr<CarlEngine> engine = MakeEngine();
-  Result<QueryAnswer> answer =
-      engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(answer.ok());
+  QueryResponse response = engine->Answer(QueryRequest(kAteQuery));
+  ASSERT_TRUE(response.status.ok());
   // Authors whose every paper lost its score drop out; most remain, and
   // the estimate stays finite and in a sane range.
-  EXPECT_GT(answer->ate->num_units, 100u);
-  EXPECT_TRUE(std::isfinite(answer->ate->ate.value));
-  EXPECT_LT(std::abs(answer->ate->ate.value), 5.0);
+  EXPECT_GT(response.answer.ate->num_units, 100u);
+  EXPECT_TRUE(std::isfinite(response.answer.ate->ate.value));
+  EXPECT_LT(std::abs(response.answer.ate->ate.value), 5.0);
 }
 
 TEST_F(RobustnessTest, MissingTreatmentsDropUnits) {
   DeleteAttributeFraction("Prestige", 0.25, 6);
   std::unique_ptr<CarlEngine> engine = MakeEngine();
-  Result<QueryAnswer> answer =
-      engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(answer.ok());
-  EXPECT_GT(answer->ate->dropped_units, 30u);
-  EXPECT_TRUE(std::isfinite(answer->ate->ate.value));
+  QueryResponse response = engine->Answer(QueryRequest(kAteQuery));
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_GT(response.answer.ate->dropped_units, 30u);
+  EXPECT_TRUE(std::isfinite(response.answer.ate->ate.value));
 }
 
 TEST_F(RobustnessTest, MissingCovariatesStillEstimable) {
@@ -91,10 +91,9 @@ TEST_F(RobustnessTest, MissingCovariatesStillEstimable) {
   // shrinks the embedded covariate groups but must not kill the query.
   DeleteAttributeFraction("Qualification", 0.40, 7);
   std::unique_ptr<CarlEngine> engine = MakeEngine();
-  Result<QueryAnswer> answer =
-      engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(answer.ok());
-  EXPECT_TRUE(std::isfinite(answer->ate->ate.value));
+  QueryResponse response = engine->Answer(QueryRequest(kAteQuery));
+  ASSERT_TRUE(response.status.ok());
+  EXPECT_TRUE(std::isfinite(response.answer.ate->ate.value));
 }
 
 TEST_F(RobustnessTest, AllTreatedIsCleanError) {
@@ -109,10 +108,8 @@ TEST_F(RobustnessTest, AllTreatedIsCleanError) {
     CARL_CHECK_OK(db.SetAttributeIds(prestige, t, Value(true)));
   }
   std::unique_ptr<CarlEngine> engine = MakeEngine();
-  Result<QueryAnswer> answer =
-      engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_FALSE(answer.ok());
-  EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition);
+  QueryResponse response = engine->Answer(QueryRequest(kAteQuery));
+  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(RobustnessTest, NonBinaryTreatmentIsCleanError) {
@@ -121,11 +118,9 @@ TEST_F(RobustnessTest, NonBinaryTreatmentIsCleanError) {
   Tuple first = db.AttributeEntries(prestige).front().first;
   CARL_CHECK_OK(db.SetAttributeIds(prestige, first, Value(0.5)));
   std::unique_ptr<CarlEngine> engine = MakeEngine();
-  Result<QueryAnswer> answer =
-      engine->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_FALSE(answer.ok());
-  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(answer.status().message().find("binary"), std::string::npos);
+  QueryResponse response = engine->Answer(QueryRequest(kAteQuery));
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status.message().find("binary"), std::string::npos);
 }
 
 TEST_F(RobustnessTest, CountBasedPeerConditions) {
@@ -134,11 +129,11 @@ TEST_F(RobustnessTest, CountBasedPeerConditions) {
        {"AT LEAST 1", "AT MOST 2", "EXACTLY 1", "LESS THAN 50%"}) {
     std::string query = std::string(
         "AVG_Score[A] <= Prestige[A]? WHEN ") + cond + " PEERS TREATED";
-    Result<QueryAnswer> answer = engine->Answer(query);
-    ASSERT_TRUE(answer.ok()) << cond;
-    EXPECT_TRUE(std::isfinite(answer->effects->are.value)) << cond;
-    EXPECT_NEAR(answer->effects->aoe.value,
-                answer->effects->aie.value + answer->effects->are.value,
+    QueryResponse response = engine->Answer(QueryRequest(query));
+    ASSERT_TRUE(response.status.ok()) << cond;
+    const RelationalEffectsAnswer& effects = *response.answer.effects;
+    EXPECT_TRUE(std::isfinite(effects.are.value)) << cond;
+    EXPECT_NEAR(effects.aoe.value, effects.aie.value + effects.are.value,
                 1e-9)
         << cond;
   }
@@ -146,42 +141,38 @@ TEST_F(RobustnessTest, CountBasedPeerConditions) {
 
 TEST_F(RobustnessTest, IncludeIsolatedUnitsOption) {
   std::unique_ptr<CarlEngine> engine = MakeEngine();
-  EngineOptions keep;
-  keep.include_isolated_units = true;
-  Result<QueryAnswer> with_isolated = engine->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED", keep);
-  EngineOptions drop;
-  drop.include_isolated_units = false;
-  Result<QueryAnswer> without_isolated = engine->Answer(
-      "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED", drop);
-  ASSERT_TRUE(with_isolated.ok());
-  ASSERT_TRUE(without_isolated.ok());
-  EXPECT_GE(with_isolated->effects->num_units,
-            without_isolated->effects->num_units);
+  QueryRequest request("AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED");
+  request.options.include_isolated_units = true;
+  QueryResponse with_isolated = engine->Answer(request);
+  request.options.include_isolated_units = false;
+  QueryResponse without_isolated = engine->Answer(request);
+  ASSERT_TRUE(with_isolated.status.ok());
+  ASSERT_TRUE(without_isolated.status.ok());
+  EXPECT_GE(with_isolated.answer.effects->num_units,
+            without_isolated.answer.effects->num_units);
 }
 
 TEST_F(RobustnessTest, BootstrapSurvivesSmallStrata) {
   std::unique_ptr<CarlEngine> engine = MakeEngine();
-  EngineOptions options;
-  options.bootstrap_replicates = 60;
-  options.estimator = EstimatorKind::kMatching;
-  Result<QueryAnswer> answer =
-      engine->Answer("AVG_Score[A] <= Prestige[A]?", options);
+  QueryRequest request(kAteQuery);
+  request.options.bootstrap_replicates = 60;
+  request.options.estimator = EstimatorKind::kMatching;
+  QueryResponse response = engine->Answer(request);
   // Matching may fail on individual resamples; the bootstrap reports that
   // via fewer samples rather than failing the query.
-  if (answer.ok()) {
-    EXPECT_LE(answer->ate->ate.samples.size(), 60u);
+  if (response.status.ok()) {
+    EXPECT_LE(response.answer.ate->ate.samples.size(), 60u);
   }
 }
 
 TEST_F(RobustnessTest, DeterministicAcrossRuns) {
   std::unique_ptr<CarlEngine> engine1 = MakeEngine();
   std::unique_ptr<CarlEngine> engine2 = MakeEngine();
-  Result<QueryAnswer> a1 = engine1->Answer("AVG_Score[A] <= Prestige[A]?");
-  Result<QueryAnswer> a2 = engine2->Answer("AVG_Score[A] <= Prestige[A]?");
-  ASSERT_TRUE(a1.ok() && a2.ok());
-  EXPECT_DOUBLE_EQ(a1->ate->ate.value, a2->ate->ate.value);
-  EXPECT_EQ(a1->ate->num_units, a2->ate->num_units);
+  QueryResponse a1 = engine1->Answer(QueryRequest(kAteQuery));
+  QueryResponse a2 = engine2->Answer(QueryRequest(kAteQuery));
+  ASSERT_TRUE(a1.status.ok() && a2.status.ok());
+  EXPECT_DOUBLE_EQ(a1.answer.ate->ate.value, a2.answer.ate->ate.value);
+  EXPECT_EQ(a1.answer.ate->num_units, a2.answer.ate->num_units);
 }
 
 }  // namespace

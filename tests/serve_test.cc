@@ -11,6 +11,9 @@
 //  * a per-request deadline surfaces as a kDeadlineExceeded wire error
 //    WITHOUT poisoning the shared session: the next request over the
 //    same shard answers bit-identically to an undisturbed engine.
+//  * one client's query never changes another's answer: queries that
+//    derive different §4.3 aggregates on one shard answer, in either
+//    order, exactly as fresh engines do.
 //
 // This suite runs in the TSan CI leg: the service is exercised with
 // many concurrent ServeDriver clients against multiple workers.
@@ -20,12 +23,14 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "datagen/review.h"
 #include "fixtures.h"
 #include "serve/service.h"
 #include "serve/tcp_server.h"
@@ -367,6 +372,46 @@ TEST_F(ServeServiceTest, ConcurrentClientsBitIdenticalToDirect) {
   ServeStats stats = service.Snapshot();
   EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kClients * kCallsPerClient));
   EXPECT_EQ(stats.completed, stats.admitted);
+}
+
+// One client's query must never change another's answer. The two
+// queries unify Score along different relational paths (Author vs
+// Submitted); sent in either order to one (instance, program) shard, each
+// answers exactly as a fresh engine does.
+TEST_F(ServeServiceTest, DerivedQueriesOnOneShardAreHistoryIndependent) {
+  datagen::ReviewConfig config = datagen::RealisticReviewConfig();
+  config.num_authors = 600;
+  config.num_papers = 300;
+  config.num_institutions = 30;
+  Result<datagen::ReviewData> data = datagen::GenerateReviewData(config);
+  ASSERT_OK(data.status());
+  const datagen::Dataset& review = data->dataset;
+
+  const std::vector<std::string> queries = {"Score[S] <= Prestige[A]?",
+                                            "Score[S] <= Blind[C]?"};
+  std::vector<AteAnswer> direct;
+  for (const std::string& query : queries) {
+    direct.push_back(DirectAnswer(review, query));
+  }
+
+  for (bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reversed" : "forward");
+    ServeService service;
+    ASSERT_OK(service.RegisterInstance("review", review.schema.get(),
+                                       review.instance.get()));
+    service.Start();
+    ServeDriver driver(&service);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      size_t q = reversed ? queries.size() - 1 - i : i;
+      ServeRequest request;
+      request.request_id = i;
+      request.instance = "review";
+      request.program = review.model_text;
+      request.query = queries[q];
+      ExpectMatchesDirect(driver.Call(request), direct[q], queries[q]);
+    }
+    service.Shutdown();
+  }
 }
 
 // A per-request deadline must surface as kDeadlineExceeded on the wire
