@@ -58,8 +58,9 @@ REQUIRED_GATED = {
     # latency quantiles are machine-noisy — but their presence proves
     # bench_serve still drives the concurrent service, checks served
     # answers bit-identical to direct engine calls, and asserts the
-    # identical-wave-grounds-once coalescing contract (the bench CHECKs
-    # abort it otherwise, which empties the collection and trips this).
+    # grounds-once contract: identical requests racing for a cold shard
+    # ground it once (the bench CHECKs abort it otherwise, which empties
+    # the collection and trips this).
     "BENCH_serve.json": {"serve_qps", "serve_p99_ms"},
 }
 

@@ -16,9 +16,9 @@
 // The engine is immutable after Create: it holds its session and its base
 // grounding, and a derived aggregate belongs to the one query that needs
 // it. An answer therefore never depends on which queries ran earlier.
-// Const does not mean thread-safe: a derived query grounds through the
-// session, which is single-threaded (query_session.h), so concurrent
-// callers of one engine or session still need a lock.
+// Answer is safe to call concurrently: a derived query grounds through
+// the session, which is thread-safe and single-flight
+// (query_session.h).
 
 #ifndef CARL_CORE_ENGINE_H_
 #define CARL_CORE_ENGINE_H_

@@ -86,7 +86,8 @@ inline constexpr BindingKeyId kInvalidBindingKey = kInvalidSymbol;
 /// this; Clear remains the incomplete-delta fallback). Bounded FIFO on
 /// BOTH entry count and total arena bytes — a binding table on a
 /// >10M-fact workload is rows*arity*4 bytes, so a count bound alone could
-/// pin gigabytes. Not thread-safe — share one per pipeline thread.
+/// pin gigabytes. Not thread-safe: QuerySession guards its cache with
+/// the session mutex.
 class BindingCache {
  public:
   /// Interns a key string into its dense id (stable for the cache's

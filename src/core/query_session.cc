@@ -46,24 +46,12 @@ struct SessionCounters {
       obs::Registry::Global().GetCounter("query_session.ground_extends");
   obs::Counter& ground_evictions =
       obs::Registry::Global().GetCounter("query_session.ground_evictions");
-  obs::Counter& column_hits =
-      obs::Registry::Global().GetCounter("query_session.column_hits");
-  obs::Counter& column_misses =
-      obs::Registry::Global().GetCounter("query_session.column_misses");
 
   static SessionCounters& Get() {
     static SessionCounters counters;
     return counters;
   }
 };
-
-}  // namespace
-namespace {
-
-uint64_t HashCombine(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 12) + (h >> 4);
-  return h;
-}
 
 uint64_t HashString(const std::string& s) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -81,24 +69,6 @@ QuerySession::QuerySession(const Instance* instance) : instance_(instance) {
   binding_cache_generation_ = instance->generation();
 }
 
-uint64_t QuerySession::instance_fingerprint() const {
-  const Schema& schema = instance_->schema();
-  uint64_t h = 0x9ae16a3b2f90404full;
-  h = HashCombine(h, schema.num_predicates());
-  h = HashCombine(h, schema.num_attributes());
-  // The generation counter covers every mutation — fact insertions and
-  // attribute writes, including in-place value overwrites (which change
-  // no cardinality but would stale the NodeValues baked in at grounding
-  // time). O(1), so the cache-hit path stays cheap on large instances.
-  h = HashCombine(h, instance_->generation());
-  h = HashCombine(h, instance_->NumConstants());
-  return h;
-}
-
-uint64_t QuerySession::ModelFingerprint(const RelationalCausalModel& model) {
-  return HashString(model.ToString());
-}
-
 QuerySession::SessionStats QuerySession::SnapshotStats() const {
   SessionStats snapshot;
   snapshot.cache_hits =
@@ -107,19 +77,19 @@ QuerySession::SessionStats QuerySession::SnapshotStats() const {
       live_stats_.ground_full.load(std::memory_order_relaxed);
   snapshot.ground_extends =
       live_stats_.ground_extends.load(std::memory_order_relaxed);
-  snapshot.column_hits =
-      live_stats_.column_hits.load(std::memory_order_relaxed);
-  snapshot.column_misses =
-      live_stats_.column_misses.load(std::memory_order_relaxed);
   snapshot.ground_evictions =
       live_stats_.ground_evictions.load(std::memory_order_relaxed);
   return snapshot;
 }
 
 size_t QuerySession::num_cached_groundings() const {
-  size_t total = 0;
-  for (const auto& [key, bucket] : cache_) total += bucket.size();
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return insertion_order_.size();
+}
+
+void QuerySession::set_max_cached_groundings(size_t max) {
+  std::lock_guard<std::mutex> lock(mu_);
+  max_cached_groundings_ = max == 0 ? 1 : max;
 }
 
 namespace {
@@ -159,6 +129,9 @@ bool FactsIrrelevantToGrounding(const RelationalCausalModel& model,
 Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     const RelationalCausalModel& model) {
   CARL_TRACE_SCOPE("query_session.ground");
+  // Single flight: concurrent callers of one variant wait here, and all
+  // but the first find it cached.
+  std::lock_guard<std::mutex> lock(mu_);
   SessionCounters& counters = SessionCounters::Get();
   const uint64_t generation = instance_->generation();
   if (generation != binding_cache_generation_) {
@@ -193,8 +166,7 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     if (extensible && delta.attributes.empty() &&
         FactsIrrelevantToGrounding(cached_model, delta)) {
       // The mutation cannot reach this model's graph; the cached
-      // grounding (and its value columns) is exactly what a re-ground
-      // would rebuild.
+      // grounding is exactly what a re-ground would rebuild.
       entry.grounded_generation = generation;
       live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
       counters.ground_hits.Increment();
@@ -223,7 +195,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
         holder->model = entry.holder->model;
         holder->grounded = std::move(*extended);
         InstallGrounding(&entry, std::move(holder), generation);
-        PruneColumns(&entry, delta);
         return entry.grounded;
       }
       if (guard::IsGuardStop(extended.status().code())) {
@@ -266,7 +237,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
     holder->grounded = std::move(grounded);
     InstallGrounding(&entry, std::move(holder), generation);
-    entry.columns.clear();
     return entry.grounded;
   }
 
@@ -291,7 +261,7 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   entry.grounded = std::shared_ptr<const GroundedModel>(
       entry.holder, &entry.holder->grounded);
   entry.grounded_generation = generation;
-  while (num_cached_groundings() >= max_cached_groundings_) {
+  while (insertion_order_.size() >= max_cached_groundings_) {
     EvictOldestEntry();
   }
   // Re-fetch the bucket: eviction may have touched cache_.
@@ -310,34 +280,6 @@ void QuerySession::InstallGrounding(Entry* entry,
   entry->grounded_generation = generation;
 }
 
-void QuerySession::PruneColumns(Entry* entry, const InstanceDelta& delta) {
-  if (entry->columns.empty()) return;
-  const GroundedModel& grounded = entry->holder->grounded;
-  const RelationalCausalModel& model = *entry->holder->model;
-  std::vector<char> written(grounded.schema().num_attributes(), 0);
-  for (const InstanceDelta::AttributeDelta& a : delta.attributes) {
-    if (static_cast<size_t>(a.attribute) < written.size()) {
-      written[a.attribute] = 1;
-    }
-  }
-  std::vector<char> aggregate_head(grounded.schema().num_attributes(), 0);
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    Result<AttributeId> aid =
-        grounded.schema().FindAttribute(rule.head.attribute);
-    if (aid.ok()) aggregate_head[*aid] = 1;
-  }
-  for (auto it = entry->columns.begin(); it != entry->columns.end();) {
-    AttributeId attr = it->first;
-    // Keep a column only when nothing about it could have moved: its
-    // attribute was not written, is not aggregate-defined (aggregate
-    // values may change through any parent), and its node-id column is
-    // bit-identical (the extend did not add or promote nodes there).
-    bool keep = !written[attr] && !aggregate_head[attr] &&
-                grounded.graph().NodesOfAttribute(attr) == it->second->nodes;
-    it = keep ? std::next(it) : entry->columns.erase(it);
-  }
-}
-
 void QuerySession::EvictOldestEntry() {
   CARL_CHECK(!insertion_order_.empty());
   auto [key, text] = std::move(insertion_order_.front());
@@ -354,43 +296,6 @@ void QuerySession::EvictOldestEntry() {
     }
   }
   if (bucket.empty()) cache_.erase(bucket_it);
-}
-
-Result<std::shared_ptr<const AttributeValueColumn>> QuerySession::ValueColumn(
-    const std::shared_ptr<const GroundedModel>& grounded,
-    AttributeId attribute) {
-  if (grounded == nullptr) {
-    return Status::InvalidArgument("value column needs a grounding");
-  }
-  if (attribute == kInvalidAttribute ||
-      static_cast<size_t>(attribute) >=
-          grounded->schema().num_attributes()) {
-    return Status::NotFound("attribute unknown to the grounded schema");
-  }
-  for (auto& [key, bucket] : cache_) {
-    for (Entry& entry : bucket) {
-      if (entry.grounded != grounded) continue;
-      auto it = entry.columns.find(attribute);
-      if (it != entry.columns.end()) {
-        live_stats_.column_hits.fetch_add(1, std::memory_order_relaxed);
-        SessionCounters::Get().column_hits.Increment();
-        return it->second;
-      }
-      live_stats_.column_misses.fetch_add(1, std::memory_order_relaxed);
-      SessionCounters::Get().column_misses.Increment();
-      auto column = std::make_shared<AttributeValueColumn>();
-      column->attribute = attribute;
-      column->nodes = grounded->graph().NodesOfAttribute(attribute);
-      column->values.reserve(column->nodes.size());
-      for (NodeId n : column->nodes) {
-        column->values.push_back(grounded->NodeValue(n));
-      }
-      entry.columns.emplace(attribute, column);
-      return std::shared_ptr<const AttributeValueColumn>(column);
-    }
-  }
-  return Status::NotFound(
-      "grounding is not cached in this session (use QuerySession::Ground)");
 }
 
 }  // namespace carl

@@ -16,7 +16,7 @@
 // cheapest sound path:
 //   1. the delta cannot touch this model's graph (facts of predicates
 //      bearing no schema attribute and referenced by no rule atom) — the
-//      cached grounding is served as a hit, value columns intact;
+//      cached grounding is served as a hit;
 //   2. the delta is inside the incremental-extend contract
 //      (DeltaSupportsIncrementalExtend) — the cached graph is extended in
 //      delta-sized time (ExtendGroundedModel) instead of re-grounded;
@@ -24,18 +24,19 @@
 //   3. otherwise (trimmed log, overflow write, constraint-attribute
 //      write, new rule constant) — full re-ground.
 //
-// The session also memoizes per-attribute value columns (NodeValue over
-// NodesOfAttribute order) of cached groundings, for column-oriented
-// consumers like benches and stats exports — and a BindingCache of
-// rule-condition binding tables (columnar, see binding_table.h): when a
-// query derives an aggregate variant, the variant shares every base rule
-// with its parent model, so re-grounding it reuses the parent's binding
-// tables instead of re-running the joins. On mutation the binding cache
-// is invalidated per-dependency (only tables whose atom predicates or
-// constraint attributes were touched drop), and an extend/re-ground
-// drops only the value columns the delta could have changed.
+// The session also keeps a BindingCache of rule-condition binding tables
+// (columnar, see binding_table.h): when a query derives an aggregate
+// variant, the variant shares every base rule with its parent model, so
+// grounding it reuses the parent's binding tables instead of re-running
+// the joins. On mutation the binding cache is invalidated per-dependency
+// (only tables whose atom predicates or constraint attributes were
+// touched drop).
 //
-// Sessions are not thread-safe; share one per pipeline thread. Cached
+// Sessions are thread-safe and single-flight: one mutex is held across
+// Ground, so concurrent callers asking for the same variant ground it
+// once and the rest are served from the cache, and the binding-cache
+// staging of a guarded pass never interleaves with another pass. The
+// instance must not be mutated while a Ground runs. Cached
 // GroundedModels reference a model copy owned by the session, so they
 // stay valid for as long as the returned shared_ptr lives — even after
 // the session itself is destroyed the entry keeps the model alive.
@@ -46,7 +47,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,14 +57,6 @@
 #include "core/grounding.h"
 
 namespace carl {
-
-/// One attribute's groundings and their (possibly missing) values, in
-/// NodesOfAttribute order.
-struct AttributeValueColumn {
-  AttributeId attribute = kInvalidAttribute;
-  std::vector<NodeId> nodes;
-  std::vector<std::optional<double>> values;
-};
 
 class QuerySession {
  public:
@@ -77,22 +70,15 @@ class QuerySession {
 
   /// The cached grounding of `model` against the session's instance,
   /// grounding on a miss. The model is copied into the cache entry; the
-  /// returned GroundedModel references that stable copy.
+  /// returned GroundedModel references that stable copy. Thread-safe;
+  /// concurrent calls run one at a time.
   Result<std::shared_ptr<const GroundedModel>> Ground(
       const RelationalCausalModel& model);
 
-  /// Memoized value column of `attribute` in a grounding previously
-  /// returned by Ground(). Fails on attributes unknown to the grounding's
-  /// schema.
-  Result<std::shared_ptr<const AttributeValueColumn>> ValueColumn(
-      const std::shared_ptr<const GroundedModel>& grounded,
-      AttributeId attribute);
-
-  /// The session's counters: a plain-data snapshot, safe to take from
-  /// ANY thread — including while another thread (holding whatever
-  /// external lock serializes Ground/ValueColumn calls) is mutating the
-  /// session — so a server can report per-session cache efficacy without
-  /// stopping the serving path. ground_full and ground_extends count
+  /// The session's counters: a plain-data snapshot that takes no lock,
+  /// safe from any thread even while another thread is inside Ground —
+  /// so a server can report per-session cache efficacy without stopping
+  /// the serving path. ground_full and ground_extends count
   /// *successful* grounds only: a ground that fails (a guard abort, a
   /// domain error) ticks the registry's query_session.ground_misses but
   /// neither field. The same events also aggregate process-wide in the
@@ -101,37 +87,22 @@ class QuerySession {
     uint64_t cache_hits = 0;      ///< groundings served from cache
     uint64_t ground_full = 0;     ///< successful from-scratch grounds
     uint64_t ground_extends = 0;  ///< successful incremental extends
-    uint64_t column_hits = 0;
-    uint64_t column_misses = 0;
     uint64_t ground_evictions = 0;
   };
   SessionStats SnapshotStats() const;
 
   /// The session's rule-condition binding cache (columnar tables shared
   /// across groundings of model variants over the same instance state).
+  /// Unsynchronized: read it only while no Ground runs.
   const BindingCache& binding_cache() const { return binding_cache_; }
 
   /// Cache capacity in distinct groundings; inserting beyond it evicts
   /// the oldest entry (FIFO). Engines holding a shared_ptr to an evicted
   /// grounding keep it alive; only future reuse is lost.
-  size_t max_cached_groundings() const { return max_cached_groundings_; }
-  void set_max_cached_groundings(size_t max) {
-    max_cached_groundings_ = max == 0 ? 1 : max;
-  }
+  void set_max_cached_groundings(size_t max);
 
   /// Cached grounding count (distinct model variants).
   size_t num_cached_groundings() const;
-
-  /// Fingerprint of the instance: schema/constant cardinalities plus the
-  /// instance's mutation generation counter. O(1); any mutation — fact
-  /// insertions and attribute writes, including in-place value
-  /// overwrites — changes it. Diagnostics only: cache freshness is
-  /// tracked per entry through generations and deltas, not through this
-  /// fingerprint.
-  uint64_t instance_fingerprint() const;
-
-  /// Stable fingerprint of a model's full rule set (serialized form).
-  static uint64_t ModelFingerprint(const RelationalCausalModel& model);
 
  private:
   // A grounding and the model copy it references, owned together: the
@@ -147,9 +118,6 @@ class QuerySession {
     std::shared_ptr<GroundingHolder> holder;
     std::shared_ptr<const GroundedModel> grounded;  // aliases holder
     uint64_t grounded_generation = 0;  // instance state of the grounding
-    std::unordered_map<AttributeId,
-                       std::shared_ptr<const AttributeValueColumn>>
-        columns;
   };
 
   void EvictOldestEntry();
@@ -157,19 +125,17 @@ class QuerySession {
   // the handed-out pointer.
   void InstallGrounding(Entry* entry, std::shared_ptr<GroundingHolder> holder,
                         uint64_t generation);
-  // After an extend, drops only the value columns the delta could have
-  // changed: written attributes, attributes whose node column moved, and
-  // aggregate-defined attributes.
-  void PruneColumns(Entry* entry, const InstanceDelta& delta);
 
   const Instance* instance_;
+  // Held across every Ground; guards everything below except live_stats_.
+  mutable std::mutex mu_;
   BindingCache binding_cache_;
   // Instance generation the binding cache was last reconciled to.
   uint64_t binding_cache_generation_ = 0;
   // Fingerprint -> entries (collisions resolved by model_text equality).
   std::unordered_map<uint64_t, std::vector<Entry>> cache_;
   // Insertion order of (fingerprint, model_text), oldest first — the
-  // FIFO eviction queue.
+  // FIFO eviction queue, one element per cached entry.
   std::vector<std::pair<uint64_t, std::string>> insertion_order_;
   size_t max_cached_groundings_ = 16;
   // Relaxed atomics behind SnapshotStats(); see its comment.
@@ -177,8 +143,6 @@ class QuerySession {
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> ground_full{0};
     std::atomic<uint64_t> ground_extends{0};
-    std::atomic<uint64_t> column_hits{0};
-    std::atomic<uint64_t> column_misses{0};
     std::atomic<uint64_t> ground_evictions{0};
   };
   LiveStats live_stats_;

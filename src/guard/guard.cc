@@ -63,13 +63,23 @@ QueryBudget QueryBudget::WithEnvDefaults() const {
 }
 
 ExecToken::ExecToken(const QueryBudget& budget) : budget_(budget) {
-  if (budget_.deadline_ms > 0.0) {
-    has_deadline_ = true;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(
-                        budget_.deadline_ms));
-  }
+  if (!(budget_.deadline_ms > 0.0)) return;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point now = Clock::now();
+  const Clock::rep headroom = (Clock::time_point::max() - now).count();
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double, std::milli>(budget_.deadline_ms))
+          .count();
+  // A deadline the clock cannot represent (inf, or ~9.2e12 ms and up on
+  // a nanosecond clock) means no deadline; converting it to clock ticks
+  // would be undefined. The double check keeps the cast defined; the
+  // integer one catches rounding at the edge.
+  if (!(ticks < static_cast<double>(headroom))) return;
+  const Clock::rep whole = static_cast<Clock::rep>(ticks);
+  if (whole >= headroom) return;
+  has_deadline_ = true;
+  deadline_ = now + Clock::duration(whole);
 }
 
 void ExecToken::Trip(StopReason reason, const char* fault_site) {

@@ -68,7 +68,7 @@ struct PlanStep {
   };
   std::vector<VarBind> binds;   // first occurrence: assignment[var] = row[pos]
   std::vector<VarBind> checks;  // intra-atom repeat: assignment[var] == row[pos]
-  std::vector<int> ready_constraints;  // constraint ids checked at this depth
+  std::vector<int> due_constraints;  // constraint ids checked at this depth
 };
 
 struct CompiledQuery {
@@ -293,7 +293,7 @@ class Compiler {
         for (const Fill& f : cc.fills) {
           ready = std::max(ready, var_depth[f.var]);
         }
-        q->steps[ready].ready_constraints.push_back(static_cast<int>(c));
+        q->steps[ready].due_constraints.push_back(static_cast<int>(c));
       }
     }
   }
@@ -410,7 +410,7 @@ class Searcher {
         }
       }
       if (ok) {
-        for (int cid : step.ready_constraints) {
+        for (int cid : step.due_constraints) {
           if (!EvalConstraint(cid)) {
             ok = false;
             break;

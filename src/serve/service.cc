@@ -25,9 +25,8 @@ struct ServeCounters {
       obs::Registry::Global().GetCounter("serve.completed");
   obs::Counter& deadline_preempted =
       obs::Registry::Global().GetCounter("serve.deadline_preempted");
-  obs::Counter& waves = obs::Registry::Global().GetCounter("serve.waves");
-  obs::Counter& wave_coalesced =
-      obs::Registry::Global().GetCounter("serve.wave_coalesced");
+  obs::Counter& coalesced =
+      obs::Registry::Global().GetCounter("serve.coalesced");
   obs::Histogram& queue_ms = obs::Registry::Global().GetHistogram(
       "serve.queue_ms", {0.1, 1, 5, 20, 100, 500, 2000});
   obs::Histogram& total_ms = obs::Registry::Global().GetHistogram(
@@ -95,6 +94,12 @@ void ServeService::Submit(const ServeRequest& request, Callback callback) {
     reject(Status::InvalidArgument("request has no program text"));
     return;
   }
+  if (request.bootstrap_replicates > kMaxBootstrapReplicates) {
+    reject(Status::InvalidArgument(
+        "bootstrap_replicates " + std::to_string(request.bootstrap_replicates) +
+        " exceeds the bound " + std::to_string(kMaxBootstrapReplicates)));
+    return;
+  }
 
   Pending pending;
   pending.request = request;
@@ -124,27 +129,22 @@ void ServeService::Submit(const ServeRequest& request, Callback callback) {
     } else if (instance_it == instances_.end()) {
       admit_status =
           Status::NotFound("unknown instance '" + request.instance + "'");
-    } else if (queued_requests_ >= options_.max_queue_depth) {
+    } else if (queue_.size() >= options_.max_queue_depth) {
       admit_status = Status::ResourceExhausted(
-          "admission queue full (" + std::to_string(queued_requests_) +
+          "admission queue full (" + std::to_string(queue_.size()) +
           " queued, bound " + std::to_string(options_.max_queue_depth) + ")");
     } else {
       // All rejection paths are behind us: only now does the callback
       // move into the pending record (reject() must stay callable).
       pending.callback = std::move(callback);
-      std::string key = ShardKey(request.instance, request.program);
-      Shard& shard = shards_[key];
-      if (shard.dataset.instance == nullptr) {
-        shard.instance_name = request.instance;
-        shard.program = request.program;
-        shard.dataset = instance_it->second;
+      Shard& shard = shards_[ShardKey(request.instance, request.program)];
+      if (shard.session == nullptr) {
+        shard.schema = instance_it->second.schema;
+        shard.session =
+            std::make_shared<QuerySession>(instance_it->second.instance);
       }
-      shard.pending.push_back(std::move(pending));
-      ++queued_requests_;
-      if (!shard.active && !shard.queued) {
-        shard.queued = true;
-        ready_.push_back(std::move(key));
-      }
+      pending.shard = &shard;
+      queue_.push_back(std::move(pending));
     }
   }
   if (!admit_status.ok()) {
@@ -183,15 +183,7 @@ void ServeService::Shutdown() {
   std::deque<Pending> orphans;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [key, shard] : shards_) {
-      (void)key;
-      while (!shard.pending.empty()) {
-        orphans.push_back(std::move(shard.pending.front()));
-        shard.pending.pop_front();
-        --queued_requests_;
-      }
-    }
-    ready_.clear();
+    orphans.swap(queue_);
   }
   for (Pending& pending : orphans) {
     ServeResponse response;
@@ -204,83 +196,60 @@ void ServeService::Shutdown() {
 
 void ServeService::WorkerLoop() {
   for (;;) {
-    Shard* shard = nullptr;
+    Pending pending;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !ready_.empty(); });
-      // Drain-on-shutdown: keep claiming waves until no shard is ready.
-      if (ready_.empty()) return;
-      std::string key = std::move(ready_.front());
-      ready_.pop_front();
-      auto it = shards_.find(key);
-      if (it == shards_.end()) continue;
-      shard = &it->second;
-      shard->queued = false;
-      if (shard->active || shard->pending.empty()) continue;
-      shard->active = true;
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      // Drain-on-shutdown: keep taking requests until the queue is empty.
+      if (queue_.empty()) return;
+      pending = std::move(queue_.front());
+      queue_.pop_front();
     }
-    RunWave(shard);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shard->active = false;
-      if (!shard->pending.empty() && !shard->queued) {
-        shard->queued = true;
-        ready_.push_back(ShardKey(shard->instance_name, shard->program));
-        cv_.notify_one();
-      }
-    }
+    Execute(&pending);
   }
 }
 
-void ServeService::RunWave(Shard* shard) {
-  CARL_TRACE_SCOPE("serve.wave");
-  ServeCounters& counters = ServeCounters::Get();
-
-  std::deque<Pending> wave;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    wave.swap(shard->pending);
-    queued_requests_ -= wave.size();
+Result<const CarlEngine*> ServeService::ShardEngine(Shard* shard,
+                                                    const std::string& program,
+                                                    bool* created) {
+  std::lock_guard<std::mutex> lock(shard->mu);
+  if (shard->engine != nullptr) return shard->engine.get();
+  CARL_RETURN_IF_ERROR(shard->engine_status);
+  // No engine yet: this request creates it (parse + full model
+  // grounding), under the guard token its caller installed. A deadline
+  // that ran out while waiting on shard->mu stops it before grounding.
+  CARL_RETURN_IF_ERROR(guard::CheckPoint());
+  Result<std::unique_ptr<CarlEngine>> engine =
+      [&]() -> Result<std::unique_ptr<CarlEngine>> {
+    CARL_ASSIGN_OR_RETURN(
+        RelationalCausalModel model,
+        RelationalCausalModel::Parse(*shard->schema, program));
+    return CarlEngine::Create(shard->session, std::move(model));
+  }();
+  if (!engine.ok()) {
+    // A guard stop is this request's budget running out, not a fact
+    // about the variant: leave `engine` unset so the next request retries
+    // (an aborted ground never poisons the session — see guard.h).
+    // Anything else is deterministic; cache it so later requests fail
+    // fast.
+    if (!guard::IsGuardStop(engine.status().code())) {
+      shard->engine_status = engine.status();
+    }
+    return engine.status();
   }
-  if (wave.empty()) return;
-
-  stats_.waves.fetch_add(1, std::memory_order_relaxed);
-  counters.waves.Increment();
-  uint64_t followers = wave.size() - 1;
-  if (followers > 0) {
-    stats_.coalesced.fetch_add(followers, std::memory_order_relaxed);
-    counters.wave_coalesced.Add(followers);
-  }
-
-  // The first request that reaches execution with deadline remaining
-  // creates the shard's engine (inside Execute, under its own guard
-  // token) — grounding the model exactly once for every request that
-  // ever hits this (instance, program) variant. `active` makes this
-  // worker the shard's exclusive owner, so engine/session need no lock
-  // during the wave.
-  bool leader = true;
-  for (Pending& pending : wave) {
-    Execute(shard, &pending, /*coalesced=*/!leader);
-    leader = false;
-  }
+  shard->engine = std::move(engine).ValueUnsafe();
+  *created = true;
+  return shard->engine.get();
 }
 
-void ServeService::Execute(Shard* shard, Pending* pending, bool coalesced) {
+void ServeService::Execute(Pending* pending) {
   CARL_TRACE_SCOPE("serve.request");
   ServeCounters& counters = ServeCounters::Get();
 
   ServeResponse response;
   response.request_id = pending->request.request_id;
-  response.coalesced = coalesced;
   response.queue_ms = MsSince(pending->admitted_at);
   counters.queue_ms.Record(response.queue_ms);
-
-  if (!shard->engine_status.ok()) {
-    response.code = shard->engine_status.code();
-    response.message = shard->engine_status.message();
-    Respond(pending, std::move(response));
-    return;
-  }
 
   // Deadline counts from admission: an expired-in-queue request fails
   // without executing — and without touching the shard's session.
@@ -306,42 +275,18 @@ void ServeService::Execute(Shard* shard, Pending* pending, bool coalesced) {
   guard::ExecToken token(budget);
   guard::ScopedToken scoped(&token);
 
-  if (shard->engine == nullptr) {
-    // This request is the grounding leader: the shard's first executed
-    // request, or every earlier leader was preempted or guard-aborted
-    // before an engine existed. Creation (parse + full model grounding,
-    // the expensive phase) runs under the token installed above.
-    if (shard->session == nullptr) {
-      shard->session = std::make_shared<QuerySession>(shard->dataset.instance);
-    }
-    Status create_status;
-    Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
-        *shard->dataset.schema, shard->program);
-    if (!model.ok()) {
-      create_status = model.status();
-    } else {
-      Result<std::unique_ptr<CarlEngine>> engine =
-          CarlEngine::Create(shard->session, std::move(model).ValueUnsafe());
-      if (!engine.ok()) {
-        create_status = engine.status();
-      } else {
-        shard->engine = std::move(engine).ValueUnsafe();
-      }
-    }
-    if (!create_status.ok()) {
-      // A guard stop is this request's budget running out, not a fact
-      // about the variant: leave `engine` unset so the next request
-      // retries (an aborted ground never poisons the session — see
-      // guard.h). Anything else is deterministic; cache it so
-      // follow-up waves fail fast.
-      if (!guard::IsGuardStop(create_status.code())) {
-        shard->engine_status = create_status;
-      }
-      response.code = create_status.code();
-      response.message = create_status.message();
-      Respond(pending, std::move(response));
-      return;
-    }
+  bool created = false;
+  Result<const CarlEngine*> engine =
+      ShardEngine(pending->shard, pending->request.program, &created);
+  if (!engine.ok()) {
+    response.code = engine.status().code();
+    response.message = engine.status().message();
+    Respond(pending, std::move(response));
+    return;
+  }
+  if (!created) {
+    stats_.coalesced.fetch_add(1, std::memory_order_relaxed);
+    counters.coalesced.Increment();
   }
 
   QueryRequest query;
@@ -350,11 +295,9 @@ void ServeService::Execute(Shard* shard, Pending* pending, bool coalesced) {
       static_cast<int>(pending->request.bootstrap_replicates);
   query.options.seed = pending->request.seed;
 
-  QueryResponse engine_response = shard->engine->Answer(query);
-
-  ServeResponse wire = FromQueryResponse(engine_response);
+  ServeResponse wire = FromQueryResponse((*engine)->Answer(query));
   wire.request_id = response.request_id;
-  wire.coalesced = response.coalesced;
+  wire.coalesced = !created;
   wire.queue_ms = response.queue_ms;
   counters.total_ms.Record(MsSince(pending->admitted_at));
   Respond(pending, std::move(wire));
@@ -373,7 +316,6 @@ ServeStats ServeService::Snapshot() const {
   snapshot.completed = stats_.completed.load(std::memory_order_relaxed);
   snapshot.deadline_preempted =
       stats_.deadline_preempted.load(std::memory_order_relaxed);
-  snapshot.waves = stats_.waves.load(std::memory_order_relaxed);
   snapshot.coalesced = stats_.coalesced.load(std::memory_order_relaxed);
   return snapshot;
 }
@@ -384,9 +326,7 @@ std::optional<QuerySession::SessionStats> ServeService::ShardSessionStats(
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = shards_.find(ShardKey(instance, program));
-    if (it == shards_.end() || it->second.session == nullptr) {
-      return std::nullopt;
-    }
+    if (it == shards_.end()) return std::nullopt;
     session = it->second.session;
   }
   // SnapshotStats is safe from any thread (relaxed-atomic mirrors).

@@ -2,31 +2,32 @@
 // carl_serve (and the north-star serving story in ROADMAP.md).
 //
 // Many clients multiplex onto a small worker pool over shared,
-// fingerprint-keyed QuerySessions:
+// per-shard QuerySessions:
 //
-//   Submit ──admission──▶ shard queue ──wave──▶ worker ──▶ CarlEngine
+//   Submit ──admission──▶ FIFO queue ──▶ any worker ──▶ CarlEngine
 //
 //  * Admission. Every request is checked synchronously: unknown
-//    instance (kNotFound), missing program (kInvalidArgument), queue
-//    over max_queue_depth (kResourceExhausted), service shutting down
-//    (kUnavailable). Rejections invoke the callback inline — a rejected
-//    request never occupies a worker. The request's deadline starts at
-//    ADMISSION: time spent queued counts against it.
+//    instance (kNotFound), missing program or too many bootstrap
+//    replicates (kInvalidArgument), queue over max_queue_depth
+//    (kResourceExhausted), service shutting down (kUnavailable).
+//    Rejections invoke the callback inline — a rejected request never
+//    occupies a worker. The request's deadline starts at ADMISSION:
+//    time spent queued counts against it.
 //
-//  * Sharding + wave batching. Admitted requests land in the shard
+//  * One queue, shared shards. Admission resolves the request's shard,
 //    keyed (instance name, program text) — the service-level equivalent
-//    of QuerySession's (instance fp, model fp) grounding key. A worker
-//    claims a ready shard and drains its whole pending queue as one
-//    WAVE: the first request that executes creates the shard's engine —
-//    grounding the model under that request's OWN guard token, so its
-//    deadline/memory budget bound the grounding and a request that
-//    expired in the queue never triggers one — and every later request
-//    reuses that grounding. Identical variants therefore ground once
-//    per wave (serve.wave_coalesced ticks wave_size - 1), while
-//    requests for DISTINCT shards run concurrently on separate workers,
-//    all sharing the carl_exec pool underneath. A shard is active on at
-//    most one worker at a time, which is what makes the per-shard
-//    QuerySession (not thread-safe by contract) safe here.
+//    of QuerySession's grounding key — creating the shard and its
+//    session on first sight. Admitted requests wait in one FIFO queue
+//    that every worker drains one request at a time, so one hot shard
+//    runs on all workers at once. The first request that executes with
+//    deadline remaining creates the shard's engine under the shard's
+//    mutex — grounding the model under that request's OWN guard token,
+//    so its deadline/memory budget bound the grounding and a request
+//    that expired in the queue never triggers one. Concurrent requests
+//    for the shard wait on that mutex and then run on the engine it
+//    created (they are `coalesced`). CarlEngine::Answer is const and its
+//    session is single-flight (query_session.h), so answers need no
+//    further locking.
 //
 //  * Budgets. The effective budget is request fields, falling back to
 //    ServeOptions defaults — the environment (CARL_DEADLINE_MS /
@@ -38,14 +39,14 @@
 //    request cannot poison the cache; see guard.h).
 //
 //  * Observability. Counters serve.admitted / serve.rejected /
-//    serve.waves / serve.wave_coalesced / serve.deadline_preempted,
+//    serve.completed / serve.coalesced / serve.deadline_preempted,
 //    histograms serve.queue_ms / serve.total_ms, and trace spans
-//    serve.admit / serve.wave / serve.request (Chrome-traceable via
-//    carl_obs). Per-shard cache efficacy comes from
-//    QuerySession::SnapshotStats through ShardSessionStats().
+//    serve.admit / serve.request (Chrome-traceable via carl_obs).
+//    Per-shard cache efficacy comes from QuerySession::SnapshotStats
+//    through ShardSessionStats().
 //
 // Start() spawns the workers; Submit() before Start() queues — tests
-// use that to build a deterministic multi-request wave. Shutdown()
+// use that to line up concurrent requests deterministically. Shutdown()
 // drains every admitted request, then joins.
 
 #ifndef CARL_SERVE_SERVICE_H_
@@ -73,12 +74,16 @@
 namespace carl {
 namespace serve {
 
+/// Admission bound on a request's bootstrap replicates: each replicate
+/// holds a result slot before any guard check runs, so an unbounded
+/// count is an allocation the request's budget cannot stop.
+constexpr uint32_t kMaxBootstrapReplicates = 10000;
+
 struct ServeOptions {
-  /// Worker threads executing waves. Each wave runs its queries
-  /// sequentially; distinct shards run on distinct workers.
+  /// Worker threads draining the request queue, one request at a time.
   int num_workers = 4;
-  /// Admission bound on requests queued across all shards (executing
-  /// requests excluded). Submit beyond it rejects kResourceExhausted.
+  /// Admission bound on queued requests (executing requests excluded).
+  /// Submit beyond it rejects kResourceExhausted.
   size_t max_queue_depth = 256;
   /// Defaults for requests that carry no budget fields. Zero = that
   /// dimension unlimited. The environment is never consulted.
@@ -93,8 +98,7 @@ struct ServeStats {
   uint64_t rejected = 0;            ///< admission rejections, any reason
   uint64_t completed = 0;           ///< callbacks invoked post-execution
   uint64_t deadline_preempted = 0;  ///< expired in queue, never executed
-  uint64_t waves = 0;
-  uint64_t coalesced = 0;  ///< wave followers riding the leader's ground
+  uint64_t coalesced = 0;  ///< ran on an engine another request created
 };
 
 class ServeService {
@@ -110,8 +114,7 @@ class ServeService {
 
   /// Registers a dataset under `name`; kAlreadyExists on a duplicate.
   /// Schema and instance must outlive the service and must not be
-  /// mutated while it runs (sessions assume a quiescent instance per
-  /// wave). Allowed before or after Start().
+  /// mutated while it runs. Allowed before or after Start().
   Status RegisterInstance(const std::string& name, const Schema* schema,
                           const Instance* instance);
 
@@ -131,7 +134,7 @@ class ServeService {
   ServeStats Snapshot() const;
 
   /// Cache-efficacy snapshot of the shard keyed (instance, program);
-  /// nullopt when that shard has not executed yet. Thread-safe (the
+  /// nullopt when no request for it was admitted. Thread-safe (the
   /// underlying QuerySession::SnapshotStats is).
   std::optional<QuerySession::SessionStats> ShardSessionStats(
       const std::string& instance, const std::string& program) const;
@@ -144,8 +147,20 @@ class ServeService {
     const Instance* instance = nullptr;
   };
 
-  // One admitted request waiting in (or draining from) a shard queue.
+  // All requests for one (instance, program) variant. `schema` and
+  // `session` are set at the shard's first admission and never change;
+  // `engine` is created once (see ShardEngine) and then shared.
+  struct Shard {
+    const Schema* schema = nullptr;
+    std::shared_ptr<QuerySession> session;
+    std::mutex mu;  // guards engine and engine_status
+    std::unique_ptr<const CarlEngine> engine;
+    Status engine_status;  // OK until a creation attempt fails
+  };
+
+  // One admitted request waiting in the queue.
   struct Pending {
+    Shard* shard = nullptr;
     ServeRequest request;
     Callback callback;
     std::chrono::steady_clock::time_point admitted_at;
@@ -154,35 +169,18 @@ class ServeService {
     guard::QueryBudget budget;
   };
 
-  // All requests for one (instance, program) variant. `engine` (and the
-  // session inside it) is created by the first request that reaches
-  // execution with deadline remaining — creation runs under THAT
-  // request's guard token, so its deadline/memory budget bound the
-  // grounding — and is reused by every later request. `engine_status`
-  // caches a DETERMINISTIC creation failure (parse error, bad model) so
-  // follow-up waves fail fast; a guard-aborted creation is charged to
-  // the aborted request only and the next request retries. Guarded by
-  // mu_ except during a wave: the draining worker owns `engine` /
-  // `engine_status` / `session` exclusively while `active` (shards are
-  // never claimed by two workers).
-  struct Shard {
-    std::string instance_name;
-    std::string program;
-    RegisteredInstance dataset;
-    std::deque<Pending> pending;
-    bool active = false;
-    bool queued = false;  // key is in ready_ (avoid duplicate entries)
-    std::shared_ptr<QuerySession> session;
-    std::unique_ptr<const CarlEngine> engine;
-    Status engine_status;  // OK until a creation attempt fails
-  };
-
   void WorkerLoop();
-  // Drains one wave from `shard` (already marked active) and executes it.
-  void RunWave(Shard* shard);
-  // Executes one request against the shard's engine (already created).
-  // `coalesced` marks wave followers.
-  void Execute(Shard* shard, Pending* pending, bool coalesced);
+  // Executes one request: deadline preempt, engine (creating it on first
+  // use), answer, callback.
+  void Execute(Pending* pending);
+  // The shard's engine, created under the caller's guard token when it
+  // does not exist yet; `*created` tells whether this call created it.
+  // A deterministic creation failure (parse error, bad model) is cached
+  // in engine_status; a guard-aborted one is charged to the caller only,
+  // and the next request retries.
+  Result<const CarlEngine*> ShardEngine(Shard* shard,
+                                        const std::string& program,
+                                        bool* created);
   void Respond(Pending* pending, ServeResponse response);
 
   ServeOptions options_;
@@ -190,10 +188,10 @@ class ServeService {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::unordered_map<std::string, RegisteredInstance> instances_;
-  // Key: instance name + '\0' + program text.
+  // Key: instance name + '\0' + program text. Shards are never erased,
+  // so a Pending's Shard* stays valid.
   std::unordered_map<std::string, Shard> shards_;
-  std::deque<std::string> ready_;  // shard keys with pending, not active
-  size_t queued_requests_ = 0;     // admission-bound accounting
+  std::deque<Pending> queue_;  // admitted, not yet picked up; FIFO
   bool started_ = false;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
@@ -203,7 +201,6 @@ class ServeService {
     std::atomic<uint64_t> rejected{0};
     std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> deadline_preempted{0};
-    std::atomic<uint64_t> waves{0};
     std::atomic<uint64_t> coalesced{0};
   };
   LiveStats stats_;

@@ -83,8 +83,8 @@ struct ServeResponse {
   double queue_ms = 0.0;
   /// Engine-side per-phase breakdown (see engine.h).
   QueryTiming timing;
-  /// True when this request rode a wave leader's grounding instead of
-  /// grounding itself.
+  /// True when this request ran on a shard engine that another request
+  /// created (and grounded).
   bool coalesced = false;
 
   bool ok() const { return code == StatusCode::kOk; }

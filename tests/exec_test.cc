@@ -4,8 +4,8 @@
 // identical results for every thread count (grounding equivalence is
 // checked as canonical-form graph equality on the review and MIMIC
 // datasets). Also covers QuerySession caching: repeated groundings hit,
-// derived-aggregation re-groundings are shared across engines, and value
-// columns memoize.
+// derived-aggregation re-groundings are shared across engines, and
+// concurrent callers of one variant ground it once.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -453,40 +454,37 @@ TEST(QuerySessionTest, DerivedAggregationRegroundSharedAcrossEngines) {
   EXPECT_GE(session->SnapshotStats().cache_hits, 2u);
 }
 
-TEST(QuerySessionTest, ValueColumnsMemoizeAndMatchNodeValues) {
+// K threads ground one derived variant on a cold session at once: the
+// session is single-flight, so it grounds once and every caller shares
+// that one grounding.
+TEST(QuerySessionTest, ConcurrentGroundsOfOneVariantGroundOnce) {
   Result<datagen::Dataset> data = datagen::MakeReviewToy();
   ASSERT_TRUE(data.ok());
-  Result<RelationalCausalModel> model =
-      RelationalCausalModel::Parse(*data->schema, data->model_text);
-  ASSERT_TRUE(model.ok());
+  // The base model plus one aggregate rule, as a derived query's variant.
+  Result<RelationalCausalModel> variant = RelationalCausalModel::Parse(
+      *data->schema,
+      data->model_text + "\nMAX_Score[A] <= Score[S] WHERE Author(A, S)\n");
+  ASSERT_TRUE(variant.ok()) << variant.status();
 
+  ScopedThreads threads(4);
   QuerySession session(data->instance.get());
-  Result<std::shared_ptr<const GroundedModel>> grounded =
-      session.Ground(*model);
-  ASSERT_TRUE(grounded.ok());
-  Result<AttributeId> score =
-      model->extended_schema().FindAttribute("Score");
-  ASSERT_TRUE(score.ok());
-
-  Result<std::shared_ptr<const AttributeValueColumn>> col =
-      session.ValueColumn(*grounded, *score);
-  ASSERT_TRUE(col.ok()) << col.status();
-  EXPECT_EQ((*col)->nodes.size(), (*col)->values.size());
-  EXPECT_FALSE((*col)->nodes.empty());
-  for (size_t i = 0; i < (*col)->nodes.size(); ++i) {
-    EXPECT_EQ((*col)->values[i], (*grounded)->NodeValue((*col)->nodes[i]));
+  constexpr size_t kCallers = 8;
+  std::vector<std::shared_ptr<const GroundedModel>> grounded(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      Result<std::shared_ptr<const GroundedModel>> g = session.Ground(*variant);
+      if (g.ok()) grounded[t] = *g;
+    });
   }
-
-  Result<std::shared_ptr<const AttributeValueColumn>> again =
-      session.ValueColumn(*grounded, *score);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(col->get(), again->get());  // memoized
-  EXPECT_EQ(session.SnapshotStats().column_misses, 1u);
-  EXPECT_EQ(session.SnapshotStats().column_hits, 1u);
-
-  // Unknown groundings and attributes are rejected, not miscached.
-  EXPECT_FALSE(session.ValueColumn(nullptr, *score).ok());
-  EXPECT_FALSE(session.ValueColumn(*grounded, kInvalidAttribute).ok());
+  for (std::thread& caller : callers) caller.join();
+  for (const std::shared_ptr<const GroundedModel>& g : grounded) {
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g.get(), grounded[0].get());
+  }
+  QuerySession::SessionStats stats = session.SnapshotStats();
+  EXPECT_EQ(stats.ground_full, 1u);
+  EXPECT_EQ(stats.cache_hits, kCallers - 1);
 }
 
 TEST(QuerySessionTest, EvictionBoundsTheCache) {

@@ -56,6 +56,16 @@ datagen::Dataset SynthReviewDataset(size_t num_authors,
   return std::move(review->dataset);
 }
 
+datagen::Dataset RealisticReviewDataset() {
+  datagen::ReviewConfig config = datagen::RealisticReviewConfig();
+  config.num_authors = 600;
+  config.num_papers = 300;
+  config.num_institutions = 30;
+  Result<datagen::ReviewData> review = datagen::GenerateReviewData(config);
+  CARL_CHECK_OK(review.status());
+  return std::move(review->dataset);
+}
+
 std::vector<NamedDataset> StreamWorkloads() {
   std::vector<NamedDataset> out;
   out.push_back(NamedDataset{"REVIEW", ReviewToyDataset()});

@@ -68,6 +68,11 @@ datagen::Dataset SynthReviewDataset(size_t num_authors = 800,
                                     size_t num_papers = 6000,
                                     size_t num_venues = 20);
 
+/// Realistic REVIEW (datagen::RealisticReviewConfig) at 600 authors, 300
+/// papers and 30 institutions: small enough for the sanitizer legs, and
+/// every §4.3 path query of the history-independence pool answers on it.
+datagen::Dataset RealisticReviewDataset();
+
 /// REVIEW toy + MIMIC + NIS: the binding-stream equivalence workloads.
 std::vector<NamedDataset> StreamWorkloads();
 

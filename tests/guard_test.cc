@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -79,6 +80,21 @@ TEST_F(GuardTest, UnexpiredDeadlineStaysLive) {
   guard::ExecToken token(guard::QueryBudget{/*deadline_ms=*/60000.0, 0, 0});
   EXPECT_FALSE(token.CheckDeadline());
   EXPECT_TRUE(token.ToStatus().ok());
+}
+
+// A deadline past the clock's range means no deadline, not one that
+// already passed.
+TEST_F(GuardTest, UnrepresentableDeadlineMeansNoDeadline) {
+  for (double ms : {std::numeric_limits<double>::infinity(), 1e300, 1e13}) {
+    guard::ExecToken token(guard::QueryBudget{ms, 0, 0});
+    EXPECT_FALSE(token.CheckDeadline()) << ms;
+    EXPECT_TRUE(token.ToStatus().ok()) << ms;
+  }
+  // The environment knob takes the same path.
+  ASSERT_EQ(setenv("CARL_DEADLINE_MS", "inf", 1), 0);
+  guard::ExecToken token(guard::QueryBudget::FromEnv());
+  unsetenv("CARL_DEADLINE_MS");
+  EXPECT_FALSE(token.CheckDeadline());
 }
 
 TEST_F(GuardTest, MemoryBudgetTrips) {

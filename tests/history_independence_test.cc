@@ -10,7 +10,9 @@
 // session answers each query alone. The two must agree bit for bit —
 // estimates, bootstrap samples, naive contrast, unit counts, response
 // attribute, criterion_ok — or fail with the same status code and
-// message. Runs at one and four threads.
+// message. Runs at one and four threads. A concurrent leg has four
+// threads answer their own seeded sequences on one shared engine and
+// session at the same time, against the same fresh-engine answers.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +22,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/engine.h"
-#include "datagen/review.h"
 #include "fixtures.h"
 
 namespace carl {
@@ -115,22 +117,12 @@ struct Pool {
   datagen::Dataset dataset;
 };
 
-datagen::Dataset ReviewDataset() {
-  datagen::ReviewConfig config = datagen::RealisticReviewConfig();
-  config.num_authors = 600;
-  config.num_papers = 300;
-  config.num_institutions = 30;
-  Result<datagen::ReviewData> data = datagen::GenerateReviewData(config);
-  CARL_CHECK_OK(data.status());
-  return std::move(data->dataset);
-}
-
 class HistoryIndependenceTest : public ::testing::TestWithParam<int> {
  protected:
   static void SetUpTestSuite() {
     pools_ = new std::vector<Pool>();
     pools_->push_back({"toy", test_fixtures::ReviewToyDataset()});
-    pools_->push_back({"review", ReviewDataset()});
+    pools_->push_back({"review", test_fixtures::RealisticReviewDataset()});
   }
   static void TearDownTestSuite() {
     delete pools_;
@@ -219,6 +211,44 @@ TEST_P(HistoryIndependenceTest, RandomSequencesMatchFreshEngines) {
             << pool.name << " sequence " << seq << ": " << queries[q]
             << " after [" << history << "]";
         history += queries[q] + "; ";
+      }
+    }
+  }
+}
+
+TEST_P(HistoryIndependenceTest, ConcurrentSequencesOnOneEngineMatchFresh) {
+  ScopedThreads threads(GetParam());
+  constexpr int kCallers = 4;
+  constexpr int kLength = 12;
+  const std::vector<std::string>& queries = QueryPool();
+  for (const Pool& pool : *pools_) {
+    const std::vector<std::string> fresh = FreshAnswers(pool);
+    auto session =
+        std::make_shared<QuerySession>(pool.dataset.instance.get());
+    const std::unique_ptr<CarlEngine> engine =
+        MakeEngine(pool.dataset, session);
+    // Each caller collects its mismatches; they are reported after join.
+    std::vector<std::vector<std::string>> mismatches(kCallers);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        Rng rng(0x5e550000u + static_cast<uint64_t>(c));
+        for (int step = 0; step < kLength; ++step) {
+          size_t q = static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(queries.size()) - 1));
+          std::string got = Describe(Ask(*engine, queries[q]));
+          if (got != fresh[q]) {
+            mismatches[c].push_back(queries[q] + " at step " +
+                                    std::to_string(step) + ": " + got +
+                                    "\n  fresh: " + fresh[q]);
+          }
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (int c = 0; c < kCallers; ++c) {
+      for (const std::string& m : mismatches[c]) {
+        ADD_FAILURE() << pool.name << " caller " << c << ": " << m;
       }
     }
   }

@@ -2,12 +2,12 @@
 // front door.
 //
 // The load-bearing assertions:
-//  * answers served through the full encode -> submit -> wave -> encode
+//  * answers served through the full encode -> submit -> queue -> encode
 //    path are BIT-identical to direct CarlEngine calls (doubles compared
 //    by bit pattern, so NaN std_error fields count too);
-//  * an identical-query wave grounds exactly once — the followers
-//    coalesce onto the leader's grounding (serve.wave_coalesced and
-//    QuerySession ground_full prove it);
+//  * identical requests racing on 4 workers ground exactly once — one
+//    request creates the shard's engine, every other one runs on it
+//    (ServeStats::coalesced and QuerySession ground_full prove it);
 //  * a per-request deadline surfaces as a kDeadlineExceeded wire error
 //    WITHOUT poisoning the shared session: the next request over the
 //    same shard answers bit-identically to an undisturbed engine.
@@ -16,13 +16,15 @@
 //    order, exactly as fresh engines do.
 //
 // This suite runs in the TSan CI leg: the service is exercised with
-// many concurrent ServeDriver clients against multiple workers.
+// many concurrent ServeDriver clients against multiple workers, one
+// shard's derived variants included.
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +32,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "datagen/review.h"
 #include "fixtures.h"
 #include "serve/service.h"
 #include "serve/tcp_server.h"
@@ -43,6 +44,15 @@ namespace {
 
 using test_fixtures::MiniMimicDataset;
 using test_fixtures::MiniNisDataset;
+using test_fixtures::RealisticReviewDataset;
+
+// Two queries that unify Score along different relational paths (Author
+// vs Submitted): each derives its own §4.3 variant of one program.
+const std::vector<std::string>& ReviewPair() {
+  static const std::vector<std::string> pair = {"Score[S] <= Prestige[A]?",
+                                                "Score[S] <= Blind[C]?"};
+  return pair;
+}
 
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
@@ -228,10 +238,16 @@ TEST_F(ServeServiceTest, AdmissionRejectsBadRequests) {
   ServeRequest bad_query = MimicRequest("this is not CaRL", 4);
   EXPECT_EQ(driver.Call(bad_query).code, StatusCode::kInvalidArgument);
 
+  // A replicate count whose result slots alone would take 32 GiB is
+  // refused at the door, before anything allocates for it.
+  ServeRequest huge_bootstrap = MimicRequest("Death[P] <= SelfPay[P]?", 5);
+  huge_bootstrap.bootstrap_replicates = 2147483647;
+  EXPECT_EQ(driver.Call(huge_bootstrap).code, StatusCode::kInvalidArgument);
+
   ServeStats stats = service.Snapshot();
   // no_query never reaches the service (the codec refuses to decode a
   // query-less frame); bad_query is admitted and errors in the engine.
-  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.rejected, 3u);
 }
 
 TEST_F(ServeServiceTest, QueueBoundRejectsResourceExhausted) {
@@ -267,20 +283,21 @@ TEST_F(ServeServiceTest, QueueBoundRejectsResourceExhausted) {
   EXPECT_EQ(stats.rejected, 1u);
 }
 
-// The coalescing contract: N identical requests queued as one wave
-// ground exactly once — the leader grounds, every follower rides it.
-TEST_F(ServeServiceTest, IdenticalWaveGroundsExactlyOnce) {
-  constexpr int kWave = 8;
+// The grounds-once contract: identical requests racing on 4 workers
+// ground exactly once — one request creates the shard's engine, every
+// other one waits for it and runs on it.
+TEST_F(ServeServiceTest, IdenticalRequestsGroundExactlyOnce) {
+  constexpr int kRequests = 8;
   ServeOptions options;
   options.num_workers = 4;
   ServeService service(options);
   ASSERT_OK(service.RegisterInstance("mimic", mimic_.schema.get(),
                                      mimic_.instance.get()));
 
-  // Submit BEFORE Start: all requests land in the shard's queue, so the
-  // first worker to claim it drains them as one deterministic wave.
+  // Submit BEFORE Start: every request is queued when the 4 workers
+  // start, so the first four race for the cold shard.
   std::vector<std::future<ServeResponse>> responses;
-  for (int i = 0; i < kWave; ++i) {
+  for (int i = 0; i < kRequests; ++i) {
     auto promise = std::make_shared<std::promise<ServeResponse>>();
     responses.push_back(promise->get_future());
     service.Submit(MimicRequest("Death[P] <= SelfPay[P]?", 100 + i),
@@ -291,21 +308,20 @@ TEST_F(ServeServiceTest, IdenticalWaveGroundsExactlyOnce) {
   service.Start();
 
   AteAnswer direct = DirectAnswer(mimic_, "Death[P] <= SelfPay[P]?");
-  int coalesced_responses = 0;
+  int creators = 0;
   for (auto& future : responses) {
     ServeResponse response = future.get();
-    ExpectMatchesDirect(response, direct, "wave");
-    if (response.coalesced) ++coalesced_responses;
+    ExpectMatchesDirect(response, direct, "identical");
+    if (!response.coalesced) ++creators;
   }
   service.Shutdown();
 
-  // Exactly one leader; everyone else coalesced.
-  EXPECT_EQ(coalesced_responses, kWave - 1);
-  ServeStats stats = service.Snapshot();
-  EXPECT_EQ(stats.waves, 1u);
-  EXPECT_EQ(stats.coalesced, static_cast<uint64_t>(kWave - 1));
+  // Exactly one request created the engine; everyone else ran on it.
+  EXPECT_EQ(creators, 1);
+  EXPECT_EQ(service.Snapshot().coalesced,
+            static_cast<uint64_t>(kRequests - 1));
 
-  // The shared session grounded the model exactly once for the wave.
+  // The shared session grounded the model exactly once.
   auto session_stats =
       service.ShardSessionStats("mimic", mimic_.model_text);
   ASSERT_TRUE(session_stats.has_value());
@@ -314,18 +330,22 @@ TEST_F(ServeServiceTest, IdenticalWaveGroundsExactlyOnce) {
 }
 
 // N concurrent clients multiplexed over shared sessions must see
-// answers bit-identical to direct engine calls.
+// answers bit-identical to direct engine calls — the REVIEW pair too,
+// whose two derived variants of one shard run on 4 workers at once.
 TEST_F(ServeServiceTest, ConcurrentClientsBitIdenticalToDirect) {
   struct Workload {
     const char* instance;
     const datagen::Dataset* dataset;
-    const char* query;
+    std::string query;
     AteAnswer direct;
   };
+  const datagen::Dataset review = RealisticReviewDataset();
   std::vector<Workload> workloads = {
       {"mimic", &mimic_, "Death[P] <= SelfPay[P]?", {}},
       {"mimic", &mimic_, "Len[P] <= SelfPay[P]?", {}},
       {"nis", &nis_, "HighBill[P] <= AdmittedToLarge[P]?", {}},
+      {"review", &review, ReviewPair()[0], {}},
+      {"review", &review, ReviewPair()[1], {}},
   };
   for (Workload& workload : workloads) {
     workload.direct = DirectAnswer(*workload.dataset, workload.query);
@@ -338,6 +358,8 @@ TEST_F(ServeServiceTest, ConcurrentClientsBitIdenticalToDirect) {
                                      mimic_.instance.get()));
   ASSERT_OK(service.RegisterInstance("nis", nis_.schema.get(),
                                      nis_.instance.get()));
+  ASSERT_OK(service.RegisterInstance("review", review.schema.get(),
+                                     review.instance.get()));
   service.Start();
 
   constexpr int kClients = 6;
@@ -379,16 +401,8 @@ TEST_F(ServeServiceTest, ConcurrentClientsBitIdenticalToDirect) {
 // Submitted); sent in either order to one (instance, program) shard, each
 // answers exactly as a fresh engine does.
 TEST_F(ServeServiceTest, DerivedQueriesOnOneShardAreHistoryIndependent) {
-  datagen::ReviewConfig config = datagen::RealisticReviewConfig();
-  config.num_authors = 600;
-  config.num_papers = 300;
-  config.num_institutions = 30;
-  Result<datagen::ReviewData> data = datagen::GenerateReviewData(config);
-  ASSERT_OK(data.status());
-  const datagen::Dataset& review = data->dataset;
-
-  const std::vector<std::string> queries = {"Score[S] <= Prestige[A]?",
-                                            "Score[S] <= Blind[C]?"};
+  const datagen::Dataset review = RealisticReviewDataset();
+  const std::vector<std::string>& queries = ReviewPair();
   std::vector<AteAnswer> direct;
   for (const std::string& query : queries) {
     direct.push_back(DirectAnswer(review, query));
@@ -473,10 +487,12 @@ TEST_F(ServeServiceTest, QueueExpiredRequestDoesNotGround) {
   ServeResponse dead = future.get();
   EXPECT_EQ(dead.code, StatusCode::kDeadlineExceeded) << dead.message;
   EXPECT_EQ(service.Snapshot().deadline_preempted, 1u);
-  // The preempt skipped engine creation entirely: the shard has no
-  // session yet, so there is nothing to snapshot.
-  EXPECT_FALSE(
-      service.ShardSessionStats("mimic", mimic_.model_text).has_value());
+  // The preempt skipped engine creation entirely: the shard's session
+  // (created at admission) has not grounded anything.
+  auto preempted_stats = service.ShardSessionStats("mimic", mimic_.model_text);
+  ASSERT_TRUE(preempted_stats.has_value());
+  EXPECT_EQ(preempted_stats->ground_full, 0u);
+  EXPECT_EQ(preempted_stats->ground_extends, 0u);
 
   // The next live request grounds (once) and answers normally.
   ServeDriver driver(&service);
@@ -487,6 +503,24 @@ TEST_F(ServeServiceTest, QueueExpiredRequestDoesNotGround) {
   ASSERT_TRUE(session_stats.has_value());
   EXPECT_EQ(session_stats->ground_full, 1u);
 
+  service.Shutdown();
+}
+
+// A deadline too far out for the clock to represent means no deadline:
+// the request answers, it does not expire on arrival.
+TEST_F(ServeServiceTest, UnrepresentableDeadlineAnswers) {
+  ServeService service;
+  ASSERT_OK(service.RegisterInstance("mimic", mimic_.schema.get(),
+                                     mimic_.instance.get()));
+  service.Start();
+  ServeDriver driver(&service);
+  AteAnswer direct = DirectAnswer(mimic_, "Death[P] <= SelfPay[P]?");
+  for (double deadline_ms : {1e300, std::numeric_limits<double>::infinity()}) {
+    ServeRequest request = MimicRequest("Death[P] <= SelfPay[P]?", 1);
+    request.deadline_ms = deadline_ms;
+    ExpectMatchesDirect(driver.Call(request), direct,
+                        "deadline_ms=" + std::to_string(deadline_ms));
+  }
   service.Shutdown();
 }
 
@@ -599,7 +633,7 @@ TEST_F(ServeServiceTest, TcpStopWithInFlightResponsesIsSafe) {
   }
 
   // Let the requests admit and start executing, then sever the
-  // connections while the single worker is still draining the wave.
+  // connections while the single worker is still draining the queue.
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   server.Stop();
   for (std::thread& client_thread : clients) client_thread.join();
