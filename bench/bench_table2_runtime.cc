@@ -262,7 +262,6 @@ int Run(const bench::BenchFlags& flags) {
     uint64_t ground_allocs = 0;
     uint64_t ground_eval_allocs = 0;
     uint64_t ground_node_allocs = 0;
-    uint64_t morsel_steals = 0;
     double graph_build_s = 0.0;
     double enumerate_s = 0.0;
     double splice_s = 0.0;
@@ -276,7 +275,6 @@ int Run(const bench::BenchFlags& flags) {
       ground_allocs = window.CounterDelta("storage.alloc_events");
       ground_eval_allocs = window.CounterDelta("storage.eval_result_allocs");
       ground_node_allocs = window.CounterDelta("storage.graph_node_allocs");
-      morsel_steals = window.CounterDelta("exec.morsel_steals");
       graph_build_s = grounded->phase_stats().graph_build_s();
       enumerate_s = grounded->phase_stats().enumerate_s;
       splice_s = grounded->phase_stats().splice_s;
@@ -342,20 +340,15 @@ int Run(const bench::BenchFlags& flags) {
                 static_cast<unsigned long long>(ground_allocs),
                 static_cast<unsigned long long>(table_allocs));
     // Grounding phase breakdown of the warm pass: enumeration (binding
-    // evaluation) vs graph build, with the build's splice share and the
-    // morsel-scheduler steal count broken out.
-    std::printf("%-18s  enumerate %.3fs | graph build %.3fs (splice %.3fs) "
-                "| morsel steals %llu\n",
-                wl.name, enumerate_s, graph_build_s, splice_s,
-                static_cast<unsigned long long>(morsel_steals));
+    // evaluation) vs graph build, with the build's merge share broken out.
+    std::printf("%-18s  enumerate %.3fs | graph build %.3fs (splice %.3fs)\n",
+                wl.name, enumerate_s, graph_build_s, splice_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_s", ground_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_graph_build_s",
                     graph_build_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_enumerate_s",
                     enumerate_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_splice_s", splice_s);
-    bench::EmitJson(kBenchName, wl.name, "grounding_morsel_steals",
-                    static_cast<double>(morsel_steals));
     bench::EmitJson(kBenchName, wl.name, "grounding_allocs",
                     static_cast<double>(ground_allocs));
     bench::EmitJson(kBenchName, wl.name, "grounding_eval_result_allocs",

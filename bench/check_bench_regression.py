@@ -40,9 +40,8 @@ REQUIRED_GATED = {
     # The guard_* / fault_injected counters come from bench_table2's
     # deliberately stopped passes: presence proves every guard stop path
     # still accounts its events (values are informational, not ratio-gated).
-    # grounding_graph_build_s + its enumerate/splice split and the morsel
-    # steal counter come from the PR 9 morsel/splice refactor: presence
-    # proves the phase breakdown and the steal accounting stayed wired.
+    # grounding_graph_build_s and its enumerate/splice split: presence
+    # proves the grounding phase breakdown stayed wired.
     # unit_table_allocs counts operator new calls in one warm unit-table
     # build; bench_table2 aborts when it reaches 2 x rows + 4096, so its
     # presence proves the allocation-free Algorithm 1 still holds.
@@ -50,7 +49,6 @@ REQUIRED_GATED = {
                           "grounding_incremental_extend_s",
                           "grounding_graph_build_s",
                           "grounding_enumerate_s", "grounding_splice_s",
-                          "grounding_morsel_steals",
                           "guard_cancelled", "guard_deadline_exceeded",
                           "guard_budget_exceeded", "fault_injected"},
     # The serving layer's load metrics. Not ratio-gated: QPS regresses

@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/logging.h"
-#include "exec/parallel.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
@@ -15,20 +14,6 @@
 #include "relational/evaluator.h"
 
 namespace carl {
-
-size_t PlanBindingShards(size_t candidates, int threads) {
-  if (threads <= 1) return 1;
-  size_t max_by_size = candidates / kBindingShardMinRows;
-  size_t shards = std::min(static_cast<size_t>(threads) * 4, max_by_size);
-  if (shards <= 1) return 1;
-  // Defensive clamp: the balanced split [c*s/n, c*(s+1)/n) has a smallest
-  // shard of floor(candidates / shards) rows; shrink until it clears the
-  // per-shard floor so no task is woken for under-threshold work.
-  while (shards > 1 && candidates / shards < kBindingShardMinRows) {
-    --shards;
-  }
-  return shards;
-}
 
 std::shared_ptr<const BindingTable> BindingCache::Find(BindingKeyId key) {
   static obs::Counter& hit_counter =
@@ -198,20 +183,18 @@ struct CompiledRef {
   std::vector<SymbolId> constants;   // aligned with slots
   bool unresolvable = false;  // a constant was never interned -> no grounding
   // True when the resolved grounding IS the binding row (slots are the
-  // identity permutation over the full row): probes and interns can pass
-  // the binding's memoized row hash instead of re-hashing. Head refs hit
-  // this constantly — DistinguishedVars orders head variables first.
+  // identity permutation over the full row): interning can pass the
+  // binding's memoized row hash instead of re-hashing. Head refs hit this
+  // constantly — DistinguishedVars orders head variables first.
   bool identity = false;
 
   size_t arity() const { return slots.size(); }
 
-  // Fills out[0..arity) from a binding row; false when unresolvable.
-  bool Resolve(TupleView binding, SymbolId* out) const {
-    if (unresolvable) return false;
+  // Fills out[0..arity) from a binding row. Requires !unresolvable.
+  void Resolve(TupleView binding, SymbolId* out) const {
     for (size_t i = 0; i < slots.size(); ++i) {
       out[i] = slots[i] >= 0 ? binding[slots[i]] : constants[i];
     }
-    return true;
   }
 };
 
@@ -241,55 +224,6 @@ CompiledRef CompileRef(
     if (out.slots[i] != static_cast<int>(i)) out.identity = false;
   }
   return out;
-}
-
-// Enumerates a rule condition's bindings into one columnar table,
-// sharding the root atom's candidate rows across the pool when the input
-// is large enough. The query is compiled once and the plan shared by
-// every shard. Shard tables stream first-occurrence in shard order into
-// the merged table, which reproduces the serial Evaluate() result exactly
-// — so the binding sequence (and with it every downstream node/edge id)
-// is thread-count independent. No owned Tuple is built anywhere.
-Result<BindingTable> EnumerateBindings(
-    const QueryEvaluator& evaluator, const ConjunctiveQuery& where,
-    const std::vector<std::string>& vars, ExecContext& ctx) {
-  CARL_TRACE_SCOPE("grounding.rule.enumerate");
-  CARL_ASSIGN_OR_RETURN(PreparedQuery prepared, evaluator.Prepare(where));
-  CARL_ASSIGN_OR_RETURN(size_t candidates,
-                        evaluator.CountRootCandidates(prepared));
-  size_t shards = PlanBindingShards(candidates, ctx.threads());
-  if (shards <= 1) return evaluator.Evaluate(prepared, vars);
-
-  std::vector<BindingTable> shard_results(shards);
-  std::vector<Status> shard_status(shards);
-  ParallelFor(ctx, shards, [&](size_t begin, size_t end, size_t) {
-    for (size_t s = begin; s < end; ++s) {
-      Result<BindingTable> r =
-          evaluator.EvaluateShard(prepared, vars, s, shards);
-      if (r.ok()) {
-        shard_results[s] = std::move(*r);
-      } else {
-        shard_status[s] = r.status();
-      }
-    }
-  });
-  for (const Status& s : shard_status) CARL_RETURN_IF_ERROR(s);
-  // A stopped token makes ParallelFor skip chunks silently; surface it
-  // here so a partially-enumerated table is never mistaken for a result.
-  CARL_RETURN_IF_ERROR(guard::CheckPoint());
-
-  size_t total = 0;
-  for (const BindingTable& sr : shard_results) total += sr.size();
-  BindingTable merged(vars.size());
-  merged.Reserve(total);
-  for (const BindingTable& sr : shard_results) {
-    for (size_t r = 0; r < sr.size(); ++r) {
-      // Reuse the shard table's memoized row hash — the merge never
-      // re-hashes a binding.
-      merged.InsertDistinct(sr.row(r).data(), sr.row_hash(r));
-    }
-  }
-  return merged;
 }
 
 // Cache key of one rule condition's binding table. The projection order
@@ -376,10 +310,13 @@ BindingDeps DepsOf(const Schema& schema, const ConjunctiveQuery& where) {
   return deps;
 }
 
+// Enumerates a rule condition's bindings into one columnar table (no
+// owned Tuple is built anywhere), reusing the cached table when the same
+// condition and projection were enumerated before.
 Result<std::shared_ptr<const BindingTable>> EnumerateBindingsCached(
     const QueryEvaluator& evaluator, const Schema& schema,
     const ConjunctiveQuery& where, const std::vector<std::string>& vars,
-    ExecContext& ctx, BindingCache* cache) {
+    BindingCache* cache) {
   // The exact key string is built and hashed once, here; everything
   // downstream (lookup, staging scans, eviction, snapshots) compares the
   // interned dense id.
@@ -390,8 +327,11 @@ Result<std::shared_ptr<const BindingTable>> EnumerateBindingsCached(
       return hit;
     }
   }
-  CARL_ASSIGN_OR_RETURN(BindingTable table,
-                        EnumerateBindings(evaluator, where, vars, ctx));
+  BindingTable table;
+  {
+    CARL_TRACE_SCOPE("grounding.rule.enumerate");
+    CARL_ASSIGN_OR_RETURN(table, evaluator.Evaluate(where, vars));
+  }
   auto shared = std::make_shared<const BindingTable>(std::move(table));
   if (cache != nullptr) {
     cache->Insert(key, shared, DepsOf(schema, where));
@@ -407,9 +347,8 @@ struct RuleView {
   const AttributeRef* head = nullptr;
   std::vector<const AttributeRef*> body;
   const ConjunctiveQuery* where = nullptr;
-  // Causal rules skip only the failing body edge (the head grounding
-  // still counts); aggregate rules skip the whole binding unless head
-  // and source both resolve.
+  // Causal rules drop only the edges of unresolvable bodies (the head
+  // grounding still counts); aggregate rules need head and source both.
   bool require_all = false;
 };
 
@@ -439,6 +378,18 @@ struct CompiledRule {
     size_t m = std::max<size_t>(head.arity(), 1);
     for (const CompiledRef& b : body) m = std::max(m, b.arity());
     return m;
+  }
+
+  // A ref resolves for every binding or for none (CompiledRef::
+  // unresolvable is fixed at compile time), so the per-binding skip
+  // rules of the reference loop collapse to one decision per rule: no
+  // grounding when the head cannot resolve or, under require_all, when
+  // any body cannot.
+  bool Skipped() const {
+    if (head.unresolvable) return true;
+    return require_all &&
+           std::any_of(body.begin(), body.end(),
+                       [](const CompiledRef& b) { return b.unresolvable; });
   }
 };
 
@@ -479,34 +430,8 @@ Result<std::vector<CompiledRule>> CompileRules(
   return compiled;
 }
 
-// Per-binding probe slots of one rule.
-enum : uint8_t { kSkip = 0, kFound = 1, kMiss = 2 };
-struct RuleProbe {
-  std::vector<NodeId> head_node;
-  std::vector<uint8_t> head_state;
-  std::vector<NodeId> body_node;
-  std::vector<uint8_t> body_state;
-};
-
-// Probes the grounding of `ref` at binding `i` read-only: kSkip when the
-// ref does not resolve, else kFound/kMiss with the node id (if any) in
-// *node. Identity refs probe with the binding's memoized row hash — the
-// probe never re-hashes a grounding key it already owns.
-uint8_t ProbeRef(const CompiledRef& ref, const BindingTable& bindings,
-                 size_t i, const CausalGraph& graph, SymbolId* scratch,
-                 NodeId* node) {
-  TupleView binding = bindings.row(i);
-  if (ref.identity) {
-    *node = graph.FindNode(ref.attribute, binding, bindings.row_hash(i));
-  } else if (ref.Resolve(binding, scratch)) {
-    *node = graph.FindNode(ref.attribute, TupleView(scratch, ref.arity()));
-  } else {
-    return kSkip;
-  }
-  return *node == kInvalidNode ? kMiss : kFound;
-}
-
-// Interns the grounding of `ref` at binding `i`, which must resolve.
+// Interns the grounding of `ref` at binding `i` (find-or-insert). Identity
+// refs pass the binding's memoized row hash, so they are never re-hashed.
 NodeId InternRef(const CompiledRef& ref, const BindingTable& bindings,
                  size_t i, SymbolId* scratch, CausalGraph* graph) {
   TupleView binding = bindings.row(i);
@@ -517,158 +442,46 @@ NodeId InternRef(const CompiledRef& ref, const BindingTable& bindings,
   return graph->AddNode(ref.attribute, TupleView(scratch, ref.arity()));
 }
 
-// Whether binding `i` of one rule survives the skip checks: the head
-// resolves, and under require_all every body ref does too.
-inline bool AcceptedBinding(const CompiledRule& rule, const RuleProbe& probe,
-                            size_t i, size_t nbody) {
-  if (probe.head_state[i] == kSkip) return false;
-  if (rule.require_all) {
-    for (size_t b = 0; b < nbody; ++b) {
-      if (probe.body_state[i * nbody + b] == kSkip) return false;
-    }
-  }
-  return true;
-}
+// Bindings merged between two polls of the ambient guard token — the
+// largest chunk ParallelFor runs between two of its polls.
+constexpr size_t kMergePollStride = 2048;
 
-// Phase 1 of one rule's merge: resolves every binding's refs over the
-// rule's chunk plan and probes the graph's node interner read-only (the
-// hash-heavy part; after step 1's bulk build nearly every grounding
-// already has a node).
-RuleProbe ProbeRule(const CompiledRule& rule, const CausalGraph& graph,
-                    ExecContext& ctx) {
-  const BindingTable& bindings = *rule.bindings;
-  const size_t nb = bindings.size();
-  const size_t nbody = rule.body.size();
-  RuleProbe probe;
-  probe.head_node.assign(nb, kInvalidNode);
-  probe.head_state.assign(nb, kSkip);
-  probe.body_node.assign(nb * nbody, kInvalidNode);
-  probe.body_state.assign(nb * nbody, kSkip);
-  ParallelFor(ctx, nb, [&](size_t begin, size_t end, size_t) {
-    CARL_TRACE_SCOPE("grounding.rule.probe");
-    std::vector<SymbolId> buf(rule.max_arity());
-    for (size_t i = begin; i < end; ++i) {
-      probe.head_state[i] = ProbeRef(rule.head, bindings, i, graph,
-                                     buf.data(), &probe.head_node[i]);
-      for (size_t b = 0; b < nbody; ++b) {
-        probe.body_state[i * nbody + b] =
-            ProbeRef(rule.body[b], bindings, i, graph, buf.data(),
-                     &probe.body_node[i * nbody + b]);
-      }
-    }
-  });
-  return probe;
-}
-
-// Phase 2 of one rule's merge, the splice: per-chunk counts of accepted
-// groundings and live edges, an exclusive scan giving every chunk its
-// offset in the rule's edge array, serial interning of the probe misses
-// in binding order (head before bodies — the ids a per-binding AddNode
-// loop assigns), then every chunk fills its edges at its offset. Returns
-// the rule's edges in binding order; the probe is released on return.
-std::vector<CausalGraph::Edge> SpliceRule(const CompiledRule& rule,
-                                          RuleProbe probe, ExecContext& ctx,
-                                          CausalGraph* graph,
-                                          size_t* num_groundings) {
-  const BindingTable& bindings = *rule.bindings;
-  const size_t nb = bindings.size();
-  const size_t nbody = rule.body.size();
-  const std::vector<std::pair<size_t, size_t>> chunks = ctx.Chunks(nb);
-  std::vector<size_t> chunk_edges(chunks.size(), 0);
-  std::vector<size_t> chunk_groundings(chunks.size(), 0);
-  std::vector<uint8_t> chunk_has_miss(chunks.size(), 0);
-  {
-    CARL_TRACE_SCOPE("splice.prefix_sum");
-    ParallelFor(ctx, nb, [&](size_t begin, size_t end, size_t c) {
-      size_t edges = 0, groundings = 0;
-      uint8_t has_miss = 0;
-      for (size_t i = begin; i < end; ++i) {
-        if (!AcceptedBinding(rule, probe, i, nbody)) continue;
-        ++groundings;
-        has_miss |= probe.head_state[i] == kMiss;
-        for (size_t b = 0; b < nbody; ++b) {
-          uint8_t state = probe.body_state[i * nbody + b];
-          if (state == kSkip) continue;
-          ++edges;
-          has_miss |= state == kMiss;
-        }
-      }
-      chunk_edges[c] = edges;
-      chunk_groundings[c] = groundings;
-      chunk_has_miss[c] = has_miss;
-    });
-  }
-  if (guard::StopRequested()) return {};
-
-  std::vector<size_t> chunk_edge_base(chunks.size(), 0);
-  size_t total_edges = 0;
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    chunk_edge_base[c] = total_edges;
-    total_edges += chunk_edges[c];
-    *num_groundings += chunk_groundings[c];
-  }
-
-  // Only miss-flagged chunks are walked; after step 1's bulk build they
-  // are rare.
-  std::vector<SymbolId> scratch(rule.max_arity());
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    if (!chunk_has_miss[c]) continue;
-    for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-      if (!AcceptedBinding(rule, probe, i, nbody)) continue;
-      if (probe.head_state[i] == kMiss) {
-        probe.head_node[i] =
-            InternRef(rule.head, bindings, i, scratch.data(), graph);
-      }
-      for (size_t b = 0; b < nbody; ++b) {
-        if (probe.body_state[i * nbody + b] != kMiss) continue;
-        probe.body_node[i * nbody + b] =
-            InternRef(rule.body[b], bindings, i, scratch.data(), graph);
-      }
-    }
-  }
-
-  std::vector<CausalGraph::Edge> edges(total_edges);
-  {
-    CARL_TRACE_SCOPE("splice.parallel");
-    ParallelFor(ctx, nb, [&](size_t begin, size_t end, size_t c) {
-      size_t at = chunk_edge_base[c];
-      for (size_t i = begin; i < end; ++i) {
-        if (!AcceptedBinding(rule, probe, i, nbody)) continue;
-        for (size_t b = 0; b < nbody; ++b) {
-          if (probe.body_state[i * nbody + b] == kSkip) continue;
-          CARL_DCHECK(at < edges.size());
-          edges[at++] = CausalGraph::Edge{probe.body_node[i * nbody + b],
-                                          probe.head_node[i]};
-        }
-      }
-      CARL_DCHECK(at == chunk_edge_base[c] + chunk_edges[c]);
-    });
-  }
-  return edges;
-}
-
-// Merges every rule's groundings into the graph, rule by rule in merge
-// order: probe, splice, then one AddEdges commit per rule. The same code
-// runs at every thread count (one thread runs each phase inline), and
-// node ids, edge order, and num_groundings are identical for all of
-// them. Committing per rule keeps the transient probe and edge arrays
-// sized to one rule, not the whole model. A guard stop abandons the pass
-// before the next commit (a stopped ParallelFor leaves slots unwritten).
-// `splice_s` receives the splice and commit time; the rest of the merge
-// is the probe.
+// Merges every rule's groundings into the graph, one pass per rule in
+// merge order. Per binding: AddNode on the head, then on each resolvable
+// body, appending one body -> head edge each; then one AddEdges commits
+// the rule. This is the per-binding reference loop
+// (test_fixtures::GroundByBinding), so node ids, edge order, and
+// num_groundings match it exactly. A guard stop, polled every
+// kMergePollStride bindings, abandons the pass before the rule's commit.
 void MergeRuleGroundings(const std::vector<CompiledRule>& rules,
-                         ExecContext& ctx, CausalGraph* graph,
-                         size_t* num_groundings, double* splice_s) {
+                         CausalGraph* graph, size_t* num_groundings) {
+  guard::ExecToken* token = guard::CurrentToken();
+  std::vector<CausalGraph::Edge> edges;
+  std::vector<SymbolId> scratch;
   for (const CompiledRule& rule : rules) {
-    RuleProbe probe = ProbeRule(rule, *graph, ctx);
-    if (guard::StopRequested()) return;
-    obs::MonotonicTimer splice_timer;
-    std::vector<CausalGraph::Edge> edges =
-        SpliceRule(rule, std::move(probe), ctx, graph, num_groundings);
-    if (guard::StopRequested()) return;
+    if (rule.Skipped()) continue;
+    CARL_TRACE_SCOPE("grounding.rule.merge");
+    const BindingTable& bindings = *rule.bindings;
+    size_t live_bodies = 0;
+    for (const CompiledRef& b : rule.body) live_bodies += !b.unresolvable;
+    scratch.resize(rule.max_arity());
+    edges.clear();
+    edges.reserve(bindings.size() * live_bodies);
+    for (size_t i = 0; i < bindings.size(); ++i) {
+      if (i % kMergePollStride == 0 && token != nullptr &&
+          token->CheckDeadline()) {
+        return;
+      }
+      NodeId head = InternRef(rule.head, bindings, i, scratch.data(), graph);
+      for (const CompiledRef& b : rule.body) {
+        if (b.unresolvable) continue;
+        NodeId body = InternRef(b, bindings, i, scratch.data(), graph);
+        edges.push_back(CausalGraph::Edge{body, head});
+      }
+    }
+    *num_groundings += bindings.size();
     graph->ReserveEdges(edges.size());
     graph->AddEdges(edges);
-    *splice_s += splice_timer.Seconds();
   }
 }
 
@@ -752,48 +565,37 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
   // probe. Instance reads remain only for values living in the overflow
   // map (set before their fact existed, or attached to rule-added
   // non-fact groundings past the bulk prefix).
-  const Schema& s = schema();
-  std::vector<AttributeId> attrs;
-  attrs.reserve(s.attributes().size());
-  for (const AttributeDef& attr : s.attributes()) attrs.push_back(attr.id);
-
-  ParallelFor(ExecContext::Global(), attrs.size(),
-              [&](size_t begin, size_t end, size_t) {
-    for (size_t a = begin; a < end; ++a) {
-      AttributeId aid = attrs[a];
-      // Extended-schema attributes (derived aggregates) are unknown to
-      // the instance: every one of their nodes is aggregate-tagged and
-      // valued by AggregateValues below, never by a column read.
-      if (static_cast<size_t>(aid) >=
-          instance_->schema().num_attributes()) {
-        continue;
-      }
-      const std::vector<NodeId>& nodes = graph_.NodesOfAttribute(aid);
-      if (nodes.empty()) continue;
-      size_t bulk = std::min(
-          nodes.size(), instance_->NumRows(s.attribute(aid).predicate));
-      Instance::NumericColumn col = instance_->NumericColumnOf(aid);
-      size_t covered = std::min(bulk, col.num_rows);
-      for (size_t r = 0; r < covered; ++r) {
-        NodeId id = nodes[r];
-        if (node_has_aggregate_[id]) continue;
-        if (col.present[r]) {
-          value_cache_[id] = col.values[r];
-          value_state_[id] = 2;
-        } else if (col.may_overflow) {
-          ReadInstanceValue(id);
-        }
-      }
-      // Rows past the column's written extent, then rule-added non-fact
-      // groundings: values (if any) can only live in the overflow map.
-      if (col.may_overflow || bulk < nodes.size()) {
-        for (size_t r = covered; r < nodes.size(); ++r) {
-          NodeId id = nodes[r];
-          if (!node_has_aggregate_[id]) ReadInstanceValue(id);
-        }
+  for (const AttributeDef& attr : schema().attributes()) {
+    // Extended-schema attributes (derived aggregates) are unknown to the
+    // instance: every one of their nodes is aggregate-tagged and valued
+    // by AggregateValues below, never by a column read.
+    if (static_cast<size_t>(attr.id) >= instance_->schema().num_attributes()) {
+      continue;
+    }
+    const std::vector<NodeId>& nodes = graph_.NodesOfAttribute(attr.id);
+    if (nodes.empty()) continue;
+    size_t bulk = std::min(nodes.size(), instance_->NumRows(attr.predicate));
+    Instance::NumericColumn col = instance_->NumericColumnOf(attr.id);
+    size_t covered = std::min(bulk, col.num_rows);
+    for (size_t r = 0; r < covered; ++r) {
+      NodeId id = nodes[r];
+      if (node_has_aggregate_[id]) continue;
+      if (col.present[r]) {
+        value_cache_[id] = col.values[r];
+        value_state_[id] = 2;
+      } else if (col.may_overflow) {
+        ReadInstanceValue(id);
       }
     }
-  });
+    // Rows past the column's written extent, then rule-added non-fact
+    // groundings: values (if any) can only live in the overflow map.
+    if (col.may_overflow || bulk < nodes.size()) {
+      for (size_t r = covered; r < nodes.size(); ++r) {
+        NodeId id = nodes[r];
+        if (!node_has_aggregate_[id]) ReadInstanceValue(id);
+      }
+    }
+  }
   AggregateValues(topo_order, nullptr);
 }
 
@@ -813,7 +615,6 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   pass_counter.Increment();
   obs::MonotonicTimer pass_timer;
 
-  ExecContext& ctx = ExecContext::Global();
   GroundedModel grounded;
   grounded.instance_ = &instance;
   grounded.model_ = &model;
@@ -838,14 +639,13 @@ Result<GroundedModel> GroundModel(const Instance& instance,
       batches.push_back(
           CausalGraph::NodeBatch{attr.id, instance.Rows(attr.predicate)});
     }
-    grounded.graph_.AddNodesBulk(batches, ctx);
+    grounded.graph_.AddNodesBulk(batches);
   }
   grounded.phase_stats_.node_build_s = phase_timer.Seconds();
 
-  // 2. Compile every rule and enumerate its condition: bindings come in
-  // parallel shards of one shared compiled plan as a columnar table
-  // (reused from the binding cache when the same condition was enumerated
-  // before).
+  // 2. Compile every rule and enumerate its condition into a columnar
+  // binding table (reused from the binding cache when the same condition
+  // was enumerated before).
   phase_timer.Reset();
   std::vector<CompiledRule> compiled;
   {
@@ -853,7 +653,7 @@ Result<GroundedModel> GroundModel(const Instance& instance,
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
     auto full_bindings = [&](const ConjunctiveQuery& where,
                              const std::vector<std::string>& vars) {
-      return EnumerateBindingsCached(evaluator, schema, where, vars, ctx,
+      return EnumerateBindingsCached(evaluator, schema, where, vars,
                                      binding_cache);
     };
     CARL_ASSIGN_OR_RETURN(compiled,
@@ -861,18 +661,18 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   }
   grounded.phase_stats_.enumerate_s = phase_timer.Seconds();
 
-  // 3. Merge every rule's nodes and edges, rule by rule: read-only probe,
-  // prefix-summed splice with serial miss interning, one edge commit.
+  // 3. Merge every rule's nodes and edges, one pass and one edge commit
+  // per rule.
   phase_timer.Reset();
   {
     CARL_TRACE_SCOPE("grounding.merge");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
-    MergeRuleGroundings(compiled, ctx, &grounded.graph_,
-                        &grounded.num_groundings_,
-                        &grounded.phase_stats_.splice_s);
+    MergeRuleGroundings(compiled, &grounded.graph_,
+                        &grounded.num_groundings_);
     CARL_RETURN_IF_ERROR(guard::CheckPoint());
   }
   grounded.phase_stats_.merge_s = phase_timer.Seconds();
+  grounded.phase_stats_.splice_s = grounded.phase_stats_.merge_s;
 
   // 4. Tag aggregate nodes with their kind.
   grounded.TagAggregateNodes(0);
@@ -1068,8 +868,8 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   out.phase_stats_.enumerate_s = phase_timer.Seconds();
 
   // 3. Merge the delta groundings in rule order through the graph's
-  // post-build edge overlay — the same per-rule pipeline as a full
-  // ground. AddNode and the edge merge dedupe, so a binding the base
+  // post-build edge overlay — the same per-rule merge as a full ground.
+  // AddNode and the edge merge dedupe, so a binding the base
   // already committed (its projection also has an all-old witness)
   // changes nothing in the graph — only num_groundings_ counts it again,
   // which is why the extend contract excludes that counter.
@@ -1077,11 +877,11 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   {
     CARL_TRACE_SCOPE("grounding.extend.splice");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
-    MergeRuleGroundings(compiled, ExecContext::Global(), &graph,
-                        &out.num_groundings_, &out.phase_stats_.splice_s);
+    MergeRuleGroundings(compiled, &graph, &out.num_groundings_);
     CARL_RETURN_IF_ERROR(guard::CheckPoint());
   }
   out.phase_stats_.merge_s = phase_timer.Seconds();
+  out.phase_stats_.splice_s = out.phase_stats_.merge_s;
 
   // 4. Tag the new nodes of aggregate-defined attributes.
   out.TagAggregateNodes(nodes_before);

@@ -7,23 +7,18 @@
 // Aggregate rules add edges source-grounding -> aggregate-grounding and tag
 // the head nodes with their AggregateKind.
 //
-// Execution: GroundModel and ExtendGroundedModel run one pipeline on
-// ExecContext::Global(). Node creation is bulk-built per attribute. One
-// rule compiler turns the model into rules in merge order (causal rules,
-// then aggregate rules); only the binding source differs — full
-// enumeration in parallel shards of the root atom's candidate rows, or
-// the semi-naive delta — and bindings arrive as columnar BindingTables
-// (no per-binding Tuple is ever built). Rules then merge one at a time:
-// a read-only probe resolves the rule's groundings against the node set
-// (FindNode, the hash-heavy part), per-chunk counts and an exclusive scan
-// place every edge, the rare misses are interned serially in binding
-// order, the chunks fill the rule's edge array, and one AddEdges commits
-// it. There is no serial fallback: at one thread the same phases run
-// inline. Node values are finalized by copying the instance's typed
-// per-attribute columns onto the row-aligned node-id columns. Shard
-// outputs merge in shard order and rules commit in rule order, so the
-// grounded graph — node ids, edge insertion order, values — is identical
-// for every thread count.
+// Execution: GroundModel and ExtendGroundedModel run one serial pipeline.
+// Node creation is bulk-built per attribute. One rule compiler turns the
+// model into rules in merge order (causal rules, then aggregate rules);
+// only the binding source differs — one full QueryEvaluator::Evaluate
+// per rule condition, or the semi-naive delta — and bindings arrive as
+// columnar BindingTables (no per-binding Tuple is ever built). Each rule
+// then merges in one pass: per binding, AddNode on the head and on each
+// resolvable body, then one AddEdges commits the rule's edges. Node
+// values are finalized by copying the instance's typed per-attribute
+// columns onto the row-aligned node-id columns. Nothing here reads the
+// thread count, so the grounded graph — node ids, edge insertion order,
+// values — is the same for every CARL_THREADS.
 //
 // Repeated groundings over one unchanged instance can share rule-condition
 // binding tables through a BindingCache (QuerySession owns one): a derived
@@ -49,17 +44,6 @@
 #include "relational/instance.h"
 
 namespace carl {
-
-/// Shards below this many root-candidate rows are not worth a task.
-inline constexpr size_t kBindingShardMinRows = 1024;
-
-/// Number of shards the binding enumeration splits `candidates`
-/// root-candidate rows into on a `threads`-wide context. Guarantees:
-/// returns 1 when sharding is not worth it (serial context, or fewer than
-/// 2 * kBindingShardMinRows candidates), never exceeds 4 tasks per
-/// thread, and every shard of the balanced split carries at least
-/// kBindingShardMinRows rows.
-size_t PlanBindingShards(size_t candidates, int threads);
 
 /// What a cached rule-condition binding table depends on: the predicates
 /// of its condition atoms (a new fact there changes the bindings) and the
@@ -155,10 +139,10 @@ class BindingCache {
 struct GroundingPhaseStats {
   double node_build_s = 0.0;  ///< step 1: bulk node build
   double enumerate_s = 0.0;   ///< rule compile + binding enumeration
-  double merge_s = 0.0;       ///< node/edge merge (probe + splice)
-  /// Splice share of merge_s, summed over the rules: prefix sums, miss
-  /// interning, edge fills, and each rule's edge commit. merge_s -
-  /// splice_s is the read-only probe, at every thread count.
+  double merge_s = 0.0;       ///< node/edge merge, one pass per rule
+  /// Equal to merge_s: the merge is one pass with no separate probe.
+  /// Benchmark readers report merge_s - splice_s as probe time, which
+  /// therefore reads 0.
   double splice_s = 0.0;
   double finalize_s = 0.0;    ///< topo order + value pass
   /// The graph-build share of a pass (everything that touches the graph
@@ -267,7 +251,7 @@ bool DeltaSupportsIncrementalExtend(const Instance& instance,
 /// written rows, and affected aggregates get their values recomputed.
 /// The extended graph's node set, edge set, adjacency (as sets), values,
 /// and aggregate tags are identical to a from-scratch ground of the
-/// current state at any thread count; raw node ids, edge commit order,
+/// current state; raw node ids, edge commit order,
 /// and num_groundings (which may double-count a binding witnessed by both
 /// old and new rows) are not part of that contract. Fails if the delta is
 /// outside the extend contract or the extended graph is cyclic.

@@ -150,12 +150,6 @@ Result<Dataset> GenerateMimic(const MimicConfig& config) {
     CARL_RETURN_IF_ERROR(db.AddFactSpan(care_p, care_args, 2));
 
     int64_t num_rx = 1 + rng.Poisson(config.mean_prescriptions - 1.0);
-    // Skew hot spot: the head-of-index slice multiplies its prescription
-    // count only — no extra rng draws, so skew=1 replays the exact
-    // unskewed stream and skew>1 perturbs nothing before this line.
-    if (config.prescription_skew > 1 && p < config.num_patients / 64) {
-      num_rx *= static_cast<int64_t>(config.prescription_skew);
-    }
     double dose_sum = 0.0;
     for (int64_t d = 0; d < num_rx; ++d) {
       SymbolId rx = db.Intern(StrFormat("d%zu", prescription_counter++));

@@ -32,13 +32,6 @@ struct MimicConfig {
   double selfpay_los_effect = -26.0;
   /// Direct causal effect of self-pay on mortality probability.
   double selfpay_death_effect = 0.005;
-  /// Skew-stress knob: multiplies the prescription count of the first
-  /// 1/64th of patients (at 100 the Prescription/Given/Drug relations are
-  /// dominated by a head-of-index hot spot ~100x denser than the tail).
-  /// A static chunk plan serializes that hot slice onto one worker; the
-  /// morsel scheduler's stealing rebalances it — the directed skew tests
-  /// generate with this knob. 1 leaves the dataset byte-identical.
-  size_t prescription_skew = 1;
   uint64_t seed = 13;
 };
 

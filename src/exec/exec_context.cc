@@ -10,18 +10,15 @@ namespace carl {
 namespace {
 
 // The plan for n items is ceil(n / chunk_size) chunks with
-// chunk_size = min(ceil(n / kMaxChunks), kMorselItems). For small inputs
-// this is the historical <= 64-chunk plan unchanged (identical for every
-// n <= kMaxChunks * kMorselItems = 131072, which keeps the committed
-// fingerprints stable); past that the morsel-size cap takes over and the
-// plan degrades into fixed-size morsels so the work-stealing scheduler
-// (exec/morsel.h) has enough granularity to absorb skew. Both constants
-// are thread-count-independent, so the plan stays a pure function of n.
+// chunk_size = min(ceil(n / kMaxChunks), kMaxChunkItems): at most 64
+// chunks up to n = 131072, fixed 2048-item chunks past that, so a skewed
+// loop still splits into many claimable pieces. Both constants are
+// thread-count-independent, so the plan stays a pure function of n.
 constexpr size_t kMaxChunks = 64;
-constexpr size_t kMorselItems = 2048;
+constexpr size_t kMaxChunkItems = 2048;
 
 size_t ChunkSizeFor(size_t n) {
-  return std::min((n + kMaxChunks - 1) / kMaxChunks, kMorselItems);
+  return std::min((n + kMaxChunks - 1) / kMaxChunks, kMaxChunkItems);
 }
 
 int AutoThreads() {
@@ -60,12 +57,6 @@ ThreadPool& ExecContext::pool() {
   CARL_CHECK(threads_ > 1) << "pool() requires a parallel context";
   if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   return *pool_;
-}
-
-size_t ExecContext::NumChunks(size_t n) const {
-  if (n == 0) return 0;
-  size_t chunk_size = ChunkSizeFor(n);
-  return (n + chunk_size - 1) / chunk_size;
 }
 
 std::vector<std::pair<size_t, size_t>> ExecContext::Chunks(size_t n) const {

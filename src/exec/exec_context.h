@@ -2,15 +2,13 @@
 //
 // Holds the thread count (CARL_THREADS env override, hardware concurrency
 // by default), a lazily-created shared ThreadPool, the deterministic chunk
-// plan used by ParallelFor/ParallelReduce, and per-task RNG stream
-// derivation.
+// plan ParallelFor hands out, and per-task RNG stream derivation.
 //
 // Determinism contract: the chunk plan is a pure function of the item
-// count — it never depends on the thread count — and every parallel
-// primitive merges chunk results in chunk-index order. Code built on these
-// primitives therefore produces identical results for any thread count,
-// including 1. No call site keeps a separate serial loop: at one thread
-// the same chunk plan runs inline (see ParallelFor).
+// count — it never depends on the thread count — and ParallelFor bodies
+// write slots addressed by item or chunk index. Code built this way
+// produces identical results for any thread count, including 1, where
+// the calling thread runs the same chunks alone (see ParallelFor).
 
 #ifndef CARL_EXEC_EXEC_CONTEXT_H_
 #define CARL_EXEC_EXEC_CONTEXT_H_
@@ -58,7 +56,6 @@ class ExecContext {
   /// non-overlapping cover. Depends only on `n` — never on the thread
   /// count — so chunked reductions are reproducible on any machine.
   std::vector<std::pair<size_t, size_t>> Chunks(size_t n) const;
-  size_t NumChunks(size_t n) const;
 
   /// Derives an independent RNG stream seed for task `stream_index` of a
   /// computation seeded with `base_seed` (splitmix64 finalizer; stable

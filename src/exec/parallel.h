@@ -1,17 +1,12 @@
-// ParallelFor / ParallelReduce: the chunked data-parallel primitives of
-// carl_exec.
+// ParallelFor: the chunked data-parallel loop of carl_exec.
 //
-// Both primitives split [0, n) into the ExecContext's deterministic chunk
-// plan (a pure function of n, see exec_context.h), execute the chunks as
-// morsels on the work-stealing scheduler (exec/morsel.h) with the calling
-// thread participating, and combine results in chunk-index order.
-// Consequences:
-//
-//  * ParallelFor bodies writing to disjoint, index-addressed slots produce
-//    results independent of the thread count;
-//  * ParallelReduce folds partials left-to-right over the fixed chunk
-//    plan, so even floating-point reductions are bit-identical for every
-//    thread count (including 1).
+// ParallelFor splits [0, n) into the ExecContext's deterministic chunk
+// plan (a pure function of n, see exec_context.h). The calling thread and
+// up to threads - 1 pool helpers claim chunks from one shared atomic
+// next-chunk index until the plan runs out. Which thread runs a chunk
+// depends on timing; what the chunk computes does not. Bodies that write
+// disjoint slots addressed by item or chunk index therefore produce
+// results independent of the thread count (see docs/execution.md).
 //
 // Bodies must not throw; propagate failures through Result slots instead.
 
@@ -20,31 +15,17 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "exec/exec_context.h"
 
 namespace carl {
 
-/// Runs `body(begin, end, chunk_index)` over every chunk of [0, n).
-/// Serial contexts (and single-chunk plans) run inline, in chunk order.
+/// Runs `body(begin, end, chunk_index)` over every chunk of [0, n) and
+/// returns once all chunks have run. The caller takes part; pool helpers
+/// run with the caller's guard token installed. A stopped token skips the
+/// remaining bodies, so the caller must check it before reading results.
 void ParallelFor(ExecContext& ctx, size_t n,
                  const std::function<void(size_t, size_t, size_t)>& body);
-
-/// Maps every chunk of [0, n) through `map(begin, end)` and folds the
-/// partials in chunk-index order: init op m0 op m1 ... Deterministic for
-/// any thread count.
-template <typename T, typename MapFn, typename ReduceFn>
-T ParallelReduce(ExecContext& ctx, size_t n, T init, const MapFn& map,
-                 const ReduceFn& reduce) {
-  std::vector<T> partials(ctx.NumChunks(n));
-  ParallelFor(ctx, n, [&](size_t begin, size_t end, size_t chunk) {
-    partials[chunk] = map(begin, end);
-  });
-  T result = std::move(init);
-  for (T& partial : partials) result = reduce(std::move(result), partial);
-  return result;
-}
 
 }  // namespace carl
 

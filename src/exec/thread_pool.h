@@ -1,11 +1,9 @@
 // ThreadPool: a fixed-size worker pool with a simple FIFO task queue.
 //
-// The pool itself stays FIFO and steal-free: work stealing happens one
-// layer up, in the morsel scheduler (exec/morsel.h), which submits one
-// coarse worker task per participant and rebalances *morsels* between
-// them through packed atomic ranges. The execution order of morsels never
-// affects results — every parallel primitive in carl_exec merges morsel
-// outputs in morsel-index order.
+// ParallelFor submits one helper task per extra participant; each helper
+// claims chunks from the loop's shared counter until the plan runs out.
+// Balancing happens in that counter, not in the pool, and which worker
+// runs a chunk never affects results.
 
 #ifndef CARL_EXEC_THREAD_POOL_H_
 #define CARL_EXEC_THREAD_POOL_H_

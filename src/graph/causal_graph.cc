@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
-#include "exec/parallel.h"
 #include "relational/storage_stats.h"
 
 namespace carl {
@@ -135,11 +134,9 @@ NodeId CausalGraph::AddNodeImpl(AttributeId attribute, TupleView args,
   return id;
 }
 
-void CausalGraph::AddNodesBulk(const std::vector<NodeBatch>& batches,
-                               ExecContext& ctx) {
-  // Lay out id and arena ranges, size both stores once, and pre-create
-  // the per-attribute containers so the parallel phase only touches
-  // pre-existing map elements and never reallocates the arena.
+void CausalGraph::AddNodesBulk(const std::vector<NodeBatch>& batches) {
+  // Lay out id and arena ranges and size both stores once, so the batch
+  // loop below never reallocates the arena.
   std::vector<size_t> id_offsets(batches.size());
   std::vector<size_t> sym_offsets(batches.size());
   size_t total = node_attrs_.size();
@@ -158,47 +155,42 @@ void CausalGraph::AddNodesBulk(const std::vector<NodeBatch>& batches,
   arg_arena_.resize(sym_total);
   arg_offsets_.resize(total + 1);
 
-  ParallelFor(ctx, batches.size(), [&](size_t begin, size_t end, size_t) {
-    for (size_t b = begin; b < end; ++b) {
-      const NodeBatch& batch = batches[b];
-      const RelationView& rows = batch.rows;
-      const size_t arity = rows.arity();
-      SpanIndex& attr_index = index_[batch.attribute];
-      // Batch-local key accessor: the index only ever holds this batch's
-      // ids, whose spans are derivable from the batch's own arena range.
-      // Going through NodeArgs/arg_offsets_ here would race — a batch's
-      // first boundary offset is written by the neighboring batch's
-      // thread.
-      const SymbolId* base = arg_arena_.data() + sym_offsets[b];
-      const size_t first_id = id_offsets[b];
-      auto key_of = [base, first_id, arity](uint32_t id) {
-        return TupleView(base + (id - first_id) * arity, arity);
-      };
-      std::vector<NodeId>& ids = by_attribute_[batch.attribute];
-      attr_index.Reserve(rows.size(), key_of);
-      ids.reserve(rows.size());
-      if (rows.size() > 0) {
-        // One contiguous copy: the batch's rows are an arity-strided
-        // arena themselves.
-        std::memcpy(arg_arena_.data() + sym_offsets[b], rows.data(),
-                    rows.size() * arity * sizeof(SymbolId));
-      }
-      for (size_t r = 0; r < rows.size(); ++r) {
-        NodeId id = static_cast<NodeId>(id_offsets[b] + r);
-        node_attrs_[id] = batch.attribute;
-        arg_offsets_[id + 1] = sym_offsets[b] + (r + 1) * arity;
-        CARL_DCHECK(attr_index.Find(rows[r], rows[r].Hash(), key_of) ==
-                    SpanIndex::kNpos)
-            << "AddNodesBulk: duplicate rows in batch";
-        attr_index.Insert(static_cast<uint32_t>(id), rows[r].Hash(), key_of);
-        ids.push_back(id);
-      }
-      // Release-mode guard: a duplicate row would have collapsed two ids
-      // onto one key and silently split the node across the index.
-      CARL_CHECK(attr_index.size() == rows.size())
-          << "AddNodesBulk: duplicate rows in batch";
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const NodeBatch& batch = batches[b];
+    const RelationView& rows = batch.rows;
+    const size_t arity = rows.arity();
+    SpanIndex& attr_index = index_[batch.attribute];
+    // Batch-local key accessor: the index only ever holds this batch's
+    // ids, whose spans follow from the batch's own arena range.
+    const SymbolId* base = arg_arena_.data() + sym_offsets[b];
+    const size_t first_id = id_offsets[b];
+    auto key_of = [base, first_id, arity](uint32_t id) {
+      return TupleView(base + (id - first_id) * arity, arity);
+    };
+    std::vector<NodeId>& ids = by_attribute_[batch.attribute];
+    attr_index.Reserve(rows.size(), key_of);
+    ids.reserve(rows.size());
+    if (rows.size() > 0) {
+      // One contiguous copy: the batch's rows are an arity-strided
+      // arena themselves.
+      std::memcpy(arg_arena_.data() + sym_offsets[b], rows.data(),
+                  rows.size() * arity * sizeof(SymbolId));
     }
-  });
+    for (size_t r = 0; r < rows.size(); ++r) {
+      NodeId id = static_cast<NodeId>(id_offsets[b] + r);
+      node_attrs_[id] = batch.attribute;
+      arg_offsets_[id + 1] = sym_offsets[b] + (r + 1) * arity;
+      CARL_DCHECK(attr_index.Find(rows[r], rows[r].Hash(), key_of) ==
+                  SpanIndex::kNpos)
+          << "AddNodesBulk: duplicate rows in batch";
+      attr_index.Insert(static_cast<uint32_t>(id), rows[r].Hash(), key_of);
+      ids.push_back(id);
+    }
+    // Release-mode guard: a duplicate row would have collapsed two ids
+    // onto one key and silently split the node across the index.
+    CARL_CHECK(attr_index.size() == rows.size())
+        << "AddNodesBulk: duplicate rows in batch";
+  }
   adjacency_fresh_.store(false, std::memory_order_relaxed);
 }
 
@@ -246,12 +238,11 @@ void CausalGraph::ExtendNodesBulk(const std::vector<NodeBatch>& batches,
   adjacency_fresh_.store(false, std::memory_order_relaxed);
 }
 
-NodeId CausalGraph::FindNode(AttributeId attribute, TupleView args,
-                             uint64_t hash) const {
+NodeId CausalGraph::FindNode(AttributeId attribute, TupleView args) const {
   auto attr_it = index_.find(attribute);
   if (attr_it == index_.end()) return kInvalidNode;
   auto key_of = [this](uint32_t id) { return NodeArgs(id); };
-  uint32_t found = attr_it->second.Find(args, hash, key_of);
+  uint32_t found = attr_it->second.Find(args, args.Hash(), key_of);
   return found == SpanIndex::kNpos ? kInvalidNode
                                    : static_cast<NodeId>(found);
 }

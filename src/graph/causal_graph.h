@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "exec/exec_context.h"
 #include "relational/schema.h"
 #include "relational/span_index.h"
 #include "relational/tuple.h"
@@ -143,8 +142,8 @@ class CausalGraph {
   NodeId AddNode(AttributeId attribute, TupleView args);
   NodeId AddNode(AttributeId attribute, const Tuple& args);
   /// Precomputed-hash hot path: `hash` must equal args.Hash(). The
-  /// grounding splice passes memoized BindingTable row hashes here so a
-  /// grounding key is hashed once per lifetime, not once per probe.
+  /// grounding merge passes memoized BindingTable row hashes here, so a
+  /// binding that is its own grounding key is never hashed again.
   NodeId AddNode(AttributeId attribute, TupleView args, uint64_t hash) {
     return AddNodeImpl(attribute, args, hash);
   }
@@ -160,10 +159,9 @@ class CausalGraph {
   /// Bulk-interns one node per (batch attribute, row), assigning ids in
   /// batch-then-row order — exactly the ids a serial AddNode loop over the
   /// same batches would assign. The argument arena is sized once for the
-  /// whole bulk (each batch is one contiguous copy); per-attribute indexes
-  /// are built in parallel on `ctx`. Batch attributes must not already
-  /// have nodes and must be pairwise distinct.
-  void AddNodesBulk(const std::vector<NodeBatch>& batches, ExecContext& ctx);
+  /// whole bulk (each batch is one contiguous copy). Batch attributes must
+  /// not already have nodes and must be pairwise distinct.
+  void AddNodesBulk(const std::vector<NodeBatch>& batches);
 
   /// Extends attributes already built by AddNodesBulk with the rows their
   /// predicates gained since: batch b interns one node per row in
@@ -181,13 +179,7 @@ class CausalGraph {
   NodeId FindNode(AttributeId attribute, const Tuple& args) const {
     return FindNode(attribute, TupleView(args));
   }
-  NodeId FindNode(AttributeId attribute, TupleView args) const {
-    return FindNode(attribute, args, args.Hash());
-  }
-  /// Precomputed-hash overload (`hash` must equal args.Hash()); the
-  /// parallel rule probe passes memoized row hashes instead of re-hashing.
-  NodeId FindNode(AttributeId attribute, TupleView args,
-                  uint64_t hash) const;
+  NodeId FindNode(AttributeId attribute, TupleView args) const;
 
   /// Adds a cause -> effect edge; duplicate edges are ignored.
   /// Incremental convenience (tests, hand-built graphs) — bulk producers
@@ -284,8 +276,7 @@ class CausalGraph {
   std::vector<uint64_t> arg_offsets_{0};
 
   // Per-attribute span indexes over the node arena: probes take a
-  // TupleView (no copy, no owned keys) and AddNodesBulk can build the
-  // indexes of distinct attributes concurrently.
+  // TupleView (no copy, no owned keys).
   std::unordered_map<AttributeId, SpanIndex> index_;
   std::unordered_map<AttributeId, std::vector<NodeId>> by_attribute_;
 

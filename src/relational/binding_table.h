@@ -7,10 +7,10 @@
 // zero per-binding heap allocation — the arena grows amortized, and that
 // growth is the only allocation the table ever makes.
 //
-// This is the currency of the grounding hot path: EvaluateShard fills one
-// table per shard, EnumerateBindings streams the shards into one merged
-// table (first occurrence wins, in shard order), and MergeRuleGroundings
-// resolves rule references straight off the rows. ToTuples() exists for
+// This is the currency of the grounding hot path: QueryEvaluator fills
+// one table per rule condition (first occurrence wins), and
+// MergeRuleGroundings resolves rule references straight off the rows,
+// reusing each row's memoized hash. ToTuples() exists for
 // cold consumers and tests; it counts every row it materializes against
 // storage_stats::EvalResultAllocCount, so a per-binding Tuple path that
 // creeps back into grounding shows up as a nonzero warm-pass counter.
@@ -86,17 +86,9 @@ class BindingTable {
   }
 
   /// Appends `vals[0..arity)` if no equal row is present; returns whether
-  /// the row was inserted. First-occurrence order is preserved, so
-  /// streaming shard tables through InsertDistinct in shard order
-  /// reproduces the unsharded enumeration exactly.
+  /// the row was inserted. Rows keep first-occurrence order.
   bool InsertDistinct(const SymbolId* vals) {
-    return InsertDistinct(vals, HashSpan(vals, arity_));
-  }
-
-  /// Precomputed-hash overload: shard merges pass the producing table's
-  /// memoized row_hash so a row is hashed exactly once in its lifetime.
-  /// `hash` must equal HashSpan(vals, arity()).
-  bool InsertDistinct(const SymbolId* vals, uint64_t hash) {
+    const uint64_t hash = HashSpan(vals, arity_);
     if (index_.Find(TupleView(vals, arity_), hash, KeyOf()) !=
         SpanIndex::kNpos) {
       return false;
@@ -118,8 +110,8 @@ class BindingTable {
   bool InsertDistinct(TupleView v) { return InsertDistinct(v.data()); }
 
   /// The memoized grounding-key hash of row `r` — the exact HashSpan of
-  /// the row, computed once at insert. Probe and splice reuse it instead
-  /// of re-hashing (the "never re-hash" contract of the morsel refactor).
+  /// the row, computed once at insert. The grounding merge interns
+  /// identity refs with it instead of re-hashing.
   uint64_t row_hash(size_t r) const { return row_hashes_[r]; }
 
   /// True if an equal row is present. Allocation-free span probe — this

@@ -329,13 +329,6 @@ class Searcher {
     }
   }
 
-  // Restricts the root step to candidate rows [begin, end).
-  void RestrictRoot(size_t begin, size_t end) {
-    restricted_ = true;
-    root_begin_ = begin;
-    root_end_ = end;
-  }
-
   // Activates the per-step RowFilters of a delta plan against one prior
   // row count per PredicateId. Postings are row-ordered within a key, so
   // each filter is a binary-search cut of the candidate span.
@@ -377,11 +370,6 @@ class Searcher {
     RowIdSpan rows = step_index_[depth]->Lookup(key.data(), key.size());
     const uint32_t* it = rows.begin();
     const uint32_t* end = rows.end();
-    if (depth == 0 && restricted_) {
-      CARL_DCHECK(root_end_ <= rows.size());
-      end = rows.begin() + root_end_;
-      it = rows.begin() + root_begin_;
-    }
     if (watermarks_ != nullptr && step.filter != RowFilter::kAny) {
       const uint32_t* cut =
           std::lower_bound(it, end, watermarks_[step.predicate]);
@@ -429,31 +417,10 @@ class Searcher {
   std::vector<const Instance::PositionIndex*> step_index_;
   std::vector<RelationView> step_rows_;
   std::vector<std::vector<SymbolId>> constraint_args_;
-  bool restricted_ = false;
-  size_t root_begin_ = 0;
-  size_t root_end_ = 0;
   const uint32_t* watermarks_ = nullptr;  // per PredicateId, delta runs only
-  // Captured at construction: EvaluateShard runs inside pool helpers,
-  // where ParallelFor has installed the caller's token in TLS.
+  // The ambient token, read once at construction, not per row.
   guard::ExecToken* token_ = guard::CurrentToken();
 };
-
-// Candidate-row count of the root (depth-0) step — the shard domain.
-// Zero when the query has no atoms or the root references an unseen
-// constant (mirroring the historical planner). Cheap: resolves one index,
-// no Searcher construction.
-size_t RootCandidateCount(const Instance& instance,
-                          const CompiledQuery& query) {
-  if (query.steps.empty()) return 0;
-  const PlanStep& root = query.steps[0];
-  if (root.unseen) return 0;
-  // Depth 0 has no variable key slots; the template is the full key.
-  return instance
-      .MatchIndex(root.predicate, root.bound_positions.data(),
-                  root.bound_positions.size())
-      ->Lookup(root.key_template.data(), root.key_template.size())
-      .size();
-}
 
 Result<std::vector<int>> ResolveProjection(
     const CompiledQuery& query, const std::vector<std::string>& output_vars) {
@@ -471,20 +438,15 @@ Result<std::vector<int>> ResolveProjection(
 }
 
 // Runs the search, deduplicating projected bindings straight into the
-// columnar result table — no per-binding materialization anywhere.
-// Bindings are charged against the guard's binding budget in strides, so
+// columnar result table — no per-binding materialization anywhere. Every
+// binding is charged against the guard's binding budget, in strides, so
 // the leaf pays one add per kBindingChargeStride rows instead of an
-// atomic RMW per binding.
+// atomic RMW per binding; an exhausted budget stops the search. Full
+// evaluations and every delta pivot run through here.
 constexpr size_t kBindingChargeStride = 256;
 
-BindingTable RunProjected(const Instance& instance,
-                          const CompiledQuery& compiled,
-                          const std::vector<int>& projection,
-                          size_t root_begin, size_t root_end,
-                          bool restricted) {
-  Searcher searcher(instance, compiled);
-  if (restricted) searcher.RestrictRoot(root_begin, root_end);
-  BindingTable table(projection.size());
+void RunProjected(Searcher& searcher, const std::vector<int>& projection,
+                  BindingTable* table) {
   std::vector<SymbolId> projected(projection.size());
   guard::ExecToken* token = guard::CurrentToken();
   size_t uncharged = 0;
@@ -492,7 +454,7 @@ BindingTable RunProjected(const Instance& instance,
     for (size_t i = 0; i < projection.size(); ++i) {
       projected[i] = assignment[projection[i]];
     }
-    table.InsertDistinct(projected.data());
+    table->InsertDistinct(projected.data());
     if (token != nullptr && ++uncharged >= kBindingChargeStride) {
       uncharged = 0;
       if (token->ChargeBindings(kBindingChargeStride)) return false;
@@ -500,7 +462,6 @@ BindingTable RunProjected(const Instance& instance,
     return true;
   });
   if (token != nullptr && uncharged > 0) token->ChargeBindings(uncharged);
-  return table;
 }
 
 }  // namespace
@@ -539,64 +500,9 @@ Result<BindingTable> QueryEvaluator::Evaluate(
   const CompiledQuery& compiled = *prepared.impl_;
   CARL_ASSIGN_OR_RETURN(std::vector<int> projection,
                         ResolveProjection(compiled, output_vars));
-  BindingTable table = RunProjected(*instance_, compiled, projection, 0, 0,
-                                    /*restricted=*/false);
-  CARL_RETURN_IF_ERROR(guard::CheckPoint());
-  return table;
-}
-
-Result<size_t> QueryEvaluator::CountRootCandidates(
-    const ConjunctiveQuery& query) const {
-  CARL_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query));
-  return CountRootCandidates(prepared);
-}
-
-Result<size_t> QueryEvaluator::CountRootCandidates(
-    const PreparedQuery& prepared) const {
-  if (prepared.impl_ == nullptr) {
-    return Status::FailedPrecondition(
-        "unprepared query: pass the result of Prepare()");
-  }
-  return RootCandidateCount(*instance_, *prepared.impl_);
-}
-
-Result<BindingTable> QueryEvaluator::EvaluateShard(
-    const ConjunctiveQuery& query,
-    const std::vector<std::string>& output_vars, size_t shard,
-    size_t num_shards) const {
-  CARL_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query));
-  return EvaluateShard(prepared, output_vars, shard, num_shards);
-}
-
-Result<BindingTable> QueryEvaluator::EvaluateShard(
-    const PreparedQuery& prepared,
-    const std::vector<std::string>& output_vars, size_t shard,
-    size_t num_shards) const {
-  CARL_TRACE_SCOPE("eval.shard");
-  if (num_shards < 1 || shard >= num_shards) {
-    return Status::InvalidArgument(
-        StrFormat("shard %zu out of range for %zu shards", shard,
-                  num_shards));
-  }
-  if (prepared.impl_ == nullptr) {
-    return Status::FailedPrecondition(
-        "unprepared query: pass the result of Prepare()");
-  }
-  const CompiledQuery& compiled = *prepared.impl_;
-  CARL_ASSIGN_OR_RETURN(std::vector<int> projection,
-                        ResolveProjection(compiled, output_vars));
-  if (compiled.steps.empty()) {
-    // Atom-less query: the whole result belongs to shard 0.
-    if (shard != 0) return BindingTable(projection.size());
-    return RunProjected(*instance_, compiled, projection, 0, 0,
-                        /*restricted=*/false);
-  }
-  size_t candidates = RootCandidateCount(*instance_, compiled);
-  size_t begin = candidates * shard / num_shards;
-  size_t end = candidates * (shard + 1) / num_shards;
-  if (begin >= end) return BindingTable(projection.size());
-  BindingTable table = RunProjected(*instance_, compiled, projection, begin,
-                                    end, /*restricted=*/true);
+  BindingTable table(projection.size());
+  Searcher searcher(*instance_, compiled);
+  RunProjected(searcher, projection, &table);
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
   return table;
 }
@@ -635,7 +541,6 @@ Result<BindingTable> QueryEvaluator::EvaluateDelta(
         projection, ResolveProjection(compiled.pivots[0], output_vars));
   }
   BindingTable table(projection.size());
-  std::vector<SymbolId> projected(projection.size());
   for (const CompiledQuery& pivot : compiled.pivots) {
     if (pivot.always_empty || pivot.steps.empty()) continue;
     // A pivot whose predicate gained no rows contributes nothing; skip
@@ -644,14 +549,10 @@ Result<BindingTable> QueryEvaluator::EvaluateDelta(
     if (fact_watermarks[root] >= instance_->NumRows(root)) continue;
     Searcher searcher(*instance_, pivot);
     searcher.SetWatermarks(fact_watermarks.data());
-    searcher.Run([&](const std::vector<SymbolId>& assignment) {
-      for (size_t i = 0; i < projection.size(); ++i) {
-        projected[i] = assignment[projection[i]];
-      }
-      table.InsertDistinct(projected.data());
-      return true;
-    });
+    RunProjected(searcher, projection, &table);
+    if (guard::StopRequested()) break;
   }
+  CARL_RETURN_IF_ERROR(guard::CheckPoint());
   return table;
 }
 

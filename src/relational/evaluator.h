@@ -17,10 +17,13 @@
 // result path; consumers read rows as TupleView spans.
 //
 // Prepare() compiles a query once into a shareable PreparedQuery;
-// Evaluate/EvaluateShard/CountRootCandidates accept either a raw query
-// (compiling on the fly) or a PreparedQuery, so parallel shards share one
-// compilation. A PreparedQuery is tied to the instance contents at
+// Evaluate accepts either a raw query (compiling on the fly) or a
+// PreparedQuery. A PreparedQuery is tied to the instance contents at
 // Prepare time — re-prepare after mutating the instance.
+//
+// Evaluate and EvaluateDelta run under the ambient guard token: every
+// binding they enumerate is charged against its binding budget, and a
+// stop surfaces as the token's Status.
 
 #ifndef CARL_RELATIONAL_EVALUATOR_H_
 #define CARL_RELATIONAL_EVALUATOR_H_
@@ -43,7 +46,7 @@ struct CompiledDeltaQuery;
 }  // namespace evaluator_internal
 
 /// A compiled conjunctive query (join plan + constraint schedule),
-/// shareable across threads and shards. Cheap to copy.
+/// shareable across threads. Cheap to copy.
 class PreparedQuery {
  public:
   PreparedQuery() = default;
@@ -89,28 +92,6 @@ class QueryEvaluator {
       const PreparedQuery& prepared,
       const std::vector<std::string>& output_vars) const;
 
-  /// Number of candidate rows of the query's root atom — the atom the
-  /// join schedules first. This is the domain EvaluateShard partitions.
-  /// Queries without atoms report 0.
-  Result<size_t> CountRootCandidates(const ConjunctiveQuery& query) const;
-  Result<size_t> CountRootCandidates(const PreparedQuery& prepared) const;
-
-  /// Evaluates the `shard`-th of `num_shards` contiguous partitions of the
-  /// root atom's candidate rows. Results are deduplicated within the
-  /// shard and returned in enumeration order; streaming all shards in
-  /// shard order through BindingTable::InsertDistinct reproduces
-  /// Evaluate() exactly, for any num_shards. Safe to call from concurrent
-  /// threads on the same evaluator/instance (prepare once and share the
-  /// plan).
-  Result<BindingTable> EvaluateShard(
-      const ConjunctiveQuery& query,
-      const std::vector<std::string>& output_vars, size_t shard,
-      size_t num_shards) const;
-  Result<BindingTable> EvaluateShard(
-      const PreparedQuery& prepared,
-      const std::vector<std::string>& output_vars, size_t shard,
-      size_t num_shards) const;
-
   /// Compiles the semi-naive delta plans of `query` (one forced-root plan
   /// per atom). Like Prepare, the result is tied to the instance contents
   /// at call time — prepare after the mutation whose delta is evaluated,
@@ -120,10 +101,9 @@ class QueryEvaluator {
   /// Distinct bindings of `output_vars` that use at least one fact row at
   /// or beyond its predicate's watermark. `fact_watermarks` holds one
   /// prior row count per PredicateId (current row count for untouched
-  /// predicates). Pivot plans run serially in atom order and merge
-  /// first-occurrence, so the result order is deterministic and
-  /// independent of the thread count. An atom-less query yields no delta
-  /// bindings.
+  /// predicates). Pivot plans run in atom order and merge
+  /// first-occurrence, so the result order is deterministic. An atom-less
+  /// query yields no delta bindings.
   Result<BindingTable> EvaluateDelta(
       const PreparedDeltaQuery& prepared,
       const std::vector<std::string>& output_vars,

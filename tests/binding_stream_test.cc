@@ -1,10 +1,8 @@
-// Binding-stream equivalence suite: the columnar BindingTable path
-// (evaluator arena -> shard-order InsertDistinct merge -> grounding) must
-// reproduce the legacy owned-Tuple path — same bindings, same order, same
-// grounded graph — on the REVIEW / MIMIC / NIS workloads at CARL_THREADS
-// 1 and 4. Also covers the overflow-attribute round-trip through the
-// typed per-attribute value columns and the session-level binding-table
-// cache.
+// Binding-stream suite: the columnar BindingTable path (evaluator arena
+// -> grounding) gives the same grounded graph on the REVIEW / MIMIC /
+// NIS workloads at every CARL_THREADS. Also covers the overflow-attribute
+// round-trip through the typed per-attribute value columns and the
+// session-level binding-table cache.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +10,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "carl/carl.h"
@@ -22,80 +19,10 @@
 namespace carl {
 namespace {
 
+using test_fixtures::GraphFingerprint;
 using test_fixtures::NamedDataset;
 using test_fixtures::ScopedThreads;
 using test_fixtures::StreamWorkloads;
-
-// Replays the historical EnumerateBindings: per-shard owned Tuples merged
-// first-occurrence through an unordered_set, in shard order.
-std::vector<Tuple> LegacyTupleMerge(const QueryEvaluator& evaluator,
-                                    const PreparedQuery& prepared,
-                                    const std::vector<std::string>& vars,
-                                    size_t shards) {
-  std::vector<Tuple> merged;
-  std::unordered_set<Tuple, TupleHash> seen;
-  for (size_t s = 0; s < shards; ++s) {
-    Result<BindingTable> shard =
-        evaluator.EvaluateShard(prepared, vars, s, shards);
-    CARL_CHECK_OK(shard.status());
-    for (Tuple& t : shard->ToTuples()) {
-      if (seen.insert(t).second) merged.push_back(std::move(t));
-    }
-  }
-  return merged;
-}
-
-TEST(BindingStreamTest, StreamingEqualsLegacyTuplePathOnAllWorkloads) {
-  for (NamedDataset& wl : StreamWorkloads()) {
-    Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
-        *wl.dataset.schema, wl.dataset.model_text);
-    ASSERT_TRUE(model.ok()) << wl.name << ": " << model.status();
-    QueryEvaluator evaluator(wl.dataset.instance.get());
-
-    size_t conditions = 0;
-    for (const CausalRule& rule : model->rules()) {
-      std::vector<std::string> vars = rule.where.Variables();
-      if (vars.empty()) continue;
-      ++conditions;
-      Result<PreparedQuery> prepared = evaluator.Prepare(rule.where);
-      ASSERT_TRUE(prepared.ok()) << wl.name;
-      Result<BindingTable> unsharded = evaluator.Evaluate(*prepared, vars);
-      ASSERT_TRUE(unsharded.ok()) << wl.name;
-
-      for (int threads : {1, 4}) {
-        ScopedThreads scoped(threads);
-        Result<size_t> candidates =
-            evaluator.CountRootCandidates(*prepared);
-        ASSERT_TRUE(candidates.ok());
-        size_t shards = PlanBindingShards(*candidates, threads);
-
-        // Legacy path: owned Tuples, unordered_set first-occurrence.
-        std::vector<Tuple> legacy =
-            LegacyTupleMerge(evaluator, *prepared, vars, shards);
-        // Streamed path: columnar shard tables, InsertDistinct merge.
-        BindingTable streamed(vars.size());
-        for (size_t s = 0; s < shards; ++s) {
-          Result<BindingTable> shard =
-              evaluator.EvaluateShard(*prepared, vars, s, shards);
-          ASSERT_TRUE(shard.ok());
-          for (size_t r = 0; r < shard->size(); ++r) {
-            streamed.InsertDistinct(shard->row(r));
-          }
-        }
-
-        // Same bindings, same order — and both equal the unsharded
-        // enumeration.
-        EXPECT_EQ(streamed.ToTuples(), legacy)
-            << wl.name << " threads=" << threads << " shards=" << shards;
-        EXPECT_EQ(streamed.ToTuples(), unsharded->ToTuples())
-            << wl.name << " threads=" << threads;
-      }
-    }
-    EXPECT_GT(conditions, 0u) << wl.name << ": model has no rule to check";
-  }
-}
-
-using test_fixtures::GraphFingerprint;
 
 TEST(BindingStreamTest, GraphFingerprintIdenticalAcrossThreadCounts) {
   for (NamedDataset& wl : StreamWorkloads()) {

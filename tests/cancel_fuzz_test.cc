@@ -23,8 +23,6 @@
 #include <vector>
 
 #include "carl/carl.h"
-#include "datagen/mimic.h"
-#include "exec/morsel.h"
 #include "fixtures.h"
 #include "obs/metrics.h"
 
@@ -170,76 +168,6 @@ TEST(CancelFuzzTest, RandomizedSiblingCancelDuringGroundAndExtend) {
                      << " rounds cancelled";
     }
   }
-}
-
-// Cancel mid-steal: the same binary contract, aimed at the morsel
-// scheduler's steal path. A skew-stressed MIMIC instance
-// (prescription_skew=100) pins one worker on the hot head-of-index slice
-// so the drained workers spend the pass stealing from its range; the
-// sibling cancel fires at seed-matrixed delays and so lands while CAS
-// steal loops are in flight. Runs in the TSan CI leg — the interesting
-// bug class is a stop flag racing the range CAS, not a logic error.
-TEST(CancelFuzzTest, CancelMidStealSeedMatrix) {
-  datagen::MimicConfig config;
-  config.num_patients = 600;
-  config.num_caregivers = 40;
-  config.prescription_skew = 100;
-  Result<datagen::Dataset> data = datagen::GenerateMimic(config);
-  ASSERT_TRUE(data.ok()) << data.status();
-  Instance& db = *data->instance;
-  Result<RelationalCausalModel> model =
-      RelationalCausalModel::Parse(*data->schema, data->model_text);
-  ASSERT_TRUE(model.ok()) << model.status();
-  const std::string entity = EntityWithAttribute(db.schema());
-
-  ScopedThreads scoped_threads(4);
-  const uint64_t steals_before = exec::MorselStealCount();
-  int mutation = 0;
-  int cancelled_rounds = 0;
-
-  QuerySession session(&db);
-  ASSERT_TRUE(session.Ground(*model).ok());
-  for (uint64_t seed : {0xa11c0001ull, 0xa11c0002ull, 0xa11c0003ull}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<int> delay_us(0, 3000);
-    for (int round = 0; round < 3; ++round) {
-      SCOPED_TRACE("round=" + std::to_string(round));
-      ASSERT_TRUE(
-          db.AddFact(entity, {"cz_steal_" + std::to_string(mutation++)})
-              .ok());
-      guard::ExecToken token;
-      const int delay = delay_us(rng);
-      uint64_t cancels_before = CancelledCount();
-      std::thread sibling([&token, delay] {
-        std::this_thread::sleep_for(std::chrono::microseconds(delay));
-        token.Cancel();
-      });
-      Result<std::shared_ptr<const GroundedModel>> result = [&] {
-        guard::ScopedToken scoped(&token);
-        return session.Ground(*model);
-      }();
-      sibling.join();
-      EXPECT_EQ(token.reason(), guard::StopReason::kCancelled);
-      EXPECT_EQ(CancelledCount(), cancels_before + 1);
-      if (result.ok()) {
-        Result<GroundedModel> fresh = GroundModel(db, *model);
-        ASSERT_TRUE(fresh.ok()) << fresh.status();
-        EXPECT_TRUE(Canonicalize(**result) == Canonicalize(*fresh))
-            << "completed-despite-cancel grounding diverged";
-      } else {
-        ++cancelled_rounds;
-        EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-            << result.status();
-        ExpectSessionUnpoisoned(session, db, *model);
-      }
-    }
-  }
-  EXPECT_GT(exec::MorselStealCount(), steals_before)
-      << "the skewed cancel-fuzz workload never exercised a steal";
-  CARL_LOG(INFO) << "cancel-mid-steal fuzz: " << cancelled_rounds
-                 << "/9 rounds cancelled, "
-                 << (exec::MorselStealCount() - steals_before) << " steals";
 }
 
 // Deterministic floor under the stochastic test: a pre-cancelled token

@@ -72,36 +72,6 @@ TEST(MimicGeneratorTest, RatesAndMechanismsInRange) {
             config.num_patients);
 }
 
-TEST(MimicGeneratorTest, PrescriptionSkewKnobConcentratesTheHotSlice) {
-  datagen::MimicConfig base;
-  base.num_patients = 2048;
-  base.num_caregivers = 64;
-  datagen::MimicConfig skewed = base;
-  skewed.prescription_skew = 100;
-
-  Result<datagen::Dataset> plain = datagen::GenerateMimic(base);
-  ASSERT_TRUE(plain.ok());
-  Result<datagen::Dataset> hot = datagen::GenerateMimic(skewed);
-  ASSERT_TRUE(hot.ok());
-
-  // skew=1 is the default: the knob must be a no-op there. (The default
-  // config replays exactly — BENCH baselines depend on it.)
-  Result<datagen::Dataset> plain2 = datagen::GenerateMimic(base);
-  ASSERT_TRUE(plain2.ok());
-  EXPECT_EQ(plain->instance->TotalFacts(), plain2->instance->TotalFacts());
-
-  // The skewed run piles prescriptions onto the head-of-index slice: the
-  // Prescription/Given/Drug relations dwarf the unskewed ones, while the
-  // patient population is untouched.
-  auto rows = [&](const datagen::Dataset& d, const char* pred) {
-    return d.instance->NumRows(*d.schema->FindPredicate(pred));
-  };
-  EXPECT_EQ(rows(*hot, "Pa"), rows(*plain, "Pa"));
-  EXPECT_GT(rows(*hot, "Prescription"), 2 * rows(*plain, "Prescription"))
-      << "skew=100 did not materially grow the hot relation";
-  EXPECT_GT(rows(*hot, "Given"), 2 * rows(*plain, "Given"));
-}
-
 TEST(NisGeneratorTest, RoutingAndBillingMechanisms) {
   datagen::NisConfig config;
   config.num_hospitals = 150;

@@ -1,5 +1,5 @@
-// carl_exec determinism suite: chunk-plan invariants, ParallelFor /
-// ParallelReduce semantics, RNG stream derivation, and — the load-bearing
+// carl_exec determinism suite: chunk-plan invariants, ParallelFor
+// semantics, RNG stream derivation, and — the load-bearing
 // guarantee — that grounding, unit tables, and the bootstrap produce
 // identical results for every thread count (grounding equivalence is
 // checked as canonical-form graph equality on the review and MIMIC
@@ -20,7 +20,6 @@
 #include "carl/carl.h"
 #include "datagen/mimic.h"
 #include "datagen/review_toy.h"
-#include "exec/morsel.h"
 #include "fixtures.h"
 
 namespace carl {
@@ -38,7 +37,6 @@ TEST(ExecContextTest, ChunkPlanCoversRangeInOrder) {
   ExecContext ctx(4);
   for (size_t n : {0ul, 1ul, 7ul, 64ul, 65ul, 1000ul, 123457ul}) {
     std::vector<std::pair<size_t, size_t>> chunks = ctx.Chunks(n);
-    ASSERT_EQ(chunks.size(), ctx.NumChunks(n));
     size_t expected_begin = 0;
     for (const auto& [begin, end] : chunks) {
       EXPECT_EQ(begin, expected_begin);
@@ -85,40 +83,6 @@ TEST(ExecContextTest, RefreshFromEnvPicksUpLateCarlThreads) {
   global.set_threads(prev_threads);
 }
 
-TEST(BindingShardPlanTest, NoShardSmallerThanTheFloor) {
-  // PlanBindingShards must never cut a shard below kBindingShardMinRows,
-  // return 1 whenever sharding is pointless, and cap tasks at 4x the
-  // thread count. Sweep the boundary region exhaustively plus a few
-  // large inputs.
-  EXPECT_EQ(PlanBindingShards(0, 8), 1u);
-  EXPECT_EQ(PlanBindingShards(kBindingShardMinRows - 1, 8), 1u);
-  EXPECT_EQ(PlanBindingShards(kBindingShardMinRows, 8), 1u);
-  EXPECT_EQ(PlanBindingShards(2 * kBindingShardMinRows - 1, 8), 1u);
-  EXPECT_EQ(PlanBindingShards(1000000, 1), 1u);  // serial context
-
-  for (int threads : {2, 4, 8, 32}) {
-    for (size_t candidates :
-         {kBindingShardMinRows * 2 - 1, kBindingShardMinRows * 2,
-          kBindingShardMinRows * 2 + 1, kBindingShardMinRows * 3 - 1,
-          kBindingShardMinRows * 7 + 13, size_t{100000}, size_t{1000003}}) {
-      size_t shards = PlanBindingShards(candidates, threads);
-      ASSERT_GE(shards, 1u);
-      EXPECT_LE(shards, static_cast<size_t>(threads) * 4);
-      if (shards > 1) {
-        // Smallest shard of the balanced split [c*s/n, c*(s+1)/n).
-        size_t min_shard = candidates;
-        for (size_t s = 0; s < shards; ++s) {
-          size_t begin = candidates * s / shards;
-          size_t end = candidates * (s + 1) / shards;
-          min_shard = std::min(min_shard, end - begin);
-        }
-        EXPECT_GE(min_shard, kBindingShardMinRows)
-            << candidates << " candidates, " << threads << " threads";
-      }
-    }
-  }
-}
-
 TEST(ExecContextTest, StreamSeedsAreStableAndDistinct) {
   uint64_t s0 = ExecContext::StreamSeed(42, 0);
   EXPECT_EQ(s0, ExecContext::StreamSeed(42, 0));
@@ -163,29 +127,8 @@ TEST(ParallelForTest, EmptyRangeRunsNothing) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelReduceTest, FloatingPointSumBitIdenticalAcrossThreadCounts) {
-  const size_t n = 54321;
-  std::vector<double> data(n);
-  for (size_t i = 0; i < n; ++i) data[i] = 0.1 * static_cast<double>(i + 1);
-  auto sum_with = [&](int threads) {
-    ExecContext ctx(threads);
-    return ParallelReduce<double>(
-        ctx, n, 0.0,
-        [&](size_t begin, size_t end) {
-          double s = 0.0;
-          for (size_t i = begin; i < end; ++i) s += data[i];
-          return s;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  double serial = sum_with(1);
-  EXPECT_EQ(serial, sum_with(2));  // exact: same chunk plan, same fold order
-  EXPECT_EQ(serial, sum_with(4));
-  EXPECT_EQ(serial, sum_with(16));
-}
-
 // ---------------------------------------------------------------------------
-// Morsel scheduler: stealing
+// ParallelFor under skew and timing jitter
 // ---------------------------------------------------------------------------
 
 // Deterministic per-item work: a data-dependent spin whose result feeds
@@ -201,60 +144,57 @@ uint64_t SpinWork(size_t i, uint64_t iters) {
   return h;
 }
 
-// Skewed morsel workload: the first quarter of the morsels carries ~50x
-// the work of the rest — the shape the MimicConfig::prescription_skew
-// datagen knob produces, reduced to the scheduler. The hot quarter starts
-// on participant 0; the drained participants take it off the back.
-constexpr size_t kSkewedMorsels = 256;
+// Skewed loop: the first quarter of the items carries ~50x the work of
+// the rest, so whichever participant claims those chunks lags while the
+// others claim everything after them from the shared counter.
+constexpr size_t kSkewedItems = 256;
 
-uint64_t SkewedIters(size_t morsel, uint64_t heavy_iters) {
-  return morsel < kSkewedMorsels / 4 ? heavy_iters : heavy_iters / 50;
+uint64_t SkewedIters(size_t item, uint64_t heavy_iters) {
+  return item < kSkewedItems / 4 ? heavy_iters : heavy_iters / 50;
 }
 
-TEST(MorselSchedulerTest, SkewedMorselsStealAndMatchOneThread) {
-  ExecContext ctx(4);
+TEST(ParallelForTest, SkewedItemsMatchOneThread) {
   const uint64_t heavy = 60000;
-  std::vector<uint64_t> one_thread(kSkewedMorsels);
-  for (size_t m = 0; m < kSkewedMorsels; ++m) {
-    one_thread[m] = SpinWork(m, SkewedIters(m, heavy));
+  std::vector<uint64_t> one_thread(kSkewedItems);
+  for (size_t i = 0; i < kSkewedItems; ++i) {
+    one_thread[i] = SpinWork(i, SkewedIters(i, heavy));
   }
-
-  std::vector<std::pair<size_t, size_t>> morsels;
-  morsels.reserve(kSkewedMorsels);
-  for (size_t m = 0; m < kSkewedMorsels; ++m) morsels.emplace_back(m, m + 1);
-  std::vector<uint64_t> out(kSkewedMorsels);
-  uint64_t steals_before = exec::MorselStealCount();
-  exec::RunMorsels(ctx, std::move(morsels),
-                   [&](size_t begin, size_t, size_t morsel) {
-                     out[morsel] = SpinWork(begin, SkewedIters(begin, heavy));
-                   });
-  EXPECT_GT(exec::MorselStealCount(), steals_before)
-      << "a 4-thread run over a 50x-skewed morsel list never stole";
-  EXPECT_EQ(out, one_thread)
-      << "steal schedule changed WHAT was computed, not just where";
+  for (int threads : {2, 4}) {
+    ExecContext ctx(threads);
+    std::vector<uint64_t> out(kSkewedItems);
+    ParallelFor(ctx, kSkewedItems, [&](size_t begin, size_t end, size_t) {
+      for (size_t i = begin; i < end; ++i) {
+        out[i] = SpinWork(i, SkewedIters(i, heavy));
+      }
+    });
+    EXPECT_EQ(out, one_thread)
+        << "threads=" << threads
+        << ": the chunk schedule changed WHAT was computed, not just where";
+  }
 }
 
-TEST(MorselSchedulerTest, ReduceBitIdenticalUnderRandomizedStealTiming) {
-  // Delta-fuzz-style differential for the determinism contract: per-morsel
-  // timing jitter (seeded, different every round) randomizes which thread
-  // steals what, while the reduced value must stay bit-identical to the
-  // serial fold. Runs TSan-clean — the jitter also widens the race window
-  // the sanitizer watches.
+TEST(ParallelForTest, ChunkSlotsBitIdenticalUnderRandomizedTiming) {
+  // Differential for the determinism contract: per-chunk timing jitter
+  // (seeded, different every round) randomizes which thread claims which
+  // chunk, while per-chunk partial sums, folded in chunk order, must stay
+  // bit-identical to the one-thread run. Runs TSan-clean — the jitter
+  // also widens the window the sanitizer watches on the shared counter.
   const size_t n = 300000;
   std::vector<double> data(n);
   for (size_t i = 0; i < n; ++i) data[i] = 0.1 * static_cast<double>(i + 1);
   auto sum_with = [&](int threads, uint64_t jitter_seed) {
     ExecContext ctx(threads);
-    return ParallelReduce<double>(
-        ctx, n, 0.0,
-        [&](size_t begin, size_t end) {
-          // Data-independent jitter: perturbs the steal schedule only.
-          SpinWork(begin, (jitter_seed ^ begin) % 4096);
-          double s = 0.0;
-          for (size_t i = begin; i < end; ++i) s += data[i];
-          return s;
-        },
-        [](double a, double b) { return a + b; });
+    std::vector<double> partials(ctx.Chunks(n).size());
+    ParallelFor(ctx, n, [&](size_t begin, size_t end, size_t chunk) {
+      // Data-independent jitter: perturbs the claim order only.
+      SpinWork(begin, (jitter_seed ^ begin) % 4096);
+      double s = 0.0;
+      for (size_t i = begin; i < end; ++i) s += data[i];
+      partials[chunk] = s;
+    });
+    double total = 0.0;
+    for (double p : partials) total += p;
+    return total;
   };
   const double serial = sum_with(1, 0);
   for (uint64_t round = 1; round <= 4; ++round) {
@@ -269,9 +209,9 @@ TEST(MorselSchedulerTest, ReduceBitIdenticalUnderRandomizedStealTiming) {
 // Grounding / unit-table equivalence
 // ---------------------------------------------------------------------------
 
-// Canonical-form graph equality and the shard-engaging MIMIC mini
-// instance both live in tests/fixtures.{h,cc} now, shared with the
-// graph-store and incremental-grounding suites.
+// Canonical-form graph equality and the MIMIC mini instance both live
+// in tests/fixtures.{h,cc}, shared with the graph-store and
+// incremental-grounding suites.
 Result<datagen::Dataset> SmallMimic() {
   return test_fixtures::MiniMimicDataset();
 }
@@ -314,8 +254,8 @@ TEST(GroundingEquivalenceTest, SimulatedMimic) {
 }
 
 TEST(GroundingEquivalenceTest, NodeIdsIdenticalNotJustIsomorphic) {
-  // Stronger than the canonical check: the parallel merge preserves the
-  // serial interning order, so even raw node ids match.
+  // Stronger than the canonical check: grounding never reads the thread
+  // count, so even raw node ids match.
   Result<datagen::Dataset> data = SmallMimic();
   ASSERT_TRUE(data.ok());
   Result<RelationalCausalModel> model =

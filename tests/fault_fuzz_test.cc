@@ -1,8 +1,9 @@
 // Fault-fuzz differential harness (the carl_guard robustness contract):
-// for every fault site and schedule, a grounding pass over REVIEW /
-// MIMIC / NIS either succeeds with the canonical unfaulted graph
-// (degradation sites: pool dispatch, delta trim) or fails with a clean
-// guard Status — and in BOTH cases the session is not poisoned: the
+// for every fault site and schedule, a pass over REVIEW / MIMIC / NIS
+// either succeeds with the unfaulted result (degradation sites: pool
+// dispatch, checked on a unit-table build; delta trim, on a grounding)
+// or fails with a clean guard Status — and in BOTH cases the session is
+// not poisoned: the
 // binding cache is pointer-identical across an aborted pass, the next
 // query runs normally and matches a from-scratch ground, and the obs
 // counters account for every injected fault and guard stop. Runs at
@@ -166,26 +167,52 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
 // Degradation faults: the pass still succeeds, canonically identical to
 // the unfaulted run.
 // ---------------------------------------------------------------------------
-TEST_F(FaultFuzzTest, PoolDispatchFaultYieldsIdenticalGraph) {
-  for (NamedDataset& workload : FuzzWorkloads()) {
+
+// Grounding runs on one thread, so the pool-dispatch site is exercised
+// where ParallelFor still runs: a 4-thread unit-table build (pass 1).
+// The countdown-th build under an armed site degrades to the calling
+// thread and must still equal the unfaulted table bit for bit.
+TEST_F(FaultFuzzTest, PoolDispatchFaultYieldsIdenticalUnitTable) {
+  const char* queries[] = {"AVG_Score[A] <= Prestige[A]?",
+                           "Death[P] <= SelfPay[P]?",
+                           "HighBill[P] <= AdmittedToLarge[P]?"};
+  std::vector<NamedDataset> workloads = FuzzWorkloads();
+  for (size_t w = 0; w < workloads.size(); ++w) {
+    NamedDataset& workload = workloads[w];
     SCOPED_TRACE(workload.name);
     Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
         *workload.dataset.schema, workload.dataset.model_text);
     ASSERT_TRUE(model.ok()) << model.status();
-    Instance& db = *workload.dataset.instance;
+    Result<CausalQuery> query = ParseQuery(queries[w]);
+    ASSERT_TRUE(query.ok()) << query.status();
 
     ScopedThreads scoped_threads(4);
-    Result<GroundedModel> reference = GroundModel(db, *model);
+    Result<std::unique_ptr<CarlEngine>> engine =
+        CarlEngine::Create(workload.dataset.instance.get(), std::move(*model));
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    Result<UnitTable> reference = (*engine)->BuildUnitTableForQuery(*query);
     ASSERT_TRUE(reference.ok()) << reference.status();
+    ASSERT_GT(reference->data.num_rows(), 1u) << "one chunk never dispatches";
 
     for (uint64_t countdown : {uint64_t{1}, uint64_t{2}}) {
       SCOPED_TRACE("countdown=" + std::to_string(countdown));
-      guard::FaultRegistry::Global().Arm("exec.pool_dispatch", countdown);
-      Result<GroundedModel> degraded = GroundModel(db, *model);
-      guard::FaultRegistry::Global().Reset();
-      ASSERT_TRUE(degraded.ok()) << degraded.status();
-      EXPECT_TRUE(Canonicalize(*degraded) == Canonicalize(*reference))
-          << "degraded-dispatch grounding diverged";
+      guard::FaultRegistry& faults = guard::FaultRegistry::Global();
+      const uint64_t fired_before = faults.fired_count();
+      faults.Arm("exec.pool_dispatch", countdown);
+      for (uint64_t build = 0; build < countdown; ++build) {
+        Result<UnitTable> table = (*engine)->BuildUnitTableForQuery(*query);
+        ASSERT_TRUE(table.ok()) << table.status();
+        ASSERT_EQ(table->data.column_names(), reference->data.column_names());
+        EXPECT_EQ(table->units, reference->units);
+        EXPECT_EQ(table->dropped_units, reference->dropped_units);
+        for (const std::string& col : reference->data.column_names()) {
+          EXPECT_EQ(table->data.Column(col), reference->data.Column(col))
+              << "degraded-dispatch unit table diverged in column " << col;
+        }
+      }
+      faults.Reset();
+      EXPECT_EQ(faults.fired_count(), fired_before + 1)
+          << "the pool-dispatch fault never fired";
     }
   }
 }

@@ -22,12 +22,11 @@ datagen::Dataset ReviewToyDataset() {
   return std::move(*review);
 }
 
-datagen::Dataset MiniMimicDataset(size_t num_patients, size_t num_caregivers,
-                                  size_t prescription_skew) {
+datagen::Dataset MiniMimicDataset(size_t num_patients,
+                                  size_t num_caregivers) {
   datagen::MimicConfig config;
   config.num_patients = num_patients;
   config.num_caregivers = num_caregivers;
-  config.prescription_skew = prescription_skew;
   Result<datagen::Dataset> mimic = datagen::GenerateMimic(config);
   CARL_CHECK_OK(mimic.status());
   return std::move(*mimic);

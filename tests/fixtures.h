@@ -50,13 +50,10 @@ struct NamedDataset {
 /// The hand-built review toy (datagen::MakeReviewToy), CHECK-ok.
 datagen::Dataset ReviewToyDataset();
 
-/// MIMIC-III(sim) mini instance. The 3000/120 default is large enough to
-/// engage binding shards and many-chunk rule merges. A prescription_skew
-/// above 1 piles the prescriptions onto the head-of-index patients (see
-/// datagen::MimicConfig).
+/// MIMIC-III(sim) mini instance. The 3000/120 default gives the unit
+/// table many chunks, so its threads=N legs really run in parallel.
 datagen::Dataset MiniMimicDataset(size_t num_patients = 3000,
-                                  size_t num_caregivers = 120,
-                                  size_t prescription_skew = 1);
+                                  size_t num_caregivers = 120);
 
 /// NIS(sim) mini instance.
 datagen::Dataset MiniNisDataset(size_t num_admissions = 6000,
@@ -76,8 +73,7 @@ datagen::Dataset RealisticReviewDataset();
 /// REVIEW toy + MIMIC + NIS: the binding-stream equivalence workloads.
 std::vector<NamedDataset> StreamWorkloads();
 
-/// MIMIC + SYNTH-REVIEW, sized so the large rules' merges span many
-/// chunks (threads=N test legs really run in parallel).
+/// MIMIC + SYNTH-REVIEW: large rules with many bindings per rule.
 std::vector<NamedDataset> GraphWorkloads();
 
 /// Two entities (Person, Item), one relationship (Owns), two numeric

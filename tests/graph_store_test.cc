@@ -1,10 +1,10 @@
 // Graph-store suite: the arena-backed CausalGraph node store and the
-// phased per-rule grounding pipeline must be invisible to consumers —
-// node-id columns stay row-aligned with the instance's fact rows, node
-// args read back exactly, and at every thread count the grounded graph
-// equals an independent per-binding reference grounding (raw ids, edge
-// log, adjacency order, num_groundings) on MIMIC, SYNTH-REVIEW and a
-// skew-stressed MIMIC, with values identical across thread counts.
+// per-rule grounding merge must be invisible to consumers — node-id
+// columns stay row-aligned with the instance's fact rows, node args read
+// back exactly, and at every thread count the grounded graph equals an
+// independent per-binding reference grounding (raw ids, edge log,
+// adjacency order, num_groundings) on MIMIC, SYNTH-REVIEW and a model
+// whose refs name constants, with values identical across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "carl/carl.h"
-#include "exec/morsel.h"
 #include "fixtures.h"
 #include "relational/storage_stats.h"
 
@@ -79,13 +78,33 @@ void ExpectMatchesReference(const ReferenceGrounding& reference,
   }
 }
 
-// The phased pipeline against the plain per-binding loop, at threads
+// The review toy under a model whose refs name one interned constant
+// ("Bob") and one never-interned constant ("nobody"). The latter sits in
+// a causal rule's head, in one body of a two-body causal rule, and in an
+// aggregate rule's source. GroundByBinding decides resolvability per
+// binding; GroundModel decides it once per rule.
+NamedDataset ConstantRefsDataset() {
+  datagen::Dataset data = test_fixtures::ReviewToyDataset();
+  CARL_CHECK(data.instance->LookupConstant("Bob") != kInvalidSymbol);
+  CARL_CHECK(data.instance->LookupConstant("nobody") == kInvalidSymbol);
+  data.model_text = R"(
+    Prestige[A] <= Qualification[A] WHERE Person(A)
+    Quality[S] <= Prestige["Bob"] WHERE Submission(S)
+    Quality["nobody"] <= Prestige[A] WHERE Author(A, S)
+    Score[S] <= Quality[S], Prestige["nobody"] WHERE Author(A, S)
+    Score[S] <= Prestige[A], Prestige["Bob"] WHERE Author(A, S)
+    MAX_Qualification[S] <= Qualification["nobody"] WHERE Submission(S)
+    AVG_Qualification[S] <= Qualification[A] WHERE Author(A, S)
+  )";
+  return NamedDataset{"constant-refs", std::move(data)};
+}
+
+// The per-rule merge against the plain per-binding loop, at threads
 // {1, 2, 4}; the fingerprint (which also folds values) must not move
 // with the thread count either.
 TEST(GraphStoreTest, GroundingMatchesPerBindingReference) {
   std::vector<NamedDataset> workloads = GraphWorkloads();
-  workloads.push_back(NamedDataset{
-      "MIMIC-skew", test_fixtures::MiniMimicDataset(3000, 120, 100)});
+  workloads.push_back(ConstantRefsDataset());
   for (NamedDataset& wl : workloads) {
     Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
         *wl.dataset.schema, wl.dataset.model_text);
@@ -106,40 +125,6 @@ TEST(GraphStoreTest, GroundingMatchesPerBindingReference) {
       EXPECT_EQ(fp, one_thread_fp) << label;
     }
   }
-}
-
-// Determinism under stealing, end-to-end: a skew-stressed MIMIC instance
-// (MimicConfig::prescription_skew piles ~100x the prescriptions onto the
-// head-of-index patients) makes the steal schedule genuinely random —
-// the hot slice pins one worker while the others drain and start
-// stealing at uncontrolled points. The grounded graph must fingerprint
-// identically to the one-thread build at threads {2, 4}, across repeated
-// runs, and the runs must actually steal.
-TEST(GraphStoreTest, SkewedGroundingIdenticalUnderStealing) {
-  datagen::Dataset data = test_fixtures::MiniMimicDataset(3000, 120, 100);
-  Result<RelationalCausalModel> model =
-      RelationalCausalModel::Parse(*data.schema, data.model_text);
-  ASSERT_TRUE(model.ok());
-
-  uint64_t one_thread_fp = 0;
-  {
-    ScopedThreads scoped(1);
-    Result<GroundedModel> grounded = GroundModel(*data.instance, *model);
-    ASSERT_TRUE(grounded.ok()) << grounded.status();
-    one_thread_fp = GraphFingerprint(*grounded);
-  }
-  const uint64_t steals_before = exec::MorselStealCount();
-  for (int round = 0; round < 2; ++round) {
-    for (int threads : {2, 4}) {
-      ScopedThreads scoped(threads);
-      Result<GroundedModel> parallel = GroundModel(*data.instance, *model);
-      ASSERT_TRUE(parallel.ok());
-      ASSERT_EQ(GraphFingerprint(*parallel), one_thread_fp)
-          << "threads=" << threads << " round=" << round;
-    }
-  }
-  EXPECT_GT(exec::MorselStealCount(), steals_before)
-      << "skew-stressed grounding at 4 threads never exercised a steal";
 }
 
 // The grounding hot path must intern every node through span fast paths:

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -316,31 +318,6 @@ TEST_F(GuardTest, UnpreparedQueryIsStatusNotAbort) {
   Result<BindingTable> r = evaluator.Evaluate(unprepared, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-
-  Result<size_t> count = evaluator.CountRootCandidates(unprepared);
-  ASSERT_FALSE(count.ok());
-  EXPECT_EQ(count.status().code(), StatusCode::kFailedPrecondition);
-
-  Result<BindingTable> shard = evaluator.EvaluateShard(unprepared, {}, 0, 1);
-  ASSERT_FALSE(shard.ok());
-  EXPECT_EQ(shard.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(GuardTest, ShardOutOfRangeIsStatusNotAbort) {
-  datagen::Dataset data = ReviewToyDataset();
-  QueryEvaluator evaluator(data.instance.get());
-  ConjunctiveQuery query;
-  query.atoms.push_back({"Person", {Term::Var("A")}});
-  Result<PreparedQuery> prepared = evaluator.Prepare(query);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
-  Result<BindingTable> r =
-      evaluator.EvaluateShard(*prepared, {"A"}, /*shard=*/3, /*num_shards=*/2);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  Result<BindingTable> zero =
-      evaluator.EvaluateShard(*prepared, {"A"}, 0, /*num_shards=*/0);
-  ASSERT_FALSE(zero.ok());
-  EXPECT_EQ(zero.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(GuardTest, UnpreparedDeltaQueryIsStatusNotAbort) {
@@ -374,6 +351,77 @@ TEST_F(GuardTest, ExtendOfEmptyBaseIsStatusNotAbort) {
   Result<GroundedModel> r = ExtendGroundedModel(std::move(empty), delta);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// An incremental extend is bounded by the binding budget like a full
+// ground: the delta pivots charge every binding they enumerate. Grounded
+// with one author and one submission, then grown by 2000 Author facts,
+// the extend must stop at max_bindings = 10 — directly and through the
+// session — and the session must keep serving unguarded queries after.
+TEST_F(GuardTest, ExtendIsBoundedByTheBindingBudget) {
+  Schema schema;
+  CARL_CHECK_OK(schema.AddEntity("Person").status());
+  CARL_CHECK_OK(schema.AddEntity("Submission").status());
+  CARL_CHECK_OK(
+      schema.AddRelationship("Author", {"Person", "Submission"}).status());
+  CARL_CHECK_OK(schema.AddAttribute("Prestige", "Person", true,
+                                    ValueType::kDouble).status());
+  CARL_CHECK_OK(schema.AddAttribute("Quality", "Submission", true,
+                                    ValueType::kDouble).status());
+  Instance db(&schema);
+  auto add_author = [&db](size_t i) {
+    const std::string a = "a" + std::to_string(i);
+    const std::string s = "s" + std::to_string(i);
+    CARL_CHECK_OK(db.AddFact("Person", {a}));
+    CARL_CHECK_OK(db.AddFact("Submission", {s}));
+    CARL_CHECK_OK(db.AddFact("Author", {a, s}));
+  };
+  add_author(0);
+  Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
+      schema, "Quality[S] <= Prestige[A] WHERE Author(A, S)");
+  ASSERT_TRUE(model.ok()) << model.status();
+  Result<GroundedModel> base = GroundModel(db, *model);
+  ASSERT_TRUE(base.ok()) << base.status();
+  QuerySession session(&db);
+  ASSERT_TRUE(session.Ground(*model).ok());
+
+  const uint64_t generation = db.generation();
+  for (size_t i = 1; i <= 2000; ++i) add_author(i);
+  InstanceDelta delta = db.DeltaSince(generation);
+  ASSERT_TRUE(DeltaSupportsIncrementalExtend(db, *model, delta));
+
+  const guard::QueryBudget budget{0.0, 0, /*max_bindings=*/10};
+  {
+    guard::ExecToken token(budget);
+    guard::ScopedToken scoped(&token);
+    Result<GroundedModel> full = GroundModel(db, *model);
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(full.status().code(), StatusCode::kResourceExhausted);
+  }
+  {
+    guard::ExecToken token(budget);
+    guard::ScopedToken scoped(&token);
+    Result<GroundedModel> extended =
+        ExtendGroundedModel(std::move(*base), delta);
+    ASSERT_FALSE(extended.ok()) << "extend ignored the binding budget";
+    EXPECT_EQ(extended.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(token.reason(), guard::StopReason::kBindings);
+    EXPECT_GT(token.charged_bindings(), 10u);
+  }
+  {
+    guard::ExecToken token(budget);
+    guard::ScopedToken scoped(&token);
+    Result<std::shared_ptr<const GroundedModel>> guarded =
+        session.Ground(*model);
+    ASSERT_FALSE(guarded.ok()) << "session extend ignored the budget";
+    EXPECT_EQ(guarded.status().code(), StatusCode::kResourceExhausted);
+  }
+  Result<std::shared_ptr<const GroundedModel>> after = session.Ground(*model);
+  ASSERT_TRUE(after.ok()) << after.status();
+  Result<GroundedModel> fresh = GroundModel(db, *model);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_TRUE(test_fixtures::Canonicalize(**after) ==
+              test_fixtures::Canonicalize(*fresh));
 }
 
 TEST_F(GuardTest, IsGuardStopClassifiesCodes) {

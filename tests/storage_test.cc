@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
 #include "common/rng.h"
@@ -289,7 +288,7 @@ TEST(StorageTest, MimicGeneratorInvariants) {
   CheckStorageInvariants(*data->instance);
 }
 
-TEST(StorageTest, PreparedQueryReuseAndShardConcatenation) {
+TEST(StorageTest, PreparedQueryReuse) {
   datagen::MimicConfig config;
   config.num_patients = 300;
   config.num_caregivers = 15;
@@ -311,28 +310,6 @@ TEST(StorageTest, PreparedQueryReuseAndShardConcatenation) {
   ASSERT_TRUE(again.ok());
   // The plan is reusable and deterministic.
   EXPECT_EQ(full->ToTuples(), again->ToTuples());
-
-  // Streaming shards of the shared plan through first-occurrence dedupe
-  // (both the legacy owned-Tuple way and the columnar InsertDistinct way)
-  // reproduces the unsharded enumeration exactly.
-  for (size_t num_shards : {1u, 2u, 3u, 7u}) {
-    std::vector<Tuple> merged;
-    std::set<Tuple> seen;
-    BindingTable streamed(out_vars.size());
-    for (size_t s = 0; s < num_shards; ++s) {
-      Result<BindingTable> shard =
-          evaluator.EvaluateShard(*prepared, out_vars, s, num_shards);
-      ASSERT_TRUE(shard.ok());
-      for (size_t r = 0; r < shard->size(); ++r) {
-        streamed.InsertDistinct(shard->row(r));
-        Tuple t = shard->row(r).ToTuple();
-        if (seen.insert(t).second) merged.push_back(std::move(t));
-      }
-    }
-    EXPECT_EQ(merged, full->ToTuples()) << num_shards << " shards";
-    EXPECT_EQ(streamed.ToTuples(), full->ToTuples())
-        << num_shards << " shards (columnar merge)";
-  }
 }
 
 }  // namespace
