@@ -15,6 +15,7 @@
 // Google Benchmark dependency — so this target always builds and runs.
 // CARL_THREADS=N parallelizes the measured paths via carl_exec.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include <new>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_timer.h"
 #include "bench_util.h"
@@ -34,15 +36,18 @@
 #include "obs/metrics.h"
 
 // Counting replacement of the global operator new for this binary only:
-// the unit-table row below reports exact heap allocations per warm build.
+// the unit-table row below reports exact heap allocations per warm build,
+// and the incremental-extend row the heap bytes one extend requests.
 // Array and nothrow forms route through this one; aligned forms keep the
 // library's allocator and go uncounted.
 namespace {
 std::atomic<uint64_t> g_heap_allocs{0};
+std::atomic<uint64_t> g_heap_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(n, std::memory_order_relaxed);
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -107,15 +112,27 @@ void AddAdmission(Instance& db, size_t i) {
   CARL_CHECK_OK(db.AddFact("Given", {rx, pat}));
 }
 
+// Heap bytes one single-admission extend may request, at any instance
+// size: an extend that copies or rebuilds a graph-sized structure (the
+// adjacency, an edge log, a match index's postings, an O(nodes) scratch
+// array) requests megabytes on the full-size instance and trips this.
+constexpr double kMaxExtendHeapBytes = 256 * 1024;
+
+struct ExtendMeasurement {
+  double best_s = 0.0;
+  double median_heap_bytes = 0.0;
+};
+
 // Measures ExtendGroundedModel on single-admission deltas. First a
 // correctness gate — the same base + delta extended at CARL_THREADS 1
 // and 4 must fingerprint identically — then the timed loop: each pass
 // admits one patient and extends the maintained grounding by exactly
 // that delta (the mutation itself is a dozen O(1) inserts, noise next to
-// the extend).
-double MeasureIncrementalExtend(datagen::Dataset& dataset,
-                                const RelationalCausalModel& model,
-                                int iters) {
+// the extend). Last, after two warm-up extends, the median heap bytes
+// requested by the extend call itself over 10 single-admission extends.
+ExtendMeasurement MeasureIncrementalExtend(datagen::Dataset& dataset,
+                                           const RelationalCausalModel& model,
+                                           int iters) {
   Instance& db = *dataset.instance;
   const int prev_threads = ExecContext::Global().threads();
   const uint64_t gen0 = db.generation();
@@ -143,15 +160,28 @@ double MeasureIncrementalExtend(datagen::Dataset& dataset,
 
   GroundedModel current = std::move(*ext4);
   uint64_t gen = db.generation();
-  double extend_s = bench::TimeBest(iters, [&] {
+  // Admits one patient and extends by exactly that delta; returns the
+  // heap bytes the extend call requested.
+  auto extend_one = [&] {
     AddAdmission(db, admission++);
     InstanceDelta d = db.DeltaSince(gen);
+    const uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
     Result<GroundedModel> ext = ExtendGroundedModel(std::move(current), d);
+    const uint64_t bytes =
+        g_heap_bytes.load(std::memory_order_relaxed) - before;
     CARL_CHECK_OK(ext.status());
     current = std::move(*ext);
     gen = db.generation();
-  });
-  return extend_s;
+    return bytes;
+  };
+  ExtendMeasurement measured;
+  measured.best_s = bench::TimeBest(iters, [&] { extend_one(); });
+  for (int i = 0; i < 2; ++i) extend_one();
+  std::vector<uint64_t> bytes(10);
+  for (uint64_t& b : bytes) b = extend_one();
+  std::sort(bytes.begin(), bytes.end());
+  measured.median_heap_bytes = 0.5 * static_cast<double>(bytes[4] + bytes[5]);
+  return measured;
 }
 
 struct Workload {
@@ -318,21 +348,31 @@ int Run(const bench::BenchFlags& flags) {
     // other workloads have no admission notion). Runs after the other
     // measurements so the handful of admitted patients cannot perturb
     // them. Gated at >= 10x vs the full re-ground outside --quick (the
-    // quick instance grounds in milliseconds, where the ratio is noise).
-    double extend_s = -1.0;
+    // quick instance grounds in milliseconds, where the ratio is noise),
+    // and on its heap bytes at both sizes.
     if (std::string(wl.name) == "MIMIC-III(sim)") {
-      extend_s = MeasureIncrementalExtend(*wl.dataset, *model,
-                                          flags.quick ? 3 : 10);
+      ExtendMeasurement extend = MeasureIncrementalExtend(
+          *wl.dataset, *model, flags.quick ? 3 : 10);
+      const double extend_s = extend.best_s;
       std::printf("%-18sincremental extend (1 admission): %.5fs "
-                  "(full ground %.3fs, %.0fx)\n",
-                  wl.name, extend_s, ground_s, ground_s / extend_s);
+                  "(full ground %.3fs, %.0fx), %.0f heap bytes\n",
+                  wl.name, extend_s, ground_s, ground_s / extend_s,
+                  extend.median_heap_bytes);
       if (!flags.quick) {
         CARL_CHECK(extend_s * 10.0 <= ground_s)
             << "incremental extend lost its >=10x edge over a full "
             << "re-ground: " << extend_s << "s vs " << ground_s << "s";
       }
+      CARL_CHECK(extend.median_heap_bytes <= kMaxExtendHeapBytes)
+          << "a single-admission extend requested "
+          << extend.median_heap_bytes << " heap bytes (median of 10), "
+          << "over the " << kMaxExtendHeapBytes << " byte bound: graph-"
+          << "sized work crept back into ExtendGroundedModel";
       bench::EmitJson(kBenchName, wl.name, "grounding_incremental_extend_s",
                       extend_s);
+      bench::EmitJson(kBenchName, wl.name,
+                      "grounding_incremental_extend_heap_bytes",
+                      extend.median_heap_bytes);
     }
 
     std::printf("%-18s%-14.3f%-14.3f%-14.3f%-16llu%-16llu\n", wl.name,

@@ -45,8 +45,12 @@ REQUIRED_GATED = {
     # unit_table_allocs counts operator new calls in one warm unit-table
     # build; bench_table2 aborts when it reaches 2 x rows + 4096, so its
     # presence proves the allocation-free Algorithm 1 still holds.
+    # grounding_incremental_extend_heap_bytes is the median heap bytes of
+    # a single-admission extend; bench_table2 aborts above 256 KiB, so its
+    # presence proves the extend stayed delta-sized.
     "BENCH_table2.json": {"grounding_s", "unit_table_s", "unit_table_allocs",
                           "grounding_incremental_extend_s",
+                          "grounding_incremental_extend_heap_bytes",
                           "grounding_graph_build_s",
                           "grounding_enumerate_s", "grounding_splice_s",
                           "guard_cancelled", "guard_deadline_exceeded",

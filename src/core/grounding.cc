@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -453,8 +452,11 @@ constexpr size_t kMergePollStride = 2048;
 // (test_fixtures::GroundByBinding), so node ids, edge order, and
 // num_groundings match it exactly. A guard stop, polled every
 // kMergePollStride bindings, abandons the pass before the rule's commit.
+// A non-null `heads` collects every binding's head node — a superset of
+// the new edges' targets.
 void MergeRuleGroundings(const std::vector<CompiledRule>& rules,
-                         CausalGraph* graph, size_t* num_groundings) {
+                         CausalGraph* graph, size_t* num_groundings,
+                         std::vector<NodeId>* heads) {
   guard::ExecToken* token = guard::CurrentToken();
   std::vector<CausalGraph::Edge> edges;
   std::vector<SymbolId> scratch;
@@ -473,6 +475,7 @@ void MergeRuleGroundings(const std::vector<CompiledRule>& rules,
         return;
       }
       NodeId head = InternRef(rule.head, bindings, i, scratch.data(), graph);
+      if (heads != nullptr) heads->push_back(head);
       for (const CompiledRef& b : rule.body) {
         if (b.unresolvable) continue;
         NodeId body = InternRef(b, bindings, i, scratch.data(), graph);
@@ -480,7 +483,6 @@ void MergeRuleGroundings(const std::vector<CompiledRule>& rules,
       }
     }
     *num_groundings += bindings.size();
-    graph->ReserveEdges(edges.size());
     graph->AddEdges(edges);
   }
 }
@@ -503,14 +505,19 @@ void GroundedModel::TagAggregateNodes(size_t first_node) {
   const size_t n = graph_.num_nodes();
   node_has_aggregate_.resize(n, 0);
   node_aggregate_.resize(n, AggregateKind::kAvg);
+  // Kind per aggregate-defined attribute; when two rules define one
+  // attribute, the later rule wins.
+  std::vector<std::optional<AggregateKind>> kind_of(schema().num_attributes());
   for (const AggregateRule& rule : model_->aggregate_rules()) {
     Result<AttributeId> aid = schema().FindAttribute(rule.head.attribute);
-    if (!aid.ok()) continue;
-    for (NodeId node : graph_.NodesOfAttribute(*aid)) {
-      if (static_cast<size_t>(node) < first_node) continue;
-      node_has_aggregate_[node] = 1;
-      node_aggregate_[node] = rule.aggregate;
-    }
+    if (aid.ok()) kind_of[*aid] = rule.aggregate;
+  }
+  for (size_t id = first_node; id < n; ++id) {
+    const std::optional<AggregateKind>& kind =
+        kind_of[graph_.node(static_cast<NodeId>(id)).attribute];
+    if (!kind.has_value()) continue;
+    node_has_aggregate_[id] = 1;
+    node_aggregate_[id] = *kind;
   }
 }
 
@@ -526,19 +533,17 @@ void GroundedModel::ReadInstanceValue(NodeId id) {
   }
 }
 
-void GroundedModel::AggregateValues(const std::vector<NodeId>& topo_order,
-                                    const std::vector<char>* dirty) {
-  // Parents precede children in topological order, so parent values
-  // (including aggregate-of-aggregate chains) are already final. Parent
+void GroundedModel::AggregateValues(const std::vector<NodeId>& order) {
+  // Parents precede children in `order`, so parent values (including
+  // aggregate-of-aggregate chains) are already final. Parent
   // values are sorted before aggregation — parent list order is an
   // edge-commit-order artifact that differs between a from-scratch ground
   // and an incremental extend, and floating-point accumulation is not
   // commutative; the sorted form makes aggregate values a function of the
   // parent value SET, bit-identical across both paths.
   std::vector<double> parent_values;
-  for (NodeId id : topo_order) {
+  for (NodeId id : order) {
     if (!node_has_aggregate_[id]) continue;
-    if (dirty != nullptr && !(*dirty)[id]) continue;
     parent_values.clear();
     for (NodeId p : graph_.Parents(id)) {
       if (value_state_[p] == 2) parent_values.push_back(value_cache_[p]);
@@ -551,6 +556,49 @@ void GroundedModel::AggregateValues(const std::vector<NodeId>& topo_order,
     value_cache_[id] = ApplyAggregate(node_aggregate_[id], parent_values);
     value_state_[id] = 2;
   }
+}
+
+Result<std::vector<NodeId>> GroundedModel::ConeOrder(
+    const std::vector<NodeId>& seeds) {
+  const size_t n = graph_.num_nodes();
+  cone_mark_.resize(n, 0);
+  cone_pending_.resize(n, 0);
+  if (++cone_epoch_ == 0) {
+    std::fill(cone_mark_.begin(), cone_mark_.end(), 0);
+    cone_epoch_ = 1;
+  }
+  auto in_cone = [this](NodeId id) { return cone_mark_[id] == cone_epoch_; };
+  std::vector<NodeId> cone;
+  auto enter = [&](NodeId id) {
+    if (in_cone(id)) return;
+    cone_mark_[id] = cone_epoch_;
+    cone.push_back(id);
+  };
+  for (NodeId id : seeds) enter(id);
+  for (size_t i = 0; i < cone.size(); ++i) {
+    for (NodeId c : graph_.Children(cone[i])) enter(c);
+  }
+  // Kahn over the cone. Parents outside it hold final values and cannot
+  // lie on a cycle through it, so only in-cone parents are counted.
+  std::vector<NodeId> order;
+  order.reserve(cone.size());
+  for (NodeId id : cone) {
+    uint32_t pending = 0;
+    for (NodeId p : graph_.Parents(id)) pending += in_cone(p) ? 1 : 0;
+    cone_pending_[id] = pending;
+    if (pending == 0) order.push_back(id);
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (NodeId c : graph_.Children(order[i])) {
+      if (--cone_pending_[c] == 0) order.push_back(c);
+    }
+  }
+  if (order.size() != cone.size()) {
+    // The message CausalGraph::TopologicalOrder gives a full ground.
+    return Status::FailedPrecondition(
+        "causal graph has a cycle (recursive rules are not supported)");
+  }
+  return order;
 }
 
 void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
@@ -596,7 +644,7 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
       }
     }
   }
-  AggregateValues(topo_order, nullptr);
+  AggregateValues(topo_order);
 }
 
 std::string GroundedModel::NodeName(NodeId id) const {
@@ -668,8 +716,9 @@ Result<GroundedModel> GroundModel(const Instance& instance,
     CARL_TRACE_SCOPE("grounding.merge");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
     MergeRuleGroundings(compiled, &grounded.graph_,
-                        &grounded.num_groundings_);
+                        &grounded.num_groundings_, nullptr);
     CARL_RETURN_IF_ERROR(guard::CheckPoint());
+    grounded.graph_.CompactAdjacency();
   }
   grounded.phase_stats_.merge_s = phase_timer.Seconds();
   grounded.phase_stats_.splice_s = grounded.phase_stats_.merge_s;
@@ -824,7 +873,6 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   // when a new row re-derives them).
   phase_timer.Reset();
   const size_t nodes_before = graph.num_nodes();
-  const size_t edges_before = graph.num_edges();
   {
     CARL_TRACE_SCOPE("grounding.extend.node_splice");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.node_build"));
@@ -867,17 +915,18 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   }
   out.phase_stats_.enumerate_s = phase_timer.Seconds();
 
-  // 3. Merge the delta groundings in rule order through the graph's
-  // post-build edge overlay — the same per-rule merge as a full ground.
+  // 3. Merge the delta groundings in rule order — the same per-rule merge
+  // as a full ground, appending to the touched adjacency lists only.
   // AddNode and the edge merge dedupe, so a binding the base
   // already committed (its projection also has an all-old witness)
   // changes nothing in the graph — only num_groundings_ counts it again,
   // which is why the extend contract excludes that counter.
   phase_timer.Reset();
+  std::vector<NodeId> seeds;
   {
     CARL_TRACE_SCOPE("grounding.extend.splice");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.merge"));
-    MergeRuleGroundings(compiled, &graph, &out.num_groundings_);
+    MergeRuleGroundings(compiled, &graph, &out.num_groundings_, &seeds);
     CARL_RETURN_IF_ERROR(guard::CheckPoint());
   }
   out.phase_stats_.merge_s = phase_timer.Seconds();
@@ -886,19 +935,27 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   // 4. Tag the new nodes of aggregate-defined attributes.
   out.TagAggregateNodes(nodes_before);
 
-  // 5. Cycle check (the extension could close a cycle) — the order also
-  // drives the affected-aggregate recompute below.
+  // 5. Cycle check (the extension could close a cycle) over the forward
+  // cone of everything the delta created or wrote: the delta bindings'
+  // heads (collected by the merge), the new nodes and the written rows'
+  // nodes. The cone's order also drives the aggregate recompute below.
   phase_timer.Reset();
   CARL_TRACE_SCOPE("grounding.extend.value_pass");
   CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.finalize"));
-  CARL_ASSIGN_OR_RETURN(std::vector<NodeId> topo_order,
-                        graph.TopologicalOrder());
+  const size_t n = graph.num_nodes();
+  for (size_t id = nodes_before; id < n; ++id) {
+    seeds.push_back(static_cast<NodeId>(id));
+  }
+  for (const InstanceDelta::AttributeDelta& ad : delta.attributes) {
+    const std::vector<NodeId>& nodes = graph.NodesOfAttribute(ad.attribute);
+    for (uint32_t row : ad.rows) {
+      if (row < nodes.size()) seeds.push_back(nodes[row]);
+    }
+  }
+  CARL_ASSIGN_OR_RETURN(std::vector<NodeId> cone_order, out.ConeOrder(seeds));
 
   // 6. Values, delta-sized: new nodes read the instance; written rows
-  // refresh in place; aggregates recompute only when reachable from the
-  // change (new node, written row, or new-edge target) through aggregate
-  // children.
-  const size_t n = graph.num_nodes();
+  // refresh in place; the cone's aggregates recompute, parents first.
   out.value_state_.resize(n, 1);
   out.value_cache_.resize(n, 0.0);
   for (size_t id = nodes_before; id < n; ++id) {
@@ -921,38 +978,7 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
       }
     }
   }
-
-  std::vector<char> dirty(n, 0);
-  std::deque<NodeId> queue;
-  auto touch = [&](NodeId id) {
-    if (out.node_has_aggregate_[id] && !dirty[id]) {
-      dirty[id] = 1;
-      queue.push_back(id);
-    }
-  };
-  auto seed = [&](NodeId id) {
-    touch(id);
-    for (NodeId c : graph.Children(id)) touch(c);
-  };
-  for (size_t id = nodes_before; id < n; ++id) {
-    seed(static_cast<NodeId>(id));
-  }
-  for (const InstanceDelta::AttributeDelta& ad : delta.attributes) {
-    const std::vector<NodeId>& nodes = graph.NodesOfAttribute(ad.attribute);
-    for (uint32_t row : ad.rows) {
-      if (row < nodes.size()) seed(nodes[row]);
-    }
-  }
-  const std::vector<CausalGraph::Edge>& edge_log = graph.edge_log();
-  for (size_t e = edges_before; e < edge_log.size(); ++e) {
-    touch(edge_log[e].to);
-  }
-  while (!queue.empty()) {
-    NodeId id = queue.front();
-    queue.pop_front();
-    for (NodeId c : graph.Children(id)) touch(c);
-  }
-  out.AggregateValues(topo_order, &dirty);
+  out.AggregateValues(cone_order);
   out.phase_stats_.finalize_s = phase_timer.Seconds();
   pass_hist.Record(pass_timer.Seconds());
   return out;

@@ -14,9 +14,11 @@
 // per rule condition, or the semi-naive delta — and bindings arrive as
 // columnar BindingTables (no per-binding Tuple is ever built). Each rule
 // then merges in one pass: per binding, AddNode on the head and on each
-// resolvable body, then one AddEdges commits the rule's edges. Node
-// values are finalized by copying the instance's typed per-attribute
-// columns onto the row-aligned node-id columns. Nothing here reads the
+// resolvable body, then one AddEdges commits the rule's edges. A ground
+// then compacts the adjacency into node order, checks for cycles over the
+// whole graph and finalizes node values by copying the instance's typed
+// per-attribute columns onto the row-aligned node-id columns; an extend
+// does both over the delta's forward cone only. Nothing here reads the
 // thread count, so the grounded graph — node ids, edge insertion order,
 // values — is the same for every CARL_THREADS.
 //
@@ -144,7 +146,7 @@ struct GroundingPhaseStats {
   /// Benchmark readers report merge_s - splice_s as probe time, which
   /// therefore reads 0.
   double splice_s = 0.0;
-  double finalize_s = 0.0;    ///< topo order + value pass
+  double finalize_s = 0.0;    ///< cycle check/order + value pass
   /// The graph-build share of a pass (everything that touches the graph
   /// store: bulk nodes plus the rule merges).
   double graph_build_s() const { return node_build_s + merge_s; }
@@ -198,11 +200,15 @@ class GroundedModel {
   // Reads one node's value from the instance: numeric -> present, else
   // missing.
   void ReadInstanceValue(NodeId id);
-  // Aggregates each aggregate node's sorted parent values in topological
-  // order (parents first) — every aggregate node, or only those flagged
-  // in `dirty` when it is non-null.
-  void AggregateValues(const std::vector<NodeId>& topo_order,
-                       const std::vector<char>* dirty);
+  // Aggregates the sorted parent values of each aggregate node of
+  // `order`, which lists parents before children.
+  void AggregateValues(const std::vector<NodeId>& order);
+  // The forward cone of `seeds` (their closure over Children) in
+  // topological order, by Kahn's algorithm over the cone counting only
+  // in-cone parents; FailedPrecondition when the cone holds a cycle.
+  // Over an acyclic base, every cycle an extension closes runs through a
+  // new edge, whose target is a seed, so it lies inside the cone.
+  Result<std::vector<NodeId>> ConeOrder(const std::vector<NodeId>& seeds);
 
   const Instance* instance_ = nullptr;
   const RelationalCausalModel* model_ = nullptr;
@@ -215,6 +221,13 @@ class GroundedModel {
   // Precomputed values: state 1 = missing, 2 = present.
   std::vector<int8_t> value_state_;
   std::vector<double> value_cache_;
+
+  // ConeOrder scratch, reused across extends: cone_mark_[id] ==
+  // cone_epoch_ iff id is in the current cone, and then cone_pending_[id]
+  // counts its in-cone parents not yet ordered.
+  std::vector<uint32_t> cone_mark_;
+  std::vector<uint32_t> cone_pending_;
+  uint32_t cone_epoch_ = 0;
 };
 
 /// Grounds `model` against `instance`. Fails if the grounded graph is
@@ -246,9 +259,11 @@ bool DeltaSupportsIncrementalExtend(const Instance& instance,
 /// delta.from_generation — to the instance's current state, in time
 /// proportional to the delta: new fact rows become nodes spliced into the
 /// row-aligned per-attribute id columns, rule bindings touching the delta
-/// are re-enumerated semi-naively (per-pivot watermark plans) and merged
-/// through the graph's post-build edge overlay, and only new nodes,
-/// written rows, and affected aggregates get their values recomputed.
+/// are re-enumerated semi-naively (per-pivot watermark plans) and their
+/// edges appended to the touched adjacency lists, and the cycle check
+/// and value recompute run over the delta's forward cone only — the
+/// nodes reachable from the new nodes, the written rows' nodes and the
+/// delta bindings' heads. Nothing in an extend walks the whole graph.
 /// The extended graph's node set, edge set, adjacency (as sets), values,
 /// and aggregate tags are identical to a from-scratch ground of the
 /// current state; raw node ids, edge commit order,

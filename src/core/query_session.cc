@@ -1,5 +1,7 @@
 #include "core/query_session.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
@@ -230,12 +232,18 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     auto holder = std::make_shared<GroundingHolder>();
     holder->model = entry.holder->model;
     StagedBindingCache staged(&binding_cache_);
-    CARL_ASSIGN_OR_RETURN(
-        GroundedModel grounded,
-        GroundModel(*instance_, *holder->model, &binding_cache_));
+    Result<GroundedModel> grounded =
+        GroundModel(*instance_, *holder->model, &binding_cache_);
+    if (!grounded.ok()) {
+      // The failed extend above may have consumed the cached grounding,
+      // and a stale entry cannot serve this state anyway: drop it, so the
+      // next call grounds from scratch.
+      EraseEntry(key, model_text);
+      return grounded.status();
+    }
     staged.Commit();
     live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
-    holder->grounded = std::move(grounded);
+    holder->grounded = std::move(*grounded);
     InstallGrounding(&entry, std::move(holder), generation);
     return entry.grounded;
   }
@@ -282,20 +290,34 @@ void QuerySession::InstallGrounding(Entry* entry,
 
 void QuerySession::EvictOldestEntry() {
   CARL_CHECK(!insertion_order_.empty());
-  auto [key, text] = std::move(insertion_order_.front());
-  insertion_order_.erase(insertion_order_.begin());
+  auto [key, text] = insertion_order_.front();
+  if (EraseEntry(key, text)) {
+    live_stats_.ground_evictions.fetch_add(1, std::memory_order_relaxed);
+    SessionCounters::Get().ground_evictions.Increment();
+  }
+}
+
+bool QuerySession::EraseEntry(uint64_t key, const std::string& model_text) {
+  insertion_order_.erase(
+      std::remove_if(insertion_order_.begin(), insertion_order_.end(),
+                     [&](const std::pair<uint64_t, std::string>& queued) {
+                       return queued.first == key &&
+                              queued.second == model_text;
+                     }),
+      insertion_order_.end());
   auto bucket_it = cache_.find(key);
-  if (bucket_it == cache_.end()) return;
+  if (bucket_it == cache_.end()) return false;
   std::vector<Entry>& bucket = bucket_it->second;
+  bool erased = false;
   for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-    if (it->model_text == text) {
+    if (it->model_text == model_text) {
       bucket.erase(it);
-      live_stats_.ground_evictions.fetch_add(1, std::memory_order_relaxed);
-      SessionCounters::Get().ground_evictions.Increment();
+      erased = true;
       break;
     }
   }
   if (bucket.empty()) cache_.erase(bucket_it);
+  return erased;
 }
 
 }  // namespace carl

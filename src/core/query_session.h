@@ -121,6 +121,9 @@ class QuerySession {
   };
 
   void EvictOldestEntry();
+  // Removes the entry of (key, model_text) from its bucket and the FIFO
+  // queue; true when the bucket held it.
+  bool EraseEntry(uint64_t key, const std::string& model_text);
   // Installs a freshly grounded/extended model into `entry`, re-aliasing
   // the handed-out pointer.
   void InstallGrounding(Entry* entry, std::shared_ptr<GroundingHolder> holder,

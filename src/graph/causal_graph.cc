@@ -10,100 +10,7 @@
 
 namespace carl {
 
-namespace causal_graph_internal {
-
-std::vector<PendingEdge> MergeEdgeRun(std::vector<PendingEdge> pending,
-                                      std::vector<EdgeKey>* committed) {
-  // Sort by (key, seq): equal keys group together with their first
-  // occurrence leading the group.
-  std::sort(pending.begin(), pending.end(),
-            [](const PendingEdge& a, const PendingEdge& b) {
-              return a.key == b.key ? a.seq < b.seq : a.key < b.key;
-            });
-  std::vector<PendingEdge> survivors;
-  survivors.reserve(pending.size());
-  size_t keep = 0;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    if (i > 0 && pending[i].key == pending[i - 1].key) continue;
-    if (std::binary_search(committed->begin(), committed->end(),
-                           pending[i].key)) {
-      continue;
-    }
-    survivors.push_back(pending[i]);
-    pending[keep++] = pending[i];  // compact the new keys, still sorted
-  }
-  // Merge the new keys into the committed run (both halves sorted).
-  size_t old_size = committed->size();
-  committed->reserve(old_size + keep);
-  for (size_t i = 0; i < keep; ++i) committed->push_back(pending[i].key);
-  std::inplace_merge(committed->begin(), committed->begin() + old_size,
-                     committed->end());
-  // Replay the survivors in their original call order.
-  std::sort(survivors.begin(), survivors.end(),
-            [](const PendingEdge& a, const PendingEdge& b) {
-              return a.seq < b.seq;
-            });
-  return survivors;
-}
-
-}  // namespace causal_graph_internal
-
-using causal_graph_internal::EdgeKey;
-using causal_graph_internal::PendingEdge;
-
 const std::vector<NodeId> CausalGraph::kNoNodes = {};
-
-CausalGraph::CausalGraph(CausalGraph&& o) noexcept
-    : node_attrs_(std::move(o.node_attrs_)),
-      arg_arena_(std::move(o.arg_arena_)),
-      arg_offsets_(std::move(o.arg_offsets_)),
-      index_(std::move(o.index_)),
-      by_attribute_(std::move(o.by_attribute_)),
-      edge_order_(std::move(o.edge_order_)),
-      edge_run_(std::move(o.edge_run_)),
-      parent_offsets_(std::move(o.parent_offsets_)),
-      parent_data_(std::move(o.parent_data_)),
-      child_offsets_(std::move(o.child_offsets_)),
-      child_data_(std::move(o.child_data_)),
-      adjacency_fresh_(o.adjacency_fresh_.load(std::memory_order_relaxed)) {
-  o.adjacency_fresh_.store(false, std::memory_order_relaxed);
-}
-
-CausalGraph& CausalGraph::operator=(CausalGraph&& o) noexcept {
-  if (this == &o) return *this;
-  node_attrs_ = std::move(o.node_attrs_);
-  arg_arena_ = std::move(o.arg_arena_);
-  arg_offsets_ = std::move(o.arg_offsets_);
-  index_ = std::move(o.index_);
-  by_attribute_ = std::move(o.by_attribute_);
-  edge_order_ = std::move(o.edge_order_);
-  edge_run_ = std::move(o.edge_run_);
-  parent_offsets_ = std::move(o.parent_offsets_);
-  parent_data_ = std::move(o.parent_data_);
-  child_offsets_ = std::move(o.child_offsets_);
-  child_data_ = std::move(o.child_data_);
-  adjacency_fresh_.store(o.adjacency_fresh_.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  o.adjacency_fresh_.store(false, std::memory_order_relaxed);
-  return *this;
-}
-
-CausalGraph::CausalGraph(const CausalGraph& o)
-    : node_attrs_(o.node_attrs_),
-      arg_arena_(o.arg_arena_),
-      arg_offsets_(o.arg_offsets_),
-      index_(o.index_),
-      by_attribute_(o.by_attribute_),
-      edge_order_(o.edge_order_),
-      edge_run_(o.edge_run_) {
-  // The copy recompacts its own CSR on first read.
-}
-
-CausalGraph& CausalGraph::operator=(const CausalGraph& o) {
-  if (this == &o) return *this;
-  *this = CausalGraph(o);
-  return *this;
-}
 
 NodeId CausalGraph::AddNode(AttributeId attribute, TupleView args) {
   return AddNodeImpl(attribute, args);
@@ -129,8 +36,8 @@ NodeId CausalGraph::AddNodeImpl(AttributeId attribute, TupleView args,
   arg_offsets_.push_back(arg_arena_.size());
   attr_index.Insert(static_cast<uint32_t>(id), hash, key_of);
   by_attribute_[attribute].push_back(id);
-  // The CSR offset arrays do not cover the new node yet.
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
+  parents_.AddLists(1);
+  children_.AddLists(1);
   return id;
 }
 
@@ -151,6 +58,8 @@ void CausalGraph::AddNodesBulk(const std::vector<NodeBatch>& batches) {
     total += batch.rows.size();
     sym_total += batch.rows.size() * batch.rows.arity();
   }
+  parents_.AddLists(total - node_attrs_.size());
+  children_.AddLists(total - node_attrs_.size());
   node_attrs_.resize(total);
   arg_arena_.resize(sym_total);
   arg_offsets_.resize(total + 1);
@@ -191,7 +100,6 @@ void CausalGraph::AddNodesBulk(const std::vector<NodeBatch>& batches) {
     CARL_CHECK(attr_index.size() == rows.size())
         << "AddNodesBulk: duplicate rows in batch";
   }
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
 }
 
 void CausalGraph::ExtendNodesBulk(const std::vector<NodeBatch>& batches,
@@ -217,6 +125,9 @@ void CausalGraph::ExtendNodesBulk(const std::vector<NodeBatch>& batches,
     for (size_t r = old; r < rows.size(); ++r) {
       row_nodes.push_back(AddNodeImpl(batch.attribute, rows[r]));
     }
+    // Without extras no row matched an existing node: AddNodeImpl
+    // appended one fresh id per row, so the column is row-aligned already.
+    if (extras_begin == extras_end) continue;
     std::vector<NodeId> promoted(row_nodes);
     std::sort(promoted.begin(), promoted.end());
     // Rebuild the id column: [old row-aligned prefix][new row nodes]
@@ -235,7 +146,6 @@ void CausalGraph::ExtendNodesBulk(const std::vector<NodeBatch>& batches,
     }
     ids = std::move(rebuilt);
   }
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
 }
 
 NodeId CausalGraph::FindNode(AttributeId attribute, TupleView args) const {
@@ -247,78 +157,47 @@ NodeId CausalGraph::FindNode(AttributeId attribute, TupleView args) const {
                                    : static_cast<NodeId>(found);
 }
 
-void CausalGraph::ReserveEdges(size_t expected) {
-  edge_run_.reserve(edge_run_.size() + expected);
-  edge_order_.reserve(edge_order_.size() + expected);
-}
-
-void CausalGraph::AddEdge(NodeId from, NodeId to) {
-  CARL_DCHECK(from >= 0 && static_cast<size_t>(from) < num_nodes());
-  CARL_DCHECK(to >= 0 && static_cast<size_t>(to) < num_nodes());
-  EdgeKey key{from, to};
-  auto it = std::lower_bound(edge_run_.begin(), edge_run_.end(), key);
-  if (it != edge_run_.end() && *it == key) return;
-  edge_run_.insert(it, key);
-  edge_order_.push_back(Edge{from, to});
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
-}
-
 void CausalGraph::AddEdges(const std::vector<Edge>& batch) {
-  std::vector<PendingEdge> pending;
-  pending.reserve(batch.size());
+  if (batch.empty()) return;
+  CARL_CHECK(batch.size() <= UINT32_MAX) << "AddEdges: batch too large";
+  // Group the batch by target, call order within each target: one
+  // (target << 32 | call position) key per edge.
+  std::vector<uint64_t> by_target(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     CARL_DCHECK(batch[i].from >= 0 &&
                 static_cast<size_t>(batch[i].from) < num_nodes());
     CARL_DCHECK(batch[i].to >= 0 &&
                 static_cast<size_t>(batch[i].to) < num_nodes());
-    pending.push_back(
-        PendingEdge{EdgeKey{batch[i].from, batch[i].to},
-                    static_cast<uint32_t>(i)});
+    by_target[i] = (uint64_t{static_cast<uint32_t>(batch[i].to)} << 32) | i;
   }
-  std::vector<PendingEdge> survivors =
-      MergeEdgeRun(std::move(pending), &edge_run_);
-  if (survivors.empty()) return;
-  edge_order_.reserve(edge_order_.size() + survivors.size());
-  for (const PendingEdge& e : survivors) {
-    edge_order_.push_back(Edge{static_cast<NodeId>(e.key.from),
-                               static_cast<NodeId>(e.key.to)});
+  std::sort(by_target.begin(), by_target.end());
+  // Per target: stamp its current parents, then keep an edge only when
+  // its source is unstamped — the first occurrence — and stamp it.
+  edge_mark_.resize(num_nodes(), 0);
+  std::vector<char> keep(batch.size(), 0);
+  for (size_t g = 0; g < by_target.size();) {
+    const NodeId to = static_cast<NodeId>(by_target[g] >> 32);
+    if (++edge_epoch_ == 0) {
+      std::fill(edge_mark_.begin(), edge_mark_.end(), 0);
+      edge_epoch_ = 1;
+    }
+    for (NodeId p : Parents(to)) edge_mark_[p] = edge_epoch_;
+    for (; g < by_target.size() &&
+           static_cast<NodeId>(by_target[g] >> 32) == to;
+         ++g) {
+      const size_t i = static_cast<uint32_t>(by_target[g]);
+      uint32_t& mark = edge_mark_[batch[i].from];
+      if (mark == edge_epoch_) continue;
+      mark = edge_epoch_;
+      keep[i] = 1;
+    }
   }
-  adjacency_fresh_.store(false, std::memory_order_relaxed);
-}
-
-void CausalGraph::RebuildAdjacency() const {
-  const size_t n = num_nodes();
-  const size_t e = edge_order_.size();
-  parent_offsets_.assign(n + 1, 0);
-  child_offsets_.assign(n + 1, 0);
-  for (const Edge& edge : edge_order_) {
-    ++parent_offsets_[edge.to + 1];
-    ++child_offsets_[edge.from + 1];
+  // Survivors append in call order, so every list stays in commit order.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!keep[i]) continue;
+    parents_.Append(static_cast<uint32_t>(batch[i].to), batch[i].from);
+    children_.Append(static_cast<uint32_t>(batch[i].from), batch[i].to);
   }
-  for (size_t i = 1; i <= n; ++i) {
-    parent_offsets_[i] += parent_offsets_[i - 1];
-    child_offsets_[i] += child_offsets_[i - 1];
-  }
-  parent_data_.resize(e);
-  child_data_.resize(e);
-  // Fill in commit order: within each node the list order equals the
-  // order a serial per-node push_back loop produced.
-  std::vector<uint32_t> pcur(parent_offsets_.begin(),
-                             parent_offsets_.end() - 1);
-  std::vector<uint32_t> ccur(child_offsets_.begin(),
-                             child_offsets_.end() - 1);
-  for (const Edge& edge : edge_order_) {
-    parent_data_[pcur[edge.to]++] = edge.from;
-    child_data_[ccur[edge.from]++] = edge.to;
-  }
-}
-
-void CausalGraph::EnsureAdjacency() const {
-  if (adjacency_fresh_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(adjacency_mu_);
-  if (adjacency_fresh_.load(std::memory_order_relaxed)) return;
-  RebuildAdjacency();
-  adjacency_fresh_.store(true, std::memory_order_release);
 }
 
 GroundedAttribute CausalGraph::node(NodeId id) const {
@@ -330,16 +209,14 @@ GroundedAttribute CausalGraph::node(NodeId id) const {
 
 NodeIdSpan CausalGraph::Parents(NodeId id) const {
   CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes());
-  EnsureAdjacency();
-  return NodeIdSpan(parent_data_.data() + parent_offsets_[id],
-                    parent_offsets_[id + 1] - parent_offsets_[id]);
+  const uint32_t list = static_cast<uint32_t>(id);
+  return NodeIdSpan(parents_.data(list), parents_.size(list));
 }
 
 NodeIdSpan CausalGraph::Children(NodeId id) const {
   CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes());
-  EnsureAdjacency();
-  return NodeIdSpan(child_data_.data() + child_offsets_[id],
-                    child_offsets_[id + 1] - child_offsets_[id]);
+  const uint32_t list = static_cast<uint32_t>(id);
+  return NodeIdSpan(children_.data(list), children_.size(list));
 }
 
 const std::vector<NodeId>& CausalGraph::NodesOfAttribute(
@@ -349,12 +226,10 @@ const std::vector<NodeId>& CausalGraph::NodesOfAttribute(
 }
 
 Result<std::vector<NodeId>> CausalGraph::TopologicalOrder() const {
-  EnsureAdjacency();
   const size_t n = num_nodes();
   std::vector<int> in_degree(n);
   for (size_t node = 0; node < n; ++node) {
-    in_degree[node] =
-        static_cast<int>(parent_offsets_[node + 1] - parent_offsets_[node]);
+    in_degree[node] = static_cast<int>(parents_.size(node));
   }
   std::deque<NodeId> ready;
   for (size_t node = 0; node < n; ++node) {

@@ -5,36 +5,35 @@
 // body grounding to the head grounding of a grounded rule. The graph must
 // be a DAG (the paper restricts models to non-recursive rule sets).
 //
-// Storage layout (the graph is rebuilt per model variant, so build cost
-// and per-node footprint are the design):
+// Storage layout (a grounding is built once and then extended per
+// instance delta, so build cost, extend cost and per-node footprint are
+// the design):
 //   * Node arguments live in ONE arity-strided SymbolId arena; a node's
 //     args are a TupleView span into it, never an owned per-node Tuple.
 //     Interning probes the arena through per-attribute SpanIndexes with
 //     keys assembled in caller scratch — zero owned key tuples anywhere.
-//   * Adjacency is CSR: one contiguous parent array + one child array with
-//     per-node offset ranges, built in a single counting pass over the
-//     committed edge sequence. Edges committed after a build land in a
-//     dynamic overlay (the uncompacted tail of the edge log) and are
-//     folded in by recompacting on the first adjacency read — reads always
-//     see per-node lists byte-identical to the historical per-node
-//     push_back vectors.
+//   * Adjacency is two ListStores (parents, children): node i's lists are
+//     list i of each, in edge commit order. AddEdges appends to exactly
+//     the lists its surviving edges extend, so a post-build extend costs
+//     the delta, not the graph. Each edge is stored once per direction.
+//     CompactAdjacency lays both stores out in node order at exact sizes
+//     (GroundModel calls it once after its merge).
 //
-// Thread contract: writes (AddNode*, AddEdge*) are single-threaded and
-// must not overlap reads; FindNode / node / Parents / Children are safe
-// from concurrent readers (the lazy adjacency compaction is internally
-// synchronized).
+// Thread contract: writes (AddNode*, AddEdge*, CompactAdjacency) are
+// single-threaded and must not overlap reads; every read (FindNode, node,
+// Parents, Children, ...) is a plain const read, safe from concurrent
+// readers.
 
 #ifndef CARL_GRAPH_CAUSAL_GRAPH_H_
 #define CARL_GRAPH_CAUSAL_GRAPH_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "relational/list_store.h"
 #include "relational/schema.h"
 #include "relational/span_index.h"
 #include "relational/tuple.h"
@@ -43,41 +42,6 @@ namespace carl {
 
 using NodeId = int32_t;
 inline constexpr NodeId kInvalidNode = -1;
-
-namespace causal_graph_internal {
-
-/// Edge identity for the sorted-run dedupe, compared field-wise over
-/// 64-bit ids. The historical dedupe packed (from << 32) | (uint32)to
-/// into one uint64_t, which silently collides for any NodeId wider than
-/// 32 bits; this representation is collision-free for every id width.
-struct EdgeKey {
-  int64_t from = 0;
-  int64_t to = 0;
-
-  friend bool operator==(const EdgeKey& a, const EdgeKey& b) {
-    return a.from == b.from && a.to == b.to;
-  }
-  friend bool operator<(const EdgeKey& a, const EdgeKey& b) {
-    return a.from != b.from ? a.from < b.from : a.to < b.to;
-  }
-};
-
-/// A batched edge plus its AddEdges call position.
-struct PendingEdge {
-  EdgeKey key;
-  uint32_t seq = 0;
-};
-
-/// The sorted-run merge behind CausalGraph::AddEdges: drops pending
-/// duplicates (keeping the lowest seq of each key) and keys already in
-/// the sorted `committed` run, merges the survivors' keys into
-/// `committed` (which stays sorted), and returns the survivors ordered
-/// by seq — the exact first-occurrence sequence a serial AddEdge loop
-/// would have committed. Exposed for width-regression testing.
-std::vector<PendingEdge> MergeEdgeRun(std::vector<PendingEdge> pending,
-                                      std::vector<EdgeKey>* committed);
-
-}  // namespace causal_graph_internal
 
 /// A grounded attribute A[x]. `args` is a span into the graph's argument
 /// arena — valid until the next node insertion into the graph.
@@ -90,8 +54,8 @@ struct GroundedAttribute {
   }
 };
 
-/// Non-owning view of one CSR adjacency list (a node's parents or
-/// children, in edge commit order). Valid until the next graph mutation.
+/// Non-owning view of one adjacency list (a node's parents or children,
+/// in edge commit order). Valid until the next graph mutation.
 class NodeIdSpan {
  public:
   using value_type = NodeId;
@@ -123,15 +87,6 @@ class NodeIdSpan {
 
 class CausalGraph {
  public:
-  CausalGraph() = default;
-  /// Moves/copies transfer the node and edge stores; the adjacency
-  /// synchronization state is rebuilt (the CSR recompacts lazily on the
-  /// next read). Must not race in-flight readers of the source.
-  CausalGraph(CausalGraph&& o) noexcept;
-  CausalGraph& operator=(CausalGraph&& o) noexcept;
-  CausalGraph(const CausalGraph& o);
-  CausalGraph& operator=(const CausalGraph& o);
-
   /// Interns a node; returns the existing id when already present. The
   /// span overload is the hot path and appends straight into the argument
   /// arena on a miss — `args` must not alias this graph's own arena. The
@@ -169,8 +124,9 @@ class CausalGraph {
   /// added for a then-non-fact tuple, and reorders the attribute's id
   /// column so its first rows.size() entries are row-aligned again (the
   /// NodesOfAttribute contract) with any surviving rule-added extras
-  /// after them in their original relative order. Serial, sized to the
-  /// delta, not the graph.
+  /// after them in their original relative order. An attribute without
+  /// extras needs no reorder (its fresh ids append in row order), so
+  /// the common call is sized to the delta, not the graph.
   void ExtendNodesBulk(const std::vector<NodeBatch>& batches,
                        const std::vector<size_t>& prior_rows);
 
@@ -183,10 +139,8 @@ class CausalGraph {
 
   /// Adds a cause -> effect edge; duplicate edges are ignored.
   /// Incremental convenience (tests, hand-built graphs) — bulk producers
-  /// should batch through AddEdges. After the CSR adjacency has been
-  /// built, the edge lands in the dynamic overlay and is folded in on the
-  /// next adjacency read.
-  void AddEdge(NodeId from, NodeId to);
+  /// should batch through AddEdges.
+  void AddEdge(NodeId from, NodeId to) { AddEdges({Edge{from, to}}); }
 
   /// One cause -> effect edge of an AddEdges batch.
   struct Edge {
@@ -198,30 +152,26 @@ class CausalGraph {
   /// (within the batch or against already-present edges) are ignored, and
   /// surviving edges are appended in batch order — exactly the adjacency
   /// order a serial AddEdge loop over the same sequence produces. Dedupe
-  /// is a sorted-run build (no hash set, collision-free for any NodeId
-  /// width).
+  /// groups the batch by target and epoch-stamps each target's current
+  /// parents, so it scans only the lists the batch touches.
   void AddEdges(const std::vector<Edge>& batch);
 
-  /// Pre-sizes edge storage for an expected number of additional edges.
-  void ReserveEdges(size_t expected);
+  /// Lays both adjacency stores out in node order at exact sizes.
+  void CompactAdjacency() {
+    parents_.Compact();
+    children_.Compact();
+  }
 
   size_t num_nodes() const { return node_attrs_.size(); }
-  size_t num_edges() const { return edge_order_.size(); }
-
-  /// The committed edge sequence in first-occurrence order. Stable
-  /// positions: edges only append, so a consumer that remembered
-  /// num_edges() can read the suffix to see exactly what a later splice
-  /// added (the incremental-grounding aggregate reseed does).
-  const std::vector<Edge>& edge_log() const { return edge_order_; }
+  size_t num_edges() const { return parents_.live(); }
 
   /// The node's attribute and argument span. The span stays valid until
   /// the next node insertion.
   GroundedAttribute node(NodeId id) const;
 
   /// Parents / children of a node, in edge commit order (byte-identical
-  /// to the historical per-node vectors). Triggers adjacency compaction
-  /// when edges or nodes were added since the last read; the span is
-  /// valid until the next graph mutation.
+  /// to the historical per-node vectors). The span is valid until the
+  /// next graph mutation.
   NodeIdSpan Parents(NodeId id) const;
   NodeIdSpan Children(NodeId id) const;
 
@@ -263,11 +213,6 @@ class CausalGraph {
                      static_cast<size_t>(arg_offsets_[id + 1] -
                                          arg_offsets_[id]));
   }
-  /// Compacts the committed edge log into the CSR arrays when stale.
-  /// Safe from concurrent readers; never runs concurrent with writes
-  /// (the graph's thread contract).
-  void EnsureAdjacency() const;
-  void RebuildAdjacency() const;
 
   // Node store: one argument arena; node i's args are the span
   // [arg_offsets_[i], arg_offsets_[i+1]) of arg_arena_.
@@ -280,25 +225,14 @@ class CausalGraph {
   std::unordered_map<AttributeId, SpanIndex> index_;
   std::unordered_map<AttributeId, std::vector<NodeId>> by_attribute_;
 
-  // Committed edges in first-occurrence order (the CSR fill source) plus
-  // one sorted dedupe run, kept merged across batches; the dedupe probe
-  // is a binary search, never a packed-key hash. Edges committed after
-  // the last compaction are the dynamic overlay: they live only in this
-  // log (flagged by adjacency_fresh_) until a read recompacts the CSR
-  // over the whole sequence.
-  std::vector<Edge> edge_order_;
-  std::vector<causal_graph_internal::EdgeKey> edge_run_;
-
-  // CSR adjacency, rebuilt lazily on first read after a mutation. The
-  // flag is the only cross-thread handshake: readers acquire-load it,
-  // the (reader-side, mutex-serialized) compaction release-stores it,
-  // writers relax-store false.
-  mutable std::vector<uint32_t> parent_offsets_;
-  mutable std::vector<NodeId> parent_data_;
-  mutable std::vector<uint32_t> child_offsets_;
-  mutable std::vector<NodeId> child_data_;
-  mutable std::atomic<bool> adjacency_fresh_{false};
-  mutable std::mutex adjacency_mu_;
+  // Adjacency: list i of each store is node i's parents / children, in
+  // edge commit order.
+  ListStore<NodeId> parents_;
+  ListStore<NodeId> children_;
+  // AddEdges dedupe scratch: edge_mark_[p] == edge_epoch_ iff p is already
+  // a parent of the target being committed.
+  std::vector<uint32_t> edge_mark_;
+  uint32_t edge_epoch_ = 0;
 
   static const std::vector<NodeId> kNoNodes;
 };

@@ -49,7 +49,7 @@ struct CompiledConstraint {
 // constraints — is computed once at compile time.
 // Row restriction of one plan step against a per-predicate watermark
 // (prior row count): kAny reads every row, kOldOnly the rows below the
-// watermark, kNewOnly the rows at or beyond it. CSR postings are in row
+// watermark, kNewOnly the rows at or beyond it. Posting lists are in row
 // order within a key, so both cuts are a single lower_bound.
 enum class RowFilter : uint8_t { kAny, kOldOnly, kNewOnly };
 

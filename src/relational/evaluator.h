@@ -10,7 +10,7 @@
 // atom order — and with it each step's bound positions, variable binds,
 // repeated-variable checks, and ready constraints — is memoized per depth
 // in the compiled plan. The run loop then does no planning, no per-row
-// allocation, and probes the instance's CSR match indexes with keys
+// allocation, and probes the instance's match indexes with keys
 // assembled in preallocated scratch. Results are deduplicated on the
 // projection to the distinguished variables straight into a columnar
 // BindingTable (span-hashed arena) — no owned Tuple is ever built on the

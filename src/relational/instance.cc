@@ -283,8 +283,24 @@ RowIdSpan Instance::PositionIndex::Lookup(const SymbolId* key,
   };
   uint32_t kid = table_.Find(TupleView(key, n), HashSpan(key, n), key_of);
   if (kid == SpanIndex::kNpos) return RowIdSpan();
-  return RowIdSpan(row_ids_.data() + offsets_[kid],
-                   offsets_[kid + 1] - offsets_[kid]);
+  return RowIdSpan(postings_.data(kid), postings_.size(kid));
+}
+
+uint32_t Instance::PositionIndex::InternKey(const SymbolId* row,
+                                            SymbolId* key) {
+  const size_t stride = positions_.size();
+  auto key_of = [this, stride](uint32_t id) {
+    return TupleView(keys_.data() + static_cast<size_t>(id) * stride, stride);
+  };
+  for (size_t i = 0; i < stride; ++i) key[i] = row[positions_[i]];
+  uint64_t hash = HashSpan(key, stride);
+  uint32_t kid = table_.Find(TupleView(key, stride), hash, key_of);
+  if (kid == SpanIndex::kNpos) {
+    kid = static_cast<uint32_t>(table_.size());
+    keys_.insert(keys_.end(), key, key + stride);
+    table_.Insert(kid, hash, key_of);
+  }
+  return kid;
 }
 
 void Instance::BuildIndex(const RelationStore& rel, PositionIndex* index) {
@@ -293,13 +309,7 @@ void Instance::BuildIndex(const RelationStore& rel, PositionIndex* index) {
       obs::Registry::Global().GetCounter("instance.match_index_builds");
   builds.Increment();
   storage_stats::CountAlloc();
-  const std::vector<int>& positions = index->positions_;
-  const size_t stride = positions.size();
   const size_t n = rel.num_rows;
-  auto key_of = [index, stride](uint32_t id) {
-    return TupleView(index->keys_.data() + static_cast<size_t>(id) * stride,
-                     stride);
-  };
 
   // Pass 1 (counting): assign each row its distinct-key id, appending
   // first-seen keys to the key arena. The table grows with the distinct-
@@ -308,39 +318,24 @@ void Instance::BuildIndex(const RelationStore& rel, PositionIndex* index) {
   // the cache.
   std::vector<uint32_t> row_kid(n);
   std::vector<uint32_t> counts;
-  SymbolScratch key_scratch(stride);
-  SymbolId* key = key_scratch.data();
+  SymbolScratch key(index->positions_.size());
   for (uint32_t r = 0; r < n; ++r) {
-    const SymbolId* row = rel.data.data() + static_cast<size_t>(r) * rel.arity;
-    for (size_t i = 0; i < stride; ++i) key[i] = row[positions[i]];
-    uint64_t hash = HashSpan(key, stride);
-    uint32_t kid = index->table_.Find(TupleView(key, stride), hash, key_of);
-    if (kid == SpanIndex::kNpos) {
-      kid = static_cast<uint32_t>(counts.size());
-      index->keys_.insert(index->keys_.end(), key, key + stride);
-      index->table_.Insert(kid, hash, key_of);
-      counts.push_back(0);
-    }
+    uint32_t kid = index->InternKey(
+        rel.data.data() + static_cast<size_t>(r) * rel.arity, key.data());
+    if (kid == counts.size()) counts.push_back(0);
     row_kid[r] = kid;
     ++counts[kid];
   }
 
-  // Pass 2 (scatter): prefix-sum the counts into offsets, then drop each
-  // row id into its key's postings range, preserving row order.
-  index->offsets_.assign(counts.size() + 1, 0);
-  for (size_t k = 0; k < counts.size(); ++k) {
-    index->offsets_[k + 1] = index->offsets_[k] + counts[k];
-  }
-  index->row_ids_.resize(n);
-  std::vector<uint32_t> cursor(index->offsets_.begin(),
-                               index->offsets_.end() - 1);
-  for (uint32_t r = 0; r < n; ++r) {
-    index->row_ids_[cursor[row_kid[r]]++] = r;
-  }
+  // Pass 2 (scatter): lay each key's list out at its count, then append
+  // every row id to its key's list in row order.
+  for (uint32_t count : counts) index->postings_.AddList(count);
+  for (uint32_t r = 0; r < n; ++r) index->postings_.Append(row_kid[r], r);
+  index->num_rows_ = n;
 }
 
 void Instance::ExtendIndex(const RelationStore& rel, PositionIndex* index) {
-  const size_t old_n = index->row_ids_.size();
+  const size_t old_n = index->num_rows_;
   const size_t n = rel.num_rows;
   if (old_n == n) return;  // raced extenders: first one already caught up
   CARL_TRACE_SCOPE("instance.match_index_repair");
@@ -348,65 +343,18 @@ void Instance::ExtendIndex(const RelationStore& rel, PositionIndex* index) {
       obs::Registry::Global().GetCounter("instance.match_index_repairs");
   repairs.Increment();
   storage_stats::CountAlloc();
-  const std::vector<int>& positions = index->positions_;
-  const size_t stride = positions.size();
-  auto key_of = [index, stride](uint32_t id) {
-    return TupleView(index->keys_.data() + static_cast<size_t>(id) * stride,
-                     stride);
-  };
-  const size_t old_keys =
-      index->offsets_.empty() ? 0 : index->offsets_.size() - 1;
-
-  // Pass 1 (appended rows only): assign each new row its distinct-key id,
-  // interning unseen keys, and count the additions per key. This is the
-  // only hashing the repair does — cost is O(delta), not O(rows).
-  std::vector<uint32_t> new_kid(n - old_n);
-  std::vector<uint32_t> added(old_keys, 0);
-  SymbolScratch key_scratch(stride);
-  SymbolId* key = key_scratch.data();
+  // Only the appended rows are hashed and written: cost is O(delta), not
+  // O(rows). They carry the highest row ids, so appending each to its
+  // key's list keeps every list in row order — the invariant the delta
+  // evaluator's watermark cut depends on.
+  SymbolScratch key(index->positions_.size());
   for (uint32_t r = static_cast<uint32_t>(old_n); r < n; ++r) {
-    const SymbolId* row = rel.data.data() + static_cast<size_t>(r) * rel.arity;
-    for (size_t i = 0; i < stride; ++i) key[i] = row[positions[i]];
-    uint64_t hash = HashSpan(key, stride);
-    uint32_t kid = index->table_.Find(TupleView(key, stride), hash, key_of);
-    if (kid == SpanIndex::kNpos) {
-      kid = static_cast<uint32_t>(added.size());
-      index->keys_.insert(index->keys_.end(), key, key + stride);
-      index->table_.Insert(kid, hash, key_of);
-      added.push_back(0);
-    }
-    new_kid[r - static_cast<uint32_t>(old_n)] = kid;
-    ++added[kid];
+    uint32_t kid = index->InternKey(
+        rel.data.data() + static_cast<size_t>(r) * rel.arity, key.data());
+    if (kid == index->postings_.num_lists()) index->postings_.AddList(0);
+    index->postings_.Append(kid, r);
   }
-
-  // Pass 2 (merge): rebuild offsets and postings in one linear copy.
-  // Appended rows carry the highest row ids, so placing each key's
-  // additions after its old postings keeps every range in row order —
-  // the invariant the delta evaluator's watermark cut depends on.
-  const size_t num_keys = added.size();
-  std::vector<uint32_t> offsets(num_keys + 1, 0);
-  for (size_t k = 0; k < num_keys; ++k) {
-    const uint32_t old_count =
-        k < old_keys ? index->offsets_[k + 1] - index->offsets_[k] : 0;
-    offsets[k + 1] = offsets[k] + old_count + added[k];
-  }
-  std::vector<uint32_t> row_ids(n);
-  std::vector<uint32_t> cursor(num_keys);
-  for (size_t k = 0; k < num_keys; ++k) {
-    uint32_t old_count = 0;
-    if (k < old_keys) {
-      old_count = index->offsets_[k + 1] - index->offsets_[k];
-      std::copy(index->row_ids_.begin() + index->offsets_[k],
-                index->row_ids_.begin() + index->offsets_[k + 1],
-                row_ids.begin() + offsets[k]);
-    }
-    cursor[k] = offsets[k] + old_count;
-  }
-  for (size_t i = 0; i < new_kid.size(); ++i) {
-    row_ids[cursor[new_kid[i]]++] = static_cast<uint32_t>(old_n + i);
-  }
-  index->offsets_ = std::move(offsets);
-  index->row_ids_ = std::move(row_ids);
+  index->num_rows_ = n;
 }
 
 const Instance::PositionIndex* Instance::GetOrBuildIndex(
@@ -423,7 +371,7 @@ const Instance::PositionIndex* Instance::GetOrBuildIndex(
     for (const auto& index : per_pred) {
       // A stale index (rows appended since it was built) falls through to
       // the write path for an in-place repair.
-      if (matches(*index) && index->row_ids_.size() == rel.num_rows) {
+      if (matches(*index) && index->num_rows_ == rel.num_rows) {
         return index.get();
       }
     }

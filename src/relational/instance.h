@@ -14,10 +14,12 @@
 //     (value index per row + insertion-ordered value vector); tuples that
 //     are not facts of the attribute's predicate fall back to a tiny
 //     overflow map that is empty in practice.
-//   * Match indexes are CSR postings: one contiguous row-id array plus an
-//     open-addressed offset table probed with a span hash. Match returns a
-//     span over the postings and never materializes anything; an index is
-//     built in one counting pass per (predicate, position set).
+//   * Match indexes are posting lists: one row-id list per distinct key,
+//     all packed into one ListStore arena, plus an open-addressed key
+//     table probed with a span hash. Match returns a span over one list
+//     and never materializes anything. An index is built in one counting
+//     pass per (predicate, position set) that lays each list out at its
+//     count; appended facts extend only their keys' lists.
 //
 // Index builds are lazily triggered and serialized behind a shared_mutex,
 // so concurrent query evaluation over one instance is safe; concurrent
@@ -39,6 +41,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "relational/list_store.h"
 #include "relational/schema.h"
 #include "relational/span_index.h"
 #include "relational/tuple.h"
@@ -180,26 +183,31 @@ class Instance {
   /// Number of values set for an attribute.
   size_t NumAttributeValues(AttributeId attribute) const;
 
-  /// A cached CSR index of `predicate` keyed on `positions`: Lookup
-  /// returns the row ids whose values at `positions` equal the probed key
-  /// (in row order), as a span over the postings array. An empty position
-  /// set keys every row under the empty key. Safe to call from concurrent
-  /// readers (builds are serialized internally); concurrent with
-  /// AddFact/SetAttribute it is not. Fact insertion leaves the index
+  /// A cached index of `predicate` keyed on `positions`: Lookup returns
+  /// the row ids whose values at `positions` equal the probed key (in
+  /// row order), as a span over that key's posting list. An empty
+  /// position set keys every row under the empty key. Safe to call from
+  /// concurrent readers (builds are serialized internally); concurrent
+  /// with AddFact/SetAttribute it is not. Fact insertion leaves the index
   /// stale rather than dropping it; the next MatchIndex repairs it in
-  /// place by hashing only the appended rows (ExtendIndex), so pointers
-  /// stay valid but spans obtained before the insertion do not.
+  /// place by appending only the new rows to their keys' lists
+  /// (ExtendIndex), so pointers stay valid but spans obtained before the
+  /// insertion do not.
   class PositionIndex {
    public:
     RowIdSpan Lookup(const SymbolId* key, size_t n) const;
 
    private:
     friend class Instance;
+    // Distinct-key id of `row`'s key at positions_ (assembled in `key`
+    // scratch), interning an unseen key under the next dense id.
+    uint32_t InternKey(const SymbolId* row, SymbolId* key);
+
     std::vector<int> positions_;
     std::vector<SymbolId> keys_;      // distinct keys, positions_.size()-strided
     SpanIndex table_;                 // key span -> distinct-key id
-    std::vector<uint32_t> offsets_;   // per key id: postings range
-    std::vector<uint32_t> row_ids_;   // CSR postings, row order within key
+    ListStore<uint32_t> postings_;    // per key id: row ids in row order
+    size_t num_rows_ = 0;             // rows indexed so far
   };
   const PositionIndex* MatchIndex(PredicateId predicate, const int* positions,
                                   size_t n) const;
@@ -268,9 +276,9 @@ class Instance {
                                        const int* positions, size_t n) const;
   static void BuildIndex(const RelationStore& rel, PositionIndex* index);
   // In-place repair of a stale index after append-only fact insertion:
-  // hashes only rows beyond the indexed prefix, then merges postings with
-  // one linear copy (new rows append within each key, preserving row
-  // order). Caller holds index_mu_ exclusively.
+  // hashes only rows beyond the indexed prefix and appends each to its
+  // key's posting list (appended rows carry the highest ids, so every
+  // list stays in row order). Caller holds index_mu_ exclusively.
   static void ExtendIndex(const RelationStore& rel, PositionIndex* index);
 
   // One logged mutation. Event i of delta_log_ is the transition from

@@ -5,7 +5,7 @@
 // caller keeps them (a relation arena, a graph's node list, a distinct-key
 // arena). Every probe resolves an id back to its key through a caller-
 // supplied accessor, so one index implementation serves the instance fact
-// sets, the CSR match indexes, the causal-graph node interner, and the
+// sets, the match indexes, the causal-graph node interner, and the
 // evaluator's result dedupe — all without owning a single heap-allocated
 // key. Probes take a raw (pointer, length) span: hot loops hash stack
 // scratch buffers and never materialize a Tuple.

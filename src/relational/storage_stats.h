@@ -1,7 +1,7 @@
 // Allocation accounting for the relational storage/join layer, backed by
 // the carl_obs metrics registry.
 //
-// The columnar storage rework (arena relations, CSR match indexes, the
+// The columnar storage rework (arena relations, match indexes, the
 // plan-driven searcher) is about keeping heap allocation out of the hot
 // join loops, but wall time alone can't tell an allocation regression
 // from noise. The layer therefore counts its allocation *events* — arena

@@ -85,7 +85,7 @@ Schema MakePersonItemSchema();
 
 /// A grounded graph built by the plain per-binding loop over public APIs
 /// only — the reference GroundModel must reproduce exactly (raw node ids
-/// and args, edge log order, parent/child order, num_groundings) at every
+/// and args, parent/child order, num_edges, num_groundings) at every
 /// thread count. Nodes: AddNode per fact row, attribute by attribute in
 /// schema order. Then every rule in model order (causal rules, then
 /// aggregate rules): QueryEvaluator::Evaluate over the rule's variables

@@ -37,9 +37,9 @@ TEST(CausalGraphTest, EdgesDeduplicated) {
 }
 
 TEST(CausalGraphTest, AddEdgesBatchMatchesSerialFirstOccurrence) {
-  // The batched sorted-run build must reproduce a serial AddEdge loop
-  // exactly: duplicates dropped (within the batch and against edges
-  // already committed), survivors appended in call order.
+  // The batched commit must reproduce a serial AddEdge loop exactly:
+  // duplicates dropped (within the batch and against edges already
+  // committed), survivors appended in call order.
   CausalGraph serial, batched;
   for (int i = 0; i < 6; ++i) {
     N(&serial, i);
@@ -62,38 +62,6 @@ TEST(CausalGraphTest, AddEdgesBatchMatchesSerialFirstOccurrence) {
   serial.AddEdge(0, 2);
   EXPECT_EQ(batched.num_edges(), serial.num_edges());
   EXPECT_EQ(batched.Children(0), serial.Children(0));
-}
-
-TEST(CausalGraphTest, EdgeDedupeIsCollisionFreeBeyond32Bits) {
-  // Regression test for the historical packed edge key,
-  // (uint64)(uint32)from << 32 | (uint32)to: any two ids that agree in
-  // their low 32 bits collided, so for a NodeId wider than 32 bits the
-  // second edge silently vanished. The sorted-run dedupe compares ids
-  // field-wise; run it directly on >32-bit values.
-  using causal_graph_internal::EdgeKey;
-  using causal_graph_internal::MergeEdgeRun;
-  using causal_graph_internal::PendingEdge;
-  constexpr int64_t kHigh = int64_t{1} << 32;
-  std::vector<PendingEdge> pending{
-      {EdgeKey{5, 7}, 0},
-      {EdgeKey{kHigh + 5, 7}, 1},   // collides with seq 0 under (uint32)from
-      {EdgeKey{5, kHigh + 7}, 2},   // collides with seq 0 under (uint32)to
-      {EdgeKey{5, 7}, 3},           // genuine duplicate of seq 0
-      {EdgeKey{kHigh + 5, 7}, 4},   // genuine duplicate of seq 1
-  };
-  std::vector<EdgeKey> committed;
-  std::vector<PendingEdge> survivors =
-      MergeEdgeRun(std::move(pending), &committed);
-  ASSERT_EQ(survivors.size(), 3u);  // the three distinct (from, to) pairs
-  EXPECT_EQ(survivors[0].seq, 0u);
-  EXPECT_EQ(survivors[1].seq, 1u);
-  EXPECT_EQ(survivors[2].seq, 2u);
-  EXPECT_EQ(committed.size(), 3u);
-  EXPECT_TRUE(std::is_sorted(committed.begin(), committed.end()));
-  // Replaying one of them against the committed run drops it.
-  EXPECT_TRUE(
-      MergeEdgeRun({{EdgeKey{kHigh + 5, 7}, 0}}, &committed).empty());
-  EXPECT_EQ(committed.size(), 3u);
 }
 
 TEST(CausalGraphTest, NodeArgsLiveInArena) {
@@ -121,11 +89,13 @@ TEST(CausalGraphTest, OwnedTupleAddNodeCountsGraphNodeAllocs) {
   EXPECT_EQ(allocs.graph_node_delta(), 2u);
 }
 
-// CSR adjacency must read byte-identical to per-node push_back vectors at
-// every point of an interleaved write/read/write sequence: before any
-// read (first compaction), after a read (hot CSR), after post-build
-// AddEdge / AddEdges land in the overlay and the next read recompacts.
-TEST(CausalGraphTest, CsrAdjacencyMatchesReferenceAcrossOverlayWrites) {
+// The appended adjacency lists must read byte-identical to per-node
+// push_back vectors at every point of an interleaved write/read/write
+// sequence: after each AddEdges batch (whose random edges repeat, so the
+// dedupe against committed parents and within the batch is exercised),
+// after single AddEdge calls that relocate lists within the arena, and
+// after CompactAdjacency rewrites the layout.
+TEST(CausalGraphTest, AdjacencyMatchesReferenceAcrossInterleavedWrites) {
   constexpr int kNodes = 40;
   CausalGraph g;
   for (int i = 0; i < kNodes; ++i) N(&g, i);
@@ -153,7 +123,7 @@ TEST(CausalGraphTest, CsrAdjacencyMatchesReferenceAcrossOverlayWrites) {
     }
   };
 
-  // Batch writes, read (compacts), then overlay writes, read again.
+  // Batch writes, read, then single-edge writes, read again.
   for (int round = 0; round < 4; ++round) {
     std::vector<CausalGraph::Edge> batch;
     for (int i = 0; i < 50; ++i) {
@@ -163,14 +133,17 @@ TEST(CausalGraphTest, CsrAdjacencyMatchesReferenceAcrossOverlayWrites) {
     }
     g.AddEdges(batch);
     check_all("after batch");
-    check_all("re-read (compaction idempotent)");
-    // Post-build incremental edges land in the dynamic overlay.
+    check_all("re-read (reads do not mutate)");
     for (int i = 0; i < 5; ++i) {
       NodeId from = next(), to = next();
       g.AddEdge(from, to);
       ref_add(from, to);
     }
-    check_all("after overlay AddEdge");
+    check_all("after AddEdge");
+    if (round % 2 == 1) {
+      g.CompactAdjacency();
+      check_all("after CompactAdjacency");
+    }
   }
   size_t ref_edges = 0;
   for (const auto& p : ref_parents) ref_edges += p.size();
@@ -181,9 +154,10 @@ TEST(CausalGraphTest, AdjacencyCoversNodesAddedAfterCompaction) {
   CausalGraph g;
   NodeId a = N(&g, 0), b = N(&g, 1);
   g.AddEdge(a, b);
-  EXPECT_EQ(g.Parents(b).size(), 1u);  // compacts the CSR
-  // A node interned after the build must still be readable (the offset
-  // arrays recompact to cover it).
+  g.CompactAdjacency();
+  EXPECT_EQ(g.Parents(b).size(), 1u);
+  // A node interned after the compaction gets its own empty lists, and
+  // an edge into it appends to them.
   NodeId c = N(&g, 2);
   EXPECT_TRUE(g.Parents(c).empty());
   EXPECT_TRUE(g.Children(c).empty());

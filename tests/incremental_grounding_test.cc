@@ -11,8 +11,12 @@
 // invalidation) and every documented fallback out of
 // the extend contract: overflow writes, constraint-attribute writes,
 // rule-named constants interned inside the window, and a trimmed delta
-// log. The concurrent-reader test exercises the lazy CSR overlay
-// recompaction under racing readers and is the TSan CI leg's target.
+// log. A second seeded differential appends facts until an extend closes
+// a cycle, which the extend's cone-local check must report exactly when
+// a from-scratch ground does; a session test pins down that such a
+// failure never leaves a consumed grounding in the session cache. The
+// concurrent-reader test races plain adjacency reads after a post-build
+// AddEdges and is a TSan CI leg target.
 
 #include <gtest/gtest.h>
 
@@ -247,8 +251,139 @@ TEST(IncrementalGroundingFuzz, MiniNisMatchesFromScratch) {
 }
 
 // ---------------------------------------------------------------------------
+// Cycles closed by an extend.
+// ---------------------------------------------------------------------------
+
+// Person and Submission entities, Author and Reviews relationships, and a
+// numeric attribute per name in `person_attrs` / `submission_attrs`.
+Schema MakeAuthorReviewsSchema(const std::vector<std::string>& person_attrs,
+                               const std::vector<std::string>& submission_attrs) {
+  Schema schema;
+  CARL_CHECK_OK(schema.AddEntity("Person").status());
+  CARL_CHECK_OK(schema.AddEntity("Submission").status());
+  CARL_CHECK_OK(
+      schema.AddRelationship("Author", {"Person", "Submission"}).status());
+  CARL_CHECK_OK(
+      schema.AddRelationship("Reviews", {"Person", "Submission"}).status());
+  for (const std::string& name : person_attrs) {
+    CARL_CHECK_OK(
+        schema.AddAttribute(name, "Person", true, ValueType::kDouble).status());
+  }
+  for (const std::string& name : submission_attrs) {
+    CARL_CHECK_OK(schema.AddAttribute(name, "Submission", true,
+                                      ValueType::kDouble).status());
+  }
+  return schema;
+}
+
+// Seeded episodes of random Author/Reviews appends. Every cycle runs
+// Prestige[A] -> Score[S] -> Quality[S] -> Prestige[B] and back, so most
+// are closed by one new fact over edges that already exist (Reviews(Bob,
+// s1) closes Prestige[Bob] -> Score[s1] -> Quality[s1] -> Prestige[Bob]
+// when Author(Bob, s1) is old). At every step the extend of the previous
+// grounding must fail exactly when a from-scratch ground fails, with the
+// same status, and otherwise match it canonically. Once the state is
+// cyclic it stays cyclic (facts only append), so the episode ends there.
+TEST(IncrementalGroundingFuzz, CycleCheckMatchesFromScratch) {
+  Schema schema = MakeAuthorReviewsSchema({"Prestige"}, {"Score", "Quality"});
+  Result<RelationalCausalModel> model = RelationalCausalModel::Parse(schema, R"(
+    Score[S] <= Prestige[A] WHERE Author(A, S)
+    Quality[S] <= Score[S] WHERE Submission(S)
+    Prestige[A] <= Quality[S] WHERE Reviews(A, S)
+  )");
+  ASSERT_TRUE(model.ok()) << model.status();
+  constexpr int kPeople = 6;
+  constexpr int kSubmissions = 6;
+  size_t cycles = 0;
+  size_t extends = 0;
+  for (uint64_t episode = 0; episode < 40; ++episode) {
+    SCOPED_TRACE("episode " + std::to_string(episode));
+    std::mt19937_64 rng(0x5eed0100 + episode);
+    Instance db(&schema);
+    for (int p = 0; p < kPeople; ++p) {
+      const std::string name = "p" + std::to_string(p);
+      CARL_CHECK_OK(db.AddFact("Person", {name}));
+      CARL_CHECK_OK(db.SetAttribute(
+          "Prestige", {name}, Value(static_cast<double>(rng() % 100))));
+    }
+    for (int s = 0; s < kSubmissions; ++s) {
+      CARL_CHECK_OK(db.AddFact("Submission", {"s" + std::to_string(s)}));
+    }
+    Result<GroundedModel> base = GroundModel(db, *model);
+    ASSERT_TRUE(base.ok()) << base.status();
+    for (int step = 0; step < 30; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const uint64_t gen = db.generation();
+      const size_t facts = 1 + rng() % 3;
+      for (size_t f = 0; f < facts; ++f) {
+        const std::string person = "p" + std::to_string(rng() % kPeople);
+        const std::string submission =
+            "s" + std::to_string(rng() % kSubmissions);
+        CARL_CHECK_OK(db.AddFact(rng() % 2 == 0 ? "Author" : "Reviews",
+                                 {person, submission}));
+      }
+      InstanceDelta delta = db.DeltaSince(gen);
+      ASSERT_TRUE(DeltaSupportsIncrementalExtend(db, *model, delta));
+      Result<GroundedModel> ext = ExtendGroundedModel(std::move(*base), delta);
+      Result<GroundedModel> fresh = GroundModel(db, *model);
+      ASSERT_EQ(ext.ok(), fresh.ok())
+          << "extend: " << ext.status() << " / ground: " << fresh.status();
+      if (!ext.ok()) {
+        EXPECT_EQ(ext.status().code(), StatusCode::kFailedPrecondition);
+        EXPECT_EQ(ext.status().message(), fresh.status().message());
+        ++cycles;
+        break;
+      }
+      ++extends;
+      ASSERT_TRUE(Canonicalize(*ext) == Canonicalize(*fresh));
+      base = std::move(ext);
+    }
+  }
+  EXPECT_GT(cycles, 10u) << "too few episodes closed a cycle";
+  EXPECT_GT(extends, 40u) << "too few acyclic extends";
+}
+
+// ---------------------------------------------------------------------------
 // QuerySession delta policy.
 // ---------------------------------------------------------------------------
+
+// An extend that closes a cycle fails, and so does the fallback ground.
+// The session moved its cached grounding into that extend (no consumer
+// held it), so the entry must go: every later Ground grounds from
+// scratch and fails the same way, instead of serving or extending a
+// consumed graph.
+TEST(IncrementalSessionTest, FailedExtendDropsTheCachedGrounding) {
+  Schema schema = MakeAuthorReviewsSchema({"Prestige"}, {"Score"});
+  Result<RelationalCausalModel> model = RelationalCausalModel::Parse(schema, R"(
+    Score[S] <= Prestige[A] WHERE Author(A, S)
+    Prestige[A] <= Score[S] WHERE Reviews(A, S)
+  )");
+  ASSERT_TRUE(model.ok()) << model.status();
+  Instance db(&schema);
+  for (const char* person : {"Bob", "Eva"}) {
+    CARL_CHECK_OK(db.AddFact("Person", {person}));
+  }
+  for (const char* submission : {"s1", "s2"}) {
+    CARL_CHECK_OK(db.AddFact("Submission", {submission}));
+  }
+  CARL_CHECK_OK(db.AddFact("Author", {"Bob", "s1"}));
+  CARL_CHECK_OK(db.AddFact("Reviews", {"Eva", "s2"}));
+  QuerySession session(&db);
+  ASSERT_TRUE(session.Ground(*model).ok());  // the handle is dropped here
+
+  // Prestige[Bob] -> Score[s1] -> Prestige[Bob].
+  CARL_CHECK_OK(db.AddFact("Reviews", {"Bob", "s1"}));
+  ASSERT_FALSE(GroundModel(db, *model).ok());
+  for (int call = 0; call < 2; ++call) {
+    Result<std::shared_ptr<const GroundedModel>> g = session.Ground(*model);
+    EXPECT_EQ(g.status().code(), StatusCode::kFailedPrecondition)
+        << "call " << call << ": " << g.status();
+  }
+  CARL_CHECK_OK(db.AddFact("Person", {"Cy"}));
+  Result<std::shared_ptr<const GroundedModel>> g = session.Ground(*model);
+  EXPECT_EQ(g.status().code(), StatusCode::kFailedPrecondition) << g.status();
+  EXPECT_EQ(session.SnapshotStats().ground_extends, 0u);
+}
 
 TEST(IncrementalSessionTest, RelevantMutationExtendsCachedGrounding) {
   datagen::Dataset data = ReviewToyDataset();
@@ -501,12 +636,12 @@ TEST(IncrementalGroundingTest, TrimmedDeltaLogFallsBack) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent readers vs lazy overlay recompaction (the TSan target).
-// After an incremental extend the spliced edges live in the CSR's
-// dynamic overlay until some adjacency read folds them in; racing
-// readers must all see the folded adjacency exactly once, with no tears.
+// Concurrent readers after a post-build AddEdges (a TSan target).
+// Adjacency reads are plain const reads of the list stores; after an
+// incremental extend and a further post-build batch, racing readers must
+// all see the same adjacency, with every new edge in place.
 // ---------------------------------------------------------------------------
-TEST(IncrementalGroundingTest, ConcurrentReadersDuringOverlayRecompaction) {
+TEST(IncrementalGroundingTest, ConcurrentReadersAfterPostBuildAddEdges) {
   datagen::Dataset data = MiniMimicDataset(400, 40);
   Instance& db = *data.instance;
   Result<RelationalCausalModel> model =
@@ -525,9 +660,8 @@ TEST(IncrementalGroundingTest, ConcurrentReadersDuringOverlayRecompaction) {
   Result<GroundedModel> ext = ExtendGroundedModel(std::move(*base), delta);
   ASSERT_TRUE(ext.ok()) << ext.status();
 
-  // Re-arm the overlay on a copy: the extend's own topological pass
-  // already folded its splice, so stage a fresh batch of genuinely new
-  // edges and let the reader threads race to fold it.
+  // On a copy, commit a batch of genuinely new edges, then let the
+  // reader threads race over the whole adjacency.
   CausalGraph graph = ext->graph();
   const size_t n = graph.num_nodes();
   ASSERT_GT(n, 8u);
@@ -565,7 +699,7 @@ TEST(IncrementalGroundingTest, ConcurrentReadersDuringOverlayRecompaction) {
   for (const CausalGraph::Edge& e : batch) {
     bool found = false;
     for (NodeId c : graph.Children(e.from)) found |= (c == e.to);
-    EXPECT_TRUE(found) << "staged overlay edge lost in recompaction";
+    EXPECT_TRUE(found) << "post-build edge missing from its child list";
   }
 }
 

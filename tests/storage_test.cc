@@ -1,9 +1,11 @@
 // Tests for the columnar relation storage: arena-backed Rows views, the
-// row-id fact set, row-keyed attribute columns, and the CSR Match
-// indexes. Covers exact-semantics equivalence with the historical
+// row-id fact set, row-keyed attribute columns, the ListStore arena of
+// append-only lists, and the Match indexes whose posting lists live in
+// one. Covers exact-semantics equivalence with the historical
 // per-row-vector layout (insertion order, dedupe, attribute lookup) on
-// the real generators, plus a property test hammering Match with random
-// position masks against a naive scan oracle.
+// the real generators, plus property tests hammering ListStore against a
+// vector-of-vectors reference and Match with random position masks,
+// across append rounds, against a naive scan oracle.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "fixtures.h"
 #include "relational/evaluator.h"
 #include "relational/instance.h"
+#include "relational/list_store.h"
 #include "relational/schema.h"
 
 namespace carl {
@@ -196,6 +199,80 @@ TEST(StorageTest, OverflowAttributeRoundTripsThroughTypedColumns) {
   EXPECT_DOUBLE_EQ(col.values[ghost_row], 8.0);
 }
 
+// Every list reads back as its reference vector, in append order, while
+// appends to full lists relocate them and dead slots trigger compactions;
+// Compact lays the lists out contiguously at exact sizes in list order.
+TEST(ListStoreTest, MatchesVectorOfVectorsReference) {
+  Rng rng(77);
+  ListStore<uint32_t> store;
+  std::vector<std::vector<uint32_t>> ref;
+  auto check_all = [&](const char* when) {
+    ASSERT_EQ(store.num_lists(), ref.size()) << when;
+    size_t live = 0;
+    for (size_t l = 0; l < ref.size(); ++l) {
+      const uint32_t list = static_cast<uint32_t>(l);
+      ASSERT_EQ(store.size(list), ref[l].size()) << when << " list " << l;
+      ASSERT_TRUE(std::equal(ref[l].begin(), ref[l].end(), store.data(list)))
+          << when << " list " << l;
+      live += ref[l].size();
+    }
+    ASSERT_EQ(store.live(), live) << when;
+  };
+  auto check_exact_layout = [&](const char* when) {
+    ASSERT_EQ(store.slots(), store.live()) << when;
+    for (uint32_t l = 0; l + 1 < store.num_lists(); ++l) {
+      ASSERT_EQ(store.data(l) + store.size(l), store.data(l + 1))
+          << when << " list " << l;
+    }
+  };
+
+  // Lists laid out at their counts, as a match-index build does.
+  for (uint32_t count : {3u, 0u, 5u, 1u}) {
+    store.AddList(count);
+    ref.emplace_back();
+    for (uint32_t i = 0; i < count; ++i) {
+      store.Append(store.num_lists() - 1, i);
+      ref.back().push_back(i);
+    }
+  }
+  check_all("after counted build");
+  check_exact_layout("after counted build");
+
+  // Random appends over a growing list set, skewed toward a few hot lists
+  // so they relocate repeatedly; the slot count must fall whenever dead
+  // slots outnumber live ones.
+  size_t compactions = 0;
+  uint32_t value = 1000;
+  for (int round = 0; round < 40; ++round) {
+    if (rng.Bernoulli(0.5)) {
+      store.AddLists(3);
+      ref.resize(ref.size() + 3);
+    }
+    for (int i = 0; i < 200; ++i) {
+      const size_t hot = std::min<size_t>(ref.size(), 4);
+      const size_t l = rng.Bernoulli(0.5)
+                           ? static_cast<size_t>(rng.UniformInt(
+                                 0, static_cast<int>(hot) - 1))
+                           : static_cast<size_t>(rng.UniformInt(
+                                 0, static_cast<int>(ref.size()) - 1));
+      const size_t before = store.slots();
+      store.Append(static_cast<uint32_t>(l), value);
+      ref[l].push_back(value++);
+      if (store.slots() < before) ++compactions;
+      // Dead slots never outnumber live ones, and grown lists hold at
+      // most twice their size.
+      ASSERT_LE(store.slots(), 3 * store.live() + 2);
+    }
+    check_all("after append round");
+    if (round % 10 == 9) {
+      store.Compact();
+      check_all("after Compact");
+      check_exact_layout("after Compact");
+    }
+  }
+  EXPECT_GT(compactions, 0u) << "appends never triggered a compaction";
+}
+
 TEST(StorageTest, MatchMatchesNaiveScanUnderRandomMasks) {
   Schema schema = MakePersonItemSchema();
   Rng rng(4242);
@@ -233,12 +310,31 @@ TEST(StorageTest, MatchMatchesNaiveScanUnderRandomMasks) {
       }
     }
 
-    // Inserting more facts invalidates and rebuilds the index correctly.
-    CARL_CHECK_OK(db.AddFact("Owns", {"d", "z"}));
-    Tuple key{db.LookupConstant("d")};
-    RowIdSpan got = db.Match(owns, {0}, key);
-    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()),
-              NaiveMatch(db, owns, {0}, key));
+    // Append rounds over a wider domain: the built indexes are repaired
+    // by appending the new rows to their keys' posting lists, which
+    // relocates and compacts them. After each round, every mask is
+    // probed with the key of every row and with an unseen key.
+    for (int round = 0; round < 4; ++round) {
+      for (int f = 0; f < 40; ++f) {
+        const std::string p = "p" + std::to_string(rng.UniformInt(0, 9));
+        const std::string i = "i" + std::to_string(rng.UniformInt(0, 14));
+        CARL_CHECK_OK(db.AddFact("Owns", {p, i}));
+      }
+      const RelationView rows = db.Rows(owns);
+      for (const std::vector<int>& mask : masks) {
+        for (uint32_t r = 0; r <= rows.size(); ++r) {
+          Tuple key;
+          for (int position : mask) {
+            key.push_back(r < rows.size() ? rows[r][position]
+                                          : static_cast<SymbolId>(9999));
+          }
+          RowIdSpan got = db.Match(owns, mask, key);
+          ASSERT_EQ(std::vector<uint32_t>(got.begin(), got.end()),
+                    NaiveMatch(db, owns, mask, key))
+              << "trial " << trial << " round " << round << " row " << r;
+        }
+      }
+    }
   }
 }
 
