@@ -33,7 +33,7 @@ int Run(const bench::BenchFlags&) {
   const FlatTable& d = table->data;
   for (size_t r = 0; r < d.num_rows(); ++r) {
     const std::string& name =
-        data->instance->ConstantName(table->units[r][0]);
+        data->instance->ConstantName(table->units()[r][0]);
     bench::PrintRow({name, StrFormat("%.3f", d.Column("y")[r]),
                      StrFormat("%.0f", d.Column("t")[r]),
                      StrFormat("%.2f", d.Column("peer_t_mean")[r]),

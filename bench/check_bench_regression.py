@@ -43,12 +43,17 @@ REQUIRED_GATED = {
     # grounding_graph_build_s and its enumerate/splice split: presence
     # proves the grounding phase breakdown stayed wired.
     # unit_table_allocs counts operator new calls in one warm unit-table
-    # build; bench_table2 aborts when it reaches 2 x rows + 4096, so its
-    # presence proves the allocation-free Algorithm 1 still holds.
+    # build; bench_table2 aborts when it reaches 4096 at any size (no
+    # per-row allocation), so its presence proves the allocation-free
+    # Algorithm 1 still holds. unit_table_nodes_expanded counts the nodes
+    # the same build's peer search expands; bench_table2 aborts when it
+    # exceeds 4 per row on MIMIC, so its presence proves the search stayed
+    # lifted to the treatment's reach.
     # grounding_incremental_extend_heap_bytes is the median heap bytes of
     # a single-admission extend; bench_table2 aborts above 256 KiB, so its
     # presence proves the extend stayed delta-sized.
     "BENCH_table2.json": {"grounding_s", "unit_table_s", "unit_table_allocs",
+                          "unit_table_nodes_expanded",
                           "grounding_incremental_extend_s",
                           "grounding_incremental_extend_heap_bytes",
                           "grounding_graph_build_s",

@@ -495,12 +495,6 @@ std::optional<AggregateKind> GroundedModel::NodeAggregate(NodeId id) const {
   return node_aggregate_[id];
 }
 
-std::optional<double> GroundedModel::NodeValue(NodeId id) const {
-  CARL_CHECK(id >= 0 && static_cast<size_t>(id) < value_state_.size());
-  if (value_state_[id] != 2) return std::nullopt;
-  return value_cache_[id];
-}
-
 void GroundedModel::TagAggregateNodes(size_t first_node) {
   const size_t n = graph_.num_nodes();
   node_has_aggregate_.resize(n, 0);

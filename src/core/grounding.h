@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "common/interner.h"
+#include "common/logging.h"
 #include "common/result.h"
 #include "core/causal_model.h"
 #include "graph/causal_graph.h"
@@ -170,7 +171,11 @@ class GroundedModel {
   /// parent has a value. All values are precomputed at grounding time
   /// (topological column pass), so this is a pure read — safe to call
   /// from concurrent threads.
-  std::optional<double> NodeValue(NodeId id) const;
+  std::optional<double> NodeValue(NodeId id) const {
+    CARL_CHECK(id >= 0 && static_cast<size_t>(id) < value_state_.size());
+    if (value_state_[id] != 2) return std::nullopt;
+    return value_cache_[id];
+  }
 
   /// "Attr[c1, c2]" for diagnostics.
   std::string NodeName(NodeId id) const;

@@ -28,7 +28,49 @@ struct RequestPlan {
   AttributeId response_source = kInvalidAttribute;  // for aggregates
   std::optional<AggregateKind> response_aggregate;
   const BindingTable* allowed_sources = nullptr;
+  // reached[a] != 0 iff the treatment reaches attribute a in the model's
+  // attribute graph (the treatment included).
+  std::vector<uint8_t> reached;
 };
+
+// The attributes `treatment` reaches in the model's attribute graph — the
+// relational dependencies of Maier et al.'s abstract ground graph, lifted
+// to attributes: one edge body -> head per body ref of a causal rule and
+// one edge source -> head per aggregate rule. Every ground edge
+// instantiates one of them, so every node on a ground path T[p] -> ... ->
+// Y[x] has a reached attribute, and the peer search may skip the rest.
+Result<std::vector<uint8_t>> ReachedAttributes(
+    const RelationalCausalModel& model, AttributeId treatment) {
+  const Schema& schema = model.extended_schema();
+  std::vector<std::pair<AttributeId, AttributeId>> edges;
+  auto add_edge = [&](const AttributeRef& from,
+                      const AttributeRef& to) -> Status {
+    CARL_ASSIGN_OR_RETURN(AttributeId f, schema.FindAttribute(from.attribute));
+    CARL_ASSIGN_OR_RETURN(AttributeId t, schema.FindAttribute(to.attribute));
+    edges.emplace_back(f, t);
+    return Status::OK();
+  };
+  for (const CausalRule& rule : model.rules()) {
+    for (const AttributeRef& body : rule.body) {
+      CARL_RETURN_IF_ERROR(add_edge(body, rule.head));
+    }
+  }
+  for (const AggregateRule& rule : model.aggregate_rules()) {
+    CARL_RETURN_IF_ERROR(add_edge(rule.source, rule.head));
+  }
+  std::vector<uint8_t> reached(schema.num_attributes(), 0);
+  reached[treatment] = 1;
+  for (bool grew = true; grew;) {
+    grew = false;
+    for (const auto& [from, to] : edges) {
+      if (reached[from] != 0 && reached[to] == 0) {
+        reached[to] = 1;
+        grew = true;
+      }
+    }
+  }
+  return reached;
+}
 
 Result<RequestPlan> PlanRequest(const GroundedModel& grounded,
                                 const UnitTableRequest& request) {
@@ -58,6 +100,8 @@ Result<RequestPlan> PlanRequest(const GroundedModel& grounded,
     CARL_ASSIGN_OR_RETURN(plan.response_source,
                           schema.FindAttribute((*agg)->source.attribute));
   }
+  CARL_ASSIGN_OR_RETURN(plan.reached,
+                        ReachedAttributes(grounded.model(), plan.treatment));
   return plan;
 }
 
@@ -119,21 +163,24 @@ class UnitResolver {
 
     // Peers (Def 4.3: p is a peer of x iff a directed path T[p] -> Y[x]
     // exists): the treatment nodes other than T[x] among the ancestors of
-    // the response groundings. The visit order is free; the set is not.
+    // the response groundings. Only nodes of reached attributes can lie on
+    // such a path, so the search enters no other. The visit order is
+    // free; the set is not.
     const size_t peers_begin = out->peers.size();
     uint32_t epoch = NextEpoch();
     frontier_.clear();
     for (NodeId s : starts_) {
-      if (Mark(s, epoch)) frontier_.push_back(s);
+      if (Reached(s) && Mark(s, epoch)) frontier_.push_back(s);
     }
     while (!frontier_.empty()) {
       NodeId n = frontier_.back();
       frontier_.pop_back();
+      ++nodes_expanded_;
       if (n != t_node && graph_.node(n).attribute == plan_.treatment) {
         out->peers.push_back(n);
       }
       for (NodeId p : graph_.Parents(n)) {
-        if (Mark(p, epoch)) frontier_.push_back(p);
+        if (Reached(p) && Mark(p, epoch)) frontier_.push_back(p);
       }
     }
     std::sort(out->peers.begin() + static_cast<std::ptrdiff_t>(peers_begin),
@@ -163,6 +210,9 @@ class UnitResolver {
   // base responses, the filtered valued source parents for aggregates.
   const std::vector<NodeId>& starts() const { return starts_; }
 
+  // Nodes the peer searches of this resolver have expanded.
+  uint64_t nodes_expanded() const { return nodes_expanded_; }
+
   // Starts a marking pass.
   uint32_t NextEpoch() {
     if (++epoch_ == 0) {  // wrapped: stale stamps would alias new passes
@@ -179,6 +229,10 @@ class UnitResolver {
   }
 
  private:
+  bool Reached(NodeId node) const {
+    return plan_.reached[graph_.node(node).attribute] != 0;
+  }
+
   // The unit's response value, with its grounding(s) in starts_; nullopt
   // when the response is filtered out or has no value.
   std::optional<double> ResolveResponse(NodeId y_node) {
@@ -212,6 +266,7 @@ class UnitResolver {
   std::vector<NodeId> starts_;
   std::vector<NodeId> frontier_;
   std::vector<double> source_values_;
+  uint64_t nodes_expanded_ = 0;
 };
 
 // Hands each thread that runs a chunk its own resolver: taken at chunk
@@ -232,6 +287,15 @@ class ResolverPool {
   void Return(std::unique_ptr<UnitResolver> resolver) {
     std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(std::move(resolver));
+  }
+  // Nodes expanded by every resolver; call once all are returned.
+  uint64_t NodesExpanded() {
+    std::lock_guard<std::mutex> lock(mu_);
+    uint64_t total = 0;
+    for (const std::unique_ptr<UnitResolver>& r : free_) {
+      total += r->nodes_expanded();
+    }
+    return total;
   }
 
  private:
@@ -327,6 +391,8 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   CARL_TRACE_SCOPE("unit_table.build");
   static obs::Counter& builds =
       obs::Registry::Global().GetCounter("unit_table.builds");
+  static obs::Counter& nodes_expanded =
+      obs::Registry::Global().GetCounter("unit_table.nodes_expanded");
   builds.Increment();
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
   CARL_ASSIGN_OR_RETURN(RequestPlan plan, PlanRequest(grounded, request));
@@ -377,6 +443,7 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
     }
     resolvers.Return(std::move(resolver));
   });
+  nodes_expanded.Add(resolvers.NodesExpanded());
   for (const Status& s : chunk_status) CARL_RETURN_IF_ERROR(s);
   // A stopped token makes ParallelFor skip chunks; surface it before the
   // half-resolved unit slots are read as if complete.
@@ -384,7 +451,8 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
 
   std::vector<KeptUnit> kept;
   kept.reserve(units.size());
-  size_t dropped = 0;
+  size_t dropped_unvalued = 0;  // no treatment or response value
+  size_t dropped_isolated = 0;  // valued, but without a relational peer
   bool relational = false;
   for (size_t c = 0; c < chunks.size(); ++c) {
     const NodeLists& l = lists[c];
@@ -404,9 +472,12 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
       peers_begin = slot.peers_end;
       own_covs_begin = slot.own_covs_end;
       peer_covs_begin = slot.peer_covs_end;
-      if (!slot.resolved ||
-          (!options.include_isolated_units && unit.peers.empty())) {
-        ++dropped;
+      if (!slot.resolved) {
+        ++dropped_unvalued;
+        continue;
+      }
+      if (!options.include_isolated_units && unit.peers.empty()) {
+        ++dropped_isolated;
         continue;
       }
       if (!unit.peers.empty()) relational = true;
@@ -414,13 +485,19 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
     }
   }
   if (kept.empty()) {
+    if (dropped_isolated > 0) {
+      return Status::FailedPrecondition(StrFormat(
+          "no unit has a relational peer; a peer-effect query drops the %zu "
+          "isolated units unless include_isolated_units is set",
+          dropped_isolated));
+    }
     return Status::FailedPrecondition(
         "no unit has both treatment and response values");
   }
 
   UnitTable table;
   table.embedding_kind = options.embedding;
-  table.dropped_units = dropped;
+  table.dropped_units = dropped_unvalued + dropped_isolated;
   table.relational = relational;
   const size_t n = kept.size();
 
@@ -499,22 +576,25 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   emit_covariates(peer_attrs, peer_groups, "peer_",
                   &table.peer_covariate_cols);
 
-  table.units.reserve(n);
+  table.unit_arity = units.arity();
+  table.unit_args.resize(n * units.arity());
+  SymbolId* dst = table.unit_args.data();
   for (const KeptUnit& unit : kept) {
-    table.units.push_back(units[unit.row].ToTuple());
+    const TupleView args = units[unit.row];
+    dst = std::copy(args.begin(), args.end(), dst);
   }
   return table;
 }
 
 Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
                                       const UnitTableRequest& request,
-                                      const Tuple& unit) {
+                                      TupleView unit) {
   CARL_ASSIGN_OR_RETURN(RequestPlan plan, PlanRequest(grounded, request));
   const CausalGraph& graph = grounded.graph();
   // Cold path (a handful of sampled units per query): resolve the unit's
   // nodes with allocation-free span probes.
-  NodeId t_node = graph.FindNode(plan.treatment, TupleView(unit));
-  NodeId y_node = graph.FindNode(plan.response, TupleView(unit));
+  NodeId t_node = graph.FindNode(plan.treatment, unit);
+  NodeId y_node = graph.FindNode(plan.response, unit);
   UnitResolver resolver(grounded, plan);
   UnitSlot slot;
   NodeLists lists;
@@ -554,11 +634,12 @@ Result<bool> CheckAdjustmentCriterionSample(const GroundedModel& grounded,
                                             const UnitTable& table,
                                             int sample_size, uint64_t seed) {
   Rng rng(seed);
+  const RelationView units = table.units();
   size_t sample = std::min<size_t>(
-      static_cast<size_t>(std::max(1, sample_size)), table.units.size());
-  for (size_t idx : rng.SampleWithoutReplacement(table.units.size(), sample)) {
+      static_cast<size_t>(std::max(1, sample_size)), units.size());
+  for (size_t idx : rng.SampleWithoutReplacement(units.size(), sample)) {
     CARL_ASSIGN_OR_RETURN(
-        bool ok, CheckAdjustmentCriterion(grounded, request, table.units[idx]));
+        bool ok, CheckAdjustmentCriterion(grounded, request, units[idx]));
     if (!ok) return false;
   }
   return true;

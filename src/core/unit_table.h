@@ -19,16 +19,24 @@
 // How a table is built. A parallel pass resolves every unit: a traversal
 // over Parents from the response grounding(s) collects the peers, marking
 // visited nodes in a per-thread array of epoch stamps over node ids that
-// is bumped per unit instead of cleared. Each unit appends its peers
-// (sorted), own covariates and peer covariates (first-occurrence order,
-// each node once across both lists) to its chunk's flat node lists. A
-// serial pass then groups the values per (role, attribute) into one flat
-// value array with per-row ends, fits one embedding per group from its
-// widest row, and writes pre-sized columns through the span
-// Embedding::Apply. Columns are bit-identical at every thread count.
-// With the mean or moments embedding a warm build allocates one `units`
-// tuple per row plus per-call bookkeeping; median and padding also sort
-// a copy of each group they project.
+// is bumped per unit instead of cleared. The traversal is lifted to the
+// model: once per build, the request computes the attributes the
+// treatment reaches in the model's attribute graph (an edge body -> head
+// per causal-rule body ref, source -> head per aggregate rule), and the
+// search enters only nodes of those attributes. Every ground edge
+// instantiates a rule edge, so no ground path T[p] -> Y[x] leaves that
+// set and the peers are exactly those of the full ancestor walk; the
+// unit_table.nodes_expanded counter records how many nodes it visits.
+// Each unit appends its peers (sorted), own covariates and peer
+// covariates (first-occurrence order, each node once across both lists)
+// to its chunk's flat node lists. A serial pass then groups the values
+// per (role, attribute) into one flat value array with per-row ends, fits
+// one embedding per group from its widest row, and writes pre-sized
+// columns through the span Embedding::Apply. Columns are bit-identical at
+// every thread count. The unit tuples land in one arity-strided arena, so
+// with the mean or moments embedding a warm build's allocation count does
+// not grow with rows beyond amortized vector growth; median and padding
+// also sort a copy of each group they project.
 
 #ifndef CARL_CORE_UNIT_TABLE_H_
 #define CARL_CORE_UNIT_TABLE_H_
@@ -71,8 +79,15 @@ struct UnitTableRequest {
 /// The flat single-table output of Algorithm 1, plus column bookkeeping.
 struct UnitTable {
   FlatTable data;
-  /// Unit tuple per row (parallel to data rows).
-  std::vector<Tuple> units;
+  /// Unit tuples, one per data row, in one arity-strided arena: row r's
+  /// unit is unit_args[r * unit_arity, (r + 1) * unit_arity).
+  std::vector<SymbolId> unit_args;
+  size_t unit_arity = 0;
+  /// The unit tuples as rows parallel to the data rows.
+  RelationView units() const {
+    return RelationView(unit_args.data(), unit_arity,
+                        unit_arity == 0 ? 0 : unit_args.size() / unit_arity);
+  }
 
   std::string y_col = "y";
   std::string t_col = "t";
@@ -84,7 +99,8 @@ struct UnitTable {
 
   /// True if any unit has at least one relational peer.
   bool relational = false;
-  /// Units dropped for missing treatment/response values.
+  /// Units dropped for missing treatment/response values or, when
+  /// isolated units are excluded, for having no relational peer.
   size_t dropped_units = 0;
   /// The fitted embedding used for the peers' treatment vector; needed by
   /// estimators to evaluate ψ under counterfactual peer assignments.
@@ -95,7 +111,9 @@ struct UnitTable {
 };
 
 /// Runs Algorithm 1. Fails if the response is not on the treatment's
-/// predicate (unify first), or if the treatment is not binary 0/1.
+/// predicate (unify first), if the treatment is not binary 0/1, or if no
+/// unit is kept; that message names what dropped them: missing values,
+/// or (without include_isolated_units) no relational peer.
 Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
                                  const UnitTableRequest& request,
                                  const UnitTableOptions& options = {});
@@ -108,7 +126,7 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
 /// the criterion holds (identifiability witness).
 Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
                                       const UnitTableRequest& request,
-                                      const Tuple& unit);
+                                      TupleView unit);
 
 /// CheckAdjustmentCriterion on a seeded random sample of `sample_size`
 /// units of `table` (at least one, at most all of them). True iff every

@@ -200,25 +200,6 @@ void CausalGraph::AddEdges(const std::vector<Edge>& batch) {
   }
 }
 
-GroundedAttribute CausalGraph::node(NodeId id) const {
-  CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes())
-      << "node id out of range: " << id;
-  return GroundedAttribute{node_attrs_[id],
-                           NodeArgs(static_cast<uint32_t>(id))};
-}
-
-NodeIdSpan CausalGraph::Parents(NodeId id) const {
-  CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes());
-  const uint32_t list = static_cast<uint32_t>(id);
-  return NodeIdSpan(parents_.data(list), parents_.size(list));
-}
-
-NodeIdSpan CausalGraph::Children(NodeId id) const {
-  CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes());
-  const uint32_t list = static_cast<uint32_t>(id);
-  return NodeIdSpan(children_.data(list), children_.size(list));
-}
-
 const std::vector<NodeId>& CausalGraph::NodesOfAttribute(
     AttributeId attribute) const {
   auto it = by_attribute_.find(attribute);

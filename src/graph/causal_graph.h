@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "relational/list_store.h"
 #include "relational/schema.h"
@@ -166,14 +167,28 @@ class CausalGraph {
   size_t num_edges() const { return parents_.live(); }
 
   /// The node's attribute and argument span. The span stays valid until
-  /// the next node insertion.
-  GroundedAttribute node(NodeId id) const;
+  /// the next node insertion. Defined here, like Parents and Children:
+  /// the unit table's peer search reads them once per visited node.
+  GroundedAttribute node(NodeId id) const {
+    CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes())
+        << "node id out of range: " << id;
+    return GroundedAttribute{node_attrs_[id],
+                             NodeArgs(static_cast<uint32_t>(id))};
+  }
 
   /// Parents / children of a node, in edge commit order (byte-identical
   /// to the historical per-node vectors). The span is valid until the
   /// next graph mutation.
-  NodeIdSpan Parents(NodeId id) const;
-  NodeIdSpan Children(NodeId id) const;
+  NodeIdSpan Parents(NodeId id) const {
+    CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes());
+    const uint32_t list = static_cast<uint32_t>(id);
+    return NodeIdSpan(parents_.data(list), parents_.size(list));
+  }
+  NodeIdSpan Children(NodeId id) const {
+    CARL_CHECK(id >= 0 && static_cast<size_t>(id) < num_nodes());
+    const uint32_t list = static_cast<uint32_t>(id);
+    return NodeIdSpan(children_.data(list), children_.size(list));
+  }
 
   /// All groundings of one attribute function (the paper's A∆), in id
   /// order. For attributes bulk-built by AddNodesBulk the first

@@ -61,18 +61,15 @@ Result<std::vector<double>> CholeskySolve(const Matrix& a,
   return CholeskyBackSubstitute(l, b);
 }
 
-Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
-                                              const std::vector<double>& y,
-                                              double max_ridge) {
-  if (y.size() != x.rows()) {
-    return Status::InvalidArgument("SolveLeastSquares: |y| != rows(X)");
+Result<std::vector<double>> SolveNormalEquations(const Matrix& gram,
+                                                 const std::vector<double>& xty,
+                                                 double max_ridge) {
+  if (gram.rows() == 0) {
+    return Status::InvalidArgument("SolveNormalEquations: no columns");
   }
-  if (x.cols() == 0) {
-    return Status::InvalidArgument("SolveLeastSquares: X has no columns");
+  if (gram.cols() != gram.rows() || xty.size() != gram.rows()) {
+    return Status::InvalidArgument("SolveNormalEquations size mismatch");
   }
-  Matrix gram = x.Gram();
-  std::vector<double> xty = x.TransposeVec(y);
-
   // Scale-aware ridge escalation: start tiny relative to the largest
   // diagonal entry, multiply by 10 until the factorization succeeds.
   double max_diag = 0.0;
@@ -94,6 +91,18 @@ Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
   }
   return Status::InvalidArgument(
       "least squares system is singular beyond the ridge budget");
+}
+
+Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
+                                              const std::vector<double>& y,
+                                              double max_ridge) {
+  if (y.size() != x.rows()) {
+    return Status::InvalidArgument("SolveLeastSquares: |y| != rows(X)");
+  }
+  if (x.cols() == 0) {
+    return Status::InvalidArgument("SolveLeastSquares: X has no columns");
+  }
+  return SolveNormalEquations(x.Gram(), x.TransposeVec(y), max_ridge);
 }
 
 Result<Matrix> SpdInverse(const Matrix& a) {

@@ -4,6 +4,12 @@
 // Gram matrix with Cholesky and fall back to a progressively-ridged system
 // when columns are (near-)collinear — which happens routinely in unit
 // tables, e.g. when a peer-treatment embedding is constant within a stratum.
+//
+// SolveNormalEquations takes X'X and X'y already formed, so a caller that
+// accumulates them straight from its columns (FitOls) forms X'X once and
+// reuses it for SpdInverse. SolveLeastSquares is the design-matrix form,
+// SolveNormalEquations(X.Gram(), X.TransposeVec(y)); it stays as the
+// reference FitOls is tested against bit for bit.
 
 #ifndef CARL_LINALG_SOLVE_H_
 #define CARL_LINALG_SOLVE_H_
@@ -23,6 +29,13 @@ Result<Matrix> Cholesky(const Matrix& a);
 /// Solves A x = b for SPD A via Cholesky.
 Result<std::vector<double>> CholeskySolve(const Matrix& a,
                                           const std::vector<double>& b);
+
+/// Solves the normal equations gram * b = xty, adding an escalating ridge
+/// (up to `max_ridge`, relative to the largest diagonal entry) while the
+/// Cholesky factorization fails. Returns b, of length gram.rows().
+Result<std::vector<double>> SolveNormalEquations(const Matrix& gram,
+                                                 const std::vector<double>& xty,
+                                                 double max_ridge = 1e-4);
 
 /// Least squares: minimizes ||X b - y||^2 via normal equations, adding an
 /// escalating ridge (up to `max_ridge`) if the Gram matrix is singular.

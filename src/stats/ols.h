@@ -1,6 +1,15 @@
 // Ordinary least squares with named coefficients — the regression
 // estimator behind the relational adjustment formula (paper eq. 33: the
 // conditional expectation is a regression function).
+//
+// FitOls builds no n x p design matrix: it forms X'X and X'y once, straight
+// from the table's column pointers (the intercept as a ones column), and
+// hands the same X'X to SolveNormalEquations and to SpdInverse. Its
+// results are bit-identical to the design-matrix path (SolveLeastSquares,
+// Matrix::MatVec, SpdInverse(X.Gram())) because every sum keeps that
+// path's order: each X'X and X'y entry sums over rows in row order,
+// leaving out the rows where x_i (X'X entry (i, j), i <= j) or y (X'y) is
+// 0, and each fitted value adds x_c[r] * b_c in column order from 0.0.
 
 #ifndef CARL_STATS_OLS_H_
 #define CARL_STATS_OLS_H_

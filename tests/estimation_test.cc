@@ -27,6 +27,7 @@ UnitTable MakeRelationalTable(size_t n, double tau, double gamma,
   table.own_covariate_cols = {"own_Z_mean"};
   table.embedding_kind = EmbeddingKind::kMean;
   table.peer_t_embedding = MakeEmbedding(EmbeddingKind::kMean);
+  table.unit_arity = 1;
   table.data = FlatTable({"y", "t", "peer_count", "peer_treated_count",
                           "peer_t_mean", "peer_t_count", "own_Z_mean"});
   for (size_t i = 0; i < n; ++i) {
@@ -41,7 +42,7 @@ UnitTable MakeRelationalTable(size_t n, double tau, double gamma,
     double y = 2.0 + tau * t + gamma * frac + 0.5 * z +
                rng.Normal(0.0, noise_sd);
     table.data.AddRow({y, t, peers, treated, frac, peers, z});
-    table.units.push_back({static_cast<SymbolId>(i)});
+    table.unit_args.push_back(static_cast<SymbolId>(i));
   }
   return table;
 }

@@ -308,7 +308,8 @@ TEST(UnitTableEquivalenceTest, MimicColumnsBitIdentical) {
   ASSERT_EQ(serial->data.column_names(), parallel->data.column_names());
   ASSERT_EQ(serial->data.num_rows(), parallel->data.num_rows());
   EXPECT_EQ(serial->dropped_units, parallel->dropped_units);
-  EXPECT_EQ(serial->units, parallel->units);
+  EXPECT_EQ(serial->unit_arity, parallel->unit_arity);
+  EXPECT_EQ(serial->unit_args, parallel->unit_args);
   for (const std::string& col : serial->data.column_names()) {
     EXPECT_EQ(serial->data.Column(col), parallel->data.Column(col))
         << "column " << col;

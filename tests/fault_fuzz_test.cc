@@ -203,7 +203,8 @@ TEST_F(FaultFuzzTest, PoolDispatchFaultYieldsIdenticalUnitTable) {
         Result<UnitTable> table = (*engine)->BuildUnitTableForQuery(*query);
         ASSERT_TRUE(table.ok()) << table.status();
         ASSERT_EQ(table->data.column_names(), reference->data.column_names());
-        EXPECT_EQ(table->units, reference->units);
+        EXPECT_EQ(table->unit_arity, reference->unit_arity);
+        EXPECT_EQ(table->unit_args, reference->unit_args);
         EXPECT_EQ(table->dropped_units, reference->dropped_units);
         for (const std::string& col : reference->data.column_names()) {
           EXPECT_EQ(table->data.Column(col), reference->data.Column(col))

@@ -261,7 +261,7 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
       graph.NodesOfAttribute(request.treatment);
   const std::vector<NodeId>& y_nodes = graph.NodesOfAttribute(request.response);
   std::vector<ReferenceUnit> kept;
-  std::vector<Tuple> kept_units;
+  std::vector<SymbolId> kept_units;
   size_t dropped = 0;
   for (size_t i = 0; i < units.size(); ++i) {
     ReferenceUnit unit;
@@ -327,7 +327,7 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
     collect(t_node, &unit.own_covs);
     for (NodeId p : unit.peers) collect(p, &unit.peer_covs);
     kept.push_back(std::move(unit));
-    kept_units.push_back(units[i].ToTuple());
+    kept_units.insert(kept_units.end(), units[i].begin(), units[i].end());
   }
   if (kept.empty()) {
     return Status::FailedPrecondition("no unit kept");
@@ -337,7 +337,8 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
   UnitTable table;
   table.embedding_kind = options.embedding;
   table.dropped_units = dropped;
-  table.units = std::move(kept_units);
+  table.unit_args = std::move(kept_units);
+  table.unit_arity = units.arity();
   std::vector<std::vector<double>> peer_t(n);
   std::map<AttributeId, std::vector<std::vector<double>>> own, peer;
   for (size_t r = 0; r < n; ++r) {

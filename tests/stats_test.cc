@@ -5,8 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
+#include "linalg/matrix.h"
+#include "linalg/solve.h"
 #include "relational/flat_table.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
@@ -95,6 +101,134 @@ TEST(OlsTest, ErrorsOnDegenerateInput) {
   EXPECT_EQ(fit->names.size(), 1u);
   EXPECT_FALSE(FitOls(all_const, "y", {"x"}, /*add_intercept=*/false).ok());
   EXPECT_FALSE(FitOls(t, "nope", {"x"}).ok());
+}
+
+// The design-matrix OLS that FitOls replaced: materialize X (intercept,
+// then the kept columns), solve through SolveLeastSquares, fit through
+// X.MatVec, and invert X.Gram() for the standard errors.
+Result<OlsFit> DesignMatrixOls(const FlatTable& table, const std::string& y_col,
+                               const std::vector<std::string>& x_cols,
+                               bool add_intercept) {
+  const std::vector<double>& y = table.Column(y_col);
+  const size_t n = y.size();
+  OlsFit fit;
+  fit.n = n;
+  std::vector<const std::vector<double>*> cols;
+  if (add_intercept) fit.names.push_back("(intercept)");
+  for (const std::string& name : x_cols) {
+    const std::vector<double>& col = table.Column(name);
+    if (SampleVariance(col) < 1e-12) {
+      fit.dropped.push_back(name);
+      continue;
+    }
+    fit.names.push_back(name);
+    cols.push_back(&col);
+  }
+  const size_t p = fit.names.size();
+  if (p == 0) return Status::InvalidArgument("no usable regressors");
+  Matrix x(n, p);
+  const size_t c0 = add_intercept ? 1 : 0;
+  for (size_t r = 0; r < n; ++r) {
+    if (add_intercept) x.At(r, 0) = 1.0;
+    for (size_t c = 0; c < cols.size(); ++c) x.At(r, c0 + c) = (*cols[c])[r];
+  }
+  CARL_ASSIGN_OR_RETURN(fit.coefficients, SolveLeastSquares(x, y));
+  std::vector<double> fitted = x.MatVec(fit.coefficients);
+  double rss = 0.0;
+  for (size_t r = 0; r < n; ++r) rss += (y[r] - fitted[r]) * (y[r] - fitted[r]);
+  const double mean_y = Mean(y);
+  double tss = 0.0;
+  for (size_t r = 0; r < n; ++r) tss += (y[r] - mean_y) * (y[r] - mean_y);
+  fit.sigma2 = rss / static_cast<double>(n > p ? n - p : 1);
+  fit.r_squared = tss > 0.0 ? 1.0 - rss / tss : 0.0;
+  fit.std_errors.assign(p, std::numeric_limits<double>::quiet_NaN());
+  Result<Matrix> inv = SpdInverse(x.Gram());
+  if (inv.ok()) {
+    for (size_t c = 0; c < p; ++c) {
+      double v = fit.sigma2 * inv->At(c, c);
+      if (v >= 0.0) fit.std_errors[c] = std::sqrt(v);
+    }
+  }
+  return fit;
+}
+
+// Same bits, with every NaN equal to every NaN.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return true;
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameBits(const std::vector<double>& want,
+                    const std::vector<double>& got, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameBits(want[i], got[i]))
+        << what << "[" << i << "]: " << want[i] << " vs " << got[i];
+  }
+}
+
+// FitOls forms X'X and X'y from the columns; every entry must keep the
+// design-matrix path's summation order, so every result is bit-identical
+// to it — with 0/1 and zero-heavy columns (the skipped rows), zeros in y,
+// constant columns (dropped), a duplicated column (a singular X'X that
+// escalates the ridge), and the intercept on and off.
+TEST(OlsTest, BitIdenticalToDesignMatrixPath) {
+  const std::vector<std::vector<std::string>> column_sets = {
+      {"binary", "zero_heavy", "continuous", "constant"},
+      {"binary", "continuous", "binary_copy", "zero_heavy"},
+      {"zero_heavy", "continuous", "binary", "binary2", "continuous2",
+       "zero_heavy2"},
+      {"continuous"},
+  };
+  size_t fitted = 0;
+  for (size_t n : {size_t{2}, size_t{3}, size_t{17}, size_t{1000},
+                   size_t{5000}}) {
+    for (uint64_t seed : {1, 2}) {
+      Rng rng(seed * 1000 + n);
+      FlatTable t({"y", "binary", "binary2", "binary_copy", "zero_heavy",
+                   "zero_heavy2", "continuous", "continuous2", "constant"});
+      for (size_t r = 0; r < n; ++r) {
+        const double binary = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+        const double binary2 = rng.Bernoulli(0.6) ? 1.0 : 0.0;
+        const double zero_heavy = rng.Bernoulli(0.85) ? 0.0 : rng.Normal(2, 3);
+        const double zero_heavy2 = rng.Bernoulli(0.7) ? 0.0 : rng.Normal();
+        const double continuous = rng.Normal(1, 2);
+        const double continuous2 = rng.Uniform() * 7.0 - 3.0;
+        const double y = rng.Bernoulli(0.25)
+                             ? 0.0
+                             : 0.5 + 1.5 * binary - 0.7 * zero_heavy +
+                                   0.3 * continuous + rng.Normal(0, 0.5);
+        t.AddRow({y, binary, binary2, binary, zero_heavy, zero_heavy2,
+                  continuous, continuous2, 4.25});
+      }
+      for (const std::vector<std::string>& cols : column_sets) {
+        for (bool intercept : {true, false}) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
+                       std::to_string(seed) + " cols=" + cols.front() + "+" +
+                       std::to_string(cols.size() - 1) +
+                       (intercept ? " with" : " without") + " intercept");
+          Result<OlsFit> want = DesignMatrixOls(t, "y", cols, intercept);
+          Result<OlsFit> got = FitOls(t, "y", cols, intercept);
+          ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+          if (!want.ok()) {
+            EXPECT_EQ(got.status().code(), want.status().code());
+            continue;
+          }
+          EXPECT_EQ(got->names, want->names);
+          EXPECT_EQ(got->dropped, want->dropped);
+          ExpectSameBits(want->coefficients, got->coefficients,
+                         "coefficients");
+          ExpectSameBits(want->std_errors, got->std_errors, "std_errors");
+          EXPECT_TRUE(SameBits(want->sigma2, got->sigma2))
+              << want->sigma2 << " vs " << got->sigma2;
+          EXPECT_TRUE(SameBits(want->r_squared, got->r_squared))
+              << want->r_squared << " vs " << got->r_squared;
+          ++fitted;
+        }
+      }
+    }
+  }
+  EXPECT_GE(fitted, 60u);
 }
 
 TEST(LogisticTest, RecoversCoefficients) {

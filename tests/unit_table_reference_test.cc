@@ -74,7 +74,8 @@ void ExpectBitIdentical(const UnitTable& want, const UnitTable& got) {
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
         << "column " << want.data.column_names()[c];
   }
-  EXPECT_TRUE(got.units == want.units);
+  EXPECT_EQ(got.unit_arity, want.unit_arity);
+  EXPECT_EQ(got.unit_args, want.unit_args);
   EXPECT_EQ(got.dropped_units, want.dropped_units);
   EXPECT_EQ(got.relational, want.relational);
   EXPECT_EQ(got.peer_count_col, want.peer_count_col);
@@ -110,6 +111,16 @@ class UnitTableReferenceTest : public ::testing::Test {
         // venue's Blind node must land once, as an own covariate.
         {"REVIEW-SHARED", review_, "AVG_Score[A] <= Prestige[A]?",
          "Prestige[A] <= Blind[C] WHERE Author(A, S), Submitted(S, C)"},
+        // The treatment cannot reach the response (Qualification causes
+        // Prestige), so the lifted peer search prunes at the start.
+        {"REVIEW-UNREACHED", review_, "Qualification[A] <= Prestige[A]?"},
+        // Peers only through an aggregate attribute three rule hops from
+        // the treatment: SelfPay[p] -> AVG_SelfPay[c] -> Doc[c] ->
+        // Dose[d] -> Len[x]. A lifted search that skips aggregate-rule
+        // edges, or stops one hop from the treatment, finds none.
+        {"MIMIC-AGGREGATE-PATH", mimic_, "Len[P] <= SelfPay[P]?",
+         "AVG_SelfPay[C] <= SelfPay[P] WHERE Care(C, P)\n"
+         "Doc[C] <= AVG_SelfPay[C] WHERE Caregiver(C)"},
     };
   }
 

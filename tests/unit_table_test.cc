@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/causal_model.h"
+#include "core/engine.h"
 #include "core/grounding.h"
 #include "core/unit_table.h"
 #include "datagen/review_toy.h"
+#include "fixtures.h"
 
 namespace carl {
 namespace {
@@ -38,8 +42,9 @@ class UnitTableTest : public ::testing::Test {
 
   size_t RowOf(const UnitTable& table, const std::string& author) {
     SymbolId id = data_.instance->LookupConstant(author);
-    for (size_t r = 0; r < table.units.size(); ++r) {
-      if (table.units[r] == Tuple{id}) return r;
+    const RelationView units = table.units();
+    for (size_t r = 0; r < units.size(); ++r) {
+      if (units[r] == TupleView(Tuple{id})) return r;
     }
     CARL_CHECK(false) << "author not in unit table: " << author;
     return 0;
@@ -223,6 +228,43 @@ TEST_F(UnitTableTest, AdjustmentCriterionHolds) {
     ASSERT_TRUE(ok.ok()) << who;
     EXPECT_TRUE(*ok) << who;
   }
+}
+
+// A build that keeps no unit names what dropped them.
+Status AnswerStatus(const datagen::Dataset& data, const std::string& query) {
+  Result<RelationalCausalModel> model =
+      RelationalCausalModel::Parse(*data.schema, data.model_text);
+  CARL_CHECK_OK(model.status());
+  Result<std::unique_ptr<CarlEngine>> engine =
+      CarlEngine::Create(data.instance.get(), std::move(*model));
+  CARL_CHECK_OK(engine.status());
+  return (*engine)->Answer(QueryRequest(query)).status;
+}
+
+TEST(UnitTableEmptyTest, PeerlessPeerEffectQueryNamesIsolation) {
+  // Every MIMIC unit has treatment and response values, but none has a
+  // relational peer, and a peer-effect query drops isolated units.
+  Status status = AnswerStatus(test_fixtures::MiniMimicDataset(600, 30),
+                               "Len[P] <= SelfPay[P]? WHEN ALL PEERS TREATED");
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("no unit has a relational peer"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_NE(status.message().find("include_isolated_units"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(UnitTableEmptyTest, UnvaluedResponseNamesMissingValues) {
+  // CollabPrestigious is latent: no unit has a response value.
+  Status status =
+      AnswerStatus(test_fixtures::SynthReviewDataset(200, 10, 1500, 8),
+                   "CollabPrestigious[A] <= Prestige[A]?");
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(
+      status.message().find("no unit has both treatment and response values"),
+      std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace
