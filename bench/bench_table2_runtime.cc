@@ -119,8 +119,8 @@ void AddAdmission(Instance& db, size_t i) {
 constexpr double kMaxExtendHeapBytes = 256 * 1024;
 
 // Heap allocations one warm unit-table build may make, at any instance
-// size (about 700–1,500 at quick size and 1,000–2,200 at full size).
-constexpr uint64_t kMaxUnitTableAllocs = 4096;
+// size (about 150–200 at quick size and 150–260 at full size).
+constexpr uint64_t kMaxUnitTableAllocs = 512;
 
 struct ExtendMeasurement {
   double best_s = 0.0;
@@ -328,11 +328,11 @@ int Run(const bench::BenchFlags& flags) {
     });
     // One more warm build, counting operator new calls and the nodes the
     // peer search expands (unit_table.nodes_expanded). The allocations
-    // are per-call bookkeeping only — the per-chunk node lists, the
-    // unit arena, one column per embedding dimension, and the amortized
-    // growth of flat vectors — so the bound does not scale with rows: a
+    // are per-call bookkeeping only — the stamp array, the unit arena,
+    // the amortized growth of each column group, and one column per
+    // embedding dimension — so the bound does not scale with rows: a
     // per-row tuple or per-unit traversal set would add one or more
-    // allocations per row and trip it at full size.
+    // allocations per row and trip it at any size.
     static obs::Counter& nodes_expanded_counter =
         obs::Registry::Global().GetCounter("unit_table.nodes_expanded");
     uint64_t table_allocs = 0;

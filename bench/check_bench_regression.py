@@ -43,9 +43,9 @@ REQUIRED_GATED = {
     # grounding_graph_build_s and its enumerate/splice split: presence
     # proves the grounding phase breakdown stayed wired.
     # unit_table_allocs counts operator new calls in one warm unit-table
-    # build; bench_table2 aborts when it reaches 4096 at any size (no
-    # per-row allocation), so its presence proves the allocation-free
-    # Algorithm 1 still holds. unit_table_nodes_expanded counts the nodes
+    # build; bench_table2 aborts when it reaches 512 at any size (no
+    # per-row allocation, no per-chunk lists), so its presence proves the
+    # allocation-free one-pass Algorithm 1 still holds. unit_table_nodes_expanded counts the nodes
     # the same build's peer search expands; bench_table2 aborts when it
     # exceeds 4 per row on MIMIC, so its presence proves the search stayed
     # lifted to the treatment's reach.

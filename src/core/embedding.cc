@@ -29,6 +29,17 @@ Result<EmbeddingKind> ParseEmbeddingKind(const std::string& name) {
 
 void Embedding::Fit(size_t) {}
 
+void Embedding::ApplyRows(const double* values, const size_t* ends,
+                          size_t rows, double* const* cols) const {
+  std::vector<double> out(dims());
+  size_t begin = 0;
+  for (size_t r = 0; r < rows; ++r) {
+    Apply(values + begin, ends[r] - begin, out.data());
+    for (size_t d = 0; d < out.size(); ++d) cols[d][r] = out[d];
+    begin = ends[r];
+  }
+}
+
 std::vector<double> Embedding::Apply(const std::vector<double>& values) const {
   std::vector<double> out(dims());
   Apply(values.data(), values.size(), out.data());
@@ -51,6 +62,18 @@ class AggregatePlusCountEmbedding : public Embedding {
   void Apply(const double* values, size_t n, double* out) const override {
     out[0] = ApplyAggregate(agg_, values, n);
     out[1] = static_cast<double>(n);
+  }
+  void ApplyRows(const double* values, const size_t* ends, size_t rows,
+                 double* const* cols) const override {
+    size_t begin = 0;
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t n = ends[r] - begin;
+      cols[0][r] = agg_ == AggregateKind::kAvg
+                       ? AggregateMean(values + begin, n)
+                       : ApplyAggregate(agg_, values + begin, n);
+      cols[1][r] = static_cast<double>(n);
+      begin = ends[r];
+    }
   }
 
  private:

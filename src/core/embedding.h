@@ -11,12 +11,15 @@
 //   * padding with an out-of-band marker to a fixed width.
 //
 // The unit table (Algorithm 1) keeps every group of a column in one flat
-// value array and projects group after group into pre-sized columns, so
-// the strategies' one virtual entry point is a span form that reads n
-// values and writes exactly dims() outputs. The mean and moments
-// strategies project without allocating; median and padding sort a copy
-// of the group. The vector Apply is a convenience forwarder for cold
-// callers and tests.
+// value array with per-row ends, and projects all of a column's rows in
+// one ApplyRows call straight into pre-sized columns. Each strategy's
+// core is the span form Apply, which reads n values and writes exactly
+// dims() outputs; ApplyRows loops it by default, and mean and median
+// (one aggregate plus the count) override it with a loop that makes no
+// virtual call per row. Row r's outputs are bit-identical to Apply's on
+// row r's group. The mean and moments strategies project without
+// allocating; median and padding sort a copy of the group. The vector
+// Apply is a convenience forwarder for cold callers and tests.
 
 #ifndef CARL_CORE_EMBEDDING_H_
 #define CARL_CORE_EMBEDDING_H_
@@ -61,6 +64,12 @@ class Embedding {
   /// larger than a fitted padding width are truncated (values sorted
   /// descending first).
   virtual void Apply(const double* values, size_t n, double* out) const = 0;
+  /// Projects `rows` groups stored flat — row r's group is
+  /// values[ends[r - 1], ends[r]) (from 0 for r = 0) — into cols[d][r]
+  /// for d in [0, dims()), exactly as Apply on each group would. The
+  /// default loops Apply.
+  virtual void ApplyRows(const double* values, const size_t* ends,
+                         size_t rows, double* const* cols) const;
   /// Vector form of Apply: returns exactly dims() values.
   std::vector<double> Apply(const std::vector<double>& values) const;
 };

@@ -142,7 +142,7 @@ Result<AteAnswer> EstimateAteAnswer(const UnitTable& table,
   return answer;
 }
 
-// AIE/ARE/AOE (eq. 24–26) and their optional bootstraps.
+// AIE/ARE/AOE (eq. 24–26) and their optional bootstrap.
 Result<RelationalEffectsAnswer> EstimateEffectsAnswer(
     const UnitTable& table, const PeerCondition& condition,
     const EngineOptions& options) {
@@ -156,27 +156,28 @@ Result<RelationalEffectsAnswer> EstimateEffectsAnswer(
   answer.aoe.value = point.aoe;
   answer.aie_psi.value = point.aie_psi;
   if (options.bootstrap_replicates > 0) {
-    auto attach = [&](EffectEstimate* estimate,
-                      double RelationalEffects::*member) -> Status {
-      CARL_ASSIGN_OR_RETURN(
-          BootstrapResult b,
-          Bootstrap(table.data.num_rows(), options.bootstrap_replicates,
-                    options.seed,
-                    [&](const std::vector<size_t>& rows) -> Result<double> {
-                      CARL_ASSIGN_OR_RETURN(
-                          RelationalEffects e,
-                          EstimateRelationalEffects(
-                              table, table.data.SelectRows(rows), condition,
-                              options.estimator));
-                      return e.*member;
-                    }));
-      AttachBootstrap(estimate, b);
-      return Status::OK();
-    };
-    CARL_RETURN_IF_ERROR(attach(&answer.aie, &RelationalEffects::aie));
-    CARL_RETURN_IF_ERROR(attach(&answer.are, &RelationalEffects::are));
-    CARL_RETURN_IF_ERROR(attach(&answer.aoe, &RelationalEffects::aoe));
-    CARL_RETURN_IF_ERROR(attach(&answer.aie_psi, &RelationalEffects::aie_psi));
+    // One run keeps all four effects of each replicate.
+    CARL_ASSIGN_OR_RETURN(
+        std::vector<BootstrapResult> b,
+        Bootstrap(table.data.num_rows(), options.bootstrap_replicates,
+                  options.seed, 4,
+                  [&](const std::vector<size_t>& rows,
+                      double* values) -> Status {
+                    CARL_ASSIGN_OR_RETURN(
+                        RelationalEffects e,
+                        EstimateRelationalEffects(
+                            table, table.data.SelectRows(rows), condition,
+                            options.estimator));
+                    values[0] = e.aie;
+                    values[1] = e.are;
+                    values[2] = e.aoe;
+                    values[3] = e.aie_psi;
+                    return Status::OK();
+                  }));
+    AttachBootstrap(&answer.aie, b[0]);
+    AttachBootstrap(&answer.are, b[1]);
+    AttachBootstrap(&answer.aoe, b[2]);
+    AttachBootstrap(&answer.aie_psi, b[3]);
   }
   return answer;
 }

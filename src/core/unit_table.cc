@@ -1,12 +1,10 @@
 #include "core/unit_table.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/str_util.h"
-#include "exec/parallel.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -110,29 +108,13 @@ bool SourceAllowed(const RequestPlan& plan, const GroundedAttribute& g) {
   return plan.allowed_sources->Contains(g.args);
 }
 
-// Resolved units, flattened: each unit appends its entries, so a unit's
-// run in each list begins where the previous unit's ends.
-struct NodeLists {
-  std::vector<NodeId> peers;      // sorted T[p] of the relational peers
-  std::vector<NodeId> own_covs;   // observed parents of T[x]
-  std::vector<NodeId> peer_covs;  // observed parents of the peers' T[p]
-};
+// Units resolved between two polls of the ambient guard token.
+constexpr size_t kUnitPollStride = 1024;
 
-// One unit's resolved values and the ends of its runs in its chunk's
-// NodeLists. Units dropped for missing values append nothing.
-struct UnitSlot {
-  double y = 0.0;
-  double t = 0.0;
-  size_t peers_end = 0;
-  size_t own_covs_end = 0;
-  size_t peer_covs_end = 0;
-  bool resolved = false;
-};
-
-// Algorithm 1's per-unit step, for one thread at a time. Traversals mark
-// nodes in a stamp array over node ids: a node is marked in the current
-// pass iff its stamp equals the pass's epoch, so a new pass bumps the
-// epoch instead of clearing the array.
+// Algorithm 1's per-unit step. Traversals mark nodes in a stamp array over
+// node ids: a node is marked in the current pass iff its stamp equals the
+// pass's epoch, so a new pass bumps the epoch instead of clearing the
+// array.
 class UnitResolver {
  public:
   UnitResolver(const GroundedModel& grounded, const RequestPlan& plan)
@@ -142,11 +124,9 @@ class UnitResolver {
         stamp_(graph_.num_nodes(), 0) {}
 
   // Resolves the unit with treatment node `t_node` and response node
-  // `y_node` into `slot` and appends its peers and covariates to `out`.
-  // Returns false, appending nothing, when the unit lacks a treatment or
-  // response value.
-  Result<bool> Resolve(NodeId t_node, NodeId y_node, UnitSlot* slot,
-                       NodeLists* out) {
+  // `y_node`: its values, its response grounding(s) and its sorted peers.
+  // Returns false when the unit lacks a treatment or response value.
+  Result<bool> Resolve(NodeId t_node, NodeId y_node) {
     if (t_node == kInvalidNode) return false;
     std::optional<double> t = grounded_.NodeValue(t_node);
     if (!t.has_value()) return false;
@@ -158,16 +138,17 @@ class UnitResolver {
     if (y_node == kInvalidNode) return false;
     std::optional<double> y = ResolveResponse(y_node);
     if (!y.has_value()) return false;
-    slot->t = *t;
-    slot->y = *y;
+    t_node_ = t_node;
+    t_ = *t;
+    y_ = *y;
 
     // Peers (Def 4.3: p is a peer of x iff a directed path T[p] -> Y[x]
     // exists): the treatment nodes other than T[x] among the ancestors of
     // the response groundings. Only nodes of reached attributes can lie on
     // such a path, so the search enters no other. The visit order is
     // free; the set is not.
-    const size_t peers_begin = out->peers.size();
-    uint32_t epoch = NextEpoch();
+    peers_.clear();
+    const uint32_t epoch = NextEpoch();
     frontier_.clear();
     for (NodeId s : starts_) {
       if (Reached(s) && Mark(s, epoch)) frontier_.push_back(s);
@@ -177,37 +158,43 @@ class UnitResolver {
       frontier_.pop_back();
       ++nodes_expanded_;
       if (n != t_node && graph_.node(n).attribute == plan_.treatment) {
-        out->peers.push_back(n);
+        peers_.push_back(n);
       }
       for (NodeId p : graph_.Parents(n)) {
         if (Reached(p) && Mark(p, epoch)) frontier_.push_back(p);
       }
     }
-    std::sort(out->peers.begin() + static_cast<std::ptrdiff_t>(peers_begin),
-              out->peers.end());
-
-    // Covariates (Theorem 5.2): the observed, valued parents of T[x], then
-    // of each peer's T[p] in peer order, excluding treatment nodes (the t
-    // / peer_t columns carry those). One pass: a node lands once, in the
-    // first list that reaches it.
-    epoch = NextEpoch();
-    auto collect = [&](NodeId treated, std::vector<NodeId>* dst) {
-      for (NodeId p : graph_.Parents(treated)) {
-        if (graph_.node(p).attribute == plan_.treatment) continue;
-        if (!grounded_.NodeValue(p).has_value()) continue;
-        if (Mark(p, epoch)) dst->push_back(p);
-      }
-    };
-    collect(t_node, &out->own_covs);
-    const size_t peers_end = out->peers.size();
-    for (size_t i = peers_begin; i < peers_end; ++i) {
-      collect(out->peers[i], &out->peer_covs);
-    }
+    std::sort(peers_.begin(), peers_.end());
     return true;
   }
 
-  // The last resolved unit's response grounding(s): the response node for
-  // base responses, the filtered valued source parents for aggregates.
+  // Calls visit(own, attribute, node, value) on each covariate of the last
+  // resolved unit (Theorem 5.2): the observed, valued parents of T[x]
+  // (own), then of each peer's T[p] in peer order, excluding treatment
+  // nodes (the t / peer_t columns carry those). One marking pass: a node
+  // is visited once, from the first list that reaches it.
+  template <typename Visit>
+  void VisitCovariates(Visit&& visit) {
+    const uint32_t epoch = NextEpoch();
+    auto collect = [&](NodeId treated, bool own) {
+      for (NodeId p : graph_.Parents(treated)) {
+        const AttributeId attr = graph_.node(p).attribute;
+        if (attr == plan_.treatment) continue;
+        const std::optional<double> v = grounded_.NodeValue(p);
+        if (!v.has_value()) continue;
+        if (Mark(p, epoch)) visit(own, attr, p, *v);
+      }
+    };
+    collect(t_node_, true);
+    for (NodeId p : peers_) collect(p, false);
+  }
+
+  // The last resolved unit's values, sorted peers, and response
+  // grounding(s): the response node for base responses, the filtered
+  // valued source parents for aggregates.
+  double t() const { return t_; }
+  double y() const { return y_; }
+  const std::vector<NodeId>& peers() const { return peers_; }
   const std::vector<NodeId>& starts() const { return starts_; }
 
   // Nodes the peer searches of this resolver have expanded.
@@ -263,54 +250,14 @@ class UnitResolver {
   const RequestPlan& plan_;
   std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 0;
+  NodeId t_node_ = kInvalidNode;
+  double t_ = 0.0;
+  double y_ = 0.0;
+  std::vector<NodeId> peers_;
   std::vector<NodeId> starts_;
   std::vector<NodeId> frontier_;
   std::vector<double> source_values_;
   uint64_t nodes_expanded_ = 0;
-};
-
-// Hands each thread that runs a chunk its own resolver: taken at chunk
-// start and returned at chunk end, so the pool holds at most one per
-// participating thread, and all are freed when the call ends.
-class ResolverPool {
- public:
-  ResolverPool(const GroundedModel& grounded, const RequestPlan& plan)
-      : grounded_(grounded), plan_(plan) {}
-
-  std::unique_ptr<UnitResolver> Take() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) return std::make_unique<UnitResolver>(grounded_, plan_);
-    std::unique_ptr<UnitResolver> resolver = std::move(free_.back());
-    free_.pop_back();
-    return resolver;
-  }
-  void Return(std::unique_ptr<UnitResolver> resolver) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(resolver));
-  }
-  // Nodes expanded by every resolver; call once all are returned.
-  uint64_t NodesExpanded() {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t total = 0;
-    for (const std::unique_ptr<UnitResolver>& r : free_) {
-      total += r->nodes_expanded();
-    }
-    return total;
-  }
-
- private:
-  const GroundedModel& grounded_;
-  const RequestPlan& plan_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<UnitResolver>> free_;
-};
-
-// A kept unit: its instance row and its runs in its chunk's NodeLists.
-struct KeptUnit {
-  size_t row;
-  NodeIdSpan peers;
-  NodeIdSpan own_covs;
-  NodeIdSpan peer_covs;
 };
 
 // One column group's values, flattened: row r's group is
@@ -318,6 +265,32 @@ struct KeptUnit {
 struct Group {
   std::vector<double> values;
   std::vector<size_t> ends;
+};
+
+// One role's (own or peer) covariate groups, indexed by attribute. Rows
+// append in order; an attribute first seen at row r gets empty groups for
+// rows [0, r).
+struct CovariateGroups {
+  explicit CovariateGroups(size_t num_attributes) : by_attr(num_attributes) {}
+
+  void Add(AttributeId attr, size_t row, double value) {
+    Group& group = by_attr[attr];
+    if (group.values.empty()) {  // first sight
+      group.ends.assign(row, 0);
+      present.push_back(attr);
+    }
+    group.values.push_back(value);
+  }
+  // Closes the current row in every present attribute's group.
+  void EndRow() {
+    for (AttributeId attr : present) {
+      Group& group = by_attr[attr];
+      group.ends.push_back(group.values.size());
+    }
+  }
+
+  std::vector<Group> by_attr;
+  std::vector<AttributeId> present;  // in first-sight order
 };
 
 size_t WidestRow(const Group& group) {
@@ -330,51 +303,20 @@ size_t WidestRow(const Group& group) {
   return widest;
 }
 
-// Groups the valued nodes of every kept unit's `list` by attribute into
-// `groups` (indexed by AttributeId) and returns the attributes present,
-// ascending. Within a row, values keep the list's order.
-std::vector<AttributeId> GroupByAttribute(const GroundedModel& grounded,
-                                          const std::vector<KeptUnit>& kept,
-                                          NodeIdSpan KeptUnit::*list,
-                                          std::vector<Group>* groups) {
-  std::vector<AttributeId> present;
-  for (size_t r = 0; r < kept.size(); ++r) {
-    for (NodeId node : kept[r].*list) {
-      AttributeId attr = grounded.graph().node(node).attribute;
-      Group& group = (*groups)[attr];
-      // First sight: the rows before this one hold no value of attr.
-      if (group.ends.empty()) {
-        group.ends.resize(kept.size(), 0);
-        present.push_back(attr);
-      }
-      std::optional<double> v = grounded.NodeValue(node);
-      CARL_DCHECK(v.has_value());
-      group.values.push_back(*v);
-    }
-    for (AttributeId attr : present) {
-      (*groups)[attr].ends[r] = (*groups)[attr].values.size();
-    }
-  }
-  std::sort(present.begin(), present.end());
-  return present;
-}
-
-// Projects every row's group through `embedding` into dims() new columns
-// named `prefix` + dim, appended to `data` and listed in `col_list`.
-void EmitEmbedded(const Group& group, const Embedding& embedding,
+// Fits `embedding` on the group's widest row, then projects every row in
+// one call into dims() pre-sized columns named `prefix` + dim, which
+// `data` takes by move and `col_list` lists.
+void EmitEmbedded(const Group& group, Embedding& embedding,
                   const std::string& prefix, FlatTable* data,
                   std::vector<std::string>* col_list) {
+  embedding.Fit(WidestRow(group));
   const size_t rows = group.ends.size();
   const size_t dims = embedding.dims();
   std::vector<std::vector<double>> cols(dims, std::vector<double>(rows));
-  std::vector<double> out(dims);
-  size_t begin = 0;
-  for (size_t r = 0; r < rows; ++r) {
-    embedding.Apply(group.values.data() + begin, group.ends[r] - begin,
-                    out.data());
-    for (size_t d = 0; d < dims; ++d) cols[d][r] = out[d];
-    begin = group.ends[r];
-  }
+  std::vector<double*> col_data(dims);
+  for (size_t d = 0; d < dims; ++d) col_data[d] = cols[d].data();
+  embedding.ApplyRows(group.values.data(), group.ends.data(), rows,
+                      col_data.data());
   std::vector<std::string> dim_names = embedding.DimNames();
   for (size_t d = 0; d < dims; ++d) {
     std::string name = prefix + dim_names[d];
@@ -404,87 +346,68 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   // Row-aligned node-id columns: GroundModel's step 1 bulk-builds one
   // node per (attribute, fact row) in row order, so an attribute's first
   // NumRows(predicate) ids in NodesOfAttribute ARE the per-row node ids.
-  // Pass 1 reads them by index — no per-unit FindNode hash probes.
+  // The pass reads them by index — no per-unit FindNode hash probes.
   const std::vector<NodeId>& t_col = graph.NodesOfAttribute(plan.treatment);
   const std::vector<NodeId>& y_col = graph.NodesOfAttribute(plan.response);
   CARL_CHECK(t_col.size() >= units.size() && y_col.size() >= units.size())
       << "grounded graph lacks bulk-built nodes for the unit predicate";
 
-  // Pass 1: resolve every unit in parallel. Each chunk appends to its own
-  // NodeLists and each unit writes only its own slot, so the result is
-  // identical for any thread count. NodeValue reads are precomputed at
-  // grounding time, making this loop side-effect free.
-  ExecContext& exec = ExecContext::Global();
-  const std::vector<std::pair<size_t, size_t>> chunks =
-      exec.Chunks(units.size());
-  std::vector<UnitSlot> slots(units.size());
-  std::vector<NodeLists> lists(chunks.size());
-  std::vector<Status> chunk_status(chunks.size());
-  ResolverPool resolvers(grounded, plan);
-  ParallelFor(exec, units.size(), [&](size_t begin, size_t end,
-                                      size_t chunk) {
-    CARL_TRACE_SCOPE("unit_table.resolve_units");
-    std::unique_ptr<UnitResolver> resolver = resolvers.Take();
-    NodeLists& out = lists[chunk];
-    for (size_t i = begin; i < end; ++i) {
-      CARL_DCHECK(graph.node(t_col[i]).args == units[i])
-          << "node-id column misaligned with unit rows";
-      UnitSlot& slot = slots[i];
-      Result<bool> resolved = resolver->Resolve(t_col[i], y_col[i], &slot,
-                                                &out);
-      if (!resolved.ok()) {
-        chunk_status[chunk] = resolved.status();
-        break;
-      }
-      slot.resolved = *resolved;
-      slot.peers_end = out.peers.size();
-      slot.own_covs_end = out.own_covs.size();
-      slot.peer_covs_end = out.peer_covs.size();
-    }
-    resolvers.Return(std::move(resolver));
-  });
-  nodes_expanded.Add(resolvers.NodesExpanded());
-  for (const Status& s : chunk_status) CARL_RETURN_IF_ERROR(s);
-  // A stopped token makes ParallelFor skip chunks; surface it before the
-  // half-resolved unit slots are read as if complete.
-  CARL_RETURN_IF_ERROR(guard::CheckPoint());
-
-  std::vector<KeptUnit> kept;
-  kept.reserve(units.size());
+  // One pass over the units in row order. A unit's fate is decided before
+  // it appends anything: no treatment or response value drops it, and so
+  // does having no peer unless isolated units are included. A kept unit
+  // appends its y, its t, its tuple, its peers' treatments and each
+  // covariate value straight to its column group. A stop polled every
+  // kUnitPollStride units returns before any group is read.
+  UnitTable table;
+  std::vector<double> y;
+  std::vector<double> t;
+  y.reserve(units.size());
+  t.reserve(units.size());
+  table.unit_arity = units.arity();
+  table.unit_args.reserve(units.size() * units.arity());
+  Group peer_t;
+  peer_t.ends.reserve(units.size());
+  CovariateGroups own(schema.num_attributes());
+  CovariateGroups peer(schema.num_attributes());
   size_t dropped_unvalued = 0;  // no treatment or response value
   size_t dropped_isolated = 0;  // valued, but without a relational peer
   bool relational = false;
-  for (size_t c = 0; c < chunks.size(); ++c) {
-    const NodeLists& l = lists[c];
-    size_t peers_begin = 0;
-    size_t own_covs_begin = 0;
-    size_t peer_covs_begin = 0;
-    for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-      const UnitSlot& slot = slots[i];
-      KeptUnit unit{
-          i,
-          NodeIdSpan(l.peers.data() + peers_begin,
-                     slot.peers_end - peers_begin),
-          NodeIdSpan(l.own_covs.data() + own_covs_begin,
-                     slot.own_covs_end - own_covs_begin),
-          NodeIdSpan(l.peer_covs.data() + peer_covs_begin,
-                     slot.peer_covs_end - peer_covs_begin)};
-      peers_begin = slot.peers_end;
-      own_covs_begin = slot.own_covs_end;
-      peer_covs_begin = slot.peer_covs_end;
-      if (!slot.resolved) {
-        ++dropped_unvalued;
-        continue;
-      }
-      if (!options.include_isolated_units && unit.peers.empty()) {
-        ++dropped_isolated;
-        continue;
-      }
-      if (!unit.peers.empty()) relational = true;
-      kept.push_back(unit);
+  UnitResolver resolver(grounded, plan);
+  for (size_t i = 0; i < units.size(); ++i) {
+    if (i % kUnitPollStride == 0) CARL_RETURN_IF_ERROR(guard::CheckPoint());
+    CARL_DCHECK(graph.node(t_col[i]).args == units[i])
+        << "node-id column misaligned with unit rows";
+    CARL_ASSIGN_OR_RETURN(bool resolved, resolver.Resolve(t_col[i], y_col[i]));
+    if (!resolved) {
+      ++dropped_unvalued;
+      continue;
     }
+    const std::vector<NodeId>& peers = resolver.peers();
+    if (peers.empty() && !options.include_isolated_units) {
+      ++dropped_isolated;
+      continue;
+    }
+    if (!peers.empty()) relational = true;
+    const size_t row = y.size();
+    y.push_back(resolver.y());
+    t.push_back(resolver.t());
+    const TupleView args = units[i];
+    table.unit_args.insert(table.unit_args.end(), args.begin(), args.end());
+    for (NodeId p : peers) {
+      std::optional<double> v = grounded.NodeValue(p);
+      if (v.has_value()) peer_t.values.push_back(*v);
+    }
+    peer_t.ends.push_back(peer_t.values.size());
+    resolver.VisitCovariates(
+        [&](bool is_own, AttributeId attr, NodeId, double value) {
+          (is_own ? own : peer).Add(attr, row, value);
+        });
+    own.EndRow();
+    peer.EndRow();
   }
-  if (kept.empty()) {
+  nodes_expanded.Add(resolver.nodes_expanded());
+  const size_t n = y.size();
+  if (n == 0) {
     if (dropped_isolated > 0) {
       return Status::FailedPrecondition(StrFormat(
           "no unit has a relational peer; a peer-effect query drops the %zu "
@@ -494,43 +417,13 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
     return Status::FailedPrecondition(
         "no unit has both treatment and response values");
   }
-
-  UnitTable table;
   table.embedding_kind = options.embedding;
   table.dropped_units = dropped_unvalued + dropped_isolated;
   table.relational = relational;
-  const size_t n = kept.size();
 
-  // Pass 2: group values per row — the peers' treatments, then own and
-  // peer covariates per attribute — in flat arrays.
-  Group peer_t_group;
-  if (relational) {
-    peer_t_group.ends.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      for (NodeId p : kept[r].peers) {
-        std::optional<double> v = grounded.NodeValue(p);
-        if (v.has_value()) peer_t_group.values.push_back(*v);
-      }
-      peer_t_group.ends[r] = peer_t_group.values.size();
-    }
-  }
-  std::vector<Group> own_groups(schema.num_attributes());
-  std::vector<Group> peer_groups(schema.num_attributes());
-  const std::vector<AttributeId> own_attrs = GroupByAttribute(
-      grounded, kept, &KeptUnit::own_covs, &own_groups);
-  const std::vector<AttributeId> peer_attrs = GroupByAttribute(
-      grounded, kept, &KeptUnit::peer_covs, &peer_groups);
-  CARL_RETURN_IF_ERROR(guard::CheckPoint());
-
-  // Pass 3: fit one embedding per group and emit pre-sized columns in the
-  // order y, t, [peer_count, peer_treated_count, peer_t_*], own_<Attr>_*,
-  // peer_<Attr>_* (attributes ascending).
-  std::vector<double> y(n);
-  std::vector<double> t(n);
-  for (size_t r = 0; r < n; ++r) {
-    y[r] = slots[kept[r].row].y;
-    t[r] = slots[kept[r].row].t;
-  }
+  // Emit the columns in the order y, t, [peer_count, peer_treated_count,
+  // peer_t_*], own_<Attr>_*, peer_<Attr>_* (attributes ascending), each
+  // group through one embedding call.
   table.data.AddColumn(table.y_col, std::move(y));
   table.data.AddColumn(table.t_col, std::move(t));
 
@@ -540,12 +433,12 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
     size_t begin = 0;
     for (size_t r = 0; r < n; ++r) {
       double treated = 0.0;
-      for (size_t k = begin; k < peer_t_group.ends[r]; ++k) {
-        treated += (peer_t_group.values[k] != 0.0) ? 1.0 : 0.0;
+      for (size_t k = begin; k < peer_t.ends[r]; ++k) {
+        treated += (peer_t.values[k] != 0.0) ? 1.0 : 0.0;
       }
-      peer_count[r] = static_cast<double>(peer_t_group.ends[r] - begin);
+      peer_count[r] = static_cast<double>(peer_t.ends[r] - begin);
       peer_treated[r] = treated;
-      begin = peer_t_group.ends[r];
+      begin = peer_t.ends[r];
     }
     table.peer_count_col = "peer_count";
     table.peer_treated_count_col = "peer_treated_count";
@@ -554,35 +447,23 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
                          std::move(peer_treated));
     std::shared_ptr<Embedding> psi =
         MakeEmbedding(options.embedding, options.embedding_options);
-    psi->Fit(WidestRow(peer_t_group));
-    EmitEmbedded(peer_t_group, *psi, "peer_t_", &table.data,
-                 &table.peer_t_cols);
+    EmitEmbedded(peer_t, *psi, "peer_t_", &table.data, &table.peer_t_cols);
     table.peer_t_embedding = std::move(psi);
   }
-  auto emit_covariates = [&](const std::vector<AttributeId>& attrs,
-                             const std::vector<Group>& groups,
+  const std::unique_ptr<Embedding> embedding =
+      MakeEmbedding(options.embedding, options.embedding_options);
+  auto emit_covariates = [&](CovariateGroups& groups,
                              const std::string& prefix,
                              std::vector<std::string>* col_list) {
-    for (AttributeId attr : attrs) {
-      std::unique_ptr<Embedding> e =
-          MakeEmbedding(options.embedding, options.embedding_options);
-      e->Fit(WidestRow(groups[attr]));
-      EmitEmbedded(groups[attr], *e,
+    std::sort(groups.present.begin(), groups.present.end());
+    for (AttributeId attr : groups.present) {
+      EmitEmbedded(groups.by_attr[attr], *embedding,
                    prefix + schema.attribute(attr).name + "_", &table.data,
                    col_list);
     }
   };
-  emit_covariates(own_attrs, own_groups, "own_", &table.own_covariate_cols);
-  emit_covariates(peer_attrs, peer_groups, "peer_",
-                  &table.peer_covariate_cols);
-
-  table.unit_arity = units.arity();
-  table.unit_args.resize(n * units.arity());
-  SymbolId* dst = table.unit_args.data();
-  for (const KeptUnit& unit : kept) {
-    const TupleView args = units[unit.row];
-    dst = std::copy(args.begin(), args.end(), dst);
-  }
+  emit_covariates(own, "own_", &table.own_covariate_cols);
+  emit_covariates(peer, "peer_", &table.peer_covariate_cols);
   return table;
 }
 
@@ -596,10 +477,7 @@ Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
   NodeId t_node = graph.FindNode(plan.treatment, unit);
   NodeId y_node = graph.FindNode(plan.response, unit);
   UnitResolver resolver(grounded, plan);
-  UnitSlot slot;
-  NodeLists lists;
-  CARL_ASSIGN_OR_RETURN(bool resolved,
-                        resolver.Resolve(t_node, y_node, &slot, &lists));
+  CARL_ASSIGN_OR_RETURN(bool resolved, resolver.Resolve(t_node, y_node));
   if (!resolved) {
     return Status::NotFound("unit has no treatment/response values");
   }
@@ -607,12 +485,11 @@ Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
   // S' = the unit and its peers; condition on their treatment nodes plus
   // the observed-parent covariate set Z.
   std::vector<NodeId> conditioning{t_node};
-  conditioning.insert(conditioning.end(), lists.peers.begin(),
-                      lists.peers.end());
-  conditioning.insert(conditioning.end(), lists.own_covs.begin(),
-                      lists.own_covs.end());
-  conditioning.insert(conditioning.end(), lists.peer_covs.begin(),
-                      lists.peer_covs.end());
+  conditioning.insert(conditioning.end(), resolver.peers().begin(),
+                      resolver.peers().end());
+  resolver.VisitCovariates([&](bool, AttributeId, NodeId node, double) {
+    conditioning.push_back(node);
+  });
 
   // X = all parents (observed or latent) of the treatment nodes.
   std::vector<NodeId> all_parents;
@@ -623,7 +500,7 @@ Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
     }
   };
   add_parents(t_node);
-  for (NodeId p : lists.peers) add_parents(p);
+  for (NodeId p : resolver.peers()) add_parents(p);
   if (all_parents.empty()) return true;  // exogenous treatment
 
   return DSeparated(graph, resolver.starts(), all_parents, conditioning);

@@ -16,27 +16,30 @@
 // The covariate columns realize the sufficient adjustment set of Theorem
 // 5.2 (parents of the treated units' treatment nodes), embedded per §5.2.2.
 //
-// How a table is built. A parallel pass resolves every unit: a traversal
-// over Parents from the response grounding(s) collects the peers, marking
-// visited nodes in a per-thread array of epoch stamps over node ids that
-// is bumped per unit instead of cleared. The traversal is lifted to the
-// model: once per build, the request computes the attributes the
-// treatment reaches in the model's attribute graph (an edge body -> head
-// per causal-rule body ref, source -> head per aggregate rule), and the
-// search enters only nodes of those attributes. Every ground edge
-// instantiates a rule edge, so no ground path T[p] -> Y[x] leaves that
-// set and the peers are exactly those of the full ancestor walk; the
-// unit_table.nodes_expanded counter records how many nodes it visits.
-// Each unit appends its peers (sorted), own covariates and peer
-// covariates (first-occurrence order, each node once across both lists)
-// to its chunk's flat node lists. A serial pass then groups the values
-// per (role, attribute) into one flat value array with per-row ends, fits
-// one embedding per group from its widest row, and writes pre-sized
-// columns through the span Embedding::Apply. Columns are bit-identical at
-// every thread count. The unit tuples land in one arity-strided arena, so
-// with the mean or moments embedding a warm build's allocation count does
-// not grow with rows beyond amortized vector growth; median and padding
-// also sort a copy of each group they project.
+// How a table is built. One serial pass walks the units in row order,
+// from graph to columns. Per unit, a traversal over Parents from the
+// response grounding(s) collects the peers, marking visited nodes in an
+// array of epoch stamps over node ids that is bumped per unit instead of
+// cleared. The traversal is lifted to the model: once per build, the
+// request computes the attributes the treatment reaches in the model's
+// attribute graph (an edge body -> head per causal-rule body ref, source
+// -> head per aggregate rule), and the search enters only nodes of those
+// attributes. Every ground edge instantiates a rule edge, so no ground
+// path T[p] -> Y[x] leaves that set and the peers are exactly those of
+// the full ancestor walk; the unit_table.nodes_expanded counter records
+// how many nodes it visits. The unit's fate (kept, or dropped for a
+// missing value or for having no peer) is decided before it appends
+// anything. A kept unit reads each value once and appends it straight to
+// its column group — y, t, its peers' treatments (sorted peers), and its
+// own and peer covariates per attribute (first-occurrence order, each
+// node once across both lists) — each group one flat value array with
+// per-row ends. Then each group is fitted from its widest row and
+// projected by one Embedding::ApplyRows call into pre-sized columns. The
+// thread count never reaches the build. The unit tuples land in one
+// arity-strided arena, so with the mean or moments embedding a warm
+// build's allocation count does not grow with rows beyond amortized
+// vector growth; median and padding also sort a copy of each group they
+// project.
 
 #ifndef CARL_CORE_UNIT_TABLE_H_
 #define CARL_CORE_UNIT_TABLE_H_

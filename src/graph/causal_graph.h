@@ -193,8 +193,8 @@ class CausalGraph {
   /// All groundings of one attribute function (the paper's A∆), in id
   /// order. For attributes bulk-built by AddNodesBulk the first
   /// batch-size entries are row-aligned with the batch's rows — the
-  /// row-aligned node-id column the grounding value pass and unit-table
-  /// pass 1 read instead of per-row FindNode probes.
+  /// row-aligned node-id column the grounding value pass and the unit
+  /// table's pass read instead of per-row FindNode probes.
   const std::vector<NodeId>& NodesOfAttribute(AttributeId attribute) const;
 
   /// Topological order (parents before children), or FailedPrecondition

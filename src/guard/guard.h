@@ -200,9 +200,11 @@ void OnArenaGrowth(size_t bytes);
 ///   relational.arena_grow   BindingTable arena growth; trips the
 ///                           ambient token (hard Status) — no-op
 ///                           without a token.
-///   exec.pool_dispatch      ParallelFor helper submission; degrades
-///                           the loop to the calling thread (results
-///                           identical, just serial).
+///   exec.pool_dispatch      ParallelFor helper submission (the
+///                           bootstrap's replicates); degrades the loop
+///                           to the calling thread (results identical,
+///                           just serial; fault_fuzz_test
+///                           PoolDispatchFaultYieldsIdenticalBootstrap).
 ///   instance.delta_trim     Instance::LogDelta; forces an immediate
 ///                           delta-log trim (extend paths fall back to
 ///                           a full re-ground).

@@ -38,16 +38,9 @@ Result<AggregateKind> ParseAggregateKind(const std::string& name) {
 
 namespace {
 
-double Mean(const double* v, size_t n) {
-  if (n == 0) return 0.0;
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += v[i];
-  return s / static_cast<double>(n);
-}
-
 double PopulationVariance(const double* v, size_t n) {
   if (n < 2) return 0.0;
-  double m = Mean(v, n);
+  double m = AggregateMean(v, n);
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) s += (v[i] - m) * (v[i] - m);
   return s / static_cast<double>(n);
@@ -73,7 +66,7 @@ double ApplyAggregate(AggregateKind kind, const double* values, size_t n) {
       return s;
     }
     case AggregateKind::kAvg:
-      return Mean(values, n);
+      return AggregateMean(values, n);
     case AggregateKind::kMin:
       return n == 0 ? 0.0 : *std::min_element(values, values + n);
     case AggregateKind::kMax:
@@ -86,7 +79,7 @@ double ApplyAggregate(AggregateKind kind, const double* values, size_t n) {
       return std::sqrt(PopulationVariance(values, n));
     case AggregateKind::kSkewness: {
       if (n < 2) return 0.0;
-      double m = Mean(values, n);
+      double m = AggregateMean(values, n);
       double var = PopulationVariance(values, n);
       if (var <= 0.0) return 0.0;
       double s3 = 0.0;
@@ -99,10 +92,10 @@ double ApplyAggregate(AggregateKind kind, const double* values, size_t n) {
 }
 
 double Moment(const double* values, size_t n, int k) {
-  if (k <= 1) return Mean(values, n);
+  if (k <= 1) return AggregateMean(values, n);
   if (k == 2) return PopulationVariance(values, n);
   if (n < 2) return 0.0;
-  double m = Mean(values, n);
+  double m = AggregateMean(values, n);
   double var = PopulationVariance(values, n);
   if (var <= 0.0) return 0.0;
   double acc = 0.0;

@@ -31,6 +31,16 @@ const char* AggregateKindToString(AggregateKind kind);
 /// "SKEW" (case-insensitive).
 Result<AggregateKind> ParseAggregateKind(const std::string& name);
 
+/// The AVG aggregate: the values summed in order from 0.0, divided by n;
+/// 0.0 for no values. Inline, so a loop over many small groups (the mean
+/// embedding's rows) makes no call per group.
+inline double AggregateMean(const double* values, size_t n) {
+  if (n == 0) return 0.0;
+  double s = 0.0;
+  for (size_t i = 0; i < n; ++i) s += values[i];
+  return s / static_cast<double>(n);
+}
+
 /// Applies the aggregate. For an empty input: kCount/kSum return 0 and all
 /// others return 0.0 — callers that need to distinguish "no parents" carry
 /// the cardinality separately (the paper's mean embedding does exactly

@@ -24,13 +24,23 @@ struct BootstrapResult {
 };
 
 /// Draws `replicates` resamples of row indices [0, n) with replacement and
-/// evaluates `statistic` on each. Requires at least one successful
-/// replicate.
+/// evaluates `statistic` on each; the statistic writes `num_values`
+/// values to its second argument. Returns one result per value. A value
+/// counts for a replicate when the statistic returned OK and that value
+/// is finite, so each value's samples and failures are those of a
+/// one-value run on that value alone, over the same resamples. Requires
+/// at least one counted replicate for every value.
 ///
 /// Runs on ExecContext::Global(). Each replicate draws from its own RNG
 /// stream (ExecContext::StreamSeed(seed, replicate)), so results are
 /// deterministic and identical for every thread count, including 1.
 /// `statistic` must be safe to call concurrently when threads > 1.
+Result<std::vector<BootstrapResult>> Bootstrap(
+    size_t n, int replicates, uint64_t seed, size_t num_values,
+    const std::function<Status(const std::vector<size_t>&, double*)>&
+        statistic);
+
+/// The one-value form: the multi-value Bootstrap with num_values = 1.
 Result<BootstrapResult> Bootstrap(
     size_t n, int replicates, uint64_t seed,
     const std::function<Result<double>(const std::vector<size_t>&)>&

@@ -72,6 +72,41 @@ void SumProducts(const std::vector<ProductSum>& sums, size_t n) {
 
 }  // namespace
 
+std::vector<double> SampleVariances(const std::vector<const double*>& cols,
+                                    size_t n) {
+  std::vector<double> variances(cols.size(), 0.0);
+  if (n < 2) return variances;
+  const double count = static_cast<double>(n);
+  constexpr size_t kLanes = 4;
+  for (size_t k = 0; k < cols.size(); k += kLanes) {
+    const double* col[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) {
+      col[l] = cols[k + l < cols.size() ? k + l : k];
+    }
+    Pair lo = {0.0, 0.0};
+    Pair hi = {0.0, 0.0};
+    for (size_t r = 0; r < n; ++r) {
+      lo += Pair{col[0][r], col[1][r]};
+      hi += Pair{col[2][r], col[3][r]};
+    }
+    const Pair mean_lo = lo / count;
+    const Pair mean_hi = hi / count;
+    lo = Pair{0.0, 0.0};
+    hi = Pair{0.0, 0.0};
+    for (size_t r = 0; r < n; ++r) {
+      const Pair d_lo = Pair{col[0][r], col[1][r]} - mean_lo;
+      const Pair d_hi = Pair{col[2][r], col[3][r]} - mean_hi;
+      lo += d_lo * d_lo;
+      hi += d_hi * d_hi;
+    }
+    const double sum[kLanes] = {lo[0], lo[1], hi[0], hi[1]};
+    for (size_t l = 0; l < kLanes && k + l < cols.size(); ++l) {
+      variances[k + l] = sum[l] / static_cast<double>(n - 1);
+    }
+  }
+  return variances;
+}
+
 Result<OlsFit> FitOls(const FlatTable& table, const std::string& y_col,
                       const std::vector<std::string>& x_cols,
                       bool add_intercept) {
@@ -90,15 +125,20 @@ Result<OlsFit> FitOls(const FlatTable& table, const std::string& y_col,
     ones.assign(n, 1.0);
     cols.push_back(ones.data());
   }
+  std::vector<const double*> x;
+  x.reserve(x_cols.size());
   for (const std::string& name : x_cols) {
     CARL_ASSIGN_OR_RETURN(size_t idx, table.ColumnIndex(name));
-    const std::vector<double>& col = table.Column(idx);
-    if (SampleVariance(col) < 1e-12) {
-      fit.dropped.push_back(name);
+    x.push_back(table.Column(idx).data());
+  }
+  const std::vector<double> variances = SampleVariances(x, n);
+  for (size_t c = 0; c < x_cols.size(); ++c) {
+    if (variances[c] < 1e-12) {
+      fit.dropped.push_back(x_cols[c]);
       continue;
     }
-    fit.names.push_back(name);
-    cols.push_back(col.data());
+    fit.names.push_back(x_cols[c]);
+    cols.push_back(x[c]);
   }
   const size_t p = fit.names.size();
   if (p == 0) {

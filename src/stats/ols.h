@@ -41,6 +41,13 @@ struct OlsFit {
   double CoefficientOr(const std::string& name, double fallback) const;
 };
 
+/// SampleVariance of each of the `n`-row columns `cols`, bit for bit:
+/// four columns per pass over the rows, each column's sum and squared-
+/// deviation sum in its own accumulator, in row order. FitOls drops the
+/// columns whose variance is below 1e-12.
+std::vector<double> SampleVariances(const std::vector<const double*>& cols,
+                                    size_t n);
+
 /// Fits y ~ [1] + x_cols on `table`. Near-constant columns (variance below
 /// 1e-12) are dropped and reported. Fails if no usable column remains or
 /// the system is singular beyond the solver's ridge budget.

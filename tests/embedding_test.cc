@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/embedding.h"
 
 namespace carl {
@@ -127,6 +129,44 @@ TEST_P(EmbeddingPropertyTest, SpanApplyWritesExactlyDims) {
       EXPECT_NE(out[d], sentinel) << "n=" << group.size() << " dim " << d;
     }
     EXPECT_EQ(out.back(), sentinel) << "n=" << group.size();
+  }
+}
+
+// The span-over-rows form projects a whole column group in one call; row
+// r's outputs must carry exactly the bits Apply gives for row r's group,
+// with empty rows, rows wider than a fitted padding width, and repeated
+// values among them.
+TEST_P(EmbeddingPropertyTest, ApplyRowsMatchesApplyPerRow) {
+  std::unique_ptr<Embedding> e = MakeEmbedding(GetParam());
+  e->Fit(3);
+  std::vector<double> values;
+  std::vector<size_t> ends;
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  for (size_t r = 0; r < 40; ++r) {
+    const size_t n = r % 6;  // 0..5 values; 4 and 5 exceed the width 3
+    for (size_t i = 0; i < n; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const double fresh = static_cast<double>(state >> 40) / 1024.0 - 3000.0;
+      values.push_back(i == 2 ? values.back() : fresh);  // a repeat
+    }
+    ends.push_back(values.size());
+  }
+  const size_t dims = e->dims();
+  std::vector<std::vector<double>> cols(dims,
+                                        std::vector<double>(ends.size()));
+  std::vector<double*> col_data;
+  for (std::vector<double>& col : cols) col_data.push_back(col.data());
+  e->ApplyRows(values.data(), ends.data(), ends.size(), col_data.data());
+  std::vector<double> out(dims);
+  size_t begin = 0;
+  for (size_t r = 0; r < ends.size(); ++r) {
+    e->Apply(values.data() + begin, ends[r] - begin, out.data());
+    for (size_t d = 0; d < dims; ++d) {
+      EXPECT_EQ(std::memcmp(&cols[d][r], &out[d], sizeof(double)), 0)
+          << "row " << r << " dim " << d << ": " << cols[d][r] << " vs "
+          << out[d];
+    }
+    begin = ends[r];
   }
 }
 

@@ -6,10 +6,14 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "datagen/review_toy.h"
+#include "fixtures.h"
 #include "lang/parser.h"
+#include "stats/bootstrap.h"
 
 namespace carl {
 namespace {
@@ -160,6 +164,72 @@ TEST_F(EngineToyTest, BootstrapAttachesErrors) {
   const EffectEstimate& ate = response.answer.ate->ate;
   EXPECT_TRUE(std::isfinite(ate.std_error));
   EXPECT_LE(ate.ci_low, ate.ci_high);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// A peer-effect bootstrap runs once and keeps all four effects of each
+// replicate. It must give exactly what one run per effect gives, each run
+// re-estimating all four effects and keeping one.
+TEST(EngineBootstrapTest, PeerEffectsMatchOneRunPerEffect) {
+  datagen::Dataset data = test_fixtures::RealisticReviewDataset();
+  Result<RelationalCausalModel> model =
+      RelationalCausalModel::Parse(*data.schema, data.model_text);
+  ASSERT_TRUE(model.ok()) << model.status();
+  Result<std::unique_ptr<CarlEngine>> engine =
+      CarlEngine::Create(data.instance.get(), std::move(*model));
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EngineOptions options;
+  options.bootstrap_replicates = 10;
+  const std::pair<EffectEstimate RelationalEffectsAnswer::*,
+                  double RelationalEffects::*>
+      effects[] = {
+          {&RelationalEffectsAnswer::aie, &RelationalEffects::aie},
+          {&RelationalEffectsAnswer::are, &RelationalEffects::are},
+          {&RelationalEffectsAnswer::aoe, &RelationalEffects::aoe},
+          {&RelationalEffectsAnswer::aie_psi, &RelationalEffects::aie_psi},
+      };
+  for (int threads : {1, 4}) {
+    test_fixtures::ScopedThreads scoped_threads(threads);
+    for (const char* text :
+         {"AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED",
+          "AVG_Score[A] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED"}) {
+      SCOPED_TRACE(std::string(text) + " threads=" + std::to_string(threads));
+      QueryResponse response = AnswerText(**engine, text, options);
+      ASSERT_TRUE(response.status.ok()) << response.status;
+      ASSERT_TRUE(response.answer.effects.has_value());
+      Result<CausalQuery> query = ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << query.status();
+      Result<UnitTable> table =
+          (*engine)->BuildUnitTableForQuery(*query, options);
+      ASSERT_TRUE(table.ok()) << table.status();
+      for (const auto& [answer_member, effect_member] : effects) {
+        Result<BootstrapResult> want = Bootstrap(
+            table->data.num_rows(), options.bootstrap_replicates,
+            options.seed,
+            [&](const std::vector<size_t>& rows) -> Result<double> {
+              CARL_ASSIGN_OR_RETURN(
+                  RelationalEffects e,
+                  EstimateRelationalEffects(*table,
+                                            table->data.SelectRows(rows),
+                                            *query->peer_condition,
+                                            options.estimator));
+              return e.*effect_member;
+            });
+        ASSERT_TRUE(want.ok()) << want.status();
+        const EffectEstimate& got = (*response.answer.effects).*answer_member;
+        EXPECT_TRUE(SameBits(got.std_error, want->sd));
+        EXPECT_TRUE(SameBits(got.ci_low, want->ci_low));
+        EXPECT_TRUE(SameBits(got.ci_high, want->ci_high));
+        ASSERT_EQ(got.samples.size(), want->samples.size());
+        for (size_t i = 0; i < got.samples.size(); ++i) {
+          EXPECT_TRUE(SameBits(got.samples[i], want->samples[i])) << i;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(EngineToyTest, CriterionCheckRuns) {

@@ -1,7 +1,7 @@
 // Fault-fuzz differential harness (the carl_guard robustness contract):
 // for every fault site and schedule, a pass over REVIEW / MIMIC / NIS
 // either succeeds with the unfaulted result (degradation sites: pool
-// dispatch, checked on a unit-table build; delta trim, on a grounding)
+// dispatch, checked on a bootstrap; delta trim, on a grounding)
 // or fails with a clean guard Status — and in BOTH cases the session is
 // not poisoned: the
 // binding cache is pointer-identical across an aborted pass, the next
@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +35,12 @@ using test_fixtures::ScopedThreads;
 
 uint64_t CounterValue(const char* name) {
   return obs::Registry::Global().GetCounter(name).value();
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
 }
 
 // First entity predicate that bears an attribute: adding one of its rows
@@ -168,11 +175,25 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
 // the unfaulted run.
 // ---------------------------------------------------------------------------
 
-// Grounding runs on one thread, so the pool-dispatch site is exercised
-// where ParallelFor still runs: a 4-thread unit-table build (pass 1).
-// The countdown-th build under an armed site degrades to the calling
-// thread and must still equal the unfaulted table bit for bit.
-TEST_F(FaultFuzzTest, PoolDispatchFaultYieldsIdenticalUnitTable) {
+// Grounding and the unit table run on one thread, so the pool-dispatch
+// site is exercised where ParallelFor still runs: the bootstrap of a
+// 4-thread answer. The countdown-th answer under an armed site degrades
+// its replicates to the calling thread and must still equal the
+// unfaulted answer bit for bit.
+void ExpectSameBootstrap(const EffectEstimate& got,
+                         const EffectEstimate& want) {
+  EXPECT_EQ(Bits(got.value), Bits(want.value));
+  EXPECT_EQ(Bits(got.std_error), Bits(want.std_error));
+  EXPECT_EQ(Bits(got.ci_low), Bits(want.ci_low));
+  EXPECT_EQ(Bits(got.ci_high), Bits(want.ci_high));
+  ASSERT_EQ(got.samples.size(), want.samples.size());
+  for (size_t i = 0; i < got.samples.size(); ++i) {
+    EXPECT_EQ(Bits(got.samples[i]), Bits(want.samples[i]))
+        << "degraded-dispatch bootstrap diverged at sample " << i;
+  }
+}
+
+TEST_F(FaultFuzzTest, PoolDispatchFaultYieldsIdenticalBootstrap) {
   const char* queries[] = {"AVG_Score[A] <= Prestige[A]?",
                            "Death[P] <= SelfPay[P]?",
                            "HighBill[P] <= AdmittedToLarge[P]?"};
@@ -183,33 +204,29 @@ TEST_F(FaultFuzzTest, PoolDispatchFaultYieldsIdenticalUnitTable) {
     Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
         *workload.dataset.schema, workload.dataset.model_text);
     ASSERT_TRUE(model.ok()) << model.status();
-    Result<CausalQuery> query = ParseQuery(queries[w]);
-    ASSERT_TRUE(query.ok()) << query.status();
 
     ScopedThreads scoped_threads(4);
     Result<std::unique_ptr<CarlEngine>> engine =
         CarlEngine::Create(workload.dataset.instance.get(), std::move(*model));
     ASSERT_TRUE(engine.ok()) << engine.status();
-    Result<UnitTable> reference = (*engine)->BuildUnitTableForQuery(*query);
-    ASSERT_TRUE(reference.ok()) << reference.status();
-    ASSERT_GT(reference->data.num_rows(), 1u) << "one chunk never dispatches";
+    QueryRequest request(queries[w]);
+    request.options.bootstrap_replicates = 6;  // several chunks: helpers run
+    const QueryResponse reference = (*engine)->Answer(request);
+    ASSERT_TRUE(reference.status.ok()) << reference.status;
+    ASSERT_TRUE(reference.answer.ate.has_value());
+    ASSERT_GE(reference.answer.ate->ate.samples.size(), 2u);
 
     for (uint64_t countdown : {uint64_t{1}, uint64_t{2}}) {
       SCOPED_TRACE("countdown=" + std::to_string(countdown));
       guard::FaultRegistry& faults = guard::FaultRegistry::Global();
       const uint64_t fired_before = faults.fired_count();
       faults.Arm("exec.pool_dispatch", countdown);
-      for (uint64_t build = 0; build < countdown; ++build) {
-        Result<UnitTable> table = (*engine)->BuildUnitTableForQuery(*query);
-        ASSERT_TRUE(table.ok()) << table.status();
-        ASSERT_EQ(table->data.column_names(), reference->data.column_names());
-        EXPECT_EQ(table->unit_arity, reference->unit_arity);
-        EXPECT_EQ(table->unit_args, reference->unit_args);
-        EXPECT_EQ(table->dropped_units, reference->dropped_units);
-        for (const std::string& col : reference->data.column_names()) {
-          EXPECT_EQ(table->data.Column(col), reference->data.Column(col))
-              << "degraded-dispatch unit table diverged in column " << col;
-        }
+      for (uint64_t answer = 0; answer < countdown; ++answer) {
+        const QueryResponse response = (*engine)->Answer(request);
+        ASSERT_TRUE(response.status.ok()) << response.status;
+        ASSERT_TRUE(response.answer.ate.has_value());
+        ExpectSameBootstrap(response.answer.ate->ate,
+                            reference.answer.ate->ate);
       }
       faults.Reset();
       EXPECT_EQ(faults.fired_count(), fired_before + 1)

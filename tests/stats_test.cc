@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "fixtures.h"
+#include "guard/guard.h"
 #include "linalg/matrix.h"
 #include "linalg/solve.h"
 #include "relational/flat_table.h"
@@ -231,6 +233,47 @@ TEST(OlsTest, BitIdenticalToDesignMatrixPath) {
   EXPECT_GE(fitted, 60u);
 }
 
+// FitOls checks its columns for constancy four at a time; each column's
+// variance must equal SampleVariance's bit for bit, so the dropped set
+// cannot change. Columns: seeded continuous and 0/1 ones, constants, and
+// near-constants whose variance falls on both sides of the 1e-12 cut; 7
+// of them, so the last pass runs short.
+TEST(OlsTest, SampleVariancesMatchSampleVarianceBitForBit) {
+  size_t below = 0;
+  size_t above = 0;
+  for (size_t n : {size_t{2}, size_t{3}, size_t{5000}}) {
+    for (uint64_t seed : {3, 4}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
+                   std::to_string(seed));
+      Rng rng(seed * 7919 + n);
+      std::vector<std::vector<double>> cols(7, std::vector<double>(n));
+      for (size_t r = 0; r < n; ++r) {
+        const double sign = (r % 2 == 0) ? 1.0 : -1.0;
+        cols[0][r] = rng.Normal(1, 2);
+        cols[1][r] = rng.Bernoulli(0.3) ? 1.0 : 0.0;
+        cols[2][r] = 4.25;
+        cols[3][r] = 3.7 + sign * 0.8e-6;  // variance ~6.4e-13
+        cols[4][r] = 3.7 + sign * 1.2e-6;  // variance ~1.4e-12
+        cols[5][r] = -2.0 + rng.Uniform() * 1e-6;
+        cols[6][r] = rng.Normal(-5, 0.1);
+      }
+      std::vector<const double*> data;
+      for (const std::vector<double>& col : cols) data.push_back(col.data());
+      const std::vector<double> got = SampleVariances(data, n);
+      ASSERT_EQ(got.size(), cols.size());
+      for (size_t c = 0; c < cols.size(); ++c) {
+        const double want = SampleVariance(cols[c]);
+        EXPECT_TRUE(SameBits(want, got[c]))
+            << "column " << c << ": " << want << " vs " << got[c];
+        if (c >= 3 && c <= 4) ++(want < 1e-12 ? below : above);
+      }
+    }
+  }
+  // The near-constant columns straddle the cut.
+  EXPECT_GT(below, 0u);
+  EXPECT_GT(above, 0u);
+}
+
 TEST(LogisticTest, RecoversCoefficients) {
   Rng rng(11);
   const size_t n = 4000;
@@ -409,6 +452,76 @@ TEST(BootstrapTest, AllFailuresIsError) {
         return Status::FailedPrecondition("always");
       });
   EXPECT_FALSE(b.ok());
+}
+
+// The multi-value Bootstrap keeps per value exactly what a one-value run
+// on that value alone keeps: the same resamples, and a replicate counts
+// for a value when the statistic succeeded and that value is finite. The
+// synthetic statistic fails some replicates outright and makes single
+// components non-finite in others; everything must match bit for bit.
+TEST(BootstrapTest, MultiValueMatchesOneRunPerValue) {
+  std::vector<double> data(40);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = std::sin(static_cast<double>(i)) * 3.0 + 0.1 * i;
+  }
+  constexpr size_t kValues = 4;
+  auto components = [&](const std::vector<size_t>& idx,
+                        double* out) -> Status {
+    double sum = 0.0;
+    for (size_t i : idx) sum += data[i];
+    const double mean = sum / static_cast<double>(idx.size());
+    if (idx[0] % 9 == 0) return Status::FailedPrecondition("no controls");
+    out[0] = mean;
+    out[1] = idx[1] % 3 == 0 ? std::numeric_limits<double>::infinity()
+                             : mean * 2.0;
+    out[2] = idx[2] % 4 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                             : data[idx[3]];
+    out[3] = mean - data[idx[4]];
+    return Status::OK();
+  };
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    test_fixtures::ScopedThreads scoped_threads(threads);
+    Result<std::vector<BootstrapResult>> merged =
+        Bootstrap(data.size(), 60, 17, kValues, components);
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    ASSERT_EQ(merged->size(), kValues);
+    for (size_t k = 0; k < kValues; ++k) {
+      SCOPED_TRACE("value " + std::to_string(k));
+      Result<BootstrapResult> single = Bootstrap(
+          data.size(), 60, 17,
+          [&](const std::vector<size_t>& idx) -> Result<double> {
+            double out[kValues];
+            CARL_RETURN_IF_ERROR(components(idx, out));
+            return out[k];
+          });
+      ASSERT_TRUE(single.ok()) << single.status();
+      const BootstrapResult& got = (*merged)[k];
+      ExpectSameBits(single->samples, got.samples, "samples");
+      EXPECT_EQ(got.failures, single->failures);
+      EXPECT_TRUE(SameBits(got.mean, single->mean));
+      EXPECT_TRUE(SameBits(got.sd, single->sd));
+      EXPECT_TRUE(SameBits(got.ci_low, single->ci_low));
+      EXPECT_TRUE(SameBits(got.ci_high, single->ci_high));
+    }
+    // The statistic really failed replicates, and values 1 and 2 lost
+    // more of them than value 0.
+    EXPECT_GT((*merged)[0].failures, 0u);
+    EXPECT_GT((*merged)[1].failures, (*merged)[0].failures);
+    EXPECT_GT((*merged)[2].failures, (*merged)[0].failures);
+  }
+}
+
+TEST(BootstrapTest, StoppedTokenSurfacesItsStatus) {
+  guard::ExecToken token;
+  token.Cancel();
+  guard::ScopedToken scoped(&token);
+  Result<BootstrapResult> b =
+      Bootstrap(4, 5, 1, [](const std::vector<size_t>&) -> Result<double> {
+        return 1.0;
+      });
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.status().code(), StatusCode::kCancelled) << b.status();
 }
 
 TEST(BootstrapTest, HistogramSumsToOne) {
