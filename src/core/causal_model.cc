@@ -41,6 +41,7 @@ Result<RelationalCausalModel> RelationalCausalModel::Create(
     model.rules_.push_back(std::move(rule));
   }
   model.queries_ = std::move(program.queries);
+  model.key_text_ = model.BuildKeyText();
   return model;
 }
 
@@ -219,9 +220,16 @@ bool RelationalCausalModel::IsAggregateAttribute(
 }
 
 Status RelationalCausalModel::AddAggregateRule(AggregateRule rule) {
-  CARL_RETURN_IF_ERROR(ValidateAndRegisterAggregateRule(&rule));
-  aggregate_rules_.push_back(std::move(rule));
-  return Status::OK();
+  // A rule that fails validation may already have extended the schema,
+  // so the key is rebuilt either way.
+  Status status = ValidateAndRegisterAggregateRule(&rule);
+  if (status.ok()) aggregate_rules_.push_back(std::move(rule));
+  key_text_ = BuildKeyText();
+  return status;
+}
+
+std::string RelationalCausalModel::BuildKeyText() const {
+  return ToString() + "\n@schema\n" + extended_schema_.ToString();
 }
 
 std::string RelationalCausalModel::ToString() const {

@@ -61,6 +61,12 @@ class RelationalCausalModel {
 
   std::string ToString() const;
 
+  /// What a grounding of the model depends on: the rule set (ToString)
+  /// and the extended schema, serialized. QuerySession keys its
+  /// groundings by it. Built by Create and AddAggregateRule, the only
+  /// mutators, so reading it costs nothing.
+  const std::string& key_text() const { return key_text_; }
+
  private:
   RelationalCausalModel() = default;
 
@@ -68,12 +74,14 @@ class RelationalCausalModel {
   Status ValidateAndRegisterAggregateRule(AggregateRule* rule);
   Status ValidateAttributeRef(const AttributeRef& ref) const;
   Status ValidateCondition(const ConjunctiveQuery& condition) const;
+  std::string BuildKeyText() const;
 
   Schema extended_schema_;
   std::vector<CausalRule> rules_;
   std::vector<AggregateRule> aggregate_rules_;
   std::vector<CausalQuery> queries_;
   std::vector<AttributeId> aggregate_attribute_ids_;  // parallel to rules
+  std::string key_text_;
 };
 
 /// Appends Pred(args) atoms implied by `ref` to `where` (deduplicated).

@@ -30,12 +30,12 @@ Result<EmbeddingKind> ParseEmbeddingKind(const std::string& name) {
 void Embedding::Fit(size_t) {}
 
 void Embedding::ApplyRows(const double* values, const size_t* ends,
-                          size_t rows, double* const* cols) const {
+                          size_t rows, std::vector<double>* cols) const {
   std::vector<double> out(dims());
   size_t begin = 0;
   for (size_t r = 0; r < rows; ++r) {
     Apply(values + begin, ends[r] - begin, out.data());
-    for (size_t d = 0; d < out.size(); ++d) cols[d][r] = out[d];
+    for (size_t d = 0; d < out.size(); ++d) cols[d].push_back(out[d]);
     begin = ends[r];
   }
 }
@@ -64,14 +64,16 @@ class AggregatePlusCountEmbedding : public Embedding {
     out[1] = static_cast<double>(n);
   }
   void ApplyRows(const double* values, const size_t* ends, size_t rows,
-                 double* const* cols) const override {
+                 std::vector<double>* cols) const override {
+    std::vector<double>& aggregate = cols[0];
+    std::vector<double>& count = cols[1];
     size_t begin = 0;
     for (size_t r = 0; r < rows; ++r) {
       const size_t n = ends[r] - begin;
-      cols[0][r] = agg_ == AggregateKind::kAvg
-                       ? AggregateMean(values + begin, n)
-                       : ApplyAggregate(agg_, values + begin, n);
-      cols[1][r] = static_cast<double>(n);
+      aggregate.push_back(agg_ == AggregateKind::kAvg
+                              ? AggregateMean(values + begin, n)
+                              : ApplyAggregate(agg_, values + begin, n));
+      count.push_back(static_cast<double>(n));
       begin = ends[r];
     }
   }

@@ -12,7 +12,8 @@
 //
 // The unit table (Algorithm 1) keeps every group of a column in one flat
 // value array with per-row ends, and projects all of a column's rows in
-// one ApplyRows call straight into pre-sized columns. Each strategy's
+// one ApplyRows call that appends to reserved columns, writing each
+// element once. Each strategy's
 // core is the span form Apply, which reads n values and writes exactly
 // dims() outputs; ApplyRows loops it by default, and mean and median
 // (one aggregate plus the count) override it with a loop that makes no
@@ -65,11 +66,12 @@ class Embedding {
   /// descending first).
   virtual void Apply(const double* values, size_t n, double* out) const = 0;
   /// Projects `rows` groups stored flat — row r's group is
-  /// values[ends[r - 1], ends[r]) (from 0 for r = 0) — into cols[d][r]
-  /// for d in [0, dims()), exactly as Apply on each group would. The
-  /// default loops Apply.
+  /// values[ends[r - 1], ends[r]) (from 0 for r = 0) — appending row r's
+  /// d-th output to cols[d] for d in [0, dims()), exactly as Apply on
+  /// each group would. Reserve the columns first and each element is
+  /// written once. The default loops Apply.
   virtual void ApplyRows(const double* values, const size_t* ends,
-                         size_t rows, double* const* cols) const;
+                         size_t rows, std::vector<double>* cols) const;
   /// Vector form of Apply: returns exactly dims() values.
   std::vector<double> Apply(const std::vector<double>& values) const;
 };

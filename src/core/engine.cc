@@ -308,9 +308,10 @@ Result<QueryAnswer> CarlEngine::AnswerQuery(const CausalQuery& query,
   CARL_ASSIGN_OR_RETURN(ResolvedQuery resolved, Resolve(query, options));
   timing->resolve_s = phase.Seconds();
   phase.Reset();
-  CARL_ASSIGN_OR_RETURN(UnitTable table,
-                        BuildUnitTable(*resolved.grounded, resolved.request,
-                                       resolved.unit_options));
+  CARL_ASSIGN_OR_RETURN(
+      UnitTable table,
+      session_->BuildUnitTable(*resolved.grounded, resolved.request,
+                               resolved.unit_options));
   timing->unit_table_s = phase.Seconds();
   phase.Reset();
 

@@ -7,7 +7,8 @@
 //      its own model variant — the base model plus that one rule, grounded
 //      through the session cache;
 //   2. evaluate the query's WHERE filter into an allowed-source set;
-//   3. build the unit table (Algorithm 1) with the configured embedding;
+//   3. build the unit table (Algorithm 1) with the configured embedding,
+//      through the session's unit-row memo of the grounding;
 //   4. estimate: ATE (eq. 23) for plain queries, AIE/ARE/AOE (eq. 24–26)
 //      for WHEN ... PEERS TREATED queries;
 //   5. optional bootstrap standard errors and an optional d-separation
@@ -188,7 +189,9 @@ class CarlEngine {
   QueryResponse Answer(const QueryRequest& request) const;
 
   /// Exposes the unit table a query would use (Table 1; also used by the
-  /// CATE benches to stratify rows).
+  /// CATE benches to stratify rows). Memo-free: every call resolves every
+  /// unit row (carl::BuildUnitTable), the reference Answer's memoized
+  /// tables equal.
   Result<UnitTable> BuildUnitTableForQuery(
       const CausalQuery& query, const EngineOptions& options = {}) const;
 

@@ -177,6 +177,14 @@ class GroundedModel {
     return value_cache_[id];
   }
 
+  /// True iff `id` lies in the forward cone of the extend that produced
+  /// this model: every node that extend gave a parent or a value, and
+  /// their descendants. False for every node of a from-scratch ground.
+  bool InExtendCone(NodeId id) const {
+    return cone_epoch_ != 0 && static_cast<size_t>(id) < cone_mark_.size() &&
+           cone_mark_[id] == cone_epoch_;
+  }
+
   /// "Attr[c1, c2]" for diagnostics.
   std::string NodeName(NodeId id) const;
 

@@ -48,6 +48,12 @@ struct SessionCounters {
       obs::Registry::Global().GetCounter("query_session.ground_extends");
   obs::Counter& ground_evictions =
       obs::Registry::Global().GetCounter("query_session.ground_evictions");
+  obs::Counter& unit_rows_hits =
+      obs::Registry::Global().GetCounter("query_session.unit_rows_hits");
+  obs::Counter& unit_rows_resumes =
+      obs::Registry::Global().GetCounter("query_session.unit_rows_resumes");
+  obs::Counter& unit_rows_rebuilds =
+      obs::Registry::Global().GetCounter("query_session.unit_rows_rebuilds");
 
   static SessionCounters& Get() {
     static SessionCounters counters;
@@ -81,6 +87,12 @@ QuerySession::SessionStats QuerySession::SnapshotStats() const {
       live_stats_.ground_extends.load(std::memory_order_relaxed);
   snapshot.ground_evictions =
       live_stats_.ground_evictions.load(std::memory_order_relaxed);
+  snapshot.unit_rows_hits =
+      live_stats_.unit_rows_hits.load(std::memory_order_relaxed);
+  snapshot.unit_rows_resumes =
+      live_stats_.unit_rows_resumes.load(std::memory_order_relaxed);
+  snapshot.unit_rows_rebuilds =
+      live_stats_.unit_rows_rebuilds.load(std::memory_order_relaxed);
   return snapshot;
 }
 
@@ -148,8 +160,7 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   // adds a node per schema attribute grounding), so both go into the key.
   // Instance state is deliberately NOT part of the key: entries outlive
   // mutations and are refreshed per delta below.
-  std::string model_text =
-      model.ToString() + "\n@schema\n" + model.extended_schema().ToString();
+  const std::string& model_text = model.key_text();
   uint64_t key = HashString(model_text);
   std::vector<Entry>& bucket = cache_[key];
   for (Entry& entry : bucket) {
@@ -196,7 +207,8 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
         auto holder = std::make_shared<GroundingHolder>();
         holder->model = entry.holder->model;
         holder->grounded = std::move(*extended);
-        InstallGrounding(&entry, std::move(holder), generation);
+        InstallGrounding(&entry, std::move(holder), generation,
+                         /*extended=*/true);
         return entry.grounded;
       }
       if (guard::IsGuardStop(extended.status().code())) {
@@ -244,7 +256,8 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     staged.Commit();
     live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
     holder->grounded = std::move(*grounded);
-    InstallGrounding(&entry, std::move(holder), generation);
+    InstallGrounding(&entry, std::move(holder), generation,
+                     /*extended=*/false);
     return entry.grounded;
   }
 
@@ -272,20 +285,133 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   while (insertion_order_.size() >= max_cached_groundings_) {
     EvictOldestEntry();
   }
+  {
+    std::lock_guard<std::mutex> memo_lock(memo_mu_);
+    unit_rows_[entry.grounded.get()];
+  }
   // Re-fetch the bucket: eviction may have touched cache_.
   std::vector<Entry>& target = cache_[key];
   target.push_back(std::move(entry));
-  insertion_order_.emplace_back(key, std::move(model_text));
+  insertion_order_.emplace_back(key, model_text);
   return target.back().grounded;
 }
 
 void QuerySession::InstallGrounding(Entry* entry,
                                     std::shared_ptr<GroundingHolder> holder,
-                                    uint64_t generation) {
+                                    uint64_t generation, bool extended) {
+  // The new grounding is allocated while the entry still holds the old
+  // one, so the two memo keys differ.
+  const GroundedModel* previous = entry->grounded.get();
   entry->holder = std::move(holder);
   entry->grounded = std::shared_ptr<const GroundedModel>(
       entry->holder, &entry->holder->grounded);
   entry->grounded_generation = generation;
+  // Rows resolved on the previous grounding may resume past this extend;
+  // rows already one extend behind, or any rows after a re-ground, go.
+  std::lock_guard<std::mutex> memo_lock(memo_mu_);
+  std::vector<UnitRowsMemo> memos;
+  auto it = unit_rows_.find(previous);
+  if (it != unit_rows_.end()) {
+    if (extended) memos = std::move(it->second);
+    unit_rows_.erase(it);
+  }
+  auto behind = [](const UnitRowsMemo& memo) { return memo.behind; };
+  memos.erase(std::remove_if(memos.begin(), memos.end(), behind),
+              memos.end());
+  for (UnitRowsMemo& memo : memos) memo.behind = true;
+  unit_rows_[entry->grounded.get()] = std::move(memos);
+}
+
+QuerySession::UnitRowsMemo* QuerySession::FindUnitRows(
+    std::vector<UnitRowsMemo>* memos, const UnitTableRequest& request,
+    const UnitTableOptions& options) {
+  for (UnitRowsMemo& memo : *memos) {
+    if (memo.treatment == request.treatment &&
+        memo.response == request.response &&
+        memo.include_isolated_units == options.include_isolated_units) {
+      return &memo;
+    }
+  }
+  return nullptr;
+}
+
+Result<UnitTable> QuerySession::BuildUnitTable(
+    const GroundedModel& grounded, const UnitTableRequest& request,
+    const UnitTableOptions& options) {
+  CARL_TRACE_SCOPE("query_session.unit_table");
+  // A WHERE filter's allowed set reads the instance, not the graph, so
+  // no extend cone bounds what it changes.
+  if (request.allowed_sources.has_value()) {
+    return carl::BuildUnitTable(grounded, request, options);
+  }
+  CARL_RETURN_IF_ERROR(guard::CheckPoint());
+  SessionCounters& counters = SessionCounters::Get();
+  // Current rows are shared with the other answers that embed them; rows
+  // one extend behind leave the memo while this answer resumes them.
+  std::shared_ptr<UnitRows> rows;
+  bool current = false;
+  {
+    std::lock_guard<std::mutex> memo_lock(memo_mu_);
+    auto it = unit_rows_.find(&grounded);
+    UnitRowsMemo* memo = it == unit_rows_.end()
+                             ? nullptr
+                             : FindUnitRows(&it->second, request, options);
+    if (memo != nullptr && memo->rows != nullptr) {
+      current = !memo->behind;
+      rows = current ? memo->rows : std::move(memo->rows);
+    }
+  }
+  if (current) {
+    live_stats_.unit_rows_hits.fetch_add(1, std::memory_order_relaxed);
+    counters.unit_rows_hits.Increment();
+    return EmbedUnitRows(*rows, grounded.schema(), options);
+  }
+  if (rows != nullptr && UnitRowsOutsideExtendCone(grounded, request, *rows)) {
+    live_stats_.unit_rows_resumes.fetch_add(1, std::memory_order_relaxed);
+    counters.unit_rows_resumes.Increment();
+  } else {
+    live_stats_.unit_rows_rebuilds.fetch_add(1, std::memory_order_relaxed);
+    counters.unit_rows_rebuilds.Increment();
+    rows = std::make_shared<UnitRows>();
+  }
+  // A stop or an error drops the half-appended rows with this scope.
+  CARL_RETURN_IF_ERROR(ResolveUnitRows(grounded, request, options, rows.get()));
+  {
+    std::lock_guard<std::mutex> memo_lock(memo_mu_);
+    // Install the rows unless the grounding stopped being an entry's
+    // (extended, re-grounded or evicted meanwhile) or a concurrent
+    // answer installed current rows first.
+    auto it = unit_rows_.find(&grounded);
+    if (it != unit_rows_.end()) {
+      std::vector<UnitRowsMemo>& memos = it->second;
+      UnitRowsMemo* memo = FindUnitRows(&memos, request, options);
+      if (memo == nullptr) {
+        if (memos.size() == kMaxUnitRowsPerGrounding) {
+          memos.erase(memos.begin());
+        }
+        memos.push_back(UnitRowsMemo{request.treatment, request.response,
+                                     options.include_isolated_units,
+                                     nullptr, false});
+        memo = &memos.back();
+      }
+      if (memo->rows == nullptr || memo->behind) {
+        memo->rows = rows;
+        memo->behind = false;
+      }
+    }
+  }
+  return EmbedUnitRows(*rows, grounded.schema(), options);
+}
+
+size_t QuerySession::unit_rows_bytes() const {
+  std::lock_guard<std::mutex> memo_lock(memo_mu_);
+  size_t bytes = 0;
+  for (const auto& [grounded, memos] : unit_rows_) {
+    for (const UnitRowsMemo& memo : memos) {
+      if (memo.rows != nullptr) bytes += memo.rows->bytes();
+    }
+  }
+  return bytes;
 }
 
 void QuerySession::EvictOldestEntry() {
@@ -311,6 +437,10 @@ bool QuerySession::EraseEntry(uint64_t key, const std::string& model_text) {
   bool erased = false;
   for (auto it = bucket.begin(); it != bucket.end(); ++it) {
     if (it->model_text == model_text) {
+      {
+        std::lock_guard<std::mutex> memo_lock(memo_mu_);
+        unit_rows_.erase(it->grounded.get());
+      }
       bucket.erase(it);
       erased = true;
       break;

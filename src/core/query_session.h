@@ -32,11 +32,33 @@
 // (only tables whose atom predicates or constraint attributes were
 // touched drop).
 //
+// Each entry also memoizes Algorithm 1's resolved unit rows (UnitRows,
+// unit_table.h) next to its grounding, one per (treatment, response,
+// include_isolated_units) and at most kMaxUnitRowsPerGrounding of them;
+// they go with the entry on eviction or re-ground. BuildUnitTable
+// answers through them in one of three ways:
+//   1. same grounding: the rows are current and the answer only embeds
+//      them (a hit);
+//   2. one extend later: the extend carried the rows along, and when its
+//      forward cone misses every resolved unit's treatment and response
+//      node the answer resolves only the new unit rows (a resume);
+//   3. otherwise (rows two extends old, a re-ground, a cone that touches
+//      an old unit, or no rows yet): the answer resolves every row (a
+//      rebuild).
+// A resume takes the rows out of the entry and puts them back only when
+// it succeeds, so a guard stop or a concurrent answer never sees half-
+// appended rows; current rows are shared read-only by the answers that
+// embed them (only an extend, after a mutation, can age them). A
+// WHERE-filtered request bypasses the memo: its allowed set reads the
+// instance, not the graph.
+//
 // Sessions are thread-safe and single-flight: one mutex is held across
 // Ground, so concurrent callers asking for the same variant ground it
 // once and the rest are served from the cache, and the binding-cache
 // staging of a guarded pass never interleaves with another pass. The
-// instance must not be mutated while a Ground runs. Cached
+// unit-row memos have a mutex of their own, held only to look rows up
+// and install them, so an answer never waits for a Ground. The instance
+// must not be mutated while a Ground or an answer runs. Cached
 // GroundedModels reference a model copy owned by the session, so they
 // stay valid for as long as the returned shared_ptr lives — even after
 // the session itself is destroyed the entry keeps the model alive.
@@ -55,6 +77,7 @@
 #include "common/result.h"
 #include "core/causal_model.h"
 #include "core/grounding.h"
+#include "core/unit_table.h"
 
 namespace carl {
 
@@ -75,6 +98,19 @@ class QuerySession {
   Result<std::shared_ptr<const GroundedModel>> Ground(
       const RelationalCausalModel& model);
 
+  /// Algorithm 1 for `request` on `grounded` through the grounding's
+  /// unit-row memo (see the file comment): bit-identical to
+  /// carl::BuildUnitTable on the same grounding. A grounding that is not
+  /// a cached entry's current one builds without the memo. Thread-safe;
+  /// the memo lookup and install take a mutex of their own, never the
+  /// one Ground holds.
+  Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
+                                   const UnitTableRequest& request,
+                                   const UnitTableOptions& options);
+
+  /// Unit-row memos per cached grounding.
+  static constexpr size_t kMaxUnitRowsPerGrounding = 4;
+
   /// The session's counters: a plain-data snapshot that takes no lock,
   /// safe from any thread even while another thread is inside Ground —
   /// so a server can report per-session cache efficacy without stopping
@@ -88,6 +124,9 @@ class QuerySession {
     uint64_t ground_full = 0;     ///< successful from-scratch grounds
     uint64_t ground_extends = 0;  ///< successful incremental extends
     uint64_t ground_evictions = 0;
+    uint64_t unit_rows_hits = 0;      ///< unit tables that only embedded
+    uint64_t unit_rows_resumes = 0;   ///< ... that resolved new rows only
+    uint64_t unit_rows_rebuilds = 0;  ///< ... that resolved every row
   };
   SessionStats SnapshotStats() const;
 
@@ -104,6 +143,9 @@ class QuerySession {
   /// Cached grounding count (distinct model variants).
   size_t num_cached_groundings() const;
 
+  /// Heap bytes held by the unit-row memos of every cached grounding.
+  size_t unit_rows_bytes() const;
+
  private:
   // A grounding and the model copy it references, owned together: the
   // cached shared_ptr<const GroundedModel> aliases into the holder, so
@@ -113,6 +155,18 @@ class QuerySession {
     GroundedModel grounded;
   };
 
+  // Resolved unit rows of one (treatment, response,
+  // include_isolated_units) on an entry's grounding.
+  struct UnitRowsMemo {
+    AttributeId treatment;
+    AttributeId response;
+    bool include_isolated_units;
+    std::shared_ptr<UnitRows> rows;  // null while an answer resumes them
+    // The rows were resolved on the grounding the entry's last extend
+    // started from.
+    bool behind;
+  };
+
   struct Entry {
     std::string model_text;  // exact key; fingerprints only route
     std::shared_ptr<GroundingHolder> holder;
@@ -120,17 +174,22 @@ class QuerySession {
     uint64_t grounded_generation = 0;  // instance state of the grounding
   };
 
+  static UnitRowsMemo* FindUnitRows(std::vector<UnitRowsMemo>* memos,
+                                    const UnitTableRequest& request,
+                                    const UnitTableOptions& options);
   void EvictOldestEntry();
   // Removes the entry of (key, model_text) from its bucket and the FIFO
   // queue; true when the bucket held it.
   bool EraseEntry(uint64_t key, const std::string& model_text);
   // Installs a freshly grounded/extended model into `entry`, re-aliasing
-  // the handed-out pointer.
+  // the handed-out pointer, and moves the previous grounding's unit-row
+  // memos to it, aged (extended) or dropped (re-ground).
   void InstallGrounding(Entry* entry, std::shared_ptr<GroundingHolder> holder,
-                        uint64_t generation);
+                        uint64_t generation, bool extended);
 
   const Instance* instance_;
-  // Held across every Ground; guards everything below except live_stats_.
+  // Held across every Ground; guards everything below except the memos
+  // and live_stats_.
   mutable std::mutex mu_;
   BindingCache binding_cache_;
   // Instance generation the binding cache was last reconciled to.
@@ -141,12 +200,22 @@ class QuerySession {
   // FIFO eviction queue, one element per cached entry.
   std::vector<std::pair<uint64_t, std::string>> insertion_order_;
   size_t max_cached_groundings_ = 16;
+  // The unit-row memos of each entry's current grounding (oldest first),
+  // keyed by that grounding: a key exists exactly while an entry holds
+  // the grounding. Ground takes memo_mu_ inside mu_; an answer takes
+  // only memo_mu_, so it never waits for a Ground.
+  mutable std::mutex memo_mu_;
+  std::unordered_map<const GroundedModel*, std::vector<UnitRowsMemo>>
+      unit_rows_;
   // Relaxed atomics behind SnapshotStats(); see its comment.
   struct LiveStats {
     std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> ground_full{0};
     std::atomic<uint64_t> ground_extends{0};
     std::atomic<uint64_t> ground_evictions{0};
+    std::atomic<uint64_t> unit_rows_hits{0};
+    std::atomic<uint64_t> unit_rows_resumes{0};
+    std::atomic<uint64_t> unit_rows_rebuilds{0};
   };
   LiveStats live_stats_;
 };

@@ -260,83 +260,70 @@ class UnitResolver {
   uint64_t nodes_expanded_ = 0;
 };
 
-// One column group's values, flattened: row r's group is
-// values[ends[r - 1], ends[r]) (from 0 for r = 0).
-struct Group {
-  std::vector<double> values;
-  std::vector<size_t> ends;
-};
-
-// One role's (own or peer) covariate groups, indexed by attribute. Rows
-// append in order; an attribute first seen at row r gets empty groups for
-// rows [0, r).
-struct CovariateGroups {
-  explicit CovariateGroups(size_t num_attributes) : by_attr(num_attributes) {}
-
-  void Add(AttributeId attr, size_t row, double value) {
-    Group& group = by_attr[attr];
-    if (group.values.empty()) {  // first sight
-      group.ends.assign(row, 0);
-      present.push_back(attr);
-    }
-    group.values.push_back(value);
-  }
-  // Closes the current row in every present attribute's group.
-  void EndRow() {
-    for (AttributeId attr : present) {
-      Group& group = by_attr[attr];
-      group.ends.push_back(group.values.size());
-    }
-  }
-
-  std::vector<Group> by_attr;
-  std::vector<AttributeId> present;  // in first-sight order
-};
-
-size_t WidestRow(const Group& group) {
-  size_t widest = 0;
-  size_t begin = 0;
-  for (size_t end : group.ends) {
-    widest = std::max(widest, end - begin);
-    begin = end;
-  }
-  return widest;
-}
-
 // Fits `embedding` on the group's widest row, then projects every row in
-// one call into dims() pre-sized columns named `prefix` + dim, which
-// `data` takes by move and `col_list` lists.
-void EmitEmbedded(const Group& group, Embedding& embedding,
+// one call into dims() columns named `prefix` + dim, each written once,
+// which `data` takes by move and `col_list` lists.
+void EmitEmbedded(const UnitRows::Group& group, Embedding& embedding,
                   const std::string& prefix, FlatTable* data,
                   std::vector<std::string>* col_list) {
-  embedding.Fit(WidestRow(group));
+  embedding.Fit(group.widest);
   const size_t rows = group.ends.size();
-  const size_t dims = embedding.dims();
-  std::vector<std::vector<double>> cols(dims, std::vector<double>(rows));
-  std::vector<double*> col_data(dims);
-  for (size_t d = 0; d < dims; ++d) col_data[d] = cols[d].data();
+  std::vector<std::vector<double>> cols(embedding.dims());
+  for (std::vector<double>& col : cols) col.reserve(rows);
   embedding.ApplyRows(group.values.data(), group.ends.data(), rows,
-                      col_data.data());
+                      cols.data());
   std::vector<std::string> dim_names = embedding.DimNames();
-  for (size_t d = 0; d < dims; ++d) {
+  for (size_t d = 0; d < cols.size(); ++d) {
     std::string name = prefix + dim_names[d];
     col_list->push_back(name);
     data->AddColumn(name, std::move(cols[d]));
   }
 }
 
+template <typename T>
+size_t VectorBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+size_t GroupBytes(const UnitRows::Group& group) {
+  return VectorBytes(group.values) + VectorBytes(group.ends);
+}
+
+size_t CovariateBytes(const UnitRows::CovariateGroups& groups) {
+  size_t bytes = VectorBytes(groups.by_attr) + VectorBytes(groups.present);
+  for (const UnitRows::Group& group : groups.by_attr) {
+    bytes += GroupBytes(group);
+  }
+  return bytes;
+}
+
 }  // namespace
 
-Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
-                                 const UnitTableRequest& request,
-                                 const UnitTableOptions& options) {
-  CARL_TRACE_SCOPE("unit_table.build");
-  static obs::Counter& builds =
-      obs::Registry::Global().GetCounter("unit_table.builds");
+void UnitRows::CovariateGroups::Add(AttributeId attr, size_t row,
+                                    double value) {
+  Group& group = by_attr[attr];
+  if (group.values.empty()) {  // first sight
+    group.ends.assign(row, 0);
+    present.insert(std::lower_bound(present.begin(), present.end(), attr),
+                   attr);
+  }
+  group.values.push_back(value);
+}
+
+size_t UnitRows::bytes() const {
+  return VectorBytes(y) + VectorBytes(t) + VectorBytes(unit_args) +
+         GroupBytes(peer_t) + CovariateBytes(own) + CovariateBytes(peer);
+}
+
+Status ResolveUnitRows(const GroundedModel& grounded,
+                       const UnitTableRequest& request,
+                       const UnitTableOptions& options, UnitRows* rows) {
+  CARL_TRACE_SCOPE("unit_table.resolve");
   static obs::Counter& nodes_expanded =
       obs::Registry::Global().GetCounter("unit_table.nodes_expanded");
-  builds.Increment();
-  CARL_RETURN_IF_ERROR(guard::CheckPoint());
+  static obs::Counter& rows_resolved =
+      obs::Registry::Global().GetCounter("unit_table.rows_resolved");
+  CARL_RETURN_IF_ERROR(guard::PhaseCheck("unit_table.resolve"));
   CARL_ASSIGN_OR_RETURN(RequestPlan plan, PlanRequest(grounded, request));
   const Schema& schema = grounded.schema();
   const CausalGraph& graph = grounded.graph();
@@ -344,100 +331,121 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
       grounded.instance().Rows(schema.attribute(plan.treatment).predicate);
 
   // Row-aligned node-id columns: GroundModel's step 1 bulk-builds one
-  // node per (attribute, fact row) in row order, so an attribute's first
+  // node per (attribute, fact row) in row order, and an extend splices
+  // new rows' nodes in behind them, so an attribute's first
   // NumRows(predicate) ids in NodesOfAttribute ARE the per-row node ids.
-  // The pass reads them by index — no per-unit FindNode hash probes.
+  // The loop reads them by index — no per-unit FindNode hash probes.
   const std::vector<NodeId>& t_col = graph.NodesOfAttribute(plan.treatment);
   const std::vector<NodeId>& y_col = graph.NodesOfAttribute(plan.response);
   CARL_CHECK(t_col.size() >= units.size() && y_col.size() >= units.size())
       << "grounded graph lacks bulk-built nodes for the unit predicate";
+  const size_t first = rows->units_resolved;
+  CARL_CHECK(first <= units.size()) << "unit rows resolved past the instance";
 
-  // One pass over the units in row order. A unit's fate is decided before
-  // it appends anything: no treatment or response value drops it, and so
-  // does having no peer unless isolated units are included. A kept unit
+  // A fresh build sizes the rows once; a resume appends with the
+  // vectors' amortized growth.
+  if (first == 0) {
+    rows->y.reserve(units.size());
+    rows->t.reserve(units.size());
+    rows->unit_args.reserve(units.size() * units.arity());
+    rows->peer_t.ends.reserve(units.size());
+  }
+  rows->unit_arity = units.arity();
+  rows->own.by_attr.resize(schema.num_attributes());
+  rows->peer.by_attr.resize(schema.num_attributes());
+
+  // The units in row order. A unit's fate is decided before it appends
+  // anything: no treatment or response value drops it, and so does
+  // having no peer unless isolated units are included. A kept unit
   // appends its y, its t, its tuple, its peers' treatments and each
   // covariate value straight to its column group. A stop polled every
-  // kUnitPollStride units returns before any group is read.
-  UnitTable table;
-  std::vector<double> y;
-  std::vector<double> t;
-  y.reserve(units.size());
-  t.reserve(units.size());
-  table.unit_arity = units.arity();
-  table.unit_args.reserve(units.size() * units.arity());
-  Group peer_t;
-  peer_t.ends.reserve(units.size());
-  CovariateGroups own(schema.num_attributes());
-  CovariateGroups peer(schema.num_attributes());
-  size_t dropped_unvalued = 0;  // no treatment or response value
-  size_t dropped_isolated = 0;  // valued, but without a relational peer
-  bool relational = false;
+  // kUnitPollStride units returns with the rows half appended; the
+  // caller discards them.
   UnitResolver resolver(grounded, plan);
-  for (size_t i = 0; i < units.size(); ++i) {
-    if (i % kUnitPollStride == 0) CARL_RETURN_IF_ERROR(guard::CheckPoint());
+  for (size_t i = first; i < units.size(); ++i) {
+    if ((i - first) % kUnitPollStride == 0) {
+      CARL_RETURN_IF_ERROR(guard::CheckPoint());
+    }
     CARL_DCHECK(graph.node(t_col[i]).args == units[i])
         << "node-id column misaligned with unit rows";
     CARL_ASSIGN_OR_RETURN(bool resolved, resolver.Resolve(t_col[i], y_col[i]));
     if (!resolved) {
-      ++dropped_unvalued;
+      ++rows->dropped_unvalued;
       continue;
     }
     const std::vector<NodeId>& peers = resolver.peers();
     if (peers.empty() && !options.include_isolated_units) {
-      ++dropped_isolated;
+      ++rows->dropped_isolated;
       continue;
     }
-    if (!peers.empty()) relational = true;
-    const size_t row = y.size();
-    y.push_back(resolver.y());
-    t.push_back(resolver.t());
+    if (!peers.empty()) rows->relational = true;
+    const size_t row = rows->y.size();
+    rows->y.push_back(resolver.y());
+    rows->t.push_back(resolver.t());
     const TupleView args = units[i];
-    table.unit_args.insert(table.unit_args.end(), args.begin(), args.end());
+    rows->unit_args.insert(rows->unit_args.end(), args.begin(), args.end());
     for (NodeId p : peers) {
       std::optional<double> v = grounded.NodeValue(p);
-      if (v.has_value()) peer_t.values.push_back(*v);
+      if (v.has_value()) rows->peer_t.values.push_back(*v);
     }
-    peer_t.ends.push_back(peer_t.values.size());
+    rows->peer_t.EndRow();
     resolver.VisitCovariates(
         [&](bool is_own, AttributeId attr, NodeId, double value) {
-          (is_own ? own : peer).Add(attr, row, value);
+          (is_own ? rows->own : rows->peer).Add(attr, row, value);
         });
-    own.EndRow();
-    peer.EndRow();
+    rows->own.EndRow();
+    rows->peer.EndRow();
   }
+  rows->units_resolved = units.size();
   nodes_expanded.Add(resolver.nodes_expanded());
-  const size_t n = y.size();
+  rows_resolved.Add(units.size() - first);
+  return Status::OK();
+}
+
+Result<UnitTable> EmbedUnitRows(const UnitRows& rows, const Schema& schema,
+                                const UnitTableOptions& options) {
+  CARL_TRACE_SCOPE("unit_table.embed");
+  static obs::Counter& builds =
+      obs::Registry::Global().GetCounter("unit_table.builds");
+  builds.Increment();
+  const size_t n = rows.y.size();
   if (n == 0) {
-    if (dropped_isolated > 0) {
+    if (rows.dropped_isolated > 0) {
       return Status::FailedPrecondition(StrFormat(
           "no unit has a relational peer; a peer-effect query drops the %zu "
           "isolated units unless include_isolated_units is set",
-          dropped_isolated));
+          rows.dropped_isolated));
     }
     return Status::FailedPrecondition(
         "no unit has both treatment and response values");
   }
+  UnitTable table;
+  table.unit_args = rows.unit_args;
+  table.unit_arity = rows.unit_arity;
   table.embedding_kind = options.embedding;
-  table.dropped_units = dropped_unvalued + dropped_isolated;
-  table.relational = relational;
+  table.dropped_units = rows.dropped_unvalued + rows.dropped_isolated;
+  table.relational = rows.relational;
 
   // Emit the columns in the order y, t, [peer_count, peer_treated_count,
   // peer_t_*], own_<Attr>_*, peer_<Attr>_* (attributes ascending), each
   // group through one embedding call.
-  table.data.AddColumn(table.y_col, std::move(y));
-  table.data.AddColumn(table.t_col, std::move(t));
+  table.data.AddColumn(table.y_col, rows.y);
+  table.data.AddColumn(table.t_col, rows.t);
 
-  if (relational) {
-    std::vector<double> peer_count(n);
-    std::vector<double> peer_treated(n);
+  if (rows.relational) {
+    const UnitRows::Group& peer_t = rows.peer_t;
+    std::vector<double> peer_count;
+    std::vector<double> peer_treated;
+    peer_count.reserve(n);
+    peer_treated.reserve(n);
     size_t begin = 0;
     for (size_t r = 0; r < n; ++r) {
       double treated = 0.0;
       for (size_t k = begin; k < peer_t.ends[r]; ++k) {
         treated += (peer_t.values[k] != 0.0) ? 1.0 : 0.0;
       }
-      peer_count[r] = static_cast<double>(peer_t.ends[r] - begin);
-      peer_treated[r] = treated;
+      peer_count.push_back(static_cast<double>(peer_t.ends[r] - begin));
+      peer_treated.push_back(treated);
       begin = peer_t.ends[r];
     }
     table.peer_count_col = "peer_count";
@@ -452,19 +460,44 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   }
   const std::unique_ptr<Embedding> embedding =
       MakeEmbedding(options.embedding, options.embedding_options);
-  auto emit_covariates = [&](CovariateGroups& groups,
+  auto emit_covariates = [&](const UnitRows::CovariateGroups& groups,
                              const std::string& prefix,
                              std::vector<std::string>* col_list) {
-    std::sort(groups.present.begin(), groups.present.end());
     for (AttributeId attr : groups.present) {
       EmitEmbedded(groups.by_attr[attr], *embedding,
                    prefix + schema.attribute(attr).name + "_", &table.data,
                    col_list);
     }
   };
-  emit_covariates(own, "own_", &table.own_covariate_cols);
-  emit_covariates(peer, "peer_", &table.peer_covariate_cols);
+  emit_covariates(rows.own, "own_", &table.own_covariate_cols);
+  emit_covariates(rows.peer, "peer_", &table.peer_covariate_cols);
   return table;
+}
+
+bool UnitRowsOutsideExtendCone(const GroundedModel& grounded,
+                               const UnitTableRequest& request,
+                               const UnitRows& rows) {
+  const CausalGraph& graph = grounded.graph();
+  const std::vector<NodeId>& t_col = graph.NodesOfAttribute(request.treatment);
+  const std::vector<NodeId>& y_col = graph.NodesOfAttribute(request.response);
+  CARL_CHECK(t_col.size() >= rows.units_resolved &&
+             y_col.size() >= rows.units_resolved)
+      << "unit rows resolved past the grounded graph";
+  for (size_t i = 0; i < rows.units_resolved; ++i) {
+    if (grounded.InExtendCone(t_col[i]) || grounded.InExtendCone(y_col[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
+                                 const UnitTableRequest& request,
+                                 const UnitTableOptions& options) {
+  CARL_TRACE_SCOPE("unit_table.build");
+  UnitRows rows;
+  CARL_RETURN_IF_ERROR(ResolveUnitRows(grounded, request, options, &rows));
+  return EmbedUnitRows(rows, grounded.schema(), options);
 }
 
 Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,

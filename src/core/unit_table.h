@@ -16,14 +16,16 @@
 // The covariate columns realize the sufficient adjustment set of Theorem
 // 5.2 (parents of the treated units' treatment nodes), embedded per §5.2.2.
 //
-// How a table is built. One serial pass walks the units in row order,
-// from graph to columns. Per unit, a traversal over Parents from the
+// How a table is built: two steps, resolve then embed.
+//
+// Resolve (ResolveUnitRows) walks the units in row order, from graph to
+// resolved rows (UnitRows). Per unit, a traversal over Parents from the
 // response grounding(s) collects the peers, marking visited nodes in an
 // array of epoch stamps over node ids that is bumped per unit instead of
-// cleared. The traversal is lifted to the model: once per build, the
-// request computes the attributes the treatment reaches in the model's
-// attribute graph (an edge body -> head per causal-rule body ref, source
-// -> head per aggregate rule), and the search enters only nodes of those
+// cleared. The traversal is lifted to the model: the request computes
+// the attributes the treatment reaches in the model's attribute graph
+// (an edge body -> head per causal-rule body ref, source -> head per
+// aggregate rule), and the search enters only nodes of those
 // attributes. Every ground edge instantiates a rule edge, so no ground
 // path T[p] -> Y[x] leaves that set and the peers are exactly those of
 // the full ancestor walk; the unit_table.nodes_expanded counter records
@@ -33,17 +35,35 @@
 // its column group — y, t, its peers' treatments (sorted peers), and its
 // own and peer covariates per attribute (first-occurrence order, each
 // node once across both lists) — each group one flat value array with
-// per-row ends. Then each group is fitted from its widest row and
-// projected by one Embedding::ApplyRows call into pre-sized columns. The
-// thread count never reaches the build. The unit tuples land in one
-// arity-strided arena, so with the mean or moments embedding a warm
-// build's allocation count does not grow with rows beyond amortized
-// vector growth; median and padding also sort a copy of each group they
+// per-row ends and its widest row. The loop resumes: UnitRows records
+// how many unit rows it has resolved, and a fresh build is a resume from
+// row 0.
+//
+// Embed (EmbedUnitRows) fits each group on its widest row and projects
+// it by one Embedding::ApplyRows call, which writes each column once.
+// It reads the rows and never changes them, so one UnitRows serves every
+// embedding.
+//
+// Why the split: a row reads only the reached ancestors of Y[x],
+// Parents(T[x]) and Parents(T[p]) of its peers, which are ancestors of
+// Y[x] too. An extend seeds its forward cone with every node that gained
+// a parent or a value, and the cone closes over children, so a row the
+// extend could change has T[x] or Y[x] in the cone. QuerySession keeps
+// the rows per grounding and request: a repeat only embeds, and after an
+// extend whose cone misses every resolved unit (UnitRowsOutsideExtendCone)
+// the loop resumes at the first new unit row. BuildUnitTable is the
+// memo-free reference: resolve from row 0, then embed.
+//
+// The thread count never reaches the build. The unit tuples land in one
+// arity-strided arena, so with the mean or moments embedding a build's
+// allocation count does not grow with rows beyond amortized vector
+// growth; median and padding also sort a copy of each group they
 // project.
 
 #ifndef CARL_CORE_UNIT_TABLE_H_
 #define CARL_CORE_UNIT_TABLE_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -113,10 +133,87 @@ struct UnitTable {
   std::vector<std::string> AllCovariateCols() const;
 };
 
-/// Runs Algorithm 1. Fails if the response is not on the treatment's
-/// predicate (unify first), if the treatment is not binary 0/1, or if no
-/// unit is kept; that message names what dropped them: missing values,
-/// or (without include_isolated_units) no relational peer.
+/// Algorithm 1's resolved rows before any embedding: the state of the
+/// resolve loop after units_resolved unit rows.
+struct UnitRows {
+  /// One column group, flattened: row r's values are
+  /// values[ends[r - 1], ends[r]) (from 0 for r = 0).
+  struct Group {
+    std::vector<double> values;
+    std::vector<size_t> ends;
+    /// The most values any row holds: what a padding embedding fits to.
+    size_t widest = 0;
+
+    /// Closes the current row.
+    void EndRow() {
+      const size_t begin = ends.empty() ? 0 : ends.back();
+      widest = std::max(widest, values.size() - begin);
+      ends.push_back(values.size());
+    }
+  };
+
+  /// One role's (own or peer) covariate groups, indexed by attribute. An
+  /// attribute first seen at row r gets empty rows [0, r).
+  struct CovariateGroups {
+    std::vector<Group> by_attr;
+    std::vector<AttributeId> present;  // ascending
+
+    void Add(AttributeId attr, size_t row, double value);
+    /// Closes the current row in every present attribute's group.
+    void EndRow() {
+      for (AttributeId attr : present) by_attr[attr].EndRow();
+    }
+  };
+
+  std::vector<double> y;
+  std::vector<double> t;
+  /// The kept units' tuples, arity-strided as in UnitTable.
+  std::vector<SymbolId> unit_args;
+  size_t unit_arity = 0;
+  Group peer_t;  ///< the peers' treatment values
+  CovariateGroups own;
+  CovariateGroups peer;
+  size_t dropped_unvalued = 0;  ///< no treatment or response value
+  size_t dropped_isolated = 0;  ///< valued, but without a relational peer
+  bool relational = false;      ///< some kept unit has a peer
+  /// Unit rows of the treatment's predicate resolved so far, kept or
+  /// dropped: rows [0, units_resolved).
+  size_t units_resolved = 0;
+
+  /// Heap bytes the rows hold (vector capacities).
+  size_t bytes() const;
+};
+
+/// The resolve step: resolves the unit rows [rows->units_resolved,
+/// NumRows) of the treatment's predicate on `grounded` and appends them
+/// to `rows`, which must hold rows resolved for the same request and
+/// include_isolated_units on a grounding that agrees with `grounded` on
+/// every one of them (a default UnitRows resolves every row). Fails like
+/// BuildUnitTable, and with a guard stop (fault site
+/// unit_table.resolve); `rows` then holds a partial append and must be
+/// discarded.
+Status ResolveUnitRows(const GroundedModel& grounded,
+                       const UnitTableRequest& request,
+                       const UnitTableOptions& options, UnitRows* rows);
+
+/// The embed step: the table of `rows` under `options`' embedding.
+/// Fails when no unit was kept, naming what dropped them.
+Result<UnitTable> EmbedUnitRows(const UnitRows& rows, const Schema& schema,
+                                const UnitTableOptions& options);
+
+/// True when `rows`, resolved for `request` on the grounding that
+/// `grounded` was extended from, hold on `grounded` too: no resolved
+/// unit's treatment or response node lies in that extend's cone
+/// (GroundedModel::InExtendCone).
+bool UnitRowsOutsideExtendCone(const GroundedModel& grounded,
+                               const UnitTableRequest& request,
+                               const UnitRows& rows);
+
+/// Runs Algorithm 1 without a memo: resolve from row 0, then embed.
+/// Fails if the response is not on the treatment's predicate (unify
+/// first), if the treatment is not binary 0/1, or if no unit is kept;
+/// that message names what dropped them: missing values, or (without
+/// include_isolated_units) no relational peer.
 Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
                                  const UnitTableRequest& request,
                                  const UnitTableOptions& options = {});

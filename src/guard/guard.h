@@ -18,9 +18,9 @@
 //    kDeadlineExceeded / kResourceExhausted, never as an abort.
 //  * FaultRegistry — a deterministic countdown fault injector
 //    (CARL_FAULT=<site>:<n> or the Arm() test API). Fault points sit at
-//    arena growth, pool task dispatch, delta-log trim, and each
-//    grounding phase; the fault-fuzz harness drives them to prove every
-//    degradation path leaves QuerySession consistent.
+//    arena growth, pool task dispatch, delta-log trim, each grounding
+//    phase and the unit-row resolve; the fault-fuzz harness drives them
+//    to prove every degradation path leaves QuerySession consistent.
 //
 // Invariant the consumers uphold (and tests enforce): an aborted pass
 // never poisons the session. Partially-built graphs/tables are locals
@@ -212,6 +212,10 @@ void OnArenaGrowth(size_t bytes);
 ///   grounding.enumerate     snapshots; the pass returns
 ///   grounding.merge         kResourceExhausted("injected fault ...")
 ///   grounding.finalize      before the phase runs.
+///   unit_table.resolve      ResolveUnitRows, before any row: a fresh
+///                           build or a resume of the session's memo
+///                           returns kResourceExhausted, and the memo
+///                           drops the rows it resumed.
 class FaultRegistry {
  public:
   static FaultRegistry& Global();

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <random>
 #include <string>
@@ -174,26 +173,6 @@ TEST(CancelFuzzTest, RandomizedSiblingCancelDuringGroundAndExtend) {
   }
 }
 
-// Bit-compares two unit tables: column names and bits, units, dropped
-// units, relational, and the column lists.
-void ExpectSameTable(const UnitTable& got, const UnitTable& want) {
-  ASSERT_EQ(got.data.column_names(), want.data.column_names());
-  for (const std::string& col : want.data.column_names()) {
-    const std::vector<double>& a = got.data.Column(col);
-    const std::vector<double>& b = want.data.Column(col);
-    ASSERT_EQ(a.size(), b.size()) << col;
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-        << "completed-despite-cancel table diverged in column " << col;
-  }
-  EXPECT_EQ(got.unit_arity, want.unit_arity);
-  EXPECT_EQ(got.unit_args, want.unit_args);
-  EXPECT_EQ(got.dropped_units, want.dropped_units);
-  EXPECT_EQ(got.relational, want.relational);
-  EXPECT_EQ(got.peer_t_cols, want.peer_t_cols);
-  EXPECT_EQ(got.own_covariate_cols, want.own_covariate_cols);
-  EXPECT_EQ(got.peer_covariate_cols, want.peer_covariate_cols);
-}
-
 // A sibling thread cancels the token at a seeded delay while the unit
 // table's serial pass runs. Every outcome is binary: the build finished
 // first and its table equals the unguarded one bit for bit, or it
@@ -254,7 +233,8 @@ TEST(CancelFuzzTest, RandomizedSiblingCancelDuringUnitTableBuild) {
       }();
       sibling.join();
       if (table.ok()) {
-        ExpectSameTable(*table, *reference);
+        EXPECT_EQ(test_fixtures::UnitTableDiff(*reference, *table), "")
+            << "completed-despite-cancel table diverged";
       } else {
         ++cancelled_rounds;
         EXPECT_EQ(table.status().code(), StatusCode::kCancelled)

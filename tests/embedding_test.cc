@@ -152,11 +152,11 @@ TEST_P(EmbeddingPropertyTest, ApplyRowsMatchesApplyPerRow) {
     ends.push_back(values.size());
   }
   const size_t dims = e->dims();
-  std::vector<std::vector<double>> cols(dims,
-                                        std::vector<double>(ends.size()));
-  std::vector<double*> col_data;
-  for (std::vector<double>& col : cols) col_data.push_back(col.data());
-  e->ApplyRows(values.data(), ends.data(), ends.size(), col_data.data());
+  std::vector<std::vector<double>> cols(dims);
+  e->ApplyRows(values.data(), ends.data(), ends.size(), cols.data());
+  for (const std::vector<double>& col : cols) {
+    ASSERT_EQ(col.size(), ends.size()) << "one appended value per row";
+  }
   std::vector<double> out(dims);
   size_t begin = 0;
   for (size_t r = 0; r < ends.size(); ++r) {

@@ -6,7 +6,9 @@
 // not poisoned: the
 // binding cache is pointer-identical across an aborted pass, the next
 // query runs normally and matches a from-scratch ground, and the obs
-// counters account for every injected fault and guard stop. Runs at
+// counters account for every injected fault and guard stop. A fault in
+// a unit-row resume must leave no half-appended rows in the session's
+// memo. Runs at
 // CARL_THREADS 1 and 4; the ASan+UBSan and TSan CI legs execute this
 // binary directly (ctest label: robustness).
 
@@ -418,6 +420,70 @@ TEST_F(FaultFuzzTest, CountersAccountForEveryGuardEvent) {
   EXPECT_EQ(CounterValue("guard_deadline_exceeded"), deadline + 1);
   EXPECT_EQ(CounterValue("guard_budget_exceeded"), budget + 1);
   EXPECT_EQ(CounterValue("fault_injected"), faults + 1);
+}
+
+// ---------------------------------------------------------------------------
+// A fault during a unit-row resume: the answer surfaces it, the rows it
+// took out of the session's memo never go back, and the next answer
+// rebuilds every row and equals a fresh engine's bit for bit.
+// ---------------------------------------------------------------------------
+TEST_F(FaultFuzzTest, ResumeFaultLeavesNoPoisonedMemo) {
+  const char* const queries[] = {"AVG_Score[A] <= Prestige[A]?",
+                                 "Len[P] <= SelfPay[P]?",
+                                 "HighBill[P] <= AdmittedToLarge[P]?"};
+  std::vector<NamedDataset> workloads = FuzzWorkloads();
+  ASSERT_EQ(workloads.size(), 3u);
+  for (size_t w = 0; w < workloads.size(); ++w) {
+    SCOPED_TRACE(workloads[w].name);
+    Instance& db = *workloads[w].dataset.instance;
+    Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
+        *workloads[w].dataset.schema, workloads[w].dataset.model_text);
+    ASSERT_TRUE(model.ok()) << model.status();
+    auto session = std::make_shared<QuerySession>(&db);
+    const QueryRequest request{std::string(queries[w])};
+    auto answer = [&] {
+      Result<std::unique_ptr<CarlEngine>> engine =
+          CarlEngine::Create(session, *model);
+      CARL_CHECK_OK(engine.status());
+      return (*engine)->Answer(request);
+    };
+    ASSERT_TRUE(answer().status.ok());
+
+    // A new unit row that reaches no old unit, so the next answer resumes.
+    const Schema& schema = db.schema();
+    Result<CausalQuery> query = ParseQuery(queries[w]);
+    ASSERT_TRUE(query.ok()) << query.status();
+    const PredicateId unit =
+        schema.attribute(*schema.FindAttribute(query->treatment.attribute))
+            .predicate;
+    ASSERT_TRUE(db.AddFact(schema.predicate(unit).name, {"fz_resume"}).ok());
+
+    const uint64_t resumes = session->SnapshotStats().unit_rows_resumes;
+    guard::ExecToken token;
+    guard::FaultRegistry::Global().Arm("unit_table.resolve", 1);
+    const QueryResponse stopped = [&] {
+      guard::ScopedToken scoped(&token);
+      return answer();
+    }();
+    EXPECT_EQ(stopped.status.code(), StatusCode::kResourceExhausted)
+        << stopped.status;
+    EXPECT_NE(stopped.status.message().find("unit_table.resolve"),
+              std::string::npos)
+        << stopped.status;
+    EXPECT_EQ(session->SnapshotStats().unit_rows_resumes, resumes + 1)
+        << "the fault must land in a resume";
+
+    const uint64_t rows_before = CounterValue("unit_table.rows_resolved");
+    const QueryResponse next = answer();
+    EXPECT_EQ(CounterValue("unit_table.rows_resolved") - rows_before,
+              db.NumRows(unit))
+        << "the stopped resume's rows went back into the memo";
+    Result<std::unique_ptr<CarlEngine>> fresh =
+        CarlEngine::Create(&db, *model);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(test_fixtures::DescribeResponse(next),
+              test_fixtures::DescribeResponse((*fresh)->Answer(request)));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "fixtures.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -8,6 +9,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "common/str_util.h"
 #include "datagen/mimic.h"
 #include "datagen/nis.h"
 #include "datagen/review.h"
@@ -401,6 +403,86 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
     table.data.AddRow(row);
   }
   return table;
+}
+
+namespace {
+
+std::string Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return StrFormat("%016" PRIx64, bits);
+}
+
+std::string Describe(const EffectEstimate& e) {
+  std::string out = Bits(e.value) + " se=" + Bits(e.std_error) +
+                    " ci=" + Bits(e.ci_low) + "," + Bits(e.ci_high) +
+                    " samples=";
+  for (double s : e.samples) out += Bits(s) + ",";
+  return out;
+}
+
+std::string Describe(const NaiveContrast& n) {
+  return StrFormat("naive=%s/%s/%s/%s n=%zu/%zu",
+                   Bits(n.treated_mean).c_str(), Bits(n.control_mean).c_str(),
+                   Bits(n.difference).c_str(), Bits(n.correlation).c_str(),
+                   n.n_treated, n.n_control);
+}
+
+std::string Describe(const std::optional<bool>& criterion_ok) {
+  if (!criterion_ok.has_value()) return "criterion=unset";
+  return *criterion_ok ? "criterion=ok" : "criterion=violated";
+}
+
+}  // namespace
+
+std::string DescribeResponse(const QueryResponse& response) {
+  if (!response.status.ok()) {
+    return "error " + response.status.ToString();
+  }
+  const QueryAnswer& answer = response.answer;
+  if (answer.ate.has_value()) {
+    const AteAnswer& a = *answer.ate;
+    return StrFormat("ate %s units=%zu dropped=%zu relational=%d ",
+                     a.response_attribute.c_str(), a.num_units,
+                     a.dropped_units, a.relational ? 1 : 0) +
+           Describe(a.naive) + " " + Describe(a.criterion_ok) + "\n  ate " +
+           Describe(a.ate);
+  }
+  if (!answer.effects.has_value()) return "ok without an answer";
+  const RelationalEffectsAnswer& e = *answer.effects;
+  return StrFormat("effects %s units=%zu dropped=%zu %s ",
+                   e.response_attribute.c_str(), e.num_units,
+                   e.dropped_units, e.condition.ToString().c_str()) +
+         Describe(e.naive) + " " + Describe(e.criterion_ok) + "\n  aie " +
+         Describe(e.aie) + "\n  are " + Describe(e.are) + "\n  aoe " +
+         Describe(e.aoe) + "\n  aie_psi " + Describe(e.aie_psi);
+}
+
+std::string UnitTableDiff(const UnitTable& want, const UnitTable& got) {
+  if (got.data.column_names() != want.data.column_names()) {
+    return "column names differ";
+  }
+  for (size_t c = 0; c < want.data.num_cols(); ++c) {
+    const std::vector<double>& a = want.data.Column(c);
+    const std::vector<double>& b = got.data.Column(c);
+    if (a.size() != b.size() ||
+        std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
+      return "column " + want.data.column_names()[c] + " differs";
+    }
+  }
+  if (got.unit_arity != want.unit_arity || got.unit_args != want.unit_args) {
+    return "units differ";
+  }
+  if (got.dropped_units != want.dropped_units) return "dropped_units differ";
+  if (got.relational != want.relational) return "relational differs";
+  if (got.peer_count_col != want.peer_count_col ||
+      got.peer_treated_count_col != want.peer_treated_count_col ||
+      got.peer_t_cols != want.peer_t_cols ||
+      got.own_covariate_cols != want.own_covariate_cols ||
+      got.peer_covariate_cols != want.peer_covariate_cols) {
+    return "column lists differ";
+  }
+  return "";
 }
 
 uint64_t GraphFingerprint(const GroundedModel& grounded) {

@@ -115,6 +115,16 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
                                   const UnitTableRequest& request,
                                   const UnitTableOptions& options = {});
 
+/// Everything a response reports except timing, with doubles as bit
+/// patterns: equal strings mean bit-identical answers (NaNs included),
+/// or the same error status.
+std::string DescribeResponse(const QueryResponse& response);
+
+/// The first difference between two unit tables — column names and
+/// bits, units, dropped_units, relational, the peer-count column names,
+/// the three column lists — or "" when they are bit-identical.
+std::string UnitTableDiff(const UnitTable& want, const UnitTable& got);
+
 /// One stable id-order fingerprint of a grounded graph: names, parent and
 /// child lists, value bit patterns, and num_groundings folded in node-id
 /// order. See the file comment for when to use this vs Canonicalize.

@@ -16,9 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cinttypes>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -26,13 +24,13 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/str_util.h"
 #include "core/engine.h"
 #include "fixtures.h"
 
 namespace carl {
 namespace {
 
+using test_fixtures::DescribeResponse;
 using test_fixtures::ScopedThreads;
 
 const std::vector<std::string>& QueryPool() {
@@ -59,57 +57,6 @@ EngineOptions PoolOptions() {
   options.check_criterion = true;
   options.criterion_sample = 4;
   return options;
-}
-
-std::string Bits(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return StrFormat("%016" PRIx64, bits);
-}
-
-std::string Describe(const EffectEstimate& e) {
-  std::string out = Bits(e.value) + " se=" + Bits(e.std_error) +
-                    " ci=" + Bits(e.ci_low) + "," + Bits(e.ci_high) +
-                    " samples=";
-  for (double s : e.samples) out += Bits(s) + ",";
-  return out;
-}
-
-std::string Describe(const NaiveContrast& n) {
-  return StrFormat("naive=%s/%s/%s/%s n=%zu/%zu",
-                   Bits(n.treated_mean).c_str(), Bits(n.control_mean).c_str(),
-                   Bits(n.difference).c_str(), Bits(n.correlation).c_str(),
-                   n.n_treated, n.n_control);
-}
-
-std::string Describe(const std::optional<bool>& criterion_ok) {
-  if (!criterion_ok.has_value()) return "criterion=unset";
-  return *criterion_ok ? "criterion=ok" : "criterion=violated";
-}
-
-// Everything an answer reports except timing, with doubles as bit
-// patterns: equal strings mean bit-identical answers (NaNs included).
-std::string Describe(const QueryResponse& response) {
-  if (!response.status.ok()) {
-    return "error " + response.status.ToString();
-  }
-  const QueryAnswer& answer = response.answer;
-  if (answer.ate.has_value()) {
-    const AteAnswer& a = *answer.ate;
-    return StrFormat("ate %s units=%zu dropped=%zu relational=%d ",
-                     a.response_attribute.c_str(), a.num_units,
-                     a.dropped_units, a.relational ? 1 : 0) +
-           Describe(a.naive) + " " + Describe(a.criterion_ok) + "\n  ate " +
-           Describe(a.ate);
-  }
-  if (!answer.effects.has_value()) return "ok without an answer";
-  const RelationalEffectsAnswer& e = *answer.effects;
-  return StrFormat("effects %s units=%zu dropped=%zu %s ",
-                   e.response_attribute.c_str(), e.num_units,
-                   e.dropped_units, e.condition.ToString().c_str()) +
-         Describe(e.naive) + " " + Describe(e.criterion_ok) + "\n  aie " +
-         Describe(e.aie) + "\n  are " + Describe(e.are) + "\n  aoe " +
-         Describe(e.aoe) + "\n  aie_psi " + Describe(e.aie_psi);
 }
 
 struct Pool {
@@ -155,7 +102,7 @@ class HistoryIndependenceTest : public ::testing::TestWithParam<int> {
     std::vector<std::string> fresh;
     for (const std::string& query : QueryPool()) {
       std::unique_ptr<CarlEngine> engine = MakeEngine(pool.dataset, nullptr);
-      fresh.push_back(Describe(Ask(*engine, query)));
+      fresh.push_back(DescribeResponse(Ask(*engine, query)));
       if (std::string(pool.name) == "review" && fresh.size() <= 6) {
         EXPECT_NE(fresh.back().rfind("error", 0), 0u)
             << query << ": " << fresh.back();
@@ -183,9 +130,10 @@ TEST_P(HistoryIndependenceTest, EveryOrderedPairMatchesFreshEngines) {
         if (first == second) continue;
         std::unique_ptr<CarlEngine> engine =
             MakeEngine(pool.dataset, session);
-        EXPECT_EQ(Describe(Ask(*engine, queries[first])), fresh[first])
+        EXPECT_EQ(DescribeResponse(Ask(*engine, queries[first])), fresh[first])
             << pool.name << ": " << queries[first] << " (first)";
-        EXPECT_EQ(Describe(Ask(*engine, queries[second])), fresh[second])
+        EXPECT_EQ(DescribeResponse(Ask(*engine, queries[second])),
+                  fresh[second])
             << pool.name << ": " << queries[second] << " after "
             << queries[first];
       }
@@ -207,7 +155,7 @@ TEST_P(HistoryIndependenceTest, RandomSequencesMatchFreshEngines) {
       for (int step = 0; step < kLength; ++step) {
         size_t q = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(queries.size()) - 1));
-        EXPECT_EQ(Describe(Ask(*engine, queries[q])), fresh[q])
+        EXPECT_EQ(DescribeResponse(Ask(*engine, queries[q])), fresh[q])
             << pool.name << " sequence " << seq << ": " << queries[q]
             << " after [" << history << "]";
         history += queries[q] + "; ";
@@ -236,7 +184,7 @@ TEST_P(HistoryIndependenceTest, ConcurrentSequencesOnOneEngineMatchFresh) {
         for (int step = 0; step < kLength; ++step) {
           size_t q = static_cast<size_t>(
               rng.UniformInt(0, static_cast<int64_t>(queries.size()) - 1));
-          std::string got = Describe(Ask(*engine, queries[q]));
+          std::string got = DescribeResponse(Ask(*engine, queries[q]));
           if (got != fresh[q]) {
             mismatches[c].push_back(queries[q] + " at step " +
                                     std::to_string(step) + ": " + got +

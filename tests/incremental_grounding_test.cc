@@ -6,7 +6,10 @@
 // from-scratch ground of the current instance state — canonically (node,
 // edge, and value sets; raw ids and edge order are not part of the
 // extend contract) — at CARL_THREADS 1 and 4, with the two extend chains
-// bit-identical to each other. Also pins down the QuerySession delta
+// bit-identical to each other. After every step the session's unit-row
+// memo must also give the memo-free unit table of the same grounding bit
+// for bit, through hits, resumes and rebuilds. Also pins down the
+// QuerySession delta
 // policy (hit / extend / full re-ground counters, scoped binding-cache
 // invalidation) and every documented fallback out of
 // the extend contract: overflow writes, constraint-attribute writes,
@@ -68,6 +71,29 @@ class DeltaFuzzer {
     for (const AggregateRule& rule : model.aggregate_rules()) {
       for (const AttributeConstraint& c : rule.where.constraints) {
         constraint_attrs_.insert(c.attribute);
+      }
+    }
+  }
+
+  // Appends one fresh row to each entity predicate, every attribute but
+  // the constraint-referenced ones valued 0 or 1, and no relationship
+  // fact: new unit rows whose extend cone holds only their own nodes.
+  // Draws nothing from the seeded stream, so Step() stays as it was.
+  void AppendFreshEntities() {
+    const Schema& schema = db_->schema();
+    for (const Predicate& pred : schema.predicates()) {
+      if (pred.kind != PredicateKind::kEntity) continue;
+      const std::string name = "fu" + std::to_string(fresh_entities_++);
+      CARL_CHECK_OK(db_->AddFact(pred.name, {name}));
+      for (const AttributeDef& attr : schema.attributes()) {
+        if (attr.predicate != pred.id || constraint_attrs_.count(attr.name)) {
+          continue;
+        }
+        const bool bit = fresh_entities_ % 2 == 0;
+        Value value(bit ? 1.0 : 0.0);
+        if (attr.type == ValueType::kBool) value = Value(bit);
+        if (attr.type == ValueType::kString) value = Value("sv0");
+        CARL_CHECK_OK(db_->SetAttribute(attr.name, {name}, value));
       }
     }
   }
@@ -146,15 +172,67 @@ class DeltaFuzzer {
   std::unordered_map<std::string, PredicateId> by_name_;
   std::unordered_set<std::string> constraint_attrs_;
   size_t fresh_counter_ = 0;
+  size_t fresh_entities_ = 0;
 };
+
+const EmbeddingKind kEmbeddings[] = {EmbeddingKind::kMean,
+                                     EmbeddingKind::kMedian,
+                                     EmbeddingKind::kMoments,
+                                     EmbeddingKind::kPadding};
+
+// Every unit table the session's memo gives for `queries` — each with
+// include_isolated_units off and on, under every embedding — must equal
+// the memo-free BuildUnitTable on the same grounding bit for bit, or
+// fail with the same status. Per request, the first table resumes or
+// rebuilds the memo and the rest hit it.
+void ExpectMemoTablesMatchFresh(const std::shared_ptr<QuerySession>& session,
+                                const RelationalCausalModel& model,
+                                const std::vector<const char*>& queries) {
+  Result<std::unique_ptr<CarlEngine>> engine =
+      CarlEngine::Create(session, model);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  for (const char* text : queries) {
+    Result<CausalQuery> query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << query.status();
+    for (bool isolated : {false, true}) {
+      EngineOptions options;
+      options.include_isolated_units = isolated;
+      Result<CarlEngine::ResolvedQuery> resolved =
+          (*engine)->Resolve(*query, options);
+      ASSERT_TRUE(resolved.ok()) << resolved.status();
+      for (EmbeddingKind kind : kEmbeddings) {
+        SCOPED_TRACE(std::string(text) + " isolated=" +
+                     std::to_string(isolated) + " embedding=" +
+                     EmbeddingKindToString(kind));
+        UnitTableOptions unit_options = resolved->unit_options;
+        unit_options.embedding = kind;
+        Result<UnitTable> got = session->BuildUnitTable(
+            *resolved->grounded, resolved->request, unit_options);
+        Result<UnitTable> want = BuildUnitTable(
+            *resolved->grounded, resolved->request, unit_options);
+        ASSERT_EQ(got.ok(), want.ok())
+            << got.status() << " vs " << want.status();
+        if (!want.ok()) {
+          EXPECT_EQ(got.status().ToString(), want.status().ToString());
+          continue;
+        }
+        EXPECT_EQ(test_fixtures::UnitTableDiff(*want, *got), "");
+      }
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // The differential harness: two extend chains (one per thread count) and
 // an interleaved QuerySession, all checked against a from-scratch ground
-// after every mutation batch.
+// after every mutation batch. After every batch the session also answers
+// `queries` through its unit-row memo (ExpectMemoTablesMatchFresh), and
+// the stream must reach a memo hit, a resume and a rebuild. `steps`
+// counts the random mutation batches; a batch of fresh entities follows
+// each.
 // ---------------------------------------------------------------------------
 void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
-                  int steps) {
+                  int steps, const std::vector<const char*>& queries) {
   SCOPED_TRACE(name);
   Result<RelationalCausalModel> model =
       RelationalCausalModel::Parse(*dataset.schema, dataset.model_text);
@@ -174,14 +252,20 @@ void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
     ASSERT_TRUE(g.ok()) << g.status();
     inc4.emplace(std::move(*g));
   }
-  QuerySession session(&db);
+  auto session = std::make_shared<QuerySession>(&db);
 
   uint64_t base_gen = db.generation();
   DeltaFuzzer fuzzer(&db, *model, seed);
   size_t extends = 0;
-  for (int step = 0; step < steps; ++step) {
+  // Odd steps append fresh entities, which the memo resumes past.
+  for (int step = 0; step < 2 * steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
-    fuzzer.Step();
+    const bool random_step = step % 2 == 0;
+    if (random_step) {
+      fuzzer.Step();
+    } else {
+      fuzzer.AppendFreshEntities();
+    }
     InstanceDelta delta = db.DeltaSince(base_gen);
     ASSERT_TRUE(delta.complete);
     ASSERT_EQ(delta.to_generation, db.generation());
@@ -200,7 +284,7 @@ void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
         chain->emplace(std::move(*g));
       }
     }
-    if (supported) ++extends;
+    if (supported && random_step) ++extends;
     base_gen = db.generation();
 
     // From-scratch reference at both thread counts; everything must
@@ -226,28 +310,39 @@ void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
 
     // Interleaved query through the session's cached grounding.
     Result<std::shared_ptr<const GroundedModel>> cached =
-        session.Ground(*model);
+        session->Ground(*model);
     ASSERT_TRUE(cached.ok()) << cached.status();
     ASSERT_TRUE(Canonicalize(**cached) == want)
         << "session-cached grounding went stale";
+    ExpectMemoTablesMatchFresh(session, *model, queries);
   }
   // The fuzz must actually exercise the incremental path, not live in
   // the fallback.
   EXPECT_GT(extends, static_cast<size_t>(steps) / 2)
       << "mutation mix mostly fell outside the extend contract";
-  EXPECT_GT(session.SnapshotStats().ground_extends, 0u);
+  const QuerySession::SessionStats stats = session->SnapshotStats();
+  EXPECT_GT(stats.ground_extends, 0u);
+  EXPECT_GT(stats.unit_rows_hits, 0u);
+  EXPECT_GT(stats.unit_rows_resumes, 0u);
+  EXPECT_GT(stats.unit_rows_rebuilds, 0u);
 }
 
 TEST(IncrementalGroundingFuzz, ReviewToyMatchesFromScratch) {
-  RunDeltaFuzz(ReviewToyDataset(), "REVIEW", /*seed=*/0x5eed0001, 16);
+  RunDeltaFuzz(ReviewToyDataset(), "REVIEW", /*seed=*/0x5eed0001, 16,
+               {"AVG_Score[A] <= Prestige[A]?",
+                "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"});
 }
 
 TEST(IncrementalGroundingFuzz, MiniMimicMatchesFromScratch) {
-  RunDeltaFuzz(MiniMimicDataset(400, 40), "MIMIC", /*seed=*/0x5eed0002, 10);
+  RunDeltaFuzz(MiniMimicDataset(400, 40), "MIMIC", /*seed=*/0x5eed0002, 10,
+               {"Len[P] <= SelfPay[P]?",
+                "Death[P] <= SelfPay[P]? WHEN ALL PEERS TREATED"});
 }
 
 TEST(IncrementalGroundingFuzz, MiniNisMatchesFromScratch) {
-  RunDeltaFuzz(MiniNisDataset(800, 30), "NIS", /*seed=*/0x5eed0003, 10);
+  RunDeltaFuzz(MiniNisDataset(800, 30), "NIS", /*seed=*/0x5eed0003, 10,
+               {"HighBill[P] <= AdmittedToLarge[P]?",
+                "HighBill[P] <= AdmittedToLarge[P]? WHEN ALL PEERS TREATED"});
 }
 
 // ---------------------------------------------------------------------------

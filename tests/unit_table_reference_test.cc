@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,26 +62,6 @@ UnitTableRequest RequestFor(const GroundedModel& grounded,
   CARL_CHECK_OK(allowed.status());
   request.allowed_sources = std::move(*allowed);
   return request;
-}
-
-void ExpectBitIdentical(const UnitTable& want, const UnitTable& got) {
-  ASSERT_EQ(got.data.column_names(), want.data.column_names());
-  for (size_t c = 0; c < want.data.num_cols(); ++c) {
-    const std::vector<double>& a = want.data.Column(c);
-    const std::vector<double>& b = got.data.Column(c);
-    ASSERT_EQ(b.size(), a.size());
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
-        << "column " << want.data.column_names()[c];
-  }
-  EXPECT_EQ(got.unit_arity, want.unit_arity);
-  EXPECT_EQ(got.unit_args, want.unit_args);
-  EXPECT_EQ(got.dropped_units, want.dropped_units);
-  EXPECT_EQ(got.relational, want.relational);
-  EXPECT_EQ(got.peer_count_col, want.peer_count_col);
-  EXPECT_EQ(got.peer_treated_count_col, want.peer_treated_count_col);
-  EXPECT_EQ(got.peer_t_cols, want.peer_t_cols);
-  EXPECT_EQ(got.own_covariate_cols, want.own_covariate_cols);
-  EXPECT_EQ(got.peer_covariate_cols, want.peer_covariate_cols);
 }
 
 class UnitTableReferenceTest : public ::testing::Test {
@@ -176,7 +155,7 @@ TEST_F(UnitTableReferenceTest, MatchesPerUnitReference) {
             EXPECT_EQ(got.status().code(), want.status().code());
             continue;
           }
-          ExpectBitIdentical(*want, *got);
+          EXPECT_EQ(test_fixtures::UnitTableDiff(*want, *got), "");
           ++compared;
         }
       }
