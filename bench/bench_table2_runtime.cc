@@ -52,8 +52,12 @@ void* operator new(std::size_t n) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: inlined into a caller, GCC pairs the caller's operator new
+// with this free and reports a mismatched deallocation.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace carl {
 namespace {
@@ -189,6 +193,63 @@ ExtendMeasurement MeasureIncrementalExtend(datagen::Dataset& dataset,
   std::sort(bytes.begin(), bytes.end());
   measured.median_heap_bytes = 0.5 * static_cast<double>(bytes[4] + bytes[5]);
   return measured;
+}
+
+// Exact work counts of one answer through a QuerySession: the unit rows
+// it resolved, the rows its table embedded, and the rows its regression
+// sums absorbed.
+struct AnswerCounts {
+  uint64_t rows_resolved = 0;
+  uint64_t rows_embedded = 0;
+  uint64_t rows_summed = 0;
+};
+
+// Answers `query` on `engine`, CHECKs the answer and returns its counts.
+AnswerCounts CountAnswer(const CarlEngine& engine, const std::string& query) {
+  static obs::Counter& resolved =
+      obs::Registry::Global().GetCounter("unit_table.rows_resolved");
+  static obs::Counter& embedded =
+      obs::Registry::Global().GetCounter("unit_table.rows_embedded");
+  static obs::Counter& summed =
+      obs::Registry::Global().GetCounter("unit_table.rows_summed");
+  const AnswerCounts before{resolved.value(), embedded.value(),
+                            summed.value()};
+  CARL_CHECK_OK(engine.Answer(QueryRequest(query)).status);
+  return AnswerCounts{resolved.value() - before.rows_resolved,
+                      embedded.value() - before.rows_embedded,
+                      summed.value() - before.rows_summed};
+}
+
+// The answer path's work, counted exactly: one engine over one
+// QuerySession answers `query`, answers it again, and answers it once
+// more after one admission. The repeat must resolve, embed and sum no
+// row; after the admission (AddAdmission sets SelfPay and Death, so the
+// new patient is kept) each count must be exactly 1 — the memo resumes
+// its rows, appends to its table and carries its sums on. Returns the
+// counts of that last answer.
+AnswerCounts MeasureAnswerPathCounts(datagen::Dataset& dataset,
+                                     const RelationalCausalModel& model,
+                                     const std::string& query,
+                                     size_t admission) {
+  Result<std::unique_ptr<CarlEngine>> engine = CarlEngine::Create(
+      std::make_shared<QuerySession>(dataset.instance.get()), model);
+  CARL_CHECK_OK(engine.status());
+  CountAnswer(**engine, query);
+  const AnswerCounts repeat = CountAnswer(**engine, query);
+  CARL_CHECK(repeat.rows_resolved == 0 && repeat.rows_embedded == 0 &&
+             repeat.rows_summed == 0)
+      << "a repeat answer resolved " << repeat.rows_resolved
+      << ", embedded " << repeat.rows_embedded << " and summed "
+      << repeat.rows_summed << " rows; the memo must hand out its table";
+  AddAdmission(*dataset.instance, admission);
+  const AnswerCounts extended = CountAnswer(**engine, query);
+  CARL_CHECK(extended.rows_resolved == 1 && extended.rows_embedded == 1 &&
+             extended.rows_summed == 1)
+      << "the answer after one admission resolved "
+      << extended.rows_resolved << ", embedded " << extended.rows_embedded
+      << " and summed " << extended.rows_summed
+      << " rows; each must be exactly the new patient's row";
+  return extended;
 }
 
 struct Workload {
@@ -403,6 +464,23 @@ int Run(const bench::BenchFlags& flags) {
       bench::EmitJson(kBenchName, wl.name,
                       "grounding_incremental_extend_heap_bytes",
                       extend.median_heap_bytes);
+
+      // The extends above admitted fewer than 1,000 patients; this one
+      // takes a fresh name.
+      const AnswerCounts counts =
+          MeasureAnswerPathCounts(*wl.dataset, *model, wl.query, 1000);
+      std::printf("%-18sanswer after 1 admission: %llu rows resolved, %llu "
+                  "embedded, %llu summed\n",
+                  wl.name,
+                  static_cast<unsigned long long>(counts.rows_resolved),
+                  static_cast<unsigned long long>(counts.rows_embedded),
+                  static_cast<unsigned long long>(counts.rows_summed));
+      bench::EmitJson(kBenchName, wl.name, "unit_table_rows_resolved",
+                      static_cast<double>(counts.rows_resolved));
+      bench::EmitJson(kBenchName, wl.name, "unit_table_rows_embedded",
+                      static_cast<double>(counts.rows_embedded));
+      bench::EmitJson(kBenchName, wl.name, "unit_table_rows_summed",
+                      static_cast<double>(counts.rows_summed));
     }
 
     std::printf("%-18s%-14.3f%-14.3f%-14.3f%-16llu%-16llu\n", wl.name,

@@ -52,10 +52,18 @@ REQUIRED_GATED = {
     # grounding_incremental_extend_heap_bytes is the median heap bytes of
     # a single-admission extend; bench_table2 aborts above 256 KiB, so its
     # presence proves the extend stayed delta-sized.
+    # unit_table_rows_{resolved,embedded,summed} are the exact rows an
+    # answer through a QuerySession resolves, embeds and sums after a
+    # one-admission extend on MIMIC; bench_table2 aborts unless each is 1
+    # there and 0 on a repeat answer, so their presence proves answers
+    # stay delta-sized end to end.
     "BENCH_table2.json": {"grounding_s", "unit_table_s", "unit_table_allocs",
                           "unit_table_nodes_expanded",
                           "grounding_incremental_extend_s",
                           "grounding_incremental_extend_heap_bytes",
+                          "unit_table_rows_resolved",
+                          "unit_table_rows_embedded",
+                          "unit_table_rows_summed",
                           "grounding_graph_build_s",
                           "grounding_enumerate_s", "grounding_splice_s",
                           "guard_cancelled", "guard_deadline_exceeded",

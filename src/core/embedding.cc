@@ -30,10 +30,11 @@ Result<EmbeddingKind> ParseEmbeddingKind(const std::string& name) {
 void Embedding::Fit(size_t) {}
 
 void Embedding::ApplyRows(const double* values, const size_t* ends,
-                          size_t rows, std::vector<double>* cols) const {
+                          size_t first, size_t rows,
+                          std::vector<double>* cols) const {
   std::vector<double> out(dims());
-  size_t begin = 0;
-  for (size_t r = 0; r < rows; ++r) {
+  size_t begin = first == 0 ? 0 : ends[first - 1];
+  for (size_t r = first; r < rows; ++r) {
     Apply(values + begin, ends[r] - begin, out.data());
     for (size_t d = 0; d < out.size(); ++d) cols[d].push_back(out[d]);
     begin = ends[r];
@@ -63,12 +64,12 @@ class AggregatePlusCountEmbedding : public Embedding {
     out[0] = ApplyAggregate(agg_, values, n);
     out[1] = static_cast<double>(n);
   }
-  void ApplyRows(const double* values, const size_t* ends, size_t rows,
-                 std::vector<double>* cols) const override {
+  void ApplyRows(const double* values, const size_t* ends, size_t first,
+                 size_t rows, std::vector<double>* cols) const override {
     std::vector<double>& aggregate = cols[0];
     std::vector<double>& count = cols[1];
-    size_t begin = 0;
-    for (size_t r = 0; r < rows; ++r) {
+    size_t begin = first == 0 ? 0 : ends[first - 1];
+    for (size_t r = first; r < rows; ++r) {
       const size_t n = ends[r] - begin;
       aggregate.push_back(agg_ == AggregateKind::kAvg
                               ? AggregateMean(values + begin, n)

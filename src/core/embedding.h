@@ -11,16 +11,17 @@
 //   * padding with an out-of-band marker to a fixed width.
 //
 // The unit table (Algorithm 1) keeps every group of a column in one flat
-// value array with per-row ends, and projects all of a column's rows in
-// one ApplyRows call that appends to reserved columns, writing each
-// element once. Each strategy's
-// core is the span form Apply, which reads n values and writes exactly
-// dims() outputs; ApplyRows loops it by default, and mean and median
-// (one aggregate plus the count) override it with a loop that makes no
-// virtual call per row. Row r's outputs are bit-identical to Apply's on
-// row r's group. The mean and moments strategies project without
-// allocating; median and padding sort a copy of the group. The vector
-// Apply is a convenience forwarder for cold callers and tests.
+// value array with per-row ends, and projects a column's rows [first,
+// rows) in one ApplyRows call that appends to its columns, writing each
+// element once: a fresh table projects from row 0, and an append only the
+// new rows. Each strategy's core is the span form Apply, which reads n
+// values and writes exactly dims() outputs; ApplyRows loops it by
+// default, and mean and median (one aggregate plus the count) override it
+// with a loop that makes no virtual call per row. Row r's outputs are
+// bit-identical to Apply's on row r's group. The mean and moments
+// strategies project without allocating; median and padding sort a copy
+// of the group. The vector Apply is a convenience forwarder for cold
+// callers and tests.
 
 #ifndef CARL_CORE_EMBEDDING_H_
 #define CARL_CORE_EMBEDDING_H_
@@ -65,13 +66,14 @@ class Embedding {
   /// larger than a fitted padding width are truncated (values sorted
   /// descending first).
   virtual void Apply(const double* values, size_t n, double* out) const = 0;
-  /// Projects `rows` groups stored flat — row r's group is
-  /// values[ends[r - 1], ends[r]) (from 0 for r = 0) — appending row r's
-  /// d-th output to cols[d] for d in [0, dims()), exactly as Apply on
-  /// each group would. Reserve the columns first and each element is
-  /// written once. The default loops Apply.
+  /// Projects the groups of rows [first, rows), stored flat — row r's
+  /// group is values[ends[r - 1], ends[r]) (from 0 for r = 0) —
+  /// appending row r's d-th output to cols[d] for d in [0, dims()),
+  /// exactly as Apply on each group would. Reserve the columns first and
+  /// each element is written once. The default loops Apply.
   virtual void ApplyRows(const double* values, const size_t* ends,
-                         size_t rows, std::vector<double>* cols) const;
+                         size_t first, size_t rows,
+                         std::vector<double>* cols) const;
   /// Vector form of Apply: returns exactly dims() values.
   std::vector<double> Apply(const std::vector<double>& values) const;
 };

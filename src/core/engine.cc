@@ -122,13 +122,20 @@ void AttachBootstrap(EffectEstimate* estimate, const BootstrapResult& b) {
   estimate->samples = b.samples;
 }
 
+// The regression sums of `table` when they cover every row: what a point
+// estimate on a memo table reads. Bootstrap replicates sum their own.
+const OlsSums* FullSums(const UnitTable& table) {
+  return table.sums.rows == table.data.num_rows() ? &table.sums : nullptr;
+}
+
 // The ATE (eq. 23) and its optional bootstrap.
 Result<AteAnswer> EstimateAteAnswer(const UnitTable& table,
                                     const EngineOptions& options) {
   AteAnswer answer;
   answer.relational = table.relational;
   CARL_ASSIGN_OR_RETURN(answer.ate.value,
-                        EstimateAte(table, table.data, options.estimator));
+                        EstimateAte(table, table.data, options.estimator,
+                                    FullSums(table)));
   if (options.bootstrap_replicates > 0) {
     CARL_ASSIGN_OR_RETURN(
         BootstrapResult b,
@@ -148,9 +155,10 @@ Result<RelationalEffectsAnswer> EstimateEffectsAnswer(
     const EngineOptions& options) {
   RelationalEffectsAnswer answer;
   answer.condition = condition;
-  CARL_ASSIGN_OR_RETURN(RelationalEffects point,
-                        EstimateRelationalEffects(table, table.data, condition,
-                                                  options.estimator));
+  CARL_ASSIGN_OR_RETURN(
+      RelationalEffects point,
+      EstimateRelationalEffects(table, table.data, condition,
+                                options.estimator, FullSums(table)));
   answer.aie.value = point.aie;
   answer.are.value = point.are;
   answer.aoe.value = point.aoe;
@@ -250,18 +258,22 @@ Result<CarlEngine::ResolvedQuery> CarlEngine::Resolve(
     derived->head.attribute = response_name;
   }
 
+  // The grounding of the instance as it is now, through the session: a
+  // cache hit while the instance is unchanged, an extend or a re-ground
+  // after a mutation.
   ResolvedQuery resolved;
-  resolved.grounded = grounded_;
   resolved.response_attribute =
       derived.has_value() ? derived->head.attribute : query.response.attribute;
   if (derived.has_value() &&
       !base.FindAggregateRule(resolved.response_attribute).ok()) {
     // The query's own variant: a copy of the base model plus the derived
-    // rule, grounded (or fetched) through the session cache. The engine
-    // keeps its base model, so no later query sees this rule.
+    // rule. The engine keeps its base model, so no later query sees this
+    // rule.
     RelationalCausalModel variant = base;
     CARL_RETURN_IF_ERROR(variant.AddAggregateRule(std::move(*derived)));
     CARL_ASSIGN_OR_RETURN(resolved.grounded, session_->Ground(variant));
+  } else {
+    CARL_ASSIGN_OR_RETURN(resolved.grounded, session_->Ground(base));
   }
 
   const RelationalCausalModel& xmodel = resolved.grounded->model();
@@ -309,9 +321,10 @@ Result<QueryAnswer> CarlEngine::AnswerQuery(const CausalQuery& query,
   timing->resolve_s = phase.Seconds();
   phase.Reset();
   CARL_ASSIGN_OR_RETURN(
-      UnitTable table,
+      std::shared_ptr<const UnitTable> shared_table,
       session_->BuildUnitTable(*resolved.grounded, resolved.request,
                                resolved.unit_options));
+  const UnitTable& table = *shared_table;
   timing->unit_table_s = phase.Seconds();
   phase.Reset();
 

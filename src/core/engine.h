@@ -14,11 +14,14 @@
 //   5. optional bootstrap standard errors and an optional d-separation
 //      spot check of the adjustment criterion (Theorem 5.2).
 //
-// The engine is immutable after Create: it holds its session and its base
-// grounding, and a derived aggregate belongs to the one query that needs
-// it. An answer therefore never depends on which queries ran earlier.
-// Answer is safe to call concurrently: a derived query grounds through
-// the session, which is thread-safe and single-flight
+// The engine is immutable after Create: it holds its session and the
+// model it was created with, and a derived aggregate belongs to the one
+// query that needs it. Every answer takes its grounding from the session
+// (QuerySession::Ground: a cache hit while the instance is unchanged), so
+// it reads the instance as it is when asked, never as it was at Create.
+// An answer therefore never depends on which queries ran earlier or on
+// what other engines over the session did. Answer is safe to call
+// concurrently: the session is thread-safe and single-flight
 // (query_session.h).
 
 #ifndef CARL_CORE_ENGINE_H_
@@ -158,17 +161,19 @@ class CarlEngine {
   CarlEngine(const CarlEngine&) = delete;
   CarlEngine& operator=(const CarlEngine&) = delete;
 
-  /// The base grounding: the model as created, never a query's variant.
+  /// The base grounding as of Create (each answer grounds the instance
+  /// as it is when asked): the model as created, never a query's variant.
   const GroundedModel& grounded() const { return *grounded_; }
   const RelationalCausalModel& model() const { return grounded_->model(); }
   const QuerySession& session() const { return *session_; }
 
   /// One query resolved against the engine (§4.3 and the WHERE filter).
   struct ResolvedQuery {
-    /// The grounding the query runs on: the base grounding when nothing
-    /// is derived, else the session's grounding of the base model plus
-    /// the one derived aggregate rule. Shared, so a variant the session
-    /// evicts stays alive for the request.
+    /// The grounding the query runs on: the session's grounding of the
+    /// base model when nothing is derived, else of the base model plus
+    /// the one derived aggregate rule, both of the instance as it is now.
+    /// Shared, so a grounding the session evicts stays alive for the
+    /// request.
     std::shared_ptr<const GroundedModel> grounded;
     UnitTableRequest request;
     UnitTableOptions unit_options;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/estimation.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -335,21 +336,63 @@ QuerySession::UnitRowsMemo* QuerySession::FindUnitRows(
   return nullptr;
 }
 
-Result<UnitTable> QuerySession::BuildUnitTable(
+QuerySession::MemoTable* QuerySession::FindTable(
+    UnitRowsMemo* memo, const UnitTableOptions& options) {
+  for (MemoTable& slot : memo->tables) {
+    if (slot.kind == options.embedding) return &slot;
+  }
+  return nullptr;
+}
+
+namespace {
+
+bool SameEmbeddingOptions(const EmbeddingOptions& a,
+                          const EmbeddingOptions& b) {
+  return a.moments == b.moments &&
+         a.padding_max_width == b.padding_max_width &&
+         a.padding_value == b.padding_value;
+}
+
+// True when `p` is the only owner of its object, with every access of a
+// former owner ordered before the caller's next write. use_count() alone
+// is a relaxed load that orders nothing; copying the pointer increments
+// the count with an acquire-release operation, which synchronizes with
+// each former owner's releasing decrement.
+bool SoleOwner(const std::shared_ptr<UnitTable>& p) {
+  const std::shared_ptr<UnitTable> probe = p;
+  return probe.use_count() == 2;
+}
+
+// True when `table`, embedded from a prefix of `rows`, holds all of them.
+bool TableHoldsRows(const UnitTable& table, const UnitRows& rows) {
+  return table.data.num_rows() == rows.y.size() &&
+         table.dropped_units == rows.dropped_unvalued + rows.dropped_isolated;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const UnitTable>> QuerySession::BuildUnitTable(
     const GroundedModel& grounded, const UnitTableRequest& request,
     const UnitTableOptions& options) {
   CARL_TRACE_SCOPE("query_session.unit_table");
   // A WHERE filter's allowed set reads the instance, not the graph, so
   // no extend cone bounds what it changes.
   if (request.allowed_sources.has_value()) {
-    return carl::BuildUnitTable(grounded, request, options);
+    CARL_ASSIGN_OR_RETURN(UnitTable table,
+                          carl::BuildUnitTable(grounded, request, options));
+    return std::shared_ptr<const UnitTable>(
+        std::make_shared<UnitTable>(std::move(table)));
   }
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
   SessionCounters& counters = SessionCounters::Get();
-  // Current rows are shared with the other answers that embed them; rows
-  // one extend behind leave the memo while this answer resumes them.
+  // Current rows are shared with the other answers that read them; rows
+  // one extend behind leave the memo while this answer resumes them. A
+  // complete table of the kind is handed out; an incomplete one leaves
+  // the memo while this answer appends to it.
   std::shared_ptr<UnitRows> rows;
+  std::shared_ptr<UnitTable> table;
   bool current = false;
+  bool hit = false;
   {
     std::lock_guard<std::mutex> memo_lock(memo_mu_);
     auto it = unit_rows_.find(&grounded);
@@ -359,48 +402,98 @@ Result<UnitTable> QuerySession::BuildUnitTable(
     if (memo != nullptr && memo->rows != nullptr) {
       current = !memo->behind;
       rows = current ? memo->rows : std::move(memo->rows);
+      MemoTable* slot = FindTable(memo, options);
+      if (slot != nullptr && slot->table != nullptr &&
+          SameEmbeddingOptions(slot->options, options.embedding_options)) {
+        hit = current && TableHoldsRows(*slot->table, *rows);
+        table = hit ? slot->table : std::move(slot->table);
+      }
     }
   }
   if (current) {
     live_stats_.unit_rows_hits.fetch_add(1, std::memory_order_relaxed);
     counters.unit_rows_hits.Increment();
-    return EmbedUnitRows(*rows, grounded.schema(), options);
+    if (hit) return std::shared_ptr<const UnitTable>(std::move(table));
   }
-  if (rows != nullptr && UnitRowsOutsideExtendCone(grounded, request, *rows)) {
-    live_stats_.unit_rows_resumes.fetch_add(1, std::memory_order_relaxed);
-    counters.unit_rows_resumes.Increment();
-  } else {
-    live_stats_.unit_rows_rebuilds.fetch_add(1, std::memory_order_relaxed);
-    counters.unit_rows_rebuilds.Increment();
-    rows = std::make_shared<UnitRows>();
-  }
-  // A stop or an error drops the half-appended rows with this scope.
-  CARL_RETURN_IF_ERROR(ResolveUnitRows(grounded, request, options, rows.get()));
-  {
-    std::lock_guard<std::mutex> memo_lock(memo_mu_);
-    // Install the rows unless the grounding stopped being an entry's
-    // (extended, re-grounded or evicted meanwhile) or a concurrent
-    // answer installed current rows first.
-    auto it = unit_rows_.find(&grounded);
-    if (it != unit_rows_.end()) {
-      std::vector<UnitRowsMemo>& memos = it->second;
-      UnitRowsMemo* memo = FindUnitRows(&memos, request, options);
-      if (memo == nullptr) {
-        if (memos.size() == kMaxUnitRowsPerGrounding) {
-          memos.erase(memos.begin());
-        }
-        memos.push_back(UnitRowsMemo{request.treatment, request.response,
-                                     options.include_isolated_units,
-                                     nullptr, false});
-        memo = &memos.back();
-      }
-      if (memo->rows == nullptr || memo->behind) {
-        memo->rows = rows;
-        memo->behind = false;
-      }
+  bool rebuilt = false;
+  if (!current) {
+    bool resume = false;
+    if (rows != nullptr) {
+      CARL_ASSIGN_OR_RETURN(resume,
+                            UnitRowsOutsideExtendCone(grounded, request, *rows));
     }
+    if (resume) {
+      live_stats_.unit_rows_resumes.fetch_add(1, std::memory_order_relaxed);
+      counters.unit_rows_resumes.Increment();
+    } else {
+      live_stats_.unit_rows_rebuilds.fetch_add(1, std::memory_order_relaxed);
+      counters.unit_rows_rebuilds.Increment();
+      rows = std::make_shared<UnitRows>();
+      table = nullptr;
+      rebuilt = true;
+    }
+    // A stop or an error drops the half-appended rows with this scope.
+    CARL_RETURN_IF_ERROR(
+        ResolveUnitRows(grounded, request, options, rows.get()));
   }
-  return EmbedUnitRows(*rows, grounded.schema(), options);
+  // Append to the table only where no one else holds it.
+  if (table == nullptr) {
+    table = std::make_shared<UnitTable>();
+  } else if (!SoleOwner(table)) {
+    table = std::make_shared<UnitTable>(*table);
+  }
+  // Rows go back even when no unit was kept: a repeat then fails the
+  // same way without resolving them again.
+  const Status embedded =
+      EmbedUnitRows(*rows, grounded.schema(), options, table.get());
+  if (embedded.ok()) SumRegressionColumns(*table, &table->sums);
+  InstallUnitTable(grounded, request, options, rows,
+                   embedded.ok() ? table : nullptr, !current, rebuilt);
+  CARL_RETURN_IF_ERROR(embedded);
+  return std::shared_ptr<const UnitTable>(std::move(table));
+}
+
+void QuerySession::InstallUnitTable(const GroundedModel& grounded,
+                                    const UnitTableRequest& request,
+                                    const UnitTableOptions& options,
+                                    const std::shared_ptr<UnitRows>& rows,
+                                    const std::shared_ptr<UnitTable>& table,
+                                    bool resolved, bool rebuilt) {
+  std::lock_guard<std::mutex> memo_lock(memo_mu_);
+  // Nothing goes back once the grounding stopped being an entry's
+  // (extended, re-grounded or evicted meanwhile).
+  auto it = unit_rows_.find(&grounded);
+  if (it == unit_rows_.end()) return;
+  std::vector<UnitRowsMemo>& memos = it->second;
+  UnitRowsMemo* memo = FindUnitRows(&memos, request, options);
+  if (memo == nullptr) {
+    if (!resolved) return;
+    if (memos.size() == kMaxUnitRowsPerGrounding) memos.erase(memos.begin());
+    memos.push_back(UnitRowsMemo{request.treatment, request.response,
+                                 options.include_isolated_units, nullptr,
+                                 {}, false});
+    memo = &memos.back();
+  }
+  // Resolved rows go back unless a concurrent answer installed current
+  // rows first; rows resolved from row 0 replace the lineage the memo's
+  // tables were embedded from.
+  if (resolved && (memo->rows == nullptr || memo->behind)) {
+    memo->rows = rows;
+    memo->behind = false;
+    if (rebuilt) memo->tables.clear();
+  }
+  if (table == nullptr || memo->rows != rows) return;
+  MemoTable* slot = FindTable(memo, options);
+  if (slot == nullptr) {
+    memo->tables.push_back(MemoTable{options.embedding, {}, nullptr});
+    slot = &memo->tables.back();
+  }
+  if (slot->table == nullptr ||
+      !SameEmbeddingOptions(slot->options, options.embedding_options) ||
+      !TableHoldsRows(*slot->table, *rows)) {
+    slot->options = options.embedding_options;
+    slot->table = table;
+  }
 }
 
 size_t QuerySession::unit_rows_bytes() const {
@@ -409,6 +502,9 @@ size_t QuerySession::unit_rows_bytes() const {
   for (const auto& [grounded, memos] : unit_rows_) {
     for (const UnitRowsMemo& memo : memos) {
       if (memo.rows != nullptr) bytes += memo.rows->bytes();
+      for (const MemoTable& slot : memo.tables) {
+        if (slot.table != nullptr) bytes += slot.table->bytes();
+      }
     }
   }
   return bytes;

@@ -35,22 +35,32 @@
 // Each entry also memoizes Algorithm 1's resolved unit rows (UnitRows,
 // unit_table.h) next to its grounding, one per (treatment, response,
 // include_isolated_units) and at most kMaxUnitRowsPerGrounding of them;
-// they go with the entry on eviction or re-ground. BuildUnitTable
+// they go with the entry on eviction or re-ground. Beside its rows a memo
+// keeps, per embedding kind, the table embedded from them (at most one
+// per kind, replaced when the embedding options differ) with the X'X/X'y
+// sums of its regression columns (UnitTable::sums). BuildUnitTable
 // answers through them in one of three ways:
-//   1. same grounding: the rows are current and the answer only embeds
-//      them (a hit);
-//   2. one extend later: the extend carried the rows along, and when its
+//   1. same grounding: the rows are current; the answer hands out the
+//      kind's table, or, when it has fewer rows than the memo or is not
+//      there yet, appends the missing rows' projections and carries the
+//      sums on over them (a hit);
+//   2. one extend later: the extend carried the memo along, and when its
 //      forward cone misses every resolved unit's treatment and response
-//      node the answer resolves only the new unit rows (a resume);
+//      node the answer resolves only the new unit rows, appends their
+//      projections to the kind's table and carries its sums on (a
+//      resume);
 //   3. otherwise (rows two extends old, a re-ground, a cone that touches
-//      an old unit, or no rows yet): the answer resolves every row (a
-//      rebuild).
-// A resume takes the rows out of the entry and puts them back only when
-// it succeeds, so a guard stop or a concurrent answer never sees half-
-// appended rows; current rows are shared read-only by the answers that
-// embed them (only an extend, after a mutation, can age them). A
-// WHERE-filtered request bypasses the memo: its allowed set reads the
-// instance, not the graph.
+//      an old unit, or no rows yet): the answer resolves every row and
+//      embeds and sums a fresh table (a rebuild), and the memo's other
+//      tables go with the old rows.
+// Whatever an answer changes it first takes out of the memo — the rows
+// on a resume, the kind's table and its sums on an append — and puts back
+// only when it succeeds, so a guard stop or a concurrent answer never
+// sees half-appended state. The memo shares current rows and tables
+// read-only with the answers that read them; a table someone still holds
+// (even across a mutation) is copied before an append, so it never
+// changes under its holder. A WHERE-filtered request bypasses the memo:
+// its allowed set reads the instance, not the graph.
 //
 // Sessions are thread-safe and single-flight: one mutex is held across
 // Ground, so concurrent callers asking for the same variant ground it
@@ -100,13 +110,15 @@ class QuerySession {
 
   /// Algorithm 1 for `request` on `grounded` through the grounding's
   /// unit-row memo (see the file comment): bit-identical to
-  /// carl::BuildUnitTable on the same grounding. A grounding that is not
-  /// a cached entry's current one builds without the memo. Thread-safe;
-  /// the memo lookup and install take a mutex of their own, never the
-  /// one Ground holds.
-  Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
-                                   const UnitTableRequest& request,
-                                   const UnitTableOptions& options);
+  /// carl::BuildUnitTable on the same grounding, with UnitTable::sums
+  /// over every row. The table is shared read-only and never changes. A
+  /// grounding that is not a cached entry's current one builds without
+  /// the memo; so does a WHERE-filtered request, whose table has no sums.
+  /// Thread-safe; the memo lookup and install take a mutex of their own,
+  /// never the one Ground holds.
+  Result<std::shared_ptr<const UnitTable>> BuildUnitTable(
+      const GroundedModel& grounded, const UnitTableRequest& request,
+      const UnitTableOptions& options);
 
   /// Unit-row memos per cached grounding.
   static constexpr size_t kMaxUnitRowsPerGrounding = 4;
@@ -124,7 +136,7 @@ class QuerySession {
     uint64_t ground_full = 0;     ///< successful from-scratch grounds
     uint64_t ground_extends = 0;  ///< successful incremental extends
     uint64_t ground_evictions = 0;
-    uint64_t unit_rows_hits = 0;      ///< unit tables that only embedded
+    uint64_t unit_rows_hits = 0;      ///< unit tables that resolved no row
     uint64_t unit_rows_resumes = 0;   ///< ... that resolved new rows only
     uint64_t unit_rows_rebuilds = 0;  ///< ... that resolved every row
   };
@@ -143,7 +155,8 @@ class QuerySession {
   /// Cached grounding count (distinct model variants).
   size_t num_cached_groundings() const;
 
-  /// Heap bytes held by the unit-row memos of every cached grounding.
+  /// Heap bytes held by the unit-row memos of every cached grounding:
+  /// their rows, tables and sums.
   size_t unit_rows_bytes() const;
 
  private:
@@ -155,13 +168,22 @@ class QuerySession {
     GroundedModel grounded;
   };
 
+  // A memo's table of one embedding kind: embedded under `options` from a
+  // prefix of the memo's rows, with its sums over every one of its rows.
+  struct MemoTable {
+    EmbeddingKind kind = EmbeddingKind::kMean;
+    EmbeddingOptions options;
+    std::shared_ptr<UnitTable> table;  // null while an answer appends
+  };
+
   // Resolved unit rows of one (treatment, response,
-  // include_isolated_units) on an entry's grounding.
+  // include_isolated_units) on an entry's grounding, and their tables.
   struct UnitRowsMemo {
     AttributeId treatment;
     AttributeId response;
     bool include_isolated_units;
     std::shared_ptr<UnitRows> rows;  // null while an answer resumes them
+    std::vector<MemoTable> tables;   // at most one per embedding kind
     // The rows were resolved on the grounding the entry's last extend
     // started from.
     bool behind;
@@ -177,6 +199,19 @@ class QuerySession {
   static UnitRowsMemo* FindUnitRows(std::vector<UnitRowsMemo>* memos,
                                     const UnitTableRequest& request,
                                     const UnitTableOptions& options);
+  // The memo's table of options' embedding kind, or null.
+  static MemoTable* FindTable(UnitRowsMemo* memo,
+                              const UnitTableOptions& options);
+  // Puts what an answer built back into the memo of (grounded, request):
+  // `rows` when it resolved them (rebuilt: every row, which drops the
+  // memo's tables) and no current rows came back first, then `table`
+  // (when set) if the memo's rows are the ones it was embedded from.
+  void InstallUnitTable(const GroundedModel& grounded,
+                        const UnitTableRequest& request,
+                        const UnitTableOptions& options,
+                        const std::shared_ptr<UnitRows>& rows,
+                        const std::shared_ptr<UnitTable>& table,
+                        bool resolved, bool rebuilt);
   void EvictOldestEntry();
   // Removes the entry of (key, model_text) from its bucket and the FIFO
   // queue; true when the bucket held it.

@@ -260,26 +260,6 @@ class UnitResolver {
   uint64_t nodes_expanded_ = 0;
 };
 
-// Fits `embedding` on the group's widest row, then projects every row in
-// one call into dims() columns named `prefix` + dim, each written once,
-// which `data` takes by move and `col_list` lists.
-void EmitEmbedded(const UnitRows::Group& group, Embedding& embedding,
-                  const std::string& prefix, FlatTable* data,
-                  std::vector<std::string>* col_list) {
-  embedding.Fit(group.widest);
-  const size_t rows = group.ends.size();
-  std::vector<std::vector<double>> cols(embedding.dims());
-  for (std::vector<double>& col : cols) col.reserve(rows);
-  embedding.ApplyRows(group.values.data(), group.ends.data(), rows,
-                      cols.data());
-  std::vector<std::string> dim_names = embedding.DimNames();
-  for (size_t d = 0; d < cols.size(); ++d) {
-    std::string name = prefix + dim_names[d];
-    col_list->push_back(name);
-    data->AddColumn(name, std::move(cols[d]));
-  }
-}
-
 template <typename T>
 size_t VectorBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -310,6 +290,14 @@ void UnitRows::CovariateGroups::Add(AttributeId attr, size_t row,
   group.values.push_back(value);
 }
 
+size_t UnitTable::bytes() const {
+  size_t total = VectorBytes(unit_args) + sums.bytes();
+  for (size_t c = 0; c < data.num_cols(); ++c) {
+    total += VectorBytes(data.Column(c));
+  }
+  return total;
+}
+
 size_t UnitRows::bytes() const {
   return VectorBytes(y) + VectorBytes(t) + VectorBytes(unit_args) +
          GroupBytes(peer_t) + CovariateBytes(own) + CovariateBytes(peer);
@@ -337,10 +325,14 @@ Status ResolveUnitRows(const GroundedModel& grounded,
   // The loop reads them by index — no per-unit FindNode hash probes.
   const std::vector<NodeId>& t_col = graph.NodesOfAttribute(plan.treatment);
   const std::vector<NodeId>& y_col = graph.NodesOfAttribute(plan.response);
-  CARL_CHECK(t_col.size() >= units.size() && y_col.size() >= units.size())
-      << "grounded graph lacks bulk-built nodes for the unit predicate";
+  if (t_col.size() < units.size() || y_col.size() < units.size()) {
+    return Status::FailedPrecondition(
+        "grounded graph lacks bulk-built nodes for the unit predicate");
+  }
   const size_t first = rows->units_resolved;
-  CARL_CHECK(first <= units.size()) << "unit rows resolved past the instance";
+  if (first > units.size()) {
+    return Status::FailedPrecondition("unit rows resolved past the instance");
+  }
 
   // A fresh build sizes the rows once; a resume appends with the
   // vectors' amortized growth.
@@ -402,11 +394,13 @@ Status ResolveUnitRows(const GroundedModel& grounded,
   return Status::OK();
 }
 
-Result<UnitTable> EmbedUnitRows(const UnitRows& rows, const Schema& schema,
-                                const UnitTableOptions& options) {
+Status EmbedUnitRows(const UnitRows& rows, const Schema& schema,
+                     const UnitTableOptions& options, UnitTable* table) {
   CARL_TRACE_SCOPE("unit_table.embed");
   static obs::Counter& builds =
       obs::Registry::Global().GetCounter("unit_table.builds");
+  static obs::Counter& rows_embedded =
+      obs::Registry::Global().GetCounter("unit_table.rows_embedded");
   builds.Increment();
   const size_t n = rows.y.size();
   if (n == 0) {
@@ -419,70 +413,122 @@ Result<UnitTable> EmbedUnitRows(const UnitRows& rows, const Schema& schema,
     return Status::FailedPrecondition(
         "no unit has both treatment and response values");
   }
-  UnitTable table;
-  table.unit_args = rows.unit_args;
-  table.unit_arity = rows.unit_arity;
-  table.embedding_kind = options.embedding;
-  table.dropped_units = rows.dropped_unvalued + rows.dropped_isolated;
-  table.relational = rows.relational;
 
-  // Emit the columns in the order y, t, [peer_count, peer_treated_count,
-  // peer_t_*], own_<Attr>_*, peer_<Attr>_* (attributes ascending), each
-  // group through one embedding call.
-  table.data.AddColumn(table.y_col, rows.y);
-  table.data.AddColumn(table.t_col, rows.t);
+  // One embedding per group, fitted on its widest row, and the number of
+  // columns the rows produce. That number only grows with the rows (a
+  // group, peers, or padding width once there stays), so it equals the
+  // table's exactly when the column list is the table's.
+  std::shared_ptr<Embedding> psi;
+  size_t num_cols = 2;
+  if (rows.relational) {
+    psi = MakeEmbedding(options.embedding, options.embedding_options);
+    psi->Fit(rows.peer_t.widest);
+    num_cols += 2 + psi->dims();
+  }
+  const std::unique_ptr<Embedding> embedding =
+      MakeEmbedding(options.embedding, options.embedding_options);
+  for (const UnitRows::CovariateGroups* groups : {&rows.own, &rows.peer}) {
+    for (AttributeId attr : groups->present) {
+      embedding->Fit(groups->by_attr[attr].widest);
+      num_cols += embedding->dims();
+    }
+  }
+  size_t first = table->data.num_rows();
+  if (table->data.num_cols() != num_cols || first > n) {
+    *table = UnitTable();
+    first = 0;
+  }
 
+  // A fresh table lays out its columns — y, t, [peer_count,
+  // peer_treated_count, peer_t_*], own_<Attr>_*, peer_<Attr>_*
+  // (attributes ascending) — each reserved for every row.
+  FlatTable& data = table->data;
+  if (first == 0) {
+    table->unit_arity = rows.unit_arity;
+    table->embedding_kind = options.embedding;
+    table->peer_t_embedding = psi;
+    table->unit_args.reserve(rows.unit_args.size());
+    auto add_column = [&](std::string name, std::vector<std::string>* list) {
+      if (list != nullptr) list->push_back(name);
+      data.AddColumn(std::move(name), {});
+      data.MutableColumns(data.num_cols() - 1)->reserve(n);
+    };
+    add_column(table->y_col, nullptr);
+    add_column(table->t_col, nullptr);
+    if (rows.relational) {
+      table->peer_count_col = "peer_count";
+      table->peer_treated_count_col = "peer_treated_count";
+      add_column(table->peer_count_col, nullptr);
+      add_column(table->peer_treated_count_col, nullptr);
+      for (const std::string& dim : psi->DimNames()) {
+        add_column("peer_t_" + dim, &table->peer_t_cols);
+      }
+    }
+    auto add_covariates = [&](const UnitRows::CovariateGroups& groups,
+                              const std::string& prefix,
+                              std::vector<std::string>* list) {
+      for (AttributeId attr : groups.present) {
+        embedding->Fit(groups.by_attr[attr].widest);
+        const std::string group = prefix + schema.attribute(attr).name + "_";
+        for (const std::string& dim : embedding->DimNames()) {
+          add_column(group + dim, list);
+        }
+      }
+    };
+    add_covariates(rows.own, "own_", &table->own_covariate_cols);
+    add_covariates(rows.peer, "peer_", &table->peer_covariate_cols);
+  }
+
+  // Rows [first, n), each group through one embedding call.
+  std::vector<double>* cols = data.MutableColumns(0);
+  cols[0].insert(cols[0].end(), rows.y.begin() + first, rows.y.end());
+  cols[1].insert(cols[1].end(), rows.t.begin() + first, rows.t.end());
+  table->unit_args.insert(table->unit_args.end(),
+                          rows.unit_args.begin() + first * rows.unit_arity,
+                          rows.unit_args.end());
+  size_t c = 2;
   if (rows.relational) {
     const UnitRows::Group& peer_t = rows.peer_t;
-    std::vector<double> peer_count;
-    std::vector<double> peer_treated;
-    peer_count.reserve(n);
-    peer_treated.reserve(n);
-    size_t begin = 0;
-    for (size_t r = 0; r < n; ++r) {
+    size_t begin = first == 0 ? 0 : peer_t.ends[first - 1];
+    for (size_t r = first; r < n; ++r) {
       double treated = 0.0;
       for (size_t k = begin; k < peer_t.ends[r]; ++k) {
         treated += (peer_t.values[k] != 0.0) ? 1.0 : 0.0;
       }
-      peer_count.push_back(static_cast<double>(peer_t.ends[r] - begin));
-      peer_treated.push_back(treated);
+      cols[2].push_back(static_cast<double>(peer_t.ends[r] - begin));
+      cols[3].push_back(treated);
       begin = peer_t.ends[r];
     }
-    table.peer_count_col = "peer_count";
-    table.peer_treated_count_col = "peer_treated_count";
-    table.data.AddColumn(table.peer_count_col, std::move(peer_count));
-    table.data.AddColumn(table.peer_treated_count_col,
-                         std::move(peer_treated));
-    std::shared_ptr<Embedding> psi =
-        MakeEmbedding(options.embedding, options.embedding_options);
-    EmitEmbedded(peer_t, *psi, "peer_t_", &table.data, &table.peer_t_cols);
-    table.peer_t_embedding = std::move(psi);
+    psi->ApplyRows(peer_t.values.data(), peer_t.ends.data(), first, n,
+                   cols + 4);
+    c = 4 + psi->dims();
   }
-  const std::unique_ptr<Embedding> embedding =
-      MakeEmbedding(options.embedding, options.embedding_options);
-  auto emit_covariates = [&](const UnitRows::CovariateGroups& groups,
-                             const std::string& prefix,
-                             std::vector<std::string>* col_list) {
-    for (AttributeId attr : groups.present) {
-      EmitEmbedded(groups.by_attr[attr], *embedding,
-                   prefix + schema.attribute(attr).name + "_", &table.data,
-                   col_list);
+  for (const UnitRows::CovariateGroups* groups : {&rows.own, &rows.peer}) {
+    for (AttributeId attr : groups->present) {
+      const UnitRows::Group& group = groups->by_attr[attr];
+      embedding->Fit(group.widest);
+      embedding->ApplyRows(group.values.data(), group.ends.data(), first, n,
+                           cols + c);
+      c += embedding->dims();
     }
-  };
-  emit_covariates(rows.own, "own_", &table.own_covariate_cols);
-  emit_covariates(rows.peer, "peer_", &table.peer_covariate_cols);
-  return table;
+  }
+  table->dropped_units = rows.dropped_unvalued + rows.dropped_isolated;
+  table->relational = rows.relational;
+  rows_embedded.Add(n - first);
+  return Status::OK();
 }
 
-bool UnitRowsOutsideExtendCone(const GroundedModel& grounded,
-                               const UnitTableRequest& request,
-                               const UnitRows& rows) {
+Result<bool> UnitRowsOutsideExtendCone(const GroundedModel& grounded,
+                                       const UnitTableRequest& request,
+                                       const UnitRows& rows) {
   const CausalGraph& graph = grounded.graph();
   const std::vector<NodeId>& t_col = graph.NodesOfAttribute(request.treatment);
   const std::vector<NodeId>& y_col = graph.NodesOfAttribute(request.response);
-  CARL_CHECK(t_col.size() >= rows.units_resolved &&
-             y_col.size() >= rows.units_resolved)
-      << "unit rows resolved past the grounded graph";
+  if (t_col.size() < rows.units_resolved ||
+      y_col.size() < rows.units_resolved) {
+    return Status::FailedPrecondition(
+        "unit rows resolved past the grounded graph");
+  }
   for (size_t i = 0; i < rows.units_resolved; ++i) {
     if (grounded.InExtendCone(t_col[i]) || grounded.InExtendCone(y_col[i])) {
       return false;
@@ -497,7 +543,10 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
   CARL_TRACE_SCOPE("unit_table.build");
   UnitRows rows;
   CARL_RETURN_IF_ERROR(ResolveUnitRows(grounded, request, options, &rows));
-  return EmbedUnitRows(rows, grounded.schema(), options);
+  UnitTable table;
+  CARL_RETURN_IF_ERROR(
+      EmbedUnitRows(rows, grounded.schema(), options, &table));
+  return table;
 }
 
 Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,

@@ -40,19 +40,26 @@
 // row 0.
 //
 // Embed (EmbedUnitRows) fits each group on its widest row and projects
-// it by one Embedding::ApplyRows call, which writes each column once.
-// It reads the rows and never changes them, so one UnitRows serves every
-// embedding.
+// it by one Embedding::ApplyRows call, which writes each column once. It
+// reads the rows and never changes them, so one UnitRows serves every
+// embedding. It appends: a table embedded from a prefix of the rows gets
+// only the projections of rows [table rows, kept rows), unless those
+// rows change the column list (a covariate attribute first seen, the
+// table turning relational, or a padding width growing), which re-embeds
+// every row. A fresh embed is an append from row 0.
 //
 // Why the split: a row reads only the reached ancestors of Y[x],
 // Parents(T[x]) and Parents(T[p]) of its peers, which are ancestors of
 // Y[x] too. An extend seeds its forward cone with every node that gained
 // a parent or a value, and the cone closes over children, so a row the
 // extend could change has T[x] or Y[x] in the cone. QuerySession keeps
-// the rows per grounding and request: a repeat only embeds, and after an
-// extend whose cone misses every resolved unit (UnitRowsOutsideExtendCone)
-// the loop resumes at the first new unit row. BuildUnitTable is the
-// memo-free reference: resolve from row 0, then embed.
+// the rows per grounding and request, and per embedding kind their table
+// with the X'X/X'y sums of its regression columns: a repeat hands out the
+// table, and after an extend whose cone misses every resolved unit
+// (UnitRowsOutsideExtendCone) the loop resumes at the first new unit row,
+// the table appends those rows and the sums carry on over them.
+// BuildUnitTable is the memo-free reference: resolve from row 0, then
+// embed into an empty table.
 //
 // The thread count never reaches the build. The unit tuples land in one
 // arity-strided arena, so with the mean or moments embedding a build's
@@ -74,6 +81,7 @@
 #include "core/grounding.h"
 #include "relational/binding_table.h"
 #include "relational/flat_table.h"
+#include "stats/ols.h"
 
 namespace carl {
 
@@ -100,6 +108,9 @@ struct UnitTableRequest {
 };
 
 /// The flat single-table output of Algorithm 1, plus column bookkeeping.
+/// The data columns come in the order y, t, [peer_count,
+/// peer_treated_count, peer_t_*], own_<Attr>_*, peer_<Attr>_* (attributes
+/// ascending, peer ones only on a relational table).
 struct UnitTable {
   FlatTable data;
   /// Unit tuples, one per data row, in one arity-strided arena: row r's
@@ -129,8 +140,15 @@ struct UnitTable {
   /// estimators to evaluate ψ under counterfactual peer assignments.
   std::shared_ptr<const Embedding> peer_t_embedding;
   EmbeddingKind embedding_kind = EmbeddingKind::kMean;
+  /// X'X and X'y of the regression columns (SumRegressionColumns,
+  /// estimation.h) over rows [0, sums.rows): QuerySession keeps them over
+  /// every row of the tables it hands out; a memo-free table leaves them
+  /// empty.
+  OlsSums sums;
 
   std::vector<std::string> AllCovariateCols() const;
+  /// Heap bytes the columns, units and sums hold (vector capacities).
+  size_t bytes() const;
 };
 
 /// Algorithm 1's resolved rows before any embedding: the state of the
@@ -189,25 +207,31 @@ struct UnitRows {
 /// to `rows`, which must hold rows resolved for the same request and
 /// include_isolated_units on a grounding that agrees with `grounded` on
 /// every one of them (a default UnitRows resolves every row). Fails like
-/// BuildUnitTable, and with a guard stop (fault site
-/// unit_table.resolve); `rows` then holds a partial append and must be
-/// discarded.
+/// BuildUnitTable, with a guard stop (fault site unit_table.resolve), and
+/// when `grounded` lacks a node for some unit row or `rows` resolved more
+/// units than the instance holds; `rows` then may hold a partial append
+/// and must be discarded.
 Status ResolveUnitRows(const GroundedModel& grounded,
                        const UnitTableRequest& request,
                        const UnitTableOptions& options, UnitRows* rows);
 
-/// The embed step: the table of `rows` under `options`' embedding.
-/// Fails when no unit was kept, naming what dropped them.
-Result<UnitTable> EmbedUnitRows(const UnitRows& rows, const Schema& schema,
-                                const UnitTableOptions& options);
+/// The embed step: brings `table` up to `rows` under `options`'
+/// embedding. `table` must be empty or embedded from a prefix of `rows`
+/// under the same options. When the rows produce the table's column list,
+/// only rows [table rows, kept rows) are projected and appended; else
+/// every row is re-embedded and the sums start over. Fails when no unit
+/// was kept, naming what dropped them, and leaves `table` unchanged.
+Status EmbedUnitRows(const UnitRows& rows, const Schema& schema,
+                     const UnitTableOptions& options, UnitTable* table);
 
 /// True when `rows`, resolved for `request` on the grounding that
 /// `grounded` was extended from, hold on `grounded` too: no resolved
 /// unit's treatment or response node lies in that extend's cone
-/// (GroundedModel::InExtendCone).
-bool UnitRowsOutsideExtendCone(const GroundedModel& grounded,
-                               const UnitTableRequest& request,
-                               const UnitRows& rows);
+/// (GroundedModel::InExtendCone). Fails when `grounded` has fewer of
+/// those nodes than `rows` resolved units.
+Result<bool> UnitRowsOutsideExtendCone(const GroundedModel& grounded,
+                                       const UnitTableRequest& request,
+                                       const UnitRows& rows);
 
 /// Runs Algorithm 1 without a memo: resolve from row 0, then embed.
 /// Fails if the response is not on the treatment's predicate (unify

@@ -105,21 +105,4 @@ Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
   return SolveNormalEquations(x.Gram(), x.TransposeVec(y), max_ridge);
 }
 
-Result<Matrix> SpdInverse(const Matrix& a) {
-  const size_t n = a.rows();
-  if (a.cols() != n) {
-    return Status::InvalidArgument("SpdInverse requires a square matrix");
-  }
-  CARL_ASSIGN_OR_RETURN(Matrix l, Cholesky(a));
-  Matrix inv(n, n);
-  std::vector<double> e(n, 0.0);
-  for (size_t c = 0; c < n; ++c) {
-    e[c] = 1.0;
-    std::vector<double> col = CholeskyBackSubstitute(l, e);
-    for (size_t r = 0; r < n; ++r) inv.At(r, c) = col[r];
-    e[c] = 0.0;
-  }
-  return inv;
-}
-
 }  // namespace carl

@@ -6,8 +6,9 @@
 // tables, e.g. when a peer-treatment embedding is constant within a stratum.
 //
 // SolveNormalEquations takes X'X and X'y already formed, so a caller that
-// accumulates them straight from its columns (FitOls) forms X'X once and
-// reuses it for SpdInverse. SolveLeastSquares is the design-matrix form,
+// accumulates them straight from its columns (SolveOls, stats/ols.h) can
+// keep and carry on the sums and solve any subset of their columns.
+// SolveLeastSquares is the design-matrix form,
 // SolveNormalEquations(X.Gram(), X.TransposeVec(y)); it stays as the
 // reference FitOls is tested against bit for bit.
 
@@ -43,9 +44,6 @@ Result<std::vector<double>> SolveNormalEquations(const Matrix& gram,
 Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
                                               const std::vector<double>& y,
                                               double max_ridge = 1e-4);
-
-/// Inverse of an SPD matrix via Cholesky; used for coefficient covariance.
-Result<Matrix> SpdInverse(const Matrix& a);
 
 }  // namespace carl
 

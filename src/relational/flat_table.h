@@ -47,6 +47,13 @@ class FlatTable {
   /// Appends a full column; must match num_rows() (or be the first column).
   void AddColumn(const std::string& name, std::vector<double> values);
 
+  /// The columns from `index` on, as an array to append rows to in place
+  /// (the unit table's embed step). Every column must have the same
+  /// length again before the table is read.
+  std::vector<double>* MutableColumns(size_t index) {
+    return columns_.data() + index;
+  }
+
   /// Row subset selection (for strata / bootstrap).
   FlatTable SelectRows(const std::vector<size_t>& row_indices) const;
 

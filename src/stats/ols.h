@@ -2,14 +2,22 @@
 // estimator behind the relational adjustment formula (paper eq. 33: the
 // conditional expectation is a regression function).
 //
-// FitOls builds no n x p design matrix: it forms X'X and X'y once, straight
-// from the table's column pointers (the intercept as a ones column), and
-// hands the same X'X to SolveNormalEquations and to SpdInverse. Its
-// results are bit-identical to the design-matrix path (SolveLeastSquares,
-// Matrix::MatVec, SpdInverse(X.Gram())) because every sum keeps that
-// path's order: each X'X and X'y entry sums over rows in row order,
-// leaving out the rows where x_i (X'X entry (i, j), i <= j) or y (X'y) is
-// 0, and each fitted value adds x_c[r] * b_c in column order from 0.0.
+// One path: sum, then solve. OlsSums holds X'X and X'y of one ordered
+// column list as running sums over rows [0, rows); SumProducts carries
+// them on from the row they reached, so a fresh sum is a carry-on from
+// row 0, and SolveOls solves the normal equations of any ascending subset
+// of the columns from their sub-matrix. No n x p design matrix is built.
+// Every entry keeps the design-matrix path's order (SolveLeastSquares on
+// X, i.e. X.Gram() and X.TransposeVec(y)): X'X entry (i, j), i <= j, sums
+// x_i[r] * x_j[r] in row order, leaving out the rows where x_i (the
+// earlier column) is 0, and X'y entry c sums y[r] * x_c[r], leaving out
+// the rows where y is 0. So a carried-on sum has the bits of a fresh
+// one, and a sub-matrix entry the bits of the same entry summed for that
+// subset alone, as long as the subset keeps the list's order.
+//
+// FitOls is the one-table form: drop the near-constant columns, sum the
+// intercept and the rest from row 0, solve. It returns the coefficients
+// and the dropped columns, all any caller reads.
 
 #ifndef CARL_STATS_OLS_H_
 #define CARL_STATS_OLS_H_
@@ -26,31 +34,68 @@ struct OlsFit {
   /// Coefficient names; "(intercept)" first when an intercept was added.
   std::vector<std::string> names;
   std::vector<double> coefficients;
-  /// Standard errors (NaN when the Gram inverse was unavailable).
-  std::vector<double> std_errors;
   /// Columns dropped for being (near-)constant.
   std::vector<std::string> dropped;
-  double sigma2 = 0.0;
-  double r_squared = 0.0;
-  size_t n = 0;
 
-  /// Coefficient by name; 0.0 with ok()==false semantics avoided — returns
-  /// NotFound if the column was dropped or never included.
+  /// Coefficient by name; NotFound if the column was dropped or never
+  /// included.
   Result<double> Coefficient(const std::string& name) const;
   /// Coefficient by name, or `fallback` when the column was dropped.
   double CoefficientOr(const std::string& name, double fallback) const;
 };
 
+/// A column whose sample variance is below this is near-constant: a fit
+/// drops it.
+constexpr double kOlsMinVariance = 1e-12;
+
 /// SampleVariance of each of the `n`-row columns `cols`, bit for bit:
 /// four columns per pass over the rows, each column's sum and squared-
-/// deviation sum in its own accumulator, in row order. FitOls drops the
-/// columns whose variance is below 1e-12.
+/// deviation sum in its own accumulator, in row order.
 std::vector<double> SampleVariances(const std::vector<const double*>& cols,
                                     size_t n);
 
-/// Fits y ~ [1] + x_cols on `table`. Near-constant columns (variance below
-/// 1e-12) are dropped and reported. Fails if no usable column remains or
-/// the system is singular beyond the solver's ridge budget.
+/// X'X and X'y of one ordered column list, summed over rows [0, rows)
+/// (see the file comment for each entry's order).
+struct OlsSums {
+  size_t rows = 0;
+  size_t cols = 0;
+  /// cols x cols, row-major; only the entries (i, j) with i <= j hold sums.
+  std::vector<double> xtx;
+  std::vector<double> xty;
+
+  double XtX(size_t i, size_t j) const { return xtx[i * cols + j]; }
+  /// Heap bytes the sums hold.
+  size_t bytes() const {
+    return (xtx.capacity() + xty.capacity()) * sizeof(double);
+  }
+};
+
+/// Carries `sums` on over rows [sums->rows, n) of the columns `cols` and
+/// of `y`, each at least n rows long; a null column is the ones column
+/// (the intercept). A default OlsSums starts at row 0; otherwise `cols`
+/// must be the list the sums were started on.
+void SumProducts(const std::vector<const double*>& cols, const double* y,
+                 size_t n, OlsSums* sums);
+
+/// `sums` with column `cols[at]` inserted at index `at`: the entries of
+/// the other columns are copied, and only the new column's own entries
+/// (its row and column of X'X, and its X'y entry) are summed, over rows
+/// [0, sums.rows). `cols` is the list with the new column in place.
+OlsSums InsertColumn(const OlsSums& sums,
+                     const std::vector<const double*>& cols, const double* y,
+                     size_t at);
+
+/// The least-squares coefficients on the summed columns `keep` (ascending
+/// indices): the normal equations of their sub-matrix of X'X and sub-
+/// vector of X'y, through SolveNormalEquations (escalating ridge). Fails
+/// when `keep` is empty or the system is singular beyond the ridge budget.
+Result<std::vector<double>> SolveOls(const OlsSums& sums,
+                                     const std::vector<size_t>& keep);
+
+/// Fits y ~ [1] + x_cols on `table` from row 0. Near-constant columns
+/// (variance below kOlsMinVariance) are dropped and reported. Fails with
+/// fewer than 2 rows, if no usable column remains, or if the system is
+/// singular beyond the solver's ridge budget.
 Result<OlsFit> FitOls(const FlatTable& table, const std::string& y_col,
                       const std::vector<std::string>& x_cols,
                       bool add_intercept = true);

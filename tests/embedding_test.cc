@@ -132,10 +132,11 @@ TEST_P(EmbeddingPropertyTest, SpanApplyWritesExactlyDims) {
   }
 }
 
-// The span-over-rows form projects a whole column group in one call; row
-// r's outputs must carry exactly the bits Apply gives for row r's group,
-// with empty rows, rows wider than a fitted padding width, and repeated
-// values among them.
+// The span-over-rows form projects a column group's rows [first, rows) in
+// one call; row r's outputs must carry exactly the bits Apply gives for
+// row r's group, with empty rows, rows wider than a fitted padding width,
+// and repeated values among them — projected in two calls, as an append
+// to a table does.
 TEST_P(EmbeddingPropertyTest, ApplyRowsMatchesApplyPerRow) {
   std::unique_ptr<Embedding> e = MakeEmbedding(GetParam());
   e->Fit(3);
@@ -153,7 +154,9 @@ TEST_P(EmbeddingPropertyTest, ApplyRowsMatchesApplyPerRow) {
   }
   const size_t dims = e->dims();
   std::vector<std::vector<double>> cols(dims);
-  e->ApplyRows(values.data(), ends.data(), ends.size(), cols.data());
+  e->ApplyRows(values.data(), ends.data(), 0, 17, cols.data());
+  for (const std::vector<double>& col : cols) ASSERT_EQ(col.size(), 17u);
+  e->ApplyRows(values.data(), ends.data(), 17, ends.size(), cols.data());
   for (const std::vector<double>& col : cols) {
     ASSERT_EQ(col.size(), ends.size()) << "one appended value per row";
   }

@@ -423,9 +423,9 @@ TEST_F(FaultFuzzTest, CountersAccountForEveryGuardEvent) {
 }
 
 // ---------------------------------------------------------------------------
-// A fault during a unit-row resume: the answer surfaces it, the rows it
-// took out of the session's memo never go back, and the next answer
-// rebuilds every row and equals a fresh engine's bit for bit.
+// A fault during a unit-row resume: the answer surfaces it, the rows,
+// table and sums it took out of the session's memo never go back, and the
+// next answer rebuilds every row and equals a fresh engine's bit for bit.
 // ---------------------------------------------------------------------------
 TEST_F(FaultFuzzTest, ResumeFaultLeavesNoPoisonedMemo) {
   const char* const queries[] = {"AVG_Score[A] <= Prestige[A]?",

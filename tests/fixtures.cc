@@ -34,6 +34,26 @@ datagen::Dataset MiniMimicDataset(size_t num_patients,
   return std::move(*mimic);
 }
 
+void AppendMimicAdmission(Instance* db, int id) {
+  const std::string pat = "mp" + std::to_string(id);
+  const std::string rx = pat + "_rx";
+  CARL_CHECK_OK(db->AddFact("Pa", {pat}));
+  CARL_CHECK_OK(db->SetAttribute("Eth", {pat}, Value(2.0)));
+  CARL_CHECK_OK(db->SetAttribute("Religion", {pat}, Value(1.0)));
+  CARL_CHECK_OK(db->SetAttribute("Sex", {pat}, Value(id % 2 == 0)));
+  CARL_CHECK_OK(db->SetAttribute("Age", {pat}, Value(50.0 + id)));
+  CARL_CHECK_OK(db->SetAttribute("Diag", {pat}, Value(0.5)));
+  CARL_CHECK_OK(db->SetAttribute("SelfPay", {pat}, Value(id % 3 == 0)));
+  CARL_CHECK_OK(db->SetAttribute("Severe", {pat}, Value(id % 2 == 1)));
+  CARL_CHECK_OK(db->SetAttribute("Len", {pat}, Value(150.0 + 7.0 * id)));
+  CARL_CHECK_OK(db->SetAttribute("Death", {pat}, Value(false)));
+  CARL_CHECK_OK(db->AddFact("Prescription", {rx}));
+  CARL_CHECK_OK(db->SetAttribute("Dose", {rx}, Value(1.25)));
+  CARL_CHECK_OK(db->AddFact("Care", {"c0", pat}));
+  CARL_CHECK_OK(db->AddFact("Drug", {"c0", rx}));
+  CARL_CHECK_OK(db->AddFact("Given", {rx, pat}));
+}
+
 datagen::Dataset MiniNisDataset(size_t num_admissions,
                                 size_t num_hospitals) {
   datagen::NisConfig config;

@@ -59,6 +59,12 @@ datagen::Dataset MiniMimicDataset(size_t num_patients = 3000,
 datagen::Dataset MiniNisDataset(size_t num_admissions = 6000,
                                 size_t num_hospitals = 100);
 
+/// Appends one admission in the MIMIC generator's shape to a MIMIC
+/// instance: patient "mp<id>" with every attribute, one prescription, and
+/// the Care/Drug/Given facts tying both to caregiver c0. It adds one unit
+/// row, kept by every query on Pa, and reaches no other patient.
+void AppendMimicAdmission(Instance* db, int id);
+
 /// SYNTH-REVIEW mini instance (SCM-simulated review data).
 datagen::Dataset SynthReviewDataset(size_t num_authors = 800,
                                     size_t num_institutions = 40,

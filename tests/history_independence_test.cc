@@ -13,6 +13,12 @@
 // message. Runs at one and four threads. A concurrent leg has four
 // threads answer their own seeded sequences on one shared engine and
 // session at the same time, against the same fresh-engine answers.
+//
+// An answer also depends only on the instance as it is when asked, not as
+// it was when the engine was created: an engine that answered before
+// admissions were appended answers afterwards like a fresh engine, after
+// another engine extended the shared session's grounding or without
+// that, for a plain, a derived, a WHERE-filtered and a PEERS query.
 
 #include <gtest/gtest.h>
 
@@ -198,6 +204,72 @@ TEST_P(HistoryIndependenceTest, ConcurrentSequencesOnOneEngineMatchFresh) {
       for (const std::string& m : mismatches[c]) {
         ADD_FAILURE() << pool.name << " caller " << c << ": " << m;
       }
+    }
+  }
+}
+
+// Appends one co-authored paper to a REVIEW instance: two new authors,
+// one prestigious, and their scored paper at conf0. The two are each
+// other's peers, so a peer-effect query keeps both.
+void AppendCoauthoredPaper(Instance* db, int id) {
+  const std::string paper = "hp" + std::to_string(id);
+  CARL_CHECK_OK(db->AddFact("Submission", {paper}));
+  CARL_CHECK_OK(db->SetAttribute("Score", {paper}, Value(3.0 + id)));
+  CARL_CHECK_OK(db->AddFact("Submitted", {paper, "conf0"}));
+  for (int k = 0; k < 2; ++k) {
+    const std::string author = "ha" + std::to_string(2 * id + k);
+    CARL_CHECK_OK(db->AddFact("Person", {author}));
+    CARL_CHECK_OK(db->SetAttribute("Qualification", {author}, Value(0.5 * k)));
+    CARL_CHECK_OK(db->SetAttribute("Prestige", {author}, Value(k == 1)));
+    CARL_CHECK_OK(db->AddFact("Author", {author, paper}));
+  }
+}
+
+// Engine A answers; eight admissions (MIMIC) or co-authored papers
+// (REVIEW, whose co-authors are peers) are appended; engine B is created
+// over the same session, which extends the grounding and carries the
+// unit-row memos onto it, or not; A answers again. Each of A's answers
+// must equal a fresh engine's over a private session, for a plain, a
+// derived, a WHERE-filtered and a PEERS query.
+TEST_P(HistoryIndependenceTest, EngineAnswersTheInstanceAsItIsNow) {
+  ScopedThreads threads(GetParam());
+  struct Case {
+    const char* query;
+    bool review;
+  };
+  const Case cases[] = {
+      {"Len[P] <= SelfPay[P]?", false},
+      {"Dose[D] <= SelfPay[P]?", false},
+      {"Len[P] <= SelfPay[P]? WHERE Given(D, P)", false},
+      {"Score[S] <= Prestige[A]? WHEN MORE THAN 1/3 PEERS TREATED", true},
+  };
+  for (const Case& c : cases) {
+    for (bool second_engine : {true, false}) {
+      SCOPED_TRACE(std::string(c.query) +
+                   (second_engine ? " with" : " without") +
+                   " a second engine");
+      datagen::Dataset data = c.review
+                                  ? test_fixtures::RealisticReviewDataset()
+                                  : test_fixtures::MiniMimicDataset(1500, 60);
+      Instance* db = data.instance.get();
+      auto session = std::make_shared<QuerySession>(db);
+      const std::unique_ptr<CarlEngine> a = MakeEngine(data, session);
+      const std::string before = DescribeResponse(Ask(*a, c.query));
+      EXPECT_EQ(before,
+                DescribeResponse(Ask(*MakeEngine(data, nullptr), c.query)));
+      EXPECT_NE(before.rfind("error", 0), 0u) << before;
+      for (int i = 0; i < 8; ++i) {
+        if (c.review) {
+          AppendCoauthoredPaper(db, i);
+        } else {
+          test_fixtures::AppendMimicAdmission(db, i);
+        }
+      }
+      if (second_engine) MakeEngine(data, session);
+      const std::string after = DescribeResponse(Ask(*a, c.query));
+      EXPECT_EQ(after,
+                DescribeResponse(Ask(*MakeEngine(data, nullptr), c.query)));
+      EXPECT_NE(after, before) << "the appends changed no answer";
     }
   }
 }

@@ -8,7 +8,9 @@
 // extend contract) — at CARL_THREADS 1 and 4, with the two extend chains
 // bit-identical to each other. After every step the session's unit-row
 // memo must also give the memo-free unit table of the same grounding bit
-// for bit, through hits, resumes and rebuilds. Also pins down the
+// for bit, through hits, resumes, rebuilds and table appends under every
+// embedding, and the estimates read from its sums must equal those summed
+// from row 0. Also pins down the
 // QuerySession delta
 // policy (hit / extend / full re-ground counters, scoped binding-cache
 // invalidation) and every documented fallback out of
@@ -24,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <random>
@@ -35,6 +38,7 @@
 
 #include "carl/carl.h"
 #include "fixtures.h"
+#include "obs/metrics.h"
 
 namespace carl {
 namespace {
@@ -180,14 +184,61 @@ const EmbeddingKind kEmbeddings[] = {EmbeddingKind::kMean,
                                      EmbeddingKind::kMoments,
                                      EmbeddingKind::kPadding};
 
+// What an answer reads off a unit table, as bits: the naive contrast and
+// the regression point estimate — the ATE, or AIE/ARE/AOE/AIE-ψ under
+// `condition` — read from `sums` when set, else summed from row 0; or the
+// status that failed.
+std::string EstimatesOf(const UnitTable& table,
+                        const std::optional<PeerCondition>& condition,
+                        const OlsSums* sums) {
+  std::string out;
+  auto bits = [&out](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    out += std::to_string(b) + " ";
+  };
+  Result<NaiveContrast> naive = ComputeNaiveContrast(table, table.data);
+  if (!naive.ok()) return naive.status().ToString();
+  for (double v : {naive->treated_mean, naive->control_mean,
+                   naive->difference, naive->correlation}) {
+    bits(v);
+  }
+  out += std::to_string(naive->n_treated) + "/" +
+         std::to_string(naive->n_control) + " ";
+  if (condition.has_value()) {
+    Result<RelationalEffects> e = EstimateRelationalEffects(
+        table, table.data, *condition, EstimatorKind::kRegression, sums);
+    if (!e.ok()) return out + e.status().ToString();
+    for (double v : {e->aie, e->are, e->aoe, e->aie_psi}) bits(v);
+  } else {
+    Result<double> ate =
+        EstimateAte(table, table.data, EstimatorKind::kRegression, sums);
+    if (!ate.ok()) return out + ate.status().ToString();
+    bits(*ate);
+  }
+  return out;
+}
+
+uint64_t RowsEmbedded() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("unit_table.rows_embedded");
+  return counter.value();
+}
+
 // Every unit table the session's memo gives for `queries` — each with
 // include_isolated_units off and on, under every embedding — must equal
 // the memo-free BuildUnitTable on the same grounding bit for bit, or
-// fail with the same status. Per request, the first table resumes or
-// rebuilds the memo and the rest hit it.
+// fail with the same status, and so must what an answer reads off it:
+// the estimates from the memo's sums against those summed from row 0 on
+// the memo-free table. Per request, the first table resumes or rebuilds
+// the memo and appends to or embeds the first kind's table; the other
+// kinds append the rows that table lacks, and the rest hit. `appends`
+// counts, per embedding kind, the tables that appended rows to a
+// non-empty table.
 void ExpectMemoTablesMatchFresh(const std::shared_ptr<QuerySession>& session,
                                 const RelationalCausalModel& model,
-                                const std::vector<const char*>& queries) {
+                                const std::vector<const char*>& queries,
+                                size_t appends[4]) {
   Result<std::unique_ptr<CarlEngine>> engine =
       CarlEngine::Create(session, model);
   ASSERT_TRUE(engine.ok()) << engine.status();
@@ -206,8 +257,10 @@ void ExpectMemoTablesMatchFresh(const std::shared_ptr<QuerySession>& session,
                      EmbeddingKindToString(kind));
         UnitTableOptions unit_options = resolved->unit_options;
         unit_options.embedding = kind;
-        Result<UnitTable> got = session->BuildUnitTable(
+        const uint64_t embedded_before = RowsEmbedded();
+        Result<std::shared_ptr<const UnitTable>> got = session->BuildUnitTable(
             *resolved->grounded, resolved->request, unit_options);
+        const uint64_t embedded = RowsEmbedded() - embedded_before;
         Result<UnitTable> want = BuildUnitTable(
             *resolved->grounded, resolved->request, unit_options);
         ASSERT_EQ(got.ok(), want.ok())
@@ -216,7 +269,14 @@ void ExpectMemoTablesMatchFresh(const std::shared_ptr<QuerySession>& session,
           EXPECT_EQ(got.status().ToString(), want.status().ToString());
           continue;
         }
-        EXPECT_EQ(test_fixtures::UnitTableDiff(*want, *got), "");
+        const UnitTable& table = **got;
+        EXPECT_EQ(test_fixtures::UnitTableDiff(*want, table), "");
+        ASSERT_EQ(table.sums.rows, table.data.num_rows());
+        EXPECT_EQ(EstimatesOf(table, query->peer_condition, &table.sums),
+                  EstimatesOf(*want, query->peer_condition, nullptr));
+        if (embedded > 0 && embedded < table.data.num_rows()) {
+          ++appends[static_cast<size_t>(kind)];
+        }
       }
     }
   }
@@ -227,12 +287,13 @@ void ExpectMemoTablesMatchFresh(const std::shared_ptr<QuerySession>& session,
 // an interleaved QuerySession, all checked against a from-scratch ground
 // after every mutation batch. After every batch the session also answers
 // `queries` through its unit-row memo (ExpectMemoTablesMatchFresh), and
-// the stream must reach a memo hit, a resume and a rebuild. `steps`
-// counts the random mutation batches; a batch of fresh entities follows
-// each.
+// the stream must reach a memo hit, a resume and a rebuild and, with
+// `expect_appends`, a table append under every embedding. `steps` counts
+// the random mutation batches; a batch of fresh entities follows each.
 // ---------------------------------------------------------------------------
 void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
-                  int steps, const std::vector<const char*>& queries) {
+                  int steps, const std::vector<const char*>& queries,
+                  bool expect_appends) {
   SCOPED_TRACE(name);
   Result<RelationalCausalModel> model =
       RelationalCausalModel::Parse(*dataset.schema, dataset.model_text);
@@ -257,6 +318,7 @@ void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
   uint64_t base_gen = db.generation();
   DeltaFuzzer fuzzer(&db, *model, seed);
   size_t extends = 0;
+  size_t appends[4] = {0, 0, 0, 0};
   // Odd steps append fresh entities, which the memo resumes past.
   for (int step = 0; step < 2 * steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
@@ -314,7 +376,7 @@ void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
     ASSERT_TRUE(cached.ok()) << cached.status();
     ASSERT_TRUE(Canonicalize(**cached) == want)
         << "session-cached grounding went stale";
-    ExpectMemoTablesMatchFresh(session, *model, queries);
+    ExpectMemoTablesMatchFresh(session, *model, queries, appends);
   }
   // The fuzz must actually exercise the incremental path, not live in
   // the fallback.
@@ -325,24 +387,34 @@ void RunDeltaFuzz(datagen::Dataset dataset, const char* name, uint64_t seed,
   EXPECT_GT(stats.unit_rows_hits, 0u);
   EXPECT_GT(stats.unit_rows_resumes, 0u);
   EXPECT_GT(stats.unit_rows_rebuilds, 0u);
+  for (EmbeddingKind kind : kEmbeddings) {
+    if (!expect_appends) break;
+    EXPECT_GT(appends[static_cast<size_t>(kind)], 0u)
+        << EmbeddingKindToString(kind) << " tables never appended";
+  }
 }
 
 TEST(IncrementalGroundingFuzz, ReviewToyMatchesFromScratch) {
   RunDeltaFuzz(ReviewToyDataset(), "REVIEW", /*seed=*/0x5eed0001, 16,
                {"AVG_Score[A] <= Prestige[A]?",
-                "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"});
+                "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"},
+               // A fresh author has no submission, so no resumed row is
+               // kept and no table appends.
+               /*expect_appends=*/false);
 }
 
 TEST(IncrementalGroundingFuzz, MiniMimicMatchesFromScratch) {
   RunDeltaFuzz(MiniMimicDataset(400, 40), "MIMIC", /*seed=*/0x5eed0002, 10,
                {"Len[P] <= SelfPay[P]?",
-                "Death[P] <= SelfPay[P]? WHEN ALL PEERS TREATED"});
+                "Death[P] <= SelfPay[P]? WHEN ALL PEERS TREATED"},
+               /*expect_appends=*/true);
 }
 
 TEST(IncrementalGroundingFuzz, MiniNisMatchesFromScratch) {
   RunDeltaFuzz(MiniNisDataset(800, 30), "NIS", /*seed=*/0x5eed0003, 10,
                {"HighBill[P] <= AdmittedToLarge[P]?",
-                "HighBill[P] <= AdmittedToLarge[P]? WHEN ALL PEERS TREATED"});
+                "HighBill[P] <= AdmittedToLarge[P]? WHEN ALL PEERS TREATED"},
+               /*expect_appends=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -117,18 +117,6 @@ TEST(SolveTest, LeastSquaresHandlesCollinearColumns) {
   EXPECT_NEAR((*b)[0] + (*b)[1], 1.0, 1e-3);
 }
 
-TEST(SolveTest, SpdInverseTimesSelfIsIdentity) {
-  Matrix a = Matrix::FromRows({{5, 1, 0}, {1, 4, 1}, {0, 1, 3}});
-  Result<Matrix> inv = SpdInverse(a);
-  ASSERT_TRUE(inv.ok());
-  Matrix prod = a.MatMul(*inv);
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j < 3; ++j) {
-      EXPECT_NEAR(prod.At(i, j), i == j ? 1.0 : 0.0, 1e-10);
-    }
-  }
-}
-
 TEST(SolveTest, DotAndNorm) {
   EXPECT_DOUBLE_EQ(Dot({1, 2}, {3, 4}), 11.0);
   EXPECT_DOUBLE_EQ(Norm2({3, 4}), 5.0);

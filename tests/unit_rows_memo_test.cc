@@ -5,11 +5,18 @@
 // memo's memory accounting, and several threads answering on one session
 // while one answer resumes past an extend (a TSan CI leg target). Every
 // answer is bit-compared with a fresh engine's over a private session.
+// The memo's tables: what an answer embeds (unit_table.rows_embedded)
+// when its table appends and on each trigger that re-embeds every row,
+// and a table held across a mutation, which an append must never change
+// (also read by several threads while one answer appends, for TSan).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -19,6 +26,7 @@
 namespace carl {
 namespace {
 
+using test_fixtures::AppendMimicAdmission;
 using test_fixtures::DescribeResponse;
 
 constexpr char kQuery[] = "Len[P] <= SelfPay[P]?";
@@ -29,27 +37,10 @@ uint64_t RowsResolved() {
   return counter.value();
 }
 
-// One admission in the MIMIC generator's shape: a patient with every
-// attribute, one prescription, and the Care/Drug/Given facts tying both
-// to caregiver c0. It adds one unit row and reaches no other patient.
-void AppendAdmission(Instance* db, int id) {
-  const std::string pat = "mp" + std::to_string(id);
-  const std::string rx = pat + "_rx";
-  CARL_CHECK_OK(db->AddFact("Pa", {pat}));
-  CARL_CHECK_OK(db->SetAttribute("Eth", {pat}, Value(2.0)));
-  CARL_CHECK_OK(db->SetAttribute("Religion", {pat}, Value(1.0)));
-  CARL_CHECK_OK(db->SetAttribute("Sex", {pat}, Value(id % 2 == 0)));
-  CARL_CHECK_OK(db->SetAttribute("Age", {pat}, Value(50.0 + id)));
-  CARL_CHECK_OK(db->SetAttribute("Diag", {pat}, Value(0.5)));
-  CARL_CHECK_OK(db->SetAttribute("SelfPay", {pat}, Value(id % 3 == 0)));
-  CARL_CHECK_OK(db->SetAttribute("Severe", {pat}, Value(id % 2 == 1)));
-  CARL_CHECK_OK(db->SetAttribute("Len", {pat}, Value(150.0 + 7.0 * id)));
-  CARL_CHECK_OK(db->SetAttribute("Death", {pat}, Value(false)));
-  CARL_CHECK_OK(db->AddFact("Prescription", {rx}));
-  CARL_CHECK_OK(db->SetAttribute("Dose", {rx}, Value(1.25)));
-  CARL_CHECK_OK(db->AddFact("Care", {"c0", pat}));
-  CARL_CHECK_OK(db->AddFact("Drug", {"c0", rx}));
-  CARL_CHECK_OK(db->AddFact("Given", {rx, pat}));
+uint64_t RowsEmbedded() {
+  static obs::Counter& counter =
+      obs::Registry::Global().GetCounter("unit_table.rows_embedded");
+  return counter.value();
 }
 
 QueryRequest Request(const char* query, EmbeddingKind embedding) {
@@ -119,7 +110,7 @@ TEST_F(UnitRowsCountTest, RowsResolvedCountsOnlyWhatAnExtendCanChange) {
   EXPECT_EQ(AnswerAndCount(kQuery), 0u) << "a repeat on the same grounding";
 
   // Eight admissions reach no existing patient: only their rows resolve.
-  for (int i = 0; i < 8; ++i) AppendAdmission(db_, i);
+  for (int i = 0; i < 8; ++i) AppendMimicAdmission(db_, i);
   EXPECT_EQ(AnswerAndCount(kQuery), 8u) << "after 8 admissions";
   EXPECT_EQ(AnswerAndCount(kQuery), 0u);
   EXPECT_EQ(session_->SnapshotStats().unit_rows_resumes, 1u);
@@ -145,7 +136,7 @@ TEST_F(UnitRowsCountTest, RowsResolvedCountsOnlyWhatAnExtendCanChange) {
   EXPECT_EQ(session_->SnapshotStats().ground_full, full_before + 1);
 
   // Two admissions after the re-ground resume again.
-  for (int i = 8; i < 10; ++i) AppendAdmission(db_, i);
+  for (int i = 8; i < 10; ++i) AppendMimicAdmission(db_, i);
   EXPECT_EQ(AnswerAndCount(kQuery), 2u);
 
   // A WHERE filter bypasses the memo, however often it repeats.
@@ -158,9 +149,9 @@ TEST_F(UnitRowsCountTest, RowsResolvedCountsOnlyWhatAnExtendCanChange) {
 // behind: the answer rebuilds them.
 TEST_F(UnitRowsMemoTest, RowsTwoExtendsBehindRebuild) {
   EXPECT_EQ(AnswerAndCount(kQuery), Patients());
-  AppendAdmission(db_, 0);
+  AppendMimicAdmission(db_, 0);
   Engine();  // extends
-  AppendAdmission(db_, 1);
+  AppendMimicAdmission(db_, 1);
   EXPECT_EQ(AnswerAndCount(kQuery), Patients());
   const QuerySession::SessionStats stats = session_->SnapshotStats();
   EXPECT_EQ(stats.unit_rows_resumes, 0u);
@@ -202,7 +193,7 @@ TEST_F(UnitRowsMemoTest, ConcurrentAnswersWhileOneResumes) {
       EmbeddingKind::kMean, EmbeddingKind::kMedian, EmbeddingKind::kMoments,
       EmbeddingKind::kPadding};
   EXPECT_EQ(AnswerAndCount(kQuery), Patients());
-  for (int i = 0; i < 8; ++i) AppendAdmission(db_, i);
+  for (int i = 0; i < 8; ++i) AppendMimicAdmission(db_, i);
   std::vector<std::string> want;
   for (EmbeddingKind kind : embeddings) {
     want.push_back(FreshAnswer(Request(kQuery, kind)));
@@ -234,6 +225,224 @@ TEST_F(UnitRowsMemoTest, ConcurrentAnswersWhileOneResumes) {
   EXPECT_EQ((after.unit_rows_hits - before.unit_rows_hits) +
                 (after.unit_rows_rebuilds - before.unit_rows_rebuilds),
             static_cast<uint64_t>(kThreads * kAnswers - 1));
+}
+
+// A table an answer holds across a mutation stays as it was: the resume
+// after the extend appends to a copy, never to the held table.
+TEST_F(UnitRowsMemoTest, TableHeldAcrossAMutationNeverChanges) {
+  Result<CausalQuery> query = ParseQuery(kQuery);
+  ASSERT_TRUE(query.ok()) << query.status();
+  Result<CarlEngine::ResolvedQuery> resolved =
+      Engine()->Resolve(*query, EngineOptions());
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+  Result<std::shared_ptr<const UnitTable>> held = session_->BuildUnitTable(
+      *resolved->grounded, resolved->request, resolved->unit_options);
+  ASSERT_TRUE(held.ok()) << held.status();
+  const UnitTable snapshot = **held;
+  ASSERT_EQ(snapshot.sums.rows, Patients());
+
+  for (int i = 0; i < 8; ++i) AppendMimicAdmission(db_, i);
+  EXPECT_EQ(AnswerAndCount(kQuery), 8u) << "the answer resumed";
+  EXPECT_EQ(test_fixtures::UnitTableDiff(snapshot, **held), "");
+  EXPECT_EQ((*held)->sums.rows, snapshot.sums.rows);
+  EXPECT_EQ((*held)->sums.xtx, snapshot.sums.xtx);
+  EXPECT_EQ((*held)->sums.xty, snapshot.sums.xty);
+}
+
+// Four threads hit the memo at once, all handed its one table, and keep
+// reading it while the main thread appends admissions, extends and
+// answers, which appends to the table's copy. A TSan CI leg target: the
+// hits share the table, and the append must not write what they read.
+TEST_F(UnitRowsMemoTest, ReadersHoldTheSharedTableWhileOneAppends) {
+  EXPECT_EQ(AnswerAndCount(kQuery), Patients());
+  Result<CausalQuery> query = ParseQuery(kQuery);
+  ASSERT_TRUE(query.ok()) << query.status();
+  std::unique_ptr<CarlEngine> engine = Engine();
+  Result<CarlEngine::ResolvedQuery> resolved =
+      engine->Resolve(*query, EngineOptions());
+  ASSERT_TRUE(resolved.ok()) << resolved.status();
+
+  // Every column's bits and the sums folded into one number.
+  auto checksum = [](const UnitTable& table) {
+    uint64_t h = table.sums.rows;
+    auto fold = [&h](double v) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      h = h * 0x100000001b3ull ^ bits;
+    };
+    for (size_t c = 0; c < table.data.num_cols(); ++c) {
+      for (double v : table.data.Column(c)) fold(v);
+    }
+    for (double v : table.sums.xtx) fold(v);
+    return h;
+  };
+  constexpr int kReaders = 4;
+  constexpr int kHits = 3;
+  std::vector<std::shared_ptr<const UnitTable>> held(kReaders);
+  std::vector<uint64_t> want(kReaders, 0);
+  std::vector<int> mismatches(kReaders, 0);
+  std::atomic<int> holding{0};
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int h = 0; h < kHits; ++h) {
+        Result<std::shared_ptr<const UnitTable>> hit =
+            session_->BuildUnitTable(*resolved->grounded, resolved->request,
+                                     resolved->unit_options);
+        CARL_CHECK_OK(hit.status());
+        held[r] = std::move(*hit);
+      }
+      want[r] = checksum(*held[r]);
+      holding.fetch_add(1, std::memory_order_release);
+      do {
+        if (checksum(*held[r]) != want[r]) ++mismatches[r];
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+  while (holding.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
+  for (int i = 0; i < 8; ++i) AppendMimicAdmission(db_, i);
+  const uint64_t resumes = session_->SnapshotStats().unit_rows_resumes;
+  EXPECT_EQ(AnswerAndCount(kQuery), 8u);
+  EXPECT_EQ(session_->SnapshotStats().unit_rows_resumes, resumes + 1);
+  done.store(true, std::memory_order_release);
+  for (std::thread& reader : readers) reader.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(held[r].get(), held[0].get()) << "reader " << r;
+    EXPECT_EQ(want[r], want[0]) << "reader " << r;
+    EXPECT_EQ(mismatches[r], 0) << "reader " << r;
+  }
+}
+
+// A toy model in which one appended unit can trigger each re-embed: a
+// unit's treatment T has the parents A and B of the unit and C of every
+// source feeding it, and its response Y has T of the unit and of every
+// unit linked to it (its peers).
+class ReembedTriggerTest : public ::testing::Test {
+ protected:
+  static constexpr int kUnits = 10;
+
+  ReembedTriggerTest() {
+    CARL_CHECK_OK(schema_.AddEntity("Unit").status());
+    CARL_CHECK_OK(schema_.AddEntity("Source").status());
+    CARL_CHECK_OK(
+        schema_.AddRelationship("Feeds", {"Source", "Unit"}).status());
+    CARL_CHECK_OK(schema_.AddRelationship("Link", {"Unit", "Unit"}).status());
+    for (const char* name : {"A", "B", "Y"}) {
+      CARL_CHECK_OK(
+          schema_.AddAttribute(name, "Unit", true, ValueType::kDouble)
+              .status());
+    }
+    CARL_CHECK_OK(
+        schema_.AddAttribute("T", "Unit", true, ValueType::kBool).status());
+    CARL_CHECK_OK(
+        schema_.AddAttribute("C", "Source", true, ValueType::kDouble)
+            .status());
+    Result<RelationalCausalModel> model =
+        RelationalCausalModel::Parse(schema_, R"(
+      T[X] <= A[X], B[X] WHERE Unit(X)
+      T[X] <= C[S] WHERE Feeds(S, X)
+      Y[X] <= T[X] WHERE Unit(X)
+      Y[X] <= T[Z] WHERE Link(Z, X)
+    )");
+    CARL_CHECK_OK(model.status());
+    model_ = std::make_unique<RelationalCausalModel>(std::move(*model));
+    db_ = std::make_unique<Instance>(&schema_);
+    for (int i = 0; i < kUnits; ++i) AddUnit(i, /*sources=*/1);
+    session_ = std::make_shared<QuerySession>(db_.get());
+  }
+
+  // Unit u<id> with A, T and Y, fed by `sources` new sources.
+  void AddUnit(int id, int sources) {
+    const std::string unit = "u" + std::to_string(id);
+    CARL_CHECK_OK(db_->AddFact("Unit", {unit}));
+    CARL_CHECK_OK(db_->SetAttribute("A", {unit}, Value(0.5 * id)));
+    CARL_CHECK_OK(db_->SetAttribute("T", {unit}, Value(id % 2 == 0)));
+    CARL_CHECK_OK(db_->SetAttribute(
+        "Y", {unit}, Value(10.0 + id + (id % 2 == 0 ? 3.0 : 0.0) +
+                           0.25 * (id % 3))));
+    for (int k = 0; k < sources; ++k) {
+      const std::string source = unit + "_s" + std::to_string(k);
+      CARL_CHECK_OK(db_->AddFact("Source", {source}));
+      CARL_CHECK_OK(db_->SetAttribute("C", {source}, Value(id + 0.1 * k)));
+      CARL_CHECK_OK(db_->AddFact("Feeds", {source, unit}));
+    }
+  }
+
+  // Answers `Y[X] <= T[X]?` under `kind` through the shared session and
+  // returns the rows its table embedded; the table must equal the memo-
+  // free one and the answer a fresh engine's.
+  uint64_t RowsEmbeddedBy(EmbeddingKind kind) {
+    SCOPED_TRACE(EmbeddingKindToString(kind));
+    Result<CausalQuery> query = ParseQuery("Y[X] <= T[X]?");
+    CARL_CHECK_OK(query.status());
+    EngineOptions options;
+    options.embedding = kind;
+    Result<std::unique_ptr<CarlEngine>> engine =
+        CarlEngine::Create(session_, *model_);
+    CARL_CHECK_OK(engine.status());
+    Result<CarlEngine::ResolvedQuery> resolved =
+        (*engine)->Resolve(*query, options);
+    CARL_CHECK_OK(resolved.status());
+    const uint64_t before = RowsEmbedded();
+    Result<std::shared_ptr<const UnitTable>> got = session_->BuildUnitTable(
+        *resolved->grounded, resolved->request, resolved->unit_options);
+    const uint64_t embedded = RowsEmbedded() - before;
+    Result<UnitTable> want = BuildUnitTable(
+        *resolved->grounded, resolved->request, resolved->unit_options);
+    EXPECT_TRUE(got.ok() && want.ok()) << got.status() << want.status();
+    if (got.ok() && want.ok()) {
+      EXPECT_EQ(test_fixtures::UnitTableDiff(*want, **got), "");
+    }
+    QueryRequest request(*query);
+    request.options = options;
+    Result<std::unique_ptr<CarlEngine>> fresh =
+        CarlEngine::Create(db_.get(), *model_);
+    CARL_CHECK_OK(fresh.status());
+    EXPECT_EQ(DescribeResponse((*engine)->Answer(request)),
+              DescribeResponse((*fresh)->Answer(request)));
+    return embedded;
+  }
+
+  // Rows each embedding's table embeds: {mean, padding}.
+  std::pair<uint64_t, uint64_t> RowsEmbeddedByBoth() {
+    const uint64_t mean = RowsEmbeddedBy(EmbeddingKind::kMean);
+    return {mean, RowsEmbeddedBy(EmbeddingKind::kPadding)};
+  }
+
+  Schema schema_;
+  std::unique_ptr<RelationalCausalModel> model_;
+  std::unique_ptr<Instance> db_;
+  std::shared_ptr<QuerySession> session_;
+};
+
+TEST_F(ReembedTriggerTest, AnAppendReembedsOnlyWhenTheColumnsChange) {
+  using Rows = std::pair<uint64_t, uint64_t>;
+  EXPECT_EQ(RowsEmbeddedByBoth(), Rows(10, 10)) << "fresh tables";
+  EXPECT_EQ(RowsEmbeddedByBoth(), Rows(0, 0)) << "a repeat";
+
+  AddUnit(10, 1);
+  EXPECT_EQ(RowsEmbeddedByBoth(), Rows(1, 1)) << "a plain new unit appends";
+
+  AddUnit(11, 1);
+  CARL_CHECK_OK(db_->SetAttribute("B", {"u11"}, Value(2.0)));
+  EXPECT_EQ(RowsEmbeddedByBoth(), Rows(12, 12))
+      << "own_B is first seen in a resumed row";
+
+  AddUnit(12, 1);
+  CARL_CHECK_OK(db_->AddFact("Link", {"u0", "u12"}));
+  EXPECT_EQ(RowsEmbeddedByBoth(), Rows(13, 13))
+      << "the table turns relational";
+
+  AddUnit(13, 2);
+  EXPECT_EQ(RowsEmbeddedByBoth(), Rows(1, 14))
+      << "two sources widen own_C: padding re-embeds, the mean appends";
+  EXPECT_EQ(RowsEmbeddedByBoth(), Rows(0, 0));
+  EXPECT_EQ(session_->SnapshotStats().unit_rows_rebuilds, 1u)
+      << "the rows resolved from row 0 once; every later answer resumed "
+         "them or hit";
 }
 
 }  // namespace
