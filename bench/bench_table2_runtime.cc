@@ -195,42 +195,59 @@ ExtendMeasurement MeasureIncrementalExtend(datagen::Dataset& dataset,
   return measured;
 }
 
-// Exact work counts of one answer through a QuerySession: the unit rows
-// it resolved, the rows its table embedded, and the rows its regression
-// sums absorbed.
+// Exact work counts of one answer through a QuerySession, read from the
+// registry: the unit rows it resolved, the rows its table embedded and
+// the rows its regression sums absorbed, and how the session served its
+// grounding and its unit rows.
 struct AnswerCounts {
   uint64_t rows_resolved = 0;
   uint64_t rows_embedded = 0;
   uint64_t rows_summed = 0;
+  uint64_t ground_hits = 0;
+  uint64_t ground_misses = 0;
+  uint64_t ground_full = 0;
+  uint64_t ground_extends = 0;
+  uint64_t unit_rows_hits = 0;
+  uint64_t unit_rows_resumes = 0;
 };
 
 // Answers `query` on `engine`, CHECKs the answer and returns its counts.
 AnswerCounts CountAnswer(const CarlEngine& engine, const std::string& query) {
-  static obs::Counter& resolved =
-      obs::Registry::Global().GetCounter("unit_table.rows_resolved");
-  static obs::Counter& embedded =
-      obs::Registry::Global().GetCounter("unit_table.rows_embedded");
-  static obs::Counter& summed =
-      obs::Registry::Global().GetCounter("unit_table.rows_summed");
-  const AnswerCounts before{resolved.value(), embedded.value(),
-                            summed.value()};
+  const obs::Snapshot before = obs::Registry::Global().TakeSnapshot();
   CARL_CHECK_OK(engine.Answer(QueryRequest(query)).status);
-  return AnswerCounts{resolved.value() - before.rows_resolved,
-                      embedded.value() - before.rows_embedded,
-                      summed.value() - before.rows_summed};
+  const obs::Snapshot after = obs::Registry::Global().TakeSnapshot();
+  const obs::SnapshotDelta delta(before, after);
+  AnswerCounts counts;
+  counts.rows_resolved = delta.CounterDelta("unit_table.rows_resolved");
+  counts.rows_embedded = delta.CounterDelta("unit_table.rows_embedded");
+  counts.rows_summed = delta.CounterDelta("unit_table.rows_summed");
+  counts.ground_hits = delta.CounterDelta("query_session.ground_hits");
+  counts.ground_misses = delta.CounterDelta("query_session.ground_misses");
+  counts.ground_full = delta.CounterDelta("query_session.ground_full");
+  counts.ground_extends = delta.CounterDelta("query_session.ground_extends");
+  counts.unit_rows_hits = delta.CounterDelta("query_session.unit_rows_hits");
+  counts.unit_rows_resumes =
+      delta.CounterDelta("query_session.unit_rows_resumes");
+  return counts;
 }
+
+struct AnswerPathCounts {
+  AnswerCounts repeat;    // the query answered a second time
+  AnswerCounts extended;  // ... and once more after one admission
+};
 
 // The answer path's work, counted exactly: one engine over one
 // QuerySession answers `query`, answers it again, and answers it once
 // more after one admission. The repeat must resolve, embed and sum no
-// row; after the admission (AddAdmission sets SelfPay and Death, so the
-// new patient is kept) each count must be exactly 1 — the memo resumes
-// its rows, appends to its table and carries its sums on. Returns the
-// counts of that last answer.
-AnswerCounts MeasureAnswerPathCounts(datagen::Dataset& dataset,
-                                     const RelationalCausalModel& model,
-                                     const std::string& query,
-                                     size_t admission) {
+// row, and the session must serve its grounding and its unit rows from
+// the cache; after the admission (AddAdmission sets SelfPay and Death,
+// so the new patient is kept) the session must extend its grounding and
+// resume its unit rows, and each row count must be exactly 1 — the memo
+// resumes its rows, appends to its table and carries its sums on.
+AnswerPathCounts MeasureAnswerPathCounts(datagen::Dataset& dataset,
+                                         const RelationalCausalModel& model,
+                                         const std::string& query,
+                                         size_t admission) {
   Result<std::unique_ptr<CarlEngine>> engine = CarlEngine::Create(
       std::make_shared<QuerySession>(dataset.instance.get()), model);
   CARL_CHECK_OK(engine.status());
@@ -241,6 +258,11 @@ AnswerCounts MeasureAnswerPathCounts(datagen::Dataset& dataset,
       << "a repeat answer resolved " << repeat.rows_resolved
       << ", embedded " << repeat.rows_embedded << " and summed "
       << repeat.rows_summed << " rows; the memo must hand out its table";
+  CARL_CHECK(repeat.ground_hits == 1 && repeat.ground_misses == 0 &&
+             repeat.unit_rows_hits == 1)
+      << "a repeat answer counted " << repeat.ground_hits
+      << " grounding hits, " << repeat.ground_misses << " misses and "
+      << repeat.unit_rows_hits << " unit-row hits; each cache must serve it";
   AddAdmission(*dataset.instance, admission);
   const AnswerCounts extended = CountAnswer(**engine, query);
   CARL_CHECK(extended.rows_resolved == 1 && extended.rows_embedded == 1 &&
@@ -249,7 +271,14 @@ AnswerCounts MeasureAnswerPathCounts(datagen::Dataset& dataset,
       << extended.rows_resolved << ", embedded " << extended.rows_embedded
       << " and summed " << extended.rows_summed
       << " rows; each must be exactly the new patient's row";
-  return extended;
+  CARL_CHECK(extended.ground_misses == 1 && extended.ground_extends == 1 &&
+             extended.ground_full == 0 && extended.unit_rows_resumes == 1)
+      << "the answer after one admission counted " << extended.ground_misses
+      << " grounding misses, " << extended.ground_extends << " extends, "
+      << extended.ground_full << " full grounds and "
+      << extended.unit_rows_resumes
+      << " unit-row resumes; the session must extend and resume";
+  return AnswerPathCounts{repeat, extended};
 }
 
 struct Workload {
@@ -467,20 +496,33 @@ int Run(const bench::BenchFlags& flags) {
 
       // The extends above admitted fewer than 1,000 patients; this one
       // takes a fresh name.
-      const AnswerCounts counts =
+      const AnswerPathCounts path =
           MeasureAnswerPathCounts(*wl.dataset, *model, wl.query, 1000);
+      const AnswerCounts& counts = path.extended;
       std::printf("%-18sanswer after 1 admission: %llu rows resolved, %llu "
-                  "embedded, %llu summed\n",
+                  "embedded, %llu summed; %llu extend, %llu unit-row "
+                  "resume (repeat: %llu grounding hit)\n",
                   wl.name,
                   static_cast<unsigned long long>(counts.rows_resolved),
                   static_cast<unsigned long long>(counts.rows_embedded),
-                  static_cast<unsigned long long>(counts.rows_summed));
+                  static_cast<unsigned long long>(counts.rows_summed),
+                  static_cast<unsigned long long>(counts.ground_extends),
+                  static_cast<unsigned long long>(counts.unit_rows_resumes),
+                  static_cast<unsigned long long>(path.repeat.ground_hits));
       bench::EmitJson(kBenchName, wl.name, "unit_table_rows_resolved",
                       static_cast<double>(counts.rows_resolved));
       bench::EmitJson(kBenchName, wl.name, "unit_table_rows_embedded",
                       static_cast<double>(counts.rows_embedded));
       bench::EmitJson(kBenchName, wl.name, "unit_table_rows_summed",
                       static_cast<double>(counts.rows_summed));
+      bench::EmitJson(kBenchName, wl.name, "query_session_repeat_ground_hits",
+                      static_cast<double>(path.repeat.ground_hits));
+      bench::EmitJson(kBenchName, wl.name,
+                      "query_session_extend_ground_extends",
+                      static_cast<double>(counts.ground_extends));
+      bench::EmitJson(kBenchName, wl.name,
+                      "query_session_extend_unit_rows_resumes",
+                      static_cast<double>(counts.unit_rows_resumes));
     }
 
     std::printf("%-18s%-14.3f%-14.3f%-14.3f%-16llu%-16llu\n", wl.name,

@@ -57,6 +57,11 @@ REQUIRED_GATED = {
     # one-admission extend on MIMIC; bench_table2 aborts unless each is 1
     # there and 0 on a repeat answer, so their presence proves answers
     # stay delta-sized end to end.
+    # query_session_repeat_ground_hits and query_session_extend_{ground_
+    # extends,unit_rows_resumes} are the same answers' query_session.*
+    # deltas; bench_table2 aborts unless the repeat is a grounding and
+    # unit-row hit with no miss, and the answer after the admission is one
+    # miss, one extend, no full ground and one unit-row resume.
     "BENCH_table2.json": {"grounding_s", "unit_table_s", "unit_table_allocs",
                           "unit_table_nodes_expanded",
                           "grounding_incremental_extend_s",
@@ -64,6 +69,9 @@ REQUIRED_GATED = {
                           "unit_table_rows_resolved",
                           "unit_table_rows_embedded",
                           "unit_table_rows_summed",
+                          "query_session_repeat_ground_hits",
+                          "query_session_extend_ground_extends",
+                          "query_session_extend_unit_rows_resumes",
                           "grounding_graph_build_s",
                           "grounding_enumerate_s", "grounding_splice_s",
                           "guard_cancelled", "guard_deadline_exceeded",

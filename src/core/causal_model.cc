@@ -41,7 +41,7 @@ Result<RelationalCausalModel> RelationalCausalModel::Create(
     model.rules_.push_back(std::move(rule));
   }
   model.queries_ = std::move(program.queries);
-  model.key_text_ = model.BuildKeyText();
+  model.RebuildKey();
   return model;
 }
 
@@ -224,12 +224,13 @@ Status RelationalCausalModel::AddAggregateRule(AggregateRule rule) {
   // so the key is rebuilt either way.
   Status status = ValidateAndRegisterAggregateRule(&rule);
   if (status.ok()) aggregate_rules_.push_back(std::move(rule));
-  key_text_ = BuildKeyText();
+  RebuildKey();
   return status;
 }
 
-std::string RelationalCausalModel::BuildKeyText() const {
-  return ToString() + "\n@schema\n" + extended_schema_.ToString();
+void RelationalCausalModel::RebuildKey() {
+  key_text_ = ToString() + "\n@schema\n" + extended_schema_.ToString();
+  key_hash_ = std::hash<std::string>{}(key_text_);
 }
 
 std::string RelationalCausalModel::ToString() const {

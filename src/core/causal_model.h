@@ -15,6 +15,7 @@
 #ifndef CARL_CORE_CAUSAL_MODEL_H_
 #define CARL_CORE_CAUSAL_MODEL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,9 @@ class RelationalCausalModel {
   /// groundings by it. Built by Create and AddAggregateRule, the only
   /// mutators, so reading it costs nothing.
   const std::string& key_text() const { return key_text_; }
+  /// Hash of key_text(), built beside it; QuerySession compares it
+  /// before the text.
+  uint64_t key_hash() const { return key_hash_; }
 
  private:
   RelationalCausalModel() = default;
@@ -74,7 +78,7 @@ class RelationalCausalModel {
   Status ValidateAndRegisterAggregateRule(AggregateRule* rule);
   Status ValidateAttributeRef(const AttributeRef& ref) const;
   Status ValidateCondition(const ConjunctiveQuery& condition) const;
-  std::string BuildKeyText() const;
+  void RebuildKey();
 
   Schema extended_schema_;
   std::vector<CausalRule> rules_;
@@ -82,6 +86,7 @@ class RelationalCausalModel {
   std::vector<CausalQuery> queries_;
   std::vector<AttributeId> aggregate_attribute_ids_;  // parallel to rules
   std::string key_text_;
+  uint64_t key_hash_ = 0;
 };
 
 /// Appends Pred(args) atoms implied by `ref` to `where` (deduplicated).

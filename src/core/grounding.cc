@@ -15,27 +15,20 @@
 namespace carl {
 
 std::shared_ptr<const BindingTable> BindingCache::Find(BindingKeyId key) {
-  static obs::Counter& hit_counter =
-      obs::Registry::Global().GetCounter("grounding.binding_cache_hits");
-  static obs::Counter& miss_counter =
-      obs::Registry::Global().GetCounter("grounding.binding_cache_misses");
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    ++hits_;
-    hit_counter.Increment();
+    counters_.Increment(kHits);
     return it->second.table;
   }
   if (staging_) {
     for (const auto& [staged_key, entry] : staged_) {
       if (staged_key == key) {
-        ++hits_;
-        hit_counter.Increment();
+        counters_.Increment(kHits);
         return entry.table;
       }
     }
   }
-  ++misses_;
-  miss_counter.Increment();
+  counters_.Increment(kMisses);
   return nullptr;
 }
 
@@ -56,8 +49,8 @@ void BindingCache::Insert(BindingKeyId key,
   if (entries_.count(key) > 0) return;  // first producer wins
   size_t incoming = table->arena_bytes();
   while (!insertion_order_.empty() &&
-         (entries_.size() >= max_entries_ ||
-          total_bytes_ + incoming > max_bytes_)) {
+         (entries_.size() >= kMaxEntries ||
+          total_bytes_ + incoming > kMaxBytes)) {
     auto it = entries_.find(insertion_order_.front());
     if (it != entries_.end()) {
       total_bytes_ -= it->second.table->arena_bytes();

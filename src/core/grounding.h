@@ -42,6 +42,7 @@
 #include "common/result.h"
 #include "core/causal_model.h"
 #include "graph/causal_graph.h"
+#include "obs/metrics.h"
 #include "relational/aggregates.h"
 #include "relational/binding_table.h"
 #include "relational/instance.h"
@@ -73,7 +74,8 @@ inline constexpr BindingKeyId kInvalidBindingKey = kInvalidSymbol;
 /// this; Clear remains the incomplete-delta fallback). Bounded FIFO on
 /// BOTH entry count and total arena bytes — a binding table on a
 /// >10M-fact workload is rows*arity*4 bytes, so a count bound alone could
-/// pin gigabytes. Not thread-safe: QuerySession guards its cache with
+/// pin gigabytes. A single table larger than the byte budget is still
+/// cached (alone). Not thread-safe: QuerySession guards its cache with
 /// the session mutex.
 class BindingCache {
  public:
@@ -111,15 +113,15 @@ class BindingCache {
   size_t size() const { return entries_.size(); }
   /// Total arena bytes pinned by the cached tables.
   size_t total_bytes() const { return total_bytes_; }
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-  /// Entry capacity; inserting beyond it evicts the oldest entry.
-  void set_max_entries(size_t max) { max_entries_ = max == 0 ? 1 : max; }
-  /// Byte budget; oldest entries are evicted until the remainder fits.
-  /// A single table larger than the budget is still cached (alone).
-  void set_max_bytes(size_t max) { max_bytes_ = max; }
+  /// Find's hits and misses, counted in a block the registry sums under
+  /// grounding.binding_cache_hits / _misses.
+  size_t hits() const { return counters_.value(kHits); }
+  size_t misses() const { return counters_.value(kMisses); }
 
  private:
+  static constexpr size_t kMaxEntries = 64;
+  static constexpr size_t kMaxBytes = size_t{256} << 20;  // 256 MiB
+
   struct CacheEntry {
     std::shared_ptr<const BindingTable> table;
     BindingDeps deps;
@@ -130,11 +132,10 @@ class BindingCache {
   // Staged inserts: (key, entry) in insertion order, merged on commit.
   bool staging_ = false;
   std::vector<std::pair<BindingKeyId, CacheEntry>> staged_;
-  size_t max_entries_ = 64;
-  size_t max_bytes_ = size_t{256} << 20;  // 256 MiB
   size_t total_bytes_ = 0;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
+  enum CounterSlot : size_t { kHits, kMisses };
+  obs::CounterBlock counters_{{"grounding.binding_cache_hits",
+                               "grounding.binding_cache_misses"}};
 };
 
 /// Wall-clock breakdown of one GroundModel call, for benches and phase

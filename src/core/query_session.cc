@@ -37,69 +37,35 @@ class StagedBindingCache {
   BindingCache* cache_;
 };
 
-// Process-wide registry counters: SessionStats is the per-session view,
-// these aggregate across every session in the process (what a snapshot or
-// trace consumer wants).
-struct SessionCounters {
-  obs::Counter& ground_hits =
-      obs::Registry::Global().GetCounter("query_session.ground_hits");
-  obs::Counter& ground_misses =
-      obs::Registry::Global().GetCounter("query_session.ground_misses");
-  obs::Counter& ground_extends =
-      obs::Registry::Global().GetCounter("query_session.ground_extends");
-  obs::Counter& ground_evictions =
-      obs::Registry::Global().GetCounter("query_session.ground_evictions");
-  obs::Counter& unit_rows_hits =
-      obs::Registry::Global().GetCounter("query_session.unit_rows_hits");
-  obs::Counter& unit_rows_resumes =
-      obs::Registry::Global().GetCounter("query_session.unit_rows_resumes");
-  obs::Counter& unit_rows_rebuilds =
-      obs::Registry::Global().GetCounter("query_session.unit_rows_rebuilds");
-
-  static SessionCounters& Get() {
-    static SessionCounters counters;
-    return counters;
-  }
-};
-
-uint64_t HashString(const std::string& s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace
 
-QuerySession::QuerySession(const Instance* instance) : instance_(instance) {
+QuerySession::QuerySession(const Instance* instance)
+    : instance_(instance),
+      counters_({"query_session.ground_hits", "query_session.ground_misses",
+                 "query_session.ground_full", "query_session.ground_extends",
+                 "query_session.ground_evictions",
+                 "query_session.unit_rows_hits",
+                 "query_session.unit_rows_resumes",
+                 "query_session.unit_rows_rebuilds"}) {
   CARL_CHECK(instance != nullptr) << "query session needs an instance";
   binding_cache_generation_ = instance->generation();
 }
 
 QuerySession::SessionStats QuerySession::SnapshotStats() const {
   SessionStats snapshot;
-  snapshot.cache_hits =
-      live_stats_.cache_hits.load(std::memory_order_relaxed);
-  snapshot.ground_full =
-      live_stats_.ground_full.load(std::memory_order_relaxed);
-  snapshot.ground_extends =
-      live_stats_.ground_extends.load(std::memory_order_relaxed);
-  snapshot.ground_evictions =
-      live_stats_.ground_evictions.load(std::memory_order_relaxed);
-  snapshot.unit_rows_hits =
-      live_stats_.unit_rows_hits.load(std::memory_order_relaxed);
-  snapshot.unit_rows_resumes =
-      live_stats_.unit_rows_resumes.load(std::memory_order_relaxed);
-  snapshot.unit_rows_rebuilds =
-      live_stats_.unit_rows_rebuilds.load(std::memory_order_relaxed);
+  snapshot.cache_hits = counters_.value(kGroundHits);
+  snapshot.ground_full = counters_.value(kGroundFull);
+  snapshot.ground_extends = counters_.value(kGroundExtends);
+  snapshot.ground_evictions = counters_.value(kGroundEvictions);
+  snapshot.unit_rows_hits = counters_.value(kUnitRowsHits);
+  snapshot.unit_rows_resumes = counters_.value(kUnitRowsResumes);
+  snapshot.unit_rows_rebuilds = counters_.value(kUnitRowsRebuilds);
   return snapshot;
 }
 
 size_t QuerySession::num_cached_groundings() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return insertion_order_.size();
+  return entries_.size();
 }
 
 void QuerySession::set_max_cached_groundings(size_t max) {
@@ -147,7 +113,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   // Single flight: concurrent callers of one variant wait here, and all
   // but the first find it cached.
   std::lock_guard<std::mutex> lock(mu_);
-  SessionCounters& counters = SessionCounters::Get();
   const uint64_t generation = instance_->generation();
   if (generation != binding_cache_generation_) {
     // Reconcile the binding cache once per generation move: only tables
@@ -161,56 +126,55 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   // adds a node per schema attribute grounding), so both go into the key.
   // Instance state is deliberately NOT part of the key: entries outlive
   // mutations and are refreshed per delta below.
-  const std::string& model_text = model.key_text();
-  uint64_t key = HashString(model_text);
-  std::vector<Entry>& bucket = cache_[key];
-  for (Entry& entry : bucket) {
-    if (entry.model_text != model_text) continue;
-    if (entry.grounded_generation == generation) {
-      live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      counters.ground_hits.Increment();
-      return entry.grounded;
-    }
-
-    const RelationalCausalModel& cached_model = *entry.holder->model;
+  auto entry = std::find_if(entries_.begin(), entries_.end(),
+                            [&](const Entry& e) {
+                              return e.key_hash == model.key_hash() &&
+                                     e.holder->model->key_text() ==
+                                         model.key_text();
+                            });
+  const bool cached = entry != entries_.end();
+  if (cached && entry->grounded_generation == generation) {
+    counters_.Increment(kGroundHits);
+    return entry->grounded;
+  }
+  if (cached) {
+    const RelationalCausalModel& cached_model = *entry->holder->model;
     InstanceDelta delta =
-        instance_->DeltaSince(entry.grounded_generation);
+        instance_->DeltaSince(entry->grounded_generation);
     const bool extensible =
         DeltaSupportsIncrementalExtend(*instance_, cached_model, delta);
     if (extensible && delta.attributes.empty() &&
         FactsIrrelevantToGrounding(cached_model, delta)) {
       // The mutation cannot reach this model's graph; the cached
       // grounding is exactly what a re-ground would rebuild.
-      entry.grounded_generation = generation;
-      live_stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      counters.ground_hits.Increment();
-      return entry.grounded;
+      entry->grounded_generation = generation;
+      counters_.Increment(kGroundHits);
+      return entry->grounded;
     }
 
-    counters.ground_misses.Increment();
+    counters_.Increment(kGroundMisses);
     if (extensible) {
       // Extend the cached graph in delta-sized time. If no consumer
-      // holds the grounding (use_count 2 = entry.holder + the aliased
-      // entry.grounded), the graph is moved out and spliced in place —
+      // holds the grounding (use_count 2 = entry->holder + the aliased
+      // entry->grounded), the graph is moved out and spliced in place —
       // but never under a guard token: a guard-aborted extend destroys
       // the moved-out base, which would poison the session. Guarded
       // extends always work on a copy; the cached grounding survives
       // any abort untouched.
       const bool guarded = guard::CurrentToken() != nullptr;
-      GroundedModel base = !guarded && entry.holder.use_count() == 2
-                               ? std::move(entry.holder->grounded)
-                               : entry.holder->grounded;
+      GroundedModel base = !guarded && entry->holder.use_count() == 2
+                               ? std::move(entry->holder->grounded)
+                               : entry->holder->grounded;
       Result<GroundedModel> extended =
           ExtendGroundedModel(std::move(base), delta);
       if (extended.ok()) {
-        live_stats_.ground_extends.fetch_add(1, std::memory_order_relaxed);
-        counters.ground_extends.Increment();
+        counters_.Increment(kGroundExtends);
         auto holder = std::make_shared<GroundingHolder>();
-        holder->model = entry.holder->model;
+        holder->model = entry->holder->model;
         holder->grounded = std::move(*extended);
-        InstallGrounding(&entry, std::move(holder), generation,
+        InstallGrounding(&*entry, std::move(holder), generation,
                          /*extended=*/true);
-        return entry.grounded;
+        return entry->grounded;
       }
       if (guard::IsGuardStop(extended.status().code())) {
         // The guard abandoned the pass (deadline/budget/cancel/fault).
@@ -234,67 +198,48 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
           obs::Registry::Global().GetCounter("delta_log_trimmed");
       trimmed_counter.Increment();
       CARL_LOG(WARN) << "delta log trimmed: generations "
-                     << entry.grounded_generation << ".." << generation
+                     << entry->grounded_generation << ".." << generation
                      << " are no longer replayable; forcing a full "
                         "re-ground instead of an incremental extend";
     } else {
       CARL_LOG(INFO) << "instance delta outside the incremental-extend "
                         "contract; re-grounding model from scratch";
     }
-
-    auto holder = std::make_shared<GroundingHolder>();
-    holder->model = entry.holder->model;
-    StagedBindingCache staged(&binding_cache_);
-    Result<GroundedModel> grounded =
-        GroundModel(*instance_, *holder->model, &binding_cache_);
-    if (!grounded.ok()) {
-      // The failed extend above may have consumed the cached grounding,
-      // and a stale entry cannot serve this state anyway: drop it, so the
-      // next call grounds from scratch.
-      EraseEntry(key, model_text);
-      return grounded.status();
-    }
-    staged.Commit();
-    live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
-    holder->grounded = std::move(*grounded);
-    InstallGrounding(&entry, std::move(holder), generation,
-                     /*extended=*/false);
-    return entry.grounded;
+  } else {
+    counters_.Increment(kGroundMisses);
   }
 
-  counters.ground_misses.Increment();
-  // The grounding references the model copy by pointer, so both live in
-  // one holder and the handed-out shared_ptr aliases into it: however
-  // long any consumer keeps the grounding — across evictions, even past
-  // the session's destruction — the model copy stays alive with it.
+  // From scratch: a re-ground of the entry, or a new entry. The
+  // grounding references the model copy by pointer, so both live in one
+  // holder and the handed-out shared_ptr aliases into it: however long
+  // any consumer keeps the grounding — across evictions, even past the
+  // session's destruction — the model copy stays alive with it.
   auto holder = std::make_shared<GroundingHolder>();
-  holder->model = std::make_shared<RelationalCausalModel>(model);
+  holder->model = cached ? entry->holder->model
+                         : std::make_shared<RelationalCausalModel>(model);
   StagedBindingCache staged(&binding_cache_);
-  CARL_ASSIGN_OR_RETURN(
-      GroundedModel grounded,
-      GroundModel(*instance_, *holder->model, &binding_cache_));
+  Result<GroundedModel> grounded =
+      GroundModel(*instance_, *holder->model, &binding_cache_);
+  if (!grounded.ok()) {
+    // A failed extend above may have consumed the cached grounding, and
+    // a stale entry cannot serve this state anyway: drop it, so the next
+    // call grounds from scratch.
+    if (cached) EraseEntry(entry);
+    return grounded.status();
+  }
   staged.Commit();
-  live_stats_.ground_full.fetch_add(1, std::memory_order_relaxed);
-  holder->grounded = std::move(grounded);
-
-  Entry entry;
-  entry.model_text = model_text;
-  entry.holder = std::move(holder);
-  entry.grounded = std::shared_ptr<const GroundedModel>(
-      entry.holder, &entry.holder->grounded);
-  entry.grounded_generation = generation;
-  while (insertion_order_.size() >= max_cached_groundings_) {
-    EvictOldestEntry();
+  counters_.Increment(kGroundFull);
+  holder->grounded = std::move(*grounded);
+  if (!cached) {
+    while (entries_.size() >= max_cached_groundings_) {
+      EraseEntry(entries_.begin());
+      counters_.Increment(kGroundEvictions);
+    }
+    entry = entries_.insert(entries_.end(), Entry{model.key_hash(), {}, {}, 0});
   }
-  {
-    std::lock_guard<std::mutex> memo_lock(memo_mu_);
-    unit_rows_[entry.grounded.get()];
-  }
-  // Re-fetch the bucket: eviction may have touched cache_.
-  std::vector<Entry>& target = cache_[key];
-  target.push_back(std::move(entry));
-  insertion_order_.emplace_back(key, model_text);
-  return target.back().grounded;
+  InstallGrounding(&*entry, std::move(holder), generation,
+                   /*extended=*/false);
+  return entry->grounded;
 }
 
 void QuerySession::InstallGrounding(Entry* entry,
@@ -384,7 +329,6 @@ Result<std::shared_ptr<const UnitTable>> QuerySession::BuildUnitTable(
         std::make_shared<UnitTable>(std::move(table)));
   }
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
-  SessionCounters& counters = SessionCounters::Get();
   // Current rows are shared with the other answers that read them; rows
   // one extend behind leave the memo while this answer resumes them. A
   // complete table of the kind is handed out; an incomplete one leaves
@@ -411,8 +355,7 @@ Result<std::shared_ptr<const UnitTable>> QuerySession::BuildUnitTable(
     }
   }
   if (current) {
-    live_stats_.unit_rows_hits.fetch_add(1, std::memory_order_relaxed);
-    counters.unit_rows_hits.Increment();
+    counters_.Increment(kUnitRowsHits);
     if (hit) return std::shared_ptr<const UnitTable>(std::move(table));
   }
   bool rebuilt = false;
@@ -423,11 +366,9 @@ Result<std::shared_ptr<const UnitTable>> QuerySession::BuildUnitTable(
                             UnitRowsOutsideExtendCone(grounded, request, *rows));
     }
     if (resume) {
-      live_stats_.unit_rows_resumes.fetch_add(1, std::memory_order_relaxed);
-      counters.unit_rows_resumes.Increment();
+      counters_.Increment(kUnitRowsResumes);
     } else {
-      live_stats_.unit_rows_rebuilds.fetch_add(1, std::memory_order_relaxed);
-      counters.unit_rows_rebuilds.Increment();
+      counters_.Increment(kUnitRowsRebuilds);
       rows = std::make_shared<UnitRows>();
       table = nullptr;
       rebuilt = true;
@@ -510,40 +451,12 @@ size_t QuerySession::unit_rows_bytes() const {
   return bytes;
 }
 
-void QuerySession::EvictOldestEntry() {
-  CARL_CHECK(!insertion_order_.empty());
-  auto [key, text] = insertion_order_.front();
-  if (EraseEntry(key, text)) {
-    live_stats_.ground_evictions.fetch_add(1, std::memory_order_relaxed);
-    SessionCounters::Get().ground_evictions.Increment();
+void QuerySession::EraseEntry(std::vector<Entry>::iterator entry) {
+  {
+    std::lock_guard<std::mutex> memo_lock(memo_mu_);
+    unit_rows_.erase(entry->grounded.get());
   }
-}
-
-bool QuerySession::EraseEntry(uint64_t key, const std::string& model_text) {
-  insertion_order_.erase(
-      std::remove_if(insertion_order_.begin(), insertion_order_.end(),
-                     [&](const std::pair<uint64_t, std::string>& queued) {
-                       return queued.first == key &&
-                              queued.second == model_text;
-                     }),
-      insertion_order_.end());
-  auto bucket_it = cache_.find(key);
-  if (bucket_it == cache_.end()) return false;
-  std::vector<Entry>& bucket = bucket_it->second;
-  bool erased = false;
-  for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-    if (it->model_text == model_text) {
-      {
-        std::lock_guard<std::mutex> memo_lock(memo_mu_);
-        unit_rows_.erase(it->grounded.get());
-      }
-      bucket.erase(it);
-      erased = true;
-      break;
-    }
-  }
-  if (bucket.empty()) cache_.erase(bucket_it);
-  return erased;
+  entries_.erase(entry);
 }
 
 }  // namespace carl

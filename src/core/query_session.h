@@ -6,9 +6,11 @@
 // model plus that one rule), and the engine asks the session for that
 // variant's grounding on every such query. A session interns each
 // distinct grounding once, keyed by the model's full serialized rule set
-// (fingerprints only route to a bucket; entries compare the exact text) —
-// so a pipeline of queries grounds each *variant* once instead of once per
-// query.
+// — so a pipeline of queries grounds each *variant* once instead of once
+// per query. The cache is one list of at most max_cached_groundings
+// entries in insertion order: a lookup scans it comparing the model's
+// key_hash() first and then its key_text() against the entry's model
+// copy, and eviction pops the oldest entry.
 //
 // Instance mutations do not blow the cache away. Each entry remembers the
 // instance generation it was grounded at; on the next Ground() the
@@ -76,11 +78,9 @@
 #ifndef CARL_CORE_QUERY_SESSION_H_
 #define CARL_CORE_QUERY_SESSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -88,6 +88,7 @@
 #include "core/causal_model.h"
 #include "core/grounding.h"
 #include "core/unit_table.h"
+#include "obs/metrics.h"
 
 namespace carl {
 
@@ -128,9 +129,9 @@ class QuerySession {
   /// so a server can report per-session cache efficacy without stopping
   /// the serving path. ground_full and ground_extends count
   /// *successful* grounds only: a ground that fails (a guard abort, a
-  /// domain error) ticks the registry's query_session.ground_misses but
-  /// neither field. The same events also aggregate process-wide in the
-  /// obs registry under "query_session.*".
+  /// domain error) ticks query_session.ground_misses but neither field.
+  /// The session counts in one obs::CounterBlock, which the registry
+  /// sums over every session under "query_session.*".
   struct SessionStats {
     uint64_t cache_hits = 0;      ///< groundings served from cache
     uint64_t ground_full = 0;     ///< successful from-scratch grounds
@@ -190,10 +191,22 @@ class QuerySession {
   };
 
   struct Entry {
-    std::string model_text;  // exact key; fingerprints only route
+    uint64_t key_hash = 0;  // holder->model->key_hash()
     std::shared_ptr<GroundingHolder> holder;
     std::shared_ptr<const GroundedModel> grounded;  // aliases holder
     uint64_t grounded_generation = 0;  // instance state of the grounding
+  };
+
+  // counters_ slots, in the order the constructor names them.
+  enum CounterSlot : size_t {
+    kGroundHits,
+    kGroundMisses,
+    kGroundFull,
+    kGroundExtends,
+    kGroundEvictions,
+    kUnitRowsHits,
+    kUnitRowsResumes,
+    kUnitRowsRebuilds,
   };
 
   static UnitRowsMemo* FindUnitRows(std::vector<UnitRowsMemo>* memos,
@@ -212,28 +225,23 @@ class QuerySession {
                         const std::shared_ptr<UnitRows>& rows,
                         const std::shared_ptr<UnitTable>& table,
                         bool resolved, bool rebuilt);
-  void EvictOldestEntry();
-  // Removes the entry of (key, model_text) from its bucket and the FIFO
-  // queue; true when the bucket held it.
-  bool EraseEntry(uint64_t key, const std::string& model_text);
+  // Removes the entry and its grounding's unit-row memos.
+  void EraseEntry(std::vector<Entry>::iterator entry);
   // Installs a freshly grounded/extended model into `entry`, re-aliasing
   // the handed-out pointer, and moves the previous grounding's unit-row
-  // memos to it, aged (extended) or dropped (re-ground).
+  // memos to it, aged (extended) or dropped (re-ground; none for a new
+  // entry).
   void InstallGrounding(Entry* entry, std::shared_ptr<GroundingHolder> holder,
                         uint64_t generation, bool extended);
 
   const Instance* instance_;
   // Held across every Ground; guards everything below except the memos
-  // and live_stats_.
+  // and counters_.
   mutable std::mutex mu_;
   BindingCache binding_cache_;
   // Instance generation the binding cache was last reconciled to.
   uint64_t binding_cache_generation_ = 0;
-  // Fingerprint -> entries (collisions resolved by model_text equality).
-  std::unordered_map<uint64_t, std::vector<Entry>> cache_;
-  // Insertion order of (fingerprint, model_text), oldest first — the
-  // FIFO eviction queue, one element per cached entry.
-  std::vector<std::pair<uint64_t, std::string>> insertion_order_;
+  std::vector<Entry> entries_;  // oldest first
   size_t max_cached_groundings_ = 16;
   // The unit-row memos of each entry's current grounding (oldest first),
   // keyed by that grounding: a key exists exactly while an entry holds
@@ -242,17 +250,7 @@ class QuerySession {
   mutable std::mutex memo_mu_;
   std::unordered_map<const GroundedModel*, std::vector<UnitRowsMemo>>
       unit_rows_;
-  // Relaxed atomics behind SnapshotStats(); see its comment.
-  struct LiveStats {
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> ground_full{0};
-    std::atomic<uint64_t> ground_extends{0};
-    std::atomic<uint64_t> ground_evictions{0};
-    std::atomic<uint64_t> unit_rows_hits{0};
-    std::atomic<uint64_t> unit_rows_resumes{0};
-    std::atomic<uint64_t> unit_rows_rebuilds{0};
-  };
-  LiveStats live_stats_;
+  obs::CounterBlock counters_;  // behind SnapshotStats(); see its comment
 };
 
 }  // namespace carl

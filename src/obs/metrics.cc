@@ -88,20 +88,31 @@ Registry::Entry* Registry::FindLocked(std::string_view name) {
   return nullptr;
 }
 
-Counter& Registry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
+Registry::Entry& Registry::CounterEntryLocked(std::string_view name,
+                                              bool block_owned) {
   if (Entry* e = FindLocked(name)) {
     CARL_CHECK(e->type == MetricType::kCounter)
         << "metric '" << e->name << "' already registered as a non-counter";
-    return *e->counter;
+    CARL_CHECK(e->block_owned == block_owned)
+        << "metric '" << e->name
+        << (e->block_owned
+                ? "' is owned by counter blocks; read it through TakeSnapshot"
+                : "' is already registered as a plain counter");
+    return *e;
   }
   counters_.emplace_back();
   Entry entry;
   entry.name = std::string(name);
   entry.type = MetricType::kCounter;
   entry.counter = &counters_.back();
+  entry.block_owned = block_owned;
   entries_.push_back(std::move(entry));
-  return counters_.back();
+  return entries_.back();
+}
+
+Counter& Registry::GetCounter(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return *CounterEntryLocked(name, /*block_owned=*/false).counter;
 }
 
 Gauge& Registry::GetGauge(std::string_view name) {
@@ -139,15 +150,23 @@ Histogram& Registry::GetHistogram(std::string_view name,
 
 Snapshot Registry::TakeSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
+  // Per entry, the counts of the live blocks that name it.
+  std::vector<uint64_t> live(entries_.size());
+  for (const CounterBlock* block : blocks_) {
+    for (size_t slot = 0; slot < block->entries_.size(); ++slot) {
+      live[block->entries_[slot]] += block->value(slot);
+    }
+  }
   Snapshot snapshot;
   snapshot.metrics.reserve(entries_.size());
-  for (const Entry& e : entries_) {
+  for (size_t i = 0; i < entries_.size(); ++i) {
+    const Entry& e = entries_[i];
     MetricSnapshot m;
     m.name = e.name;
     m.type = e.type;
     switch (e.type) {
       case MetricType::kCounter:
-        m.value = static_cast<double>(e.counter->value());
+        m.value = static_cast<double>(e.counter->value() + live[i]);
         break;
       case MetricType::kGauge:
         m.value = e.gauge->value();
@@ -156,8 +175,8 @@ Snapshot Registry::TakeSnapshot() const {
         const Histogram& h = *e.histogram;
         m.bucket_bounds = h.bounds();
         m.bucket_counts.reserve(h.bounds().size() + 1);
-        for (size_t i = 0; i <= h.bounds().size(); ++i) {
-          m.bucket_counts.push_back(h.bucket_count(i));
+        for (size_t b = 0; b <= h.bounds().size(); ++b) {
+          m.bucket_counts.push_back(h.bucket_count(b));
         }
         m.count = h.count();
         m.sum = h.sum();
@@ -168,6 +187,27 @@ Snapshot Registry::TakeSnapshot() const {
     snapshot.metrics.push_back(std::move(m));
   }
   return snapshot;
+}
+
+CounterBlock::CounterBlock(std::initializer_list<std::string_view> names,
+                           Registry& registry)
+    : registry_(&registry), counts_(names.size()) {
+  std::lock_guard<std::mutex> lock(registry.mu_);
+  for (std::string_view name : names) {
+    const Registry::Entry& e =
+        registry.CounterEntryLocked(name, /*block_owned=*/true);
+    entries_.push_back(static_cast<size_t>(&e - registry.entries_.data()));
+  }
+  registry.blocks_.push_back(this);
+}
+
+CounterBlock::~CounterBlock() {
+  std::lock_guard<std::mutex> lock(registry_->mu_);
+  for (size_t slot = 0; slot < entries_.size(); ++slot) {
+    registry_->entries_[entries_[slot]].counter->Add(value(slot));
+  }
+  std::vector<const CounterBlock*>& blocks = registry_->blocks_;
+  blocks.erase(std::find(blocks.begin(), blocks.end(), this));
 }
 
 size_t Registry::num_metrics() const {

@@ -7,9 +7,9 @@
 //      lookup, no lock ever appears on an instrumented path — call sites
 //      cache the handle in a function-local static:
 //
-//        static obs::Counter& hits =
-//            obs::Registry::Global().GetCounter("binding_cache.hits");
-//        hits.Increment();
+//        static obs::Counter& passes = obs::Registry::Global().GetCounter(
+//            "grounding.ground_model_passes");
+//        passes.Increment();
 //
 //   2. Concurrent correctness: counters and histograms are incremented
 //      from ParallelFor workers; every mutation is an atomic op, every
@@ -26,6 +26,16 @@
 // process lifetime (deque-backed, pointer-stable). Registering the same
 // name twice returns the same handle; registering one name as two
 // different types is a programming error (CARL_CHECK).
+//
+// An object that keeps its own stats (a QuerySession, a ServeService, a
+// BindingCache) counts them in a CounterBlock instead: one relaxed
+// atomic per name, read by the object's stats view without a lock. The
+// registry lists each block name as a counter whose value is the sum of
+// the live blocks that name it plus the final counts of destroyed ones,
+// so an event is counted once and both views read it. A name is either
+// a plain counter or block-owned, never both: GetCounter on a
+// block-owned name aborts, and so does a block on a plain counter's
+// name. Block-owned names are read through TakeSnapshot/SnapshotDelta.
 
 #ifndef CARL_OBS_METRICS_H_
 #define CARL_OBS_METRICS_H_
@@ -33,6 +43,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -163,6 +174,8 @@ class SnapshotDelta {
   const Snapshot* after_;
 };
 
+class CounterBlock;
+
 class Registry {
  public:
   /// The process-wide registry every engine layer registers into.
@@ -174,7 +187,8 @@ class Registry {
 
   /// Interned handle resolution: one mutex-guarded map lookup at
   /// registration, pointer-stable for the registry's lifetime. Same name
-  /// -> same handle; a name registered under a different type aborts.
+  /// -> same handle; a name registered under a different type, or owned
+  /// by counter blocks, aborts.
   class Counter& GetCounter(std::string_view name);
   class Gauge& GetGauge(std::string_view name);
   /// `bounds` must be non-empty and strictly ascending; a re-registration
@@ -189,14 +203,22 @@ class Registry {
   size_t num_metrics() const;
 
  private:
+  friend class CounterBlock;
+
   struct Entry {
     std::string name;
     MetricType type;
     class Counter* counter = nullptr;
     class Gauge* gauge = nullptr;
     class Histogram* histogram = nullptr;
+    // Block-owned: `counter` holds the final counts of destroyed blocks,
+    // and a snapshot adds the live blocks' counts to it.
+    bool block_owned = false;
   };
   Entry* FindLocked(std::string_view name);
+  // The counter entry of `name`, registered when new; aborts when the
+  // name has another type or the other kind of owner.
+  Entry& CounterEntryLocked(std::string_view name, bool block_owned);
 
   mutable std::mutex mu_;
   // Deques give pointer stability without per-metric allocations showing
@@ -205,6 +227,35 @@ class Registry {
   std::deque<class Gauge> gauges_;
   std::deque<class Histogram> histograms_;
   std::vector<Entry> entries_;  // registration order
+  std::vector<const CounterBlock*> blocks_;  // live blocks
+};
+
+/// The counters one object owns (see the file comment). Slot i counts
+/// the i-th name given to the constructor; the registry holds the
+/// block's address while it lives, so it neither copies nor moves.
+class CounterBlock {
+ public:
+  /// Attaches to `registry`, registering each name as block-owned.
+  explicit CounterBlock(std::initializer_list<std::string_view> names,
+                        Registry& registry = Registry::Global());
+  /// Folds the counts into the names' totals and detaches.
+  ~CounterBlock();
+  CounterBlock(const CounterBlock&) = delete;
+  CounterBlock& operator=(const CounterBlock&) = delete;
+
+  void Increment(size_t slot) {
+    counts_[slot].fetch_add(1, std::memory_order_relaxed);
+  }
+  uint64_t value(size_t slot) const {
+    return counts_[slot].load(std::memory_order_relaxed);
+  }
+
+ private:
+  friend class Registry;
+
+  Registry* registry_;
+  std::vector<std::atomic<uint64_t>> counts_;  // zeroed
+  std::vector<size_t> entries_;  // per slot: its name's registry entry
 };
 
 /// Renders one BENCH_JSON line, byte-identical to the historical

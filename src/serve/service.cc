@@ -17,27 +17,6 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Registry mirrors of the serving events; resolved once.
-struct ServeCounters {
-  obs::Counter& admitted = obs::Registry::Global().GetCounter("serve.admitted");
-  obs::Counter& rejected = obs::Registry::Global().GetCounter("serve.rejected");
-  obs::Counter& completed =
-      obs::Registry::Global().GetCounter("serve.completed");
-  obs::Counter& deadline_preempted =
-      obs::Registry::Global().GetCounter("serve.deadline_preempted");
-  obs::Counter& coalesced =
-      obs::Registry::Global().GetCounter("serve.coalesced");
-  obs::Histogram& queue_ms = obs::Registry::Global().GetHistogram(
-      "serve.queue_ms", {0.1, 1, 5, 20, 100, 500, 2000});
-  obs::Histogram& total_ms = obs::Registry::Global().GetHistogram(
-      "serve.total_ms", {1, 5, 20, 100, 500, 2000, 10000});
-
-  static ServeCounters& Get() {
-    static ServeCounters counters;
-    return counters;
-  }
-};
-
 std::string ShardKey(const std::string& instance, const std::string& program) {
   std::string key;
   key.reserve(instance.size() + 1 + program.size());
@@ -50,7 +29,9 @@ std::string ShardKey(const std::string& instance, const std::string& program) {
 }  // namespace
 
 ServeService::ServeService(ServeOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      counters_({"serve.admitted", "serve.rejected", "serve.completed",
+                 "serve.deadline_preempted", "serve.coalesced"}) {
   if (options_.num_workers < 1) options_.num_workers = 1;
 }
 
@@ -74,11 +55,9 @@ Status ServeService::RegisterInstance(const std::string& name,
 
 void ServeService::Submit(const ServeRequest& request, Callback callback) {
   CARL_TRACE_SCOPE("serve.admit");
-  ServeCounters& counters = ServeCounters::Get();
 
   auto reject = [&](Status status) {
-    stats_.rejected.fetch_add(1, std::memory_order_relaxed);
-    counters.rejected.Increment();
+    counters_.Increment(kRejected);
     ServeResponse response;
     response.request_id = request.request_id;
     response.code = status.code();
@@ -151,8 +130,7 @@ void ServeService::Submit(const ServeRequest& request, Callback callback) {
     reject(admit_status);
     return;
   }
-  stats_.admitted.fetch_add(1, std::memory_order_relaxed);
-  counters.admitted.Increment();
+  counters_.Increment(kAdmitted);
   cv_.notify_one();
 }
 
@@ -244,12 +222,16 @@ Result<const CarlEngine*> ServeService::ShardEngine(Shard* shard,
 
 void ServeService::Execute(Pending* pending) {
   CARL_TRACE_SCOPE("serve.request");
-  ServeCounters& counters = ServeCounters::Get();
+  // Latency histograms of every service in the process.
+  static obs::Histogram& queue_ms = obs::Registry::Global().GetHistogram(
+      "serve.queue_ms", {0.1, 1, 5, 20, 100, 500, 2000});
+  static obs::Histogram& total_ms = obs::Registry::Global().GetHistogram(
+      "serve.total_ms", {1, 5, 20, 100, 500, 2000, 10000});
 
   ServeResponse response;
   response.request_id = pending->request.request_id;
   response.queue_ms = MsSince(pending->admitted_at);
-  counters.queue_ms.Record(response.queue_ms);
+  queue_ms.Record(response.queue_ms);
 
   // Deadline counts from admission: an expired-in-queue request fails
   // without executing — and without touching the shard's session.
@@ -257,8 +239,7 @@ void ServeService::Execute(Pending* pending) {
   if (budget.deadline_ms > 0.0) {
     double remaining = budget.deadline_ms - MsSince(pending->admitted_at);
     if (remaining <= 0.0) {
-      stats_.deadline_preempted.fetch_add(1, std::memory_order_relaxed);
-      counters.deadline_preempted.Increment();
+      counters_.Increment(kDeadlinePreempted);
       response.code = StatusCode::kDeadlineExceeded;
       response.message = "deadline expired in admission queue";
       Respond(pending, std::move(response));
@@ -285,8 +266,7 @@ void ServeService::Execute(Pending* pending) {
     return;
   }
   if (!created) {
-    stats_.coalesced.fetch_add(1, std::memory_order_relaxed);
-    counters.coalesced.Increment();
+    counters_.Increment(kCoalesced);
   }
 
   QueryRequest query;
@@ -299,24 +279,22 @@ void ServeService::Execute(Pending* pending) {
   wire.request_id = response.request_id;
   wire.coalesced = !created;
   wire.queue_ms = response.queue_ms;
-  counters.total_ms.Record(MsSince(pending->admitted_at));
+  total_ms.Record(MsSince(pending->admitted_at));
   Respond(pending, std::move(wire));
 }
 
 void ServeService::Respond(Pending* pending, ServeResponse response) {
-  stats_.completed.fetch_add(1, std::memory_order_relaxed);
-  ServeCounters::Get().completed.Increment();
+  counters_.Increment(kCompleted);
   pending->callback(response);
 }
 
 ServeStats ServeService::Snapshot() const {
   ServeStats snapshot;
-  snapshot.admitted = stats_.admitted.load(std::memory_order_relaxed);
-  snapshot.rejected = stats_.rejected.load(std::memory_order_relaxed);
-  snapshot.completed = stats_.completed.load(std::memory_order_relaxed);
-  snapshot.deadline_preempted =
-      stats_.deadline_preempted.load(std::memory_order_relaxed);
-  snapshot.coalesced = stats_.coalesced.load(std::memory_order_relaxed);
+  snapshot.admitted = counters_.value(kAdmitted);
+  snapshot.rejected = counters_.value(kRejected);
+  snapshot.completed = counters_.value(kCompleted);
+  snapshot.deadline_preempted = counters_.value(kDeadlinePreempted);
+  snapshot.coalesced = counters_.value(kCoalesced);
   return snapshot;
 }
 
@@ -329,7 +307,7 @@ std::optional<QuerySession::SessionStats> ServeService::ShardSessionStats(
     if (it == shards_.end()) return std::nullopt;
     session = it->second.session;
   }
-  // SnapshotStats is safe from any thread (relaxed-atomic mirrors).
+  // SnapshotStats is safe from any thread (it takes no lock).
   return session->SnapshotStats();
 }
 

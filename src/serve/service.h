@@ -38,12 +38,13 @@
 //    touching the shard's session — an unexecuted or guard-aborted
 //    request cannot poison the cache; see guard.h).
 //
-//  * Observability. Counters serve.admitted / serve.rejected /
-//    serve.completed / serve.coalesced / serve.deadline_preempted,
-//    histograms serve.queue_ms / serve.total_ms, and trace spans
-//    serve.admit / serve.request (Chrome-traceable via carl_obs).
-//    Per-shard cache efficacy comes from QuerySession::SnapshotStats
-//    through ShardSessionStats().
+//  * Observability. The service counts admitted / rejected / completed
+//    / deadline_preempted / coalesced requests once, in an
+//    obs::CounterBlock that Snapshot() reads and the registry lists as
+//    serve.*. The histograms serve.queue_ms / serve.total_ms are
+//    process-wide, and trace spans serve.admit / serve.request are
+//    Chrome-traceable via carl_obs. Per-shard cache efficacy comes from
+//    QuerySession::SnapshotStats through ShardSessionStats().
 //
 // Start() spawns the workers; Submit() before Start() queues — tests
 // use that to line up concurrent requests deterministically. Shutdown()
@@ -52,7 +53,6 @@
 #ifndef CARL_SERVE_SERVICE_H_
 #define CARL_SERVE_SERVICE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -67,6 +67,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "obs/metrics.h"
 #include "relational/instance.h"
 #include "relational/schema.h"
 #include "serve/wire.h"
@@ -92,7 +93,7 @@ struct ServeOptions {
   uint64_t default_max_bindings = 0;
 };
 
-/// Monotonic service-lifetime totals (relaxed-atomic snapshot).
+/// Monotonic service-lifetime totals (read without a lock).
 struct ServeStats {
   uint64_t admitted = 0;
   uint64_t rejected = 0;            ///< admission rejections, any reason
@@ -196,14 +197,15 @@ class ServeService {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 
-  struct LiveStats {
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> rejected{0};
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> deadline_preempted{0};
-    std::atomic<uint64_t> coalesced{0};
+  // counters_ slots, in the order the constructor names them.
+  enum CounterSlot : size_t {
+    kAdmitted,
+    kRejected,
+    kCompleted,
+    kDeadlinePreempted,
+    kCoalesced,
   };
-  LiveStats stats_;
+  obs::CounterBlock counters_;
 };
 
 /// In-process client: one call = encode request -> decode (the same

@@ -449,6 +449,45 @@ TEST(QuerySessionTest, EvictionBoundsTheCache) {
   EXPECT_GE(session->SnapshotStats().ground_evictions, 1u);
 }
 
+// The cache evicts in insertion order: a hit does not move an entry, so
+// with room for two, A B C evicts A, a hit on B keeps the order, and A
+// then evicts B while C stays cached.
+TEST(QuerySessionTest, EvictionIsFirstInFirstOut) {
+  Result<datagen::Dataset> data = datagen::MakeReviewToy();
+  ASSERT_TRUE(data.ok());
+  auto variant = [&](const std::string& rule) {
+    Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
+        *data->schema, data->model_text + "\n" + rule + "\n");
+    CARL_CHECK_OK(model.status());
+    return std::move(*model);
+  };
+  const RelationalCausalModel a = variant("");
+  const RelationalCausalModel b =
+      variant("MAX_Score[A] <= Score[S] WHERE Author(A, S)");
+  const RelationalCausalModel c =
+      variant("MIN_Score[A] <= Score[S] WHERE Author(A, S)");
+
+  QuerySession session(data->instance.get());
+  session.set_max_cached_groundings(2);
+  for (const RelationalCausalModel* model : {&a, &b, &c}) {
+    ASSERT_TRUE(session.Ground(*model).ok());
+  }
+  QuerySession::SessionStats stats = session.SnapshotStats();
+  EXPECT_EQ(stats.ground_full, 3u);
+  EXPECT_EQ(stats.ground_evictions, 1u);
+
+  ASSERT_TRUE(session.Ground(b).ok());
+  EXPECT_EQ(session.SnapshotStats().cache_hits, 1u) << "B was evicted";
+  ASSERT_TRUE(session.Ground(a).ok());
+  stats = session.SnapshotStats();
+  EXPECT_EQ(stats.ground_full, 4u) << "A was still cached";
+  EXPECT_EQ(stats.ground_evictions, 2u);
+  ASSERT_TRUE(session.Ground(c).ok());
+  EXPECT_EQ(session.SnapshotStats().cache_hits, 2u)
+      << "the hit on B moved it behind C";
+  EXPECT_EQ(session.num_cached_groundings(), 2u);
+}
+
 TEST(QuerySessionTest, EngineSurvivesEvictionOfItsGrounding) {
   Result<datagen::Dataset> data = datagen::MakeReviewToy();
   ASSERT_TRUE(data.ok());

@@ -424,6 +424,33 @@ TEST_F(GuardTest, ExtendIsBoundedByTheBindingBudget) {
               test_fixtures::Canonicalize(*fresh));
 }
 
+// A ground the guard stops is a miss but no ground: it ticks
+// query_session.ground_misses and leaves ground_full, in the registry
+// and in the session's stats, where it was.
+TEST_F(GuardTest, StoppedGroundCountsAMissButNoFullGround) {
+  datagen::Dataset data = ReviewToyDataset();
+  Result<RelationalCausalModel> model =
+      RelationalCausalModel::Parse(*data.schema, data.model_text);
+  ASSERT_TRUE(model.ok()) << model.status();
+  QuerySession session(data.instance.get());
+  const obs::Snapshot before = obs::Registry::Global().TakeSnapshot();
+  {
+    guard::ExecToken token;
+    token.Cancel();
+    guard::ScopedToken scoped(&token);
+    Result<std::shared_ptr<const GroundedModel>> stopped =
+        session.Ground(*model);
+    ASSERT_FALSE(stopped.ok());
+    EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
+  }
+  const obs::Snapshot after = obs::Registry::Global().TakeSnapshot();
+  const obs::SnapshotDelta delta(before, after);
+  EXPECT_EQ(delta.CounterDelta("query_session.ground_misses"), 1u);
+  EXPECT_EQ(delta.CounterDelta("query_session.ground_full"), 0u);
+  EXPECT_EQ(session.SnapshotStats().ground_full, 0u);
+  EXPECT_EQ(session.num_cached_groundings(), 0u);
+}
+
 TEST_F(GuardTest, IsGuardStopClassifiesCodes) {
   EXPECT_TRUE(guard::IsGuardStop(StatusCode::kCancelled));
   EXPECT_TRUE(guard::IsGuardStop(StatusCode::kDeadlineExceeded));

@@ -1,6 +1,7 @@
 // carl_obs: metrics registry semantics (interned handles, concurrent
 // increments from ParallelFor workers, histogram bucket boundaries,
-// snapshots and deltas, BENCH_JSON byte format), structured tracing
+// snapshots and deltas, counter blocks summed across live and destroyed
+// blocks, one owner per name, BENCH_JSON byte format), structured tracing
 // (ring overflow oldest-drop, Chrome trace JSON validity and span
 // nesting), and CARL_LOG level parsing.
 
@@ -120,6 +121,105 @@ TEST(RegistryTest, GlobalRegistryHoldsEngineCounters) {
   uint64_t before = allocs.value();
   allocs.Increment();
   EXPECT_EQ(allocs.value(), before + 1);
+}
+
+// ---------------------------------------------------------------------------
+// CounterBlock: counters an object owns, summed by the registry.
+// ---------------------------------------------------------------------------
+
+TEST(CounterBlockTest, LiveBlocksSharingANameSum) {
+  obs::Registry registry;
+  obs::CounterBlock a({"obs_test.block", "obs_test.other"}, registry);
+  obs::CounterBlock b({"obs_test.block"}, registry);
+  a.Increment(0);
+  a.Increment(0);
+  a.Increment(1);
+  b.Increment(0);
+  EXPECT_EQ(a.value(0), 2u);
+  EXPECT_EQ(b.value(0), 1u);
+  const obs::Snapshot snapshot = registry.TakeSnapshot();
+  EXPECT_EQ(registry.num_metrics(), 2u);
+  ASSERT_NE(snapshot.Find("obs_test.block"), nullptr);
+  EXPECT_EQ(snapshot.Find("obs_test.block")->type, obs::MetricType::kCounter);
+  EXPECT_DOUBLE_EQ(snapshot.ValueOr("obs_test.block", -1.0), 3.0);
+  EXPECT_DOUBLE_EQ(snapshot.ValueOr("obs_test.other", -1.0), 1.0);
+}
+
+TEST(CounterBlockTest, DestroyedBlockCountsStayInTheTotal) {
+  obs::Registry registry;
+  obs::CounterBlock kept({"obs_test.block"}, registry);
+  kept.Increment(0);
+  const obs::Snapshot before = registry.TakeSnapshot();
+  {
+    obs::CounterBlock gone({"obs_test.block"}, registry);
+    gone.Increment(0);
+    gone.Increment(0);
+  }
+  EXPECT_DOUBLE_EQ(registry.TakeSnapshot().ValueOr("obs_test.block", -1.0),
+                   3.0);
+  kept.Increment(0);
+  const obs::Snapshot after = registry.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(after.ValueOr("obs_test.block", -1.0), 4.0);
+  EXPECT_EQ(obs::SnapshotDelta(before, after).CounterDelta("obs_test.block"),
+            3u);
+}
+
+TEST(CounterBlockDeathTest, ANameHasOneOwner) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        obs::Registry registry;
+        obs::CounterBlock block({"obs_test.owned"}, registry);
+        registry.GetCounter("obs_test.owned");
+      },
+      "owned by counter blocks");
+  EXPECT_DEATH(
+      {
+        obs::Registry registry;
+        registry.GetCounter("obs_test.plain");
+        obs::CounterBlock block({"obs_test.plain"}, registry);
+      },
+      "already registered as a plain counter");
+}
+
+// Pool threads count into one long-lived block and into blocks of their
+// own while another thread takes snapshots and creates and destroys
+// blocks: totals never go backwards, and the last snapshot holds every
+// increment exactly once.
+TEST(CounterBlockTest, ConcurrentIncrementsSnapshotsAndBlockChurn) {
+  ScopedThreads threads(4);
+  obs::Registry registry;
+  constexpr char kName[] = "obs_test.churn";
+  obs::CounterBlock shared({kName}, registry);
+  std::atomic<bool> done{false};
+  uint64_t churned = 0;
+  bool monotone = true;
+  std::thread churner([&] {
+    double last = 0.0;
+    do {
+      obs::CounterBlock block({kName}, registry);
+      block.Increment(0);
+      ++churned;
+      const double now = registry.TakeSnapshot().ValueOr(kName, 0.0);
+      monotone = monotone && now >= last;
+      last = now;
+    } while (!done.load());
+  });
+  constexpr size_t kItems = 100000;
+  ParallelFor(ExecContext::Global(), kItems,
+              [&](size_t begin, size_t end, size_t) {
+                obs::CounterBlock own({kName}, registry);
+                for (size_t i = begin; i < end; ++i) {
+                  shared.Increment(0);
+                  own.Increment(0);
+                }
+              });
+  done.store(true);
+  churner.join();
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(shared.value(0), kItems);
+  EXPECT_DOUBLE_EQ(registry.TakeSnapshot().ValueOr(kName, 0.0),
+                   static_cast<double>(2 * kItems + churned));
 }
 
 TEST(BenchJsonTest, ByteCompatibleFormat) {

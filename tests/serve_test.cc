@@ -27,12 +27,14 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "fixtures.h"
+#include "obs/metrics.h"
 #include "serve/service.h"
 #include "serve/tcp_server.h"
 
@@ -281,6 +283,84 @@ TEST_F(ServeServiceTest, QueueBoundRejectsResourceExhausted) {
   ServeStats stats = service.Snapshot();
   EXPECT_EQ(stats.admitted, 2u);
   EXPECT_EQ(stats.rejected, 1u);
+}
+
+// What a service's Snapshot() counts, by the registry name of each count.
+std::vector<std::pair<const char*, uint64_t>> ServiceCounts(
+    const ServeStats& stats) {
+  return {
+      {"serve.admitted", stats.admitted},
+      {"serve.rejected", stats.rejected},
+      {"serve.completed", stats.completed},
+      {"serve.deadline_preempted", stats.deadline_preempted},
+      {"serve.coalesced", stats.coalesced},
+  };
+}
+
+// The service counts each event once, in its counter block: while it is
+// the only service, each step moves Snapshot() as it moves serve.*, and
+// the counts stay in the registry after the service goes. One worker, a
+// queue bound of 2 and a late Start make every counter move, and no two
+// in the same steps, so a count filed under another counter's name
+// shows.
+TEST_F(ServeServiceTest, SnapshotIsTheRegistryCounts) {
+  const obs::Snapshot first = obs::Registry::Global().TakeSnapshot();
+  ServeStats stats;
+  {
+    ServeOptions options;
+    options.num_workers = 1;
+    options.max_queue_depth = 2;
+    ServeService service(options);
+    ASSERT_OK(service.RegisterInstance("mimic", mimic_.schema.get(),
+                                       mimic_.instance.get()));
+    auto step = [&](const char* what, auto run) {
+      const ServeStats stats_before = service.Snapshot();
+      const obs::Snapshot before = obs::Registry::Global().TakeSnapshot();
+      run();
+      const obs::Snapshot after = obs::Registry::Global().TakeSnapshot();
+      const obs::SnapshotDelta delta(before, after);
+      const auto counts_before = ServiceCounts(stats_before);
+      const auto counts_after = ServiceCounts(service.Snapshot());
+      for (size_t i = 0; i < counts_after.size(); ++i) {
+        const char* name = counts_after[i].first;
+        EXPECT_EQ(delta.CounterDelta(name),
+                  counts_after[i].second - counts_before[i].second)
+            << name << " when " << what;
+      }
+    };
+    std::vector<std::future<ServeResponse>> responses;
+    step("two queue and one bounces", [&] {
+      for (int i = 0; i < 3; ++i) {
+        ServeRequest request = MimicRequest("Death[P] <= SelfPay[P]?", 1 + i);
+        if (i == 0) request.deadline_ms = 0.01;
+        auto promise = std::make_shared<std::promise<ServeResponse>>();
+        responses.push_back(promise->get_future());
+        service.Submit(request, [promise](const ServeResponse& response) {
+          promise->set_value(response);
+        });
+      }
+      EXPECT_EQ(responses[2].get().code, StatusCode::kResourceExhausted);
+    });
+    step("one expires and one creates the engine", [&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      service.Start();
+      EXPECT_EQ(responses[0].get().code, StatusCode::kDeadlineExceeded);
+      EXPECT_EQ(responses[1].get().code, StatusCode::kOk);
+    });
+    step("one coalesces", [&] {
+      ServeDriver driver(&service);
+      EXPECT_TRUE(
+          driver.Call(MimicRequest("Death[P] <= SelfPay[P]?", 4)).coalesced);
+    });
+    service.Shutdown();
+    stats = service.Snapshot();
+  }
+  const obs::Snapshot last = obs::Registry::Global().TakeSnapshot();
+  const obs::SnapshotDelta delta(first, last);
+  for (const auto& [name, count] : ServiceCounts(stats)) {
+    EXPECT_GT(count, 0u) << name;
+    EXPECT_EQ(delta.CounterDelta(name), count) << name << " after the service";
+  }
 }
 
 // The grounds-once contract: identical requests racing on 4 workers

@@ -9,6 +9,7 @@
 // when its table appends and on each trigger that re-embeds every row,
 // and a table held across a mutation, which an append must never change
 // (also read by several threads while one answer appends, for TSan).
+// The session's stats and the registry's query_session.* counts agree.
 
 #include <gtest/gtest.h>
 
@@ -156,6 +157,74 @@ TEST_F(UnitRowsMemoTest, RowsTwoExtendsBehindRebuild) {
   const QuerySession::SessionStats stats = session_->SnapshotStats();
   EXPECT_EQ(stats.unit_rows_resumes, 0u);
   EXPECT_EQ(stats.unit_rows_rebuilds, 2u);
+}
+
+// What a session's own views count, by the registry name of each count.
+std::vector<std::pair<const char*, uint64_t>> SessionCounts(
+    const QuerySession& session) {
+  const QuerySession::SessionStats stats = session.SnapshotStats();
+  const BindingCache& bindings = session.binding_cache();
+  return {
+      {"query_session.ground_hits", stats.cache_hits},
+      {"query_session.ground_misses", stats.ground_full + stats.ground_extends},
+      {"query_session.ground_full", stats.ground_full},
+      {"query_session.ground_extends", stats.ground_extends},
+      {"query_session.ground_evictions", stats.ground_evictions},
+      {"query_session.unit_rows_hits", stats.unit_rows_hits},
+      {"query_session.unit_rows_resumes", stats.unit_rows_resumes},
+      {"query_session.unit_rows_rebuilds", stats.unit_rows_rebuilds},
+      {"grounding.binding_cache_hits", bindings.hits()},
+      {"grounding.binding_cache_misses", bindings.misses()},
+  };
+}
+
+// The session counts each event once, in its counter block, and the
+// registry sums the blocks: while the fixture's session is the only one
+// that counts, each step moves SnapshotStats() and its binding cache's
+// hits() / misses() as it moves query_session.* and
+// grounding.binding_cache_*. No two counters of one block move in the
+// same steps, so a count filed under another name of its block shows,
+// and every counter moves in some step.
+TEST_F(UnitRowsMemoTest, SessionStatsAreTheRegistryCounts) {
+  Result<RelationalCausalModel> variant = RelationalCausalModel::Parse(
+      *data_.schema,
+      data_.model_text + "\nAVG_Dose[P] <= Dose[D] WHERE Given(D, P)\n");
+  ASSERT_TRUE(variant.ok()) << variant.status();
+  session_->set_max_cached_groundings(1);
+  std::unique_ptr<CarlEngine> engine;
+  const QueryRequest request = Request(kQuery, EmbeddingKind::kMean);
+  auto answer = [&] { ASSERT_TRUE(engine->Answer(request).status.ok()); };
+  auto step = [&](const char* what, auto run) {
+    const auto counts_before = SessionCounts(*session_);
+    const obs::Snapshot before = obs::Registry::Global().TakeSnapshot();
+    run();
+    const obs::Snapshot after = obs::Registry::Global().TakeSnapshot();
+    const obs::SnapshotDelta delta(before, after);
+    const auto counts_after = SessionCounts(*session_);
+    for (size_t i = 0; i < counts_after.size(); ++i) {
+      const char* name = counts_after[i].first;
+      EXPECT_EQ(delta.CounterDelta(name),
+                counts_after[i].second - counts_before[i].second)
+          << name << " when " << what;
+    }
+  };
+  step("an engine grounds", [&] { engine = Engine(); });
+  step("the first answer rebuilds its rows", answer);
+  step("a repeat hits", answer);
+  step("an answer extends and resumes", [&] {
+    AppendMimicAdmission(db_, 0);
+    answer();
+  });
+  step("an engine extends", [&] {
+    AppendMimicAdmission(db_, 1);
+    Engine();
+  });
+  step("a variant evicts the base",
+       [&] { ASSERT_TRUE(session_->Ground(*variant).ok()); });
+  step("an answer re-grounds the base", answer);
+  for (const auto& [name, count] : SessionCounts(*session_)) {
+    EXPECT_GT(count, 0u) << name;
+  }
 }
 
 // A grounding holds at most kMaxUnitRowsPerGrounding memos, oldest out
