@@ -391,7 +391,7 @@ int Run(const bench::BenchFlags& flags) {
     uint64_t ground_node_allocs = 0;
     double graph_build_s = 0.0;
     double enumerate_s = 0.0;
-    double splice_s = 0.0;
+    double merge_s = 0.0;
     {
       obs::Snapshot before = obs::Registry::Global().TakeSnapshot();
       Result<GroundedModel> grounded =
@@ -404,7 +404,7 @@ int Run(const bench::BenchFlags& flags) {
       ground_node_allocs = window.CounterDelta("storage.graph_node_allocs");
       graph_build_s = grounded->phase_stats().graph_build_s();
       enumerate_s = grounded->phase_stats().enumerate_s;
-      splice_s = grounded->phase_stats().splice_s;
+      merge_s = grounded->phase_stats().merge_s;
     }
     CARL_CHECK(ground_eval_allocs == 0)
         << "per-binding Tuple materialization crept back into the "
@@ -531,14 +531,14 @@ int Run(const bench::BenchFlags& flags) {
                 static_cast<unsigned long long>(table_allocs));
     // Grounding phase breakdown of the warm pass: enumeration (binding
     // evaluation) vs graph build, with the build's merge share broken out.
-    std::printf("%-18s  enumerate %.3fs | graph build %.3fs (splice %.3fs)\n",
-                wl.name, enumerate_s, graph_build_s, splice_s);
+    std::printf("%-18s  enumerate %.3fs | graph build %.3fs (merge %.3fs)\n",
+                wl.name, enumerate_s, graph_build_s, merge_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_s", ground_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_graph_build_s",
                     graph_build_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_enumerate_s",
                     enumerate_s);
-    bench::EmitJson(kBenchName, wl.name, "grounding_splice_s", splice_s);
+    bench::EmitJson(kBenchName, wl.name, "grounding_merge_s", merge_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_allocs",
                     static_cast<double>(ground_allocs));
     bench::EmitJson(kBenchName, wl.name, "grounding_eval_result_allocs",

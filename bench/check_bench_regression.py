@@ -40,7 +40,7 @@ REQUIRED_GATED = {
     # The guard_* / fault_injected counters come from bench_table2's
     # deliberately stopped passes: presence proves every guard stop path
     # still accounts its events (values are informational, not ratio-gated).
-    # grounding_graph_build_s and its enumerate/splice split: presence
+    # grounding_graph_build_s and its enumerate/merge split: presence
     # proves the grounding phase breakdown stayed wired.
     # unit_table_allocs counts operator new calls in one warm unit-table
     # build; bench_table2 aborts when it reaches 512 at any size (no
@@ -73,7 +73,7 @@ REQUIRED_GATED = {
                           "query_session_extend_ground_extends",
                           "query_session_extend_unit_rows_resumes",
                           "grounding_graph_build_s",
-                          "grounding_enumerate_s", "grounding_splice_s",
+                          "grounding_enumerate_s", "grounding_merge_s",
                           "guard_cancelled", "guard_deadline_exceeded",
                           "guard_budget_exceeded", "fault_injected"},
     # The serving layer's load metrics. Not ratio-gated: QPS regresses

@@ -298,7 +298,6 @@ Result<CarlEngine::ResolvedQuery> CarlEngine::Resolve(
                      xschema.attribute(source_attr).predicate));
 
   resolved.unit_options.embedding = options.embedding;
-  resolved.unit_options.embedding_options = options.embedding_options;
   // Plain ATE queries keep every unit; peer-effect queries drop the units
   // without peers unless asked not to.
   resolved.unit_options.include_isolated_units =

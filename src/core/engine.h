@@ -46,7 +46,6 @@ namespace carl {
 
 struct EngineOptions {
   EmbeddingKind embedding = EmbeddingKind::kMean;
-  EmbeddingOptions embedding_options;
   EstimatorKind estimator = EstimatorKind::kRegression;
   /// 0 disables the bootstrap (std_error and CI stay NaN).
   int bootstrap_replicates = 0;

@@ -145,8 +145,9 @@ struct GroundingPhaseStats {
   double enumerate_s = 0.0;   ///< rule compile + binding enumeration
   double merge_s = 0.0;       ///< node/edge merge, one pass per rule
   /// Equal to merge_s: the merge is one pass with no separate probe.
-  /// Benchmark readers report merge_s - splice_s as probe time, which
-  /// therefore reads 0.
+  /// Its last reader is carlbench (grounding.splice_ms, and
+  /// grounding.probe_ms as merge_s - splice_s, which therefore reads 0);
+  /// the field goes once carlbench stops reading it.
   double splice_s = 0.0;
   double finalize_s = 0.0;    ///< cycle check/order + value pass
   /// The graph-build share of a pass (everything that touches the graph

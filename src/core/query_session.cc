@@ -268,35 +268,7 @@ void QuerySession::InstallGrounding(Entry* entry,
   unit_rows_[entry->grounded.get()] = std::move(memos);
 }
 
-QuerySession::UnitRowsMemo* QuerySession::FindUnitRows(
-    std::vector<UnitRowsMemo>* memos, const UnitTableRequest& request,
-    const UnitTableOptions& options) {
-  for (UnitRowsMemo& memo : *memos) {
-    if (memo.treatment == request.treatment &&
-        memo.response == request.response &&
-        memo.include_isolated_units == options.include_isolated_units) {
-      return &memo;
-    }
-  }
-  return nullptr;
-}
-
-QuerySession::MemoTable* QuerySession::FindTable(
-    UnitRowsMemo* memo, const UnitTableOptions& options) {
-  for (MemoTable& slot : memo->tables) {
-    if (slot.kind == options.embedding) return &slot;
-  }
-  return nullptr;
-}
-
 namespace {
-
-bool SameEmbeddingOptions(const EmbeddingOptions& a,
-                          const EmbeddingOptions& b) {
-  return a.moments == b.moments &&
-         a.padding_max_width == b.padding_max_width &&
-         a.padding_value == b.padding_value;
-}
 
 // True when `p` is the only owner of its object, with every access of a
 // former owner ordered before the caller's next write. use_count() alone
@@ -325,116 +297,80 @@ Result<std::shared_ptr<const UnitTable>> QuerySession::BuildUnitTable(
   if (request.allowed_sources.has_value()) {
     CARL_ASSIGN_OR_RETURN(UnitTable table,
                           carl::BuildUnitTable(grounded, request, options));
-    return std::shared_ptr<const UnitTable>(
-        std::make_shared<UnitTable>(std::move(table)));
+    return std::make_shared<const UnitTable>(std::move(table));
   }
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
-  // Current rows are shared with the other answers that read them; rows
-  // one extend behind leave the memo while this answer resumes them. A
-  // complete table of the kind is handed out; an incomplete one leaves
-  // the memo while this answer appends to it.
-  std::shared_ptr<UnitRows> rows;
-  std::shared_ptr<UnitTable> table;
-  bool current = false;
-  bool hit = false;
-  {
-    std::lock_guard<std::mutex> memo_lock(memo_mu_);
-    auto it = unit_rows_.find(&grounded);
-    UnitRowsMemo* memo = it == unit_rows_.end()
-                             ? nullptr
-                             : FindUnitRows(&it->second, request, options);
-    if (memo != nullptr && memo->rows != nullptr) {
-      current = !memo->behind;
-      rows = current ? memo->rows : std::move(memo->rows);
-      MemoTable* slot = FindTable(memo, options);
-      if (slot != nullptr && slot->table != nullptr &&
-          SameEmbeddingOptions(slot->options, options.embedding_options)) {
-        hit = current && TableHoldsRows(*slot->table, *rows);
-        table = hit ? slot->table : std::move(slot->table);
-      }
-    }
+  // Single flight under memo_mu_. A grounding no entry holds (extended,
+  // re-grounded or evicted since) builds in a memo of this call's own.
+  std::unique_lock<std::mutex> memo_lock(memo_mu_);
+  auto it = unit_rows_.find(&grounded);
+  std::vector<UnitRowsMemo> unheld;
+  std::vector<UnitRowsMemo>& memos =
+      it == unit_rows_.end() ? unheld : it->second;
+  if (&memos == &unheld) memo_lock.unlock();
+  auto memo = std::find_if(
+      memos.begin(), memos.end(), [&](const UnitRowsMemo& m) {
+        return m.treatment == request.treatment &&
+               m.response == request.response &&
+               m.include_isolated_units == options.include_isolated_units;
+      });
+  const bool fresh = memo == memos.end();
+  if (fresh) {
+    memo = memos.insert(memos.end(),
+                        UnitRowsMemo{request.treatment, request.response,
+                                     options.include_isolated_units, {}, {}});
   }
-  if (current) {
+  if (!fresh && !memo->behind) {
     counters_.Increment(kUnitRowsHits);
-    if (hit) return std::shared_ptr<const UnitTable>(std::move(table));
-  }
-  bool rebuilt = false;
-  if (!current) {
-    bool resume = false;
-    if (rows != nullptr) {
-      CARL_ASSIGN_OR_RETURN(resume,
-                            UnitRowsOutsideExtendCone(grounded, request, *rows));
+  } else {
+    // Rows one extend behind resume when the extend's cone misses every
+    // resolved unit; otherwise every row resolves again and the old
+    // tables go. A failed check or resolve takes the memo with it.
+    const Result<bool> resume =
+        fresh ? Result<bool>(false)
+              : UnitRowsOutsideExtendCone(grounded, request, memo->rows);
+    Status resolved = resume.status();
+    if (resolved.ok()) {
+      counters_.Increment(*resume ? kUnitRowsResumes : kUnitRowsRebuilds);
+      if (!*resume) {
+        memo->rows = {};
+        memo->tables = {};
+      }
+      resolved = ResolveUnitRows(grounded, request, options, &memo->rows);
     }
-    if (resume) {
-      counters_.Increment(kUnitRowsResumes);
-    } else {
-      counters_.Increment(kUnitRowsRebuilds);
-      rows = std::make_shared<UnitRows>();
-      table = nullptr;
-      rebuilt = true;
+    if (!resolved.ok()) {
+      memos.erase(memo);
+      return resolved;
     }
-    // A stop or an error drops the half-appended rows with this scope.
-    CARL_RETURN_IF_ERROR(
-        ResolveUnitRows(grounded, request, options, rows.get()));
+    memo->behind = false;
+    // Only a fresh memo, at the back, can overflow the cap.
+    if (memos.size() > kMaxUnitRowsPerGrounding) {
+      memos.erase(memos.begin());
+      memo = memos.end() - 1;
+    }
   }
-  // Append to the table only where no one else holds it.
+
+  std::shared_ptr<UnitTable>& table =
+      memo->tables[static_cast<size_t>(options.embedding)];
+  if (table != nullptr && TableHoldsRows(*table, memo->rows)) {
+    return std::shared_ptr<const UnitTable>(table);
+  }
+  // Append only to a table no reader holds. A failed embed (no unit
+  // kept) leaves no table but keeps the rows, so a repeat fails the same
+  // way without resolving them again.
   if (table == nullptr) {
     table = std::make_shared<UnitTable>();
   } else if (!SoleOwner(table)) {
     table = std::make_shared<UnitTable>(*table);
   }
-  // Rows go back even when no unit was kept: a repeat then fails the
-  // same way without resolving them again.
   const Status embedded =
-      EmbedUnitRows(*rows, grounded.schema(), options, table.get());
-  if (embedded.ok()) SumRegressionColumns(*table, &table->sums);
-  InstallUnitTable(grounded, request, options, rows,
-                   embedded.ok() ? table : nullptr, !current, rebuilt);
-  CARL_RETURN_IF_ERROR(embedded);
-  return std::shared_ptr<const UnitTable>(std::move(table));
-}
-
-void QuerySession::InstallUnitTable(const GroundedModel& grounded,
-                                    const UnitTableRequest& request,
-                                    const UnitTableOptions& options,
-                                    const std::shared_ptr<UnitRows>& rows,
-                                    const std::shared_ptr<UnitTable>& table,
-                                    bool resolved, bool rebuilt) {
-  std::lock_guard<std::mutex> memo_lock(memo_mu_);
-  // Nothing goes back once the grounding stopped being an entry's
-  // (extended, re-grounded or evicted meanwhile).
-  auto it = unit_rows_.find(&grounded);
-  if (it == unit_rows_.end()) return;
-  std::vector<UnitRowsMemo>& memos = it->second;
-  UnitRowsMemo* memo = FindUnitRows(&memos, request, options);
-  if (memo == nullptr) {
-    if (!resolved) return;
-    if (memos.size() == kMaxUnitRowsPerGrounding) memos.erase(memos.begin());
-    memos.push_back(UnitRowsMemo{request.treatment, request.response,
-                                 options.include_isolated_units, nullptr,
-                                 {}, false});
-    memo = &memos.back();
+      EmbedUnitRows(memo->rows, grounded.schema(), options, table.get());
+  if (!embedded.ok()) {
+    table = nullptr;
+    return embedded;
   }
-  // Resolved rows go back unless a concurrent answer installed current
-  // rows first; rows resolved from row 0 replace the lineage the memo's
-  // tables were embedded from.
-  if (resolved && (memo->rows == nullptr || memo->behind)) {
-    memo->rows = rows;
-    memo->behind = false;
-    if (rebuilt) memo->tables.clear();
-  }
-  if (table == nullptr || memo->rows != rows) return;
-  MemoTable* slot = FindTable(memo, options);
-  if (slot == nullptr) {
-    memo->tables.push_back(MemoTable{options.embedding, {}, nullptr});
-    slot = &memo->tables.back();
-  }
-  if (slot->table == nullptr ||
-      !SameEmbeddingOptions(slot->options, options.embedding_options) ||
-      !TableHoldsRows(*slot->table, *rows)) {
-    slot->options = options.embedding_options;
-    slot->table = table;
-  }
+  SumRegressionColumns(*table, &table->sums);
+  return std::shared_ptr<const UnitTable>(table);
 }
 
 size_t QuerySession::unit_rows_bytes() const {
@@ -442,9 +378,9 @@ size_t QuerySession::unit_rows_bytes() const {
   size_t bytes = 0;
   for (const auto& [grounded, memos] : unit_rows_) {
     for (const UnitRowsMemo& memo : memos) {
-      if (memo.rows != nullptr) bytes += memo.rows->bytes();
-      for (const MemoTable& slot : memo.tables) {
-        if (slot.table != nullptr) bytes += slot.table->bytes();
+      bytes += memo.rows.bytes();
+      for (const std::shared_ptr<UnitTable>& table : memo.tables) {
+        if (table != nullptr) bytes += table->bytes();
       }
     }
   }

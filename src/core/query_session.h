@@ -38,10 +38,9 @@
 // unit_table.h) next to its grounding, one per (treatment, response,
 // include_isolated_units) and at most kMaxUnitRowsPerGrounding of them;
 // they go with the entry on eviction or re-ground. Beside its rows a memo
-// keeps, per embedding kind, the table embedded from them (at most one
-// per kind, replaced when the embedding options differ) with the X'X/X'y
-// sums of its regression columns (UnitTable::sums). BuildUnitTable
-// answers through them in one of three ways:
+// keeps, per embedding kind, the table embedded from them with the
+// X'X/X'y sums of its regression columns (UnitTable::sums).
+// BuildUnitTable answers through them in one of three ways:
 //   1. same grounding: the rows are current; the answer hands out the
 //      kind's table, or, when it has fewer rows than the memo or is not
 //      there yet, appends the missing rows' projections and carries the
@@ -55,29 +54,32 @@
 //      an old unit, or no rows yet): the answer resolves every row and
 //      embeds and sums a fresh table (a rebuild), and the memo's other
 //      tables go with the old rows.
-// Whatever an answer changes it first takes out of the memo — the rows
-// on a resume, the kind's table and its sums on an append — and puts back
-// only when it succeeds, so a guard stop or a concurrent answer never
-// sees half-appended state. The memo shares current rows and tables
-// read-only with the answers that read them; a table someone still holds
-// (even across a mutation) is copied before an append, so it never
-// changes under its holder. A WHERE-filtered request bypasses the memo:
-// its allowed set reads the instance, not the graph.
+// An answer updates the memo in place under the session's memo mutex,
+// so concurrent answers to the same request wait for it and then hit
+// (answers to other requests wait as well); a cone check or resolve that
+// fails (a guard stop, a domain error) erases the memo. The memo shares
+// its tables read-only with the answers that read them; a table someone
+// still holds (even across a mutation) is copied before an append, so it
+// never changes under its holder. A WHERE-filtered request bypasses the
+// memo: its allowed set reads the instance, not the graph.
 //
 // Sessions are thread-safe and single-flight: one mutex is held across
 // Ground, so concurrent callers asking for the same variant ground it
 // once and the rest are served from the cache, and the binding-cache
 // staging of a guarded pass never interleaves with another pass. The
-// unit-row memos have a mutex of their own, held only to look rows up
-// and install them, so an answer never waits for a Ground. The instance
-// must not be mutated while a Ground or an answer runs. Cached
-// GroundedModels reference a model copy owned by the session, so they
-// stay valid for as long as the returned shared_ptr lives — even after
-// the session itself is destroyed the entry keeps the model alive.
+// unit-row memos have a mutex of their own, which Ground takes inside its
+// own and an answer takes alone: an answer never waits for a Ground, but
+// a Ground that installs or erases an entry waits for an answer's
+// resolve in flight. The instance must not be mutated while a Ground or
+// an answer runs. Cached GroundedModels reference a model copy owned by
+// the session, so they stay valid for as long as the returned shared_ptr
+// lives — even after the session itself is destroyed the entry keeps the
+// model alive.
 
 #ifndef CARL_CORE_QUERY_SESSION_H_
 #define CARL_CORE_QUERY_SESSION_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -115,8 +117,8 @@ class QuerySession {
   /// over every row. The table is shared read-only and never changes. A
   /// grounding that is not a cached entry's current one builds without
   /// the memo; so does a WHERE-filtered request, whose table has no sums.
-  /// Thread-safe; the memo lookup and install take a mutex of their own,
-  /// never the one Ground holds.
+  /// Thread-safe and single-flight: a memoized request resolves, embeds
+  /// and sums under a mutex of its own, never the one Ground holds.
   Result<std::shared_ptr<const UnitTable>> BuildUnitTable(
       const GroundedModel& grounded, const UnitTableRequest& request,
       const UnitTableOptions& options);
@@ -169,25 +171,21 @@ class QuerySession {
     GroundedModel grounded;
   };
 
-  // A memo's table of one embedding kind: embedded under `options` from a
-  // prefix of the memo's rows, with its sums over every one of its rows.
-  struct MemoTable {
-    EmbeddingKind kind = EmbeddingKind::kMean;
-    EmbeddingOptions options;
-    std::shared_ptr<UnitTable> table;  // null while an answer appends
-  };
-
   // Resolved unit rows of one (treatment, response,
-  // include_isolated_units) on an entry's grounding, and their tables.
+  // include_isolated_units) on an entry's grounding, and per embedding
+  // kind (indexed by it) the table embedded from a prefix of them, with
+  // its sums over every one of its rows, or null.
   struct UnitRowsMemo {
     AttributeId treatment;
     AttributeId response;
     bool include_isolated_units;
-    std::shared_ptr<UnitRows> rows;  // null while an answer resumes them
-    std::vector<MemoTable> tables;   // at most one per embedding kind
+    UnitRows rows;
+    std::array<std::shared_ptr<UnitTable>,
+               static_cast<size_t>(EmbeddingKind::kPadding) + 1>
+        tables;
     // The rows were resolved on the grounding the entry's last extend
     // started from.
-    bool behind;
+    bool behind = false;
   };
 
   struct Entry {
@@ -209,22 +207,6 @@ class QuerySession {
     kUnitRowsRebuilds,
   };
 
-  static UnitRowsMemo* FindUnitRows(std::vector<UnitRowsMemo>* memos,
-                                    const UnitTableRequest& request,
-                                    const UnitTableOptions& options);
-  // The memo's table of options' embedding kind, or null.
-  static MemoTable* FindTable(UnitRowsMemo* memo,
-                              const UnitTableOptions& options);
-  // Puts what an answer built back into the memo of (grounded, request):
-  // `rows` when it resolved them (rebuilt: every row, which drops the
-  // memo's tables) and no current rows came back first, then `table`
-  // (when set) if the memo's rows are the ones it was embedded from.
-  void InstallUnitTable(const GroundedModel& grounded,
-                        const UnitTableRequest& request,
-                        const UnitTableOptions& options,
-                        const std::shared_ptr<UnitRows>& rows,
-                        const std::shared_ptr<UnitTable>& table,
-                        bool resolved, bool rebuilt);
   // Removes the entry and its grounding's unit-row memos.
   void EraseEntry(std::vector<Entry>::iterator entry);
   // Installs a freshly grounded/extended model into `entry`, re-aliasing
@@ -245,8 +227,8 @@ class QuerySession {
   size_t max_cached_groundings_ = 16;
   // The unit-row memos of each entry's current grounding (oldest first),
   // keyed by that grounding: a key exists exactly while an entry holds
-  // the grounding. Ground takes memo_mu_ inside mu_; an answer takes
-  // only memo_mu_, so it never waits for a Ground.
+  // the grounding. An answer holds memo_mu_ across its memo's update, so
+  // memoized answers update one at a time; Ground takes it inside mu_.
   mutable std::mutex memo_mu_;
   std::unordered_map<const GroundedModel*, std::vector<UnitRowsMemo>>
       unit_rows_;

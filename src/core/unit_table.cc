@@ -421,12 +421,11 @@ Status EmbedUnitRows(const UnitRows& rows, const Schema& schema,
   std::shared_ptr<Embedding> psi;
   size_t num_cols = 2;
   if (rows.relational) {
-    psi = MakeEmbedding(options.embedding, options.embedding_options);
+    psi = MakeEmbedding(options.embedding);
     psi->Fit(rows.peer_t.widest);
     num_cols += 2 + psi->dims();
   }
-  const std::unique_ptr<Embedding> embedding =
-      MakeEmbedding(options.embedding, options.embedding_options);
+  const std::unique_ptr<Embedding> embedding = MakeEmbedding(options.embedding);
   for (const UnitRows::CovariateGroups* groups : {&rows.own, &rows.peer}) {
     for (AttributeId attr : groups->present) {
       embedding->Fit(groups->by_attr[attr].widest);

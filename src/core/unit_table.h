@@ -87,7 +87,6 @@ namespace carl {
 
 struct UnitTableOptions {
   EmbeddingKind embedding = EmbeddingKind::kMean;
-  EmbeddingOptions embedding_options;
   /// Keep units with no relational peers (always kept for plain ATE
   /// queries; peer-effect queries typically drop them).
   bool include_isolated_units = true;
@@ -217,7 +216,7 @@ Status ResolveUnitRows(const GroundedModel& grounded,
 
 /// The embed step: brings `table` up to `rows` under `options`'
 /// embedding. `table` must be empty or embedded from a prefix of `rows`
-/// under the same options. When the rows produce the table's column list,
+/// under the same embedding. When the rows produce the table's column list,
 /// only rows [table rows, kept rows) are projected and appended; else
 /// every row is re-embedded and the sums start over. Fails when no unit
 /// was kept, naming what dropped them, and leaves `table` unchanged.

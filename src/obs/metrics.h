@@ -159,11 +159,16 @@ struct Snapshot {
 };
 
 /// Counter movement between two snapshots of the same registry —
-/// the ScopedAllocCounter pattern generalized to every counter.
+/// the ScopedAllocCounter pattern generalized to every counter. It keeps
+/// pointers to both snapshots, so it takes no temporary: hold each in a
+/// named variable that outlives the delta.
 class SnapshotDelta {
  public:
   SnapshotDelta(const Snapshot& before, const Snapshot& after)
       : before_(&before), after_(&after) {}
+  SnapshotDelta(Snapshot&&, const Snapshot&) = delete;
+  SnapshotDelta(const Snapshot&, Snapshot&&) = delete;
+  SnapshotDelta(Snapshot&&, Snapshot&&) = delete;
   /// after - before of counter `name`; 0 when the counter is absent from
   /// the after-side snapshot (a metric registered mid-window reads as its
   /// own value, since an absent before-side counts as 0).

@@ -237,8 +237,7 @@ void FitGroupEmbeddings(
     std::vector<std::unique_ptr<Embedding>>* embeddings,
     std::vector<std::string>* col_list, std::vector<std::string>* col_names) {
   for (const auto& [attr, rows] : groups) {
-    std::unique_ptr<Embedding> e =
-        MakeEmbedding(options.embedding, options.embedding_options);
+    std::unique_ptr<Embedding> e = MakeEmbedding(options.embedding);
     e->Fit(Widest(rows));
     for (const std::string& dim : e->DimNames()) {
       std::string name = prefix + schema.attribute(attr).name + "_" + dim;
@@ -388,7 +387,7 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
     table.peer_treated_count_col = "peer_treated_count";
     col_names.push_back(table.peer_count_col);
     col_names.push_back(table.peer_treated_count_col);
-    psi = MakeEmbedding(options.embedding, options.embedding_options);
+    psi = MakeEmbedding(options.embedding);
     psi->Fit(Widest(peer_t));
     for (const std::string& dim : psi->DimNames()) {
       table.peer_t_cols.push_back("peer_t_" + dim);

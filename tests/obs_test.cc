@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,6 +113,17 @@ TEST(RegistryTest, SnapshotAndDelta) {
   EXPECT_EQ(window.CounterDelta("obs_test.delta"), 4u);
   EXPECT_EQ(window.CounterDelta("obs_test.absent"), 0u);
 }
+
+// A delta keeps pointers to its snapshots, so one built from a temporary
+// would read it after it is destroyed: that must not compile.
+static_assert(std::is_constructible_v<obs::SnapshotDelta, obs::Snapshot&,
+                                      obs::Snapshot&>);
+static_assert(!std::is_constructible_v<obs::SnapshotDelta, obs::Snapshot&&,
+                                       const obs::Snapshot&>);
+static_assert(!std::is_constructible_v<obs::SnapshotDelta,
+                                       const obs::Snapshot&, obs::Snapshot&&>);
+static_assert(!std::is_constructible_v<obs::SnapshotDelta, obs::Snapshot&&,
+                                       obs::Snapshot&&>);
 
 TEST(RegistryTest, GlobalRegistryHoldsEngineCounters) {
   // The engine registers its counters on first use; the storage layer's

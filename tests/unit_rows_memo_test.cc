@@ -228,7 +228,7 @@ TEST_F(UnitRowsMemoTest, SessionStatsAreTheRegistryCounts) {
 }
 
 // A grounding holds at most kMaxUnitRowsPerGrounding memos, oldest out
-// first, and they go with their grounding.
+// first, and they go with their grounding; a failing request evicts none.
 TEST_F(UnitRowsMemoTest, MemosAreCappedAndFreedWithTheirGrounding) {
   const char* queries[] = {"Len[P] <= SelfPay[P]?", "Death[P] <= SelfPay[P]?",
                            "Len[P] <= Severe[P]?", "Death[P] <= Severe[P]?",
@@ -244,6 +244,13 @@ TEST_F(UnitRowsMemoTest, MemosAreCappedAndFreedWithTheirGrounding) {
   EXPECT_EQ(AnswerAndCount(queries[0]), Patients()) << "the oldest went";
   EXPECT_GT(session_->unit_rows_bytes(), 0u);
 
+  // A request that fails to resolve keeps no memo and evicts none.
+  const QueryResponse failed =
+      Engine()->Answer(Request("Len[P] <= Age[P]?", EmbeddingKind::kMean));
+  EXPECT_EQ(failed.status.code(), StatusCode::kInvalidArgument)
+      << failed.status;
+  EXPECT_EQ(AnswerAndCount(queries[2]), 0u) << "the oldest stayed";
+
   // Evicting the grounding frees its memos.
   session_->set_max_cached_groundings(1);
   Result<RelationalCausalModel> other = RelationalCausalModel::Parse(
@@ -254,8 +261,8 @@ TEST_F(UnitRowsMemoTest, MemosAreCappedAndFreedWithTheirGrounding) {
 }
 
 // Several threads answer on one session right after an extend. The first
-// to look takes the rows and resumes them; the others rebuild while the
-// rows are out or hit once they are back. Every answer equals a fresh
+// to take the memo resumes its rows; the others wait and hit, appending
+// to their embedding's table or reading it. Every answer equals a fresh
 // engine's.
 TEST_F(UnitRowsMemoTest, ConcurrentAnswersWhileOneResumes) {
   const EmbeddingKind embeddings[] = {
@@ -291,8 +298,8 @@ TEST_F(UnitRowsMemoTest, ConcurrentAnswersWhileOneResumes) {
   }
   const QuerySession::SessionStats after = session_->SnapshotStats();
   EXPECT_EQ(after.unit_rows_resumes - before.unit_rows_resumes, 1u);
-  EXPECT_EQ((after.unit_rows_hits - before.unit_rows_hits) +
-                (after.unit_rows_rebuilds - before.unit_rows_rebuilds),
+  EXPECT_EQ(after.unit_rows_rebuilds - before.unit_rows_rebuilds, 0u);
+  EXPECT_EQ(after.unit_rows_hits - before.unit_rows_hits,
             static_cast<uint64_t>(kThreads * kAnswers - 1));
 }
 
