@@ -126,8 +126,15 @@ constexpr double kMaxExtendHeapBytes = 256 * 1024;
 // size (about 150–200 at quick size and 150–260 at full size).
 constexpr uint64_t kMaxUnitTableAllocs = 512;
 
-// Warm unit-table builds unit_table_s is the fastest of.
+// Warm unit-table builds unit_table_s is the fastest of, and warm
+// criterion checks criterion_s is the fastest of.
 constexpr int kUnitTableBuilds = 10;
+
+// Heap allocations one adjustment-criterion check over a whole unit table
+// may make, at any size: the request plan, two stamp arrays and the
+// amortized growth of a few scratch lists. A per-unit plan, stamp array
+// or visited set adds one or more per unit and trips it.
+constexpr uint64_t kMaxCriterionAllocs = 64;
 
 struct ExtendMeasurement {
   double best_s = 0.0;
@@ -434,18 +441,16 @@ int Run(const bench::BenchFlags& flags) {
     // allocations per row and trip it at any size.
     static obs::Counter& nodes_expanded_counter =
         obs::Registry::Global().GetCounter("unit_table.nodes_expanded");
-    uint64_t table_allocs = 0;
-    uint64_t nodes_expanded = 0;
-    size_t table_rows = 0;
-    {
-      const uint64_t expanded_before = nodes_expanded_counter.value();
-      const uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
-      Result<UnitTable> table = wl.engine->BuildUnitTableForQuery(*query);
-      table_allocs = g_heap_allocs.load(std::memory_order_relaxed) - before;
-      nodes_expanded = nodes_expanded_counter.value() - expanded_before;
-      CARL_CHECK_OK(table.status());
-      table_rows = table->data.num_rows();
-    }
+    const uint64_t expanded_before = nodes_expanded_counter.value();
+    const uint64_t table_allocs_before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    Result<UnitTable> table = wl.engine->BuildUnitTableForQuery(*query);
+    const uint64_t table_allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - table_allocs_before;
+    const uint64_t nodes_expanded =
+        nodes_expanded_counter.value() - expanded_before;
+    CARL_CHECK_OK(table.status());
+    const size_t table_rows = table->data.num_rows();
     CARL_CHECK(table_allocs < kMaxUnitTableAllocs)
         << "per-row heap allocations crept back into the unit-table "
         << "build: " << table_allocs << " allocations for " << table_rows
@@ -459,6 +464,36 @@ int Run(const bench::BenchFlags& flags) {
           << nodes_expanded << " nodes expanded for " << table_rows
           << " rows";
     }
+
+    // Theorem 5.2's criterion on every unit of that table, as an answer
+    // with check_criterion runs it: it must hold on every workload. Then
+    // the fastest of kUnitTableBuilds warm checks, and one more counting
+    // operator new calls.
+    Result<CarlEngine::ResolvedQuery> resolved =
+        wl.engine->Resolve(*query, EngineOptions());
+    CARL_CHECK_OK(resolved.status());
+    auto check_criterion = [&] {
+      Result<bool> ok = CheckAdjustmentCriterion(
+          *resolved->grounded, resolved->request, table->units());
+      CARL_CHECK_OK(ok.status());
+      return *ok;
+    };
+    CARL_CHECK(check_criterion())
+        << "the adjustment criterion fails on some unit of " << wl.name;
+    const double criterion_s =
+        bench::TimeBest(kUnitTableBuilds, check_criterion);
+    const uint64_t criterion_allocs_before =
+        g_heap_allocs.load(std::memory_order_relaxed);
+    check_criterion();
+    const uint64_t criterion_allocs =
+        g_heap_allocs.load(std::memory_order_relaxed) - criterion_allocs_before;
+    CARL_CHECK(criterion_allocs < kMaxCriterionAllocs)
+        << "per-unit heap allocations crept into the criterion check: "
+        << criterion_allocs << " allocations for " << table_rows << " units";
+    std::printf("%-18scriterion on every unit: %.5fs (unit table %.5fs), "
+                "%llu heap allocations\n",
+                wl.name, criterion_s, table_s,
+                static_cast<unsigned long long>(criterion_allocs));
 
     double answer_s = bench::TimeBest(iters, [&] {
       CARL_CHECK_OK(wl.engine->Answer(QueryRequest(wl.query)).status);
@@ -550,6 +585,9 @@ int Run(const bench::BenchFlags& flags) {
                     static_cast<double>(table_allocs));
     bench::EmitJson(kBenchName, wl.name, "unit_table_nodes_expanded",
                     static_cast<double>(nodes_expanded));
+    bench::EmitJson(kBenchName, wl.name, "criterion_s", criterion_s);
+    bench::EmitJson(kBenchName, wl.name, "criterion_allocs",
+                    static_cast<double>(criterion_allocs));
     bench::EmitJson(kBenchName, wl.name, "query_answer_s", answer_s);
   }
 

@@ -62,8 +62,13 @@ REQUIRED_GATED = {
     # deltas; bench_table2 aborts unless the repeat is a grounding and
     # unit-row hit with no miss, and the answer after the admission is one
     # miss, one extend, no full ground and one unit-row resume.
+    # criterion_allocs counts operator new calls in one adjustment-
+    # criterion check over every unit of the warm table; bench_table2
+    # aborts when it reaches 64 at any size, and when the criterion fails
+    # on some unit, so its presence proves the check still covers every
+    # unit in one pass with no per-unit allocation.
     "BENCH_table2.json": {"grounding_s", "unit_table_s", "unit_table_allocs",
-                          "unit_table_nodes_expanded",
+                          "unit_table_nodes_expanded", "criterion_allocs",
                           "grounding_incremental_extend_s",
                           "grounding_incremental_extend_heap_bytes",
                           "unit_table_rows_resolved",

@@ -45,26 +45,4 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-double Rng::Beta(double alpha, double beta) {
-  std::gamma_distribution<double> ga(alpha, 1.0);
-  std::gamma_distribution<double> gb(beta, 1.0);
-  double x = ga(engine_);
-  double y = gb(engine_);
-  return x / (x + y);
-}
-
-std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
-  CARL_CHECK(k <= n) << "cannot sample " << k << " of " << n;
-  // Partial Fisher-Yates over an index array.
-  std::vector<size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0);
-  for (size_t i = 0; i < k; ++i) {
-    size_t j = static_cast<size_t>(
-        UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(n) - 1));
-    std::swap(idx[i], idx[j]);
-  }
-  idx.resize(k);
-  return idx;
-}
-
 }  // namespace carl

@@ -28,8 +28,6 @@ class Rng {
   /// Index in [0, weights.size()) drawn with probability proportional to
   /// weights (non-negative; dies if all are zero).
   size_t Categorical(const std::vector<double>& weights);
-  /// Beta(alpha, beta) draw via two gamma variates.
-  double Beta(double alpha, double beta);
 
   /// Fisher-Yates shuffle.
   template <typename T>
@@ -39,9 +37,6 @@ class Rng {
       std::swap((*v)[i - 1], (*v)[j]);
     }
   }
-
-  /// k distinct indices sampled uniformly from [0, n); k <= n.
-  std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
   std::mt19937_64& engine() { return engine_; }
 

@@ -339,11 +339,10 @@ Result<QueryAnswer> CarlEngine::AnswerQuery(const CausalQuery& query,
   }
   std::optional<bool> criterion_ok;
   if (options.check_criterion) {
-    CARL_ASSIGN_OR_RETURN(
-        criterion_ok,
-        CheckAdjustmentCriterionSample(*resolved.grounded, resolved.request,
-                                       table, options.criterion_sample,
-                                       options.seed));
+    CARL_ASSIGN_OR_RETURN(criterion_ok,
+                          CheckAdjustmentCriterion(*resolved.grounded,
+                                                   resolved.request,
+                                                   table.units()));
   }
   auto fill = [&](auto& out) {
     out.naive = naive;

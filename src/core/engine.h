@@ -11,8 +11,9 @@
 //      through the session's unit-row memo of the grounding;
 //   4. estimate: ATE (eq. 23) for plain queries, AIE/ARE/AOE (eq. 24–26)
 //      for WHEN ... PEERS TREATED queries;
-//   5. optional bootstrap standard errors and an optional d-separation
-//      spot check of the adjustment criterion (Theorem 5.2).
+//   5. optional bootstrap standard errors and an optional check of the
+//      adjustment criterion (Theorem 5.2) by d-separation on every unit
+//      of the table.
 //
 // The engine is immutable after Create: it holds its session and the
 // model it was created with, and a derived aggregate belongs to the one
@@ -50,9 +51,9 @@ struct EngineOptions {
   /// 0 disables the bootstrap (std_error and CI stay NaN).
   int bootstrap_replicates = 0;
   uint64_t seed = 42;
-  /// Spot-check Theorem 5.2's criterion by d-separation on sampled units.
+  /// Check Theorem 5.2's criterion by d-separation on every unit of the
+  /// unit table (CheckAdjustmentCriterion) and report criterion_ok.
   bool check_criterion = false;
-  int criterion_sample = 8;
   /// Peer-effect queries drop units without peers unless set.
   bool include_isolated_units = false;
   /// Aggregate used when unifying treated/response units (§4.3).
@@ -76,7 +77,7 @@ struct AteAnswer {
   bool relational = false;
   /// Resolved response attribute (the unified aggregate when derived).
   std::string response_attribute;
-  /// Set when options.check_criterion: true iff all sampled units passed.
+  /// Set when options.check_criterion: true iff every unit passes.
   std::optional<bool> criterion_ok;
 };
 

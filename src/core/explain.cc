@@ -1,5 +1,6 @@
 #include "core/explain.h"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 
@@ -26,7 +27,9 @@ std::string QueryExplanation::ToString() const {
   }
   os << "  adjustment set (Theorem 5.2):\n";
   if (covariates.empty()) {
-    os << "    (empty - treatment is exogenous in the model)\n";
+    os << (treatment_exogenous
+               ? "    (empty - treatment is exogenous in the model)\n"
+               : "    (empty - no observed parent of the treatment)\n");
   }
   for (const CovariateSummary& c : covariates) {
     os << "    " << c.role << " " << c.attribute << "  (covers "
@@ -34,7 +37,7 @@ std::string QueryExplanation::ToString() const {
   }
   if (criterion_checked) {
     os << "  d-separation criterion: "
-       << (criterion_ok ? "holds on sampled units"
+       << (criterion_ok ? "holds on every unit"
                         : "VIOLATED - estimates may be biased")
        << "\n";
   }
@@ -115,14 +118,19 @@ Result<QueryExplanation> ExplainQuery(const CarlEngine* engine,
   };
   summarize(table.own_covariate_cols, "own");
   summarize(table.peer_covariate_cols, "peer");
+  const RelationalCausalModel& model = grounded.model();
+  out.treatment_exogenous =
+      !model.IsAggregateAttribute(resolved.request.treatment) &&
+      std::none_of(model.rules().begin(), model.rules().end(),
+                   [&](const CausalRule& rule) {
+                     return rule.head.attribute == out.treatment_attribute;
+                   });
 
   if (options.check_criterion) {
     out.criterion_checked = true;
     CARL_ASSIGN_OR_RETURN(
         out.criterion_ok,
-        CheckAdjustmentCriterionSample(grounded, resolved.request, table,
-                                       options.criterion_sample,
-                                       options.seed));
+        CheckAdjustmentCriterion(grounded, resolved.request, table.units()));
   }
   return out;
 }

@@ -8,7 +8,7 @@
 // the unit predicate, the unification rule (if derived), the adjustment
 // set grouped by attribute, peer statistics, and the d-separation check —
 // what an analyst reviews before trusting an estimate. It reads the same
-// CarlEngine::Resolve and the same sampled criterion check that Answer
+// CarlEngine::Resolve and the same every-unit criterion check that Answer
 // runs, so the two report the same response attribute and criterion_ok.
 
 #ifndef CARL_CORE_EXPLAIN_H_
@@ -48,8 +48,10 @@ struct QueryExplanation {
   size_t isolated_units = 0;  ///< units with no peers
 
   std::vector<CovariateSummary> covariates;
-  /// d-separation spot check of Theorem 5.2's criterion on the units
-  /// Answer samples (options.criterion_sample, options.seed).
+  /// No rule of the model the query runs on heads the treatment attribute.
+  bool treatment_exogenous = false;
+  /// Theorem 5.2's criterion, checked by d-separation on every unit of
+  /// the unit table, as Answer checks it (options.check_criterion).
   bool criterion_checked = false;
   bool criterion_ok = false;
 

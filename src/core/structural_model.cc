@@ -54,10 +54,6 @@ void StructuralModel::Define(const std::string& attribute,
   equations_[attribute] = std::move(equation);
 }
 
-bool StructuralModel::Has(const std::string& attribute) const {
-  return equations_.count(attribute) > 0;
-}
-
 namespace {
 
 uint64_t SplitMix64(uint64_t x) {

@@ -64,7 +64,6 @@ class StructuralModel {
  public:
   /// Attaches the equation for all groundings of `attribute`.
   void Define(const std::string& attribute, StructuralEquation equation);
-  bool Has(const std::string& attribute) const;
 
   /// A do() intervention: fixes groundings of an attribute. The setter
   /// returns nullopt for units that keep their structural value.

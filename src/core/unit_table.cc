@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "guard/guard.h"
 #include "obs/metrics.h"
@@ -200,6 +199,7 @@ class UnitResolver {
   // Nodes the peer searches of this resolver have expanded.
   uint64_t nodes_expanded() const { return nodes_expanded_; }
 
+ private:
   // Starts a marking pass.
   uint32_t NextEpoch() {
     if (++epoch_ == 0) {  // wrapped: stale stamps would alias new passes
@@ -214,8 +214,6 @@ class UnitResolver {
     stamp_[node] = epoch;
     return true;
   }
-
- private:
   bool Reached(NodeId node) const {
     return plan_.reached[graph_.node(node).attribute] != 0;
   }
@@ -550,55 +548,48 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
 
 Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
                                       const UnitTableRequest& request,
-                                      TupleView unit) {
+                                      RelationView units) {
   CARL_ASSIGN_OR_RETURN(RequestPlan plan, PlanRequest(grounded, request));
   const CausalGraph& graph = grounded.graph();
-  // Cold path (a handful of sampled units per query): resolve the unit's
-  // nodes with allocation-free span probes.
-  NodeId t_node = graph.FindNode(plan.treatment, unit);
-  NodeId y_node = graph.FindNode(plan.response, unit);
   UnitResolver resolver(grounded, plan);
-  CARL_ASSIGN_OR_RETURN(bool resolved, resolver.Resolve(t_node, y_node));
-  if (!resolved) {
-    return Status::NotFound("unit has no treatment/response values");
-  }
-
-  // S' = the unit and its peers; condition on their treatment nodes plus
-  // the observed-parent covariate set Z.
-  std::vector<NodeId> conditioning{t_node};
-  conditioning.insert(conditioning.end(), resolver.peers().begin(),
-                      resolver.peers().end());
-  resolver.VisitCovariates([&](bool, AttributeId, NodeId node, double) {
-    conditioning.push_back(node);
-  });
-
-  // X = all parents (observed or latent) of the treatment nodes.
-  std::vector<NodeId> all_parents;
-  const uint32_t epoch = resolver.NextEpoch();
-  auto add_parents = [&](NodeId treated) {
-    for (NodeId p : graph.Parents(treated)) {
-      if (resolver.Mark(p, epoch)) all_parents.push_back(p);
-    }
-  };
-  add_parents(t_node);
-  for (NodeId p : resolver.peers()) add_parents(p);
-  if (all_parents.empty()) return true;  // exogenous treatment
-
-  return DSeparated(graph, resolver.starts(), all_parents, conditioning);
-}
-
-Result<bool> CheckAdjustmentCriterionSample(const GroundedModel& grounded,
-                                            const UnitTableRequest& request,
-                                            const UnitTable& table,
-                                            int sample_size, uint64_t seed) {
-  Rng rng(seed);
-  const RelationView units = table.units();
-  size_t sample = std::min<size_t>(
-      static_cast<size_t>(std::max(1, sample_size)), units.size());
-  for (size_t idx : rng.SampleWithoutReplacement(units.size(), sample)) {
+  DSeparation dseparation(graph);
+  std::vector<NodeId> conditioning;
+  std::vector<NodeId> parents;
+  for (size_t i = 0; i < units.size(); ++i) {
+    if (i % kUnitPollStride == 0) CARL_RETURN_IF_ERROR(guard::CheckPoint());
+    const NodeId t_node = graph.FindNode(plan.treatment, units[i]);
     CARL_ASSIGN_OR_RETURN(
-        bool ok, CheckAdjustmentCriterion(grounded, request, units[idx]));
-    if (!ok) return false;
+        bool resolved,
+        resolver.Resolve(t_node, graph.FindNode(plan.response, units[i])));
+    if (!resolved) {
+      return Status::NotFound("unit has no treatment/response values");
+    }
+
+    // S' = the unit and its peers. X = every parent of their treatment
+    // nodes, observed or latent; condition on those treatment nodes plus
+    // the covariates Z, their valued non-treatment parents. A unit whose
+    // X lies inside the conditioning set passes without a traversal.
+    const std::vector<NodeId>& peers = resolver.peers();
+    parents.assign(graph.Parents(t_node).begin(), graph.Parents(t_node).end());
+    for (NodeId p : peers) {
+      parents.insert(parents.end(), graph.Parents(p).begin(),
+                     graph.Parents(p).end());
+    }
+    auto conditioned = [&](NodeId p) {
+      if (graph.node(p).attribute != plan.treatment) {
+        return grounded.NodeValue(p).has_value();
+      }
+      return p == t_node || std::binary_search(peers.begin(), peers.end(), p);
+    };
+    if (std::all_of(parents.begin(), parents.end(), conditioned)) continue;
+    conditioning.assign(1, t_node);
+    conditioning.insert(conditioning.end(), peers.begin(), peers.end());
+    resolver.VisitCovariates([&](bool, AttributeId, NodeId node, double) {
+      conditioning.push_back(node);
+    });
+    if (!dseparation.Separated(resolver.starts(), parents, conditioning)) {
+      return false;
+    }
   }
   return true;
 }

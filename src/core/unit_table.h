@@ -241,24 +241,19 @@ Result<UnitTable> BuildUnitTable(const GroundedModel& grounded,
                                  const UnitTableRequest& request,
                                  const UnitTableOptions& options = {});
 
-/// Spot-checks the relational adjustment criterion (Theorem 5.2, eq. 29)
-/// for one unit: with Z = the observed parents of the treatment nodes of
-/// the unit and its peers, and conditioning additionally on those
-/// treatment nodes, the response grounding must be d-separated from *all*
-/// parents (observed or not) of those treatment nodes. Returns true when
-/// the criterion holds (identifiability witness).
+/// Theorem 5.2's relational adjustment criterion (eq. 29), true iff every
+/// unit of `units` passes (the identifiability witness): with Z = the
+/// observed, valued parents of the treatment nodes of the unit and its
+/// peers, and conditioning additionally on those treatment nodes, the
+/// unit's response grounding(s) must be d-separated from *all* parents
+/// (observed or latent) of those treatment nodes. The request is planned
+/// once and one resolver serves every unit; the d-separation runs only
+/// when some parent lies outside the conditioning set, on one DSeparation
+/// shared by the units. Fails like BuildUnitTable, with a guard stop, and
+/// with NotFound for a unit lacking a treatment or response value.
 Result<bool> CheckAdjustmentCriterion(const GroundedModel& grounded,
                                       const UnitTableRequest& request,
-                                      TupleView unit);
-
-/// CheckAdjustmentCriterion on a seeded random sample of `sample_size`
-/// units of `table` (at least one, at most all of them). True iff every
-/// sampled unit passes. The one spot check behind both
-/// EngineOptions::check_criterion and ExplainQuery.
-Result<bool> CheckAdjustmentCriterionSample(const GroundedModel& grounded,
-                                            const UnitTableRequest& request,
-                                            const UnitTable& table,
-                                            int sample_size, uint64_t seed);
+                                      RelationView units);
 
 }  // namespace carl
 

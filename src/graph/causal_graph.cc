@@ -305,80 +305,99 @@ std::string CausalGraph::NodeName(NodeId id, const Schema& schema,
   return schema.attribute(g.attribute).name + "[" + Join(names, ", ") + "]";
 }
 
-std::vector<NodeId> DConnectedNodes(const CausalGraph& graph,
-                                    const std::vector<NodeId>& x,
-                                    const std::vector<NodeId>& z) {
-  const size_t n = graph.num_nodes();
-  std::vector<bool> in_z(n, false);
-  for (NodeId id : z) in_z[id] = true;
-
-  // Phase 1: ancestors of Z (inclusive).
-  std::vector<bool> anc_z(n, false);
-  for (NodeId id : graph.Ancestors(z)) anc_z[id] = true;
-
-  // Phase 2: breadth-first over (node, direction) states.
-  // direction: 0 = trail arrived from a child ("up"), 1 = from a parent
-  // ("down").
-  std::vector<bool> visited_up(n, false), visited_down(n, false);
-  std::vector<bool> reachable(n, false);
-  std::deque<std::pair<NodeId, int>> frontier;
-  for (NodeId id : x) {
-    if (!in_z[id]) frontier.emplace_back(id, 0);
+void DSeparation::Begin(const std::vector<NodeId>& z) {
+  marks_.resize(graph_.num_nodes());
+  if (++epoch_ == 0) {  // wrapped: stale stamps would alias this query
+    std::fill(marks_.begin(), marks_.end(), Marks());
+    epoch_ = 1;
   }
-  while (!frontier.empty()) {
-    auto [node, dir] = frontier.front();
-    frontier.pop_front();
-    auto& visited = dir == 0 ? visited_up : visited_down;
-    if (visited[node]) continue;
-    visited[node] = true;
-    if (!in_z[node]) reachable[node] = true;
+  for (NodeId id : z) marks_[id].in_z = epoch_;
+}
 
-    if (dir == 0) {
-      // Arrived from a child; if not conditioned, the trail may continue to
-      // parents (chain) and to children (fork at this node).
-      if (!in_z[node]) {
-        for (NodeId p : graph.Parents(node)) frontier.emplace_back(p, 0);
-        for (NodeId c : graph.Children(node)) frontier.emplace_back(c, 1);
-      }
-    } else {
-      // Arrived from a parent.
-      if (!in_z[node]) {
-        for (NodeId c : graph.Children(node)) frontier.emplace_back(c, 1);
-      }
-      // Collider (or descendant-of-conditioned) opens toward parents when
-      // this node is an ancestor of Z.
-      if (anc_z[node]) {
-        for (NodeId p : graph.Parents(node)) frontier.emplace_back(p, 0);
-      }
+template <typename Reach>
+bool DSeparation::Traverse(const std::vector<NodeId>& x,
+                           const std::vector<NodeId>& z, Reach&& reach) {
+  const uint32_t epoch = epoch_;
+
+  // Phase 1: the ancestors of Z, Z included. A collider opens when it or
+  // one of its descendants is conditioned on, i.e. when it is one of them.
+  stack_.clear();
+  auto mark_ancestor = [&](NodeId id) {
+    if (marks_[id].anc_z == epoch) return;
+    marks_[id].anc_z = epoch;
+    stack_.push_back(id);
+  };
+  for (NodeId id : z) mark_ancestor(id);
+  while (!stack_.empty()) {
+    const NodeId id = stack_.back();
+    stack_.pop_back();
+    for (NodeId p : graph_.Parents(id)) mark_ancestor(p);
+  }
+
+  // Phase 2: (node, arrival) states reachable from X \ Z by active trails.
+  frontier_.clear();
+  auto push = [&](NodeIdSpan next, Arrival arrival) {
+    for (NodeId id : next) frontier_.emplace_back(id, arrival);
+  };
+  for (NodeId id : x) {
+    if (marks_[id].in_z != epoch) frontier_.emplace_back(id, kFromChild);
+  }
+  while (!frontier_.empty()) {
+    const auto [node, arrival] = frontier_.back();
+    frontier_.pop_back();
+    Marks& m = marks_[node];
+    uint32_t& visited = arrival == kFromChild ? m.up : m.down;
+    if (visited == epoch) continue;
+    const bool first_visit = m.up != epoch && m.down != epoch;
+    visited = epoch;
+    const bool conditioned = m.in_z == epoch;
+    if (!conditioned && first_visit && reach(node)) return true;
+    // An unconditioned node passes a trail on to its children (chain or
+    // fork) and one from a child on to its parents (chain); a collider
+    // opens toward its parents when it is an ancestor of Z.
+    if (!conditioned) push(graph_.Children(node), kFromParent);
+    if (arrival == kFromChild ? !conditioned : m.anc_z == epoch) {
+      push(graph_.Parents(node), kFromChild);
     }
   }
-  std::vector<NodeId> out;
-  for (size_t i = 0; i < n; ++i) {
-    if (reachable[i]) out.push_back(static_cast<NodeId>(i));
+  return false;
+}
+
+bool DSeparation::Separated(const std::vector<NodeId>& x,
+                            const std::vector<NodeId>& y,
+                            const std::vector<NodeId>& z) {
+  Begin(z);
+  auto outside_z = [&](NodeId id) { return marks_[id].in_z != epoch_; };
+  if (std::none_of(x.begin(), x.end(), outside_z) ||
+      std::none_of(y.begin(), y.end(), outside_z)) {
+    return true;
   }
+  for (NodeId id : y) marks_[id].target = epoch_;
+  return !Traverse(x, z,
+                   [&](NodeId id) { return marks_[id].target == epoch_; });
+}
+
+std::vector<NodeId> DSeparation::ConnectedNodes(const std::vector<NodeId>& x,
+                                                const std::vector<NodeId>& z) {
+  Begin(z);
+  std::vector<NodeId> out;
+  Traverse(x, z, [&](NodeId id) {
+    out.push_back(id);
+    return false;
+  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 
 bool DSeparated(const CausalGraph& graph, const std::vector<NodeId>& x,
                 const std::vector<NodeId>& y, const std::vector<NodeId>& z) {
-  std::vector<bool> in_z(graph.num_nodes(), false);
-  for (NodeId id : z) in_z[id] = true;
-  std::vector<NodeId> x_eff, y_eff;
-  for (NodeId id : x) {
-    if (!in_z[id]) x_eff.push_back(id);
-  }
-  for (NodeId id : y) {
-    if (!in_z[id]) y_eff.push_back(id);
-  }
-  if (x_eff.empty() || y_eff.empty()) return true;
+  return DSeparation(graph).Separated(x, y, z);
+}
 
-  std::vector<NodeId> reachable = DConnectedNodes(graph, x_eff, z);
-  std::vector<bool> is_reachable(graph.num_nodes(), false);
-  for (NodeId id : reachable) is_reachable[id] = true;
-  for (NodeId id : y_eff) {
-    if (is_reachable[id]) return false;
-  }
-  return true;
+std::vector<NodeId> DConnectedNodes(const CausalGraph& graph,
+                                    const std::vector<NodeId>& x,
+                                    const std::vector<NodeId>& z) {
+  return DSeparation(graph).ConnectedNodes(x, z);
 }
 
 }  // namespace carl

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -252,14 +253,58 @@ class CausalGraph {
   static const std::vector<NodeId> kNoNodes;
 };
 
-/// d-separation test: X ⫫ Y | Z in `graph`? Implemented with the standard
-/// reachability ("Bayes ball") algorithm; linear in the graph size.
-/// Nodes appearing in Z are removed from both X and Y first.
+/// d-separation queries on one graph by the reachability ("Bayes ball")
+/// algorithm, on scratch kept across queries: epoch stamps over node ids,
+/// sized once and bumped per query instead of cleared, so a query costs
+/// only the nodes it visits. The graph must outlive it, unchanged.
+class DSeparation {
+ public:
+  explicit DSeparation(const CausalGraph& graph) : graph_(graph) {}
+
+  /// X ⫫ Y | Z? Nodes appearing in Z are removed from both X and Y first;
+  /// when either is then empty the answer is true without a traversal.
+  bool Separated(const std::vector<NodeId>& x, const std::vector<NodeId>& y,
+                 const std::vector<NodeId>& z);
+
+  /// Nodes reachable from X by an active trail given Z (excluding
+  /// conditioned nodes), ascending.
+  std::vector<NodeId> ConnectedNodes(const std::vector<NodeId>& x,
+                                     const std::vector<NodeId>& z);
+
+ private:
+  // Per node, the epoch of the query that last set each flag.
+  struct Marks {
+    uint32_t in_z = 0;
+    uint32_t anc_z = 0;   // an ancestor of Z (Z included)
+    uint32_t target = 0;  // in Y
+    uint32_t up = 0;      // entered by a trail from a child
+    uint32_t down = 0;    // entered by a trail from a parent
+  };
+  enum Arrival : uint8_t { kFromChild, kFromParent };
+
+  // Starts a query: bumps the epoch and marks Z.
+  void Begin(const std::vector<NodeId>& z);
+  // Marks the ancestors of Z, then follows active trails from X \ Z,
+  // calling reach(node) once per reached unconditioned node until it
+  // returns true; returns whether it did.
+  template <typename Reach>
+  bool Traverse(const std::vector<NodeId>& x, const std::vector<NodeId>& z,
+                Reach&& reach);
+
+  const CausalGraph& graph_;
+  std::vector<Marks> marks_;
+  uint32_t epoch_ = 0;
+  std::vector<NodeId> stack_;
+  std::vector<std::pair<NodeId, Arrival>> frontier_;
+};
+
+/// d-separation test: X ⫫ Y | Z in `graph`? One DSeparation query on
+/// fresh scratch.
 bool DSeparated(const CausalGraph& graph, const std::vector<NodeId>& x,
                 const std::vector<NodeId>& y, const std::vector<NodeId>& z);
 
 /// Nodes reachable from X by an active trail given conditioning set Z
-/// (excluding conditioned nodes). Exposed for testing.
+/// (excluding conditioned nodes), ascending. Exposed for testing.
 std::vector<NodeId> DConnectedNodes(const CausalGraph& graph,
                                     const std::vector<NodeId>& x,
                                     const std::vector<NodeId>& z);

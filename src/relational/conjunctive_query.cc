@@ -72,24 +72,6 @@ std::string AttributeConstraint::ToString() const {
   return os.str();
 }
 
-std::vector<std::string> ConjunctiveQuery::Variables() const {
-  std::vector<std::string> vars;
-  auto add = [&vars](const Term& t) {
-    if (!t.is_variable()) return;
-    for (const std::string& v : vars) {
-      if (v == t.text) return;
-    }
-    vars.push_back(t.text);
-  };
-  for (const Atom& a : atoms) {
-    for (const Term& t : a.args) add(t);
-  }
-  for (const AttributeConstraint& c : constraints) {
-    for (const Term& t : c.args) add(t);
-  }
-  return vars;
-}
-
 std::string ConjunctiveQuery::ToString() const {
   std::vector<std::string> parts;
   for (const Atom& a : atoms) parts.push_back(a.ToString());

@@ -66,8 +66,6 @@ struct ConjunctiveQuery {
   std::vector<AttributeConstraint> constraints;
 
   bool empty() const { return atoms.empty() && constraints.empty(); }
-  /// Distinct variable names in order of first appearance (atoms first).
-  std::vector<std::string> Variables() const;
   std::string ToString() const;
 };
 

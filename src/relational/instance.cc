@@ -412,12 +412,4 @@ size_t Instance::TotalFacts() const {
   return total;
 }
 
-size_t Instance::TotalAttributeValues() const {
-  size_t total = 0;
-  for (const AttributeStore& s : attribute_data_) {
-    total += s.values.size() + s.overflow.size();
-  }
-  return total;
-}
-
 }  // namespace carl

@@ -111,10 +111,6 @@ class Instance {
   /// ignored. Fails if the predicate is unknown or the arity mismatches.
   Status AddFact(const std::string& predicate,
                  const std::vector<std::string>& constants);
-  /// Adds a fact by pre-interned ids.
-  Status AddFactIds(PredicateId predicate, const Tuple& args) {
-    return AddFactSpan(predicate, args.data(), args.size());
-  }
   /// Zero-copy fast path for generators: appends the span to the
   /// relation's arena (dedupe by span hash, no Tuple built).
   Status AddFactSpan(PredicateId predicate, const SymbolId* args, size_t n);
@@ -219,8 +215,6 @@ class Instance {
 
   /// Total fact count across predicates.
   size_t TotalFacts() const;
-  /// Total attribute value count.
-  size_t TotalAttributeValues() const;
 
   /// Mutation generation: bumped by every successful fact insertion and
   /// attribute write (including in-place value overwrites). Cached

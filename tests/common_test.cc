@@ -143,13 +143,6 @@ TEST(RngTest, CategoricalRespectsWeights) {
   }
 }
 
-TEST(RngTest, SampleWithoutReplacementDistinct) {
-  Rng rng(4);
-  std::vector<size_t> sample = rng.SampleWithoutReplacement(10, 10);
-  std::sort(sample.begin(), sample.end());
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(sample[i], i);
-}
-
 TEST(StrUtilTest, SplitTrimJoin) {
   EXPECT_EQ(Split("a,b,,c", ',').size(), 4u);
   EXPECT_EQ(Trim("  x \t"), "x");

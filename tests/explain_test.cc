@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/explain.h"
 #include "datagen/review_toy.h"
+#include "fixtures.h"
 #include "graph/dot_export.h"
 
 namespace carl {
@@ -79,34 +83,104 @@ TEST_F(ExplainTest, ReportsUnificationRule) {
   EXPECT_FALSE(engine_->model().FindAggregateRule("MAX_Score").ok());
 }
 
-// Explain runs the criterion spot check Answer runs: the same sampled
-// units for the same options, so the same criterion_ok.
+std::optional<bool> AnsweredCriterion(const QueryResponse& response) {
+  return response.answer.ate.has_value()
+             ? response.answer.ate->criterion_ok
+             : response.answer.effects->criterion_ok;
+}
+
+// Explain runs the criterion check Answer runs, on every unit, so the two
+// report the same criterion_ok, and the seed changes neither.
 TEST_F(ExplainTest, CriterionCheckIntegrated) {
   for (const char* query :
        {"AVG_Score[A] <= Prestige[A]?", "Score[S] <= Prestige[A]?",
         "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED"}) {
-    for (int sample : {1, 2, 8}) {
+    std::optional<bool> first_seed;
+    for (uint64_t seed : {uint64_t{8}, uint64_t{15}}) {
       QueryRequest request{std::string(query)};
       request.options.check_criterion = true;
-      request.options.criterion_sample = sample;
-      request.options.seed = 7 + sample;
+      request.options.seed = seed;
       Result<QueryExplanation> explanation =
           ExplainQuery(engine_.get(), query, request.options);
       ASSERT_TRUE(explanation.ok()) << query;
       EXPECT_TRUE(explanation->criterion_checked);
       EXPECT_TRUE(explanation->criterion_ok) << query;
-      EXPECT_NE(explanation->ToString().find("holds"), std::string::npos);
+      EXPECT_NE(explanation->ToString().find("holds on every unit"),
+                std::string::npos);
 
       QueryResponse response = engine_->Answer(request);
       ASSERT_TRUE(response.status.ok()) << query;
-      std::optional<bool> answered =
-          response.answer.ate.has_value()
-              ? response.answer.ate->criterion_ok
-              : response.answer.effects->criterion_ok;
+      const std::optional<bool> answered = AnsweredCriterion(response);
       EXPECT_EQ(answered, std::optional<bool>(explanation->criterion_ok))
-          << query << " sample " << sample;
+          << query << " seed " << seed;
+      if (!first_seed.has_value()) first_seed = answered;
+      EXPECT_EQ(answered, first_seed) << query << " seed " << seed;
     }
   }
+}
+
+// The adjustment-criterion probe (test_fixtures::MentorProbeDataset): one
+// Mentor(a7, s7) fact makes the latent Quality[s7] a confounder of
+// Prestige[a7] and of a7's own score. The criterion fails on that one
+// unit of 400, so Answer reports it violated at every seed and Explain
+// prints VIOLATED; without the fact both report that it holds. Either
+// way Prestige heads a rule whose one parent is latent: the adjustment
+// set is empty, yet the treatment is not exogenous.
+TEST(ExplainProbeTest, CriterionFailsOnItsOneUnitAtEverySeed) {
+  const std::string query = "AVG_Score[A] <= Prestige[A]?";
+  for (bool mentor : {true, false}) {
+    SCOPED_TRACE(mentor ? "with Mentor(a7, s7)" : "without a mentor");
+    datagen::Dataset data = test_fixtures::MentorProbeDataset(
+        mentor ? std::vector<std::pair<int, int>>{{7, 7}}
+               : std::vector<std::pair<int, int>>{});
+    Result<RelationalCausalModel> model =
+        RelationalCausalModel::Parse(*data.schema, data.model_text);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    Result<std::unique_ptr<CarlEngine>> engine =
+        CarlEngine::Create(data.instance.get(), std::move(*model));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+
+    for (uint64_t seed = 0; seed < 100; ++seed) {
+      QueryRequest request(query);
+      request.options.check_criterion = true;
+      request.options.seed = seed;
+      QueryResponse response = (*engine)->Answer(request);
+      ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+      EXPECT_EQ(AnsweredCriterion(response), std::optional<bool>(!mentor))
+          << "seed " << seed;
+    }
+
+    EngineOptions options;
+    options.check_criterion = true;
+    Result<QueryExplanation> explanation =
+        ExplainQuery(engine->get(), query, options);
+    ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+    EXPECT_EQ(explanation->num_units, 400u);
+    EXPECT_EQ(explanation->criterion_ok, !mentor);
+    EXPECT_TRUE(explanation->covariates.empty());
+    EXPECT_FALSE(explanation->treatment_exogenous);
+    const std::string text = explanation->ToString();
+    EXPECT_NE(text.find(mentor ? "d-separation criterion: VIOLATED"
+                               : "d-separation criterion: holds on every unit"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("(empty - no observed parent of the treatment)"),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("exogenous"), std::string::npos) << text;
+  }
+}
+
+// A treatment no rule heads is exogenous: Blind has no parents in the toy.
+TEST_F(ExplainTest, ExogenousTreatmentSaysSo) {
+  Result<QueryExplanation> explanation =
+      ExplainQuery(engine_.get(), "Score[S] <= Blind[C]?");
+  ASSERT_TRUE(explanation.ok()) << explanation.status().ToString();
+  EXPECT_TRUE(explanation->treatment_exogenous);
+  EXPECT_NE(explanation->ToString().find(
+                "(empty - treatment is exogenous in the model)"),
+            std::string::npos)
+      << explanation->ToString();
 }
 
 TEST_F(ExplainTest, NonRelationalQueryReportsSutva) {

@@ -87,6 +87,54 @@ datagen::Dataset RealisticReviewDataset() {
   return std::move(review->dataset);
 }
 
+datagen::Dataset MentorProbeDataset(
+    const std::vector<std::pair<int, int>>& mentors) {
+  datagen::Dataset data;
+  data.schema = std::make_unique<Schema>();
+  Schema& schema = *data.schema;
+  CARL_CHECK_OK(schema.AddEntity("Person").status());
+  CARL_CHECK_OK(schema.AddEntity("Submission").status());
+  CARL_CHECK_OK(
+      schema.AddRelationship("Author", {"Person", "Submission"}).status());
+  CARL_CHECK_OK(
+      schema.AddRelationship("Mentor", {"Person", "Submission"}).status());
+  CARL_CHECK_OK(
+      schema.AddAttribute("Prestige", "Person", true, ValueType::kBool)
+          .status());
+  CARL_CHECK_OK(schema
+                    .AddAttribute("Quality", "Submission", /*observed=*/false,
+                                  ValueType::kDouble)
+                    .status());
+  CARL_CHECK_OK(
+      schema.AddAttribute("Score", "Submission", true, ValueType::kDouble)
+          .status());
+  data.instance = std::make_unique<Instance>(data.schema.get());
+  Instance& db = *data.instance;
+  for (int i = 0; i < 400; ++i) {
+    const std::string author = "a" + std::to_string(i);
+    const std::string paper = "s" + std::to_string(i);
+    const bool prestige = i % 2 == 0;
+    CARL_CHECK_OK(db.AddFact("Person", {author}));
+    CARL_CHECK_OK(db.AddFact("Submission", {paper}));
+    CARL_CHECK_OK(db.AddFact("Author", {author, paper}));
+    CARL_CHECK_OK(db.SetAttribute("Prestige", {author}, Value(prestige)));
+    CARL_CHECK_OK(db.SetAttribute(
+        "Score", {paper},
+        Value(1.0 + (prestige ? 0.5 : 0.0) + 0.01 * (i % 17))));
+  }
+  for (const auto& [author, paper] : mentors) {
+    CARL_CHECK_OK(db.AddFact("Mentor", {"a" + std::to_string(author),
+                                        "s" + std::to_string(paper)}));
+  }
+  data.model_text = R"(
+    Score[S] <= Quality[S] WHERE Submission(S)
+    Score[S] <= Prestige[A] WHERE Author(A, S)
+    Prestige[A] <= Quality[S] WHERE Mentor(A, S)
+    AVG_Score[A] <= Score[S] WHERE Author(A, S)
+  )";
+  return data;
+}
+
 std::vector<NamedDataset> StreamWorkloads() {
   std::vector<NamedDataset> out;
   out.push_back(NamedDataset{"REVIEW", ReviewToyDataset()});
@@ -422,6 +470,60 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
     table.data.AddRow(row);
   }
   return table;
+}
+
+Result<bool> AdjustmentCriterionByUnit(const GroundedModel& grounded,
+                                       const UnitTableRequest& request,
+                                       TupleView unit) {
+  const Schema& schema = grounded.schema();
+  const CausalGraph& graph = grounded.graph();
+  const Status unvalued =
+      Status::NotFound("unit has no treatment/response values");
+  const NodeId t_node = graph.FindNode(request.treatment, unit);
+  const NodeId y_node = graph.FindNode(request.response, unit);
+  if (t_node == kInvalidNode || y_node == kInvalidNode ||
+      !grounded.NodeValue(t_node).has_value()) {
+    return unvalued;
+  }
+  auto valued_and_allowed = [&](NodeId node) {
+    return grounded.NodeValue(node).has_value() &&
+           (!request.allowed_sources.has_value() ||
+            request.allowed_sources->Contains(graph.node(node).args));
+  };
+  std::vector<NodeId> starts;
+  Result<const AggregateRule*> rule = grounded.model().FindAggregateRule(
+      schema.attribute(request.response).name);
+  if (rule.ok()) {
+    CARL_ASSIGN_OR_RETURN(AttributeId source,
+                          schema.FindAttribute((*rule)->source.attribute));
+    for (NodeId p : graph.Parents(y_node)) {
+      if (graph.node(p).attribute == source && valued_and_allowed(p)) {
+        starts.push_back(p);
+      }
+    }
+  } else if (valued_and_allowed(y_node)) {
+    starts.push_back(y_node);
+  }
+  if (starts.empty()) return unvalued;
+
+  std::vector<NodeId> treated{t_node};
+  for (NodeId n : graph.Ancestors(starts)) {
+    if (n != t_node && graph.node(n).attribute == request.treatment) {
+      treated.push_back(n);
+    }
+  }
+  std::vector<NodeId> conditioning = treated;
+  std::vector<NodeId> parents;
+  for (NodeId n : treated) {
+    for (NodeId p : graph.Parents(n)) {
+      parents.push_back(p);
+      if (graph.node(p).attribute != request.treatment &&
+          grounded.NodeValue(p).has_value()) {
+        conditioning.push_back(p);
+      }
+    }
+  }
+  return DSeparated(graph, starts, parents, conditioning);
 }
 
 namespace {

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "carl/carl.h"
@@ -76,6 +77,22 @@ datagen::Dataset SynthReviewDataset(size_t num_authors = 800,
 /// every §4.3 path query of the history-independence pool answers on it.
 datagen::Dataset RealisticReviewDataset();
 
+/// The adjustment-criterion probe: 400 authors a<i>, each the one author
+/// of one paper s<i> (Author(a<i>, s<i>)), with a binary Prestige, a
+/// Score per paper, each paper's latent Quality, and one
+/// Mentor(a<m>, s<p>) fact per (m, p) in `mentors`. Model:
+///   Score[S] <= Quality[S] WHERE Submission(S)
+///   Score[S] <= Prestige[A] WHERE Author(A, S)
+///   Prestige[A] <= Quality[S] WHERE Mentor(A, S)
+///   AVG_Score[A] <= Score[S] WHERE Author(A, S)
+/// For AVG_Score[A] <= Prestige[A]?, a pair (i, i) makes Quality[s<i>] a
+/// latent confounder of Prestige[a<i>] and its own score, so Theorem
+/// 5.2's criterion fails on unit a<i>; a pair (i, j) with i != j gives
+/// Prestige[a<i>] a latent parent that no unit's response shares, so
+/// every unit still passes.
+datagen::Dataset MentorProbeDataset(
+    const std::vector<std::pair<int, int>>& mentors);
+
 /// REVIEW toy + MIMIC + NIS: the binding-stream equivalence workloads.
 std::vector<NamedDataset> StreamWorkloads();
 
@@ -120,6 +137,19 @@ ReferenceGrounding GroundByBinding(const Instance& instance,
 Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
                                   const UnitTableRequest& request,
                                   const UnitTableOptions& options = {});
+
+/// Theorem 5.2's adjustment criterion for one unit, by plain graph calls
+/// only (FindNode, Ancestors, Parents, NodeValue) and one fresh
+/// DSeparated: the reference CheckAdjustmentCriterion must agree with
+/// unit by unit. The unit's response grounding(s) (its response node, or
+/// the valued, allowed source parents of an aggregate response node) must
+/// be d-separated from every parent of T[x] and of its peers' T[p] (the
+/// treatment nodes other than T[x] among all ancestors of those
+/// groundings) given those treatment nodes and their valued non-treatment
+/// parents. NotFound when the unit lacks a treatment or response value.
+Result<bool> AdjustmentCriterionByUnit(const GroundedModel& grounded,
+                                       const UnitTableRequest& request,
+                                       TupleView unit);
 
 /// Everything a response reports except timing, with doubles as bit
 /// patterns: equal strings mean bit-identical answers (NaNs included),

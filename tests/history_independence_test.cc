@@ -61,7 +61,6 @@ EngineOptions PoolOptions() {
   EngineOptions options;
   options.bootstrap_replicates = 4;
   options.check_criterion = true;
-  options.criterion_sample = 4;
   return options;
 }
 

@@ -112,7 +112,6 @@ TEST_F(SyntheticReviewTest, NaiveContrastIsConfounded) {
 TEST_F(SyntheticReviewTest, CriterionHoldsOnReviewModel) {
   QueryRequest request("AVG_Score[A] <= Prestige[A]?");
   request.options.check_criterion = true;
-  request.options.criterion_sample = 5;
   QueryResponse response = engine_->Answer(request);
   ASSERT_TRUE(response.status.ok());
   ASSERT_TRUE(response.answer.ate->criterion_ok.has_value());

@@ -1,6 +1,7 @@
 // Property-based tests:
 //  * DSeparated agrees with a brute-force path-blocking oracle on random
-//    DAGs over thousands of (X, Y | Z) triples;
+//    DAGs over thousands of (X, Y | Z) triples, and one reused
+//    DSeparation scratch does over a long sequence of set queries;
 //  * the conjunctive-query evaluator agrees with naive enumeration on
 //    random instances;
 //  * the full pipeline recovers generative effects for every
@@ -122,6 +123,66 @@ TEST(DSeparationPropertyTest, AgreesWithPathEnumerationOracle) {
     }
   }
   EXPECT_GT(checked, 1000);
+}
+
+// One DSeparation answers a long random sequence of set queries on one
+// DAG, each a fresh (X, Y, Z) asked as Separated or as ConnectedNodes at
+// random, exactly as the oracle does: a stamp or a pending trail left
+// over from an earlier query must never change a later answer. X and Y
+// are disjoint; sets are separated iff every pair is, and a node is
+// connected iff it is outside Z and in X \ Z or not separated from some
+// node of X \ Z.
+TEST(DSeparationPropertyTest, ReusedScratchAgreesWithOracle) {
+  Rng rng(77);
+  const size_t n = 10;
+  CausalGraph graph = RandomDag(n, 0.3, &rng);
+  DSepOracle oracle(graph);
+  DSeparation scratch(graph);
+  auto draw = [&](double p, const std::vector<bool>& taken) {
+    std::vector<NodeId> set;
+    for (size_t c = 0; c < n; ++c) {
+      if (!taken[c] && rng.Bernoulli(p)) set.push_back(static_cast<NodeId>(c));
+    }
+    return set;
+  };
+  int separated[2] = {0, 0};  // answers false / true
+  int connected = 0;
+  for (int query = 0; query < 3000; ++query) {
+    std::vector<bool> taken(n, false);
+    std::vector<NodeId> x = draw(0.2, taken);
+    for (NodeId id : x) taken[id] = true;
+    std::vector<NodeId> y = draw(0.2, taken);
+    std::vector<NodeId> z = draw(0.3, std::vector<bool>(n, false));
+    std::vector<bool> in_z(n, false);
+    for (NodeId id : z) in_z[id] = true;
+
+    if (rng.Bernoulli(0.5)) {
+      bool want = true;
+      for (NodeId a : x) {
+        for (NodeId b : y) want = want && oracle.Separated(a, b, z);
+      }
+      ASSERT_EQ(scratch.Separated(x, y, z), want) << "query " << query;
+      ++separated[want ? 1 : 0];
+      continue;
+    }
+    std::vector<NodeId> reach;
+    for (size_t v = 0; v < n; ++v) {
+      const NodeId node = static_cast<NodeId>(v);
+      if (in_z[v]) continue;
+      bool reached = false;
+      for (NodeId a : x) {
+        if (in_z[a]) continue;
+        reached = reached || a == node || !oracle.Separated(a, node, z);
+      }
+      if (reached) reach.push_back(node);
+    }
+    ASSERT_EQ(scratch.ConnectedNodes(x, z), reach) << "query " << query;
+    connected += reach.empty() ? 0 : 1;
+  }
+  // Both answers occur often enough for the sequence to mean something.
+  EXPECT_GT(separated[0], 200);
+  EXPECT_GT(separated[1], 200);
+  EXPECT_GT(connected, 300);
 }
 
 // ---------------------------------------------------------------------------

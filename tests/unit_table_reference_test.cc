@@ -7,6 +7,8 @@
 // and off. The requests cover base responses (MIMIC, NIS), an aggregate
 // response (REVIEW), a WHERE-filtered aggregate response, and the review
 // toy. EstimateAte's ψ contrast must equal the per-unit loop it replaces.
+// CheckAdjustmentCriterion must agree with the per-unit criterion
+// reference on every unit, one unit at a time and over whole tables.
 
 #include <gtest/gtest.h>
 
@@ -227,6 +229,99 @@ TEST_F(UnitTableReferenceTest, AteContrastMatchesPerUnitLoop) {
       ASSERT_TRUE(ate.ok()) << ate.status().ToString();
       EXPECT_EQ(*ate, PerUnitAte(*table, view));
     }
+  }
+}
+
+// CheckAdjustmentCriterion must agree with the per-unit reference
+// (test_fixtures::AdjustmentCriterionByUnit) on every unit of each
+// query's table, asked one unit at a time and over the whole table, and
+// fail on exactly the units the workload's model makes fail: the probe's
+// self-mentored authors, REVIEW-LATENT's units with a peer, and none
+// elsewhere.
+TEST_F(UnitTableReferenceTest, CriterionMatchesPerUnitReference) {
+  const datagen::Dataset mimic = test_fixtures::MiniMimicDataset(2500, 100);
+  const datagen::Dataset probe0 = test_fixtures::MentorProbeDataset({});
+  const datagen::Dataset probe1 = test_fixtures::MentorProbeDataset({{7, 7}});
+  // Two self-mentored authors (a7, a20), two mentored on a third
+  // author's paper (a3 and a4 on s100), and one on the next author's
+  // paper (a50 on s51).
+  const datagen::Dataset probe5 = test_fixtures::MentorProbeDataset(
+      {{7, 7}, {20, 20}, {3, 100}, {4, 100}, {50, 51}});
+  struct CriterionWorkload {
+    const char* name;
+    const datagen::Dataset* data;
+    const char* query;
+    size_t failing;  // units the criterion fails on ...
+    bool fails_with_peers = false;  // ... or every unit with a peer
+    const char* extra_rules = "";   // appended to the model text
+  };
+  const CriterionWorkload workloads[] = {
+      {"TOY", toy_, "AVG_Score[A] <= Prestige[A]?", 0},
+      {"TOY-PEERS", toy_,
+       "AVG_Score[A] <= Prestige[A]? WHEN ALL PEERS TREATED", 0},
+      {"TOY-WHERE", toy_,
+       "AVG_Score[A] <= Prestige[A]? WHERE Submitted(S, C), Blind[C] = TRUE",
+       0},
+      {"MIMIC-LEN", &mimic, "Len[P] <= SelfPay[P]?", 0},
+      {"MIMIC-DEATH", &mimic, "Death[P] <= SelfPay[P]?", 0},
+      {"REVIEW", review_, "AVG_Score[A] <= Prestige[A]?", 0},
+      // The latent quality of collaborators' papers drives prestige, so a
+      // peer b's treatment has the latent Quality of the unit's own paper
+      // as a parent, confounding the unit's score; a unit without a peer
+      // has only its observed Qualification behind its treatment.
+      {"REVIEW-LATENT", review_, "AVG_Score[A] <= Prestige[A]?", 0, true,
+       "Prestige[A] <= Quality[S] WHERE Collaborator(A, B), Author(B, S)"},
+      {"PROBE-0", &probe0, "AVG_Score[A] <= Prestige[A]?", 0},
+      {"PROBE-1", &probe1, "AVG_Score[A] <= Prestige[A]?", 1},
+      {"PROBE-5", &probe5, "AVG_Score[A] <= Prestige[A]?", 2},
+  };
+  for (const CriterionWorkload& wl : workloads) {
+    SCOPED_TRACE(wl.name);
+    Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
+        *wl.data->schema, wl.data->model_text + "\n" + wl.extra_rules);
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    Result<std::unique_ptr<CarlEngine>> engine =
+        CarlEngine::Create(wl.data->instance.get(), std::move(*model));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    Result<CausalQuery> query = ParseQuery(wl.query);
+    ASSERT_TRUE(query.ok()) << query.status().ToString();
+    Result<CarlEngine::ResolvedQuery> resolved =
+        (*engine)->Resolve(*query, EngineOptions());
+    ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+    const GroundedModel& grounded = *resolved->grounded;
+    Result<UnitTable> table = BuildUnitTable(grounded, resolved->request,
+                                             resolved->unit_options);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+
+    const RelationView units = table->units();
+    ASSERT_GT(units.size(), 0u);
+    size_t failing = 0;
+    for (size_t r = 0; r < units.size(); ++r) {
+      Result<bool> want = test_fixtures::AdjustmentCriterionByUnit(
+          grounded, resolved->request, units[r]);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      Result<bool> got = CheckAdjustmentCriterion(
+          grounded, resolved->request,
+          RelationView(units[r].data(), units.arity(), 1));
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want) << "unit row " << r;
+      if (!*want) ++failing;
+    }
+    size_t want_failing = wl.failing;
+    if (wl.fails_with_peers) {
+      const std::vector<double>& peers =
+          table->data.Column(table->peer_count_col);
+      want_failing = static_cast<size_t>(
+          std::count_if(peers.begin(), peers.end(),
+                        [](double count) { return count > 0.0; }));
+      EXPECT_GT(want_failing, 0u);
+      EXPECT_LT(want_failing, units.size());
+    }
+    EXPECT_EQ(failing, want_failing);
+    Result<bool> all =
+        CheckAdjustmentCriterion(grounded, resolved->request, units);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_EQ(*all, failing == 0);
   }
 }
 

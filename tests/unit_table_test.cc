@@ -1,6 +1,6 @@
 // Tests for Algorithm 1: the unit table of the paper's Table 1, covariate
 // detection (Theorem 5.2), peers (Def 4.3), and the adjustment-criterion
-// spot check.
+// check.
 
 #include <gtest/gtest.h>
 
@@ -219,15 +219,30 @@ TEST_F(UnitTableTest, EmbeddingKindChangesColumns) {
 
 // Theorem 5.2's criterion holds on the toy model: conditioning on the
 // (observed) Qualification parents plus the treatment nodes d-separates
-// the response from the treatments' parents.
+// the response from the treatments' parents, for each unit and for all
+// three at once.
 TEST_F(UnitTableTest, AdjustmentCriterionHolds) {
   UnitTableRequest request = Request();
+  Tuple all;
   for (const char* who : {"Bob", "Carlos", "Eva"}) {
     Tuple unit{data_.instance->LookupConstant(who)};
-    Result<bool> ok = CheckAdjustmentCriterion(*grounded_, request, unit);
+    all.push_back(unit[0]);
+    Result<bool> ok = CheckAdjustmentCriterion(
+        *grounded_, request, RelationView(unit.data(), 1, 1));
     ASSERT_TRUE(ok.ok()) << who;
     EXPECT_TRUE(*ok) << who;
   }
+  Result<bool> ok = CheckAdjustmentCriterion(
+      *grounded_, request, RelationView(all.data(), 1, all.size()));
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(*ok);
+  // A submission is no Person unit: it has no treatment node to check.
+  Tuple submission{data_.instance->LookupConstant("s1")};
+  EXPECT_EQ(CheckAdjustmentCriterion(*grounded_, request,
+                                     RelationView(submission.data(), 1, 1))
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 // A build that keeps no unit names what dropped them.
