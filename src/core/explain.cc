@@ -1,7 +1,6 @@
 #include "core/explain.h"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "common/str_util.h"
@@ -54,9 +53,10 @@ Result<QueryExplanation> ExplainQuery(const CarlEngine* engine,
   CARL_ASSIGN_OR_RETURN(CarlEngine::ResolvedQuery resolved,
                         engine->Resolve(query, options));
   const GroundedModel& grounded = *resolved.grounded;
-  CARL_ASSIGN_OR_RETURN(
-      UnitTable table,
-      BuildUnitTable(grounded, resolved.request, resolved.unit_options));
+  UnitRows rows;
+  CARL_RETURN_IF_ERROR(ResolveUnitRows(grounded, resolved.request,
+                                       resolved.unit_options, &rows));
+  CARL_RETURN_IF_ERROR(CheckUnitsKept(rows));
 
   QueryExplanation out;
   out.query = query.ToString();
@@ -77,47 +77,40 @@ Result<QueryExplanation> ExplainQuery(const CarlEngine* engine,
     out.unification_rule = (*rule)->ToString();
   }
 
-  out.num_units = table.data.num_rows();
-  out.dropped_units = table.dropped_units;
-  out.relational = table.relational;
-  if (table.relational) {
-    const std::vector<double>& peers = table.data.Column(
-        table.peer_count_col);
-    double total = 0.0;
-    for (double p : peers) {
-      total += p;
-      out.max_peers = std::max(out.max_peers, static_cast<size_t>(p));
-      if (p == 0.0) ++out.isolated_units;
+  // Row r of a group holds values [ends[r - 1], ends[r]).
+  auto row_size = [](const UnitRows::Group& group, size_t r) {
+    return group.ends[r] - (r == 0 ? 0 : group.ends[r - 1]);
+  };
+  out.num_units = rows.y.size();
+  out.dropped_units = rows.dropped_unvalued + rows.dropped_isolated;
+  out.relational = rows.relational;
+  if (rows.relational) {
+    size_t total = 0;
+    for (size_t r = 0; r < out.num_units; ++r) {
+      const size_t peers = row_size(rows.peer_t, r);
+      total += peers;
+      out.max_peers = std::max(out.max_peers, peers);
+      if (peers == 0) ++out.isolated_units;
     }
-    out.mean_peers = total / static_cast<double>(peers.size());
+    out.mean_peers =
+        static_cast<double>(total) / static_cast<double>(out.num_units);
   }
 
-  // Covariate groups: parse "own_<Attr>_<dim>" / "peer_<Attr>_<dim>"
-  // columns back into attribute summaries (count units with a nonzero
-  // group, i.e. count dim > 0 where available, else non-default values).
-  auto summarize = [&](const std::vector<std::string>& cols,
-                       const std::string& role) {
-    std::map<std::string, size_t> seen;  // attribute -> covered units
-    for (const std::string& col : cols) {
-      // Strip the role prefix and the dim suffix.
-      std::string body = col.substr(role.size() + 1);
-      size_t underscore = body.rfind('_');
-      if (underscore == std::string::npos) continue;
-      std::string attr = body.substr(0, underscore);
-      if (seen.count(attr)) continue;
+  // One summary per covariate group, attributes ascending: a unit is
+  // covered when its row of the group holds a value.
+  auto summarize = [&](const UnitRows::CovariateGroups& groups,
+                       const char* role) {
+    for (AttributeId attr : groups.present) {
+      const UnitRows::Group& group = groups.by_attr[attr];
       size_t covered = 0;
-      const std::vector<double>& values = table.data.Column(col);
-      for (double v : values) {
-        if (v != 0.0) ++covered;
+      for (size_t r = 0; r < out.num_units; ++r) {
+        if (row_size(group, r) > 0) ++covered;
       }
-      seen[attr] = covered;
-    }
-    for (const auto& [attr, covered] : seen) {
-      out.covariates.push_back({attr, role, covered});
+      out.covariates.push_back({schema.attribute(attr).name, role, covered});
     }
   };
-  summarize(table.own_covariate_cols, "own");
-  summarize(table.peer_covariate_cols, "peer");
+  summarize(rows.own, "own");
+  summarize(rows.peer, "peer");
   const RelationalCausalModel& model = grounded.model();
   out.treatment_exogenous =
       !model.IsAggregateAttribute(resolved.request.treatment) &&
@@ -130,7 +123,7 @@ Result<QueryExplanation> ExplainQuery(const CarlEngine* engine,
     out.criterion_checked = true;
     CARL_ASSIGN_OR_RETURN(
         out.criterion_ok,
-        CheckAdjustmentCriterion(grounded, resolved.request, table.units()));
+        CheckAdjustmentCriterion(grounded, resolved.request, rows.units()));
   }
   return out;
 }

@@ -9,7 +9,9 @@
 // set grouped by attribute, peer statistics, and the d-separation check —
 // what an analyst reviews before trusting an estimate. It reads the same
 // CarlEngine::Resolve and the same every-unit criterion check that Answer
-// runs, so the two report the same response attribute and criterion_ok.
+// runs, so the two report the same response attribute and criterion_ok,
+// and takes the units, peers and covariate groups from Algorithm 1's
+// resolved unit rows (ResolveUnitRows), before any embedding.
 
 #ifndef CARL_CORE_EXPLAIN_H_
 #define CARL_CORE_EXPLAIN_H_

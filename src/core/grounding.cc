@@ -1,8 +1,7 @@
 #include "core/grounding.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <functional>
+#include <memory>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -13,136 +12,6 @@
 #include "relational/evaluator.h"
 
 namespace carl {
-
-std::shared_ptr<const BindingTable> BindingCache::Find(BindingKeyId key) {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    counters_.Increment(kHits);
-    return it->second.table;
-  }
-  if (staging_) {
-    for (const auto& [staged_key, entry] : staged_) {
-      if (staged_key == key) {
-        counters_.Increment(kHits);
-        return entry.table;
-      }
-    }
-  }
-  counters_.Increment(kMisses);
-  return nullptr;
-}
-
-void BindingCache::Insert(BindingKeyId key,
-                          std::shared_ptr<const BindingTable> table,
-                          BindingDeps deps) {
-  if (staging_) {
-    // Guarded pass: buffer the insert; committed entries stay untouched
-    // until CommitStaging so an abort restores the pre-pass cache exactly.
-    for (const auto& [staged_key, entry] : staged_) {
-      if (staged_key == key) return;  // first producer wins
-    }
-    if (entries_.count(key) > 0) return;
-    staged_.emplace_back(key,
-                         CacheEntry{std::move(table), std::move(deps)});
-    return;
-  }
-  if (entries_.count(key) > 0) return;  // first producer wins
-  size_t incoming = table->arena_bytes();
-  while (!insertion_order_.empty() &&
-         (entries_.size() >= kMaxEntries ||
-          total_bytes_ + incoming > kMaxBytes)) {
-    auto it = entries_.find(insertion_order_.front());
-    if (it != entries_.end()) {
-      total_bytes_ -= it->second.table->arena_bytes();
-      entries_.erase(it);
-    }
-    insertion_order_.erase(insertion_order_.begin());
-  }
-  total_bytes_ += incoming;
-  insertion_order_.push_back(key);
-  entries_.emplace(key, CacheEntry{std::move(table), std::move(deps)});
-}
-
-void BindingCache::Invalidate(const InstanceDelta& delta) {
-  if (!delta.complete) {
-    CARL_LOG(WARN) << "binding cache cleared wholesale: incomplete instance "
-                      "delta (trimmed log) — dropping " << entries_.size()
-                   << " cached table(s), " << total_bytes_ << " bytes";
-    Clear();
-    return;
-  }
-  if (delta.empty() || entries_.empty()) return;
-  std::vector<PredicateId> preds;
-  preds.reserve(delta.facts.size());
-  for (const InstanceDelta::FactDelta& f : delta.facts) {
-    preds.push_back(f.predicate);
-  }
-  std::sort(preds.begin(), preds.end());
-  std::vector<AttributeId> attrs;
-  attrs.reserve(delta.attributes.size());
-  for (const InstanceDelta::AttributeDelta& a : delta.attributes) {
-    attrs.push_back(a.attribute);
-  }
-  std::sort(attrs.begin(), attrs.end());
-  auto intersects = [](const auto& sorted_a, const auto& sorted_b) {
-    auto a = sorted_a.begin();
-    auto b = sorted_b.begin();
-    while (a != sorted_a.end() && b != sorted_b.end()) {
-      if (*a < *b) {
-        ++a;
-      } else if (*b < *a) {
-        ++b;
-      } else {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    const BindingDeps& deps = it->second.deps;
-    if (intersects(deps.predicates, preds) ||
-        intersects(deps.attributes, attrs)) {
-      total_bytes_ -= it->second.table->arena_bytes();
-      insertion_order_.erase(std::remove(insertion_order_.begin(),
-                                         insertion_order_.end(), it->first),
-                             insertion_order_.end());
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void BindingCache::Clear() {
-  entries_.clear();
-  insertion_order_.clear();
-  total_bytes_ = 0;
-}
-
-void BindingCache::CommitStaging() {
-  staging_ = false;
-  std::vector<std::pair<BindingKeyId, CacheEntry>> staged;
-  staged.swap(staged_);
-  for (auto& [key, entry] : staged) {
-    Insert(key, std::move(entry.table), std::move(entry.deps));
-  }
-}
-
-void BindingCache::AbortStaging() {
-  staging_ = false;
-  staged_.clear();
-}
-
-std::vector<std::pair<BindingKeyId, const BindingTable*>>
-BindingCache::SnapshotEntries() const {
-  std::vector<std::pair<BindingKeyId, const BindingTable*>> snapshot;
-  snapshot.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    snapshot.emplace_back(key, entry.table.get());
-  }
-  std::sort(snapshot.begin(), snapshot.end());
-  return snapshot;
-}
 
 namespace {
 
@@ -218,119 +87,6 @@ CompiledRef CompileRef(
   return out;
 }
 
-// Cache key of one rule condition's binding table. The projection order
-// matters (it is the row layout), so it is part of the key. The pretty
-// ToString forms are NOT sufficient on their own: numeric constraint
-// values render at 6 significant digits (two distinct thresholds can
-// print identically) and string values embed unescaped — so every
-// constraint rhs is additionally encoded exactly (hex-float doubles,
-// length-prefixed strings). A key collision here would silently reuse
-// the wrong rule's bindings.
-std::string BindingCacheKey(const ConjunctiveQuery& where,
-                            const std::vector<std::string>& vars) {
-  std::string key;
-  for (const Atom& atom : where.atoms) {
-    key += atom.ToString();
-    key += ';';
-  }
-  for (const AttributeConstraint& c : where.constraints) {
-    key += c.attribute;
-    key += '(';
-    for (const Term& t : c.args) {
-      key += t.is_variable() ? 'V' : 'C';
-      key += std::to_string(t.text.size());
-      key += ':';
-      key += t.text;
-    }
-    key += ')';
-    key += CompareOpToString(c.op);
-    switch (c.rhs.type()) {
-      case ValueType::kNull:
-        key += "null";
-        break;
-      case ValueType::kBool:
-        key += c.rhs.bool_value() ? "b1" : "b0";
-        break;
-      case ValueType::kInt:
-        key += 'i';
-        key += std::to_string(c.rhs.int_value());
-        break;
-      case ValueType::kDouble: {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "d%a", c.rhs.double_value());
-        key += buf;
-        break;
-      }
-      case ValueType::kString:
-        key += 's';
-        key += std::to_string(c.rhs.string_value().size());
-        key += ':';
-        key += c.rhs.string_value();
-        break;
-    }
-    key += ';';
-  }
-  key += '|';
-  for (const std::string& v : vars) {
-    key += std::to_string(v.size());
-    key += ':';
-    key += v;
-  }
-  return key;
-}
-
-// The dependency set a cached table of `where`'s bindings is invalidated
-// on: its atom predicates and constraint attributes.
-BindingDeps DepsOf(const Schema& schema, const ConjunctiveQuery& where) {
-  BindingDeps deps;
-  for (const Atom& atom : where.atoms) {
-    Result<PredicateId> pid = schema.FindPredicate(atom.predicate);
-    if (pid.ok()) deps.predicates.push_back(*pid);
-  }
-  for (const AttributeConstraint& c : where.constraints) {
-    Result<AttributeId> aid = schema.FindAttribute(c.attribute);
-    if (aid.ok()) deps.attributes.push_back(*aid);
-  }
-  std::sort(deps.predicates.begin(), deps.predicates.end());
-  deps.predicates.erase(
-      std::unique(deps.predicates.begin(), deps.predicates.end()),
-      deps.predicates.end());
-  std::sort(deps.attributes.begin(), deps.attributes.end());
-  deps.attributes.erase(
-      std::unique(deps.attributes.begin(), deps.attributes.end()),
-      deps.attributes.end());
-  return deps;
-}
-
-// Enumerates a rule condition's bindings into one columnar table (no
-// owned Tuple is built anywhere), reusing the cached table when the same
-// condition and projection were enumerated before.
-Result<std::shared_ptr<const BindingTable>> EnumerateBindingsCached(
-    const QueryEvaluator& evaluator, const Schema& schema,
-    const ConjunctiveQuery& where, const std::vector<std::string>& vars,
-    BindingCache* cache) {
-  // The exact key string is built and hashed once, here; everything
-  // downstream (lookup, staging scans, eviction, snapshots) compares the
-  // interned dense id.
-  BindingKeyId key = kInvalidBindingKey;
-  if (cache != nullptr) {
-    key = cache->InternKey(BindingCacheKey(where, vars));
-    if (std::shared_ptr<const BindingTable> hit = cache->Find(key)) {
-      return hit;
-    }
-  }
-  BindingTable table;
-  {
-    CARL_TRACE_SCOPE("grounding.rule.enumerate");
-    CARL_ASSIGN_OR_RETURN(table, evaluator.Evaluate(where, vars));
-  }
-  auto shared = std::make_shared<const BindingTable>(std::move(table));
-  if (cache != nullptr) {
-    cache->Insert(key, shared, DepsOf(schema, where));
-  }
-  return shared;
-}
-
 // One rule of the model as the pipeline sees it: a head, its body refs,
 // and its condition. An aggregate rule is one body ref (its source) plus
 // require_all. RulesInMergeOrder lists causal rules first, then aggregate
@@ -359,7 +115,9 @@ std::vector<RuleView> RulesInMergeOrder(const RelationalCausalModel& model) {
   return rules;
 }
 
-// One rule ready to merge: its bindings plus compiled head and body refs.
+// One rule ready to merge: its bindings (shared with every rule of the
+// pass that has the same condition and projection) plus compiled head
+// and body refs.
 struct CompiledRule {
   std::shared_ptr<const BindingTable> bindings;
   CompiledRef head;
@@ -385,19 +143,20 @@ struct CompiledRule {
   }
 };
 
-// Where a rule's bindings come from: GroundModel enumerates the full
-// condition (through the binding cache), ExtendGroundedModel its
-// semi-naive delta. Called with the condition and the projection.
-using BindingSource =
-    std::function<Result<std::shared_ptr<const BindingTable>>(
-        const ConjunctiveQuery&, const std::vector<std::string>&)>;
-
-// Enumerates and compiles every rule, in merge order.
+// Enumerates and compiles every rule, in merge order: the full
+// condition when `delta_watermarks` is null (GroundModel), else its
+// semi-naive delta past those per-predicate watermarks
+// (ExtendGroundedModel). A rule whose condition and projection equal an
+// earlier rule's shares that rule's table, so each distinct condition is
+// enumerated once per pass.
 Result<std::vector<CompiledRule>> CompileRules(
     const Instance& instance, const RelationalCausalModel& model,
-    const BindingSource& binding_source) {
+    const std::vector<uint32_t>* delta_watermarks) {
   const Schema& schema = model.extended_schema();
+  const QueryEvaluator evaluator(&instance);
   std::vector<RuleView> views = RulesInMergeOrder(model);
+  std::vector<std::vector<std::string>> projections;  // per compiled rule
+  projections.reserve(views.size());
   std::vector<CompiledRule> compiled;
   compiled.reserve(views.size());
   for (const RuleView& view : views) {
@@ -407,7 +166,21 @@ Result<std::vector<CompiledRule>> CompileRules(
 
     CompiledRule job;
     job.require_all = view.require_all;
-    CARL_ASSIGN_OR_RETURN(job.bindings, binding_source(*view.where, vars));
+    for (size_t r = 0; r < compiled.size(); ++r) {
+      if (*views[r].where == *view.where && projections[r] == vars) {
+        job.bindings = compiled[r].bindings;
+        break;
+      }
+    }
+    if (job.bindings == nullptr) {
+      CARL_TRACE_SCOPE("grounding.rule.enumerate");
+      CARL_ASSIGN_OR_RETURN(
+          BindingTable table,
+          delta_watermarks == nullptr
+              ? evaluator.Evaluate(*view.where, vars)
+              : evaluator.EvaluateDelta(*view.where, vars, *delta_watermarks));
+      job.bindings = std::make_shared<const BindingTable>(std::move(table));
+    }
     CARL_ASSIGN_OR_RETURN(AttributeId head_attr,
                           schema.FindAttribute(view.head->attribute));
     job.head = CompileRef(instance, head_attr, *view.head, var_slots);
@@ -417,6 +190,7 @@ Result<std::vector<CompiledRule>> CompileRules(
                             schema.FindAttribute(b->attribute));
       job.body.push_back(CompileRef(instance, aid, *b, var_slots));
     }
+    projections.push_back(std::move(vars));
     compiled.push_back(std::move(job));
   }
   return compiled;
@@ -639,8 +413,7 @@ std::string GroundedModel::NodeName(NodeId id) const {
 }
 
 Result<GroundedModel> GroundModel(const Instance& instance,
-                                  const RelationalCausalModel& model,
-                                  BindingCache* binding_cache) {
+                                  const RelationalCausalModel& model) {
   CARL_TRACE_SCOPE("grounding.ground_model");
   static obs::Counter& pass_counter =
       obs::Registry::Global().GetCounter("grounding.ground_model_passes");
@@ -658,7 +431,6 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   grounded.phase_stats_ = GroundingPhaseStats{};
 
   const Schema& schema = model.extended_schema();
-  QueryEvaluator evaluator(&instance);
   obs::MonotonicTimer phase_timer;
 
   // 1. A node for every grounding of every attribute, bulk-built with ids
@@ -678,21 +450,14 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   }
   grounded.phase_stats_.node_build_s = phase_timer.Seconds();
 
-  // 2. Compile every rule and enumerate its condition into a columnar
-  // binding table (reused from the binding cache when the same condition
-  // was enumerated before).
+  // 2. Compile every rule and enumerate each distinct condition into a
+  // columnar binding table.
   phase_timer.Reset();
   std::vector<CompiledRule> compiled;
   {
     CARL_TRACE_SCOPE("grounding.enumerate");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    auto full_bindings = [&](const ConjunctiveQuery& where,
-                             const std::vector<std::string>& vars) {
-      return EnumerateBindingsCached(evaluator, schema, where, vars,
-                                     binding_cache);
-    };
-    CARL_ASSIGN_OR_RETURN(compiled,
-                          CompileRules(instance, model, full_bindings));
+    CARL_ASSIGN_OR_RETURN(compiled, CompileRules(instance, model, nullptr));
   }
   grounded.phase_stats_.enumerate_s = phase_timer.Seconds();
 
@@ -878,27 +643,15 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   out.phase_stats_.node_build_s = phase_timer.Seconds();
 
   // 2. Re-enumerate only the bindings that touch the delta: one
-  // semi-naive plan per rule, pivot atoms watermark-restricted to new
-  // rows. No binding cache — delta tables must not collide with the full
-  // tables GroundModel caches under the same condition key.
+  // semi-naive plan per distinct condition, pivot atoms
+  // watermark-restricted to new rows.
   phase_timer.Reset();
-  QueryEvaluator evaluator(&instance);
   std::vector<CompiledRule> compiled;
   {
     CARL_TRACE_SCOPE("grounding.extend.delta_plan");
     CARL_RETURN_IF_ERROR(guard::PhaseCheck("grounding.enumerate"));
-    auto delta_bindings = [&](const ConjunctiveQuery& where,
-                              const std::vector<std::string>& vars)
-        -> Result<std::shared_ptr<const BindingTable>> {
-      CARL_ASSIGN_OR_RETURN(PreparedDeltaQuery prepared,
-                            evaluator.PrepareDelta(where));
-      CARL_ASSIGN_OR_RETURN(
-          BindingTable table,
-          evaluator.EvaluateDelta(prepared, vars, watermarks));
-      return std::make_shared<const BindingTable>(std::move(table));
-    };
     CARL_ASSIGN_OR_RETURN(compiled,
-                          CompileRules(instance, model, delta_bindings));
+                          CompileRules(instance, model, &watermarks));
   }
   out.phase_stats_.enumerate_s = phase_timer.Seconds();
 

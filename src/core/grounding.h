@@ -12,7 +12,10 @@
 // model into rules in merge order (causal rules, then aggregate rules);
 // only the binding source differs — one full QueryEvaluator::Evaluate
 // per rule condition, or the semi-naive delta — and bindings arrive as
-// columnar BindingTables (no per-binding Tuple is ever built). Each rule
+// columnar BindingTables (no per-binding Tuple is ever built). A rule
+// whose condition and projection equal an earlier rule's in the same
+// pass shares that rule's table, so each distinct condition is
+// enumerated once per pass, and no table outlives its pass. Each rule
 // then merges in one pass: per binding, AddNode on the head and on each
 // resolvable body, then one AddEdges commits the rule's edges. A ground
 // then compacts the adjacency into node order, checks for cycles over the
@@ -21,122 +24,22 @@
 // does both over the delta's forward cone only. Nothing here reads the
 // thread count, so the grounded graph — node ids, edge insertion order,
 // values — is the same for every CARL_THREADS.
-//
-// Repeated groundings over one unchanged instance can share rule-condition
-// binding tables through a BindingCache (QuerySession owns one): a derived
-// §4.3 aggregate variant re-grounds without re-enumerating the base rules
-// it shares with its parent model.
 
 #ifndef CARL_CORE_GROUNDING_H_
 #define CARL_CORE_GROUNDING_H_
 
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "common/interner.h"
 #include "common/logging.h"
 #include "common/result.h"
 #include "core/causal_model.h"
 #include "graph/causal_graph.h"
-#include "obs/metrics.h"
 #include "relational/aggregates.h"
-#include "relational/binding_table.h"
 #include "relational/instance.h"
 
 namespace carl {
-
-/// What a cached rule-condition binding table depends on: the predicates
-/// of its condition atoms (a new fact there changes the bindings) and the
-/// attributes of its condition constraints (a value write there changes
-/// which bindings satisfy). Writes to attributes outside this set cannot
-/// change the table.
-struct BindingDeps {
-  std::vector<PredicateId> predicates;  // sorted
-  std::vector<AttributeId> attributes;  // sorted
-};
-
-/// Dense id of an interned binding-cache key. The exact key STRING (see
-/// BindingCacheKey) is built and hashed once per rule per pass — InternKey
-/// maps it to a stable dense id, and every lookup, staging scan,
-/// invalidation, and snapshot after that compares plain int32s.
-using BindingKeyId = SymbolId;
-inline constexpr BindingKeyId kInvalidBindingKey = kInvalidSymbol;
-
-/// Memoizes rule-condition binding tables by an exact (condition,
-/// projection) encoding over one instance, interned to dense key ids. On
-/// instance mutation the owner calls Invalidate with the delta — only
-/// entries whose dependency set intersects the delta are dropped, so an
-/// unrelated-relation mutation keeps every table (QuerySession drives
-/// this; Clear remains the incomplete-delta fallback). Bounded FIFO on
-/// BOTH entry count and total arena bytes — a binding table on a
-/// >10M-fact workload is rows*arity*4 bytes, so a count bound alone could
-/// pin gigabytes. A single table larger than the byte budget is still
-/// cached (alone). Not thread-safe: QuerySession guards its cache with
-/// the session mutex.
-class BindingCache {
- public:
-  /// Interns a key string into its dense id (stable for the cache's
-  /// lifetime; eviction does not recycle ids).
-  BindingKeyId InternKey(const std::string& key) {
-    return key_interner_.Intern(key);
-  }
-  std::shared_ptr<const BindingTable> Find(BindingKeyId key);
-  void Insert(BindingKeyId key, std::shared_ptr<const BindingTable> table,
-              BindingDeps deps);
-  /// Drops entries whose dependencies intersect the delta's touched
-  /// predicates/attributes. An incomplete delta drops everything.
-  void Invalidate(const InstanceDelta& delta);
-  void Clear();
-
-  /// Staging protocol for guarded passes: between BeginStaging and
-  /// CommitStaging, Insert lands in a side buffer that Find still serves
-  /// (so one pass reuses its own tables), but the committed entries are
-  /// untouched. CommitStaging merges the buffer in insertion order;
-  /// AbortStaging drops it whole — after an aborted pass the cache is
-  /// pointer-identical to its pre-pass state (the no-poison invariant the
-  /// fault-fuzz tests assert via SnapshotEntries).
-  void BeginStaging() { staging_ = true; }
-  void CommitStaging();
-  void AbortStaging();
-  bool staging() const { return staging_; }
-
-  /// Test hook: the committed entries as stable (key-id, table-pointer)
-  /// pairs, sorted by key id. Pointer equality across two snapshots
-  /// proves the cache was not touched in between.
-  std::vector<std::pair<BindingKeyId, const BindingTable*>> SnapshotEntries()
-      const;
-
-  size_t size() const { return entries_.size(); }
-  /// Total arena bytes pinned by the cached tables.
-  size_t total_bytes() const { return total_bytes_; }
-  /// Find's hits and misses, counted in a block the registry sums under
-  /// grounding.binding_cache_hits / _misses.
-  size_t hits() const { return counters_.value(kHits); }
-  size_t misses() const { return counters_.value(kMisses); }
-
- private:
-  static constexpr size_t kMaxEntries = 64;
-  static constexpr size_t kMaxBytes = size_t{256} << 20;  // 256 MiB
-
-  struct CacheEntry {
-    std::shared_ptr<const BindingTable> table;
-    BindingDeps deps;
-  };
-  StringInterner key_interner_;  // key string -> dense BindingKeyId
-  std::unordered_map<BindingKeyId, CacheEntry> entries_;
-  std::vector<BindingKeyId> insertion_order_;  // oldest first
-  // Staged inserts: (key, entry) in insertion order, merged on commit.
-  bool staging_ = false;
-  std::vector<std::pair<BindingKeyId, CacheEntry>> staged_;
-  size_t total_bytes_ = 0;
-  enum CounterSlot : size_t { kHits, kMisses };
-  obs::CounterBlock counters_{{"grounding.binding_cache_hits",
-                               "grounding.binding_cache_misses"}};
-};
 
 /// Wall-clock breakdown of one GroundModel call, for benches and phase
 /// regression tracking (a handful of steady_clock reads per pass).
@@ -198,8 +101,7 @@ class GroundedModel {
 
  private:
   friend Result<GroundedModel> GroundModel(const Instance&,
-                                           const RelationalCausalModel&,
-                                           BindingCache*);
+                                           const RelationalCausalModel&);
   friend Result<GroundedModel> ExtendGroundedModel(GroundedModel,
                                                    const InstanceDelta&);
 
@@ -247,16 +149,9 @@ class GroundedModel {
 
 /// Grounds `model` against `instance`. Fails if the grounded graph is
 /// cyclic (recursive model) or if a rule references unknown predicates.
-/// The instance and model must outlive the result. A non-null
-/// `binding_cache` memoizes rule-condition binding tables across calls;
-/// the caller must keep it paired with this exact instance state.
+/// The instance and model must outlive the result.
 Result<GroundedModel> GroundModel(const Instance& instance,
-                                  const RelationalCausalModel& model,
-                                  BindingCache* binding_cache);
-inline Result<GroundedModel> GroundModel(const Instance& instance,
-                                         const RelationalCausalModel& model) {
-  return GroundModel(instance, model, nullptr);
-}
+                                  const RelationalCausalModel& model);
 
 /// True when `delta` is within the incremental-extend contract for
 /// `model`: the delta is complete (not trimmed), gained facts only (no

@@ -10,35 +10,6 @@
 
 namespace carl {
 
-namespace {
-
-// Stages binding-cache inserts for the scope when a guard token is
-// installed: a guard-aborted GroundModel then leaves the cache
-// pointer-identical to its pre-query state (AbortStaging on unwind);
-// Commit() publishes the staged tables after the pass succeeded.
-// Unguarded passes bypass staging entirely — no behavior change.
-class StagedBindingCache {
- public:
-  explicit StagedBindingCache(BindingCache* cache)
-      : cache_(guard::CurrentToken() != nullptr ? cache : nullptr) {
-    if (cache_ != nullptr) cache_->BeginStaging();
-  }
-  ~StagedBindingCache() {
-    if (cache_ != nullptr) cache_->AbortStaging();
-  }
-  void Commit() {
-    if (cache_ != nullptr) {
-      cache_->CommitStaging();
-      cache_ = nullptr;
-    }
-  }
-
- private:
-  BindingCache* cache_;
-};
-
-}  // namespace
-
 QuerySession::QuerySession(const Instance* instance)
     : instance_(instance),
       counters_({"query_session.ground_hits", "query_session.ground_misses",
@@ -48,7 +19,6 @@ QuerySession::QuerySession(const Instance* instance)
                  "query_session.unit_rows_resumes",
                  "query_session.unit_rows_rebuilds"}) {
   CARL_CHECK(instance != nullptr) << "query session needs an instance";
-  binding_cache_generation_ = instance->generation();
 }
 
 QuerySession::SessionStats QuerySession::SnapshotStats() const {
@@ -114,13 +84,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   // but the first find it cached.
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t generation = instance_->generation();
-  if (generation != binding_cache_generation_) {
-    // Reconcile the binding cache once per generation move: only tables
-    // whose atom predicates or constraint attributes were touched drop.
-    binding_cache_.Invalidate(
-        instance_->DeltaSince(binding_cache_generation_));
-    binding_cache_generation_ = generation;
-  }
 
   // Grounding depends on the rule set AND the extended schema (step 1
   // adds a node per schema attribute grounding), so both go into the key.
@@ -217,9 +180,7 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
   auto holder = std::make_shared<GroundingHolder>();
   holder->model = cached ? entry->holder->model
                          : std::make_shared<RelationalCausalModel>(model);
-  StagedBindingCache staged(&binding_cache_);
-  Result<GroundedModel> grounded =
-      GroundModel(*instance_, *holder->model, &binding_cache_);
+  Result<GroundedModel> grounded = GroundModel(*instance_, *holder->model);
   if (!grounded.ok()) {
     // A failed extend above may have consumed the cached grounding, and
     // a stale entry cannot serve this state anyway: drop it, so the next
@@ -227,7 +188,6 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     if (cached) EraseEntry(entry);
     return grounded.status();
   }
-  staged.Commit();
   counters_.Increment(kGroundFull);
   holder->grounded = std::move(*grounded);
   if (!cached) {

@@ -25,14 +25,10 @@
 //      counted as a ground_extends;
 //   3. otherwise (trimmed log, overflow write, constraint-attribute
 //      write, new rule constant) — full re-ground.
-//
-// The session also keeps a BindingCache of rule-condition binding tables
-// (columnar, see binding_table.h): when a query derives an aggregate
-// variant, the variant shares every base rule with its parent model, so
-// grounding it reuses the parent's binding tables instead of re-running
-// the joins. On mutation the binding cache is invalidated per-dependency
-// (only tables whose atom predicates or constraint attributes were
-// touched drop).
+// The session replaces a cached grounding only with a pass that
+// completed: a guarded extend works on a copy, so a pass the guard stops
+// leaves the entry as it was, and a failed re-ground drops the stale
+// entry.
 //
 // Each entry also memoizes Algorithm 1's resolved unit rows (UnitRows,
 // unit_table.h) next to its grounding, one per (treatment, response,
@@ -65,16 +61,14 @@
 //
 // Sessions are thread-safe and single-flight: one mutex is held across
 // Ground, so concurrent callers asking for the same variant ground it
-// once and the rest are served from the cache, and the binding-cache
-// staging of a guarded pass never interleaves with another pass. The
-// unit-row memos have a mutex of their own, which Ground takes inside its
-// own and an answer takes alone: an answer never waits for a Ground, but
-// a Ground that installs or erases an entry waits for an answer's
-// resolve in flight. The instance must not be mutated while a Ground or
-// an answer runs. Cached GroundedModels reference a model copy owned by
-// the session, so they stay valid for as long as the returned shared_ptr
-// lives — even after the session itself is destroyed the entry keeps the
-// model alive.
+// once and the rest are served from the cache. The unit-row memos have
+// a mutex of their own, which Ground takes inside its own and an answer
+// takes alone: an answer never waits for a Ground, but a Ground that
+// installs or erases an entry waits for an answer's resolve in flight.
+// The instance must not be mutated while a Ground or an answer runs.
+// Cached GroundedModels reference a model copy owned by the session, so
+// they stay valid for as long as the returned shared_ptr lives — even
+// after the session itself is destroyed the entry keeps the model alive.
 
 #ifndef CARL_CORE_QUERY_SESSION_H_
 #define CARL_CORE_QUERY_SESSION_H_
@@ -144,11 +138,6 @@ class QuerySession {
     uint64_t unit_rows_rebuilds = 0;  ///< ... that resolved every row
   };
   SessionStats SnapshotStats() const;
-
-  /// The session's rule-condition binding cache (columnar tables shared
-  /// across groundings of model variants over the same instance state).
-  /// Unsynchronized: read it only while no Ground runs.
-  const BindingCache& binding_cache() const { return binding_cache_; }
 
   /// Cache capacity in distinct groundings; inserting beyond it evicts
   /// the oldest entry (FIFO). Engines holding a shared_ptr to an evicted
@@ -220,9 +209,6 @@ class QuerySession {
   // Held across every Ground; guards everything below except the memos
   // and counters_.
   mutable std::mutex mu_;
-  BindingCache binding_cache_;
-  // Instance generation the binding cache was last reconciled to.
-  uint64_t binding_cache_generation_ = 0;
   std::vector<Entry> entries_;  // oldest first
   size_t max_cached_groundings_ = 16;
   // The unit-row memos of each entry's current grounding (oldest first),

@@ -392,6 +392,18 @@ Status ResolveUnitRows(const GroundedModel& grounded,
   return Status::OK();
 }
 
+Status CheckUnitsKept(const UnitRows& rows) {
+  if (!rows.y.empty()) return Status::OK();
+  if (rows.dropped_isolated > 0) {
+    return Status::FailedPrecondition(StrFormat(
+        "no unit has a relational peer; a peer-effect query drops the %zu "
+        "isolated units unless include_isolated_units is set",
+        rows.dropped_isolated));
+  }
+  return Status::FailedPrecondition(
+      "no unit has both treatment and response values");
+}
+
 Status EmbedUnitRows(const UnitRows& rows, const Schema& schema,
                      const UnitTableOptions& options, UnitTable* table) {
   CARL_TRACE_SCOPE("unit_table.embed");
@@ -400,17 +412,8 @@ Status EmbedUnitRows(const UnitRows& rows, const Schema& schema,
   static obs::Counter& rows_embedded =
       obs::Registry::Global().GetCounter("unit_table.rows_embedded");
   builds.Increment();
+  CARL_RETURN_IF_ERROR(CheckUnitsKept(rows));
   const size_t n = rows.y.size();
-  if (n == 0) {
-    if (rows.dropped_isolated > 0) {
-      return Status::FailedPrecondition(StrFormat(
-          "no unit has a relational peer; a peer-effect query drops the %zu "
-          "isolated units unless include_isolated_units is set",
-          rows.dropped_isolated));
-    }
-    return Status::FailedPrecondition(
-        "no unit has both treatment and response values");
-  }
 
   // One embedding per group, fitted on its widest row, and the number of
   // columns the rows produce. That number only grows with the rows (a

@@ -187,6 +187,10 @@ struct UnitRows {
   /// The kept units' tuples, arity-strided as in UnitTable.
   std::vector<SymbolId> unit_args;
   size_t unit_arity = 0;
+  /// The kept units' tuples as rows parallel to y.
+  RelationView units() const {
+    return RelationView(unit_args.data(), unit_arity, y.size());
+  }
   Group peer_t;  ///< the peers' treatment values
   CovariateGroups own;
   CovariateGroups peer;
@@ -214,12 +218,17 @@ Status ResolveUnitRows(const GroundedModel& grounded,
                        const UnitTableRequest& request,
                        const UnitTableOptions& options, UnitRows* rows);
 
+/// OK when `rows` kept some unit, else the FailedPrecondition naming
+/// what dropped them: missing values, or (without include_isolated_units)
+/// no relational peer.
+Status CheckUnitsKept(const UnitRows& rows);
+
 /// The embed step: brings `table` up to `rows` under `options`'
 /// embedding. `table` must be empty or embedded from a prefix of `rows`
 /// under the same embedding. When the rows produce the table's column list,
 /// only rows [table rows, kept rows) are projected and appended; else
-/// every row is re-embedded and the sums start over. Fails when no unit
-/// was kept, naming what dropped them, and leaves `table` unchanged.
+/// every row is re-embedded and the sums start over. Fails like
+/// CheckUnitsKept and then leaves `table` unchanged.
 Status EmbedUnitRows(const UnitRows& rows, const Schema& schema,
                      const UnitTableOptions& options, UnitTable* table);
 

@@ -24,8 +24,9 @@
 //
 // Invariant the consumers uphold (and tests enforce): an aborted pass
 // never poisons the session. Partially-built graphs/tables are locals
-// dropped whole; shared caches stage their inserts and commit only on
-// success, so their pre-query state stays pointer-identical.
+// dropped whole, and the session replaces a cached grounding only with a
+// pass that completed (a guarded extend works on a copy), so the next
+// query extends or serves the entry it held before the abort.
 //
 // Counters (obs registry): guard_cancelled, guard_deadline_exceeded,
 // guard_budget_exceeded tick once per token on the first stop transition;

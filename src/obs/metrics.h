@@ -27,15 +27,15 @@
 // name twice returns the same handle; registering one name as two
 // different types is a programming error (CARL_CHECK).
 //
-// An object that keeps its own stats (a QuerySession, a ServeService, a
-// BindingCache) counts them in a CounterBlock instead: one relaxed
-// atomic per name, read by the object's stats view without a lock. The
-// registry lists each block name as a counter whose value is the sum of
-// the live blocks that name it plus the final counts of destroyed ones,
-// so an event is counted once and both views read it. A name is either
-// a plain counter or block-owned, never both: GetCounter on a
-// block-owned name aborts, and so does a block on a plain counter's
-// name. Block-owned names are read through TakeSnapshot/SnapshotDelta.
+// An object that keeps its own stats (a QuerySession, a ServeService)
+// counts them in a CounterBlock instead: one relaxed atomic per name,
+// read by the object's stats view without a lock. The registry lists
+// each block name as a counter whose value is the sum of the live blocks
+// that name it plus the final counts of destroyed ones, so an event is
+// counted once and both views read it. A name is either a plain counter
+// or block-owned, never both: GetCounter on a block-owned name aborts,
+// and so does a block on a plain counter's name. Block-owned names are
+// read through TakeSnapshot/SnapshotDelta.
 
 #ifndef CARL_OBS_METRICS_H_
 #define CARL_OBS_METRICS_H_

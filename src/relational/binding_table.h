@@ -77,14 +77,6 @@ class BindingTable {
     index_.Reserve(rows, KeyOf());
   }
 
-  /// Heap footprint of the binding arena in bytes (capacity, so it
-  /// reflects what the table actually pins — including the per-row hash
-  /// memo). Used by cache byte budgets.
-  size_t arena_bytes() const {
-    return data_.capacity() * sizeof(SymbolId) +
-           row_hashes_.capacity() * sizeof(uint64_t);
-  }
-
   /// Appends `vals[0..arity)` if no equal row is present; returns whether
   /// the row was inserted. Rows keep first-occurrence order.
   bool InsertDistinct(const SymbolId* vals) {

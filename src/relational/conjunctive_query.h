@@ -36,6 +36,9 @@ struct Term {
 struct Atom {
   std::string predicate;
   std::vector<Term> args;
+  bool operator==(const Atom& o) const {
+    return predicate == o.predicate && args == o.args;
+  }
   std::string ToString() const;
 };
 
@@ -56,6 +59,11 @@ struct AttributeConstraint {
   std::vector<Term> args;
   CompareOp op = CompareOp::kEq;
   Value rhs;
+  /// Exact: the rhs must match in type and value.
+  bool operator==(const AttributeConstraint& o) const {
+    return attribute == o.attribute && args == o.args && op == o.op &&
+           rhs == o.rhs;
+  }
   std::string ToString() const;
 };
 
@@ -66,6 +74,10 @@ struct ConjunctiveQuery {
   std::vector<AttributeConstraint> constraints;
 
   bool empty() const { return atoms.empty() && constraints.empty(); }
+  /// Structural: the same atoms and constraints in the same order.
+  bool operator==(const ConjunctiveQuery& o) const {
+    return atoms == o.atoms && constraints == o.constraints;
+  }
   std::string ToString() const;
 };
 

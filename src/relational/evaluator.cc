@@ -11,7 +11,7 @@
 #include "relational/storage_stats.h"
 
 namespace carl {
-namespace evaluator_internal {
+namespace {
 
 // One argument position of a compiled atom: either a dense variable id or
 // an interned constant.
@@ -82,27 +82,6 @@ struct CompiledQuery {
   bool always_empty = false;
 };
 
-// The semi-naive delta decomposition: pivots[i] is the query re-planned
-// with atom i forced as the join root and per-step RowFilters derived
-// from the original atom indexes (pivot new-only, earlier atoms old-only,
-// later atoms unrestricted).
-struct CompiledDeltaQuery {
-  std::vector<CompiledQuery> pivots;
-};
-
-}  // namespace evaluator_internal
-
-namespace {
-
-using evaluator_internal::CompiledAtom;
-using evaluator_internal::CompiledConstraint;
-using evaluator_internal::CompiledDeltaQuery;
-using evaluator_internal::CompiledQuery;
-using evaluator_internal::CompiledTerm;
-using evaluator_internal::Fill;
-using evaluator_internal::PlanStep;
-using evaluator_internal::RowFilter;
-
 class Compiler {
  public:
   Compiler(const Instance& instance) : instance_(instance) {}
@@ -161,12 +140,16 @@ class Compiler {
     return out;
   }
 
-  // One plan per pivot atom, implementing the semi-naive decomposition:
-  // a binding using at least one new row is found exactly once, by the
-  // pivot whose atom matches its lowest-indexed new-row atom.
-  Result<CompiledDeltaQuery> CompileDelta(const ConjunctiveQuery& query) {
-    CompiledDeltaQuery out;
-    out.pivots.reserve(query.atoms.size());
+  // The semi-naive delta decomposition: pivots[i] is the query re-planned
+  // with atom i forced as the join root and per-step RowFilters derived
+  // from the original atom indexes (pivot new-only, earlier atoms
+  // old-only, later atoms unrestricted). A binding using at least one new
+  // row is found exactly once, by the pivot whose atom matches its
+  // lowest-indexed new-row atom.
+  Result<std::vector<CompiledQuery>> CompileDelta(
+      const ConjunctiveQuery& query) {
+    std::vector<CompiledQuery> pivots;
+    pivots.reserve(query.atoms.size());
     for (size_t pivot = 0; pivot < query.atoms.size(); ++pivot) {
       CARL_ASSIGN_OR_RETURN(CompiledQuery plan,
                             Compile(query, static_cast<int>(pivot)));
@@ -177,9 +160,9 @@ class Compiler {
           step.filter = RowFilter::kOldOnly;
         }
       }
-      out.pivots.push_back(std::move(plan));
+      pivots.push_back(std::move(plan));
     }
-    return out;
+    return pivots;
   }
 
  private:
@@ -471,33 +454,12 @@ QueryEvaluator::QueryEvaluator(const Instance* instance)
   CARL_CHECK(instance != nullptr);
 }
 
-Result<PreparedQuery> QueryEvaluator::Prepare(
-    const ConjunctiveQuery& query) const {
-  CARL_TRACE_SCOPE("eval.prepare");
-  Compiler compiler(*instance_);
-  CARL_ASSIGN_OR_RETURN(CompiledQuery compiled, compiler.Compile(query));
-  PreparedQuery prepared;
-  prepared.impl_ =
-      std::make_shared<const CompiledQuery>(std::move(compiled));
-  return prepared;
-}
-
 Result<BindingTable> QueryEvaluator::Evaluate(
     const ConjunctiveQuery& query,
     const std::vector<std::string>& output_vars) const {
-  CARL_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query));
-  return Evaluate(prepared, output_vars);
-}
-
-Result<BindingTable> QueryEvaluator::Evaluate(
-    const PreparedQuery& prepared,
-    const std::vector<std::string>& output_vars) const {
   CARL_TRACE_SCOPE("eval.evaluate");
-  if (prepared.impl_ == nullptr) {
-    return Status::FailedPrecondition(
-        "unprepared query: pass the result of Prepare()");
-  }
-  const CompiledQuery& compiled = *prepared.impl_;
+  CARL_ASSIGN_OR_RETURN(CompiledQuery compiled,
+                        Compiler(*instance_).Compile(query));
   CARL_ASSIGN_OR_RETURN(std::vector<int> projection,
                         ResolveProjection(compiled, output_vars));
   BindingTable table(projection.size());
@@ -507,41 +469,26 @@ Result<BindingTable> QueryEvaluator::Evaluate(
   return table;
 }
 
-Result<PreparedDeltaQuery> QueryEvaluator::PrepareDelta(
-    const ConjunctiveQuery& query) const {
-  CARL_TRACE_SCOPE("eval.prepare_delta");
-  Compiler compiler(*instance_);
-  CARL_ASSIGN_OR_RETURN(CompiledDeltaQuery compiled,
-                        compiler.CompileDelta(query));
-  PreparedDeltaQuery prepared;
-  prepared.impl_ =
-      std::make_shared<const CompiledDeltaQuery>(std::move(compiled));
-  return prepared;
-}
-
 Result<BindingTable> QueryEvaluator::EvaluateDelta(
-    const PreparedDeltaQuery& prepared,
+    const ConjunctiveQuery& query,
     const std::vector<std::string>& output_vars,
     const std::vector<uint32_t>& fact_watermarks) const {
   CARL_TRACE_SCOPE("eval.evaluate_delta");
-  if (prepared.impl_ == nullptr) {
-    return Status::FailedPrecondition(
-        "unprepared delta query: pass the result of PrepareDelta()");
-  }
   if (fact_watermarks.size() < instance_->schema().num_predicates()) {
     return Status::InvalidArgument(
         StrFormat("fact watermarks cover %zu predicates, schema has %zu",
                   fact_watermarks.size(),
                   instance_->schema().num_predicates()));
   }
-  const CompiledDeltaQuery& compiled = *prepared.impl_;
+  CARL_ASSIGN_OR_RETURN(std::vector<CompiledQuery> pivots,
+                        Compiler(*instance_).CompileDelta(query));
   std::vector<int> projection;
-  if (!compiled.pivots.empty()) {
-    CARL_ASSIGN_OR_RETURN(
-        projection, ResolveProjection(compiled.pivots[0], output_vars));
+  if (!pivots.empty()) {
+    CARL_ASSIGN_OR_RETURN(projection,
+                          ResolveProjection(pivots[0], output_vars));
   }
   BindingTable table(projection.size());
-  for (const CompiledQuery& pivot : compiled.pivots) {
+  for (const CompiledQuery& pivot : pivots) {
     if (pivot.always_empty || pivot.steps.empty()) continue;
     // A pivot whose predicate gained no rows contributes nothing; skip
     // it before building indexes for its plan.
@@ -554,30 +501,6 @@ Result<BindingTable> QueryEvaluator::EvaluateDelta(
   }
   CARL_RETURN_IF_ERROR(guard::CheckPoint());
   return table;
-}
-
-Result<bool> QueryEvaluator::Ask(const ConjunctiveQuery& query) const {
-  Compiler compiler(*instance_);
-  CARL_ASSIGN_OR_RETURN(CompiledQuery compiled, compiler.Compile(query));
-  bool found = false;
-  Searcher searcher(*instance_, compiled);
-  searcher.Run([&](const std::vector<SymbolId>&) {
-    found = true;
-    return false;  // stop at the first witness
-  });
-  return found;
-}
-
-Result<size_t> QueryEvaluator::Count(const ConjunctiveQuery& query) const {
-  Compiler compiler(*instance_);
-  CARL_ASSIGN_OR_RETURN(CompiledQuery compiled, compiler.Compile(query));
-  size_t count = 0;
-  Searcher searcher(*instance_, compiled);
-  searcher.Run([&](const std::vector<SymbolId>&) {
-    ++count;
-    return true;
-  });
-  return count;
 }
 
 }  // namespace carl

@@ -16,10 +16,9 @@
 // BindingTable (span-hashed arena) — no owned Tuple is ever built on the
 // result path; consumers read rows as TupleView spans.
 //
-// Prepare() compiles a query once into a shareable PreparedQuery;
-// Evaluate accepts either a raw query (compiling on the fly) or a
-// PreparedQuery. A PreparedQuery is tied to the instance contents at
-// Prepare time — re-prepare after mutating the instance.
+// Each call compiles its plan against the instance as it is at the call
+// (atom-order tie-breaks read relation sizes, constants resolve to their
+// current ids), so a call after a mutation sees the mutation.
 //
 // Evaluate and EvaluateDelta run under the ambient guard token: every
 // binding they enumerate is charged against its binding budget, and a
@@ -28,7 +27,7 @@
 #ifndef CARL_RELATIONAL_EVALUATOR_H_
 #define CARL_RELATIONAL_EVALUATOR_H_
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -40,46 +39,9 @@
 
 namespace carl {
 
-namespace evaluator_internal {
-struct CompiledQuery;
-struct CompiledDeltaQuery;
-}  // namespace evaluator_internal
-
-/// A compiled conjunctive query (join plan + constraint schedule),
-/// shareable across threads. Cheap to copy.
-class PreparedQuery {
- public:
-  PreparedQuery() = default;
-
- private:
-  friend class QueryEvaluator;
-  std::shared_ptr<const evaluator_internal::CompiledQuery> impl_;
-};
-
-/// A compiled family of delta-restricted plans: one plan per atom of the
-/// query, with that atom forced as the join root. Pivot plan i restricts
-/// its root to rows at or beyond the root predicate's watermark ("new"),
-/// every atom with a lower original index to rows strictly below its
-/// predicate's watermark ("old"), and leaves later atoms unrestricted —
-/// the standard semi-naive decomposition, so the union over pivots is
-/// exactly the bindings that touch at least one new row, each produced
-/// once. Cheap to copy.
-class PreparedDeltaQuery {
- public:
-  PreparedDeltaQuery() = default;
-
- private:
-  friend class QueryEvaluator;
-  std::shared_ptr<const evaluator_internal::CompiledDeltaQuery> impl_;
-};
-
 class QueryEvaluator {
  public:
   explicit QueryEvaluator(const Instance* instance);
-
-  /// Compiles `query` into a reusable plan. Invalidated by instance
-  /// mutation (the plan bakes in atom order tie-breaks and constant ids).
-  Result<PreparedQuery> Prepare(const ConjunctiveQuery& query) const;
 
   /// Distinct bindings of `output_vars` as a columnar BindingTable whose
   /// rows align with `output_vars`. Every output variable must occur in
@@ -88,32 +50,22 @@ class QueryEvaluator {
   Result<BindingTable> Evaluate(
       const ConjunctiveQuery& query,
       const std::vector<std::string>& output_vars) const;
-  Result<BindingTable> Evaluate(
-      const PreparedQuery& prepared,
-      const std::vector<std::string>& output_vars) const;
-
-  /// Compiles the semi-naive delta plans of `query` (one forced-root plan
-  /// per atom). Like Prepare, the result is tied to the instance contents
-  /// at call time — prepare after the mutation whose delta is evaluated,
-  /// so constants interned by the delta resolve.
-  Result<PreparedDeltaQuery> PrepareDelta(const ConjunctiveQuery& query) const;
 
   /// Distinct bindings of `output_vars` that use at least one fact row at
   /// or beyond its predicate's watermark. `fact_watermarks` holds one
   /// prior row count per PredicateId (current row count for untouched
-  /// predicates). Pivot plans run in atom order and merge
-  /// first-occurrence, so the result order is deterministic. An atom-less
-  /// query yields no delta bindings.
+  /// predicates). The semi-naive decomposition: one plan per atom of the
+  /// query with that atom forced as the join root ("pivot"), restricted
+  /// to its new rows, every atom with a lower index to old rows and later
+  /// atoms unrestricted, so the union over pivots is exactly the bindings
+  /// that touch a new row, each found once. Pivots run in atom order and
+  /// merge first-occurrence, so the result order is deterministic. An
+  /// atom-less query yields no delta bindings. Call it after the mutation
+  /// whose delta it evaluates, so constants the delta interned resolve.
   Result<BindingTable> EvaluateDelta(
-      const PreparedDeltaQuery& prepared,
+      const ConjunctiveQuery& query,
       const std::vector<std::string>& output_vars,
       const std::vector<uint32_t>& fact_watermarks) const;
-
-  /// Boolean query: does any satisfying assignment exist?
-  Result<bool> Ask(const ConjunctiveQuery& query) const;
-
-  /// Number of satisfying assignments of all variables (no projection).
-  Result<size_t> Count(const ConjunctiveQuery& query) const;
 
  private:
   const Instance* instance_;

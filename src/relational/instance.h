@@ -82,8 +82,6 @@ struct InstanceDelta {
     bool overflow = false;       // some write targeted a non-fact tuple
   };
   std::vector<AttributeDelta> attributes;
-
-  bool empty() const { return facts.empty() && attributes.empty(); }
 };
 
 class Instance {

@@ -3,9 +3,8 @@
 // either succeeds with the unfaulted result (degradation sites: pool
 // dispatch, checked on a bootstrap; delta trim, on a grounding)
 // or fails with a clean guard Status — and in BOTH cases the session is
-// not poisoned: the
-// binding cache is pointer-identical across an aborted pass, the next
-// query runs normally and matches a from-scratch ground, and the obs
+// not poisoned: an aborted extend leaves the cached entry for the next
+// query to extend, that query matches a from-scratch ground, and the obs
 // counters account for every injected fault and guard stop. A fault in
 // a unit-row resume must leave no half-appended rows in the session's
 // memo. Runs at
@@ -57,19 +56,6 @@ std::string EntityWithAttribute(const Schema& schema) {
   return schema.predicates()[0].name;
 }
 
-void ExpectPointerIdentical(
-    const std::vector<std::pair<BindingKeyId, const BindingTable*>>& before,
-    const std::vector<std::pair<BindingKeyId, const BindingTable*>>& after,
-    const char* what) {
-  ASSERT_EQ(before.size(), after.size()) << what;
-  for (size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i].first, after[i].first) << what;
-    EXPECT_EQ(before[i].second, after[i].second)
-        << what << ": cached table re-allocated across an aborted pass: "
-        << before[i].first;
-  }
-}
-
 class FaultFuzzTest : public ::testing::Test {
  protected:
   // A leaked arming would fire in an unrelated test.
@@ -96,8 +82,8 @@ const char* const kPhaseSites[] = {
 };
 
 // ---------------------------------------------------------------------------
-// Phase faults: every schedule fails cleanly, the session recovers, the
-// binding cache is pointer-identical across the abort.
+// Phase faults: every schedule fails cleanly, and the session recovers
+// by extending the entry it held before the abort.
 // ---------------------------------------------------------------------------
 TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
   for (NamedDataset& workload : FuzzWorkloads()) {
@@ -116,14 +102,12 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
       for (const char* site : kPhaseSites) {
         SCOPED_TRACE(site);
         QuerySession session(&db);
-        // Warm the session so the aborts below have committed cache
-        // state to preserve.
+        // Warm the session so the aborts below have a cached entry to
+        // preserve.
         ASSERT_TRUE(session.Ground(*model).ok());
 
-        // Stale the entry with a graph-relevant mutation, then abort
-        // once: this pass performs the legitimate per-delta cache
-        // invalidation before the fault stops it, isolating the
-        // no-poison comparison below from deterministic invalidation.
+        // Stale the entry with a graph-relevant mutation, so each guarded
+        // pass below is an extend that the fault stops.
         ASSERT_TRUE(db.AddFact(entity, {"fz_phase_" +
                                         std::to_string(mutation++)})
                         .ok());
@@ -140,9 +124,7 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
             << first.status();
         EXPECT_EQ(first_token.reason(), guard::StopReason::kFault);
 
-        // Second aborted pass over reconciled state: the cache must be
-        // pointer-identical across it.
-        auto before = session.binding_cache().SnapshotEntries();
+        // A second aborted pass over the same state.
         uint64_t faults_before = CounterValue("fault_injected");
         guard::ExecToken second_token;
         guard::FaultRegistry::Global().Arm(site, 1);
@@ -154,17 +136,22 @@ TEST_F(FaultFuzzTest, PhaseFaultsFailCleanAndDoNotPoisonTheSession) {
         EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
         EXPECT_EQ(CounterValue("fault_injected"), faults_before + 1)
             << "fault_injected must account for exactly this firing";
-        ExpectPointerIdentical(before,
-                               session.binding_cache().SnapshotEntries(),
-                               site);
 
-        // The next (unguarded) query runs normally and canonically
-        // matches a from-scratch ground of the current state.
+        // The next (unguarded) query extends the entry the aborts left,
+        // and canonically matches a from-scratch ground of the current
+        // state.
         Result<GroundedModel> fresh = GroundModel(db, *model);
         ASSERT_TRUE(fresh.ok()) << fresh.status();
+        const QuerySession::SessionStats before = session.SnapshotStats();
+        const size_t entries = session.num_cached_groundings();
         Result<std::shared_ptr<const GroundedModel>> recovered =
             session.Ground(*model);
         ASSERT_TRUE(recovered.ok()) << recovered.status();
+        const QuerySession::SessionStats after = session.SnapshotStats();
+        EXPECT_EQ(after.ground_extends, before.ground_extends + 1)
+            << "the aborted extends lost the cached entry";
+        EXPECT_EQ(after.ground_full, before.ground_full);
+        EXPECT_EQ(session.num_cached_groundings(), entries);
         EXPECT_TRUE(Canonicalize(**recovered) == Canonicalize(*fresh))
             << "post-fault session grounding diverged from scratch";
       }
@@ -275,8 +262,8 @@ TEST_F(FaultFuzzTest, DeltaTrimFaultFallsBackToFullReground) {
 
 // ---------------------------------------------------------------------------
 // Budget stops through the real pipeline: deadline / memory / binding
-// ceilings abort a full re-ground with the right Status, commit nothing
-// to the binding cache, and the next query runs normally.
+// ceilings abort a full re-ground with the right Status, install nothing
+// in the session, and the next query runs normally.
 // ---------------------------------------------------------------------------
 TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
   struct Case {
@@ -310,10 +297,10 @@ TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
       QuerySession session(&db);
       ASSERT_TRUE(session.Ground(*model).ok());
 
-      // Force the full re-ground path with an empty binding cache: the
-      // faulted trim makes the delta incomplete, which clears the cache
-      // and voids the extend contract — so the guarded query must
-      // re-enumerate every rule (real work for the budget to stop).
+      // Force the full re-ground path: the faulted trim makes the delta
+      // incomplete, which voids the extend contract — so the guarded
+      // query must enumerate every rule condition (real work for the
+      // budget to stop).
       guard::FaultRegistry::Global().Arm("instance.delta_trim", 1);
       ASSERT_TRUE(db.AddFact("Person", {std::string("fz_budget_") + c.name +
                                         "_t" + std::to_string(threads)})
@@ -329,17 +316,18 @@ TEST_F(FaultFuzzTest, BudgetStopsAbortCleanlyAndCommitNothing) {
           << c.name << " budget did not stop the pass";
       EXPECT_EQ(stopped.status().code(), c.want_code) << stopped.status();
 
-      // Nothing the aborted pass enumerated may have been committed:
-      // the cache was cleared by the incomplete delta, and the staged
-      // inserts of the aborted re-ground were dropped whole.
-      EXPECT_EQ(session.binding_cache().size(), 0u)
-          << "aborted " << c.name << " pass leaked staged cache entries";
+      // The aborted re-ground installed nothing: it dropped the stale
+      // entry, which cannot serve the trimmed state.
+      EXPECT_EQ(session.num_cached_groundings(), 0u)
+          << "aborted " << c.name << " pass left an entry behind";
 
-      // Session still usable: the unguarded retry succeeds and matches
-      // a from-scratch ground.
+      // Session still usable: the unguarded retry grounds from scratch
+      // and matches a from-scratch ground.
+      const uint64_t full_before = session.SnapshotStats().ground_full;
       Result<std::shared_ptr<const GroundedModel>> retry =
           session.Ground(*model);
       ASSERT_TRUE(retry.ok()) << retry.status();
+      EXPECT_EQ(session.SnapshotStats().ground_full, full_before + 1);
       Result<GroundedModel> fresh = GroundModel(db, *model);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
       EXPECT_TRUE(Canonicalize(**retry) == Canonicalize(*fresh));

@@ -93,12 +93,33 @@ NamedDataset ConstantRefsDataset() {
   return NamedDataset{"constant-refs", std::move(data)};
 }
 
+// The review toy under a model whose rules repeat conditions: a pass
+// shares one binding table between rules whose condition and projection
+// are equal (the first two constrained Author rules, projecting [S, A]),
+// and none between rules that differ only in a constraint's constant
+// (> 10 / > 30), its operator (> 20 / >= 20; Carlos has 20) or the
+// projection order (the aggregate rule's [A, S]).
+NamedDataset SharedConditionsDataset() {
+  datagen::Dataset data = test_fixtures::ReviewToyDataset();
+  data.model_text = R"(
+    Prestige[A] <= Qualification[A] WHERE Person(A)
+    Quality[S] <= Qualification[A] WHERE Author(A, S), Qualification[A] > 10
+    Score[S] <= Prestige[A] WHERE Author(A, S), Qualification[A] > 10
+    Quality[S] <= Prestige[A] WHERE Author(A, S), Qualification[A] > 30
+    Score[S] <= Qualification[A] WHERE Author(A, S), Qualification[A] > 20
+    Quality[S] <= Prestige[A] WHERE Author(A, S), Qualification[A] >= 20
+    AVG_Score[A] <= Score[S] WHERE Author(A, S), Qualification[A] > 10
+  )";
+  return NamedDataset{"shared-conditions", std::move(data)};
+}
+
 // The per-rule merge against the plain per-binding loop, at threads
 // {1, 2, 4}; the fingerprint (which also folds values) must not move
 // with the thread count either.
 TEST(GraphStoreTest, GroundingMatchesPerBindingReference) {
   std::vector<NamedDataset> workloads = GraphWorkloads();
   workloads.push_back(ConstantRefsDataset());
+  workloads.push_back(SharedConditionsDataset());
   for (NamedDataset& wl : workloads) {
     Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
         *wl.dataset.schema, wl.dataset.model_text);

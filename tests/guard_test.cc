@@ -311,36 +311,14 @@ TEST_F(GuardTest, PoolDispatchFaultDegradesToCallingThread) {
 // Promoted CARL_CHECK sites: user-reachable misuse returns Status.
 // ---------------------------------------------------------------------------
 
-TEST_F(GuardTest, UnpreparedQueryIsStatusNotAbort) {
-  datagen::Dataset data = ReviewToyDataset();
-  QueryEvaluator evaluator(data.instance.get());
-  PreparedQuery unprepared;
-  Result<BindingTable> r = evaluator.Evaluate(unprepared, {});
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(GuardTest, UnpreparedDeltaQueryIsStatusNotAbort) {
-  datagen::Dataset data = ReviewToyDataset();
-  QueryEvaluator evaluator(data.instance.get());
-  PreparedDeltaQuery unprepared;
-  std::vector<uint32_t> watermarks(
-      data.instance->schema().num_predicates(), 0);
-  Result<BindingTable> r = evaluator.EvaluateDelta(unprepared, {}, watermarks);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST_F(GuardTest, ShortWatermarksAreStatusNotAbort) {
   datagen::Dataset data = ReviewToyDataset();
   QueryEvaluator evaluator(data.instance.get());
   ConjunctiveQuery query;
   query.atoms.push_back({"Person", {Term::Var("A")}});
-  Result<PreparedDeltaQuery> prepared = evaluator.PrepareDelta(query);
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
   std::vector<uint32_t> short_watermarks;  // schema has more predicates
   Result<BindingTable> r =
-      evaluator.EvaluateDelta(*prepared, {"A"}, short_watermarks);
+      evaluator.EvaluateDelta(query, {"A"}, short_watermarks);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }

@@ -10,18 +10,17 @@
 // memo must also give the memo-free unit table of the same grounding bit
 // for bit, through hits, resumes, rebuilds and table appends under every
 // embedding, and the estimates read from its sums must equal those summed
-// from row 0. Also pins down the
-// QuerySession delta
-// policy (hit / extend / full re-ground counters, scoped binding-cache
-// invalidation) and every documented fallback out of
-// the extend contract: overflow writes, constraint-attribute writes,
-// rule-named constants interned inside the window, and a trimmed delta
-// log. A second seeded differential appends facts until an extend closes
-// a cycle, which the extend's cone-local check must report exactly when
-// a from-scratch ground does; a session test pins down that such a
-// failure never leaves a consumed grounding in the session cache. The
-// concurrent-reader test races plain adjacency reads after a post-build
-// AddEdges and is a TSan CI leg target.
+// from row 0. Also pins down the QuerySession delta policy (hit /
+// extend / full re-ground counters), that a ground or an extend
+// enumerates each distinct rule condition once, and every documented
+// fallback out of the extend contract: overflow writes,
+// constraint-attribute writes, rule-named constants interned inside the
+// window, and a trimmed delta log. A second seeded differential appends
+// facts until an extend closes a cycle, which the extend's cone-local
+// check must report exactly when a from-scratch ground does; a session
+// test pins down that such a failure never leaves a consumed grounding in
+// the session cache. The concurrent-reader test races plain adjacency
+// reads after a post-build AddEdges and is a TSan CI leg target.
 
 #include <gtest/gtest.h>
 
@@ -604,8 +603,8 @@ TEST(IncrementalSessionTest, RelevantMutationExtendsCachedGrounding) {
 }
 
 // Satellite regression: mutating a relation that bears no attribute and
-// appears in no rule must not disturb the session's caches — same
-// grounding object, binding-cache entries intact.
+// appears in no rule must not disturb the session's cache — the same
+// grounding object is served.
 TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
   Schema schema;
   CARL_CHECK_OK(schema.AddEntity("Person").status());
@@ -630,8 +629,6 @@ TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
 
   Result<std::shared_ptr<const GroundedModel>> g1 = session.Ground(*model);
   ASSERT_TRUE(g1.ok()) << g1.status();
-  const size_t cached_tables = session.binding_cache().size();
-  ASSERT_GT(cached_tables, 0u);
 
   // Owns bears no attribute and no rule mentions it: adding such facts
   // cannot change the grounded graph, so this is the irrelevant-delta
@@ -644,8 +641,6 @@ TEST(IncrementalSessionTest, UnrelatedMutationKeepsCachesWarm) {
       << "irrelevant mutation invalidated the cached grounding";
   EXPECT_EQ(session.SnapshotStats().cache_hits, 1u);
   EXPECT_EQ(session.SnapshotStats().ground_full, 1u);
-  EXPECT_EQ(session.binding_cache().size(), cached_tables)
-      << "scoped invalidation dropped a binding table with disjoint deps";
 
   // A write to Age IS relevant: the extend serves the miss, and the new
   // grounding carries the written value (a stale one would be silently
@@ -800,6 +795,61 @@ TEST(IncrementalGroundingTest, TrimmedDeltaLogFallsBack) {
   Result<GroundedModel> fresh = GroundModel(db, *model);
   ASSERT_TRUE(fresh.ok());
   EXPECT_TRUE(Canonicalize(**g2) == Canonicalize(*fresh));
+}
+
+// ---------------------------------------------------------------------------
+// One enumeration per distinct rule condition per pass. The NIS program's
+// 16 rules share two conditions, Patient(P) and Admitted(P, H), so a
+// ground charges an unlimited guard token exactly the bindings of a
+// program holding one rule per condition, and so does an extend after one
+// new admission.
+// ---------------------------------------------------------------------------
+TEST(IncrementalGroundingTest, EachDistinctConditionEnumeratesOncePerPass) {
+  datagen::Dataset data = MiniNisDataset(600, 20);
+  Instance& db = *data.instance;
+  Result<RelationalCausalModel> nis =
+      RelationalCausalModel::Parse(*data.schema, data.model_text);
+  ASSERT_TRUE(nis.ok()) << nis.status();
+  ASSERT_EQ(nis->rules().size(), 16u);
+  Result<RelationalCausalModel> distinct = RelationalCausalModel::Parse(
+      *data.schema,
+      "Severity[P] <= Age[P] WHERE Patient(P)\n"
+      "Bill[P] <= Private[H] WHERE Admitted(P, H)\n");
+  ASSERT_TRUE(distinct.ok()) << distinct.status();
+
+  auto ground = [&](const RelationalCausalModel& model) {
+    guard::ExecToken token;
+    guard::ScopedToken scoped(&token);
+    Result<GroundedModel> grounded = GroundModel(db, model);
+    return std::make_pair(std::move(grounded), token.charged_bindings());
+  };
+  auto [nis_grounded, nis_charged] = ground(*nis);
+  auto [distinct_grounded, distinct_charged] = ground(*distinct);
+  ASSERT_TRUE(nis_grounded.ok()) << nis_grounded.status();
+  ASSERT_TRUE(distinct_grounded.ok()) << distinct_grounded.status();
+  const size_t patients = db.NumRows(*data.schema->FindPredicate("Patient"));
+  const size_t admissions =
+      db.NumRows(*data.schema->FindPredicate("Admitted"));
+  EXPECT_EQ(distinct_charged, patients + admissions);
+  EXPECT_EQ(nis_charged, distinct_charged)
+      << "a ground enumerated a repeated rule condition again";
+
+  const uint64_t generation = db.generation();
+  CARL_CHECK_OK(db.AddFact("Patient", {"np0"}));
+  CARL_CHECK_OK(db.AddFact("Admitted", {"np0", "h0"}));
+  const InstanceDelta delta = db.DeltaSince(generation);
+  auto extend = [&](GroundedModel base) {
+    guard::ExecToken token;
+    guard::ScopedToken scoped(&token);
+    Result<GroundedModel> extended =
+        ExtendGroundedModel(std::move(base), delta);
+    EXPECT_TRUE(extended.ok()) << extended.status();
+    return token.charged_bindings();
+  };
+  const size_t distinct_delta = extend(std::move(*distinct_grounded));
+  EXPECT_EQ(distinct_delta, 2u);  // one new row per condition
+  EXPECT_EQ(extend(std::move(*nis_grounded)), distinct_delta)
+      << "an extend enumerated a repeated rule condition again";
 }
 
 // ---------------------------------------------------------------------------

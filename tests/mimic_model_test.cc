@@ -43,9 +43,13 @@ TEST_F(MimicModelTest, AdjustmentSetIsParentsOfSelfPay) {
   EXPECT_FALSE(explanation->relational);  // no patient interference
   EXPECT_TRUE(explanation->criterion_ok);
 
+  // Every patient has a value of every parent of SelfPay, whatever the
+  // value: each own covariate covers every unit.
+  ASSERT_EQ(explanation->num_units, 2500u);
   std::vector<std::string> detected;
   for (const CovariateSummary& c : explanation->covariates) {
     EXPECT_EQ(c.role, "own");
+    EXPECT_EQ(c.units_covered, explanation->num_units) << c.attribute;
     detected.push_back(c.attribute);
   }
   std::sort(detected.begin(), detected.end());

@@ -217,16 +217,16 @@ TEST_F(EvaluatorTest, UnknownConstantYieldsEmpty) {
   EXPECT_TRUE(rows->empty());
 }
 
-TEST_F(EvaluatorTest, AskAndCount) {
+TEST_F(EvaluatorTest, ExistenceAndCountThroughEvaluate) {
   QueryEvaluator eval(data_.instance.get());
   ConjunctiveQuery q;
   q.atoms.push_back({"Author", {Term::Var("A"), Term::Var("S")}});
-  Result<bool> any = eval.Ask(q);
-  ASSERT_TRUE(any.ok());
-  EXPECT_TRUE(*any);
-  Result<size_t> count = eval.Count(q);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 5u);  // five authorship facts
+  // Projected on every variable, the distinct bindings are the
+  // satisfying assignments.
+  Result<BindingTable> rows = eval.Evaluate(q, {"A", "S"});
+  ASSERT_TRUE(rows.ok());
+  EXPECT_FALSE(rows->empty());
+  EXPECT_EQ(rows->size(), 5u);  // five authorship facts
 }
 
 TEST_F(EvaluatorTest, ErrorsOnBadQueries) {

@@ -384,29 +384,5 @@ TEST(StorageTest, MimicGeneratorInvariants) {
   CheckStorageInvariants(*data->instance);
 }
 
-TEST(StorageTest, PreparedQueryReuse) {
-  datagen::MimicConfig config;
-  config.num_patients = 300;
-  config.num_caregivers = 15;
-  Result<datagen::Dataset> data = datagen::GenerateMimic(config);
-  ASSERT_TRUE(data.ok());
-  const Instance& db = *data->instance;
-  QueryEvaluator evaluator(&db);
-
-  ConjunctiveQuery q;
-  q.atoms.push_back({"Care", {Term::Var("C"), Term::Var("P")}});
-  q.atoms.push_back({"Given", {Term::Var("D"), Term::Var("P")}});
-  std::vector<std::string> out_vars{"P", "D"};
-
-  Result<PreparedQuery> prepared = evaluator.Prepare(q);
-  ASSERT_TRUE(prepared.ok());
-  Result<BindingTable> full = evaluator.Evaluate(*prepared, out_vars);
-  ASSERT_TRUE(full.ok());
-  Result<BindingTable> again = evaluator.Evaluate(q, out_vars);
-  ASSERT_TRUE(again.ok());
-  // The plan is reusable and deterministic.
-  EXPECT_EQ(full->ToTuples(), again->ToTuples());
-}
-
 }  // namespace
 }  // namespace carl

@@ -163,7 +163,6 @@ TEST_F(UnitRowsMemoTest, RowsTwoExtendsBehindRebuild) {
 std::vector<std::pair<const char*, uint64_t>> SessionCounts(
     const QuerySession& session) {
   const QuerySession::SessionStats stats = session.SnapshotStats();
-  const BindingCache& bindings = session.binding_cache();
   return {
       {"query_session.ground_hits", stats.cache_hits},
       {"query_session.ground_misses", stats.ground_full + stats.ground_extends},
@@ -173,18 +172,15 @@ std::vector<std::pair<const char*, uint64_t>> SessionCounts(
       {"query_session.unit_rows_hits", stats.unit_rows_hits},
       {"query_session.unit_rows_resumes", stats.unit_rows_resumes},
       {"query_session.unit_rows_rebuilds", stats.unit_rows_rebuilds},
-      {"grounding.binding_cache_hits", bindings.hits()},
-      {"grounding.binding_cache_misses", bindings.misses()},
   };
 }
 
 // The session counts each event once, in its counter block, and the
 // registry sums the blocks: while the fixture's session is the only one
-// that counts, each step moves SnapshotStats() and its binding cache's
-// hits() / misses() as it moves query_session.* and
-// grounding.binding_cache_*. No two counters of one block move in the
-// same steps, so a count filed under another name of its block shows,
-// and every counter moves in some step.
+// that counts, each step moves SnapshotStats() as it moves
+// query_session.*. No two counters of the block move in the same steps,
+// so a count filed under another name of the block shows, and every
+// counter moves in some step.
 TEST_F(UnitRowsMemoTest, SessionStatsAreTheRegistryCounts) {
   Result<RelationalCausalModel> variant = RelationalCausalModel::Parse(
       *data_.schema,
