@@ -40,7 +40,8 @@ int Run(const bench::BenchFlags& flags) {
   const size_t iters = flags.quick ? (size_t{1} << 18) : (size_t{1} << 22);
   obs::Registry& registry = obs::Registry::Global();
 
-  // 1. Counter increment: the cost every CountAlloc/cache-hit site pays.
+  // 1. Counter increment: the cost every counter site (a match-index
+  // build, a cache hit) pays.
   obs::Counter& counter = registry.GetCounter("bench_obs.scratch_counter");
   obs::MonotonicTimer timer;
   for (size_t i = 0; i < iters; ++i) counter.Increment();

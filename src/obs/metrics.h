@@ -158,10 +158,10 @@ struct Snapshot {
   double ValueOr(std::string_view name, double fallback) const;
 };
 
-/// Counter movement between two snapshots of the same registry —
-/// the ScopedAllocCounter pattern generalized to every counter. It keeps
-/// pointers to both snapshots, so it takes no temporary: hold each in a
-/// named variable that outlives the delta.
+/// Counter movement between two snapshots of the same registry: every
+/// counter's change over a measured region. It keeps pointers to both
+/// snapshots, so it takes no temporary: hold each in a named variable
+/// that outlives the delta.
 class SnapshotDelta {
  public:
   SnapshotDelta(const Snapshot& before, const Snapshot& after)

@@ -10,13 +10,10 @@
 // This is the currency of the grounding hot path: QueryEvaluator fills
 // one table per rule condition (first occurrence wins), and
 // MergeRuleGroundings resolves rule references straight off the rows,
-// reusing each row's memoized hash. ToTuples() exists for
-// cold consumers and tests; it counts every row it materializes against
-// storage_stats::EvalResultAllocCount, so a per-binding Tuple path that
-// creeps back into grounding shows up as a nonzero warm-pass counter.
-// CAVEAT: row(r).ToTuple() bypasses the counter (TupleView::ToTuple is a
-// generic storage op — node interning legitimately materializes through
-// it) — when peeling bindings off a table, always go through ToTuples().
+// reusing each row's memoized hash. A per-binding owned Tuple on that
+// path would cost one heap allocation per binding: bench_table2_runtime
+// and graph_store_test bound a warm grounding's heap allocations at a
+// fixed count, so it would trip both.
 
 #ifndef CARL_RELATIONAL_BINDING_TABLE_H_
 #define CARL_RELATIONAL_BINDING_TABLE_H_
@@ -28,7 +25,6 @@
 
 #include "guard/guard.h"
 #include "relational/span_index.h"
-#include "relational/storage_stats.h"
 #include "relational/tuple.h"
 
 namespace carl {
@@ -85,7 +81,6 @@ class BindingTable {
         SpanIndex::kNpos) {
       return false;
     }
-    storage_stats::CountGrowth(data_, arity_);
     // Arena growth is the only allocation the table makes; it is where
     // the guard's byte budget is charged and its arena fault site sits.
     const size_t cap_before = data_.capacity();
@@ -111,19 +106,6 @@ class BindingTable {
   /// membership-test arena keys without owning any Tuple.
   bool Contains(TupleView v) const {
     return index_.Find(v, v.Hash(), KeyOf()) != SpanIndex::kNpos;
-  }
-
-  /// Materializes owned Tuples (cold paths and tests only); each row is
-  /// one heap allocation, counted as an evaluator-result allocation.
-  std::vector<Tuple> ToTuples() const {
-    std::vector<Tuple> out;
-    out.reserve(num_rows_);
-    for (uint32_t r = 0; r < num_rows_; ++r) {
-      storage_stats::CountEvalResultAlloc();
-      const SymbolId* p = data_.data() + static_cast<size_t>(r) * arity_;
-      out.emplace_back(p, p + arity_);
-    }
-    return out;
   }
 
  private:

@@ -8,7 +8,6 @@
 #include "guard/guard.h"
 #include "obs/trace.h"
 #include "relational/span_index.h"
-#include "relational/storage_stats.h"
 
 namespace carl {
 namespace {
@@ -293,7 +292,6 @@ class Searcher {
       : instance_(instance),
         query_(query),
         assignment_(static_cast<size_t>(query.num_vars), kInvalidSymbol) {
-    storage_stats::CountAlloc();
     step_keys_.reserve(query.steps.size());
     step_index_.reserve(query.steps.size());
     step_rows_.reserve(query.steps.size());

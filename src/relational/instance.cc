@@ -8,7 +8,6 @@
 #include "guard/guard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "relational/storage_stats.h"
 
 namespace carl {
 
@@ -48,7 +47,6 @@ Status Instance::AddFactSpan(PredicateId predicate, const SymbolId* args,
   if (dedupe.Find(TupleView(args, n), hash, key_of) != SpanIndex::kNpos) {
     return Status::OK();  // duplicate fact
   }
-  storage_stats::CountGrowth(rel.data, n);
   rel.data.insert(rel.data.end(), args, args + n);
   uint32_t id = static_cast<uint32_t>(rel.num_rows++);
   dedupe.Insert(id, hash, key_of);
@@ -89,8 +87,6 @@ Status Instance::SetAttributeSpan(AttributeId attribute, const SymbolId* args,
     LogDelta(DeltaEvent::kAttributeOverflow, attribute, 0);
   } else {
     if (store.value_of_row.size() <= row) {
-      storage_stats::CountGrowth(store.value_of_row,
-                                 row + 1 - store.value_of_row.size());
       size_t rows = relations_[a.predicate].num_rows;
       store.value_of_row.resize(rows, kNoRow);
       store.numeric_of_row.resize(rows, 0.0);
@@ -102,7 +98,6 @@ Status Instance::SetAttributeSpan(AttributeId attribute, const SymbolId* args,
     uint32_t& slot = store.value_of_row[row];
     if (slot == kNoRow) {
       slot = static_cast<uint32_t>(store.values.size());
-      storage_stats::CountGrowth(store.values, 1);
       store.values.push_back(std::move(value));
       store.row_of_value.push_back(row);
     } else {
@@ -308,7 +303,6 @@ void Instance::BuildIndex(const RelationStore& rel, PositionIndex* index) {
   static obs::Counter& builds =
       obs::Registry::Global().GetCounter("instance.match_index_builds");
   builds.Increment();
-  storage_stats::CountAlloc();
   const size_t n = rel.num_rows;
 
   // Pass 1 (counting): assign each row its distinct-key id, appending
@@ -342,7 +336,6 @@ void Instance::ExtendIndex(const RelationStore& rel, PositionIndex* index) {
   static obs::Counter& repairs =
       obs::Registry::Global().GetCounter("instance.match_index_repairs");
   repairs.Increment();
-  storage_stats::CountAlloc();
   // Only the appended rows are hashed and written: cost is O(delta), not
   // O(rows). They carry the highest row ids, so appending each to its
   // key's list keeps every list in row order — the invariant the delta

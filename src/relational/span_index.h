@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "relational/storage_stats.h"
 #include "relational/tuple.h"
 
 namespace carl {
@@ -29,12 +28,6 @@ class SpanIndex {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-
-  void Clear() {
-    slots_.clear();
-    size_ = 0;
-    mask_ = 0;
-  }
 
   /// Pre-sizes the slot array for `n` insertions.
   template <typename GetKey>
@@ -78,7 +71,6 @@ class SpanIndex {
 
   template <typename GetKey>
   void Rehash(size_t new_slots, const GetKey& get) {
-    storage_stats::CountAlloc();
     std::vector<uint32_t> old = std::move(slots_);
     slots_.assign(new_slots, kNpos);
     mask_ = new_slots - 1;

@@ -5,16 +5,19 @@
 // independent per-binding reference grounding (raw ids, adjacency order,
 // num_edges, num_groundings) on MIMIC, SYNTH-REVIEW and a model
 // whose refs name constants, with values identical across thread counts.
+// A warm grounding pass makes a bounded number of heap allocations,
+// counted by the heap hook this binary installs.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "carl/carl.h"
 #include "fixtures.h"
-#include "relational/storage_stats.h"
+#include "heap_hook.h"
 
 namespace carl {
 namespace {
@@ -142,24 +145,30 @@ TEST(GraphStoreTest, GroundingMatchesPerBindingReference) {
   }
 }
 
-// The grounding hot path must intern every node through span fast paths:
-// zero owned per-node Tuples, at every thread count.
-TEST(GraphStoreTest, GroundingBuildsZeroOwnedNodeTuples) {
+// The grounding hot path reads bindings off columnar tables and interns
+// nodes through span fast paths, so a warm pass allocates per-pass
+// bookkeeping only, at every thread count. An owned Tuple per binding or
+// per node adds one allocation per grounding (thousands here) and trips
+// the bound, which bench_table2_runtime also CHECKs at full size.
+TEST(GraphStoreTest, WarmGroundingHeapAllocationsAreBounded) {
+  constexpr uint64_t kMaxGroundingAllocs = 1024;
   for (NamedDataset& wl : GraphWorkloads()) {
     Result<RelationalCausalModel> model = RelationalCausalModel::Parse(
         *wl.dataset.schema, wl.dataset.model_text);
     ASSERT_TRUE(model.ok()) << wl.name;
     for (int threads : {1, 4}) {
       ScopedThreads scoped(threads);
-      storage_stats::ScopedAllocCounter allocs;
+      // The first pass builds the match indexes; the second is warm.
+      ASSERT_TRUE(GroundModel(*wl.dataset.instance, *model).ok()) << wl.name;
+      const uint64_t before = heap_hook::Allocs();
       Result<GroundedModel> grounded =
           GroundModel(*wl.dataset.instance, *model);
+      const uint64_t allocs = heap_hook::Allocs() - before;
       ASSERT_TRUE(grounded.ok()) << wl.name;
-      EXPECT_EQ(allocs.graph_node_delta(), 0u)
-          << wl.name << " threads=" << threads
-          << ": per-node Tuple path crept back into grounding";
-      EXPECT_EQ(allocs.eval_result_delta(), 0u)
-          << wl.name << " threads=" << threads;
+      EXPECT_LT(allocs, kMaxGroundingAllocs)
+          << wl.name << " threads=" << threads << ": " << allocs
+          << " heap allocations for " << grounded->num_groundings()
+          << " groundings";
     }
   }
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/causal_graph.h"
-#include "relational/storage_stats.h"
 
 namespace carl {
 namespace {
@@ -76,17 +75,6 @@ TEST(CausalGraphTest, NodeArgsLiveInArena) {
   for (int i = 0; i < 100; ++i) g.AddNode(3, {100 + i});
   EXPECT_EQ(g.node(a).args, TupleView(Tuple{10, 20}));
   EXPECT_EQ(g.node(b).args, TupleView(Tuple{30}));
-}
-
-TEST(CausalGraphTest, OwnedTupleAddNodeCountsGraphNodeAllocs) {
-  storage_stats::ScopedAllocCounter allocs;
-  CausalGraph g;
-  g.AddNode(1, Tuple{10});         // owned-key convenience: counted
-  g.AddNode(1, Tuple{10});         // hit, still an owned key: counted
-  EXPECT_EQ(allocs.graph_node_delta(), 2u);
-  SymbolId buf[] = {11};
-  g.AddNode(1, TupleView(buf, 1));  // span fast path: not counted
-  EXPECT_EQ(allocs.graph_node_delta(), 2u);
 }
 
 // The appended adjacency lists must read byte-identical to per-node
