@@ -6,9 +6,10 @@
 #   bench/collect_bench.sh [BUILD_DIR] [OUT_DIR]
 #
 # BUILD_DIR defaults to ./build, OUT_DIR to the repo root (where the
-# committed baselines live). CARL_THREADS is honored; the committed
-# baselines were collected single-threaded (CARL_THREADS=1) so they are
-# comparable across machines with different core counts.
+# committed baselines live); OUT_DIR is created when missing.
+# CARL_THREADS is honored; the committed baselines were collected
+# single-threaded (CARL_THREADS=1) so they are comparable across
+# machines with different core counts.
 #
 # Compare a fresh collection against the committed baselines with
 #   python3 bench/check_bench_regression.py <fresh_dir> <baseline_dir>
@@ -17,6 +18,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-$(cd "$(dirname "$0")/.." && pwd)}"
+mkdir -p "$OUT_DIR"
 
 # name:binary pairs; each bench's BENCH_JSON lines land in
 # $OUT_DIR/BENCH_<name>.json.

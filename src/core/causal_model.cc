@@ -41,7 +41,7 @@ Result<RelationalCausalModel> RelationalCausalModel::Create(
     model.rules_.push_back(std::move(rule));
   }
   model.queries_ = std::move(program.queries);
-  model.RebuildKey();
+  model.RebuildIndex();
   return model;
 }
 
@@ -175,11 +175,11 @@ Status RelationalCausalModel::ValidateAndRegisterAggregateRule(
         "; add an atom over exactly the head variables to the WHERE clause");
   }
 
-  CARL_ASSIGN_OR_RETURN(
-      AttributeId aid,
-      extended_schema_.AddAttribute(rule->head.attribute, head_predicate,
-                                    /*observed=*/true, ValueType::kDouble));
-  aggregate_attribute_ids_.push_back(aid);
+  CARL_RETURN_IF_ERROR(
+      extended_schema_
+          .AddAttribute(rule->head.attribute, head_predicate,
+                        /*observed=*/true, ValueType::kDouble)
+          .status());
 
   // Augment the condition with the implied unit atoms (source + head).
   AddImpliedUnitAtom(extended_schema_, rule->source, &rule->where);
@@ -212,25 +212,69 @@ Result<const AggregateRule*> RelationalCausalModel::FindAggregateRule(
   return Status::NotFound("no aggregate rule defines: " + attribute_name);
 }
 
-bool RelationalCausalModel::IsAggregateAttribute(
-    AttributeId attribute_id) const {
-  return std::find(aggregate_attribute_ids_.begin(),
-                   aggregate_attribute_ids_.end(),
-                   attribute_id) != aggregate_attribute_ids_.end();
-}
-
 Status RelationalCausalModel::AddAggregateRule(AggregateRule rule) {
   // A rule that fails validation may already have extended the schema,
-  // so the key is rebuilt either way.
+  // so the key and the facts are rebuilt either way.
   Status status = ValidateAndRegisterAggregateRule(&rule);
   if (status.ok()) aggregate_rules_.push_back(std::move(rule));
-  RebuildKey();
+  RebuildIndex();
   return status;
 }
 
-void RelationalCausalModel::RebuildKey() {
+void RelationalCausalModel::RebuildIndex() {
   key_text_ = ToString() + "\n@schema\n" + extended_schema_.ToString();
   key_hash_ = std::hash<std::string>{}(key_text_);
+
+  // Every name below was resolved by validation.
+  const Schema& schema = extended_schema_;
+  auto id_of = [&schema](const std::string& attribute) {
+    return *schema.FindAttribute(attribute);
+  };
+  aggregate_rule_of_.assign(schema.num_attributes(), -1);
+  effects_.assign(schema.num_attributes(), {});
+  grounding_reads_.assign(schema.num_predicates(), 0);
+  constraint_reads_.assign(schema.num_attributes(), 0);
+  rule_constants_.clear();
+  for (const AttributeDef& attr : schema.attributes()) {
+    grounding_reads_[attr.predicate] = 1;
+  }
+  auto name_constants = [this](const std::vector<Term>& terms) {
+    for (const Term& t : terms) {
+      if (!t.is_variable()) rule_constants_.push_back(t.text);
+    }
+  };
+  auto read_head = [&](const AttributeRef& head,
+                       const ConjunctiveQuery& where) {
+    name_constants(head.args);
+    for (const Atom& atom : where.atoms) {
+      grounding_reads_[*schema.FindPredicate(atom.predicate)] = 1;
+      name_constants(atom.args);
+    }
+    for (const AttributeConstraint& c : where.constraints) {
+      constraint_reads_[id_of(c.attribute)] = 1;
+      name_constants(c.args);
+    }
+  };
+  auto read_cause = [&](const AttributeRef& cause, const AttributeRef& head) {
+    effects_[id_of(cause.attribute)].push_back(id_of(head.attribute));
+    name_constants(cause.args);
+  };
+  for (const CausalRule& rule : rules_) {
+    read_head(rule.head, rule.where);
+    for (const AttributeRef& b : rule.body) read_cause(b, rule.head);
+  }
+  for (size_t r = 0; r < aggregate_rules_.size(); ++r) {
+    const AggregateRule& rule = aggregate_rules_[r];
+    aggregate_rule_of_[id_of(rule.head.attribute)] = static_cast<int>(r);
+    read_head(rule.head, rule.where);
+    read_cause(rule.source, rule.head);
+  }
+  auto sort_unique = [](auto* v) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
+  };
+  for (std::vector<AttributeId>& effects : effects_) sort_unique(&effects);
+  sort_unique(&rule_constants_);
 }
 
 std::string RelationalCausalModel::ToString() const {

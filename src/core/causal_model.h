@@ -11,6 +11,14 @@
 //    with no WHERE); we therefore augment each condition with the *implied
 //    unit atoms* — Pred(args) for the head and every body reference — which
 //    both restores safety and restricts groundings to real units.
+//
+// Structural homogeneity (§4.1) makes every rule a statement about
+// attribute functions, so what grounding and answers need from the rules
+// is a set of lifted facts about attributes and predicates: each
+// attribute's aggregate rule and direct effects, the predicates a
+// grounding reads, the attributes constraints read and the constants
+// rules name. The model derives them once, beside its key, whenever its
+// rules change (Create, AddAggregateRule); consumers look them up by id.
 
 #ifndef CARL_CORE_CAUSAL_MODEL_H_
 #define CARL_CORE_CAUSAL_MODEL_H_
@@ -19,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/result.h"
 #include "lang/ast.h"
 #include "relational/schema.h"
@@ -52,8 +61,48 @@ class RelationalCausalModel {
   Result<const AggregateRule*> FindAggregateRule(
       const std::string& attribute_name) const;
 
+  /// The aggregate rule defining `attribute` (an extended-schema id), or
+  /// null when no aggregate rule defines it.
+  const AggregateRule* AggregateRuleOf(AttributeId attribute) const {
+    const size_t a = static_cast<size_t>(attribute);
+    if (a >= aggregate_rule_of_.size() || aggregate_rule_of_[a] < 0) {
+      return nullptr;
+    }
+    return &aggregate_rules_[static_cast<size_t>(aggregate_rule_of_[a])];
+  }
+
   /// True if `attribute_id` (in the extended schema) is aggregate-defined.
-  bool IsAggregateAttribute(AttributeId attribute_id) const;
+  bool IsAggregateAttribute(AttributeId attribute_id) const {
+    return AggregateRuleOf(attribute_id) != nullptr;
+  }
+
+  /// The attributes `attribute` directly causes, ascending: the head of
+  /// every causal rule with a body ref to it and of every aggregate rule
+  /// over it. Every edge of a grounding instantiates one of these.
+  const std::vector<AttributeId>& EffectsOf(AttributeId attribute) const {
+    CARL_CHECK(static_cast<size_t>(attribute) < effects_.size());
+    return effects_[attribute];
+  }
+
+  /// True when a grounding reads the facts of `predicate`: the predicate
+  /// bears an attribute (its rows become nodes) or a rule condition names
+  /// it (its rows make bindings).
+  bool GroundingReads(PredicateId predicate) const {
+    return static_cast<size_t>(predicate) < grounding_reads_.size() &&
+           grounding_reads_[predicate] != 0;
+  }
+
+  /// True when a rule-condition constraint reads `attribute`.
+  bool ConstraintReads(AttributeId attribute) const {
+    return static_cast<size_t>(attribute) < constraint_reads_.size() &&
+           constraint_reads_[attribute] != 0;
+  }
+
+  /// Every constant a rule names, in a head, a body, a source, a
+  /// condition atom or a constraint's arguments; ascending and distinct.
+  const std::vector<std::string>& rule_constants() const {
+    return rule_constants_;
+  }
 
   /// Registers an additional aggregate rule after creation. Used by the
   /// engine to unify treated and response units automatically (§4.3,
@@ -64,8 +113,8 @@ class RelationalCausalModel {
 
   /// What a grounding of the model depends on: the rule set (ToString)
   /// and the extended schema, serialized. QuerySession keys its
-  /// groundings by it. Built by Create and AddAggregateRule, the only
-  /// mutators, so reading it costs nothing.
+  /// groundings by it. Built with the rule facts above by Create and
+  /// AddAggregateRule, the only mutators, so reading it costs nothing.
   const std::string& key_text() const { return key_text_; }
   /// Hash of key_text(), built beside it; QuerySession compares it
   /// before the text.
@@ -78,15 +127,22 @@ class RelationalCausalModel {
   Status ValidateAndRegisterAggregateRule(AggregateRule* rule);
   Status ValidateAttributeRef(const AttributeRef& ref) const;
   Status ValidateCondition(const ConjunctiveQuery& condition) const;
-  void RebuildKey();
+  // Rebuilds the key and the rule facts from the rules.
+  void RebuildIndex();
 
   Schema extended_schema_;
   std::vector<CausalRule> rules_;
   std::vector<AggregateRule> aggregate_rules_;
   std::vector<CausalQuery> queries_;
-  std::vector<AttributeId> aggregate_attribute_ids_;  // parallel to rules
   std::string key_text_;
   uint64_t key_hash_ = 0;
+  // The rule facts, built by RebuildIndex. Aggregate rules are held by
+  // index, so a copy of the model looks up its own rules.
+  std::vector<int> aggregate_rule_of_;             // per attribute; -1: none
+  std::vector<std::vector<AttributeId>> effects_;  // per attribute
+  std::vector<uint8_t> grounding_reads_;           // per predicate
+  std::vector<uint8_t> constraint_reads_;          // per attribute
+  std::vector<std::string> rule_constants_;
 };
 
 /// Appends Pred(args) atoms implied by `ref` to `where` (deduplicated).

@@ -286,11 +286,9 @@ Result<CarlEngine::ResolvedQuery> CarlEngine::Resolve(
   // The WHERE filter applies to the response sources (aggregate responses
   // filter the aggregated groundings).
   AttributeId source_attr = resolved.request.response;
-  Result<const AggregateRule*> agg_rule =
-      xmodel.FindAggregateRule(resolved.response_attribute);
-  if (agg_rule.ok()) {
+  if (const AggregateRule* agg = xmodel.AggregateRuleOf(source_attr)) {
     CARL_ASSIGN_OR_RETURN(source_attr,
-                          xschema.FindAttribute((*agg_rule)->source.attribute));
+                          xschema.FindAttribute(agg->source.attribute));
   }
   CARL_ASSIGN_OR_RETURN(
       resolved.request.allowed_sources,

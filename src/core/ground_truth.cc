@@ -1,34 +1,10 @@
 #include "core/ground_truth.h"
 
-#include <deque>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "common/logging.h"
 
 namespace carl {
-namespace {
-
-// Treatment-attribute ancestors of `response_node`, excluding `self`.
-std::vector<NodeId> PeerNodes(const CausalGraph& graph, AttributeId treatment,
-                              NodeId response_node, NodeId self) {
-  std::vector<NodeId> peers;
-  std::unordered_set<NodeId> visited{response_node};
-  std::deque<NodeId> frontier{response_node};
-  while (!frontier.empty()) {
-    NodeId n = frontier.front();
-    frontier.pop_front();
-    if (n != self && n != response_node &&
-        graph.node(n).attribute == treatment) {
-      peers.push_back(n);
-    }
-    for (NodeId p : graph.Parents(n)) {
-      if (visited.insert(p).second) frontier.push_back(p);
-    }
-  }
-  return peers;
-}
-
-}  // namespace
 
 Result<GroundTruthEffects> ComputeGroundTruth(
     const GroundedModel& grounded, const StructuralModel& scm,
@@ -83,8 +59,6 @@ Result<GroundTruthEffects> ComputeGroundTruth(
         grounded.NodeAggregate(y_node).has_value()) {
       continue;  // aggregate response with no sources
     }
-    std::vector<NodeId> peers = PeerNodes(graph, treatment, y_node, t_node);
-
     std::unordered_map<NodeId, double> own1{{t_node, 1.0}};
     std::unordered_map<NodeId, double> own0{{t_node, 0.0}};
     CARL_ASSIGN_OR_RETURN(
@@ -95,8 +69,10 @@ Result<GroundTruthEffects> ComputeGroundTruth(
         scm.SimulateLocal(grounded, options.seed, base, own0));
     sum_aie += y_own1[y_node] - y_own0[y_node];
 
+    // The peers: the other treatment nodes among y's ancestors.
     std::unordered_map<NodeId, double> peers1, peers0;
-    for (NodeId p : peers) {
+    for (NodeId p : graph.Ancestors({y_node})) {
+      if (p == t_node || graph.node(p).attribute != treatment) continue;
       peers1[p] = 1.0;
       peers0[p] = 0.0;
     }

@@ -257,29 +257,10 @@ void MergeRuleGroundings(const std::vector<CompiledRule>& rules,
 }  // namespace
 
 std::optional<AggregateKind> GroundedModel::NodeAggregate(NodeId id) const {
-  CARL_CHECK(id >= 0 && static_cast<size_t>(id) < node_has_aggregate_.size());
-  if (!node_has_aggregate_[id]) return std::nullopt;
-  return node_aggregate_[id];
-}
-
-void GroundedModel::TagAggregateNodes(size_t first_node) {
-  const size_t n = graph_.num_nodes();
-  node_has_aggregate_.resize(n, 0);
-  node_aggregate_.resize(n, AggregateKind::kAvg);
-  // Kind per aggregate-defined attribute; when two rules define one
-  // attribute, the later rule wins.
-  std::vector<std::optional<AggregateKind>> kind_of(schema().num_attributes());
-  for (const AggregateRule& rule : model_->aggregate_rules()) {
-    Result<AttributeId> aid = schema().FindAttribute(rule.head.attribute);
-    if (aid.ok()) kind_of[*aid] = rule.aggregate;
-  }
-  for (size_t id = first_node; id < n; ++id) {
-    const std::optional<AggregateKind>& kind =
-        kind_of[graph_.node(static_cast<NodeId>(id)).attribute];
-    if (!kind.has_value()) continue;
-    node_has_aggregate_[id] = 1;
-    node_aggregate_[id] = *kind;
-  }
+  const AggregateRule* rule =
+      model_->AggregateRuleOf(graph_.node(id).attribute);
+  if (rule == nullptr) return std::nullopt;
+  return rule->aggregate;
 }
 
 void GroundedModel::ReadInstanceValue(NodeId id) {
@@ -304,7 +285,9 @@ void GroundedModel::AggregateValues(const std::vector<NodeId>& order) {
   // parent value SET, bit-identical across both paths.
   std::vector<double> parent_values;
   for (NodeId id : order) {
-    if (!node_has_aggregate_[id]) continue;
+    const AggregateRule* rule =
+        model_->AggregateRuleOf(graph_.node(id).attribute);
+    if (rule == nullptr) continue;
     parent_values.clear();
     for (NodeId p : graph_.Parents(id)) {
       if (value_state_[p] == 2) parent_values.push_back(value_cache_[p]);
@@ -314,7 +297,7 @@ void GroundedModel::AggregateValues(const std::vector<NodeId>& order) {
       continue;
     }
     std::sort(parent_values.begin(), parent_values.end());
-    value_cache_[id] = ApplyAggregate(node_aggregate_[id], parent_values);
+    value_cache_[id] = ApplyAggregate(rule->aggregate, parent_values);
     value_state_[id] = 2;
   }
 }
@@ -375,9 +358,9 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
   // map (set before their fact existed, or attached to rule-added
   // non-fact groundings past the bulk prefix).
   for (const AttributeDef& attr : schema().attributes()) {
-    // Extended-schema attributes (derived aggregates) are unknown to the
-    // instance: every one of their nodes is aggregate-tagged and valued
-    // by AggregateValues below, never by a column read.
+    // Extended-schema attributes (aggregate heads) are unknown to the
+    // instance: AggregateValues below values their nodes, never a column
+    // read.
     if (static_cast<size_t>(attr.id) >= instance_->schema().num_attributes()) {
       continue;
     }
@@ -388,7 +371,6 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
     size_t covered = std::min(bulk, col.num_rows);
     for (size_t r = 0; r < covered; ++r) {
       NodeId id = nodes[r];
-      if (node_has_aggregate_[id]) continue;
       if (col.present[r]) {
         value_cache_[id] = col.values[r];
         value_state_[id] = 2;
@@ -400,8 +382,7 @@ void GroundedModel::FinalizeValues(const std::vector<NodeId>& topo_order) {
     // groundings: values (if any) can only live in the overflow map.
     if (col.may_overflow || bulk < nodes.size()) {
       for (size_t r = covered; r < nodes.size(); ++r) {
-        NodeId id = nodes[r];
-        if (!node_has_aggregate_[id]) ReadInstanceValue(id);
+        ReadInstanceValue(nodes[r]);
       }
     }
   }
@@ -475,10 +456,7 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   grounded.phase_stats_.merge_s = phase_timer.Seconds();
   grounded.phase_stats_.splice_s = grounded.phase_stats_.merge_s;
 
-  // 4. Tag aggregate nodes with their kind.
-  grounded.TagAggregateNodes(0);
-
-  // 5. The paper requires non-recursive models; reject cyclic groundings.
+  // 4. The paper requires non-recursive models; reject cyclic groundings.
   // The topological order then drives the eager value pass.
   phase_timer.Reset();
   {
@@ -493,81 +471,26 @@ Result<GroundedModel> GroundModel(const Instance& instance,
   return grounded;
 }
 
-namespace {
-
-// True when any constant named by `terms` was interned inside the delta
-// window — its symbol id did not exist when the base grounding compiled
-// its rule refs, so an extend could miss groundings the constant now
-// resolves.
-bool AnyConstantInWindow(const Instance& instance,
-                         const std::vector<Term>& terms,
-                         size_t prev_num_constants) {
-  for (const Term& t : terms) {
-    if (t.is_variable()) continue;
-    SymbolId id = instance.LookupConstant(t.text);
-    if (id != kInvalidSymbol &&
-        static_cast<size_t>(id) >= prev_num_constants) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool WhereHasWindowConstant(const Instance& instance,
-                            const ConjunctiveQuery& where,
-                            size_t prev_num_constants) {
-  for (const Atom& atom : where.atoms) {
-    if (AnyConstantInWindow(instance, atom.args, prev_num_constants)) {
-      return true;
-    }
-  }
-  for (const AttributeConstraint& c : where.constraints) {
-    if (AnyConstantInWindow(instance, c.args, prev_num_constants)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
 bool DeltaSupportsIncrementalExtend(const Instance& instance,
                                     const RelationalCausalModel& model,
                                     const InstanceDelta& delta) {
   if (!delta.complete) return false;
-  const Schema& schema = model.extended_schema();
-
   // Overflow writes attach values to tuples outside the row-aligned
   // columns; an extend cannot tell which existing nodes they hit.
-  // Writes to constraint-referenced attributes are non-monotone: an old
+  // Writes to constraint-read attributes are non-monotone: an old
   // binding (over exclusively old rows, invisible to every delta pivot)
   // may newly satisfy or newly fail its constraint.
-  std::vector<char> written(instance.schema().num_attributes(), 0);
   for (const InstanceDelta::AttributeDelta& a : delta.attributes) {
-    if (a.overflow) return false;
-    if (static_cast<size_t>(a.attribute) < written.size()) {
-      written[a.attribute] = 1;
-    }
+    if (a.overflow || model.ConstraintReads(a.attribute)) return false;
   }
-  auto constraint_written = [&](const ConjunctiveQuery& where) {
-    for (const AttributeConstraint& c : where.constraints) {
-      Result<AttributeId> aid = schema.FindAttribute(c.attribute);
-      if (aid.ok() && static_cast<size_t>(*aid) < written.size() &&
-          written[*aid]) {
-        return true;
-      }
-    }
-    return false;
-  };
-  const size_t window = delta.prev_num_constants;
-  for (const RuleView& rule : RulesInMergeOrder(model)) {
-    if (constraint_written(*rule.where) ||
-        WhereHasWindowConstant(instance, *rule.where, window) ||
-        AnyConstantInWindow(instance, rule.head->args, window)) {
+  // A rule constant interned inside the window had no symbol id when the
+  // base grounding compiled its rule refs, so an extend could miss the
+  // groundings it now resolves.
+  for (const std::string& constant : model.rule_constants()) {
+    const SymbolId id = instance.LookupConstant(constant);
+    if (id != kInvalidSymbol &&
+        static_cast<size_t>(id) >= delta.prev_num_constants) {
       return false;
-    }
-    for (const AttributeRef* b : rule.body) {
-      if (AnyConstantInWindow(instance, b->args, window)) return false;
     }
   }
   return true;
@@ -672,10 +595,7 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   out.phase_stats_.merge_s = phase_timer.Seconds();
   out.phase_stats_.splice_s = out.phase_stats_.merge_s;
 
-  // 4. Tag the new nodes of aggregate-defined attributes.
-  out.TagAggregateNodes(nodes_before);
-
-  // 5. Cycle check (the extension could close a cycle) over the forward
+  // 4. Cycle check (the extension could close a cycle) over the forward
   // cone of everything the delta created or wrote: the delta bindings'
   // heads (collected by the merge), the new nodes and the written rows'
   // nodes. The cone's order also drives the aggregate recompute below.
@@ -694,13 +614,14 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
   }
   CARL_ASSIGN_OR_RETURN(std::vector<NodeId> cone_order, out.ConeOrder(seeds));
 
-  // 6. Values, delta-sized: new nodes read the instance; written rows
+  // 5. Values, delta-sized: new nodes read the instance; written rows
   // refresh in place; the cone's aggregates recompute, parents first.
   out.value_state_.resize(n, 1);
   out.value_cache_.resize(n, 0.0);
-  for (size_t id = nodes_before; id < n; ++id) {
-    if (!out.node_has_aggregate_[id]) {
-      out.ReadInstanceValue(static_cast<NodeId>(id));
+  for (NodeId id = static_cast<NodeId>(nodes_before);
+       id < static_cast<NodeId>(n); ++id) {
+    if (!model.IsAggregateAttribute(graph.node(id).attribute)) {
+      out.ReadInstanceValue(id);
     }
   }
   for (const InstanceDelta::AttributeDelta& ad : delta.attributes) {
@@ -709,7 +630,6 @@ Result<GroundedModel> ExtendGroundedModel(GroundedModel base,
     for (uint32_t row : ad.rows) {
       if (row >= nodes.size()) continue;
       NodeId id = nodes[row];
-      if (out.node_has_aggregate_[id]) continue;
       if (row < col.num_rows && col.present[row]) {
         out.value_cache_[id] = col.values[row];
         out.value_state_[id] = 2;

@@ -4,8 +4,9 @@
 // Every grounding of every schema attribute becomes a node (so treatment
 // attributes that never head a rule still have nodes); each satisfying
 // binding of a rule's condition adds edges body-grounding -> head-grounding.
-// Aggregate rules add edges source-grounding -> aggregate-grounding and tag
-// the head nodes with their AggregateKind.
+// Aggregate rules add edges source-grounding -> aggregate-grounding. A
+// node's aggregate kind is its attribute's, looked up in the model's rule
+// facts (RelationalCausalModel::AggregateRuleOf).
 //
 // Execution: GroundModel and ExtendGroundedModel run one serial pipeline.
 // Node creation is bulk-built per attribute. One rule compiler turns the
@@ -66,8 +67,8 @@ class GroundedModel {
   const RelationalCausalModel& model() const { return *model_; }
   const Schema& schema() const { return model_->extended_schema(); }
 
-  /// Aggregate kind of a node, when the node's attribute is defined by an
-  /// aggregate rule.
+  /// Aggregate kind of a node: its attribute's aggregate rule's, or
+  /// nullopt when no aggregate rule defines the attribute.
   std::optional<AggregateKind> NodeAggregate(NodeId id) const;
 
   /// Numeric value of a grounded attribute: base attributes read the
@@ -111,14 +112,12 @@ class GroundedModel {
   // instance read only for overflow-stored values and rule-added non-fact
   // groundings; then AggregateValues over every aggregate node.
   void FinalizeValues(const std::vector<NodeId>& topo_order);
-  // Sizes the aggregate tags to the graph and tags every aggregate-defined
-  // node with id >= first_node with its kind.
-  void TagAggregateNodes(size_t first_node);
   // Reads one node's value from the instance: numeric -> present, else
   // missing.
   void ReadInstanceValue(NodeId id);
-  // Aggregates the sorted parent values of each aggregate node of
-  // `order`, which lists parents before children.
+  // Aggregates the sorted parent values of each node of `order` whose
+  // attribute an aggregate rule defines; `order` lists parents before
+  // children.
   void AggregateValues(const std::vector<NodeId>& order);
   // The forward cone of `seeds` (their closure over Children) in
   // topological order, by Kahn's algorithm over the cone counting only
@@ -130,8 +129,6 @@ class GroundedModel {
   const Instance* instance_ = nullptr;
   const RelationalCausalModel* model_ = nullptr;
   CausalGraph graph_;
-  std::vector<int8_t> node_has_aggregate_;
-  std::vector<AggregateKind> node_aggregate_;
   size_t num_groundings_ = 0;
   GroundingPhaseStats phase_stats_;
 
@@ -156,11 +153,11 @@ Result<GroundedModel> GroundModel(const Instance& instance,
 /// True when `delta` is within the incremental-extend contract for
 /// `model`: the delta is complete (not trimmed), gained facts only (no
 /// deletes exist in this store), wrote no attribute through the overflow
-/// map, wrote no attribute referenced by a rule-condition constraint
-/// (non-monotone: an old binding could appear or vanish), and no constant
-/// named by a rule was interned inside the window. Everything else —
+/// map, wrote no attribute the model's constraints read (ConstraintReads;
+/// non-monotone: an old binding could appear or vanish), and none of its
+/// rule_constants() was interned inside the window. Everything else —
 /// including in-place value overwrites of non-constraint attributes —
-/// extends incrementally.
+/// extends incrementally. Reads the model's rule facts, not its rules.
 bool DeltaSupportsIncrementalExtend(const Instance& instance,
                                     const RelationalCausalModel& model,
                                     const InstanceDelta& delta);
@@ -174,9 +171,9 @@ bool DeltaSupportsIncrementalExtend(const Instance& instance,
 /// and value recompute run over the delta's forward cone only — the
 /// nodes reachable from the new nodes, the written rows' nodes and the
 /// delta bindings' heads. Nothing in an extend walks the whole graph.
-/// The extended graph's node set, edge set, adjacency (as sets), values,
-/// and aggregate tags are identical to a from-scratch ground of the
-/// current state; raw node ids, edge commit order,
+/// The extended graph's node set, edge set, adjacency (as sets) and
+/// values are identical to a from-scratch ground of the current state;
+/// raw node ids, edge commit order,
 /// and num_groundings (which may double-count a binding witnessed by both
 /// old and new rows) are not part of that contract. Fails if the delta is
 /// outside the extend contract or the extended graph is cyclic.

@@ -43,40 +43,6 @@ void QuerySession::set_max_cached_groundings(size_t max) {
   max_cached_groundings_ = max == 0 ? 1 : max;
 }
 
-namespace {
-
-// True when no fact in `delta` can touch the grounded graph of `model`:
-// its predicate bears no extended-schema attribute (no nodes to add) and
-// appears in no rule-condition atom (no bindings to add). Callers must
-// separately establish that the delta is inside the extend contract
-// (complete, no attribute writes, no rule constant interned in the
-// window) before treating such a delta as a no-op.
-bool FactsIrrelevantToGrounding(const RelationalCausalModel& model,
-                                const InstanceDelta& delta) {
-  const Schema& schema = model.extended_schema();
-  for (const InstanceDelta::FactDelta& f : delta.facts) {
-    for (const AttributeDef& attr : schema.attributes()) {
-      if (attr.predicate == f.predicate) return false;
-    }
-    auto where_references = [&](const ConjunctiveQuery& where) {
-      for (const Atom& atom : where.atoms) {
-        Result<PredicateId> pid = schema.FindPredicate(atom.predicate);
-        if (pid.ok() && *pid == f.predicate) return true;
-      }
-      return false;
-    };
-    for (const CausalRule& rule : model.rules()) {
-      if (where_references(rule.where)) return false;
-    }
-    for (const AggregateRule& rule : model.aggregate_rules()) {
-      if (where_references(rule.where)) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
     const RelationalCausalModel& model) {
   CARL_TRACE_SCOPE("query_session.ground");
@@ -106,10 +72,14 @@ Result<std::shared_ptr<const GroundedModel>> QuerySession::Ground(
         instance_->DeltaSince(entry->grounded_generation);
     const bool extensible =
         DeltaSupportsIncrementalExtend(*instance_, cached_model, delta);
+    auto relevant = [&](const InstanceDelta::FactDelta& f) {
+      return cached_model.GroundingReads(f.predicate);
+    };
     if (extensible && delta.attributes.empty() &&
-        FactsIrrelevantToGrounding(cached_model, delta)) {
-      // The mutation cannot reach this model's graph; the cached
-      // grounding is exactly what a re-ground would rebuild.
+        std::none_of(delta.facts.begin(), delta.facts.end(), relevant)) {
+      // The mutation cannot reach this model's graph: no new fact is of
+      // a predicate the grounding reads, so the cached grounding is
+      // exactly what a re-ground would rebuild.
       entry->grounded_generation = generation;
       counters_.Increment(kGroundHits);
       return entry->grounded;

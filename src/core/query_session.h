@@ -16,9 +16,11 @@
 // instance generation it was grounded at; on the next Ground() the
 // session pulls the delta since then (Instance::DeltaSince) and picks the
 // cheapest sound path:
-//   1. the delta cannot touch this model's graph (facts of predicates
-//      bearing no schema attribute and referenced by no rule atom) — the
-//      cached grounding is served as a hit;
+//   1. the delta cannot touch this model's graph: it is inside the
+//      extend contract, writes no attribute, and adds facts only of
+//      predicates the grounding does not read (the model's
+//      GroundingReads: no attribute on them, no rule atom over them) —
+//      the cached grounding is served as a hit;
 //   2. the delta is inside the incremental-extend contract
 //      (DeltaSupportsIncrementalExtend) — the cached graph is extended in
 //      delta-sized time (ExtendGroundedModel) instead of re-grounded;

@@ -32,37 +32,19 @@ struct RequestPlan {
 
 // The attributes `treatment` reaches in the model's attribute graph — the
 // relational dependencies of Maier et al.'s abstract ground graph, lifted
-// to attributes: one edge body -> head per body ref of a causal rule and
-// one edge source -> head per aggregate rule. Every ground edge
+// to attributes (RelationalCausalModel::EffectsOf). Every ground edge
 // instantiates one of them, so every node on a ground path T[p] -> ... ->
 // Y[x] has a reached attribute, and the peer search may skip the rest.
-Result<std::vector<uint8_t>> ReachedAttributes(
-    const RelationalCausalModel& model, AttributeId treatment) {
-  const Schema& schema = model.extended_schema();
-  std::vector<std::pair<AttributeId, AttributeId>> edges;
-  auto add_edge = [&](const AttributeRef& from,
-                      const AttributeRef& to) -> Status {
-    CARL_ASSIGN_OR_RETURN(AttributeId f, schema.FindAttribute(from.attribute));
-    CARL_ASSIGN_OR_RETURN(AttributeId t, schema.FindAttribute(to.attribute));
-    edges.emplace_back(f, t);
-    return Status::OK();
-  };
-  for (const CausalRule& rule : model.rules()) {
-    for (const AttributeRef& body : rule.body) {
-      CARL_RETURN_IF_ERROR(add_edge(body, rule.head));
-    }
-  }
-  for (const AggregateRule& rule : model.aggregate_rules()) {
-    CARL_RETURN_IF_ERROR(add_edge(rule.source, rule.head));
-  }
-  std::vector<uint8_t> reached(schema.num_attributes(), 0);
+std::vector<uint8_t> ReachedAttributes(const RelationalCausalModel& model,
+                                       AttributeId treatment) {
+  std::vector<uint8_t> reached(model.extended_schema().num_attributes(), 0);
   reached[treatment] = 1;
-  for (bool grew = true; grew;) {
-    grew = false;
-    for (const auto& [from, to] : edges) {
-      if (reached[from] != 0 && reached[to] == 0) {
-        reached[to] = 1;
-        grew = true;
+  std::vector<AttributeId> queue{treatment};
+  for (size_t i = 0; i < queue.size(); ++i) {
+    for (AttributeId effect : model.EffectsOf(queue[i])) {
+      if (reached[effect] == 0) {
+        reached[effect] = 1;
+        queue.push_back(effect);
       }
     }
   }
@@ -90,15 +72,13 @@ Result<RequestPlan> PlanRequest(const GroundedModel& grounded,
   if (request.allowed_sources.has_value()) {
     plan.allowed_sources = &*request.allowed_sources;
   }
-  Result<const AggregateRule*> agg =
-      grounded.model().FindAggregateRule(y_def.name);
-  if (agg.ok()) {
-    plan.response_aggregate = (*agg)->aggregate;
+  const AggregateRule* agg = grounded.model().AggregateRuleOf(plan.response);
+  if (agg != nullptr) {
+    plan.response_aggregate = agg->aggregate;
     CARL_ASSIGN_OR_RETURN(plan.response_source,
-                          schema.FindAttribute((*agg)->source.attribute));
+                          schema.FindAttribute(agg->source.attribute));
   }
-  CARL_ASSIGN_OR_RETURN(plan.reached,
-                        ReachedAttributes(grounded.model(), plan.treatment));
+  plan.reached = ReachedAttributes(grounded.model(), plan.treatment);
   return plan;
 }
 

@@ -382,15 +382,4 @@ std::vector<NodeId> DSeparation::ConnectedNodes(const std::vector<NodeId>& x,
   return out;
 }
 
-bool DSeparated(const CausalGraph& graph, const std::vector<NodeId>& x,
-                const std::vector<NodeId>& y, const std::vector<NodeId>& z) {
-  return DSeparation(graph).Separated(x, y, z);
-}
-
-std::vector<NodeId> DConnectedNodes(const CausalGraph& graph,
-                                    const std::vector<NodeId>& x,
-                                    const std::vector<NodeId>& z) {
-  return DSeparation(graph).ConnectedNodes(x, z);
-}
-
 }  // namespace carl

@@ -296,17 +296,6 @@ class DSeparation {
   std::vector<std::pair<NodeId, Arrival>> frontier_;
 };
 
-/// d-separation test: X ⫫ Y | Z in `graph`? One DSeparation query on
-/// fresh scratch.
-bool DSeparated(const CausalGraph& graph, const std::vector<NodeId>& x,
-                const std::vector<NodeId>& y, const std::vector<NodeId>& z);
-
-/// Nodes reachable from X by an active trail given conditioning set Z
-/// (excluding conditioned nodes), ascending. Exposed for testing.
-std::vector<NodeId> DConnectedNodes(const CausalGraph& graph,
-                                    const std::vector<NodeId>& x,
-                                    const std::vector<NodeId>& z);
-
 }  // namespace carl
 
 #endif  // CARL_GRAPH_CAUSAL_GRAPH_H_

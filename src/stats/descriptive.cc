@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -14,12 +15,28 @@ double Mean(const std::vector<double>& v) {
   return s / static_cast<double>(v.size());
 }
 
+double ZeroIfConstant(double variance, double mean, const double* v, size_t n) {
+  // n copies of c sum with an error below n^2 u |c| / 2 (u = eps / 2), so
+  // their mean is off by less than n u |c| and their two-pass variance
+  // is below 2 (n u c)^2, a factor 8 under this bound.
+  const double rounding =
+      static_cast<double>(n) * std::numeric_limits<double>::epsilon() * mean;
+  if (variance == 0.0 || variance > 4.0 * rounding * rounding) {
+    return variance;
+  }
+  for (size_t i = 1; i < n; ++i) {
+    if (v[i] != v[0]) return variance;
+  }
+  return 0.0;
+}
+
 double SampleVariance(const std::vector<double>& v) {
   if (v.size() < 2) return 0.0;
   double m = Mean(v);
   double s = 0.0;
   for (double x : v) s += (x - m) * (x - m);
-  return s / static_cast<double>(v.size() - 1);
+  const double variance = s / static_cast<double>(v.size() - 1);
+  return ZeroIfConstant(variance, m, v.data(), v.size());
 }
 
 double StdDev(const std::vector<double>& v) {

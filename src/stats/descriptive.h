@@ -13,7 +13,15 @@
 namespace carl {
 
 double Mean(const std::vector<double>& v);
-/// Unbiased sample variance (n-1 denominator); 0 for n < 2.
+/// `variance`, the two-pass sample variance of the `n` >= 2 values `v`
+/// of mean `mean`, or exactly 0 when every value equals the first: a
+/// constant's two-pass variance is rounding error, which exceeds a fit's
+/// near-constant cutoff when the constant is large. Scans `v` only when
+/// `variance` is nonzero and small enough to be such rounding error, and
+/// stops at the first value that differs.
+double ZeroIfConstant(double variance, double mean, const double* v, size_t n);
+/// Unbiased sample variance (n-1 denominator); exactly 0 for n < 2 and
+/// for a constant (ZeroIfConstant).
 double SampleVariance(const std::vector<double>& v);
 double StdDev(const std::vector<double>& v);
 

@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "linalg/matrix.h"
 #include "linalg/solve.h"
+#include "stats/descriptive.h"
 
 namespace carl {
 
@@ -119,7 +120,9 @@ std::vector<double> SampleVariances(const std::vector<const double*>& cols,
     }
     const double sum[kLanes] = {lo[0], lo[1], hi[0], hi[1]};
     for (size_t l = 0; l < kLanes && k + l < cols.size(); ++l) {
-      variances[k + l] = sum[l] / static_cast<double>(n - 1);
+      const double mean = l < 2 ? mean_lo[l] : mean_hi[l - 2];
+      const double variance = sum[l] / static_cast<double>(n - 1);
+      variances[k + l] = ZeroIfConstant(variance, mean, col[l], n);
     }
   }
   return variances;

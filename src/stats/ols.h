@@ -45,12 +45,13 @@ struct OlsFit {
 };
 
 /// A column whose sample variance is below this is near-constant: a fit
-/// drops it.
+/// drops it. An exactly constant column has variance 0 at any magnitude.
 constexpr double kOlsMinVariance = 1e-12;
 
 /// SampleVariance of each of the `n`-row columns `cols`, bit for bit:
 /// four columns per pass over the rows, each column's sum and squared-
-/// deviation sum in its own accumulator, in row order.
+/// deviation sum in its own accumulator, in row order; exactly 0 for a
+/// constant column (ZeroIfConstant).
 std::vector<double> SampleVariances(const std::vector<const double*>& cols,
                                     size_t n);
 

@@ -8,6 +8,7 @@
 #include "core/causal_model.h"
 #include "core/grounding.h"
 #include "datagen/review_toy.h"
+#include "lang/parser.h"
 
 namespace carl {
 namespace {
@@ -85,6 +86,48 @@ TEST_F(ToyModelTest, AggregateHeadRegisteredOnInferredPredicate) {
   EXPECT_TRUE(model_->IsAggregateAttribute(*avg));
   EXPECT_TRUE(model_->FindAggregateRule("AVG_Score").ok());
   EXPECT_FALSE(model_->FindAggregateRule("Score").ok());
+}
+
+// The rule facts of a derived variant (a copy of the model plus one
+// aggregate rule, as CarlEngine::Resolve builds for §4.3) are its own:
+// they report the new rule, its effect and the predicate its condition
+// adds, every rule lookup reads the copy's rules, and the base reports
+// as before.
+TEST_F(ToyModelTest, DerivedVariantRebuildsItsRuleFacts) {
+  const Schema& schema = model_->extended_schema();
+  const AttributeId score = *schema.FindAttribute("Score");
+  const AttributeId avg = *schema.FindAttribute("AVG_Score");
+  const PredicateId submitted = *schema.FindPredicate("Submitted");
+  auto contains = [](const std::vector<AttributeId>& ids, AttributeId id) {
+    return std::count(ids.begin(), ids.end(), id) == 1;
+  };
+  ASSERT_FALSE(model_->GroundingReads(submitted));
+  ASSERT_EQ(model_->EffectsOf(score), std::vector<AttributeId>{avg});
+
+  Result<AggregateRule> rule = ParseAggregateRule(
+      "MAX_Score[A] <= Score[S] WHERE Author(A, S), Submitted(S, C)");
+  ASSERT_TRUE(rule.ok()) << rule.status();
+  RelationalCausalModel variant = *model_;
+  EXPECT_EQ(variant.AggregateRuleOf(avg), &variant.aggregate_rules()[0]);
+  ASSERT_TRUE(variant.AddAggregateRule(*rule).ok());
+  const Schema& variant_schema = variant.extended_schema();
+  Result<AttributeId> max = variant_schema.FindAttribute("MAX_Score");
+  ASSERT_TRUE(max.ok());
+  ASSERT_EQ(variant.aggregate_rules().size(), 2u);
+  EXPECT_EQ(variant.AggregateRuleOf(avg), &variant.aggregate_rules()[0]);
+  ASSERT_EQ(variant.AggregateRuleOf(*max), &variant.aggregate_rules()[1]);
+  EXPECT_EQ(variant.AggregateRuleOf(*max)->aggregate, AggregateKind::kMax);
+  EXPECT_TRUE(variant.IsAggregateAttribute(*max));
+  EXPECT_EQ(variant.AggregateRuleOf(score), nullptr);
+  EXPECT_TRUE(contains(variant.EffectsOf(score), avg));
+  EXPECT_TRUE(contains(variant.EffectsOf(score), *max));
+  EXPECT_TRUE(variant.EffectsOf(*max).empty());
+  EXPECT_TRUE(variant.GroundingReads(submitted));
+
+  EXPECT_FALSE(model_->extended_schema().FindAttribute("MAX_Score").ok());
+  EXPECT_EQ(model_->AggregateRuleOf(avg), &model_->aggregate_rules()[0]);
+  EXPECT_EQ(model_->EffectsOf(score), std::vector<AttributeId>{avg});
+  EXPECT_FALSE(model_->GroundingReads(submitted));
 }
 
 // Example 3.6: the exact grounded parent sets of Figure 4.

@@ -523,7 +523,7 @@ Result<bool> AdjustmentCriterionByUnit(const GroundedModel& grounded,
       }
     }
   }
-  return DSeparated(graph, starts, parents, conditioning);
+  return DSeparation(graph).Separated(starts, parents, conditioning);
 }
 
 namespace {

@@ -140,7 +140,7 @@ Result<UnitTable> UnitTableByUnit(const GroundedModel& grounded,
 
 /// Theorem 5.2's adjustment criterion for one unit, by plain graph calls
 /// only (FindNode, Ancestors, Parents, NodeValue) and one fresh
-/// DSeparated: the reference CheckAdjustmentCriterion must agree with
+/// DSeparation: the reference CheckAdjustmentCriterion must agree with
 /// unit by unit. The unit's response grounding(s) (its response node, or
 /// the valued, allowed source parents of an aggregate response node) must
 /// be d-separated from every parent of T[x] and of its peers' T[p] (the

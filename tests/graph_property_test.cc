@@ -104,12 +104,12 @@ TEST(DSeparationInvariantTest, SymmetryAndMonotoneBehaviour) {
         if (c != x && c != y && rng.Bernoulli(0.25)) z.push_back(c);
       }
       // Symmetry: X ⫫ Y | Z iff Y ⫫ X | Z.
-      EXPECT_EQ(DSeparated(graph, {x}, {y}, z),
-                DSeparated(graph, {y}, {x}, z));
+      EXPECT_EQ(DSeparation(graph).Separated({x}, {y}, z),
+                DSeparation(graph).Separated({y}, {x}, z));
       // Adjacent nodes are never d-separated (no Z can block the edge).
       const NodeIdSpan children = graph.Children(x);
       if (std::find(children.begin(), children.end(), y) != children.end()) {
-        EXPECT_FALSE(DSeparated(graph, {x}, {y}, z));
+        EXPECT_FALSE(DSeparation(graph).Separated({x}, {y}, z));
       }
     }
   }

@@ -3,8 +3,10 @@
 // columns stay row-aligned with the instance's fact rows, node args read
 // back exactly, and at every thread count the grounded graph equals an
 // independent per-binding reference grounding (raw ids, adjacency order,
-// num_edges, num_groundings) on MIMIC, SYNTH-REVIEW and a model
-// whose refs name constants, with values identical across thread counts.
+// num_edges, num_groundings) on MIMIC, SYNTH-REVIEW, the review toy and
+// models whose refs name constants or share conditions, with values
+// identical across thread counts; every node reports its attribute's
+// aggregate kind, after a ground and after an extend.
 // A warm grounding pass makes a bounded number of heap allocations,
 // counted by the heap hook this binary installs.
 
@@ -12,6 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@ using test_fixtures::GraphWorkloads;
 using test_fixtures::GroundByBinding;
 using test_fixtures::NamedDataset;
 using test_fixtures::ReferenceGrounding;
+using test_fixtures::ReviewToyDataset;
 using test_fixtures::ScopedThreads;
 
 // The invariant the node-id columns rely on: for every schema attribute,
@@ -75,6 +79,24 @@ void ExpectMatchesReference(const ReferenceGrounding& reference,
   }
 }
 
+// Every node reports its attribute's aggregate kind, read here off the
+// model's aggregate rules by head name.
+void ExpectNodeAggregatesMatchRules(const GroundedModel& grounded,
+                                    const std::string& label) {
+  const Schema& schema = grounded.schema();
+  std::vector<std::optional<AggregateKind>> kind_of(schema.num_attributes());
+  for (const AggregateRule& rule : grounded.model().aggregate_rules()) {
+    Result<AttributeId> head = schema.FindAttribute(rule.head.attribute);
+    ASSERT_TRUE(head.ok()) << label;
+    kind_of[*head] = rule.aggregate;
+  }
+  const CausalGraph& graph = grounded.graph();
+  for (NodeId id = 0; id < static_cast<NodeId>(graph.num_nodes()); ++id) {
+    ASSERT_EQ(grounded.NodeAggregate(id), kind_of[graph.node(id).attribute])
+        << label << " node " << id;
+  }
+}
+
 // The review toy under a model whose refs name one interned constant
 // ("Bob") and one never-interned constant ("nobody"). The latter sits in
 // a causal rule's head, in one body of a two-body causal rule, and in an
@@ -118,9 +140,12 @@ NamedDataset SharedConditionsDataset() {
 
 // The per-rule merge against the plain per-binding loop, at threads
 // {1, 2, 4}; the fingerprint (which also folds values) must not move
-// with the thread count either.
+// with the thread count either. Every node's aggregate kind must be its
+// attribute's rule's, after each ground and after an extend that adds a
+// fresh row to every entity predicate.
 TEST(GraphStoreTest, GroundingMatchesPerBindingReference) {
   std::vector<NamedDataset> workloads = GraphWorkloads();
+  workloads.push_back(NamedDataset{"REVIEW", ReviewToyDataset()});
   workloads.push_back(ConstantRefsDataset());
   workloads.push_back(SharedConditionsDataset());
   for (NamedDataset& wl : workloads) {
@@ -138,10 +163,26 @@ TEST(GraphStoreTest, GroundingMatchesPerBindingReference) {
       std::string label =
           std::string(wl.name) + " threads=" + std::to_string(threads);
       ExpectMatchesReference(reference, *grounded, label);
+      ExpectNodeAggregatesMatchRules(*grounded, label);
       uint64_t fp = GraphFingerprint(*grounded);
       if (threads == 1) one_thread_fp = fp;
       EXPECT_EQ(fp, one_thread_fp) << label;
     }
+
+    Instance& instance = *wl.dataset.instance;
+    Result<GroundedModel> grounded = GroundModel(instance, *model);
+    ASSERT_TRUE(grounded.ok()) << wl.name << ": " << grounded.status();
+    const uint64_t generation = instance.generation();
+    for (const Predicate& pred : instance.schema().predicates()) {
+      if (pred.kind == PredicateKind::kEntity) {
+        ASSERT_TRUE(instance.AddFact(pred.name, {"fresh0"}).ok());
+      }
+    }
+    Result<GroundedModel> extended = ExtendGroundedModel(
+        std::move(*grounded), instance.DeltaSince(generation));
+    ASSERT_TRUE(extended.ok()) << wl.name << ": " << extended.status();
+    ExpectNodeAggregatesMatchRules(*extended,
+                                   std::string(wl.name) + " extended");
   }
 }
 

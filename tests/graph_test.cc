@@ -212,8 +212,8 @@ TEST(DSeparationTest, Chain) {
   NodeId a = N(&g, 0), b = N(&g, 1), c = N(&g, 2);
   g.AddEdge(a, b);
   g.AddEdge(b, c);
-  EXPECT_FALSE(DSeparated(g, {a}, {c}, {}));
-  EXPECT_TRUE(DSeparated(g, {a}, {c}, {b}));
+  EXPECT_FALSE(DSeparation(g).Separated({a}, {c}, {}));
+  EXPECT_TRUE(DSeparation(g).Separated({a}, {c}, {b}));
 }
 
 TEST(DSeparationTest, Fork) {
@@ -221,8 +221,8 @@ TEST(DSeparationTest, Fork) {
   NodeId a = N(&g, 0), b = N(&g, 1), c = N(&g, 2);
   g.AddEdge(b, a);
   g.AddEdge(b, c);
-  EXPECT_FALSE(DSeparated(g, {a}, {c}, {}));
-  EXPECT_TRUE(DSeparated(g, {a}, {c}, {b}));
+  EXPECT_FALSE(DSeparation(g).Separated({a}, {c}, {}));
+  EXPECT_TRUE(DSeparation(g).Separated({a}, {c}, {b}));
 }
 
 TEST(DSeparationTest, ColliderBlocksUntilConditioned) {
@@ -230,8 +230,8 @@ TEST(DSeparationTest, ColliderBlocksUntilConditioned) {
   NodeId a = N(&g, 0), b = N(&g, 1), c = N(&g, 2);
   g.AddEdge(a, b);
   g.AddEdge(c, b);
-  EXPECT_TRUE(DSeparated(g, {a}, {c}, {}));
-  EXPECT_FALSE(DSeparated(g, {a}, {c}, {b}));
+  EXPECT_TRUE(DSeparation(g).Separated({a}, {c}, {}));
+  EXPECT_FALSE(DSeparation(g).Separated({a}, {c}, {b}));
 }
 
 TEST(DSeparationTest, ColliderDescendantAlsoActivates) {
@@ -240,8 +240,8 @@ TEST(DSeparationTest, ColliderDescendantAlsoActivates) {
   g.AddEdge(a, b);
   g.AddEdge(c, b);
   g.AddEdge(b, d);  // d descends from the collider
-  EXPECT_TRUE(DSeparated(g, {a}, {c}, {}));
-  EXPECT_FALSE(DSeparated(g, {a}, {c}, {d}));
+  EXPECT_TRUE(DSeparation(g).Separated({a}, {c}, {}));
+  EXPECT_FALSE(DSeparation(g).Separated({a}, {c}, {d}));
 }
 
 TEST(DSeparationTest, ConfounderAdjustment) {
@@ -255,9 +255,9 @@ TEST(DSeparationTest, ConfounderAdjustment) {
   g.AddEdge(quality, score);
   g.AddEdge(prestige, score);
   // Score depends on Qualification even given Prestige (via Quality).
-  EXPECT_FALSE(DSeparated(g, {score}, {qual}, {prestige}));
+  EXPECT_FALSE(DSeparation(g).Separated({score}, {qual}, {prestige}));
   // Conditioning on Prestige + Quality separates Score from Qualification.
-  EXPECT_TRUE(DSeparated(g, {score}, {qual}, {prestige, quality}));
+  EXPECT_TRUE(DSeparation(g).Separated({score}, {qual}, {prestige, quality}));
 }
 
 TEST(DSeparationTest, NodesInsideZAreIgnored) {
@@ -265,18 +265,18 @@ TEST(DSeparationTest, NodesInsideZAreIgnored) {
   NodeId a = N(&g, 0), b = N(&g, 1);
   g.AddEdge(a, b);
   // X or Y intersecting Z is separated by convention.
-  EXPECT_TRUE(DSeparated(g, {a}, {b}, {b}));
-  EXPECT_TRUE(DSeparated(g, {a}, {b}, {a}));
+  EXPECT_TRUE(DSeparation(g).Separated({a}, {b}, {b}));
+  EXPECT_TRUE(DSeparation(g).Separated({a}, {b}, {a}));
 }
 
-TEST(DSeparationTest, DConnectedNodesFromSource) {
+TEST(DSeparationTest, ConnectedNodesFromSource) {
   CausalGraph g;
   NodeId a = N(&g, 0), b = N(&g, 1), c = N(&g, 2);
   g.AddEdge(a, b);
   g.AddEdge(b, c);
-  std::vector<NodeId> reach = DConnectedNodes(g, {a}, {});
+  std::vector<NodeId> reach = DSeparation(g).ConnectedNodes({a}, {});
   EXPECT_EQ(reach.size(), 3u);
-  reach = DConnectedNodes(g, {a}, {b});
+  reach = DSeparation(g).ConnectedNodes({a}, {b});
   EXPECT_EQ(reach.size(), 1u);  // only a itself
 }
 

@@ -1,5 +1,5 @@
 // Property-based tests:
-//  * DSeparated agrees with a brute-force path-blocking oracle on random
+//  * DSeparation agrees with a brute-force path-blocking oracle on random
 //    DAGs over thousands of (X, Y | Z) triples, and one reused
 //    DSeparation scratch does over a long sequence of set queries;
 //  * the conjunctive-query evaluator agrees with naive enumeration on
@@ -115,7 +115,7 @@ TEST(DSeparationPropertyTest, AgreesWithPathEnumerationOracle) {
           z.push_back(static_cast<NodeId>(c));
         }
       }
-      bool fast = DSeparated(graph, {x}, {y}, z);
+      bool fast = DSeparation(graph).Separated({x}, {y}, z);
       bool slow = oracle.Separated(x, y, z);
       ASSERT_EQ(fast, slow)
           << "graph " << g << " x=" << x << " y=" << y << " |Z|=" << z.size();

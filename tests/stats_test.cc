@@ -73,14 +73,18 @@ TEST(OlsTest, RecoversCoefficients) {
   EXPECT_NEAR(fit->CoefficientOr("b", 0), -3.0, 0.01);
 }
 
+// An exactly constant column goes at any magnitude: over 5,000 rows the
+// two-pass variance of 98,765,432.1 and of 1,000,000,000.1 rounds to
+// 7.1e-11 and 1.8e-10, above kOlsMinVariance.
 TEST(OlsTest, DropsConstantColumns) {
-  FlatTable t({"y", "x", "const"});
-  for (int i = 0; i < 10; ++i) {
-    t.AddRow({static_cast<double>(i), static_cast<double>(i), 7.0});
+  FlatTable t({"y", "x", "const", "big", "huge"});
+  for (int i = 0; i < 5000; ++i) {
+    const double x = static_cast<double>(i);
+    t.AddRow({x, x, 7.0, 98765432.1, 1000000000.1});
   }
-  Result<OlsFit> fit = FitOls(t, "y", {"x", "const"});
+  Result<OlsFit> fit = FitOls(t, "y", {"x", "const", "big", "huge"});
   ASSERT_TRUE(fit.ok());
-  EXPECT_EQ(fit->dropped, (std::vector<std::string>{"const"}));
+  EXPECT_EQ(fit->dropped, (std::vector<std::string>{"const", "big", "huge"}));
   EXPECT_FALSE(fit->Coefficient("const").ok());
   EXPECT_NEAR(fit->CoefficientOr("x", 0), 1.0, 1e-9);
 }
@@ -207,9 +211,12 @@ TEST(OlsTest, BitIdenticalToDesignMatrixPath) {
 
 // FitOls checks its columns for constancy four at a time; each column's
 // variance must equal SampleVariance's bit for bit, so the dropped set
-// cannot change. Columns: seeded continuous and 0/1 ones, constants, and
-// near-constants whose variance falls on both sides of the 1e-12 cut; 7
-// of them, so the last pass runs short.
+// cannot change. Columns: seeded continuous and 0/1 ones, near-constants
+// whose variance falls on both sides of the 1e-12 cut, constants, which
+// read exactly 0 (one so large that its two-pass sum rounds above the
+// cut), and that large constant with its last row one ulp higher, whose
+// variance is as small as a constant's rounding but not 0; 9 of them, so
+// the last pass runs short.
 TEST(OlsTest, SampleVariancesMatchSampleVarianceBitForBit) {
   size_t below = 0;
   size_t above = 0;
@@ -218,7 +225,7 @@ TEST(OlsTest, SampleVariancesMatchSampleVarianceBitForBit) {
       SCOPED_TRACE("n=" + std::to_string(n) + " seed=" +
                    std::to_string(seed));
       Rng rng(seed * 7919 + n);
-      std::vector<std::vector<double>> cols(7, std::vector<double>(n));
+      std::vector<std::vector<double>> cols(9, std::vector<double>(n));
       for (size_t r = 0; r < n; ++r) {
         const double sign = (r % 2 == 0) ? 1.0 : -1.0;
         cols[0][r] = rng.Normal(1, 2);
@@ -228,6 +235,8 @@ TEST(OlsTest, SampleVariancesMatchSampleVarianceBitForBit) {
         cols[4][r] = 3.7 + sign * 1.2e-6;  // variance ~1.4e-12
         cols[5][r] = -2.0 + rng.Uniform() * 1e-6;
         cols[6][r] = rng.Normal(-5, 0.1);
+        cols[7][r] = 98765432.1;
+        cols[8][r] = r + 1 < n ? 98765432.1 : std::nextafter(98765432.1, 1e9);
       }
       std::vector<const double*> data;
       for (const std::vector<double>& col : cols) data.push_back(col.data());
@@ -239,6 +248,9 @@ TEST(OlsTest, SampleVariancesMatchSampleVarianceBitForBit) {
             << "column " << c << ": " << want << " vs " << got[c];
         if (c >= 3 && c <= 4) ++(want < 1e-12 ? below : above);
       }
+      EXPECT_EQ(got[2], 0.0);
+      EXPECT_EQ(got[7], 0.0);
+      EXPECT_GT(got[8], 0.0);
     }
   }
   // The near-constant columns straddle the cut.
@@ -344,7 +356,9 @@ TEST(OlsTest, SubsetSolveMatchesFitOlsOnTheSubset) {
        {std::vector<size_t>{0, 1, 3}, std::vector<size_t>{0, 2, 3, 4},
         std::vector<size_t>{0, 4}, std::vector<size_t>{0, 1, 2, 3, 4}}) {
     std::vector<std::string> x;
-    for (size_t k = 1; k < subset.size(); ++k) x.push_back(names[subset[k] - 1]);
+    for (size_t k = 1; k < subset.size(); ++k) {
+      x.push_back(names[subset[k] - 1]);
+    }
     Result<OlsFit> want = FitOls(t, "y", x);
     Result<std::vector<double>> got = SolveOls(sums, subset);
     ASSERT_TRUE(want.ok() && got.ok());
